@@ -22,6 +22,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -90,7 +91,6 @@ class ScenarioConfig:
     hyper: float = 0.0
     dt_override: float | None = None
     r_cut: float = 1.0
-    rdt: float = 0.25
     diagnostics: tuple = ("*",)
     store_fields: bool = False
     outdir: str = "runs"
@@ -116,7 +116,7 @@ class ScenarioConfig:
 
 _INT_FIELDS = {"n", "N", "data_order", "seed", "n_snapshots", "workers"}
 _FLOAT_FIELDS = {"lam", "mu", "gamma", "L", "R", "eps", "q0", "jitter",
-                 "t_final", "fit_lo", "fit_hi", "cfl", "hyper", "r_cut", "rdt"}
+                 "t_final", "fit_lo", "fit_hi", "cfl", "hyper", "r_cut"}
 _OPT_FLOAT_FIELDS = {"delta", "dt_override"}
 _BOOL_FIELDS = {"dealias", "if_split", "store_fields"}
 _STR_FIELDS = {"scenario", "data_kind", "outdir"}
@@ -200,8 +200,6 @@ def validate_config(cfg: ScenarioConfig):
         raise ConfigError(f"dt_override: must be positive, got {cfg.dt_override}")
     if cfg.r_cut <= 0.0:
         raise ConfigError(f"r_cut: must be positive, got {cfg.r_cut}")
-    if cfg.rdt <= 0.0:
-        raise ConfigError(f"rdt: must be positive, got {cfg.rdt}")
     if cfg.workers < 0:
         raise ConfigError(f"workers: must be nonnegative, got {cfg.workers}")
     preset = PRESETS[cfg.scenario]
@@ -477,8 +475,7 @@ def _run_linear_decay(cfg: ScenarioConfig, outdir: Path):
     for k in (0, 1):
         pred = -(1.0 - cfg.lam) * (cfg.n + k) / 2.0
         ser = linear.kernel_decay_check(g, grid, d, times, i=1, k=k, p=np.inf,
-                                        r_cut=cfg.r_cut, rdt=cfg.rdt,
-                                        envelope_exponent=pred)
+                                        r_cut=cfg.r_cut, envelope_exponent=pred)
         fit = decay_fit(ser.times, ser.observed, cfg.fit_lo, cfg.fit_hi)
         series[k], fits[k] = ser, fit
         verdicts.append(Verdict(
@@ -523,7 +520,7 @@ def _run_zone_bounds(cfg: ScenarioConfig, outdir: Path):
 
     def collect(density: int):
         radii = np.geomspace(1e-3, 2.0, density)
-        tr = linear.evolve_modes(radii, d, tlist, rdt=cfg.rdt)
+        tr = linear.evolve_modes(radii, d, tlist)
         per_zone = {Zone.Z1: [], Zone.Z2: [], Zone.Z3: []}
         table = []
         for m, r in enumerate(radii):
@@ -561,7 +558,7 @@ def _run_zone_bounds(cfg: ScenarioConfig, outdir: Path):
 
     r3 = 3.0
     t_dense = np.geomspace(1.0, min(200.0, cfg.t_final), 25)
-    tr3 = linear.evolve_modes(np.array([r3]), d, t_dense, rdt=cfg.rdt)
+    tr3 = linear.evolve_modes(np.array([r3]), d, t_dense)
     amp = np.sqrt(np.abs(tr3[1, 0]) ** 2 / r3 ** 2 + np.abs(tr3[0, 0]) ** 2)
     fit = decay_fit(t_dense, amp, 5.0, float(t_dense[-1]), kind="stretched",
                     stretch_exponent=1.0 - d.lam)
@@ -600,7 +597,7 @@ def _run_zone_integrals(cfg: ScenarioConfig, outdir: Path):
         raise ConfigError("mu: zone-integrals needs mu > 0 (empty low band)")
     times = (10.0, 100.0, 1000.0)
     alphas = (0, 2)
-    vals = {a: [linear.zone_integral(t, 1, a, Zone.Z1, 1, d, cfg.n, rdt=cfg.rdt)
+    vals = {a: [linear.zone_integral(t, 1, a, Zone.Z1, 1, d, cfg.n)
                 for t in times] for a in alphas}
 
     verdicts = []
@@ -1037,7 +1034,8 @@ def sweep(base: ScenarioConfig, axes: dict, base_dir=None,
 
     base_str = str(base_dir if base_dir is not None else base.outdir)
     w = workers if workers is not None else base.workers
-    if w > 1 and len(cfgs) > 1:
+    w = min(w, os.cpu_count() or 1, len(cfgs))
+    if w > 1:
         with ProcessPoolExecutor(max_workers=w) as pool:
             futures = [pool.submit(_sweep_worker, c.as_dict(), base_str)
                        for c in cfgs]

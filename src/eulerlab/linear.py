@@ -11,14 +11,15 @@ so each Fourier mode obeys the non-autonomous oscillator
 Because the coefficient depends on t, the solution operator is a genuine
 two-time propagator E(t, tau, r): a 2x2 matrix acting on (W, W') data
 posed at time tau.  Its columns are the canonical solutions phi1
-(value data) and phi2 (slope data).  This module integrates them
-numerically two independent ways:
+(value data) and phi2 (slope data).  This module computes them two
+independent ways:
 
-  * a lockstep classical RK4 sweep, vectorized over a whole batch of
-    radii, with the step size tied to the fastest oscillation present
-    (used for long-horizon decay studies);
-  * scipy's DOP853 on single modes at tight tolerance (used as the
-    cross-check oracle and for propagator samples).
+  * a batched fourth-order Magnus engine (evolve_modes), vectorized over
+    a whole batch of radii, whose step grows like MAGNUS_STEP (1+t)
+    whatever the radii (used by the grid solver, the zone diagnostics
+    and long-horizon decay studies);
+  * scipy's DOP853 on single modes at tight tolerance (propagator_matrix,
+    used as the cross-check oracle and for propagator samples).
 
 On top of the propagators sit the zone diagnostics: envelope checks,
 radial zone integrals by refining quadrature, and the kernel decay
@@ -30,22 +31,20 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .grids import Grid, SpectralOps
-from .params import DampingLaw, Zone, damping_coeff, t_xi, zone_classify
+from .params import DampingLaw, Zone, t_xi, zone_classify
 
 __all__ = [
-    "ModeState",
     "PropagatorSample",
     "ZoneBoundReport",
     "KernelDecaySeries",
     "AliasingWarning",
     "QuadratureError",
-    "mode_rhs",
     "fundamental_pair",
     "two_time_propagator",
     "propagator_matrix",
@@ -67,23 +66,6 @@ class AliasingWarning(UserWarning):
 
 class QuadratureError(RuntimeError):
     """Refining quadrature failed to converge to the requested tolerance."""
-
-
-@dataclass
-class ModeState:
-    """One Fourier mode of the damped wave equation at time t."""
-
-    t: float
-    xi: np.ndarray
-    w: complex
-    w_t: complex
-
-
-def mode_rhs(s: ModeState, f_hat: complex, d: DampingLaw) -> tuple[complex, complex]:
-    """Right-hand side of the first-order mode system (dW, dW')."""
-    r2 = float(np.sum(np.atleast_1d(np.asarray(s.xi, dtype=float)) ** 2))
-    b = damping_coeff(s.t, d)
-    return s.w_t, f_hat - r2 * s.w - b * s.w_t
 
 
 # =====================================================================
@@ -161,40 +143,65 @@ def fundamental_pair(t: float, xi, d: DampingLaw,
 
 
 # =====================================================================
-#  Lockstep batched RK4 engine
+#  Batched Magnus engine
 # =====================================================================
 
-def _dt_schedule(t: float, rmax: float, d: DampingLaw, rdt: float) -> float:
-    """Step-size law for the lockstep sweep.
+MAGNUS_STEP = 0.02
+_GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 
-    Three caps: resolve the fastest oscillation (rdt/rmax), stay inside
-    the explicit stability region of the friction term, and resolve the
-    slow drift of the coefficient itself (step grows like 0.06(1+t), so
-    late times cost only logarithmically many steps).
+
+def _magnus_step(t: float, h: float, r2: np.ndarray, d: DampingLaw):
+    """Entries (e00, e01, e10, e11) of the fourth-order Magnus propagator.
+
+    With A(s) = [[0, 1], [-r^2, -b(s)]] sampled at the two Gauss nodes,
+    Omega = h/2 (A1 + A2) + (sqrt(3) h^2 / 12) [A2, A1] reduces to
+    [[0, h + delta], [r^2 (delta - h), -h bbar]].  With m = tr(Omega)/2
+    and N = Omega - m I (traceless, N^2 = q I) its exponential is
+    C I + S N, where C and S carry the factor e^m.  For q > 0 they are
+    formed from e^(m +- sqrt q), so heavy friction at late times cannot
+    overflow a cosh.
     """
-    h = 0.06 * (1.0 + t)
-    if rmax > 0.0:
-        h = min(h, rdt / rmax)
-    if d.mu > 0.0:
-        h = min(h, 1.2 * (1.0 + t) ** d.lam / d.mu)
-    return h
+    b1 = d.mu * (1.0 + t + h * (0.5 - _GAUSS_OFFSET)) ** (-d.lam)
+    b2 = d.mu * (1.0 + t + h * (0.5 + _GAUSS_OFFSET)) ** (-d.lam)
+    delta = math.sqrt(3.0) * h * h * (b2 - b1) / 12.0
+    m = -0.25 * h * (b1 + b2)
+    n00 = -m
+    n01 = h + delta
+    n10 = r2 * (delta - h)
+    q = n00 * n00 + n01 * n10
+    s = np.sqrt(np.abs(q))
+
+    # q <= 0: e^m cos(s) and e^m sin(s)/s; sinc covers the limit q -> 0
+    em = math.exp(m)
+    C = em * np.cos(s)
+    S = em * np.sinc(s / np.pi)
+    # q > 0: (e^(m+s) +- e^(m-s)) / 2, the difference divided by s and
+    # taken through expm1 while s is small
+    hyp = q > 0.0
+    if np.any(hyp):
+        sh = s[hyp]
+        lo, hi = np.exp(m - sh), np.exp(m + sh)
+        diff = np.where(sh <= 1.0, lo * np.expm1(2.0 * np.minimum(sh, 1.0)),
+                        hi - lo)
+        C[hyp] = 0.5 * (hi + lo)
+        S[hyp] = diff / (2.0 * sh)
+    return C + S * n00, S * n01, S * n10, C - S * n00
 
 
 def evolve_modes(r, d: DampingLaw, t_out, *, t_start: float = 0.0,
-                 y0: np.ndarray | None = None, rdt: float = 0.25) -> np.ndarray:
+                 y0: np.ndarray | None = None) -> np.ndarray:
     """Integrate a batch of mode oscillators with a shared clock.
 
     r      -- radii, shape (M,)
     t_out  -- increasing output times, all >= t_start
     y0     -- initial (4, M) state rows (phi1, dphi1, phi2, dphi2);
               defaults to the canonical pair posed at t_start
-    rdt    -- phase resolution: step <= rdt / max(r)
 
-    Returns an array of shape (4, M, len(t_out)).  Classical RK4 with
-    the step schedule of _dt_schedule, landing exactly on each output
-    time.  All modes advance in lockstep, so cost is governed by the
-    largest radius in the batch; callers split off high radii if they
-    need long horizons cheaply.
+    Returns an array of shape (4, M, len(t_out)).  Fourth-order Magnus
+    with step MAGNUS_STEP (1+t), landing exactly on each output time.
+    The exponential of each step is exact for frozen coefficients, so
+    the step does not depend on the radii and late times cost only
+    logarithmically many steps.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
     t_out = np.atleast_1d(np.asarray(t_out, dtype=float))
@@ -204,7 +211,6 @@ def evolve_modes(r, d: DampingLaw, t_out, *, t_start: float = 0.0,
         raise ValueError("t_out must not precede t_start")
     M = r.size
     r2 = r * r
-    lam, mu = d.lam, d.mu
 
     if y0 is None:
         y = np.zeros((4, M))
@@ -215,26 +221,14 @@ def evolve_modes(r, d: DampingLaw, t_out, *, t_start: float = 0.0,
         if y.shape != (4, M):
             raise ValueError(f"y0 must have shape (4, {M}), got {y.shape}")
 
-    def deriv(s, z):
-        b = mu * (1.0 + s) ** (-lam)
-        out = np.empty_like(z)
-        out[0] = z[1]
-        out[1] = -r2 * z[0] - b * z[1]
-        out[2] = z[3]
-        out[3] = -r2 * z[2] - b * z[3]
-        return out
-
-    rmax = float(np.max(r)) if M else 0.0
     out = np.empty((4, M, t_out.size))
     t = float(t_start)
     for j, target in enumerate(t_out):
         while t < target - 1e-13 * max(1.0, target):
-            h = min(_dt_schedule(t, rmax, d, rdt), target - t)
-            k1 = deriv(t, y)
-            k2 = deriv(t + 0.5 * h, y + 0.5 * h * k1)
-            k3 = deriv(t + 0.5 * h, y + 0.5 * h * k2)
-            k4 = deriv(t + h, y + h * k3)
-            y += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            h = min(MAGNUS_STEP * (1.0 + t), target - t)
+            e00, e01, e10, e11 = _magnus_step(t, h, r2, d)
+            y = np.stack([e00 * y[0] + e01 * y[1], e10 * y[0] + e11 * y[1],
+                          e00 * y[2] + e01 * y[3], e10 * y[2] + e11 * y[3]])
             t += h
         out[:, :, j] = y
     return out
@@ -273,7 +267,7 @@ class LinearSolution:
 
 def solve_linear_ivp(w0: np.ndarray, w1: np.ndarray, grid: Grid, d: DampingLaw,
                      t_out, *, forcing=None, forcing_times=None,
-                     rdt: float = 0.25, ops: SpectralOps | None = None) -> LinearSolution:
+                     ops: SpectralOps | None = None) -> LinearSolution:
     """Solve the damped wave equation on a periodic grid, mode by mode.
 
     With no forcing each mode is  W = phi1 W0 + phi2 W1.  With a sampled
@@ -291,7 +285,7 @@ def solve_linear_ivp(w0: np.ndarray, w1: np.ndarray, grid: Grid, d: DampingLaw,
     W1 = ops.fwd(w1).ravel()
 
     if forcing is None:
-        tr = evolve_modes(uniq, d, t_out, rdt=rdt)
+        tr = evolve_modes(uniq, d, t_out)
         w_list, wt_list = [], []
         for j in range(t_out.size):
             Wt = W0 * tr[0, inverse, j] + W1 * tr[2, inverse, j]
@@ -461,8 +455,7 @@ def _sphere_area(n: int) -> float:
 
 
 def zone_integral(t: float, i: int, alpha: int, zone: Zone, p, d: DampingLaw,
-                  n: int, *, tol: float = 1e-4, max_refine: int = 9,
-                  rdt: float = 0.25) -> float:
+                  n: int, *, tol: float = 1e-4, max_refine: int = 9) -> float:
     """Norm of |xi|^alpha phi_i over one frequency zone at time t.
 
     p = 1 or 2.  The angular measure is handled analytically (the
@@ -494,7 +487,7 @@ def zone_integral(t: float, i: int, alpha: int, zone: Zone, p, d: DampingLaw,
 
     def quad_on(m: int) -> float:
         r = np.linspace(lo, hi, m)
-        tr = evolve_modes(r, d, np.array([t]), rdt=rdt)
+        tr = evolve_modes(r, d, np.array([t]))
         g = np.abs(tr[row, :, 0])
         if p == 1:
             vals = r ** pw * g
@@ -539,7 +532,6 @@ class KernelDecaySeries:
 
 def kernel_decay_check(g: np.ndarray, grid: Grid, d: DampingLaw, times, *,
                        i: int = 1, k: int = 0, p=np.inf, r_cut: float = 1.0,
-                       rdt: float = 0.25,
                        envelope_exponent: float | None = None) -> KernelDecaySeries:
     """Propagate data g through kernel i and record norm decay.
 
@@ -563,7 +555,7 @@ def kernel_decay_check(g: np.ndarray, grid: Grid, d: DampingLaw, times, *,
     band_r = uniq[in_band]
     row = 0 if i == 1 else 2
 
-    tr = evolve_modes(band_r, d, times, rdt=rdt)
+    tr = evolve_modes(band_r, d, times)
     phi_all = np.zeros((uniq.size, times.size))
     phi_all[in_band] = tr[row]
 
@@ -582,7 +574,7 @@ def kernel_decay_check(g: np.ndarray, grid: Grid, d: DampingLaw, times, *,
     # high-band envelope fitted on probe radii
     probes = np.array([x for x in (1.0, 1.5, 2.0, 3.0, 4.0)
                        if r_cut <= x <= np.max(uniq)] or [max(r_cut, 1.0)])
-    ptr = evolve_modes(probes, d, times, rdt=rdt)
+    ptr = evolve_modes(probes, d, times)
     one_m = 1.0 - d.lam
     shape = np.exp(-(d.mu / (2.0 * one_m)) * ((1.0 + times) ** one_m - 1.0)) \
         if d.mu > 0 else np.ones_like(times)

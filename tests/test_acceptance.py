@@ -244,7 +244,7 @@ def test_criterion_11_numerical_hygiene(tmp_path):
     assert res.verdict == "completed"
     w0 = res.snapshots[0].v
     sol = solve_linear_ivp(w0, np.zeros_like(w0), grid, D_HALF,
-                           np.asarray(times), rdt=0.05, ops=ops)
+                           np.asarray(times), ops=ops)
     rel_lin = max(ops.l2(snap.v - w) / ops.l2(w)
                   for snap, w in zip(res.snapshots[1:], sol.w))
 

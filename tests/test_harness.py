@@ -7,6 +7,7 @@ digest stability, artifact layout, exit codes and sweep aggregation.
 
 import csv
 import json
+from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
 
@@ -105,7 +106,7 @@ def test_cli_override_coercion():
     (dict(cfl=0.6), "cfl:"),
     (dict(dt_override=0.0), "dt_override:"),
     (dict(r_cut=0.0), "r_cut:"),
-    (dict(rdt=-0.5), "rdt:"),
+    (dict(jitter=-0.1), "jitter:"),
     (dict(workers=-1), "workers:"),
     (dict(diagnostics=("no_such_verdict",)), "diagnostics:"),
 ])
@@ -277,6 +278,39 @@ def test_sweep_parallel_matches_serial(tmp_path):
     res_p, agg_p = sweep(base_p, axes, workers=2)
     assert res_s == res_p
     assert agg_s.read_text() == agg_p.read_text()
+
+
+def test_sweep_caps_workers(tmp_path, monkeypatch):
+    # an oversized request must never reach the pool: it is capped by
+    # the CPU count and by the number of runs; the stand-in pool runs the
+    # jobs inline, so no process is started
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            done = Future()
+            done.set_result(fn(*args))
+            return done
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    axes = {"eps": ["1e-3", "2e-3", "3e-3"]}
+    base = preset_config("convolution-lemma", outdir=str(tmp_path))
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    res_cpu, _ = sweep(base, axes, workers=100000)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+    res_runs, _ = sweep(base, axes, workers=100000)
+    assert sizes == [2, 3]
+    assert res_cpu == res_runs
+    assert all(r["status"] == "ok" for r in res_cpu)
 
 
 def test_sweep_records_runtime_errors(tmp_path):

@@ -1,8 +1,8 @@
 """Unit tests for the mode engine, grid solver and zone diagnostics.
 
-The two time-integration routes (batched lockstep RK4 and the adaptive
-scipy path) serve as each other's oracle; closed forms cover the corner
-laws where the damped oscillator is solvable by hand.
+The two time-integration routes (the batched Magnus engine and the
+adaptive scipy path) serve as each other's oracle; closed forms cover
+the corner laws where the damped oscillator is solvable by hand.
 """
 
 import math
@@ -76,19 +76,45 @@ def test_propagator_sample_matrix_layout():
 
 
 # ---------------------------------------------------------------------
-#  Lockstep engine
+#  Magnus engine
 # ---------------------------------------------------------------------
 
 def test_evolve_modes_matches_scipy_route():
     d = DampingLaw(lam=0.4, mu=1.5)
     radii = np.array([0.3, 1.0, 2.7])
     times = np.array([1.0, 5.0, 20.0])
-    tr = linear.evolve_modes(radii, d, times, rdt=0.1)
+    tr = linear.evolve_modes(radii, d, times)
     for m, r in enumerate(radii):
         for j, t in enumerate(times):
             s = linear.fundamental_pair(t, r, d)
             assert tr[0, m, j] == pytest.approx(s.phi1, abs=2e-6)
             assert tr[2, m, j] == pytest.approx(s.phi2, abs=2e-6)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.2, 0.5, 0.8])
+def test_evolve_modes_matches_dop853_in_probe_regime(lam):
+    # the radii and horizons kernel_decay_check probes, against the
+    # independent single-mode DOP853 propagator
+    d = DampingLaw(lam=lam, mu=2.0)
+    radii = np.array([0.05, 0.3, 1.0, 2.0, 3.0, 4.0])
+    times = np.array([1.0, 10.0, 100.0, 1e3])
+    tr = linear.evolve_modes(radii, d, times)
+    for m, r in enumerate(radii):
+        for j, t in enumerate(times):
+            if t > 100.0 and r > 1.0:
+                continue
+            E = linear.propagator_matrix(t, 0.0, r, d)
+            assert tr[0, m, j] == pytest.approx(E[0, 0], abs=2e-6)
+            assert tr[2, m, j] == pytest.approx(E[0, 1], abs=2e-6)
+
+
+def test_evolve_modes_heavy_friction_stays_finite():
+    # lam = 0 keeps the friction at mu while the step grows to ~200:
+    # the step exponential must not overflow
+    tr = linear.evolve_modes(np.array([0.0, 0.5, 1.0, 4.0]), D_CONST,
+                             np.array([1e4]))
+    assert np.all(np.isfinite(tr))
+    assert abs(tr[0, 0, 0] - 1.0) <= 1e-12
 
 
 def test_evolve_modes_zero_radius_is_exact():
@@ -100,10 +126,8 @@ def test_evolve_modes_zero_radius_is_exact():
 
 def test_evolve_modes_zero_radius_slope_solution():
     # lam = 0: the slope response at r = 0 is (1 - e^(-mu t)) / mu
-    tr = linear.evolve_modes(np.array([0.0]), D_CONST, np.array([1.0, 3.0]),
-                             rdt=0.25)
+    tr = linear.evolve_modes(np.array([0.0]), D_CONST, np.array([1.0, 3.0]))
     for j, t in enumerate((1.0, 3.0)):
-        # the coarse late-time step schedule caps the accuracy here
         assert tr[2, 0, j] == pytest.approx(
             0.5 * (1.0 - math.exp(-2.0 * t)), abs=1e-5)
 
@@ -140,7 +164,7 @@ def test_linear_ivp_dual_route():
     w0 = bump_profile(grid, 3.0)
     w1 = 0.2 * bump_profile(grid, 2.0)
     times = (1.0, 3.0, 7.0)
-    sol = linear.solve_linear_ivp(w0, w1, grid, D_HALF, times, rdt=0.1)
+    sol = linear.solve_linear_ivp(w0, w1, grid, D_HALF, times)
     ref = linear.mol_reference_solve(w0, w1, grid, D_HALF, times)
     ops = SpectralOps(grid)
     assert np.allclose(sol.times, times)
