@@ -9,9 +9,11 @@ where v = 2/(gamma-1) (rho^((gamma-1)/2) - 1) measures the deviation of
 the sound speed from its background value 1.  Space derivatives are
 spectral on a periodic box sized so that nothing reaches the boundary
 within the run (finite speed of propagation), quadratic products are
-dealiased by the 2/3 rule, and time stepping is classical RK4 under a
-CFL bound.  An exact integrating-factor treatment of the friction term
-is available as an option and must agree with plain RK4.
+dealiased by the 2/3 rule, and time stepping is Lawson RK4: the linear
+damped-wave part is integrated exactly, mode by mode, with the Magnus
+propagator of linear.py, so only the quadratic products go through the
+stages and the step is bounded by the advection speed, not the sound
+speed.
 
 Also here: the initial-data factory (compactly supported bump profiles,
 optionally mass-normalized or rotational), the nonlinear source of the
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import Grid, SpectralOps
-from .linear import AliasingWarning
+from .linear import AliasingWarning, _magnus_advance
 from .params import DampingLaw, GasLaw, damping_coeff, integrating_factor
 
 __all__ = [
@@ -43,6 +45,7 @@ __all__ = [
     "mass_bump",
     "rotational_bump",
     "potential_bump",
+    "LAWSON_STEP",
     "rhs",
     "step",
     "run",
@@ -176,6 +179,9 @@ def potential_bump(grid: Grid, R: float, eps: float, order: int = 1, *,
 #  Right-hand side and time stepping
 # =====================================================================
 
+LAWSON_STEP = 0.05
+
+
 @dataclass
 class SolverConfig:
     """Knobs of the nonlinear run."""
@@ -184,8 +190,6 @@ class SolverConfig:
     cfl: float = 0.4
     dealias: bool = True
     dt_override: float | None = None
-    if_split: bool = False
-    hyper: float = 0.0            # spectral 4th-order damping, default off
     snapshot_times: tuple = ()
     store_snapshots: bool = False
     tail_limit: float = 0.01      # blow-up monitor: spectral tail fraction
@@ -199,78 +203,136 @@ class SolverConfig:
             raise ValueError(f"cfl must lie in (0, 0.5], got {self.cfl}")
 
 
-def _wave_speed(st: EulerState, g: GasLaw, ops: SpectralOps) -> float:
-    return 1.0 + max(ops.linf(st.u[i]) for i in range(st.u.shape[0])) \
-        + g.slope * ops.linf(st.v)
+def _products(v, u, vh, uh, sl: float, ops: SpectralOps, mask) -> np.ndarray:
+    """Quadratic terms of the system, masked, in spectral space.
+
+    v, u are the physical fields and vh, uh their transforms.  Returns
+    the transforms of -u.grad v - sl v div u and -(u.grad) u - sl v grad v
+    stacked like the state: v first, then the n velocity components.
+    div u is the trace of the velocity gradient, not a transform of its
+    own; the gradient is formed one row at a time.
+    """
+    n = ops.grid.n
+    grad_v = [ops.inv(1j * ops.k[j] * vh) for j in range(n)]
+    out = np.empty((n + 1,) + vh.shape, dtype=complex)
+    div_u = 0.0
+    for i in range(n):
+        du_i = [ops.inv(1j * ops.k[j] * uh[i]) for j in range(n)]
+        div_u = div_u + du_i[i]
+        out[1 + i] = mask * ops.fwd(-sum(u[j] * du_i[j] for j in range(n))
+                                    - sl * v * grad_v[i])
+    out[0] = mask * ops.fwd(-sum(u[j] * grad_v[j] for j in range(n))
+                            - sl * v * div_u)
+    return out
 
 
 def rhs(t: float, v: np.ndarray, u: np.ndarray, d: DampingLaw, g: GasLaw,
-        ops: SpectralOps, *, dealias: bool = True, hyper: float = 0.0):
+        ops: SpectralOps, *, dealias: bool = True):
     """Time derivative (dv, du) of the symmetric system at time t."""
     n = ops.grid.n
     b = damping_coeff(t, d)
-    sl = g.slope
-    mask = ops.dealias_mask if dealias else 1.0
-
     vh = ops.fwd(v)
     uh = [ops.fwd(u[i]) for i in range(n)]
-
-    grad_v = [ops.inv(1j * ops.k[i] * vh) for i in range(n)]
-    div_u = np.zeros(ops.grid.shape)
-    for i in range(n):
-        div_u += ops.inv(1j * ops.k[i] * uh[i])
-    du_dx = [[ops.inv(1j * ops.k[j] * uh[i]) for j in range(n)] for i in range(n)]
-
-    adv_v = sum(u[j] * grad_v[j] for j in range(n))
-    nl_v = -adv_v - sl * v * div_u
-    dvh = -sum(1j * ops.k[i] * uh[i] for i in range(n)) + mask * ops.fwd(nl_v)
-
-    duh = []
-    for i in range(n):
-        nl_i = -sum(u[j] * du_dx[i][j] for j in range(n)) - sl * v * grad_v[i]
-        duh.append(-1j * ops.k[i] * vh - b * uh[i] + mask * ops.fwd(nl_i))
-
-    if hyper > 0.0:
-        k4 = (ops.k2 / np.max(ops.k2)) ** 2
-        dvh = dvh - hyper * k4 * vh
-        duh = [dh - hyper * k4 * uih for dh, uih in zip(duh, uh)]
-
-    dv = ops.inv(dvh)
-    du = np.stack([ops.inv(dh) for dh in duh])
+    nl = _products(v, u, vh, uh, g.slope, ops,
+                   ops.dealias_mask if dealias else 1.0)
+    dv = ops.inv(-sum(1j * ops.k[i] * uh[i] for i in range(n)) + nl[0])
+    du = np.stack([ops.inv(-1j * ops.k[i] * vh - b * uh[i] + nl[1 + i])
+                   for i in range(n)])
     return dv, du
 
 
-def step(st: EulerState, h: float, d: DampingLaw, g: GasLaw, ops: SpectralOps,
-         cfg: SolverConfig) -> EulerState:
-    """One classical RK4 step; optionally with exact friction integration.
+class _Lawson:
+    """What every step of one run shares: the laws, the dealias mask and
+    the wavevector tables of the exact linear propagator.
 
-    The integrating-factor variant substitutes z = IF(t0, t) u inside the
-    step (rebased every step, so the factor never overflows) and
-    integrates the friction term exactly.
+    Per rfft wavevector k with r = |k| and s = k.u / r, the linear part
+    couples (v, s) as the damped oscillator of linear.py with W = v,
+    W' = -i r s, and leaves the transverse velocity u - k s / r to the
+    friction alone.
     """
-    kw = dict(dealias=cfg.dealias, hyper=cfg.hyper)
-    t0, v0, u0 = st.t, st.v, st.u
 
-    if not cfg.if_split:
-        def f(t, v, u):
-            return rhs(t, v, u, d, g, ops, **kw)
-    else:
-        def f(t, v, z):
-            fac = integrating_factor(t0, t, d)
-            u = z / fac
-            dv, du = rhs(t, v, u, d, g, ops, **kw)
-            b = damping_coeff(t, d)
-            return dv, fac * (du + b * u)
+    def __init__(self, d: DampingLaw, g: GasLaw, ops: SpectralOps, dealias: bool):
+        self.d, self.sl, self.ops = d, g.slope, ops
+        self.mask = ops.dealias_mask if dealias else 1.0
+        # the Nyquist wavenumber differentiates real fields to zero, so it
+        # couples nothing
+        k = np.where(np.abs(ops.k) > 0.999 * np.pi / ops.grid.dx, 0.0, ops.k)
+        r = np.sqrt(np.sum(k * k, axis=0))
+        self.khat = np.divide(k, r, out=np.zeros_like(k), where=r > 0.0)
+        if ops.grid.n == 1:
+            # the radii of a line are distinct already
+            self.radii, self.index = r, slice(None)
+        else:
+            self.radii, index = np.unique(np.round(r, 12), return_inverse=True)
+            self.index = index.reshape(r.shape)
 
-    k1v, k1u = f(t0, v0, u0)
-    k2v, k2u = f(t0 + 0.5 * h, v0 + 0.5 * h * k1v, u0 + 0.5 * h * k1u)
-    k3v, k3u = f(t0 + 0.5 * h, v0 + 0.5 * h * k2v, u0 + 0.5 * h * k2u)
-    k4v, k4u = f(t0 + h, v0 + h * k3v, u0 + h * k3u)
-    v1 = v0 + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-    u1 = u0 + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
-    if cfg.if_split:
-        u1 = u1 / integrating_factor(t0, t0 + h, d)
-    return EulerState(t=t0 + h, v=v1, u=u1)
+    def propagator(self, t0: float, t1: float):
+        """Coefficients of the exact linear propagator from t0 to t1."""
+        r = self.radii
+        y = np.zeros((4, r.size))
+        y[0] = 1.0
+        y[3] = 1.0
+        (e00, e10, e01, e11), _ = _magnus_advance(y, t0, t1, r * r, self.d)
+        e00[r == 0.0] = 1.0
+        e01 = e01 * r
+        e10 = np.divide(e10, r, out=np.zeros_like(e10), where=r > 0.0)
+        ix = self.index
+        return (e00[ix], e01[ix], e10[ix], e11[ix],
+                1.0 / integrating_factor(t0, t1, self.d))
+
+    def apply(self, P, w: np.ndarray) -> np.ndarray:
+        """P applied to the spectral state w (v first, then u)."""
+        a, b, c, e, f = P
+        s = np.sum(self.khat * w[1:], axis=0)
+        out = np.empty_like(w)
+        out[0] = a * w[0] - 1j * (b * s)
+        out[1:] = f * w[1:] + self.khat * (1j * (c * w[0]) + (e - f) * s)
+        return out
+
+    def physical(self, w: np.ndarray) -> np.ndarray:
+        x = np.empty((w.shape[0],) + self.ops.grid.shape)
+        for i in range(w.shape[0]):
+            x[i] = self.ops.inv(w[i])
+        return x
+
+    def products(self, w: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
+        if x is None:
+            x = self.physical(w)
+        return _products(x[0], x[1:], w[0], w[1:], self.sl, self.ops, self.mask)
+
+
+def step(t: float, w: np.ndarray, x: np.ndarray, h: float, law: _Lawson):
+    """One Lawson RK4 step from t to t + h; returns (w, x) at t + h.
+
+    w is the spectral state (v, u_1..u_n stacked), x the same state in
+    physical space.  The linear part is integrated exactly through the
+    two half-step propagators P1 and P2 (their product is the full-step
+    one); only the quadratic products go through the four stages.
+    """
+    # stages are dropped as soon as they are folded into acc: besides w
+    # and x, at most three spectral states live through a stage, which
+    # keeps the 2-D and 3-D working set below classical RK4's
+    th = t + 0.5 * h
+    p = law.propagator(t, th)
+    pw = law.apply(p, w)
+    k = law.apply(p, law.products(w, x))
+    del p
+    acc = pw + (h / 6.0) * k
+    for _ in range(2):
+        stage = pw + (0.5 * h) * k
+        del k
+        k = law.products(stage)
+        del stage
+        acc += (h / 3.0) * k
+    stage = pw + h * k
+    del pw, k
+    p = law.propagator(th, t + h)
+    stage = law.apply(p, stage)
+    acc = law.apply(p, acc)
+    k = law.products(stage)
+    del stage
+    acc += (h / 6.0) * k
+    return acc, law.physical(acc)
 
 
 @dataclass
@@ -281,7 +343,9 @@ class RunResult:
     t_end: float
     steps: int
     blowup_time: float | None = None
-    flags: dict = field(default_factory=dict)
+    dt_min: float | None = None   # smallest, median and largest step taken
+    dt_median: float | None = None
+    dt_max: float | None = None
     snapshots: list = field(default_factory=list)
 
 
@@ -297,6 +361,15 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
         ops: SpectralOps | None = None) -> RunResult:
     """March the system to cfg.t_final, landing on every snapshot time.
 
+    Steps are Lawson RK4 (see step) of length
+
+        min(cfl dx / a, max(LAWSON_STEP (1+t), cfl dx / (1 + a)), next output - t),
+        a = |u|_inf + (gamma-1)/2 |v|_inf,
+
+    so the advection speed a bounds the step, the sound speed does not,
+    and no step is shorter than the acoustic CFL step.  A dt_override
+    must respect the advective bound.
+
     on_snapshot(state) fires at each requested time (and at t_final).
     Blow-up monitoring: non-finite values every step; gradient growth and
     spectral tail fraction every check_every steps and at snapshots.  A
@@ -307,28 +380,31 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
     if frac > 1e-4:
         warnings.warn(f"initial data has spectral tail fraction {frac:.2e}",
                       AliasingWarning)
+    law = _Lawson(d, g, ops, cfg.dealias)
+    w = np.stack([ops.fwd(st0.v)] + [ops.fwd(st0.u[i]) for i in range(grid.n)])
     if cfg.dealias:
         # keep the state band-limited: the 2/3 rule only removes aliasing
         # from products whose factors already live inside the band
-        st0 = EulerState(
-            t=st0.t, v=ops.dealias(st0.v),
-            u=np.stack([ops.dealias(st0.u[i]) for i in range(grid.n)]))
+        w *= ops.dealias_mask
+        x = law.physical(w)
+    else:
+        x = np.concatenate([st0.v[None], st0.u])
+    t = st0.t
 
     snaps = sorted(set(float(s) for s in cfg.snapshot_times
                        if 0.0 < s <= cfg.t_final) | {cfg.t_final})
-    g0 = max(_grad_sup(st0, ops), 1e-300)
-    st = st0.copy()
-    steps = 0
-    flags = {"if_split": cfg.if_split, "hyper": cfg.hyper, "dealias": cfg.dealias}
-    result = RunResult(verdict="completed", t_end=cfg.t_final, steps=0, flags=flags)
+    st = EulerState(t, x[0], x[1:])
+    g0 = max(_grad_sup(st, ops), 1e-300)
+    dts = []
+    result = RunResult(verdict="completed", t_end=cfg.t_final, steps=0)
 
-    if on_snapshot is not None and st.t == 0.0:
+    if on_snapshot is not None and t == 0.0:
         on_snapshot(st)
     if cfg.store_snapshots:
         result.snapshots.append(st.copy())
 
     def tripped() -> str | None:
-        if not np.isfinite(st.v).all() or not np.isfinite(st.u).all():
+        if not np.isfinite(x).all():
             return "nonfinite"
         if _grad_sup(st, ops) > cfg.grad_factor * g0:
             return "blowup-gradient"
@@ -338,43 +414,52 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
             return "blowup-tail"
         return None
 
-    for target in snaps:
-        while st.t < target - 1e-12 * max(1.0, target):
-            speed = _wave_speed(st, g, ops)
-            h_cfl = cfg.cfl * grid.dx / speed
-            if cfg.dt_override is not None:
-                if cfg.dt_override > h_cfl * (1.0 + 1e-9):
-                    raise ValueError(
-                        f"dt_override {cfg.dt_override:g} violates the CFL "
-                        f"bound {h_cfl:g}")
-                h = cfg.dt_override
-            else:
-                h = h_cfl
-            h = min(h, target - st.t)
-            st = step(st, h, d, g, ops, cfg)
-            steps += 1
-            if steps % cfg.check_every == 0:
-                why = tripped()
-                if why:
-                    result.verdict = why
-                    result.blowup_time = st.t
-                    result.t_end = st.t
-                    result.steps = steps
-                    return result
-        why = tripped()
+    def finish(why: str | None) -> RunResult:
+        result.steps = len(dts)
+        result.t_end = t
+        if dts:
+            srt, mid = sorted(dts), len(dts) // 2
+            result.dt_min, result.dt_max = srt[0], srt[-1]
+            result.dt_median = srt[mid] if len(srt) % 2 \
+                else 0.5 * (srt[mid - 1] + srt[mid])
         if why:
             result.verdict = why
-            result.blowup_time = st.t
-            result.t_end = st.t
-            result.steps = steps
-            return result
+            result.blowup_time = t
+        return result
+
+    for target in snaps:
+        while t < target - 1e-12 * max(1.0, target):
+            speed = max(ops.linf(x[i]) for i in range(1, grid.n + 1)) \
+                + g.slope * ops.linf(x[0])
+            if not np.isfinite(speed):
+                return finish("nonfinite")
+            h_adv = cfg.cfl * grid.dx / speed if speed > 0.0 else np.inf
+            if cfg.dt_override is not None:
+                if cfg.dt_override > h_adv * (1.0 + 1e-9):
+                    raise ValueError(
+                        f"dt_override {cfg.dt_override:g} violates the "
+                        f"advective CFL bound {h_adv:g}")
+                h = cfg.dt_override
+            else:
+                h = min(h_adv, max(LAWSON_STEP * (1.0 + t),
+                                   cfg.cfl * grid.dx / (1.0 + speed)))
+            h = min(h, target - t)
+            w, x = step(t, w, x, h, law)
+            t += h
+            dts.append(h)
+            st = EulerState(t, x[0], x[1:])
+            if len(dts) % cfg.check_every == 0:
+                why = tripped()
+                if why:
+                    return finish(why)
+        why = tripped()
+        if why:
+            return finish(why)
         if on_snapshot is not None:
             on_snapshot(st)
         if cfg.store_snapshots:
             result.snapshots.append(st.copy())
-    result.steps = steps
-    result.t_end = st.t
-    return result
+    return finish(None)
 
 
 # =====================================================================

@@ -87,8 +87,6 @@ class ScenarioConfig:
     fit_hi: float = 100.0
     cfl: float = 0.4
     dealias: bool = True
-    if_split: bool = False
-    hyper: float = 0.0
     dt_override: float | None = None
     r_cut: float = 1.0
     diagnostics: tuple = ("*",)
@@ -116,9 +114,9 @@ class ScenarioConfig:
 
 _INT_FIELDS = {"n", "N", "data_order", "seed", "n_snapshots", "workers"}
 _FLOAT_FIELDS = {"lam", "mu", "gamma", "L", "R", "eps", "q0", "jitter",
-                 "t_final", "fit_lo", "fit_hi", "cfl", "hyper", "r_cut"}
+                 "t_final", "fit_lo", "fit_hi", "cfl", "r_cut"}
 _OPT_FLOAT_FIELDS = {"delta", "dt_override"}
-_BOOL_FIELDS = {"dealias", "if_split", "store_fields"}
+_BOOL_FIELDS = {"dealias", "store_fields"}
 _STR_FIELDS = {"scenario", "data_kind", "outdir"}
 _ALIASES = {"lambda": "lam"}
 
@@ -194,8 +192,6 @@ def validate_config(cfg: ScenarioConfig):
             f"fit_lo/fit_hi: need 0 <= fit_lo < fit_hi, got ({cfg.fit_lo}, {cfg.fit_hi})")
     if not 0.0 < cfg.cfl <= 0.5:
         raise ConfigError(f"cfl: must lie in (0, 0.5], got {cfg.cfl}")
-    if cfg.hyper < 0.0:
-        raise ConfigError(f"hyper: must be nonnegative, got {cfg.hyper}")
     if cfg.dt_override is not None and cfg.dt_override <= 0.0:
         raise ConfigError(f"dt_override: must be positive, got {cfg.dt_override}")
     if cfg.r_cut <= 0.0:
@@ -415,7 +411,6 @@ def _nonlinear_run(cfg: ScenarioConfig, snaps, *, with_source=False,
                          support_R=cfg.R, ops=ops)
     sol = euler.SolverConfig(t_final=cfg.t_final, cfl=cfg.cfl,
                              dealias=cfg.dealias, dt_override=cfg.dt_override,
-                             if_split=cfg.if_split, hyper=cfg.hyper,
                              snapshot_times=tuple(snaps),
                              store_snapshots=store or cfg.store_fields)
     res = euler.run(st, d, gas, grid, sol, on_snapshot=rec, ops=ops)
@@ -471,13 +466,14 @@ def _run_linear_decay(cfg: ScenarioConfig, outdir: Path):
     g = euler.bump_profile(grid, cfg.R)
     times = np.geomspace(1.0, cfg.t_final, cfg.n_snapshots)
 
-    series, fits, verdicts = {}, {}, []
-    for k in (0, 1):
-        pred = -(1.0 - cfg.lam) * (cfg.n + k) / 2.0
-        ser = linear.kernel_decay_check(g, grid, d, times, i=1, k=k, p=np.inf,
-                                        r_cut=cfg.r_cut, envelope_exponent=pred)
+    preds = tuple(-(1.0 - cfg.lam) * (cfg.n + k) / 2.0 for k in (0, 1))
+    series = linear.kernel_decay_check(g, grid, d, times, i=1, k=(0, 1),
+                                       p=np.inf, r_cut=cfg.r_cut,
+                                       envelope_exponent=preds)
+    fits, verdicts = {}, []
+    for k, (ser, pred) in enumerate(zip(series, preds)):
         fit = decay_fit(ser.times, ser.observed, cfg.fit_lo, cfg.fit_hi)
-        series[k], fits[k] = ser, fit
+        fits[k] = fit
         verdicts.append(Verdict(
             name=f"kernel_decay_k{k}", value=fit.slope, predicted=pred,
             tolerance=0.05, passed=abs(fit.slope - pred) <= 0.05,

@@ -16,8 +16,9 @@ independent ways:
 
   * a batched fourth-order Magnus engine (evolve_modes), vectorized over
     a whole batch of radii, whose step grows like MAGNUS_STEP (1+t)
-    whatever the radii (used by the grid solver, the zone diagnostics
-    and long-horizon decay studies);
+    whatever the radii (used by the grid solver, the exact linear
+    propagator of the nonlinear stepper, the zone diagnostics and
+    long-horizon decay studies);
   * scipy's DOP853 on single modes at tight tolerance (propagator_matrix,
     used as the cross-check oracle and for propagator samples).
 
@@ -119,11 +120,17 @@ def propagator_matrix(t: float, tau: float, xi, d: DampingLaw,
                 y[3], -r2 * y[2] - b * y[3])
 
     max_step = 0.1 / r if r > 0 else np.inf
-    sol = solve_ivp(rhs, (tau, t), (1.0, 0.0, 0.0, 1.0), method="DOP853",
-                    rtol=tol, atol=tol * 1e-2, max_step=max_step)
+    # once the solution underflows to subnormals the step-size control
+    # divides 0 by 0; the result is still right, so only a non-finite
+    # matrix counts as a failure
+    with np.errstate(invalid="ignore"):
+        sol = solve_ivp(rhs, (tau, t), (1.0, 0.0, 0.0, 1.0), method="DOP853",
+                        rtol=tol, atol=tol * 1e-2, max_step=max_step)
     if not sol.success:
         raise RuntimeError(f"mode integration failed: {sol.message}")
     y = sol.y[:, -1]
+    if not np.all(np.isfinite(y)):
+        raise RuntimeError(f"mode integration returned non-finite values at t={t}")
     return np.array([[y[0], y[2]], [y[1], y[3]]])
 
 
@@ -224,14 +231,26 @@ def evolve_modes(r, d: DampingLaw, t_out, *, t_start: float = 0.0,
     out = np.empty((4, M, t_out.size))
     t = float(t_start)
     for j, target in enumerate(t_out):
-        while t < target - 1e-13 * max(1.0, target):
-            h = min(MAGNUS_STEP * (1.0 + t), target - t)
-            e00, e01, e10, e11 = _magnus_step(t, h, r2, d)
-            y = np.stack([e00 * y[0] + e01 * y[1], e10 * y[0] + e11 * y[1],
-                          e00 * y[2] + e01 * y[3], e10 * y[2] + e11 * y[3]])
-            t += h
+        y, t = _magnus_advance(y, t, target, r2, d)
         out[:, :, j] = y
     return out
+
+
+def _magnus_advance(y: np.ndarray, t: float, target: float, r2: np.ndarray,
+                    d: DampingLaw):
+    """Carry the (4, M) rows y from t to target; returns (y, t).
+
+    Steps of MAGNUS_STEP (1+t), the last one cut to land on target.
+    Started from the canonical pair, the rows are the entries of the
+    interval propagator E(target, t).
+    """
+    while t < target - 1e-13 * max(1.0, target):
+        h = min(MAGNUS_STEP * (1.0 + t), target - t)
+        e00, e01, e10, e11 = _magnus_step(t, h, r2, d)
+        y = np.stack([e00 * y[0] + e01 * y[1], e10 * y[0] + e11 * y[1],
+                      e00 * y[2] + e01 * y[3], e10 * y[2] + e11 * y[3]])
+        t += h
+    return y, t
 
 
 # =====================================================================
@@ -531,8 +550,8 @@ class KernelDecaySeries:
 
 
 def kernel_decay_check(g: np.ndarray, grid: Grid, d: DampingLaw, times, *,
-                       i: int = 1, k: int = 0, p=np.inf, r_cut: float = 1.0,
-                       envelope_exponent: float | None = None) -> KernelDecaySeries:
+                       i: int = 1, k=0, p=np.inf, r_cut: float = 1.0,
+                       envelope_exponent=None):
     """Propagate data g through kernel i and record norm decay.
 
     The reconstruction keeps radii <= r_cut (the band that carries the
@@ -542,9 +561,19 @@ def kernel_decay_check(g: np.ndarray, grid: Grid, d: DampingLaw, times, *,
 
     envelope_exponent is the polynomial rate the caller wants the series
     compared against; it is stored in the result for report assembly.
+
+    k is one derivative order, or a tuple of orders: the propagators do
+    not depend on k, so they are evolved once and one series per order
+    comes back as a tuple (envelope_exponent is then None or a tuple of
+    the same length).
     """
     if i not in (1, 2):
         raise ValueError("kernel index i must be 1 or 2")
+    orders = (k,) if np.ndim(k) == 0 else tuple(k)
+    exponents = (envelope_exponent,) if np.ndim(k) == 0 else \
+        (envelope_exponent or (None,) * len(orders))
+    if len(exponents) != len(orders):
+        raise ValueError("envelope_exponent needs one entry per order k")
     ops = SpectralOps(grid)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     _check_band_limited(ops, (g,), "kernel data")
@@ -561,15 +590,6 @@ def kernel_decay_check(g: np.ndarray, grid: Grid, d: DampingLaw, times, *,
 
     mode_mask = (uniq <= r_cut)[inverse]
     kshape = ops.kmag.shape
-    if k:
-        ik = (1j * ops.k[-1].ravel() if grid.n == 1 else 1j * ops.kmag.ravel()) ** k
-    observed = np.empty(times.size)
-    for j in range(times.size):
-        W = G * phi_all[inverse, j] * mode_mask
-        if k:
-            W = W * ik
-        fld = ops.inv(W.reshape(kshape))
-        observed[j] = ops.linf(fld) if p == np.inf else ops.l2(fld)
 
     # high-band envelope fitted on probe radii
     probes = np.array([x for x in (1.0, 1.5, 2.0, 3.0, 4.0)
@@ -586,15 +606,30 @@ def kernel_decay_check(g: np.ndarray, grid: Grid, d: DampingLaw, times, *,
         c_fit = float(np.max(np.abs(ptr[row][:, ok_t]) / shape[None, ok_t]))
     else:
         c_fit = 1.0
-    tail_mass = float(np.sum(np.abs(G) * (~mode_mask)
-                             * (np.where(mode_mask, 0.0, uniq[inverse]) ** k))) \
-        / (grid.N ** grid.n)
-    tail_bound = 2.0 * c_fit * shape * tail_mass
 
-    if envelope_exponent is None:
-        envelope_exponent = -one_m * (grid.n + k) / 2.0 if p == np.inf \
-            else -one_m * (grid.n / 4.0 + k / 2.0)
-    return KernelDecaySeries(times=times, k=k, p=p, observed=observed,
-                             tail_bound=tail_bound,
-                             envelope_exponent=float(envelope_exponent),
-                             r_cut=r_cut)
+    out = []
+    for kk, exponent in zip(orders, exponents):
+        if kk:
+            ik = (1j * ops.k[-1].ravel() if grid.n == 1
+                  else 1j * ops.kmag.ravel()) ** kk
+        observed = np.empty(times.size)
+        for j in range(times.size):
+            W = G * phi_all[inverse, j] * mode_mask
+            if kk:
+                W = W * ik
+            fld = ops.inv(W.reshape(kshape))
+            observed[j] = ops.linf(fld) if p == np.inf else ops.l2(fld)
+
+        tail_mass = float(np.sum(np.abs(G) * (~mode_mask)
+                                 * (np.where(mode_mask, 0.0, uniq[inverse]) ** kk))) \
+            / (grid.N ** grid.n)
+        tail_bound = 2.0 * c_fit * shape * tail_mass
+
+        if exponent is None:
+            exponent = -one_m * (grid.n + kk) / 2.0 if p == np.inf \
+                else -one_m * (grid.n / 4.0 + kk / 2.0)
+        out.append(KernelDecaySeries(times=times, k=kk, p=p, observed=observed,
+                                     tail_bound=tail_bound,
+                                     envelope_exponent=float(exponent),
+                                     r_cut=r_cut))
+    return out[0] if np.ndim(k) == 0 else tuple(out)

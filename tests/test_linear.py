@@ -31,6 +31,18 @@ def test_propagator_identity_and_ordering():
         linear.propagator_matrix(1.0, 2.0, 1.0, D_HALF)
 
 
+def test_propagator_matrix_underflow_is_quiet():
+    # heavy constant friction drives the solution into subnormals by
+    # t = 1e3; the oracle must return the (tiny, finite) answer without
+    # a floating-point warning
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        E = linear.propagator_matrix(1e3, 0.0, 1.0, D_CONST)
+    assert np.all(np.isfinite(E))
+    assert np.max(np.abs(E)) <= 1e-300
+
+
 def test_free_wave_closed_form():
     for r in (0.5, 1.0, 2.0):
         for t in (1.0, 5.0, 17.0):
@@ -313,6 +325,23 @@ def test_kernel_decay_check_basics():
     # band reconstruction at early time reproduces the data sup norm
     early = linear.kernel_decay_check(g, grid, D_HALF, np.array([1e-4]))
     assert early.observed[0] == pytest.approx(float(np.max(g)), rel=1e-2)
+
+
+def test_kernel_decay_check_orders_share_propagators():
+    grid = Grid(1, 60.0, 512)
+    g = bump_profile(grid, 20.0)
+    times = np.array([0.5, 2.0, 8.0, 32.0])
+    both = linear.kernel_decay_check(g, grid, D_HALF, times, k=(0, 1),
+                                     envelope_exponent=(-1.0, -2.0))
+    for ser, k, e in zip(both, (0, 1), (-1.0, -2.0)):
+        one = linear.kernel_decay_check(g, grid, D_HALF, times, k=k,
+                                        envelope_exponent=e)
+        assert ser.k == k and ser.envelope_exponent == e
+        assert np.array_equal(ser.observed, one.observed)
+        assert np.array_equal(ser.tail_bound, one.tail_bound)
+    with pytest.raises(ValueError):
+        linear.kernel_decay_check(g, grid, D_HALF, times, k=(0, 1),
+                                  envelope_exponent=(-1.0,))
 
 
 def test_kernel_decay_check_validation_and_warning():
