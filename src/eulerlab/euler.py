@@ -198,9 +198,11 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.t_final <= 0.0:
-            raise ValueError("t_final must be positive")
+            raise ValueError(f"t_final: must be positive, got {self.t_final}")
         if not 0.0 < self.cfl <= 0.5:
-            raise ValueError(f"cfl must lie in (0, 0.5], got {self.cfl}")
+            raise ValueError(f"cfl: must lie in (0, 0.5], got {self.cfl}")
+        if self.dt_override is not None and self.dt_override <= 0.0:
+            raise ValueError(f"dt_override: must be positive, got {self.dt_override}")
 
 
 def _products(v, u, vh, uh, sl: float, ops: SpectralOps, mask) -> np.ndarray:

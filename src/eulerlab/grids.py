@@ -16,7 +16,11 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["Grid", "SpectralOps"]
+__all__ = ["Grid", "SpectralOps", "MAX_POINTS"]
+
+# Largest grid a run may allocate: 2^22 points.  The largest preset,
+# vorticity-3d at 128^3 = 2^21 points, peaks near 0.9 GiB.
+MAX_POINTS = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -29,11 +33,14 @@ class Grid:
 
     def __post_init__(self):
         if self.n not in (1, 2, 3):
-            raise ValueError(f"dimension n must be 1, 2 or 3, got {self.n}")
+            raise ValueError(f"n: dimension must be 1, 2 or 3, got {self.n}")
         if self.L <= 0.0:
-            raise ValueError(f"half-width L must be positive, got {self.L}")
+            raise ValueError(f"L: box length must be positive, got {self.L}")
         if self.N < 16 or (self.N & (self.N - 1)) != 0:
-            raise ValueError(f"N must be a power of two >= 16, got {self.N}")
+            raise ValueError(f"N: grid points must be a power of two >= 16, got {self.N}")
+        if self.N ** self.n > MAX_POINTS:
+            raise ValueError(f"N: {self.N}^{self.n} grid points exceed the "
+                             f"budget of {MAX_POINTS} (2^22)")
 
     @property
     def dx(self) -> float:

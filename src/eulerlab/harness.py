@@ -23,10 +23,11 @@ import itertools
 import json
 import math
 import os
+import shutil
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -112,63 +113,62 @@ class ScenarioConfig:
         return cls(**data)
 
 
-_INT_FIELDS = {"n", "N", "data_order", "seed", "n_snapshots", "workers"}
-_FLOAT_FIELDS = {"lam", "mu", "gamma", "L", "R", "eps", "q0", "jitter",
-                 "t_final", "fit_lo", "fit_hi", "cfl", "r_cut"}
-_OPT_FLOAT_FIELDS = {"delta", "dt_override"}
-_BOOL_FIELDS = {"dealias", "store_fields"}
-_STR_FIELDS = {"scenario", "data_kind", "outdir"}
 _ALIASES = {"lambda": "lam"}
+_TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
+
+
+def _flag(text: str) -> bool:
+    low = text.lower()
+    if low not in _TRUE + _FALSE:
+        raise ValueError(text)
+    return low in _TRUE
+
+
+# parsers by annotation; "float | None" also takes none/null
+_PARSERS = {"int": int, "float": float, "bool": _flag, "str": str,
+            "tuple": lambda text: tuple(s for s in text.split(",") if s)}
 
 
 def _coerce(name: str, text: str):
+    """Parse one --set or --axis value by the field's annotation."""
     name = _ALIASES.get(name, name)
-    if name in _INT_FIELDS:
-        return name, int(text)
-    if name in _FLOAT_FIELDS:
-        return name, float(text)
-    if name in _OPT_FLOAT_FIELDS:
-        return name, (None if text.lower() in ("none", "null") else float(text))
-    if name in _BOOL_FIELDS:
-        low = text.lower()
-        if low in ("1", "true", "yes", "on"):
-            return name, True
-        if low in ("0", "false", "no", "off"):
-            return name, False
-        raise ConfigError(f"{name}: expected a boolean, got {text!r}")
-    if name in _STR_FIELDS:
-        return name, text
-    if name == "diagnostics":
-        if text == "":
-            return name, ()
-        return name, tuple(s for s in text.split(",") if s)
-    raise ConfigError(f"{name}: not a config field")
+    kinds = {f.name: f.type for f in fields(ScenarioConfig)}
+    if name not in kinds:
+        raise ConfigError(f"{name}: not a config field")
+    kind = kinds[name]
+    if kind.endswith(" | None") and text.lower() in ("none", "null"):
+        return name, None
+    try:
+        return name, _PARSERS[kind.removesuffix(" | None")](text)
+    except ValueError:
+        raise ConfigError(f"{name}: expected {kind}, got {text!r}") from None
 
 
 def validate_config(cfg: ScenarioConfig):
-    """Raise ConfigError with a field-level message on the first problem."""
+    """Raise ConfigError with a field-level message on the first problem.
+
+    Grid, GasLaw and SolverConfig check their own fields and name them
+    in their messages; this function checks the scenario-level rest.
+    """
     if cfg.scenario not in PRESETS:
         raise ConfigError(
             f"scenario: unknown scenario {cfg.scenario!r}; "
             f"known: {', '.join(PRESETS)}")
-    if cfg.n not in (1, 2, 3):
-        raise ConfigError(f"n: dimension must be 1, 2 or 3, got {cfg.n}")
+    # the constructors name the field first in their messages; the
+    # damping law and derive_constants get the prefix in front
+    prefix = ""
     try:
-        d = DampingLaw(lam=cfg.lam, mu=cfg.mu,
-                       allow_free_wave=(cfg.mu == 0.0))
-    except ValueError as e:
-        raise ConfigError(f"lam/mu: {e}") from None
-    if cfg.gamma <= 1.0:
-        raise ConfigError(f"gamma: adiabatic index must exceed 1, got {cfg.gamma}")
-    if cfg.delta is not None:
-        try:
+        Grid(cfg.n, cfg.L, cfg.N)
+        GasLaw(gamma=cfg.gamma)
+        euler.SolverConfig(t_final=cfg.t_final, cfl=cfg.cfl,
+                           dt_override=cfg.dt_override)
+        prefix = "lam/mu: "
+        d = _damping(cfg)
+        prefix = "delta: "
+        if cfg.delta is not None:
             derive_constants(d, cfg.n, cfg.delta)
-        except ValueError as e:
-            raise ConfigError(f"delta: {e}") from None
-    if cfg.L <= 0.0:
-        raise ConfigError(f"L: box length must be positive, got {cfg.L}")
-    if cfg.N < 16 or cfg.N & (cfg.N - 1):
-        raise ConfigError(f"N: grid points must be a power of two >= 16, got {cfg.N}")
+    except ValueError as e:
+        raise ConfigError(f"{prefix}{e}") from None
     if not 0.0 < cfg.R < 0.5 * cfg.L:
         raise ConfigError(
             f"R: data radius must satisfy 0 < R < L/2 = {0.5 * cfg.L:g}, got {cfg.R}")
@@ -183,17 +183,11 @@ def validate_config(cfg: ScenarioConfig):
         raise ConfigError(f"data_order: must be at least 1, got {cfg.data_order}")
     if cfg.jitter < 0.0:
         raise ConfigError(f"jitter: must be nonnegative, got {cfg.jitter}")
-    if cfg.t_final <= 0.0:
-        raise ConfigError(f"t_final: must be positive, got {cfg.t_final}")
     if cfg.n_snapshots < 2:
         raise ConfigError(f"n_snapshots: need at least 2, got {cfg.n_snapshots}")
     if not 0.0 <= cfg.fit_lo < cfg.fit_hi:
         raise ConfigError(
             f"fit_lo/fit_hi: need 0 <= fit_lo < fit_hi, got ({cfg.fit_lo}, {cfg.fit_hi})")
-    if not 0.0 < cfg.cfl <= 0.5:
-        raise ConfigError(f"cfl: must lie in (0, 0.5], got {cfg.cfl}")
-    if cfg.dt_override is not None and cfg.dt_override <= 0.0:
-        raise ConfigError(f"dt_override: must be positive, got {cfg.dt_override}")
     if cfg.r_cut <= 0.0:
         raise ConfigError(f"r_cut: must be positive, got {cfg.r_cut}")
     if cfg.workers < 0:
@@ -234,6 +228,22 @@ class Verdict:
     tolerance: float
     passed: bool
     detail: str = ""
+
+
+def within(name: str, value, predicted, tolerance, detail="") -> Verdict:
+    """Two-sided check: pass when |value - predicted| <= tolerance."""
+    return Verdict(name=name, value=value, predicted=predicted,
+                   tolerance=tolerance,
+                   passed=abs(value - predicted) <= tolerance, detail=detail)
+
+
+def at_most(name: str, value, bound, *, predicted=0.0, strict=False,
+            detail="") -> Verdict:
+    """One-sided check: pass when value <= bound (value < bound if strict).
+    The bound is stored as the tolerance."""
+    passed = value < bound if strict else value <= bound
+    return Verdict(name=name, value=value, predicted=predicted,
+                   tolerance=bound, passed=passed, detail=detail)
 
 
 @dataclass
@@ -364,17 +374,24 @@ def preset_config(name: str, **extra) -> ScenarioConfig:
 @dataclass
 class _RunBundle:
     d: DampingLaw
-    gas: GasLaw
-    grid: Grid
     ops: SpectralOps
     spec: object
     rec: EnergyRecorder
     res: euler.RunResult
+    files: list
 
 
-def _laws(cfg: ScenarioConfig):
-    d = DampingLaw(lam=cfg.lam, mu=cfg.mu, allow_free_wave=(cfg.mu == 0.0))
-    return d, GasLaw(gamma=cfg.gamma)
+class _SolverStopped(Exception):
+    """A preset's solve ended before t_final; carries the failing
+    solver_completed verdict and the files written so far."""
+
+    def __init__(self, verdict: Verdict, files: list):
+        super().__init__(verdict.detail)
+        self.verdict, self.files = verdict, files
+
+
+def _damping(cfg: ScenarioConfig) -> DampingLaw:
+    return DampingLaw(lam=cfg.lam, mu=cfg.mu, allow_free_wave=(cfg.mu == 0.0))
 
 
 def _make_state(cfg: ScenarioConfig, grid: Grid, gas: GasLaw,
@@ -399,9 +416,17 @@ def _lin_snapshots(cfg: ScenarioConfig) -> tuple:
                  np.linspace(0.0, cfg.t_final, cfg.n_snapshots)[1:])
 
 
-def _nonlinear_run(cfg: ScenarioConfig, snaps, *, with_source=False,
-                   with_weights=False, store=False) -> _RunBundle:
-    d, gas = _laws(cfg)
+def _nonlinear_run(cfg: ScenarioConfig, snaps, outdir: Path, csv_name: str, *,
+                   with_source=False, with_weights=False, store=False,
+                   written=(), allow_stop=False) -> _RunBundle:
+    """Solve, write the recorder table to csv_name, return the bundle.
+
+    The solve that owns energy.csv also writes fields/ when the config
+    asks for store_fields.  A solve that stops before t_final raises
+    _SolverStopped unless allow_stop; written lists the files that
+    earlier solves of the same preset left in outdir.
+    """
+    d, gas = _damping(cfg), GasLaw(gamma=cfg.gamma)
     grid = Grid(cfg.n, cfg.L, cfg.N)
     ops = SpectralOps(grid)
     spec = derive_constants(d, cfg.n, cfg.delta)
@@ -409,19 +434,23 @@ def _nonlinear_run(cfg: ScenarioConfig, snaps, *, with_source=False,
     rec = EnergyRecorder(grid, d, gas, spec, with_source=with_source,
                          with_weights=with_weights, dealias=cfg.dealias,
                          support_R=cfg.R, ops=ops)
+    keep = cfg.store_fields and csv_name == "energy.csv"
     sol = euler.SolverConfig(t_final=cfg.t_final, cfl=cfg.cfl,
                              dealias=cfg.dealias, dt_override=cfg.dt_override,
                              snapshot_times=tuple(snaps),
-                             store_snapshots=store or cfg.store_fields)
+                             store_snapshots=store or keep)
     res = euler.run(st, d, gas, grid, sol, on_snapshot=rec, ops=ops)
-    return _RunBundle(d=d, gas=gas, grid=grid, ops=ops, spec=spec,
-                      rec=rec, res=res)
-
-
-def _require_completed(res: euler.RunResult):
-    if res.verdict != "completed":
-        raise RuntimeError(
-            f"solver ended early with verdict {res.verdict!r} at t={res.t_end:g}")
+    rec.to_csv(outdir / csv_name)
+    files = list(written) + [csv_name]
+    if keep:
+        files += _store_fields(res, outdir)
+    if res.verdict != "completed" and not allow_stop:
+        raise _SolverStopped(Verdict(
+            name="solver_completed", value=res.t_end, predicted=cfg.t_final,
+            tolerance=0.0, passed=False,
+            detail=f"solver verdict {res.verdict!r} after {res.steps} steps"),
+            files)
+    return _RunBundle(d=d, ops=ops, spec=spec, rec=rec, res=res, files=files)
 
 
 def _store_fields(res: euler.RunResult, outdir: Path) -> list:
@@ -461,31 +490,26 @@ _DECAY_LAW_NOTE = (
 def _run_linear_decay(cfg: ScenarioConfig, outdir: Path):
     if cfg.n != 1:
         raise ConfigError("n: linear-decay is a one-dimensional scenario")
-    d, _ = _laws(cfg)
     grid = Grid(cfg.n, cfg.L, cfg.N)
     g = euler.bump_profile(grid, cfg.R)
     times = np.geomspace(1.0, cfg.t_final, cfg.n_snapshots)
 
-    preds = tuple(-(1.0 - cfg.lam) * (cfg.n + k) / 2.0 for k in (0, 1))
-    series = linear.kernel_decay_check(g, grid, d, times, i=1, k=(0, 1),
-                                       p=np.inf, r_cut=cfg.r_cut,
-                                       envelope_exponent=preds)
+    series = linear.kernel_decay_check(g, grid, _damping(cfg), times, i=1,
+                                       k=(0, 1), p=np.inf, r_cut=cfg.r_cut)
     fits, verdicts = {}, []
-    for k, (ser, pred) in enumerate(zip(series, preds)):
+    for ser in series:
         fit = decay_fit(ser.times, ser.observed, cfg.fit_lo, cfg.fit_hi)
-        fits[k] = fit
-        verdicts.append(Verdict(
-            name=f"kernel_decay_k{k}", value=fit.slope, predicted=pred,
-            tolerance=0.05, passed=abs(fit.slope - pred) <= 0.05,
-            detail=f"power fit over [{cfg.fit_lo:g}, {cfg.fit_hi:g}], "
-                   f"residual {fit.residual:.3g}"))
+        fits[ser.k] = fit
+        verdicts.append(within(
+            f"kernel_decay_k{ser.k}", fit.slope, ser.envelope_exponent, 0.05,
+            f"power fit over [{cfg.fit_lo:g}, {cfg.fit_hi:g}], "
+            f"residual {fit.residual:.3g}"))
 
     sel = times >= cfg.fit_lo
-    tail = max(float(np.max(series[k].tail_bound[sel] / series[k].observed[sel]))
-               for k in (0, 1))
-    verdicts.append(Verdict(
-        name="band_tail_fraction", value=tail, predicted=0.0, tolerance=1e-3,
-        passed=tail <= 1e-3,
+    tail = max(float(np.max(ser.tail_bound[sel] / ser.observed[sel]))
+               for ser in series)
+    verdicts.append(at_most(
+        "band_tail_fraction", tail, 1e-3,
         detail="high-band bound relative to the band norm, max over the fit window"))
 
     _write_csv(outdir / "decay.csv",
@@ -506,7 +530,7 @@ def _run_linear_decay(cfg: ScenarioConfig, outdir: Path):
     ("z1_ratio_drift", "z2_ratio_drift", "z3_decay_rate"),
     n=1, lam=0.5, mu=2.0, t_final=1.0e3)
 def _run_zone_bounds(cfg: ScenarioConfig, outdir: Path):
-    d, _ = _laws(cfg)
+    d = _damping(cfg)
     if d.mu == 0.0:
         raise ConfigError("mu: zone-bounds needs mu > 0 (zones degenerate)")
     if d.lam == 0.0:
@@ -559,12 +583,10 @@ def _run_zone_bounds(cfg: ScenarioConfig, outdir: Path):
     fit = decay_fit(t_dense, amp, 5.0, float(t_dense[-1]), kind="stretched",
                     stretch_exponent=1.0 - d.lam)
     pred = -d.mu / (2.0 * (1.0 - d.lam))
-    verdicts.append(Verdict(
-        name="z3_decay_rate", value=fit.slope, predicted=pred,
-        tolerance=abs(pred) * 0.2,
-        passed=abs(fit.slope - pred) <= abs(pred) * 0.2,
-        detail=f"stretched fit of the mode amplitude at |xi|={r3:g} against "
-               f"(1+t)^{1.0 - d.lam:g}, residual {fit.residual:.3g}"))
+    verdicts.append(within(
+        "z3_decay_rate", fit.slope, pred, abs(pred) * 0.2,
+        f"stretched fit of the mode amplitude at |xi|={r3:g} against "
+        f"(1+t)^{1.0 - d.lam:g}, residual {fit.residual:.3g}"))
 
     rows = []
     for (t, r, z, p1, p2) in table:
@@ -588,7 +610,7 @@ def _run_zone_bounds(cfg: ScenarioConfig, outdir: Path):
     ("z1_a0_ratio_spread", "z1_a2_ratio_spread", "alpha_exponent_gap"),
     n=1, lam=0.5, mu=2.0)
 def _run_zone_integrals(cfg: ScenarioConfig, outdir: Path):
-    d, _ = _laws(cfg)
+    d = _damping(cfg)
     if d.mu == 0.0:
         raise ConfigError("mu: zone-integrals needs mu > 0 (empty low band)")
     times = (10.0, 100.0, 1000.0)
@@ -600,22 +622,18 @@ def _run_zone_integrals(cfg: ScenarioConfig, outdir: Path):
     for a in alphas:
         pred_exp = -(1.0 - d.lam) * (cfg.n + a) / 2.0
         ratios = [v / (1.0 + t) ** pred_exp for v, t in zip(vals[a], times)]
-        spread = max(ratios) / min(ratios)
-        verdicts.append(Verdict(
-            name=f"z1_a{a}_ratio_spread", value=spread, predicted=1.0,
-            tolerance=3.0, passed=spread <= 3.0,
+        verdicts.append(at_most(
+            f"z1_a{a}_ratio_spread", max(ratios) / min(ratios), 3.0,
+            predicted=1.0,
             detail=f"max/min of value/(1+t)^{pred_exp:g} over t in {times}"))
 
     slopes = {a: float(np.polyfit(np.log1p(np.asarray(times)),
                                   np.log(np.asarray(vals[a])), 1)[0])
               for a in alphas}
-    gap = slopes[0] - slopes[2]
     pred_gap = 1.0 - d.lam
-    verdicts.append(Verdict(
-        name="alpha_exponent_gap", value=gap, predicted=pred_gap,
-        tolerance=0.2 * pred_gap,
-        passed=abs(gap - pred_gap) <= 0.2 * pred_gap,
-        detail="fitted log-log slope difference, alpha=0 minus alpha=2"))
+    verdicts.append(within(
+        "alpha_exponent_gap", slopes[0] - slopes[2], pred_gap, 0.2 * pred_gap,
+        "fitted log-log slope difference, alpha=0 minus alpha=2"))
 
     _write_csv(outdir / "zone_integrals.csv",
                ["t", "value_a0", "value_a2"],
@@ -631,35 +649,25 @@ def _run_zone_integrals(cfg: ScenarioConfig, outdir: Path):
     n=1, lam=0.5, mu=2.0, gamma=2.0, eps=1e-3, N=2048, L=256.0, R=4.0,
     data_order=7, t_final=1.0e3, n_snapshots=41, fit_lo=1.0e2, fit_hi=1.0e3)
 def _run_nonlinear_decay(cfg: ScenarioConfig, outdir: Path):
-    b = _nonlinear_run(cfg, _log_snapshots(cfg))
-    _require_completed(b.res)
+    b = _nonlinear_run(cfg, _log_snapshots(cfg), outdir, "energy.csv")
     rec = b.rec
     rho_fit = decay_fit(rec.times, rec.series("rho_linf"), cfg.fit_lo, cfg.fit_hi)
     u_fit = decay_fit(rec.times, rec.series("u_linf"), cfg.fit_lo, cfg.fit_hi)
     pred_rho = -(1.0 - cfg.lam) * cfg.n / 2.0
     pred_u = -(1.0 - cfg.lam) * (cfg.n + 1) / 2.0 + cfg.lam
-    diff = rho_fit.slope - u_fit.slope
     verdicts = [
-        Verdict(name="rho_slope", value=rho_fit.slope, predicted=pred_rho,
-                tolerance=0.08, passed=abs(rho_fit.slope - pred_rho) <= 0.08,
-                detail=f"sup norm of rho-1, power fit over "
-                       f"[{cfg.fit_lo:g}, {cfg.fit_hi:g}], residual {rho_fit.residual:.3g}"),
-        Verdict(name="u_slope", value=u_fit.slope, predicted=pred_u,
-                tolerance=0.08, passed=abs(u_fit.slope - pred_u) <= 0.08,
-                detail=f"sup norm of u, residual {u_fit.residual:.3g}"),
-        Verdict(name="slope_difference", value=diff,
-                predicted=pred_rho - pred_u, tolerance=0.05,
-                passed=abs(diff - (pred_rho - pred_u)) <= 0.05,
-                detail="density slope minus velocity slope"),
+        within("rho_slope", rho_fit.slope, pred_rho, 0.08,
+               f"sup norm of rho-1, power fit over [{cfg.fit_lo:g}, "
+               f"{cfg.fit_hi:g}], residual {rho_fit.residual:.3g}"),
+        within("u_slope", u_fit.slope, pred_u, 0.08,
+               f"sup norm of u, residual {u_fit.residual:.3g}"),
+        within("slope_difference", rho_fit.slope - u_fit.slope,
+               pred_rho - pred_u, 0.05, "density slope minus velocity slope"),
     ]
-    rec.to_csv(outdir / "energy.csv")
     _write_json(outdir / "fits.json",
                 {"rho_linf": asdict(rho_fit), "u_linf": asdict(u_fit)})
-    files = ["energy.csv", "fits.json"]
-    if cfg.store_fields:
-        files += _store_fields(b.res, outdir)
     notes = [] if all(v.passed for v in verdicts) else [_DECAY_LAW_NOTE]
-    return verdicts, files, notes
+    return verdicts, b.files + ["fits.json"], notes
 
 
 @_register(
@@ -669,17 +677,15 @@ def _run_nonlinear_decay(cfg: ScenarioConfig, outdir: Path):
     n=1, lam=0.5, mu=2.0, N=1024, L=360.0, R=8.0, data_order=7,
     t_final=300.0, n_snapshots=33, fit_lo=30.0, fit_hi=300.0)
 def _run_u_extra_lambda(cfg: ScenarioConfig, outdir: Path):
-    b = _nonlinear_run(cfg, _log_snapshots(cfg), store=True)
-    _require_completed(b.res)
+    b = _nonlinear_run(cfg, _log_snapshots(cfg), outdir, "energy.csv", store=True)
     rec = b.rec
     mask = rec.times > 0.0
     ratio = rec.series("u_linf")[mask] / rec.series("dv1_linf")[mask]
     fit = decay_fit(rec.times[mask], ratio, cfg.fit_lo, cfg.fit_hi)
-    verdicts = [Verdict(
-        name="velocity_lag_exponent", value=fit.slope, predicted=cfg.lam,
-        tolerance=0.1, passed=abs(fit.slope - cfg.lam) <= 0.1,
-        detail=f"power fit of |u|_inf / |dv|_inf over "
-               f"[{cfg.fit_lo:g}, {cfg.fit_hi:g}], residual {fit.residual:.3g}")]
+    verdicts = [within(
+        "velocity_lag_exponent", fit.slope, cfg.lam, 0.1,
+        f"power fit of |u|_inf / |dv|_inf over "
+        f"[{cfg.fit_lo:g}, {cfg.fit_hi:g}], residual {fit.residual:.3g}")]
 
     st = b.res.snapshots[-1]
     grad_v = b.ops.grad(st.v)
@@ -687,17 +693,11 @@ def _run_u_extra_lambda(cfg: ScenarioConfig, outdir: Path):
     num = math.sqrt(sum(b.ops.l2(st.u[i] + grad_v[i] / bco) ** 2
                         for i in range(cfg.n)))
     den = math.sqrt(sum(b.ops.l2(st.u[i]) ** 2 for i in range(cfg.n)))
-    rel = num / max(den, 1e-300)
-    verdicts.append(Verdict(
-        name="quasistatic_residual", value=rel, predicted=0.0, tolerance=0.1,
-        passed=rel <= 0.1,
+    verdicts.append(at_most(
+        "quasistatic_residual", num / max(den, 1e-300), 0.1,
         detail=f"relative L2 misfit of u against -(1+t)^lam grad(v)/mu "
                f"at t={st.t:g}"))
-    rec.to_csv(outdir / "energy.csv")
-    files = ["energy.csv"]
-    if cfg.store_fields:
-        files += _store_fields(b.res, outdir)
-    return verdicts, files, []
+    return verdicts, b.files, []
 
 
 @_register(
@@ -709,16 +709,13 @@ def _run_u_extra_lambda(cfg: ScenarioConfig, outdir: Path):
 def _run_mass_conservation(cfg: ScenarioConfig, outdir: Path):
     if cfg.q0 <= 0.0:
         raise ConfigError("q0: mass-conservation needs positive excess mass")
-    b = _nonlinear_run(cfg, _lin_snapshots(cfg))
-    _require_completed(b.res)
+    b = _nonlinear_run(cfg, _lin_snapshots(cfg), outdir, "energy.csv")
     mass = b.rec.series("mass")
     drift = float(np.max(np.abs(mass - mass[0])) / abs(mass[0]))
-    verdicts = [Verdict(
-        name="mass_drift", value=drift, predicted=0.0, tolerance=1e-8,
-        passed=drift < 1e-8,
+    verdicts = [at_most(
+        "mass_drift", drift, 1e-8, strict=True,
         detail=f"relative to M(0)={mass[0]:.6g} across {mass.size} snapshots")]
-    b.rec.to_csv(outdir / "energy.csv")
-    return verdicts, ["energy.csv"], []
+    return verdicts, b.files, []
 
 
 @_register(
@@ -731,8 +728,7 @@ def _run_mass_conservation(cfg: ScenarioConfig, outdir: Path):
 def _run_lower_bound(cfg: ScenarioConfig, outdir: Path):
     if cfg.q0 <= 0.0:
         raise ConfigError("q0: lower-bound needs positive excess mass")
-    b = _nonlinear_run(cfg, _lin_snapshots(cfg))
-    _require_completed(b.res)
+    b = _nonlinear_run(cfg, _lin_snapshots(cfg), outdir, "energy.csv")
     rec = b.rec
     t = rec.times
     mass = rec.series("mass")
@@ -746,8 +742,7 @@ def _run_lower_bound(cfg: ScenarioConfig, outdir: Path):
                                         rec.series("u_l2"), cfg.q0, cfg.R,
                                         cfg.n, t0=cfg.fit_lo)
     verdicts = [
-        Verdict(name="mass_drift", value=drift, predicted=0.0, tolerance=1e-8,
-                passed=drift < 1e-8,
+        at_most("mass_drift", drift, 1e-8, strict=True,
                 detail=f"relative to M(0)={mass[0]:.6g}"),
         Verdict(name="cauchy_schwarz", value=float(np.min(cs)), predicted=1.0,
                 tolerance=1e-6, passed=float(np.min(cs)) >= 1.0 - 1e-6,
@@ -766,13 +761,12 @@ def _run_lower_bound(cfg: ScenarioConfig, outdir: Path):
                 detail=f"infimum over t >= {cfg.fit_lo:g} of "
                        "|u| (R+t)^((n+2)/2) / q0; pass means clearly positive"),
     ]
-    rec.to_csv(outdir / "energy.csv")
     _write_csv(outdir / "margins.csv",
                ["t", "cauchy_schwarz", "m_rho", "m_u"],
                [t, cs, lb["m_rho"], lb["m_u"]])
     _write_csv(outdir / "moment_margins.csv",
                ["t", "margin"], [t[1:-1], mm])
-    return verdicts, ["energy.csv", "margins.csv", "moment_margins.csv"], []
+    return verdicts, b.files + ["margins.csv", "moment_margins.csv"], []
 
 
 def _vorticity_verdicts(cfg: ScenarioConfig, rec: EnergyRecorder):
@@ -780,13 +774,10 @@ def _vorticity_verdicts(cfg: ScenarioConfig, rec: EnergyRecorder):
                     kind="stretched", stretch_exponent=1.0 - cfg.lam)
     pred = -cfg.mu / (1.0 - cfg.lam)
     return fit, [
-        Verdict(name="vorticity_rate", value=fit.slope, predicted=pred,
-                tolerance=abs(pred) * 0.2,
-                passed=abs(fit.slope - pred) <= abs(pred) * 0.2,
-                detail=f"slope of log |omega|_2 against (1+t)^{1.0 - cfg.lam:g} "
-                       f"over [{cfg.fit_lo:g}, {cfg.fit_hi:g}]"),
-        Verdict(name="vorticity_fit_residual", value=fit.residual,
-                predicted=0.0, tolerance=0.1, passed=fit.residual < 0.1,
+        within("vorticity_rate", fit.slope, pred, abs(pred) * 0.2,
+               f"slope of log |omega|_2 against (1+t)^{1.0 - cfg.lam:g} "
+               f"over [{cfg.fit_lo:g}, {cfg.fit_hi:g}]"),
+        at_most("vorticity_fit_residual", fit.residual, 0.1, strict=True,
                 detail="rms residual of the stretched-exponential fit"),
     ]
 
@@ -801,23 +792,19 @@ def _vorticity_verdicts(cfg: ScenarioConfig, rec: EnergyRecorder):
 def _run_vorticity_2d(cfg: ScenarioConfig, outdir: Path):
     if cfg.n < 2:
         raise ConfigError("n: vorticity scenarios need n >= 2")
-    b = _nonlinear_run(cfg, _lin_snapshots(cfg))
-    _require_completed(b.res)
+    b = _nonlinear_run(cfg, _lin_snapshots(cfg), outdir, "energy.csv")
     fit, verdicts = _vorticity_verdicts(cfg, b.rec)
 
     cfg2 = replace(cfg, data_kind="potential", t_final=5.0, n_snapshots=6)
-    b2 = _nonlinear_run(cfg2, _lin_snapshots(cfg2))
-    _require_completed(b2.res)
+    b2 = _nonlinear_run(cfg2, _lin_snapshots(cfg2), outdir,
+                        "energy_irrotational.csv", written=b.files)
     floor = float(np.max(b2.rec.series("vort_l2") / b2.rec.series("du1_l2")))
-    verdicts.append(Verdict(
-        name="irrotational_floor", value=floor, predicted=0.0,
-        tolerance=1e-10, passed=floor < 1e-10,
+    verdicts.append(at_most(
+        "irrotational_floor", floor, 1e-10, strict=True,
         detail="max over snapshots of |omega|_2 / |grad u|_2 for potential data"))
 
-    b.rec.to_csv(outdir / "energy.csv")
-    b2.rec.to_csv(outdir / "energy_irrotational.csv")
     _write_json(outdir / "fits.json", {"vort_l2": asdict(fit)})
-    return verdicts, ["energy.csv", "energy_irrotational.csv", "fits.json"], []
+    return verdicts, b2.files + ["fits.json"], []
 
 
 @_register(
@@ -830,12 +817,10 @@ def _run_vorticity_2d(cfg: ScenarioConfig, outdir: Path):
 def _run_vorticity_3d(cfg: ScenarioConfig, outdir: Path):
     if cfg.n != 3:
         raise ConfigError("n: vorticity-3d runs in three dimensions")
-    b = _nonlinear_run(cfg, _lin_snapshots(cfg))
-    _require_completed(b.res)
+    b = _nonlinear_run(cfg, _lin_snapshots(cfg), outdir, "energy.csv")
     fit, verdicts = _vorticity_verdicts(cfg, b.rec)
-    b.rec.to_csv(outdir / "energy.csv")
     _write_json(outdir / "fits.json", {"vort_l2": asdict(fit)})
-    return verdicts, ["energy.csv", "fits.json"], []
+    return verdicts, b.files + ["fits.json"], []
 
 
 @_register(
@@ -846,10 +831,9 @@ def _run_vorticity_3d(cfg: ScenarioConfig, outdir: Path):
     data_order=7, t_final=1.0e3, n_snapshots=41, fit_lo=1.0e2, fit_hi=1.0e3)
 def _run_q_decay(cfg: ScenarioConfig, outdir: Path):
     snaps = _log_snapshots(cfg)
-    b1 = _nonlinear_run(cfg, snaps, with_source=True)
-    _require_completed(b1.res)
-    b2 = _nonlinear_run(replace(cfg, eps=2.0 * cfg.eps), snaps, with_source=True)
-    _require_completed(b2.res)
+    b1 = _nonlinear_run(cfg, snaps, outdir, "energy.csv", with_source=True)
+    b2 = _nonlinear_run(replace(cfg, eps=2.0 * cfg.eps), snaps, outdir,
+                        "energy_eps2.csv", with_source=True, written=b1.files)
 
     cap = -b1.spec.B - (1.0 + cfg.lam) / 2.0 + 0.15
     fit = decay_fit(b1.rec.times, b1.rec.series("src_l1"), cfg.fit_lo, cfg.fit_hi)
@@ -868,10 +852,8 @@ def _run_q_decay(cfg: ScenarioConfig, outdir: Path):
         detail="median over t >= 10 of the L1 source ratio under doubling "
                "of the data amplitude"))
 
-    b1.rec.to_csv(outdir / "energy.csv")
-    b2.rec.to_csv(outdir / "energy_eps2.csv")
     _write_json(outdir / "fits.json", {"src_l1": asdict(fit)})
-    return verdicts, ["energy.csv", "energy_eps2.csv", "fits.json"], []
+    return verdicts, b2.files + ["fits.json"], []
 
 
 @_register(
@@ -886,10 +868,8 @@ def _run_convolution(cfg: ScenarioConfig, outdir: Path):
         chk = diagnostics.convolution_oracle(a, bb, times)
         m_all = float(np.max(chk.ratios))
         m_head = float(np.max(chk.ratios[:-1]))
-        rel = m_all / m_head - 1.0
-        verdicts.append(Verdict(
-            name=f"conv_{a:g}_{bb:g}", value=rel, predicted=0.0, tolerance=0.1,
-            passed=rel < 0.1,
+        verdicts.append(at_most(
+            f"conv_{a:g}_{bb:g}", m_all / m_head - 1.0, 0.1, strict=True,
             detail=f"max ratio {m_all:.5g}; growth of the max when the last "
                    "time decade joins"))
         cols.append(chk.ratios)
@@ -907,8 +887,7 @@ def _run_convolution(cfg: ScenarioConfig, outdir: Path):
     data_order=7, t_final=1.0e3, n_snapshots=37)
 def _run_weighted_energy(cfg: ScenarioConfig, outdir: Path):
     snaps = _log_snapshots(cfg, head=(0.2, 0.4, 0.6, 0.8))
-    b = _nonlinear_run(cfg, snaps, with_weights=True)
-    _require_completed(b.res)
+    b = _nonlinear_run(cfg, snaps, outdir, "energy.csv", with_weights=True)
     rec = b.rec
     early = rec.times <= 1.0
     verdicts = []
@@ -918,15 +897,11 @@ def _run_weighted_energy(cfg: ScenarioConfig, outdir: Path):
                       ("wmon_high", "weighted_high_bounded")):
         series = rec.series(col)
         base = float(np.max(series[early]))
-        peak = float(np.max(series))
-        ratio = peak / base
-        verdicts.append(Verdict(
-            name=name, value=ratio, predicted=1.0, tolerance=10.0,
-            passed=ratio <= 10.0,
+        verdicts.append(at_most(
+            name, float(np.max(series)) / base, 10.0, predicted=1.0,
             detail=f"peak of {col} over the whole run relative to its "
                    "peak on [0, 1]"))
-    rec.to_csv(outdir / "energy.csv")
-    return verdicts, ["energy.csv"], []
+    return verdicts, b.files, []
 
 
 @_register(
@@ -936,7 +911,8 @@ def _run_weighted_energy(cfg: ScenarioConfig, outdir: Path):
     n=1, lam=0.5, mu=0.0, gamma=2.0, eps=1.2, N=512, L=40.0, R=2.0,
     data_order=1, t_final=20.0, n_snapshots=21)
 def _run_blowup_scout(cfg: ScenarioConfig, outdir: Path):
-    b = _nonlinear_run(cfg, _lin_snapshots(cfg))
+    b = _nonlinear_run(cfg, _lin_snapshots(cfg), outdir, "energy.csv",
+                       allow_stop=True)
     res = b.res
     detected = res.verdict != "completed"
     value = float(res.blowup_time) if detected else -1.0
@@ -945,8 +921,7 @@ def _run_blowup_scout(cfg: ScenarioConfig, outdir: Path):
         tolerance=0.0, passed=detected,
         detail=f"solver verdict {res.verdict!r} after {res.steps} steps; "
                "pass means a monitor tripped before t_final")]
-    b.rec.to_csv(outdir / "energy.csv")
-    return verdicts, ["energy.csv"], []
+    return verdicts, b.files, []
 
 
 # =====================================================================
@@ -966,13 +941,26 @@ def run_dir(cfg: ScenarioConfig, base_dir=None) -> Path:
 
 
 def run_scenario(cfg: ScenarioConfig, base_dir=None) -> Report:
-    """Validate, run the preset, emit report.json and summary.txt."""
+    """Validate, run the preset, emit report.json and summary.txt.
+
+    A solve that stops before t_final yields a report whose only verdict
+    is a failing solver_completed.  A ConfigError raised by the runner
+    removes the run directory this call created.
+    """
     validate_config(cfg)
     outdir = run_dir(cfg, base_dir)
+    fresh = not outdir.exists()
     outdir.mkdir(parents=True, exist_ok=True)
-    verdicts, files, notes = PRESETS[cfg.scenario].runner(cfg, outdir)
-    selected = _selected_names(cfg)
-    verdicts = [v for v in verdicts if v.name in selected]
+    try:
+        verdicts, files, notes = PRESETS[cfg.scenario].runner(cfg, outdir)
+        selected = _selected_names(cfg)
+        verdicts = [v for v in verdicts if v.name in selected]
+    except _SolverStopped as stop:
+        verdicts, files, notes = [stop.verdict], stop.files, []
+    except ConfigError:
+        if fresh:
+            shutil.rmtree(outdir)
+        raise
     report = Report(scenario=cfg.scenario, digest=config_digest(cfg),
                     config=cfg.as_dict(), verdicts=verdicts,
                     files=sorted(set(files) | {"report.json", "summary.txt"}),
@@ -982,14 +970,7 @@ def run_scenario(cfg: ScenarioConfig, base_dir=None) -> Report:
     return report
 
 
-_AXIS_FIELDS = {"lambda": "lam", "lam": "lam", "mu": "mu", "eps": "eps",
-                "N": "N", "delta": "delta"}
-
-
-def _axis_value(field_name: str, raw):
-    if field_name == "N":
-        return int(raw)
-    return float(raw)
+_SWEEP_AXES = ("lam", "mu", "eps", "N", "delta")
 
 
 def _sweep_worker(cfg_dict: dict, base_dir: str) -> dict:
@@ -1013,17 +994,17 @@ def sweep(base: ScenarioConfig, axes: dict, base_dir=None,
     axes maps axis names (lambda, mu, eps, N, delta) to value lists.
     Returns (per-run result dicts in product order, aggregate CSV path).
     """
-    fields, value_lists = [], []
-    for name, vals in axes.items():
-        if name not in _AXIS_FIELDS:
+    names, value_lists = [], []
+    for axis, vals in axes.items():
+        name = _ALIASES.get(axis, axis)
+        if name not in _SWEEP_AXES:
             raise ConfigError(
-                f"axis: unsupported axis {name!r}; "
+                f"axis: unsupported axis {axis!r}; "
                 f"use one of lambda, mu, eps, N, delta")
-        f = _AXIS_FIELDS[name]
-        fields.append(f)
-        value_lists.append([_axis_value(f, v) for v in vals])
+        names.append(name)
+        value_lists.append([_coerce(name, str(v))[1] for v in vals])
 
-    cfgs = [replace(base, **dict(zip(fields, combo)))
+    cfgs = [replace(base, **dict(zip(names, combo)))
             for combo in itertools.product(*value_lists)]
     for c in cfgs:
         validate_config(c)
@@ -1043,7 +1024,7 @@ def sweep(base: ScenarioConfig, axes: dict, base_dir=None,
     agg_path.parent.mkdir(parents=True, exist_ok=True)
     with open(agg_path, "w", newline="") as fh:
         wr = csv.writer(fh)
-        wr.writerow(["index", "scenario"] + fields
+        wr.writerow(["index", "scenario"] + names
                     + ["digest", "status", "n_pass", "n_fail", "verdicts",
                        "error"])
         for j, (cfg, res) in enumerate(zip(cfgs, results)):
@@ -1051,7 +1032,7 @@ def sweep(base: ScenarioConfig, axes: dict, base_dir=None,
                 f"{v['name']}={v['value']!r}:{'PASS' if v['passed'] else 'FAIL'}"
                 for v in res["verdicts"])
             wr.writerow([j, cfg.scenario]
-                        + [repr(getattr(cfg, f)) for f in fields]
+                        + [repr(getattr(cfg, f)) for f in names]
                         + [res["digest"], res["status"], res["n_pass"],
                            res["n_fail"], vtext, res["error"]])
     return results, agg_path

@@ -550,8 +550,8 @@ class KernelDecaySeries:
 
 
 def kernel_decay_check(g: np.ndarray, grid: Grid, d: DampingLaw, times, *,
-                       i: int = 1, k=0, p=np.inf, r_cut: float = 1.0,
-                       envelope_exponent=None):
+                       i: int = 1, k: tuple = (0,), p=np.inf,
+                       r_cut: float = 1.0) -> tuple:
     """Propagate data g through kernel i and record norm decay.
 
     The reconstruction keeps radii <= r_cut (the band that carries the
@@ -559,21 +559,14 @@ def kernel_decay_check(g: np.ndarray, grid: Grid, d: DampingLaw, times, *,
     exponential-type envelope which is fitted on sparse probe modes and
     reported separately as a bound, never mixed into the observed norms.
 
-    envelope_exponent is the polynomial rate the caller wants the series
-    compared against; it is stored in the result for report assembly.
-
-    k is one derivative order, or a tuple of orders: the propagators do
-    not depend on k, so they are evolved once and one series per order
-    comes back as a tuple (envelope_exponent is then None or a tuple of
-    the same length).
+    k is a tuple of derivative orders: the propagators do not depend on
+    k, so they are evolved once and one series per order comes back, in
+    a tuple.  Each series carries the polynomial rate it is compared
+    against, -(1-lam)(n+k)/2 for the sup norm and -(1-lam)(n/4+k/2) for
+    the L2 norm.
     """
     if i not in (1, 2):
         raise ValueError("kernel index i must be 1 or 2")
-    orders = (k,) if np.ndim(k) == 0 else tuple(k)
-    exponents = (envelope_exponent,) if np.ndim(k) == 0 else \
-        (envelope_exponent or (None,) * len(orders))
-    if len(exponents) != len(orders):
-        raise ValueError("envelope_exponent needs one entry per order k")
     ops = SpectralOps(grid)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     _check_band_limited(ops, (g,), "kernel data")
@@ -608,7 +601,7 @@ def kernel_decay_check(g: np.ndarray, grid: Grid, d: DampingLaw, times, *,
         c_fit = 1.0
 
     out = []
-    for kk, exponent in zip(orders, exponents):
+    for kk in k:
         if kk:
             ik = (1j * ops.k[-1].ravel() if grid.n == 1
                   else 1j * ops.kmag.ravel()) ** kk
@@ -625,11 +618,10 @@ def kernel_decay_check(g: np.ndarray, grid: Grid, d: DampingLaw, times, *,
             / (grid.N ** grid.n)
         tail_bound = 2.0 * c_fit * shape * tail_mass
 
-        if exponent is None:
-            exponent = -one_m * (grid.n + kk) / 2.0 if p == np.inf \
-                else -one_m * (grid.n / 4.0 + kk / 2.0)
+        exponent = -one_m * (grid.n + kk) / 2.0 if p == np.inf \
+            else -one_m * (grid.n / 4.0 + kk / 2.0)
         out.append(KernelDecaySeries(times=times, k=kk, p=p, observed=observed,
                                      tail_bound=tail_bound,
                                      envelope_exponent=float(exponent),
                                      r_cut=r_cut))
-    return out[0] if np.ndim(k) == 0 else tuple(out)
+    return tuple(out)

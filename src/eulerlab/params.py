@@ -77,7 +77,7 @@ class GasLaw:
 
     def __post_init__(self):
         if self.gamma <= 1.0:
-            raise ValueError(f"adiabatic exponent gamma must exceed 1, got {self.gamma}")
+            raise ValueError(f"gamma: adiabatic index must exceed 1, got {self.gamma}")
 
     @property
     def slope(self) -> float:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import run_preset
+from conftest import read_csv_columns, run_preset
 from eulerlab import harness
 from eulerlab.harness import (
     ConfigError, Report, ScenarioConfig, Verdict, config_digest,
@@ -109,12 +109,25 @@ def test_cli_override_coercion():
     (dict(jitter=-0.1), "jitter:"),
     (dict(workers=-1), "workers:"),
     (dict(diagnostics=("no_such_verdict",)), "diagnostics:"),
+    (dict(n=3), "N:"),   # 2048^3 points: over the grid budget, never allocated
 ])
 def test_validate_config_field_messages(overrides, field):
     cfg = replace(preset_config("nonlinear-decay"), **overrides)
     with pytest.raises(ConfigError) as err:
         harness.validate_config(cfg)
     assert str(err.value).startswith(field)
+
+
+@pytest.mark.parametrize("item, field", [
+    ("N=abc", "N:"), ("dt_override=x", "dt_override:"),
+    ("dealias=maybe", "dealias:"),
+])
+def test_override_parse_errors_name_the_field(item, field, capsys):
+    with pytest.raises(ConfigError) as err:
+        harness._load_config("nonlinear-decay", [item], None)
+    assert str(err.value).startswith(field)
+    assert main(["run", "nonlinear-decay", "--set", item]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}")
 
 
 def test_validate_config_unknown_scenario():
@@ -207,6 +220,78 @@ def test_run_scenario_rejects_invalid_config(tmp_path):
     with pytest.raises(ConfigError):
         run_scenario(cfg)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_run_scenario_runner_config_error_leaves_no_directory(tmp_path):
+    # mu = 0 validates (free wave); the zone-bounds runner refuses it
+    cfg = preset_config("zone-bounds", mu=0.0, outdir=str(tmp_path))
+    with pytest.raises(ConfigError, match="^mu:"):
+        run_scenario(cfg)
+    assert list(tmp_path.iterdir()) == []
+
+
+EARLY_STOP = ["mu=0", "eps=1.2", "N=512", "L=40", "R=2", "data_order=1",
+              "t_final=20"]
+
+
+def test_early_stop_is_a_failing_verdict(tmp_path, capsys):
+    argv = ["run", "nonlinear-decay", "--outdir", str(tmp_path)]
+    for item in EARLY_STOP:
+        argv += ["--set", item]
+    assert main(argv) == 1
+    assert "[FAIL] solver_completed" in capsys.readouterr().out
+
+    cfg = harness._load_config("nonlinear-decay", EARLY_STOP, str(tmp_path))
+    rep = Report.from_json((run_dir(cfg) / "report.json").read_text())
+    assert len(rep.verdicts) == 1
+    v = rep.verdicts[0]
+    assert v.name == "solver_completed" and not v.passed
+    assert 0.0 < v.value < 20.0
+    assert v.predicted == 20.0 and v.tolerance == 0.0
+    assert v.detail.startswith("solver verdict 'blowup-") and "steps" in v.detail
+    assert rep.files == ["energy.csv", "report.json", "summary.txt"]
+    energy = read_csv_columns(run_dir(cfg) / "energy.csv")
+    assert energy["t"][-1] < 20.0
+
+    # a diagnostics selection cannot hide the early stop
+    picked = run_scenario(replace(cfg, diagnostics=("rho_slope",)))
+    assert [v.name for v in picked.verdicts] == ["solver_completed"]
+
+    results, agg = sweep(cfg, {"eps": ["1.2"]})
+    assert results[0]["status"] == "ok"
+    assert (results[0]["n_pass"], results[0]["n_fail"]) == (0, 1)
+
+
+def test_mass_conservation_stores_fields(tmp_path):
+    handle = run_preset("mass-conservation", tmp_path, store_fields=True)
+    files = handle.report.files
+    assert "fields/times.csv" in files
+    times = read_csv_columns(handle.outdir / "fields/times.csv")["t"]
+    assert times.size == 21 and times[0] == 0.0 and times[-1] == 50.0
+    assert sum(f.endswith("_v.npy") for f in files) == times.size
+    for name in files:
+        assert (handle.outdir / name).exists()
+
+
+# every preset but vorticity-3d; the expensive ones come from the
+# session fixtures that other tests already run
+_SESSION_RUNS = {
+    "nonlinear-decay": "nonlinear_run", "q-decay": "qdecay_run",
+    "lower-bound": "lower_bound_run", "vorticity-2d": "vort2d_run",
+    "convolution-lemma": "conv_run", "zone-integrals": "zone_integrals_run",
+}
+
+
+@pytest.mark.parametrize("name", [n for n in PRESET_NAMES if n != "vorticity-3d"])
+def test_report_lists_registered_verdicts(name, request, tmp_path):
+    if name == "linear-decay":
+        handle = request.getfixturevalue("linear_lambda_runs")[0.5]
+    elif name in _SESSION_RUNS:
+        handle = request.getfixturevalue(_SESSION_RUNS[name])
+    else:
+        handle = run_preset(name, tmp_path)
+    assert [v.name for v in handle.report.verdicts] \
+        == list(harness.PRESETS[name].verdict_names)
 
 
 def test_empty_diagnostics_selection(tmp_path):
@@ -322,6 +407,14 @@ def test_sweep_records_runtime_errors(tmp_path):
     assert "ConfigError" in results[0]["error"]
     header, rows = _read_rows(agg)
     assert rows[0][header.index("status")] == "error"
+
+
+def test_sweep_over_delta_none(tmp_path):
+    base = preset_config("convolution-lemma", outdir=str(tmp_path))
+    results, agg = sweep(base, {"delta": ["none"]})
+    assert results[0]["status"] == "ok"
+    header, rows = _read_rows(agg)
+    assert rows[0][header.index("delta")] == "None"
 
 
 def test_sweep_rejects_bad_axes(tmp_path):

@@ -314,34 +314,37 @@ def test_kernel_decay_check_basics():
     grid = Grid(1, 60.0, 512)
     g = bump_profile(grid, 20.0)   # wide: sup norm carried by radii <= 1
     times = np.array([0.5, 2.0, 8.0, 32.0])
-    ser = linear.kernel_decay_check(g, grid, D_HALF, times, k=0, p=np.inf)
+    ser, = linear.kernel_decay_check(g, grid, D_HALF, times, k=(0,), p=np.inf)
     assert ser.observed.shape == times.shape
     assert np.all(ser.observed > 0.0)
     assert np.all(ser.tail_bound >= 0.0)
     # default comparison exponents for the two norms
     assert ser.envelope_exponent == pytest.approx(-0.25)
-    ser2 = linear.kernel_decay_check(g, grid, D_HALF, times, k=1, p=2)
+    ser2, = linear.kernel_decay_check(g, grid, D_HALF, times, k=(1,), p=2)
     assert ser2.envelope_exponent == pytest.approx(-0.5 * (0.25 + 0.5))
     # band reconstruction at early time reproduces the data sup norm
-    early = linear.kernel_decay_check(g, grid, D_HALF, np.array([1e-4]))
+    early, = linear.kernel_decay_check(g, grid, D_HALF, np.array([1e-4]))
     assert early.observed[0] == pytest.approx(float(np.max(g)), rel=1e-2)
 
 
-def test_kernel_decay_check_orders_share_propagators():
+def test_kernel_decay_check_orders_share_propagators(monkeypatch):
     grid = Grid(1, 60.0, 512)
     g = bump_profile(grid, 20.0)
     times = np.array([0.5, 2.0, 8.0, 32.0])
-    both = linear.kernel_decay_check(g, grid, D_HALF, times, k=(0, 1),
-                                     envelope_exponent=(-1.0, -2.0))
-    for ser, k, e in zip(both, (0, 1), (-1.0, -2.0)):
-        one = linear.kernel_decay_check(g, grid, D_HALF, times, k=k,
-                                        envelope_exponent=e)
+    calls = []
+    evolve = linear.evolve_modes
+    monkeypatch.setattr(linear, "evolve_modes",
+                        lambda *a, **kw: calls.append(1) or evolve(*a, **kw))
+    both = linear.kernel_decay_check(g, grid, D_HALF, times, k=(0, 1))
+    # one band and one probe propagator, whatever the number of orders
+    assert len(calls) == 2
+    assert isinstance(both, tuple) and len(both) == 2
+    for ser, k, e in zip(both, (0, 1), (-0.25, -0.5)):
+        one, = linear.kernel_decay_check(g, grid, D_HALF, times, k=(k,))
         assert ser.k == k and ser.envelope_exponent == e
+        assert one.envelope_exponent == e
         assert np.array_equal(ser.observed, one.observed)
         assert np.array_equal(ser.tail_bound, one.tail_bound)
-    with pytest.raises(ValueError):
-        linear.kernel_decay_check(g, grid, D_HALF, times, k=(0, 1),
-                                  envelope_exponent=(-1.0,))
 
 
 def test_kernel_decay_check_validation_and_warning():
