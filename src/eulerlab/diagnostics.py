@@ -191,7 +191,7 @@ class EnergyRecorder:
 
     def __init__(self, grid: Grid, d: DampingLaw, g: GasLaw, spec: WeightSpec,
                  *, with_source: bool = True, with_weights: bool = True,
-                 dealias: bool = True, support_R: float | None = None,
+                 support_R: float | None = None,
                  ops: SpectralOps | None = None):
         self.grid = grid
         self.d = d
@@ -199,7 +199,6 @@ class EnergyRecorder:
         self.spec = spec
         self.with_source = with_source
         self.with_weights = with_weights
-        self.dealias = dealias
         self.support_R = support_R
         self.ops = ops or SpectralOps(grid)
         self.mesh = grid.mesh()
@@ -209,7 +208,7 @@ class EnergyRecorder:
     def __call__(self, st: euler.EulerState):
         ops, n = self.ops, self.grid.n
         v, u = st.v, st.u
-        dv, du = euler.rhs(st.t, v, u, self.d, self.g, ops, dealias=self.dealias)
+        dv, du = euler.rhs(st.t, v, u, self.d, self.g, ops)
 
         grad_v = ops.grad(v)
         dv1_l2 = sum(ops.l2(gv) for gv in grad_v)
@@ -253,8 +252,7 @@ class EnergyRecorder:
             J_v = J_psi_v = J_u = J_psi_u = Jgrad_v = Jgrad_u = Jvt = 0.0
 
         if self.with_source:
-            src = euler.nonlinear_wave_source(st, self.d, self.g, ops,
-                                              dealias=self.dealias)
+            src = euler.nonlinear_wave_source(st, self.d, self.g, ops)
             src_l1 = ops.quad(np.abs(src))
             src_l2 = ops.l2(src)
             dsrc1_l2 = ops.deriv_l2(src, 1)
@@ -264,7 +262,7 @@ class EnergyRecorder:
 
         vort_l2 = 0.0
         if n >= 2:
-            w = euler.vorticity(st, ops)
+            w = ops.curl(u)
             vort_l2 = ops.l2(w) if n == 2 else \
                 math.sqrt(sum(ops.l2(w[i]) ** 2 for i in range(3)))
 

@@ -23,13 +23,12 @@ monitor used by vacuum/steepening scouting runs.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grids import Grid, SpectralOps
-from .linear import AliasingWarning, _magnus_advance
+from .linear import _check_band_limited, _magnus_advance
 from .params import DampingLaw, GasLaw, damping_coeff, integrating_factor
 
 __all__ = [
@@ -49,7 +48,6 @@ __all__ = [
     "rhs",
     "step",
     "run",
-    "vorticity",
     "nonlinear_wave_source",
 ]
 
@@ -188,7 +186,6 @@ class SolverConfig:
 
     t_final: float
     cfl: float = 0.4
-    dealias: bool = True
     dt_override: float | None = None
     snapshot_times: tuple = ()
     store_snapshots: bool = False
@@ -205,8 +202,8 @@ class SolverConfig:
             raise ValueError(f"dt_override: must be positive, got {self.dt_override}")
 
 
-def _products(v, u, vh, uh, sl: float, ops: SpectralOps, mask) -> np.ndarray:
-    """Quadratic terms of the system, masked, in spectral space.
+def _products(v, u, vh, uh, sl: float, ops: SpectralOps) -> np.ndarray:
+    """Quadratic terms of the system, 2/3-rule masked, in spectral space.
 
     v, u are the physical fields and vh, uh their transforms.  Returns
     the transforms of -u.grad v - sl v div u and -(u.grad) u - sl v grad v
@@ -214,7 +211,7 @@ def _products(v, u, vh, uh, sl: float, ops: SpectralOps, mask) -> np.ndarray:
     div u is the trace of the velocity gradient, not a transform of its
     own; the gradient is formed one row at a time.
     """
-    n = ops.grid.n
+    n, mask = ops.grid.n, ops.dealias_mask
     grad_v = [ops.inv(1j * ops.k[j] * vh) for j in range(n)]
     out = np.empty((n + 1,) + vh.shape, dtype=complex)
     div_u = 0.0
@@ -229,14 +226,13 @@ def _products(v, u, vh, uh, sl: float, ops: SpectralOps, mask) -> np.ndarray:
 
 
 def rhs(t: float, v: np.ndarray, u: np.ndarray, d: DampingLaw, g: GasLaw,
-        ops: SpectralOps, *, dealias: bool = True):
+        ops: SpectralOps):
     """Time derivative (dv, du) of the symmetric system at time t."""
     n = ops.grid.n
     b = damping_coeff(t, d)
     vh = ops.fwd(v)
     uh = [ops.fwd(u[i]) for i in range(n)]
-    nl = _products(v, u, vh, uh, g.slope, ops,
-                   ops.dealias_mask if dealias else 1.0)
+    nl = _products(v, u, vh, uh, g.slope, ops)
     dv = ops.inv(-sum(1j * ops.k[i] * uh[i] for i in range(n)) + nl[0])
     du = np.stack([ops.inv(-1j * ops.k[i] * vh - b * uh[i] + nl[1 + i])
                    for i in range(n)])
@@ -244,8 +240,8 @@ def rhs(t: float, v: np.ndarray, u: np.ndarray, d: DampingLaw, g: GasLaw,
 
 
 class _Lawson:
-    """What every step of one run shares: the laws, the dealias mask and
-    the wavevector tables of the exact linear propagator.
+    """What every step of one run shares: the laws and the wavevector
+    tables of the exact linear propagator.
 
     Per rfft wavevector k with r = |k| and s = k.u / r, the linear part
     couples (v, s) as the damped oscillator of linear.py with W = v,
@@ -253,9 +249,8 @@ class _Lawson:
     friction alone.
     """
 
-    def __init__(self, d: DampingLaw, g: GasLaw, ops: SpectralOps, dealias: bool):
+    def __init__(self, d: DampingLaw, g: GasLaw, ops: SpectralOps):
         self.d, self.sl, self.ops = d, g.slope, ops
-        self.mask = ops.dealias_mask if dealias else 1.0
         # the Nyquist wavenumber differentiates real fields to zero, so it
         # couples nothing
         k = np.where(np.abs(ops.k) > 0.999 * np.pi / ops.grid.dx, 0.0, ops.k)
@@ -300,7 +295,7 @@ class _Lawson:
     def products(self, w: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
         if x is None:
             x = self.physical(w)
-        return _products(x[0], x[1:], w[0], w[1:], self.sl, self.ops, self.mask)
+        return _products(x[0], x[1:], w[0], w[1:], self.sl, self.ops)
 
 
 def step(t: float, w: np.ndarray, x: np.ndarray, h: float, law: _Lawson):
@@ -378,19 +373,13 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
     triggered monitor ends the run with the corresponding verdict.
     """
     ops = ops or SpectralOps(grid)
-    frac = ops.tail_fraction(st0.v)
-    if frac > 1e-4:
-        warnings.warn(f"initial data has spectral tail fraction {frac:.2e}",
-                      AliasingWarning)
-    law = _Lawson(d, g, ops, cfg.dealias)
+    _check_band_limited(ops, (st0.v,), "initial data")
+    law = _Lawson(d, g, ops)
+    # keep the state band-limited: the 2/3 rule only removes aliasing
+    # from products whose factors already live inside the band
     w = np.stack([ops.fwd(st0.v)] + [ops.fwd(st0.u[i]) for i in range(grid.n)])
-    if cfg.dealias:
-        # keep the state band-limited: the 2/3 rule only removes aliasing
-        # from products whose factors already live inside the band
-        w *= ops.dealias_mask
-        x = law.physical(w)
-    else:
-        x = np.concatenate([st0.v[None], st0.u])
+    w *= ops.dealias_mask
+    x = law.physical(w)
     t = st0.t
 
     snaps = sorted(set(float(s) for s in cfg.snapshot_times
@@ -411,7 +400,7 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
         if _grad_sup(st, ops) > cfg.grad_factor * g0:
             return "blowup-gradient"
         # watch the upper half of the retained band: the 2/3 band itself
-        # is pinned to zero whenever dealiasing is on
+        # is pinned to zero
         if ops.tail_fraction(st.v, cut=0.5) > cfg.tail_limit:
             return "blowup-tail"
         return None
@@ -468,13 +457,8 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
 #  Derived fields
 # =====================================================================
 
-def vorticity(st: EulerState, ops: SpectralOps) -> np.ndarray:
-    """curl u: scalar field in 2-D, vector field in 3-D."""
-    return ops.curl(st.u)
-
-
 def nonlinear_wave_source(st: EulerState, d: DampingLaw, g: GasLaw,
-                          ops: SpectralOps, *, dealias: bool = True) -> np.ndarray:
+                          ops: SpectralOps) -> np.ndarray:
     """Source of the second-order wave form of the continuity equation.
 
     Eliminating u_t between the two evolution equations yields
@@ -484,29 +468,28 @@ def nonlinear_wave_source(st: EulerState, d: DampingLaw, g: GasLaw,
             + div( (u.grad) u + c v grad v ),          c = (gamma-1)/2,
 
     assembled here from the instantaneous state and its computed time
-    derivative.  Products follow the solver's dealiasing policy so the
+    derivative.  Products are dealiased like the solver's, so the
     finite-difference-in-time oracle sees a consistent discretization.
     """
     n = ops.grid.n
     b = damping_coeff(st.t, d)
     sl = g.slope
     v, u = st.v, st.u
-    dv, du = rhs(st.t, v, u, d, g, ops, dealias=dealias)
-
-    def proj(f):
-        return ops.dealias(f) if dealias else f
+    dv, du = rhs(st.t, v, u, d, g, ops)
 
     grad_v = ops.grad(v)
     div_u = ops.div(u)
     grad_dv = ops.grad(dv)
     div_du = ops.div(du)
 
-    bilin = proj(sum(u[j] * grad_v[j] for j in range(n)) + sl * v * div_u)
-    d_bilin = proj(sum(du[j] * grad_v[j] + u[j] * grad_dv[j] for j in range(n))
-                   + sl * (dv * div_u + v * div_du))
+    bilin = ops.dealias(sum(u[j] * grad_v[j] for j in range(n))
+                        + sl * v * div_u)
+    d_bilin = ops.dealias(
+        sum(du[j] * grad_v[j] + u[j] * grad_dv[j] for j in range(n))
+        + sl * (dv * div_u + v * div_du))
 
     flux = np.empty_like(u)
     for i in range(n):
         adv_i = sum(u[j] * ops.deriv(u[i], j) for j in range(n))
-        flux[i] = proj(adv_i + sl * v * grad_v[i])
+        flux[i] = ops.dealias(adv_i + sl * v * grad_v[i])
     return -b * bilin - d_bilin + ops.div(flux)

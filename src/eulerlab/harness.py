@@ -87,7 +87,6 @@ class ScenarioConfig:
     fit_lo: float = 10.0
     fit_hi: float = 100.0
     cfl: float = 0.4
-    dealias: bool = True
     dt_override: float | None = None
     r_cut: float = 1.0
     diagnostics: tuple = ("*",)
@@ -100,19 +99,18 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        extra = set(data) - known
+        """Build a config from JSON data, each value typed like --set's."""
+        extra = set(data) - set(_KINDS)
         if extra:
             raise ConfigError(
-                f"config: unknown keys {sorted(extra)}; known keys: {sorted(known)}")
+                f"config: unknown keys {sorted(extra)}; known keys: {sorted(_KINDS)}")
         if "scenario" not in data:
             raise ConfigError("scenario: required key is missing")
-        data = dict(data)
-        if isinstance(data.get("diagnostics"), list):
-            data["diagnostics"] = tuple(data["diagnostics"])
-        return cls(**data)
+        return cls(**{name: _typed(name, value) for name, value in data.items()})
 
 
+# field name -> annotation, e.g. "float | None"
+_KINDS = {f.name: f.type for f in fields(ScenarioConfig)}
 _ALIASES = {"lambda": "lam"}
 _TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
@@ -132,10 +130,9 @@ _PARSERS = {"int": int, "float": float, "bool": _flag, "str": str,
 def _coerce(name: str, text: str):
     """Parse one --set or --axis value by the field's annotation."""
     name = _ALIASES.get(name, name)
-    kinds = {f.name: f.type for f in fields(ScenarioConfig)}
-    if name not in kinds:
+    if name not in _KINDS:
         raise ConfigError(f"{name}: not a config field")
-    kind = kinds[name]
+    kind = _KINDS[name]
     if kind.endswith(" | None") and text.lower() in ("none", "null"):
         return name, None
     try:
@@ -144,12 +141,38 @@ def _coerce(name: str, text: str):
         raise ConfigError(f"{name}: expected {kind}, got {text!r}") from None
 
 
+def _typed(name: str, value):
+    """Check one JSON config value against the field's annotation.
+
+    A string is parsed as --set parses it, and so is the text of an int
+    given for a float.  Any other value must have the annotated type
+    already, except that a list of strings is taken for a tuple.
+    """
+    kind = _KINDS[name]
+    base = kind.removesuffix(" | None")
+    if isinstance(value, str) or (base == "float" and type(value) is int):
+        return _coerce(name, str(value))[1]
+    if value is None and base != kind:
+        return None
+    if base == "tuple" and isinstance(value, (list, tuple)) \
+            and all(isinstance(s, str) for s in value):
+        return tuple(value)
+    if type(value) is {"int": int, "float": float, "bool": bool}.get(base):
+        return value
+    raise ConfigError(f"{name}: expected {kind}, got {value!r}")
+
+
 def validate_config(cfg: ScenarioConfig):
     """Raise ConfigError with a field-level message on the first problem.
 
     Grid, GasLaw and SolverConfig check their own fields and name them
     in their messages; this function checks the scenario-level rest.
     """
+    for name, kind in _KINDS.items():
+        value = getattr(cfg, name)
+        if kind.startswith("float") and value is not None \
+                and not math.isfinite(value):
+            raise ConfigError(f"{name}: must be finite, got {value}")
     if cfg.scenario not in PRESETS:
         raise ConfigError(
             f"scenario: unknown scenario {cfg.scenario!r}; "
@@ -391,7 +414,7 @@ class _SolverStopped(Exception):
 
 
 def _damping(cfg: ScenarioConfig) -> DampingLaw:
-    return DampingLaw(lam=cfg.lam, mu=cfg.mu, allow_free_wave=(cfg.mu == 0.0))
+    return DampingLaw(lam=cfg.lam, mu=cfg.mu)
 
 
 def _make_state(cfg: ScenarioConfig, grid: Grid, gas: GasLaw,
@@ -432,11 +455,10 @@ def _nonlinear_run(cfg: ScenarioConfig, snaps, outdir: Path, csv_name: str, *,
     spec = derive_constants(d, cfg.n, cfg.delta)
     st = _make_state(cfg, grid, gas, ops)
     rec = EnergyRecorder(grid, d, gas, spec, with_source=with_source,
-                         with_weights=with_weights, dealias=cfg.dealias,
-                         support_R=cfg.R, ops=ops)
+                         with_weights=with_weights, support_R=cfg.R, ops=ops)
     keep = cfg.store_fields and csv_name == "energy.csv"
     sol = euler.SolverConfig(t_final=cfg.t_final, cfl=cfg.cfl,
-                             dealias=cfg.dealias, dt_override=cfg.dt_override,
+                             dt_override=cfg.dt_override,
                              snapshot_times=tuple(snaps),
                              store_snapshots=store or keep)
     res = euler.run(st, d, gas, grid, sol, on_snapshot=rec, ops=ops)

@@ -2,11 +2,11 @@
 
 The second-order form of the linearized system is
 
-    w_tt - Lap w + mu/(1+t)^lam w_t = f,
+    w_tt - Lap w + mu/(1+t)^lam w_t = 0,
 
 so each Fourier mode obeys the non-autonomous oscillator
 
-    W'' + r^2 W + mu/(1+t)^lam W' = F,     r = |xi|.
+    W'' + r^2 W + mu/(1+t)^lam W' = 0,     r = |xi|.
 
 Because the coefficient depends on t, the solution operator is a genuine
 two-time propagator E(t, tau, r): a 2x2 matrix acting on (W, W') data
@@ -20,7 +20,7 @@ independent ways:
     propagator of the nonlinear stepper, the zone diagnostics and
     long-horizon decay studies);
   * scipy's DOP853 on single modes at tight tolerance (propagator_matrix,
-    used as the cross-check oracle and for propagator samples).
+    the cross-check oracle).
 
 On top of the propagators sit the zone diagnostics: envelope checks,
 radial zone integrals by refining quadrature, and the kernel decay
@@ -41,13 +41,10 @@ from .grids import Grid, SpectralOps
 from .params import DampingLaw, Zone, t_xi, zone_classify
 
 __all__ = [
-    "PropagatorSample",
     "ZoneBoundReport",
     "KernelDecaySeries",
     "AliasingWarning",
     "QuadratureError",
-    "fundamental_pair",
-    "two_time_propagator",
     "propagator_matrix",
     "evolve_modes",
     "solve_linear_ivp",
@@ -73,27 +70,6 @@ class QuadratureError(RuntimeError):
 #  Propagators: scipy reference path
 # =====================================================================
 
-@dataclass(frozen=True)
-class PropagatorSample:
-    """Canonical solution pair of one mode, posed at time tau.
-
-    phi1 solves (W, W')(tau) = (1, 0); phi2 solves (0, 1); dphi1, dphi2
-    are their time derivatives at t.
-    """
-
-    t: float
-    tau: float
-    xi: float
-    phi1: float
-    phi2: float
-    dphi1: float
-    dphi2: float
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.phi1, self.phi2], [self.dphi1, self.dphi2]])
-
-
 def _radius(xi) -> float:
     return float(np.linalg.norm(np.atleast_1d(np.asarray(xi, dtype=float))))
 
@@ -102,6 +78,8 @@ def propagator_matrix(t: float, tau: float, xi, d: DampingLaw,
                       tol: float = MODE_RTOL) -> np.ndarray:
     """2x2 solution matrix E(t, tau) of one mode, by DOP853.
 
+    Column 0 is phi1, posed at tau with (W, W') = (1, 0), and column 1
+    is phi2, posed with (0, 1); row 1 holds their time derivatives at t.
     Integrates both canonical columns at once.  The step cap 0.1/r keeps
     the oscillatory phase resolved for large radii.
     """
@@ -132,21 +110,6 @@ def propagator_matrix(t: float, tau: float, xi, d: DampingLaw,
     if not np.all(np.isfinite(y)):
         raise RuntimeError(f"mode integration returned non-finite values at t={t}")
     return np.array([[y[0], y[2]], [y[1], y[3]]])
-
-
-def two_time_propagator(t: float, tau: float, xi, d: DampingLaw,
-                        tol: float = MODE_RTOL) -> PropagatorSample:
-    """Propagator sample posed at tau, evaluated at t >= tau."""
-    E = propagator_matrix(t, tau, xi, d, tol)
-    return PropagatorSample(t=t, tau=tau, xi=_radius(xi),
-                            phi1=E[0, 0], phi2=E[0, 1],
-                            dphi1=E[1, 0], dphi2=E[1, 1])
-
-
-def fundamental_pair(t: float, xi, d: DampingLaw,
-                     tol: float = MODE_RTOL) -> PropagatorSample:
-    """Canonical pair posed at tau = 0."""
-    return two_time_propagator(t, 0.0, xi, d, tol)
 
 
 # =====================================================================
@@ -266,8 +229,6 @@ def _grid_mode_table(ops: SpectralOps):
 
 def _check_band_limited(ops: SpectralOps, fields, what: str, limit: float = 1e-4):
     for f in fields:
-        if f is None:
-            continue
         frac = ops.tail_fraction(f)
         if frac > limit:
             warnings.warn(
@@ -285,15 +246,10 @@ class LinearSolution:
 
 
 def solve_linear_ivp(w0: np.ndarray, w1: np.ndarray, grid: Grid, d: DampingLaw,
-                     t_out, *, forcing=None, forcing_times=None,
-                     ops: SpectralOps | None = None) -> LinearSolution:
+                     t_out, *, ops: SpectralOps | None = None) -> LinearSolution:
     """Solve the damped wave equation on a periodic grid, mode by mode.
 
-    With no forcing each mode is  W = phi1 W0 + phi2 W1.  With a sampled
-    forcing history (list of fields at forcing_times) the contribution
-    is the two-time slope response summed by composite trapezoid over
-    the stored samples; interval propagators are chained through the
-    composition law rather than re-integrated from scratch.
+    Each mode is  W = phi1 W0 + phi2 W1.
     """
     ops = ops or SpectralOps(grid)
     t_out = np.atleast_1d(np.asarray(t_out, dtype=float))
@@ -302,72 +258,18 @@ def solve_linear_ivp(w0: np.ndarray, w1: np.ndarray, grid: Grid, d: DampingLaw,
 
     W0 = ops.fwd(w0).ravel()
     W1 = ops.fwd(w1).ravel()
-
-    if forcing is None:
-        tr = evolve_modes(uniq, d, t_out)
-        w_list, wt_list = [], []
-        for j in range(t_out.size):
-            Wt = W0 * tr[0, inverse, j] + W1 * tr[2, inverse, j]
-            Vt = W0 * tr[1, inverse, j] + W1 * tr[3, inverse, j]
-            w_list.append(ops.inv(Wt.reshape(ops.kmag.shape)))
-            wt_list.append(ops.inv(Vt.reshape(ops.kmag.shape)))
-        return LinearSolution(times=t_out, w=w_list, w_t=wt_list)
-
-    ft = np.asarray(forcing_times, dtype=float)
-    if ft.ndim != 1 or ft.size != len(forcing) or ft[0] != 0.0:
-        raise ValueError("forcing_times must start at 0 and match the history")
-    F = np.stack([ops.fwd(f).ravel() for f in forcing])
-    _check_band_limited(ops, forcing[:1], "forcing history")
-
-    # Interval propagators E(tj+1, tj) for the union of forcing nodes and
-    # output times, chained by composition to reach each output time.
-    nodes = np.unique(np.concatenate([ft, t_out]))
-    steps = []
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        tr = evolve_modes(uniq, d, np.array([b]), t_start=a)
-        steps.append(tr[:, :, 0])      # rows phi1, dphi1, phi2, dphi2
-
-    def chain(i0: int, i1: int) -> np.ndarray:
-        """E(nodes[i1], nodes[i0]) as rows (4, M) via 2x2 products."""
-        acc = np.zeros((4, uniq.size))
-        acc[0] = 1.0
-        acc[3] = 1.0
-        for k in range(i0, i1):
-            s = steps[k]
-            a0 = s[0] * acc[0] + s[2] * acc[1]
-            a1 = s[1] * acc[0] + s[3] * acc[1]
-            a2 = s[0] * acc[2] + s[2] * acc[3]
-            a3 = s[1] * acc[2] + s[3] * acc[3]
-            acc = np.stack([a0, a1, a2, a3])
-        return acc
-
-    node_index = {t: i for i, t in enumerate(nodes)}
+    tr = evolve_modes(uniq, d, t_out)
     w_list, wt_list = [], []
-    for t_end in t_out:
-        ie = node_index[t_end]
-        hom = chain(0, ie)
-        Wt = W0 * hom[0] + W1 * hom[2]
-        Vt = W0 * hom[1] + W1 * hom[3]
-        # trapezoid over forcing samples up to t_end
-        sel = ft <= t_end + 1e-12
-        tsel = ft[sel]
-        if tsel.size >= 2:
-            wts = np.empty(tsel.size)
-            wts[0] = 0.5 * (tsel[1] - tsel[0])
-            wts[-1] = 0.5 * (tsel[-1] - tsel[-2])
-            if tsel.size > 2:
-                wts[1:-1] = 0.5 * (tsel[2:] - tsel[:-2])
-            for jf, tf in enumerate(tsel):
-                seg = chain(node_index[tf], ie)
-                Wt = Wt + wts[jf] * seg[2] * F[jf]
-                Vt = Vt + wts[jf] * seg[3] * F[jf]
-        w_list.append(ops.inv((Wt[inverse]).reshape(ops.kmag.shape)))
-        wt_list.append(ops.inv((Vt[inverse]).reshape(ops.kmag.shape)))
+    for j in range(t_out.size):
+        Wt = W0 * tr[0, inverse, j] + W1 * tr[2, inverse, j]
+        Vt = W0 * tr[1, inverse, j] + W1 * tr[3, inverse, j]
+        w_list.append(ops.inv(Wt.reshape(ops.kmag.shape)))
+        wt_list.append(ops.inv(Vt.reshape(ops.kmag.shape)))
     return LinearSolution(times=t_out, w=w_list, w_t=wt_list)
 
 
 def mol_reference_solve(w0: np.ndarray, w1: np.ndarray, grid: Grid, d: DampingLaw,
-                        t_out, *, dt: float = None, forcing_fn=None) -> LinearSolution:
+                        t_out, *, dt: float = None) -> LinearSolution:
     """Method-of-lines reference: RK4 time stepping of the full grid system.
 
     Independent of the per-mode route (same spatial transform, different
@@ -382,10 +284,7 @@ def mol_reference_solve(w0: np.ndarray, w1: np.ndarray, grid: Grid, d: DampingLa
 
     def rhs(t, w, wt):
         b = mu * (1.0 + t) ** (-lam)
-        acc = ops.laplacian(w) - b * wt
-        if forcing_fn is not None:
-            acc = acc + forcing_fn(t)
-        return wt, acc
+        return wt, ops.laplacian(w) - b * wt
 
     w = np.array(w0, dtype=float, copy=True)
     wt = np.array(w1, dtype=float, copy=True)

@@ -16,7 +16,6 @@ natural oracle for everything downstream.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,31 +41,19 @@ class DampingLaw:
     """Friction coefficient mu/(1+t)^lam.
 
     The production regime is 0 < lam < 1 and mu > 0.  Two degenerate
-    settings are admitted for cross-validation only and are flagged by
-    :attr:`is_validation_mode`: lam = 0 (constant-in-time damping, used
-    to anchor closed-form oscillator solutions) and mu = 0 (free wave,
-    must be requested explicitly via ``allow_free_wave``).
+    settings are admitted for cross-validation: lam = 0 (constant-in-time
+    damping, which anchors closed-form oscillator solutions) and mu = 0
+    (the free wave).
     """
 
     lam: float
     mu: float
-    allow_free_wave: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.lam < 1.0:
             raise ValueError(f"decay exponent lam must lie in [0, 1), got {self.lam}")
         if self.mu < 0.0:
             raise ValueError(f"friction strength mu must be nonnegative, got {self.mu}")
-        if self.mu == 0.0 and not self.allow_free_wave:
-            raise ValueError("mu = 0 is a validation mode; pass allow_free_wave=True")
-
-    @property
-    def is_validation_mode(self) -> bool:
-        return self.lam == 0.0 or self.mu == 0.0
-
-    def coeff(self, t):
-        """Shorthand for :func:`damping_coeff`."""
-        return damping_coeff(t, self)
 
 
 @dataclass(frozen=True)
@@ -83,10 +70,6 @@ class GasLaw:
     def slope(self) -> float:
         """(gamma - 1)/2, the coefficient in front of the coupling terms."""
         return 0.5 * (self.gamma - 1.0)
-
-    def sound_speed(self, rho):
-        """c = rho^((gamma-1)/2); equals 1 at the background rho = 1."""
-        return np.asarray(rho) ** self.slope
 
 
 def damping_coeff(t, d: DampingLaw):

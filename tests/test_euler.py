@@ -10,7 +10,7 @@ import pytest
 from eulerlab.euler import (
     LAWSON_STEP, EulerState, PhysicalState, SolverConfig, VacuumError,
     bump_profile, from_symmetric, initial_bump, mass_bump, potential_bump,
-    rhs, rotational_bump, run, to_symmetric, vorticity, nonlinear_wave_source,
+    rhs, rotational_bump, run, to_symmetric, nonlinear_wave_source,
 )
 from eulerlab.grids import Grid, SpectralOps
 from eulerlab.linear import AliasingWarning, mol_reference_solve
@@ -18,7 +18,7 @@ from eulerlab.params import DampingLaw, GasLaw, damping_coeff
 
 GAS = GasLaw()
 D_HALF = DampingLaw(lam=0.5, mu=2.0)
-D_FREE = DampingLaw(lam=0.5, mu=0.0, allow_free_wave=True)
+D_FREE = DampingLaw(lam=0.5, mu=0.0)
 
 
 # ---------------------------------------------------------------------
@@ -65,7 +65,7 @@ def test_rhs_symbolic_oracle_1d():
     v = 0.3 * np.sin(x)
     u = np.stack([0.2 * np.cos(x)])
 
-    dv, du = rhs(t, v, u, D_HALF, GAS, ops, dealias=False)
+    dv, du = rhs(t, v, u, D_HALF, GAS, ops)
     dv_ref = 0.2 * np.sin(x) - 0.06 * np.cos(x) ** 2 + 0.03 * np.sin(x) ** 2
     du_ref = -(0.3 + 0.2 * b) * np.cos(x) - 0.005 * np.sin(x) * np.cos(x)
     assert np.max(np.abs(dv - dv_ref)) <= 1e-12
@@ -92,22 +92,10 @@ def test_rhs_symbolic_oracle_2d():
     du1_ref = -vx - b * u1 - u1 * (-0.05 * np.sin(x)) - sl * v * vx
     du2_ref = -vy - b * u2 - u2 * (0.04 * np.cos(y)) - sl * v * vy
 
-    dv, du = rhs(t, v, u, D_HALF, GAS, ops, dealias=False)
+    dv, du = rhs(t, v, u, D_HALF, GAS, ops)
     assert np.max(np.abs(dv - dv_ref)) <= 1e-12
     assert np.max(np.abs(du[0] - du1_ref)) <= 1e-12
     assert np.max(np.abs(du[1] - du2_ref)) <= 1e-12
-
-
-def test_rhs_dealias_is_identity_on_low_modes():
-    grid = Grid(1, math.pi, 64)
-    ops = SpectralOps(grid)
-    x = grid.axis()
-    v = 0.2 * np.sin(2.0 * x)
-    u = np.stack([0.1 * np.cos(x)])
-    a = rhs(0.0, v, u, D_HALF, GAS, ops, dealias=False)
-    b = rhs(0.0, v, u, D_HALF, GAS, ops, dealias=True)
-    assert np.max(np.abs(a[0] - b[0])) <= 1e-13
-    assert np.max(np.abs(a[1] - b[1])) <= 1e-13
 
 
 # ---------------------------------------------------------------------
@@ -366,7 +354,7 @@ def test_rotational_bump_is_divergence_free():
     assert np.max(np.abs(st.v)) == 0.0
     norm = math.sqrt(sum(ops.l2(st.u[i]) ** 2 for i in range(2)))
     assert ops.l2(ops.div(st.u)) <= 1e-12 * norm
-    assert ops.l2(vorticity(st, ops)) > 1e-3 * norm
+    assert ops.l2(ops.curl(st.u)) > 1e-3 * norm
     with pytest.raises(ValueError):
         rotational_bump(Grid(1, 16.0, 64), 5.0, 1e-2)
 
@@ -376,7 +364,7 @@ def test_potential_bump_is_curl_free():
     ops = SpectralOps(grid)
     st = potential_bump(grid, 5.0, 1e-2, ops=ops)
     norm = math.sqrt(sum(ops.l2(st.u[i]) ** 2 for i in range(2)))
-    assert ops.l2(vorticity(st, ops)) <= 1e-12 * norm
+    assert ops.l2(ops.curl(st.u)) <= 1e-12 * norm
     assert ops.l2(ops.div(st.u)) > 1e-3 * norm
 
 

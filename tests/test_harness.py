@@ -7,6 +7,7 @@ digest stability, artifact layout, exit codes and sweep aggregation.
 
 import csv
 import json
+import math
 from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
@@ -63,14 +64,30 @@ def test_from_dict_round_trip():
         ScenarioConfig.from_dict({"N": 256})
 
 
+def test_from_dict_types_values_like_set():
+    cfg = ScenarioConfig.from_dict(
+        {"scenario": "nonlinear-decay", "L": 256, "N": "512", "delta": None,
+         "dt_override": "none", "diagnostics": ["rho_slope"],
+         "store_fields": True})
+    assert cfg.L == 256.0 and isinstance(cfg.L, float)
+    assert cfg.N == 512 and cfg.delta is None and cfg.dt_override is None
+    assert cfg.diagnostics == ("rho_slope",) and cfg.store_fields is True
+    for key, value in (("N", 3.5), ("N", True), ("L", "far"), ("L", [1.0]),
+                       ("store_fields", 1), ("diagnostics", [1]),
+                       ("outdir", 5), ("delta", {})):
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict({"scenario": "nonlinear-decay", key: value})
+        assert str(err.value).startswith(f"{key}:")
+
+
 def test_cli_override_coercion():
     cfg = harness._load_config(
         "nonlinear-decay",
-        ["lambda=0.3", "N=512", "dealias=off", "delta=none", "diagnostics="],
+        ["lambda=0.3", "N=512", "store_fields=on", "delta=none", "diagnostics="],
         None)
     assert cfg.lam == 0.3
     assert cfg.N == 512 and isinstance(cfg.N, int)
-    assert cfg.dealias is False
+    assert cfg.store_fields is True
     assert cfg.delta is None
     assert cfg.diagnostics == ()
 
@@ -79,7 +96,7 @@ def test_cli_override_coercion():
     assert cfg.diagnostics == ("rho_slope", "u_slope")
     assert cfg.outdir == "elsewhere"
 
-    for bad in (["bogus=1"], ["dealias=maybe"], ["N"]):
+    for bad in (["bogus=1"], ["store_fields=maybe"], ["dealias=on"], ["N"]):
         with pytest.raises(ConfigError):
             harness._load_config("nonlinear-decay", bad, None)
     with pytest.raises(ConfigError):
@@ -110,6 +127,12 @@ def test_cli_override_coercion():
     (dict(workers=-1), "workers:"),
     (dict(diagnostics=("no_such_verdict",)), "diagnostics:"),
     (dict(n=3), "N:"),   # 2048^3 points: over the grid budget, never allocated
+    (dict(t_final=math.nan), "t_final:"),
+    (dict(eps=math.nan), "eps:"),
+    (dict(mu=math.nan), "mu:"),
+    (dict(dt_override=math.nan), "dt_override:"),
+    (dict(L=math.inf), "L:"),
+    (dict(fit_hi=math.inf), "fit_hi:"),
 ])
 def test_validate_config_field_messages(overrides, field):
     cfg = replace(preset_config("nonlinear-decay"), **overrides)
@@ -120,7 +143,8 @@ def test_validate_config_field_messages(overrides, field):
 
 @pytest.mark.parametrize("item, field", [
     ("N=abc", "N:"), ("dt_override=x", "dt_override:"),
-    ("dealias=maybe", "dealias:"),
+    ("dealias=maybe", "dealias:"),   # no longer a field: rejected by name
+    ("store_fields=maybe", "store_fields:"),
 ])
 def test_override_parse_errors_name_the_field(item, field, capsys):
     with pytest.raises(ConfigError) as err:
@@ -468,6 +492,12 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     bad_json.write_text("{not json")
     assert main(["run", str(bad_json)]) == 2
     capsys.readouterr()
+    # JSON values are typed like --set values
+    for key, value in (("N", "abc"), ("n_snapshots", 3.5)):
+        typo = tmp_path / f"{key}.json"
+        typo.write_text(json.dumps({"scenario": "convolution-lemma", key: value}))
+        assert main(["run", str(typo)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}:")
 
 
 def test_cli_report_exit_one_on_failing_report(zone_integrals_run, capsys):

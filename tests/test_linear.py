@@ -16,7 +16,7 @@ from eulerlab.params import DampingLaw, Zone, integrating_factor
 from eulerlab.euler import bump_profile
 
 D_HALF = DampingLaw(lam=0.5, mu=2.0)
-D_FREE = DampingLaw(lam=0.5, mu=0.0, allow_free_wave=True)
+D_FREE = DampingLaw(lam=0.5, mu=0.0)
 D_CONST = DampingLaw(lam=0.0, mu=2.0)
 
 
@@ -46,18 +46,18 @@ def test_propagator_matrix_underflow_is_quiet():
 def test_free_wave_closed_form():
     for r in (0.5, 1.0, 2.0):
         for t in (1.0, 5.0, 17.0):
-            s = linear.fundamental_pair(t, r, D_FREE)
-            assert s.phi1 == pytest.approx(math.cos(r * t), abs=1e-8)
-            assert s.phi2 == pytest.approx(math.sin(r * t) / r, abs=1e-8)
-            assert s.dphi1 == pytest.approx(-r * math.sin(r * t), abs=1e-7)
+            E = linear.propagator_matrix(t, 0.0, r, D_FREE)
+            assert E[0, 0] == pytest.approx(math.cos(r * t), abs=1e-8)
+            assert E[0, 1] == pytest.approx(math.sin(r * t) / r, abs=1e-8)
+            assert E[1, 0] == pytest.approx(-r * math.sin(r * t), abs=1e-7)
 
 
 def test_critically_damped_closed_form():
     # lam = 0, mu = 2 at |xi| = 1: double root, (1+t)e^-t and t e^-t
     for t in (0.5, 2.0, 10.0):
-        s = linear.fundamental_pair(t, 1.0, D_CONST)
-        assert s.phi1 == pytest.approx((1.0 + t) * math.exp(-t), abs=1e-8)
-        assert s.phi2 == pytest.approx(t * math.exp(-t), abs=1e-8)
+        E = linear.propagator_matrix(t, 0.0, 1.0, D_CONST)
+        assert E[0, 0] == pytest.approx((1.0 + t) * math.exp(-t), abs=1e-8)
+        assert E[0, 1] == pytest.approx(t * math.exp(-t), abs=1e-8)
 
 
 def test_propagator_determinant_is_inverse_integrating_factor():
@@ -78,15 +78,6 @@ def test_two_time_composition():
     assert np.max(np.abs(full - late @ early)) <= 1e-8
 
 
-def test_propagator_sample_matrix_layout():
-    s = linear.two_time_propagator(4.0, 1.0, 0.7, D_HALF)
-    E = s.matrix
-    assert E.shape == (2, 2)
-    assert E[0, 0] == s.phi1 and E[0, 1] == s.phi2
-    assert E[1, 0] == s.dphi1 and E[1, 1] == s.dphi2
-    assert s.tau == 1.0 and s.xi == 0.7
-
-
 # ---------------------------------------------------------------------
 #  Magnus engine
 # ---------------------------------------------------------------------
@@ -98,9 +89,9 @@ def test_evolve_modes_matches_scipy_route():
     tr = linear.evolve_modes(radii, d, times)
     for m, r in enumerate(radii):
         for j, t in enumerate(times):
-            s = linear.fundamental_pair(t, r, d)
-            assert tr[0, m, j] == pytest.approx(s.phi1, abs=2e-6)
-            assert tr[2, m, j] == pytest.approx(s.phi2, abs=2e-6)
+            E = linear.propagator_matrix(t, 0.0, r, d)
+            assert tr[0, m, j] == pytest.approx(E[0, 0], abs=2e-6)
+            assert tr[2, m, j] == pytest.approx(E[0, 1], abs=2e-6)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.2, 0.5, 0.8])
@@ -186,36 +177,6 @@ def test_linear_ivp_dual_route():
         assert rel <= 1e-5
         relt = ops.l2(sol.w_t[j] - ref.w_t[j]) / max(ops.l2(ref.w_t[j]), 1e-12)
         assert relt <= 1e-4
-
-
-def test_linear_ivp_forced_duhamel_path():
-    grid = Grid(1, 15.0, 128)
-    ops = SpectralOps(grid)
-    prof = bump_profile(grid, 3.0)
-    zero = np.zeros(grid.shape)
-    ft = np.round(np.arange(0.0, 7.0 + 1e-9, 0.05), 10)
-    history = [prof / (1.0 + t) for t in ft]
-    times = (1.0, 3.0, 7.0)
-    sol = linear.solve_linear_ivp(zero, zero, grid, D_HALF, times,
-                                  forcing=history, forcing_times=ft)
-    ref = linear.mol_reference_solve(zero, zero, grid, D_HALF, times,
-                                     forcing_fn=lambda t: prof / (1.0 + t))
-    for j in range(3):
-        rel = ops.l2(sol.w[j] - ref.w[j]) / ops.l2(ref.w[j])
-        assert rel <= 2e-3
-
-
-def test_linear_ivp_forcing_history_validation():
-    grid = Grid(1, 15.0, 16 * 8)
-    zero = np.zeros(grid.shape)
-    with pytest.raises(ValueError):
-        linear.solve_linear_ivp(zero, zero, grid, D_HALF, (1.0,),
-                                forcing=[zero, zero],
-                                forcing_times=np.array([0.5, 1.0]))
-    with pytest.raises(ValueError):
-        linear.solve_linear_ivp(zero, zero, grid, D_HALF, (1.0,),
-                                forcing=[zero, zero],
-                                forcing_times=np.array([0.0, 0.5, 1.0]))
 
 
 def test_linear_ivp_warns_on_rough_data():
