@@ -129,9 +129,11 @@ def momentum_moment(st: euler.EulerState, g: GasLaw, ops: SpectralOps,
                     mesh: np.ndarray | None = None) -> float:
     """F = integral of x . (rho u)."""
     mesh = ops.grid.mesh() if mesh is None else mesh
-    ph = euler.from_symmetric(st, g)
-    integrand = sum(mesh[i] * ph.rho * ph.u[i] for i in range(ops.grid.n))
-    return ops.quad(integrand)
+    return _moment(euler.from_symmetric(st, g), ops, mesh)
+
+
+def _moment(ph: euler.PhysicalState, ops: SpectralOps, mesh: np.ndarray) -> float:
+    return ops.quad(sum(mesh[i] * ph.rho * ph.u[i] for i in range(ops.grid.n)))
 
 
 # =====================================================================
@@ -185,8 +187,18 @@ class EnergyRow:
 class EnergyRecorder:
     """Callable snapshot hook that accumulates EnergyRows.
 
+    Each snapshot is one spectral pass: v and every u_i are transformed
+    once, grad v and the velocity gradient are formed once and shared by
+    the derivative norms, the weighted gradient energies, dv (of which
+    only the v product is formed) and the curl; second derivatives come
+    from the same transforms, one inverse each.  The state is converted
+    to density once.  Every column is bit-equal to its definition
+    through the public helpers (ops.deriv_l2, ops.curl, euler.rhs,
+    mass_excess, momentum_moment).
+
     with_source and with_weights can be switched off to cheapen large
-    sweeps; the corresponding columns then hold zeros.
+    sweeps; the corresponding columns then hold zeros.  The wave-form
+    source, when on, costs transforms of its own.
     """
 
     def __init__(self, grid: Grid, d: DampingLaw, g: GasLaw, spec: WeightSpec,
@@ -208,16 +220,25 @@ class EnergyRecorder:
     def __call__(self, st: euler.EulerState):
         ops, n = self.ops, self.grid.n
         v, u = st.v, st.u
-        dv, du = euler.rhs(st.t, v, u, self.d, self.g, ops)
+        vh = ops.fwd(v)
+        uh = [ops.fwd(u[i]) for i in range(n)]
+        grad_v = ops.grad_hat(vh)
+        grad_u = [ops.grad_hat(uh[i]) for i in range(n)]   # [i][j] = d_j u_i
+        dv = euler.dv_dt(v, u, uh, grad_v, grad_u, self.g, ops)
+        dv2_l2 = ops.deriv_l2_hat(vh, 2)
+        du2_l2 = sum(ops.deriv_l2_hat(uh[i], 2) for i in range(n))
+        del vh, uh
 
-        grad_v = ops.grad(v)
         dv1_l2 = sum(ops.l2(gv) for gv in grad_v)
         dv1_linf = max(ops.linf(gv) for gv in grad_v)
-        du1_l2 = sum(ops.deriv_l2(u[i], 1) for i in range(n))
-        du1_linf = max(ops.linf(ops.deriv(u[i], j))
-                       for i in range(n) for j in range(n))
-        dv2_l2 = ops.deriv_l2(v, 2)
-        du2_l2 = sum(ops.deriv_l2(u[i], 2) for i in range(n))
+        du1_l2 = sum(sum(ops.l2(gu) for gu in grad_u[i]) for i in range(n))
+        du1_linf = max(ops.linf(gu) for row in grad_u for gu in row)
+        vort_l2 = 0.0
+        if n >= 2:
+            w = ops.curl(u, grad_u)
+            vort_l2 = ops.l2(w) if n == 2 else \
+                math.sqrt(sum(ops.l2(w[i]) ** 2 for i in range(3)))
+            del w
 
         u_l2 = math.sqrt(sum(ops.l2(u[i]) ** 2 for i in range(n)))
         u_linf = max(ops.linf(u[i]) for i in range(n))
@@ -245,26 +266,22 @@ class EnergyRecorder:
             J_psi_u = sum(weighted_l2_sq(cl(u[i]), two_psi, cell, extra=-we.psi_t)
                           for i in range(n))
             Jgrad_v = sum(weighted_l2_sq(cl(gv), two_psi, cell) for gv in grad_v)
-            Jgrad_u = sum(weighted_l2_sq(cl(ops.deriv(u[i], j)), two_psi, cell)
-                          for i in range(n) for j in range(n))
+            Jgrad_u = sum(weighted_l2_sq(cl(gu), two_psi, cell)
+                          for row in grad_u for gu in row)
             Jvt = weighted_l2_sq(cl(dv), two_psi, cell)
         else:
             J_v = J_psi_v = J_u = J_psi_u = Jgrad_v = Jgrad_u = Jvt = 0.0
+        del grad_v, grad_u
 
         if self.with_source:
             src = euler.nonlinear_wave_source(st, self.d, self.g, ops)
             src_l1 = ops.quad(np.abs(src))
             src_l2 = ops.l2(src)
-            dsrc1_l2 = ops.deriv_l2(src, 1)
-            dsrc2_l2 = ops.deriv_l2(src, 2)
+            srch = ops.fwd(src)
+            dsrc1_l2 = ops.deriv_l2_hat(srch, 1)
+            dsrc2_l2 = ops.deriv_l2_hat(srch, 2)
         else:
             src_l1 = src_l2 = dsrc1_l2 = dsrc2_l2 = 0.0
-
-        vort_l2 = 0.0
-        if n >= 2:
-            w = ops.curl(u)
-            vort_l2 = ops.l2(w) if n == 2 else \
-                math.sqrt(sum(ops.l2(w[i]) ** 2 for i in range(3)))
 
         ph = euler.from_symmetric(st, self.g)
         rho_dev = ph.rho - 1.0
@@ -285,8 +302,8 @@ class EnergyRecorder:
             mon_high=gq * (vt_l2 ** 2 + dv1_l2 ** 2 + du1_l2 ** 2),
             wmon_low=gp * (J_v + J_u),
             wmon_high=gq * (Jvt + Jgrad_v + Jgrad_u),
-            mass=mass_excess(st, self.g, ops),
-            moment=momentum_moment(st, self.g, ops, self.mesh),
+            mass=ops.quad(rho_dev),
+            moment=_moment(ph, ops, self.mesh),
             vort_l2=vort_l2,
             src_l1=src_l1, src_l2=src_l2, dsrc1_l2=dsrc1_l2, dsrc2_l2=dsrc2_l2)
         self.rows.append(row)

@@ -46,6 +46,7 @@ __all__ = [
     "potential_bump",
     "LAWSON_STEP",
     "rhs",
+    "dv_dt",
     "step",
     "run",
     "nonlinear_wave_source",
@@ -194,11 +195,12 @@ class SolverConfig:
     check_every: int = 25
 
     def __post_init__(self):
-        if self.t_final <= 0.0:
+        # accepting comparisons, so that NaN is refused too
+        if not self.t_final > 0.0:
             raise ValueError(f"t_final: must be positive, got {self.t_final}")
         if not 0.0 < self.cfl <= 0.5:
             raise ValueError(f"cfl: must lie in (0, 0.5], got {self.cfl}")
-        if self.dt_override is not None and self.dt_override <= 0.0:
+        if self.dt_override is not None and not self.dt_override > 0.0:
             raise ValueError(f"dt_override: must be positive, got {self.dt_override}")
 
 
@@ -212,17 +214,27 @@ def _products(v, u, vh, uh, sl: float, ops: SpectralOps) -> np.ndarray:
     own; the gradient is formed one row at a time.
     """
     n, mask = ops.grid.n, ops.dealias_mask
-    grad_v = [ops.inv(1j * ops.k[j] * vh) for j in range(n)]
+    grad_v = ops.grad_hat(vh)
     out = np.empty((n + 1,) + vh.shape, dtype=complex)
     div_u = 0.0
     for i in range(n):
-        du_i = [ops.inv(1j * ops.k[j] * uh[i]) for j in range(n)]
+        du_i = ops.grad_hat(uh[i])
         div_u = div_u + du_i[i]
         out[1 + i] = mask * ops.fwd(-sum(u[j] * du_i[j] for j in range(n))
                                     - sl * v * grad_v[i])
-    out[0] = mask * ops.fwd(-sum(u[j] * grad_v[j] for j in range(n))
-                            - sl * v * div_u)
+    out[0] = _v_product(v, u, grad_v, div_u, sl, ops)
     return out
+
+
+def _v_product(v, u, grad_v, div_u, sl: float, ops: SpectralOps) -> np.ndarray:
+    """The v row of _products from the physical grad v and div u."""
+    return ops.dealias_mask * ops.fwd(
+        -sum(u[j] * grad_v[j] for j in range(ops.grid.n)) - sl * v * div_u)
+
+
+def _dv(uh, nl_v: np.ndarray, ops: SpectralOps) -> np.ndarray:
+    """v_t = -div u + the v product (transformed), in physical space."""
+    return ops.inv(-sum(1j * ops.k[i] * uh[i] for i in range(ops.grid.n)) + nl_v)
 
 
 def rhs(t: float, v: np.ndarray, u: np.ndarray, d: DampingLaw, g: GasLaw,
@@ -233,10 +245,22 @@ def rhs(t: float, v: np.ndarray, u: np.ndarray, d: DampingLaw, g: GasLaw,
     vh = ops.fwd(v)
     uh = [ops.fwd(u[i]) for i in range(n)]
     nl = _products(v, u, vh, uh, g.slope, ops)
-    dv = ops.inv(-sum(1j * ops.k[i] * uh[i] for i in range(n)) + nl[0])
+    dv = _dv(uh, nl[0], ops)
     du = np.stack([ops.inv(-1j * ops.k[i] * vh - b * uh[i] + nl[1 + i])
                    for i in range(n)])
     return dv, du
+
+
+def dv_dt(v: np.ndarray, u: np.ndarray, uh, grad_v, grad_u, g: GasLaw,
+          ops: SpectralOps) -> np.ndarray:
+    """The dv of rhs, bit for bit, from fields the caller already holds.
+
+    uh are the transforms of the u_i, grad_v the physical gradient of v
+    and grad_u[i][j] = d_j u_i the velocity gradient.  Two transforms:
+    the v product forward and dv back.  Nothing of u_t is formed.
+    """
+    div_u = sum(grad_u[i][i] for i in range(ops.grid.n))
+    return _dv(uh, _v_product(v, u, grad_v, div_u, g.slope, ops), ops)
 
 
 class _Lawson:

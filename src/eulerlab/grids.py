@@ -6,6 +6,10 @@ the last axis), spectral derivatives, the 2/3-rule dealiasing mask and
 the discrete norms used throughout: L2 and sup norms, Sobolev norms
 formed as sums of derivative L2 norms, and plain trapezoid-free box
 quadrature sum(f) * dx^n (exact for band-limited periodic fields).
+
+SpectralOps.fwd and inv are the package's only transforms (scipy.fft).
+The *_hat operators start from a transform the caller already holds,
+so a field shared by several derivatives is transformed once.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 __all__ = ["Grid", "SpectralOps", "MAX_POINTS"]
 
@@ -33,7 +38,8 @@ class Grid:
     def __post_init__(self):
         if self.n not in (1, 2, 3):
             raise ValueError(f"n: dimension must be 1, 2 or 3, got {self.n}")
-        if self.L <= 0.0:
+        # accepting comparisons, so that NaN is refused too
+        if not self.L > 0.0:
             raise ValueError(f"L: box length must be positive, got {self.L}")
         if self.N < 16 or (self.N & (self.N - 1)) != 0:
             raise ValueError(f"N: grid points must be a power of two >= 16, got {self.N}")
@@ -80,8 +86,8 @@ class SpectralOps:
     def __init__(self, grid: Grid):
         self.grid = grid
         n, N, dx = grid.n, grid.N, grid.dx
-        k1 = 2.0 * np.pi * np.fft.fftfreq(N, d=dx)
-        kr = 2.0 * np.pi * np.fft.rfftfreq(N, d=dx)
+        k1 = 2.0 * np.pi * scipy.fft.fftfreq(N, d=dx)
+        kr = 2.0 * np.pi * scipy.fft.rfftfreq(N, d=dx)
         axes = [k1] * (n - 1) + [kr]
         mesh = np.meshgrid(*axes, indexing="ij")
         self.k = np.stack(mesh)                    # (n, *rshape)
@@ -91,15 +97,15 @@ class SpectralOps:
         cut = 2.0 / 3.0 * kmax
         self.dealias_mask = np.all(np.abs(self.k) <= cut, axis=0)
         self._kmax = kmax
+        self._axes = tuple(range(-n, 0))
 
     # -- transforms ----------------------------------------------------
 
     def fwd(self, f: np.ndarray) -> np.ndarray:
-        return np.fft.rfftn(f, axes=tuple(range(-self.grid.n, 0)))
+        return scipy.fft.rfftn(f, axes=self._axes)
 
     def inv(self, F: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(F, s=self.grid.shape,
-                             axes=tuple(range(-self.grid.n, 0)))
+        return scipy.fft.irfftn(F, s=self.grid.shape, axes=self._axes)
 
     # -- derivatives ---------------------------------------------------
 
@@ -108,8 +114,11 @@ class SpectralOps:
         return self.inv((1j * self.k[axis]) ** order * self.fwd(f))
 
     def grad(self, f: np.ndarray) -> np.ndarray:
-        F = self.fwd(f)
-        return np.stack([self.inv(1j * self.k[i] * F) for i in range(self.grid.n)])
+        return np.stack(self.grad_hat(self.fwd(f)))
+
+    def grad_hat(self, F: np.ndarray) -> list:
+        """Gradient components of the field whose transform is F."""
+        return [self.inv(1j * self.k[i] * F) for i in range(self.grid.n)]
 
     def div(self, u: np.ndarray) -> np.ndarray:
         out = np.zeros(self.grid.shape)
@@ -120,19 +129,23 @@ class SpectralOps:
     def laplacian(self, f: np.ndarray) -> np.ndarray:
         return self.inv(-self.k2 * self.fwd(f))
 
-    def curl(self, u: np.ndarray) -> np.ndarray:
-        """Vorticity: scalar in 2-D, vector in 3-D."""
+    def curl(self, u: np.ndarray, grad_u=None) -> np.ndarray:
+        """Vorticity: scalar in 2-D, vector in 3-D.
+
+        grad_u[i][j] = d_j u_i is the velocity gradient.  It is formed
+        here unless the caller passes it, and then the curl costs no
+        transform.
+        """
         n = self.grid.n
+        if n not in (2, 3):
+            raise ValueError("curl is defined for n = 2 or 3")
+        G = grad_u if grad_u is not None else \
+            [self.grad_hat(self.fwd(u[i])) for i in range(n)]
         if n == 2:
-            return (self.inv(1j * self.k[0] * self.fwd(u[1]))
-                    - self.inv(1j * self.k[1] * self.fwd(u[0])))
-        if n == 3:
-            def d(f, j):
-                return self.inv(1j * self.k[j] * self.fwd(f))
-            return np.stack([d(u[2], 1) - d(u[1], 2),
-                             d(u[0], 2) - d(u[2], 0),
-                             d(u[1], 0) - d(u[0], 1)])
-        raise ValueError("curl is defined for n = 2 or 3")
+            return G[1][0] - G[0][1]
+        return np.stack([G[2][1] - G[1][2],
+                         G[0][2] - G[2][0],
+                         G[1][0] - G[0][1]])
 
     def dealias(self, f: np.ndarray) -> np.ndarray:
         """Project a physical field onto the 2/3 wavenumber band."""
@@ -156,7 +169,9 @@ class SpectralOps:
                 for c in itertools.combinations_with_replacement(range(n), order)]
 
     def deriv_alpha(self, f: np.ndarray, alpha) -> np.ndarray:
-        F = self.fwd(f)
+        return self._deriv_alpha_hat(self.fwd(f), alpha)
+
+    def _deriv_alpha_hat(self, F: np.ndarray, alpha) -> np.ndarray:
         for ax, p in enumerate(alpha):
             if p:
                 F = (1j * self.k[ax]) ** p * F
@@ -166,7 +181,13 @@ class SpectralOps:
         """Sum of L2 norms of all derivatives of exactly this order."""
         if order == 0:
             return self.l2(f)
-        return sum(self.l2(self.deriv_alpha(f, a)) for a in self.multi_indices(order))
+        return self.deriv_l2_hat(self.fwd(f), order)
+
+    def deriv_l2_hat(self, F: np.ndarray, order: int) -> float:
+        """deriv_l2 (order >= 1) of the field whose transform is F: one
+        inverse per derivative, each dropped once its norm is taken."""
+        return sum(self.l2(self._deriv_alpha_hat(F, a))
+                   for a in self.multi_indices(order))
 
     def sobolev(self, f: np.ndarray, order: int) -> float:
         """H^order norm as the sum over derivative orders 0..order."""

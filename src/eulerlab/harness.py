@@ -99,7 +99,13 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        """Build a config from JSON data, each value typed like --set's."""
+        """Build a config from JSON data, keys and values read like --set's."""
+        for alias, name in _ALIASES.items():
+            if alias in data:
+                if name in data:
+                    raise ConfigError(f"{name}: given twice, as {name!r} "
+                                      f"and as its alias {alias!r}")
+                data = {(name if k == alias else k): val for k, val in data.items()}
         extra = set(data) - set(_KINDS)
         if extra:
             raise ConfigError(

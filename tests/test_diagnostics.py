@@ -13,8 +13,10 @@ from eulerlab.diagnostics import (
     decay_fit, lower_bound_margin, mass_excess, moment_inequality_margins,
     momentum_moment, weighted_energy, weighted_l2_sq,
 )
+from eulerlab import euler
 from eulerlab.euler import (
-    EulerState, PhysicalState, initial_bump, rotational_bump, to_symmetric,
+    EulerState, PhysicalState, from_symmetric, initial_bump, rotational_bump,
+    to_symmetric,
 )
 from eulerlab.grids import Grid, SpectralOps
 from eulerlab.params import DampingLaw, GasLaw, derive_constants, weight_eval
@@ -324,3 +326,138 @@ def test_energy_recorder_vorticity_column():
     rec(rotational_bump(grid, 5.0, 1e-2, ops=ops))
     assert rec.rows[0].vort_l2 > 0.0
     assert rec.rows[0].mass == pytest.approx(0.0, abs=1e-15)
+
+
+# ---------------------------------------------------------------------
+#  Recorder columns against their definitions
+# ---------------------------------------------------------------------
+
+def column_definitions(rec: EnergyRecorder, st: EulerState) -> dict:
+    """Every EnergyRow column of st, each formed on its own through the
+    public helpers (no shared transforms)."""
+    ops, n, g, d, spec = rec.ops, rec.grid.n, rec.g, rec.d, rec.spec
+    grid, t, v, u = rec.grid, st.t, st.v, st.u
+    dv, _ = euler.rhs(t, v, u, d, g, ops)
+    grad_v = ops.grad(v)
+    grad_u = [ops.deriv(u[i], j) for i in range(n) for j in range(n)]
+    col = {
+        "t": t, "v_l2": ops.l2(v), "v_linf": ops.linf(v),
+        "u_l2": math.sqrt(sum(ops.l2(u[i]) ** 2 for i in range(n))),
+        "u_linf": max(ops.linf(u[i]) for i in range(n)),
+        "dv1_l2": ops.deriv_l2(v, 1),
+        "dv1_linf": max(ops.linf(gv) for gv in grad_v),
+        "du1_l2": sum(ops.deriv_l2(u[i], 1) for i in range(n)),
+        "du1_linf": max(ops.linf(gu) for gu in grad_u),
+        "dv2_l2": ops.deriv_l2(v, 2),
+        "du2_l2": sum(ops.deriv_l2(u[i], 2) for i in range(n)),
+        "vt_l2": ops.l2(dv), "vt_linf": ops.linf(dv),
+        "mass": mass_excess(st, g, ops),
+        "moment": momentum_moment(st, g, ops),
+    }
+    rho_dev = from_symmetric(st, g).rho - 1.0
+    col["rho_l2"], col["rho_linf"] = ops.l2(rho_dev), ops.linf(rho_dev)
+
+    col["cone_leak"] = 0.0
+    if rec.support_R is not None:
+        outside = grid.radius() > rec.support_R + t + 2.0
+        tot = ops.l2(v) + sum(ops.l2(u[i]) for i in range(n))
+        out_amt = ops.l2(np.where(outside, v, 0.0)) \
+            + sum(ops.l2(np.where(outside, u[i], 0.0)) for i in range(n))
+        col["cone_leak"] = out_amt / max(tot, 1e-300)
+
+    names = ("J_v", "J_psi_v", "J_u", "J_psi_u", "Jgrad_v", "Jgrad_u", "Jvt")
+    col.update(dict.fromkeys(names, 0.0))
+    if rec.with_weights:
+        def energy(f):
+            return weighted_energy(t, f, spec, grid, support_R=rec.support_R)
+        col["J_v"], col["J_psi_v"] = energy(v).J, energy(v).J_psi
+        col["J_u"] = sum(energy(u[i]).J for i in range(n))
+        col["J_psi_u"] = sum(energy(u[i]).J_psi for i in range(n))
+        col["Jgrad_v"] = sum(energy(gv).J for gv in grad_v)
+        col["Jgrad_u"] = sum(energy(gu).J for gu in grad_u)
+        col["Jvt"] = energy(dv).J
+
+    col.update(dict.fromkeys(("src_l1", "src_l2", "dsrc1_l2", "dsrc2_l2"), 0.0))
+    if rec.with_source:
+        src = euler.nonlinear_wave_source(st, d, g, ops)
+        col["src_l1"], col["src_l2"] = ops.quad(np.abs(src)), ops.l2(src)
+        col["dsrc1_l2"] = ops.deriv_l2(src, 1)
+        col["dsrc2_l2"] = ops.deriv_l2(src, 2)
+
+    col["vort_l2"] = 0.0
+    if n == 2:
+        col["vort_l2"] = ops.l2(ops.curl(u))
+    elif n == 3:
+        w = ops.curl(u)
+        col["vort_l2"] = math.sqrt(sum(ops.l2(w[i]) ** 2 for i in range(3)))
+
+    gp = (1.0 + t) ** spec.B
+    gq = (1.0 + t) ** (spec.B + 1.0 + d.lam)
+    col["mon_low"] = gp * (col["v_l2"] ** 2 + col["u_l2"] ** 2)
+    col["mon_high"] = gq * (col["vt_l2"] ** 2 + col["dv1_l2"] ** 2
+                            + col["du1_l2"] ** 2)
+    col["wmon_low"] = gp * (col["J_v"] + col["J_u"])
+    col["wmon_high"] = gq * (col["Jvt"] + col["Jgrad_v"] + col["Jgrad_u"])
+    return col
+
+
+def sample_state(grid: Grid, ops: SpectralOps) -> EulerState:
+    """A state with every column nonzero: a jittered bump in v and a
+    velocity with both a potential and (n >= 2) a rotational part."""
+    v = initial_bump(grid, 4.0, 1e-2, 1, jitter=0.3, seed=1, ops=ops).v
+    u = 0.5 * ops.grad(v)
+    if grid.n >= 2:
+        u[0] += 0.3 * ops.deriv(v, 1)
+        u[1] -= 0.3 * ops.deriv(v, 0)
+    return EulerState(0.7, v, u)
+
+
+@pytest.mark.parametrize("n, N", [(1, 64), (2, 16), (3, 16)])
+def test_energy_recorder_columns_equal_their_definitions(n, N):
+    grid = Grid(n, 8.0, N)
+    ops = SpectralOps(grid)
+    rec = EnergyRecorder(grid, D_HALF, GAS, derive_constants(D_HALF, n),
+                         support_R=1.5, ops=ops)
+    st = sample_state(grid, ops)
+    rec(st)
+    want = column_definitions(rec, st)
+    assert sorted(want) == sorted(EXPECTED_COLUMNS)
+    row = rec.rows[0]
+    assert row.cone_leak > 0.0 and row.vt_l2 > 0.0 and row.du2_l2 > 0.0
+    assert row.Jgrad_u > 0.0 and row.src_l2 > 0.0
+    if n >= 2:
+        assert row.vort_l2 > 0.0
+    for name in EXPECTED_COLUMNS:
+        assert getattr(row, name) == want[name], name
+
+
+class CountingOps(SpectralOps):
+    """SpectralOps that counts its forward and inverse transforms."""
+
+    def __init__(self, grid):
+        super().__init__(grid)
+        self.fwd_calls = self.inv_calls = 0
+
+    def fwd(self, f):
+        self.fwd_calls += 1
+        return super().fwd(f)
+
+    def inv(self, F):
+        self.inv_calls += 1
+        return super().inv(F)
+
+
+@pytest.mark.parametrize("n, fwd_calls, inv_calls", [
+    (1, 3, 5), (2, 4, 16), (3, 5, 37)])
+def test_energy_recorder_transforms_each_field_once(n, fwd_calls, inv_calls):
+    # forward: v, the n u_i and the v product; inverse: the n + n^2 first
+    # derivatives, dv, and one per second derivative of v and the u_i
+    grid = Grid(n, 8.0, 16)
+    ops = CountingOps(grid)
+    rec = EnergyRecorder(grid, D_HALF, GAS, derive_constants(D_HALF, n),
+                         with_source=False, with_weights=False,
+                         support_R=1.5, ops=ops)
+    st = sample_state(grid, SpectralOps(grid))
+    rec(st)
+    assert (ops.fwd_calls, ops.inv_calls) == (fwd_calls, inv_calls)
+    assert fwd_calls + inv_calls == {1: 8, 2: 20, 3: 42}[n]

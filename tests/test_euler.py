@@ -183,6 +183,18 @@ def test_solver_config_validation():
         SolverConfig(t_final=1.0, cfl=0.0)
 
 
+@pytest.mark.parametrize("field, kwargs", [
+    ("t_final", {"t_final": math.nan}),
+    ("cfl", {"t_final": 1.0, "cfl": math.nan}),
+    ("dt_override", {"t_final": 1.0, "dt_override": math.nan}),
+    ("dt_override", {"t_final": 1.0, "dt_override": 0.0}),
+])
+def test_solver_config_rejects_nan(field, kwargs):
+    # without its own check, t_final=nan would run 0 steps and complete
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        SolverConfig(**kwargs)
+
+
 def test_snapshot_schedule_and_callback():
     grid = Grid(1, 20.0, 256)
     st0 = initial_bump(grid, 4.0, 1e-3, 3)

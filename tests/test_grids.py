@@ -28,6 +28,13 @@ def test_grid_validation():
         Grid(1, 0.0, 64)
 
 
+@pytest.mark.parametrize("L", [math.nan, 0.0, -1.0])
+def test_grid_rejects_box_length_that_is_not_positive(L):
+    # NaN fails every comparison, so only an accepting check refuses it
+    with pytest.raises(ValueError, match="^L: "):
+        Grid(1, L, 64)
+
+
 def test_grid_geometry_1d():
     grid = Grid(1, 10.0, 32)
     assert grid.dx == pytest.approx(20.0 / 32)

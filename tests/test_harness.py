@@ -8,6 +8,9 @@ digest stability, artifact layout, exit codes and sweep aggregation.
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
@@ -78,6 +81,19 @@ def test_from_dict_types_values_like_set():
         with pytest.raises(ConfigError) as err:
             ScenarioConfig.from_dict({"scenario": "nonlinear-decay", key: value})
         assert str(err.value).startswith(f"{key}:")
+
+
+def test_from_dict_accepts_the_lambda_alias():
+    cfg = ScenarioConfig.from_dict({"scenario": "convolution-lemma", "lambda": 0.3})
+    assert cfg.lam == 0.3
+    assert cfg == preset_config("convolution-lemma", lam=0.3)
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig.from_dict(
+            {"scenario": "convolution-lemma", "lam": 0.3, "lambda": 0.3})
+    assert str(err.value).startswith("lam:")
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig.from_dict({"scenario": "convolution-lemma", "lambda": "x"})
+    assert str(err.value).startswith("lam:")
 
 
 def test_cli_override_coercion():
@@ -479,6 +495,21 @@ def test_cli_run_from_json_file(tmp_path):
     cfg_path.write_text(json.dumps(
         {"scenario": "convolution-lemma", "outdir": str(tmp_path)}))
     assert main(["run", str(cfg_path)]) == 0
+
+
+def test_python_m_eulerlab_runs_without_warnings():
+    # python -m eulerlab.harness makes runpy warn that the package import
+    # already loaded the module; the package's __main__ does not
+    src = Path(harness.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "eulerlab",
+         "list-presets"], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.split()[0] == "linear-decay"
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):

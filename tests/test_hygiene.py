@@ -1,5 +1,7 @@
 """Source hygiene that no installed linter checks: every name a module
-imports at module level is used somewhere in that module."""
+imports at module level is used somewhere in that module, and only
+grids.py touches an FFT module, so SpectralOps.fwd/inv stay the one
+transform path."""
 
 import ast
 from pathlib import Path
@@ -44,3 +46,57 @@ def test_unused_import_detector():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+FFT_MODULES = ("numpy.fft", "scipy.fft")
+
+
+def _is_fft(dotted: str) -> bool:
+    return any(dotted == m or dotted.startswith(m + ".") for m in FFT_MODULES)
+
+
+def fft_references(source: str) -> list:
+    """Line numbers where the source imports or names numpy.fft or
+    scipy.fft, whatever alias numpy or scipy is bound to."""
+    tree = ast.parse(source)
+    bound = {}                      # local name -> dotted module
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.asname:
+                    bound[a.asname] = a.name
+                else:
+                    root = a.name.split(".")[0]
+                    bound[root] = root
+                if _is_fft(a.name):
+                    hits.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            for a in node.names:
+                bound[a.asname or a.name] = f"{node.module}.{a.name}"
+            if _is_fft(node.module) or any(
+                    _is_fft(f"{node.module}.{a.name}") for a in node.names):
+                hits.append(node.lineno)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and _is_fft(f"{bound.get(node.value.id)}.{node.attr}"):
+            hits.append(node.lineno)
+    return sorted(set(hits))
+
+
+def test_fft_reference_detector():
+    src = ("import numpy as xp\nimport scipy\nfrom numpy import fft as f\n"
+           "from scipy.fft import rfftn\nimport numpy.fft\nimport math\n"
+           "a = xp.fft.rfftn\nb = scipy.fft\nc = xp.linalg.norm\n"
+           "d = math.fft\n")
+    assert fft_references(src) == [3, 4, 5, 7, 8]
+    assert fft_references("import numpy as np\nx = np.sum\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_grids_touches_the_fft_modules(path):
+    refs = fft_references(path.read_text())
+    if path.name == "grids.py":
+        assert refs
+    else:
+        assert refs == [], f"{path.name} reaches an FFT module at lines {refs}"
