@@ -179,6 +179,11 @@ def potential_bump(grid: Grid, R: float, eps: float, order: int = 1, *,
 # =====================================================================
 
 LAWSON_STEP = 0.05
+# blow-up monitors: spectral tail fraction of v, growth factor of the
+# largest gradient, and the number of steps between checks
+TAIL_LIMIT = 0.01
+GRAD_FACTOR = 100.0
+CHECK_EVERY = 25
 
 
 @dataclass
@@ -190,9 +195,6 @@ class SolverConfig:
     dt_override: float | None = None
     snapshot_times: tuple = ()
     store_snapshots: bool = False
-    tail_limit: float = 0.01      # blow-up monitor: spectral tail fraction
-    grad_factor: float = 100.0    # blow-up monitor: gradient growth factor
-    check_every: int = 25
 
     def __post_init__(self):
         # accepting comparisons, so that NaN is refused too
@@ -363,18 +365,16 @@ class RunResult:
     verdict: str                  # completed | blowup-gradient | blowup-tail | nonfinite
     t_end: float
     steps: int
-    blowup_time: float | None = None
     dt_min: float | None = None   # smallest, median and largest step taken
     dt_median: float | None = None
     dt_max: float | None = None
     snapshots: list = field(default_factory=list)
 
 
-def _grad_sup(st: EulerState, ops: SpectralOps) -> float:
-    vals = [ops.linf(gv) for gv in ops.grad(st.v)]
-    for i in range(st.u.shape[0]):
-        vals += [ops.linf(gu) for gu in ops.grad(st.u[i])]
-    return max(vals)
+def _grad_sup(w: np.ndarray, ops: SpectralOps) -> float:
+    """Largest sup norm of a gradient component of v or any u_i, from
+    the spectral state w: inverse transforms only."""
+    return max(ops.linf(g) for row in w for g in ops.grad_hat(row))
 
 
 def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
@@ -393,7 +393,7 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
 
     on_snapshot(state) fires at each requested time (and at t_final).
     Blow-up monitoring: non-finite values every step; gradient growth and
-    spectral tail fraction every check_every steps and at snapshots.  A
+    spectral tail fraction every CHECK_EVERY steps and at snapshots.  A
     triggered monitor ends the run with the corresponding verdict.
     """
     ops = ops or SpectralOps(grid)
@@ -409,7 +409,7 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
     snaps = sorted(set(float(s) for s in cfg.snapshot_times
                        if 0.0 < s <= cfg.t_final) | {cfg.t_final})
     st = EulerState(t, x[0], x[1:])
-    g0 = max(_grad_sup(st, ops), 1e-300)
+    g0 = max(_grad_sup(w, ops), 1e-300)
     dts = []
     result = RunResult(verdict="completed", t_end=cfg.t_final, steps=0)
 
@@ -421,11 +421,11 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
     def tripped() -> str | None:
         if not np.isfinite(x).all():
             return "nonfinite"
-        if _grad_sup(st, ops) > cfg.grad_factor * g0:
+        if _grad_sup(w, ops) > GRAD_FACTOR * g0:
             return "blowup-gradient"
         # watch the upper half of the retained band: the 2/3 band itself
         # is pinned to zero
-        if ops.tail_fraction(st.v, cut=0.5) > cfg.tail_limit:
+        if ops.tail_fraction(st.v, cut=0.5) > TAIL_LIMIT:
             return "blowup-tail"
         return None
 
@@ -439,7 +439,6 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
                 else 0.5 * (srt[mid - 1] + srt[mid])
         if why:
             result.verdict = why
-            result.blowup_time = t
         return result
 
     for target in snaps:
@@ -463,7 +462,7 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
             t += h
             dts.append(h)
             st = EulerState(t, x[0], x[1:])
-            if len(dts) % cfg.check_every == 0:
+            if len(dts) % CHECK_EVERY == 0:
                 why = tripped()
                 if why:
                     return finish(why)

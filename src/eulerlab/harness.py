@@ -7,10 +7,13 @@ Each preset in the catalog wires those pieces together for one question
 lower bounds, vorticity decay, and so on) and reduces the run to a list
 of pass/fail verdicts with the fitted and predicted values side by side.
 
+A preset declares its domain (allowed dimensions, positive fields) as
+registry data, so every config error comes before a run directory exists.
+
 Reports are deterministic: the same config produces byte-identical
 report.json, summary.txt and CSV output, also under parallel sweeps.
 Run directories are named by scenario plus a hash of the effective
-config, so re-running a config overwrites its own directory and nothing
+config, so re-running a config replaces its own directory and nothing
 else.
 """
 
@@ -183,6 +186,16 @@ def validate_config(cfg: ScenarioConfig):
         raise ConfigError(
             f"scenario: unknown scenario {cfg.scenario!r}; "
             f"known: {', '.join(PRESETS)}")
+    preset = PRESETS[cfg.scenario]
+    if cfg.n not in preset.dims:
+        raise ConfigError(f"n: {cfg.scenario} runs in "
+                          f"{' or '.join(f'{d}-D' for d in preset.dims)}, got {cfg.n}")
+    for name in preset.positive:
+        if not getattr(cfg, name) > 0.0:
+            raise ConfigError(f"{name}: {cfg.scenario} needs {name} > 0, "
+                              f"got {getattr(cfg, name)}")
+    if cfg.data_kind == "rotational" and cfg.n < 2:
+        raise ConfigError(f"data_kind: rotational data needs n >= 2, got n = {cfg.n}")
     # the constructors name the field first in their messages; the
     # damping law and derive_constants get the prefix in front
     prefix = ""
@@ -221,7 +234,6 @@ def validate_config(cfg: ScenarioConfig):
         raise ConfigError(f"r_cut: must be positive, got {cfg.r_cut}")
     if cfg.workers < 0:
         raise ConfigError(f"workers: must be nonnegative, got {cfg.workers}")
-    preset = PRESETS[cfg.scenario]
     unknown = set(cfg.diagnostics) - {"*"} - set(preset.verdict_names)
     if unknown:
         raise ConfigError(
@@ -364,21 +376,29 @@ def _write_json(path: Path, payload):
 
 @dataclass(frozen=True)
 class Preset:
+    """runner(cfg, outdir) writes the artifacts and returns the verdicts.
+    dims (allowed n) and positive (fields that must be > 0) are the domain
+    validate_config checks; decay_law names the verdicts whose failure
+    adds _DECAY_LAW_NOTE."""
+
     name: str
     description: str
     overrides: dict
     verdict_names: tuple
     runner: object
+    dims: tuple = (1, 2, 3)
+    positive: tuple = ()
+    decay_law: tuple = ()
 
 
 PRESETS: dict = {}
 
 
-def _register(name, description, verdicts, **overrides):
+def _register(name, description, verdicts, *, dims=(1, 2, 3), positive=(),
+              decay_law=(), **overrides):
     def deco(fn):
-        PRESETS[name] = Preset(name=name, description=description,
-                               overrides=overrides,
-                               verdict_names=tuple(verdicts), runner=fn)
+        PRESETS[name] = Preset(name, description, overrides, tuple(verdicts),
+                               fn, dims, positive, decay_law)
         return fn
     return deco
 
@@ -407,16 +427,11 @@ class _RunBundle:
     spec: object
     rec: EnergyRecorder
     res: euler.RunResult
-    files: list
 
 
 class _SolverStopped(Exception):
-    """A preset's solve ended before t_final; carries the failing
-    solver_completed verdict and the files written so far."""
-
-    def __init__(self, verdict: Verdict, files: list):
-        super().__init__(verdict.detail)
-        self.verdict, self.files = verdict, files
+    """A preset's solve ended before t_final; args[0] is the failing
+    solver_completed verdict."""
 
 
 def _damping(cfg: ScenarioConfig) -> DampingLaw:
@@ -447,13 +462,12 @@ def _lin_snapshots(cfg: ScenarioConfig) -> tuple:
 
 def _nonlinear_run(cfg: ScenarioConfig, snaps, outdir: Path, csv_name: str, *,
                    with_source=False, with_weights=False, store=False,
-                   written=(), allow_stop=False) -> _RunBundle:
+                   allow_stop=False) -> _RunBundle:
     """Solve, write the recorder table to csv_name, return the bundle.
 
     The solve that owns energy.csv also writes fields/ when the config
     asks for store_fields.  A solve that stops before t_final raises
-    _SolverStopped unless allow_stop; written lists the files that
-    earlier solves of the same preset left in outdir.
+    _SolverStopped unless allow_stop.
     """
     d, gas = _damping(cfg), GasLaw(gamma=cfg.gamma)
     grid = Grid(cfg.n, cfg.L, cfg.N)
@@ -469,32 +483,25 @@ def _nonlinear_run(cfg: ScenarioConfig, snaps, outdir: Path, csv_name: str, *,
                              store_snapshots=store or keep)
     res = euler.run(st, d, gas, grid, sol, on_snapshot=rec, ops=ops)
     rec.to_csv(outdir / csv_name)
-    files = list(written) + [csv_name]
     if keep:
-        files += _store_fields(res, outdir)
+        _store_fields(res, outdir)
     if res.verdict != "completed" and not allow_stop:
         raise _SolverStopped(Verdict(
             name="solver_completed", value=res.t_end, predicted=cfg.t_final,
             tolerance=0.0, passed=False,
-            detail=f"solver verdict {res.verdict!r} after {res.steps} steps"),
-            files)
-    return _RunBundle(d=d, ops=ops, spec=spec, rec=rec, res=res, files=files)
+            detail=f"solver verdict {res.verdict!r} after {res.steps} steps"))
+    return _RunBundle(d=d, ops=ops, spec=spec, rec=rec, res=res)
 
 
-def _store_fields(res: euler.RunResult, outdir: Path) -> list:
+def _store_fields(res: euler.RunResult, outdir: Path):
     """Dump snapshot fields as plain .npy files (deterministic bytes)."""
-    files = []
     fdir = outdir / "fields"
-    fdir.mkdir(exist_ok=True)
+    fdir.mkdir()
     for j, st in enumerate(res.snapshots):
-        for tag, arr in (("v", st.v), ("u", st.u)):
-            rel = f"fields/snap{j:03d}_{tag}.npy"
-            np.save(outdir / rel, arr)
-            files.append(rel)
-    _write_csv(outdir / "fields/times.csv", ["index", "t"],
+        np.save(fdir / f"snap{j:03d}_v.npy", st.v)
+        np.save(fdir / f"snap{j:03d}_u.npy", st.u)
+    _write_csv(fdir / "times.csv", ["index", "t"],
                [np.arange(len(res.snapshots)), [s.t for s in res.snapshots]])
-    files.append("fields/times.csv")
-    return files
 
 
 _DECAY_LAW_NOTE = (
@@ -513,11 +520,11 @@ _DECAY_LAW_NOTE = (
     "linear-decay",
     "sup-norm decay slopes of band-limited kernel reconstructions of bump data",
     ("kernel_decay_k0", "kernel_decay_k1", "band_tail_fraction"),
+    dims=(1,),   # the kernel reconstruction is one-dimensional
+    decay_law=("kernel_decay_k0", "kernel_decay_k1"),
     n=1, lam=0.5, mu=2.0, L=2400.0, N=8192, R=12.0,
     t_final=1.0e4, n_snapshots=33, fit_lo=1.0e2, fit_hi=1.0e4)
 def _run_linear_decay(cfg: ScenarioConfig, outdir: Path):
-    if cfg.n != 1:
-        raise ConfigError("n: linear-decay is a one-dimensional scenario")
     grid = Grid(cfg.n, cfg.L, cfg.N)
     g = euler.bump_profile(grid, cfg.R)
     times = np.geomspace(1.0, cfg.t_final, cfg.n_snapshots)
@@ -546,24 +553,19 @@ def _run_linear_decay(cfg: ScenarioConfig, outdir: Path):
                 series[1].observed, series[1].tail_bound])
     _write_json(outdir / "fits.json",
                 {f"k{k}": asdict(fits[k]) for k in (0, 1)})
-    notes = []
-    if not all(v.passed for v in verdicts[:2]):
-        notes.append(_DECAY_LAW_NOTE)
-    return verdicts, ["decay.csv", "fits.json"], notes
+    return verdicts
 
 
 @_register(
     "zone-bounds",
     "propagator magnitudes against the per-zone envelopes, fitted constants",
     ("z1_ratio_drift", "z2_ratio_drift", "z3_decay_rate"),
+    # at mu = 0 the zones degenerate; the middle-zone envelope uses the
+    # band crossing time, which needs lam > 0
+    positive=("mu", "lam"),
     n=1, lam=0.5, mu=2.0, t_final=1.0e3)
 def _run_zone_bounds(cfg: ScenarioConfig, outdir: Path):
     d = _damping(cfg)
-    if d.mu == 0.0:
-        raise ConfigError("mu: zone-bounds needs mu > 0 (zones degenerate)")
-    if d.lam == 0.0:
-        raise ConfigError("lam: the middle-zone envelope uses the band "
-                          "crossing time, which needs lam > 0")
     tlist = np.geomspace(1.0, cfg.t_final, 7)
 
     def collect(density: int):
@@ -629,18 +631,18 @@ def _run_zone_bounds(cfg: ScenarioConfig, outdir: Path):
     _write_csv(outdir / "modes.csv",
                ["t", "r", "zone", "re_phi1", "im_phi1", "re_phi2", "im_phi2",
                 "envelope", "ratio"], cols)
-    return verdicts, ["modes.csv"], []
+    return verdicts
 
 
 @_register(
     "zone-integrals",
     "L1 zone integrals of the first kernel against power-law envelopes",
     ("z1_a0_ratio_spread", "z1_a2_ratio_spread", "alpha_exponent_gap"),
+    positive=("mu",),   # at mu = 0 the low band is empty
+    decay_law=("z1_a0_ratio_spread", "z1_a2_ratio_spread", "alpha_exponent_gap"),
     n=1, lam=0.5, mu=2.0)
 def _run_zone_integrals(cfg: ScenarioConfig, outdir: Path):
     d = _damping(cfg)
-    if d.mu == 0.0:
-        raise ConfigError("mu: zone-integrals needs mu > 0 (empty low band)")
     times = (10.0, 100.0, 1000.0)
     alphas = (0, 2)
     vals = {a: [linear.zone_integral(t, 1, a, Zone.Z1, 1, d, cfg.n)
@@ -666,14 +668,14 @@ def _run_zone_integrals(cfg: ScenarioConfig, outdir: Path):
     _write_csv(outdir / "zone_integrals.csv",
                ["t", "value_a0", "value_a2"],
                [times, vals[0], vals[2]])
-    notes = [] if all(v.passed for v in verdicts) else [_DECAY_LAW_NOTE]
-    return verdicts, ["zone_integrals.csv"], notes
+    return verdicts
 
 
 @_register(
     "nonlinear-decay",
     "sup-norm decay exponents of density and velocity after a small bump",
     ("rho_slope", "u_slope", "slope_difference"),
+    decay_law=("rho_slope", "u_slope", "slope_difference"),
     n=1, lam=0.5, mu=2.0, gamma=2.0, eps=1e-3, N=2048, L=256.0, R=4.0,
     data_order=7, t_final=1.0e3, n_snapshots=41, fit_lo=1.0e2, fit_hi=1.0e3)
 def _run_nonlinear_decay(cfg: ScenarioConfig, outdir: Path):
@@ -694,8 +696,7 @@ def _run_nonlinear_decay(cfg: ScenarioConfig, outdir: Path):
     ]
     _write_json(outdir / "fits.json",
                 {"rho_linf": asdict(rho_fit), "u_linf": asdict(u_fit)})
-    notes = [] if all(v.passed for v in verdicts) else [_DECAY_LAW_NOTE]
-    return verdicts, b.files + ["fits.json"], notes
+    return verdicts
 
 
 @_register(
@@ -725,25 +726,24 @@ def _run_u_extra_lambda(cfg: ScenarioConfig, outdir: Path):
         "quasistatic_residual", num / max(den, 1e-300), 0.1,
         detail=f"relative L2 misfit of u against -(1+t)^lam grad(v)/mu "
                f"at t={st.t:g}"))
-    return verdicts, b.files, []
+    return verdicts
 
 
 @_register(
     "mass-conservation",
     "exact conservation of the density excess integral",
     ("mass_drift",),
+    positive=("q0",),   # the drift is relative to the excess mass
     n=1, lam=0.5, mu=2.0, N=1024, L=128.0, R=4.0, q0=0.01, data_kind="mass",
     t_final=50.0, n_snapshots=21)
 def _run_mass_conservation(cfg: ScenarioConfig, outdir: Path):
-    if cfg.q0 <= 0.0:
-        raise ConfigError("q0: mass-conservation needs positive excess mass")
     b = _nonlinear_run(cfg, _lin_snapshots(cfg), outdir, "energy.csv")
     mass = b.rec.series("mass")
     drift = float(np.max(np.abs(mass - mass[0])) / abs(mass[0]))
     verdicts = [at_most(
         "mass_drift", drift, 1e-8, strict=True,
         detail=f"relative to M(0)={mass[0]:.6g} across {mass.size} snapshots")]
-    return verdicts, b.files, []
+    return verdicts
 
 
 @_register(
@@ -751,11 +751,10 @@ def _run_mass_conservation(cfg: ScenarioConfig, outdir: Path):
     "conserved-mass lower bounds: density and velocity margins stay positive",
     ("mass_drift", "cauchy_schwarz", "moment_inequality",
      "lower_bound_rho", "lower_bound_u"),
+    positive=("q0",),   # the bounds are stated for a positive excess mass
     n=1, lam=0.5, mu=2.0, N=2048, L=440.0, R=10.0, q0=0.01, data_kind="mass",
     t_final=200.0, n_snapshots=81, fit_lo=20.0, fit_hi=200.0)
 def _run_lower_bound(cfg: ScenarioConfig, outdir: Path):
-    if cfg.q0 <= 0.0:
-        raise ConfigError("q0: lower-bound needs positive excess mass")
     b = _nonlinear_run(cfg, _lin_snapshots(cfg), outdir, "energy.csv")
     rec = b.rec
     t = rec.times
@@ -794,7 +793,7 @@ def _run_lower_bound(cfg: ScenarioConfig, outdir: Path):
                [t, cs, lb["m_rho"], lb["m_u"]])
     _write_csv(outdir / "moment_margins.csv",
                ["t", "margin"], [t[1:-1], mm])
-    return verdicts, b.files + ["margins.csv", "moment_margins.csv"], []
+    return verdicts
 
 
 def _vorticity_verdicts(cfg: ScenarioConfig, rec: EnergyRecorder):
@@ -814,41 +813,39 @@ def _vorticity_verdicts(cfg: ScenarioConfig, rec: EnergyRecorder):
     "vorticity-2d",
     "stretched-exponential vorticity decay for rotational data in the plane",
     ("vorticity_rate", "vorticity_fit_residual", "irrotational_floor"),
+    dims=(2, 3),   # on a line every velocity field is a gradient
     n=2, lam=0.5, mu=1.0, N=256, L=68.0, R=12.0, eps=1e-3,
     data_kind="rotational", t_final=50.0, n_snapshots=26,
     fit_lo=5.0, fit_hi=50.0)
 def _run_vorticity_2d(cfg: ScenarioConfig, outdir: Path):
-    if cfg.n < 2:
-        raise ConfigError("n: vorticity scenarios need n >= 2")
     b = _nonlinear_run(cfg, _lin_snapshots(cfg), outdir, "energy.csv")
     fit, verdicts = _vorticity_verdicts(cfg, b.rec)
 
     cfg2 = replace(cfg, data_kind="potential", t_final=5.0, n_snapshots=6)
     b2 = _nonlinear_run(cfg2, _lin_snapshots(cfg2), outdir,
-                        "energy_irrotational.csv", written=b.files)
+                        "energy_irrotational.csv")
     floor = float(np.max(b2.rec.series("vort_l2") / b2.rec.series("du1_l2")))
     verdicts.append(at_most(
         "irrotational_floor", floor, 1e-10, strict=True,
         detail="max over snapshots of |omega|_2 / |grad u|_2 for potential data"))
 
     _write_json(outdir / "fits.json", {"vort_l2": asdict(fit)})
-    return verdicts, b2.files + ["fits.json"], []
+    return verdicts
 
 
 @_register(
     "vorticity-3d",
     "stretched-exponential vorticity decay in three dimensions",
     ("vorticity_rate", "vorticity_fit_residual"),
+    dims=(3,),   # the three-dimensional claim: stretching exists only there
     n=3, lam=0.5, mu=1.0, N=128, L=40.0, R=12.0, eps=1e-3,
     data_kind="rotational", t_final=12.0, n_snapshots=13,
     fit_lo=2.0, fit_hi=12.0)
 def _run_vorticity_3d(cfg: ScenarioConfig, outdir: Path):
-    if cfg.n != 3:
-        raise ConfigError("n: vorticity-3d runs in three dimensions")
     b = _nonlinear_run(cfg, _lin_snapshots(cfg), outdir, "energy.csv")
     fit, verdicts = _vorticity_verdicts(cfg, b.rec)
     _write_json(outdir / "fits.json", {"vort_l2": asdict(fit)})
-    return verdicts, b.files + ["fits.json"], []
+    return verdicts
 
 
 @_register(
@@ -861,7 +858,7 @@ def _run_q_decay(cfg: ScenarioConfig, outdir: Path):
     snaps = _log_snapshots(cfg)
     b1 = _nonlinear_run(cfg, snaps, outdir, "energy.csv", with_source=True)
     b2 = _nonlinear_run(replace(cfg, eps=2.0 * cfg.eps), snaps, outdir,
-                        "energy_eps2.csv", with_source=True, written=b1.files)
+                        "energy_eps2.csv", with_source=True)
 
     cap = -b1.spec.B - (1.0 + cfg.lam) / 2.0 + 0.15
     fit = decay_fit(b1.rec.times, b1.rec.series("src_l1"), cfg.fit_lo, cfg.fit_hi)
@@ -881,7 +878,7 @@ def _run_q_decay(cfg: ScenarioConfig, outdir: Path):
                "of the data amplitude"))
 
     _write_json(outdir / "fits.json", {"src_l1": asdict(fit)})
-    return verdicts, b2.files + ["fits.json"], []
+    return verdicts
 
 
 @_register(
@@ -903,7 +900,7 @@ def _run_convolution(cfg: ScenarioConfig, outdir: Path):
         cols.append(chk.ratios)
     _write_csv(outdir / "convolution.csv",
                ["t"] + [f"ratio_{a:g}_{b:g}" for a, b in pairs], cols)
-    return verdicts, ["convolution.csv"], []
+    return verdicts
 
 
 @_register(
@@ -929,7 +926,7 @@ def _run_weighted_energy(cfg: ScenarioConfig, outdir: Path):
             name, float(np.max(series)) / base, 10.0, predicted=1.0,
             detail=f"peak of {col} over the whole run relative to its "
                    "peak on [0, 1]"))
-    return verdicts, b.files, []
+    return verdicts
 
 
 @_register(
@@ -943,25 +940,18 @@ def _run_blowup_scout(cfg: ScenarioConfig, outdir: Path):
                        allow_stop=True)
     res = b.res
     detected = res.verdict != "completed"
-    value = float(res.blowup_time) if detected else -1.0
+    value = float(res.t_end) if detected else -1.0
     verdicts = [Verdict(
         name="blowup_detected", value=value, predicted=cfg.t_final,
         tolerance=0.0, passed=detected,
         detail=f"solver verdict {res.verdict!r} after {res.steps} steps; "
                "pass means a monitor tripped before t_final")]
-    return verdicts, b.files, []
+    return verdicts
 
 
 # =====================================================================
 #  Orchestration
 # =====================================================================
-
-def _selected_names(cfg: ScenarioConfig) -> set:
-    preset = PRESETS[cfg.scenario]
-    if "*" in cfg.diagnostics:
-        return set(preset.verdict_names)
-    return set(cfg.diagnostics)
-
 
 def run_dir(cfg: ScenarioConfig, base_dir=None) -> Path:
     base = Path(base_dir if base_dir is not None else cfg.outdir)
@@ -971,27 +961,31 @@ def run_dir(cfg: ScenarioConfig, base_dir=None) -> Path:
 def run_scenario(cfg: ScenarioConfig, base_dir=None) -> Report:
     """Validate, run the preset, emit report.json and summary.txt.
 
-    A solve that stops before t_final yields a report whose only verdict
-    is a failing solver_completed.  A ConfigError raised by the runner
-    removes the run directory this call created.
+    Every config error is raised before the run directory exists; a
+    rerun replaces the directory, and the report lists the files the
+    run left in it.  A solve that stops before t_final yields a report
+    whose only verdict is a failing solver_completed.
     """
     validate_config(cfg)
+    preset = PRESETS[cfg.scenario]
     outdir = run_dir(cfg, base_dir)
-    fresh = not outdir.exists()
-    outdir.mkdir(parents=True, exist_ok=True)
+    shutil.rmtree(outdir, ignore_errors=True)
+    outdir.mkdir(parents=True)
+    notes = []
     try:
-        verdicts, files, notes = PRESETS[cfg.scenario].runner(cfg, outdir)
-        selected = _selected_names(cfg)
-        verdicts = [v for v in verdicts if v.name in selected]
+        verdicts = preset.runner(cfg, outdir)
     except _SolverStopped as stop:
-        verdicts, files, notes = [stop.verdict], stop.files, []
-    except ConfigError:
-        if fresh:
-            shutil.rmtree(outdir)
-        raise
+        verdicts = [stop.args[0]]
+    else:
+        if any(not v.passed for v in verdicts if v.name in preset.decay_law):
+            notes.append(_DECAY_LAW_NOTE)
+        if "*" not in cfg.diagnostics:
+            verdicts = [v for v in verdicts if v.name in cfg.diagnostics]
+    files = [p.relative_to(outdir).as_posix() for p in outdir.rglob("*")
+             if p.is_file()]
     report = Report(scenario=cfg.scenario, digest=config_digest(cfg),
                     config=cfg.as_dict(), verdicts=verdicts,
-                    files=sorted(set(files) | {"report.json", "summary.txt"}),
+                    files=sorted(files + ["report.json", "summary.txt"]),
                     notes=notes)
     (outdir / "report.json").write_text(report.to_json())
     (outdir / "summary.txt").write_text(report.summary())

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from eulerlab import harness
+from eulerlab.grids import SpectralOps
 
 
 @dataclass
@@ -42,6 +43,22 @@ def read_csv_columns(path) -> dict:
     head, body = rows[0], rows[1:]
     return {name: np.array([float(r[j]) for r in body])
             for j, name in enumerate(head)}
+
+
+class CountingOps(SpectralOps):
+    """SpectralOps that counts its forward and inverse transforms."""
+
+    def __init__(self, grid):
+        super().__init__(grid)
+        self.fwd_calls = self.inv_calls = 0
+
+    def fwd(self, f):
+        self.fwd_calls += 1
+        return super().fwd(f)
+
+    def inv(self, F):
+        self.inv_calls += 1
+        return super().inv(F)
 
 
 def run_preset(name: str, base: Path, **extra) -> RunHandle:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import read_csv_columns
+from conftest import CountingOps, read_csv_columns
 from eulerlab.diagnostics import (
     ConvolutionCheck, DomainSizeError, EnergyRecorder, EnergyRow,
     FitQualityWarning, ball_volume, cauchy_schwarz_margin, convolution_oracle,
@@ -429,22 +429,6 @@ def test_energy_recorder_columns_equal_their_definitions(n, N):
         assert row.vort_l2 > 0.0
     for name in EXPECTED_COLUMNS:
         assert getattr(row, name) == want[name], name
-
-
-class CountingOps(SpectralOps):
-    """SpectralOps that counts its forward and inverse transforms."""
-
-    def __init__(self, grid):
-        super().__init__(grid)
-        self.fwd_calls = self.inv_calls = 0
-
-    def fwd(self, f):
-        self.fwd_calls += 1
-        return super().fwd(f)
-
-    def inv(self, F):
-        self.inv_calls += 1
-        return super().inv(F)
 
 
 @pytest.mark.parametrize("n, fwd_calls, inv_calls", [

@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import CountingOps
+from eulerlab import euler
 from eulerlab.euler import (
     LAWSON_STEP, EulerState, PhysicalState, SolverConfig, VacuumError,
     bump_profile, from_symmetric, initial_bump, mass_bump, potential_bump,
@@ -140,15 +142,35 @@ def test_blowup_detected_without_damping():
     cfg = SolverConfig(t_final=20.0, snapshot_times=tuple(range(1, 21)))
     res = run(st0, D_FREE, GAS, grid, cfg)
     assert res.verdict.startswith("blowup")
-    assert res.blowup_time is not None and res.blowup_time < 20.0
-    assert res.t_end == res.blowup_time
+    assert 0.0 < res.t_end < 20.0
 
 
-def test_gradient_monitor_trips_first_when_tightened():
+def test_gradient_monitor_trips_first_when_tightened(monkeypatch):
     grid, st0 = _steepening_setup()
-    cfg = SolverConfig(t_final=20.0, grad_factor=1.5, tail_limit=2.0)
-    res = run(st0, D_FREE, GAS, grid, cfg)
+    monkeypatch.setattr(euler, "GRAD_FACTOR", 1.5)
+    monkeypatch.setattr(euler, "TAIL_LIMIT", 2.0)
+    res = run(st0, D_FREE, GAS, grid, SolverConfig(t_final=20.0))
     assert res.verdict == "blowup-gradient"
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_monitor_check_transforms_only_for_the_tail(n, monkeypatch):
+    # the gradient check works on the spectral state the run holds, so a
+    # check costs one forward transform, the tail fraction's; checking at
+    # every step instead of only at the outputs adds exactly one per step
+    grid = Grid(n, 16.0, 64)
+    st0 = initial_bump(grid, 5.0, 1e-2, 3)
+    cfg = SolverConfig(t_final=2.0, snapshot_times=(1.0,))
+    counts, steps = [], []
+    for every in (10 ** 9, 1):
+        monkeypatch.setattr(euler, "CHECK_EVERY", every)
+        ops = CountingOps(grid)
+        res = run(st0, D_HALF, GAS, grid, cfg, ops=ops)
+        assert res.verdict == "completed"
+        counts.append(ops.fwd_calls)
+        steps.append(res.steps)
+    assert steps[0] == steps[1] > 0
+    assert counts[1] - counts[0] == steps[0]
 
 
 def test_nonfinite_data_is_flagged():
@@ -396,3 +418,41 @@ def test_wave_source_is_quadratic_in_amplitude():
     # quadratic at leading order; the cubic remainder scales with the
     # amplitude, so at 1e-5 it sits far below the test tolerance
     assert n2 / n1 == pytest.approx(4.0, rel=1e-5)
+
+
+def _wave_form_misfit(st0, grid, ops, t0, h):
+    """Relative L2 misfit of v_tt - Lap v + b v_t = Q at t0, with the
+    time derivatives taken by central differences over t0 - h, t0, t0 + h
+    of a solve restarted at t0 - h with steps of h/8."""
+    pre = run(st0, D_HALF, GAS, grid,
+              SolverConfig(t_final=t0 - h, store_snapshots=True), ops=ops)
+    cfg = SolverConfig(t_final=t0 + h, dt_override=h / 8.0,
+                       snapshot_times=(t0, t0 + h), store_snapshots=True)
+    res = run(pre.snapshots[-1], D_HALF, GAS, grid, cfg, ops=ops)
+    before, mid, after = res.snapshots
+    v_tt = (after.v - 2.0 * mid.v + before.v) / h ** 2
+    v_t = (after.v - before.v) / (2.0 * h)
+    q = nonlinear_wave_source(mid, D_HALF, GAS, ops)
+    resid = v_tt - ops.laplacian(mid.v) + damping_coeff(t0, D_HALF) * v_t - q
+    return ops.l2(resid) / ops.l2(q)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_wave_source_matches_finite_differences_in_time(n):
+    # Q is O(eps^2) while each term on the left is O(eps), so the central
+    # differences' O(h^2) error shows in the misfit: it must fall by 4
+    # per halving of h, down to the finite-difference floor
+    if n == 1:
+        grid = Grid(1, 20.0, 256)
+        ops = SpectralOps(grid)
+        st0 = initial_bump(grid, 4.0, 1e-2, 3, ops=ops)
+    else:
+        grid = Grid(2, 16.0, 64)
+        ops = SpectralOps(grid)
+        st0 = EulerState(0.0, initial_bump(grid, 5.0, 1e-2, 3, ops=ops).v,
+                         potential_bump(grid, 5.0, 1e-2, ops=ops).u)
+    misfits = [_wave_form_misfit(st0, grid, ops, 1.0, h)
+               for h in (2e-3, 1e-3, 5e-4)]
+    assert misfits[1] <= 1e-2
+    for coarse, fine in zip(misfits, misfits[1:]):
+        assert coarse / fine == pytest.approx(4.0, abs=0.5)

@@ -149,6 +149,7 @@ def test_cli_override_coercion():
     (dict(dt_override=math.nan), "dt_override:"),
     (dict(L=math.inf), "L:"),
     (dict(fit_hi=math.inf), "fit_hi:"),
+    (dict(data_kind="rotational"), "data_kind:"),   # rotational data at n = 1
 ])
 def test_validate_config_field_messages(overrides, field):
     cfg = replace(preset_config("nonlinear-decay"), **overrides)
@@ -262,12 +263,48 @@ def test_run_scenario_rejects_invalid_config(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_run_scenario_runner_config_error_leaves_no_directory(tmp_path):
-    # mu = 0 validates (free wave); the zone-bounds runner refuses it
-    cfg = preset_config("zone-bounds", mu=0.0, outdir=str(tmp_path))
-    with pytest.raises(ConfigError, match="^mu:"):
+# each preset's declared domain, dims (allowed n) and positive fields,
+# and rotational data at n = 1, which no preset accepts
+DOMAIN_CASES = [
+    ("linear-decay", {"n": 2}, "n:"),
+    ("zone-bounds", {"mu": 0.0}, "mu:"),
+    ("zone-bounds", {"lam": 0.0}, "lam:"),
+    ("zone-integrals", {"mu": 0.0}, "mu:"),
+    ("mass-conservation", {"q0": 0.0}, "q0:"),
+    ("lower-bound", {"q0": 0.0}, "q0:"),
+    ("vorticity-2d", {"n": 1}, "n:"),
+    ("vorticity-3d", {"n": 2}, "n:"),
+    ("nonlinear-decay", {"data_kind": "rotational"}, "data_kind:"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, overrides, field", DOMAIN_CASES,
+    ids=[f"{name}-{field[:-1]}" for name, _, field in DOMAIN_CASES])
+def test_run_scenario_runner_config_error_leaves_no_directory(
+        name, overrides, field, tmp_path, capsys):
+    # outside its domain a preset is refused by validation, before
+    # run_scenario or the CLI makes any directory
+    cfg = preset_config(name, outdir=str(tmp_path), **overrides)
+    with pytest.raises(ConfigError, match=f"^{field}"):
         run_scenario(cfg)
+    argv = ["run", name, "--outdir", str(tmp_path)]
+    for key, value in overrides.items():
+        argv += ["--set", f"{key}={value}"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_rerun_replaces_its_directory(tmp_path):
+    cfg = preset_config("convolution-lemma", outdir=str(tmp_path))
+    first = run_scenario(cfg)
+    stray = run_dir(cfg) / "stray.txt"
+    stray.write_text("left by hand\n")
+    second = run_scenario(cfg)
+    assert not stray.exists()
+    assert second.files == first.files == [
+        "convolution.csv", "report.json", "summary.txt"]
 
 
 EARLY_STOP = ["mu=0", "eps=1.2", "N=512", "L=40", "R=2", "data_order=1",
@@ -322,16 +359,29 @@ _SESSION_RUNS = {
 }
 
 
+def _preset_run(name, request, tmp_path):
+    if name == "linear-decay":
+        return request.getfixturevalue("linear_lambda_runs")[0.5]
+    if name in _SESSION_RUNS:
+        return request.getfixturevalue(_SESSION_RUNS[name])
+    return run_preset(name, tmp_path)
+
+
 @pytest.mark.parametrize("name", [n for n in PRESET_NAMES if n != "vorticity-3d"])
 def test_report_lists_registered_verdicts(name, request, tmp_path):
-    if name == "linear-decay":
-        handle = request.getfixturevalue("linear_lambda_runs")[0.5]
-    elif name in _SESSION_RUNS:
-        handle = request.getfixturevalue(_SESSION_RUNS[name])
-    else:
-        handle = run_preset(name, tmp_path)
+    handle = _preset_run(name, request, tmp_path)
     assert [v.name for v in handle.report.verdicts] \
         == list(harness.PRESETS[name].verdict_names)
+
+
+@pytest.mark.parametrize("name", [n for n in PRESET_NAMES if n != "vorticity-3d"])
+def test_decay_law_note_only_on_decay_law_presets(name, request, tmp_path):
+    # criteria 3-5 fail by design at catalog defaults, and exactly their
+    # presets carry the note pointing to the decay-law discussion
+    handle = _preset_run(name, request, tmp_path)
+    decay_law = name in ("linear-decay", "zone-integrals", "nonlinear-decay")
+    assert handle.report.notes == ([harness._DECAY_LAW_NOTE] if decay_law else [])
+    assert ("note: " in (handle.outdir / "summary.txt").read_text()) == decay_law
 
 
 def test_empty_diagnostics_selection(tmp_path):
@@ -439,14 +489,24 @@ def test_sweep_caps_workers(tmp_path, monkeypatch):
 
 
 def test_sweep_records_runtime_errors(tmp_path):
-    # mu = 0 passes config validation (free wave) but the zone-bound
-    # runner refuses it at run time; the sweep records an error row
-    base = preset_config("zone-bounds", outdir=str(tmp_path))
-    results, agg = sweep(base, {"mu": ["0.0"]})
+    # a valid config whose run fails: up to t_final = 10 no sample falls
+    # in the fit window [100, 1e4], so decay_fit raises; the sweep
+    # records an error row
+    base = preset_config("linear-decay", t_final=10.0, outdir=str(tmp_path))
+    results, agg = sweep(base, {"mu": ["2.0"]})
     assert results[0]["status"] == "error"
-    assert "ConfigError" in results[0]["error"]
+    assert "ValueError" in results[0]["error"]
     header, rows = _read_rows(agg)
     assert rows[0][header.index("status")] == "error"
+
+
+def test_sweep_refuses_a_cell_outside_the_domain(tmp_path, capsys):
+    outdir = tmp_path / "runs"
+    code = main(["sweep", "zone-bounds", "--axis", "mu=0,2",
+                 "--outdir", str(outdir)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: mu:")
+    assert not outdir.exists()
 
 
 def test_sweep_over_delta_none(tmp_path):

@@ -1,7 +1,8 @@
 """Source hygiene that no installed linter checks: every name a module
-imports at module level is used somewhere in that module, and only
-grids.py touches an FFT module, so SpectralOps.fwd/inv stay the one
-transform path."""
+imports at module level is used somewhere in that module, only grids.py
+touches an FFT module, so SpectralOps.fwd/inv stay the one transform
+path, and no preset runner raises ConfigError, so the preset registry
+and validate_config stay the one home of a preset's domain."""
 
 import ast
 from pathlib import Path
@@ -100,3 +101,45 @@ def test_only_grids_touches_the_fft_modules(path):
         assert refs
     else:
         assert refs == [], f"{path.name} reaches an FFT module at lines {refs}"
+
+
+def registered_raises(source: str, exc: str = "ConfigError") -> list:
+    """Names of the functions decorated by _register(...) that raise exc.
+
+    A preset's domain is registry data, checked by validate_config
+    before the run directory exists, so no runner refuses a config.
+    """
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.FunctionDef) or not any(
+                isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+                and d.func.id == "_register" for d in node.decorator_list):
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Raise) and sub.exc is not None:
+                target = sub.exc.func if isinstance(sub.exc, ast.Call) else sub.exc
+                if isinstance(target, ast.Name) and target.id == exc:
+                    hits.append(node.name)
+    return hits
+
+
+def test_registered_raise_detector():
+    src = ("@_register('a', 'd', ())\ndef f(cfg):\n"
+           "    if cfg.n:\n        raise ConfigError('n: no')\n"
+           "@_register('b', 'd', ())\ndef g(cfg):\n    raise RuntimeError('x')\n"
+           "def h(cfg):\n    raise ConfigError\n"
+           "@other\ndef k(cfg):\n    raise ConfigError('x')\n")
+    assert registered_raises(src) == ["f"]
+
+
+def test_no_runner_raises_config_errors():
+    assert registered_raises((PACKAGE / "harness.py").read_text()) == []
+
+
+def test_preset_declarations_name_real_fields():
+    from eulerlab import harness
+    for preset in harness.PRESETS.values():
+        assert set(preset.decay_law) <= set(preset.verdict_names), preset.name
+        for name in preset.positive:
+            assert harness._KINDS.get(name) == "float", (preset.name, name)
+        assert set(preset.dims) <= {1, 2, 3} and preset.dims, preset.name
