@@ -206,14 +206,15 @@ class SolverConfig:
             raise ValueError(f"dt_override: must be positive, got {self.dt_override}")
 
 
-def _products(v, u, vh, uh, sl: float, ops: SpectralOps) -> np.ndarray:
+def _products(v, u, vh, uh, sl: float, ops: SpectralOps):
     """Quadratic terms of the system, 2/3-rule masked, in spectral space.
 
     v, u are the physical fields and vh, uh their transforms.  Returns
     the transforms of -u.grad v - sl v div u and -(u.grad) u - sl v grad v
-    stacked like the state: v first, then the n velocity components.
-    div u is the trace of the velocity gradient, not a transform of its
-    own; the gradient is formed one row at a time.
+    stacked like the state: v first, then the n velocity components;
+    and, for a caller that needs them too, the physical grad v and
+    div u.  div u is the trace of the velocity gradient, not a transform
+    of its own; the gradient is formed one row at a time.
     """
     n, mask = ops.grid.n, ops.dealias_mask
     grad_v = ops.grad_hat(vh)
@@ -225,7 +226,7 @@ def _products(v, u, vh, uh, sl: float, ops: SpectralOps) -> np.ndarray:
         out[1 + i] = mask * ops.fwd(-sum(u[j] * du_i[j] for j in range(n))
                                     - sl * v * grad_v[i])
     out[0] = _v_product(v, u, grad_v, div_u, sl, ops)
-    return out
+    return out, grad_v, div_u
 
 
 def _v_product(v, u, grad_v, div_u, sl: float, ops: SpectralOps) -> np.ndarray:
@@ -234,23 +235,25 @@ def _v_product(v, u, grad_v, div_u, sl: float, ops: SpectralOps) -> np.ndarray:
         -sum(u[j] * grad_v[j] for j in range(ops.grid.n)) - sl * v * div_u)
 
 
-def _dv(uh, nl_v: np.ndarray, ops: SpectralOps) -> np.ndarray:
-    """v_t = -div u + the v product (transformed), in physical space."""
-    return ops.inv(-sum(1j * ops.k[i] * uh[i] for i in range(ops.grid.n)) + nl_v)
+def _linear(vh, uh, b: float, ops: SpectralOps):
+    """Linear part of the system in spectral space, row by row like the
+    state: -div u, then -d_i v - b u_i.  A generator, so that a caller
+    who wants v_t alone forms nothing of u_t."""
+    k = ops.k
+    yield -sum(1j * k[i] * uh[i] for i in range(ops.grid.n))
+    for i in range(ops.grid.n):
+        yield -1j * k[i] * vh - b * uh[i]
 
 
 def rhs(t: float, v: np.ndarray, u: np.ndarray, d: DampingLaw, g: GasLaw,
         ops: SpectralOps):
     """Time derivative (dv, du) of the symmetric system at time t."""
-    n = ops.grid.n
-    b = damping_coeff(t, d)
     vh = ops.fwd(v)
-    uh = [ops.fwd(u[i]) for i in range(n)]
-    nl = _products(v, u, vh, uh, g.slope, ops)
-    dv = _dv(uh, nl[0], ops)
-    du = np.stack([ops.inv(-1j * ops.k[i] * vh - b * uh[i] + nl[1 + i])
-                   for i in range(n)])
-    return dv, du
+    uh = [ops.fwd(u[i]) for i in range(ops.grid.n)]
+    nl = _products(v, u, vh, uh, g.slope, ops)[0]
+    lin = _linear(vh, uh, damping_coeff(t, d), ops)
+    dw = [ops.inv(a + p) for a, p in zip(lin, nl)]
+    return dw[0], np.stack(dw[1:])
 
 
 def dv_dt(v: np.ndarray, u: np.ndarray, uh, grad_v, grad_u, g: GasLaw,
@@ -262,7 +265,8 @@ def dv_dt(v: np.ndarray, u: np.ndarray, uh, grad_v, grad_u, g: GasLaw,
     the v product forward and dv back.  Nothing of u_t is formed.
     """
     div_u = sum(grad_u[i][i] for i in range(ops.grid.n))
-    return _dv(uh, _v_product(v, u, grad_v, div_u, g.slope, ops), ops)
+    lin_v = next(_linear(None, uh, 0.0, ops))
+    return ops.inv(lin_v + _v_product(v, u, grad_v, div_u, g.slope, ops))
 
 
 class _Lawson:
@@ -321,7 +325,7 @@ class _Lawson:
     def products(self, w: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
         if x is None:
             x = self.physical(w)
-        return _products(x[0], x[1:], w[0], w[1:], self.sl, self.ops)
+        return _products(x[0], x[1:], w[0], w[1:], self.sl, self.ops)[0]
 
 
 def step(t: float, w: np.ndarray, x: np.ndarray, h: float, law: _Lawson):
@@ -490,29 +494,24 @@ def nonlinear_wave_source(st: EulerState, d: DampingLaw, g: GasLaw,
         Q = -b (u.grad v + c v div u) - d/dt (u.grad v + c v div u)
             + div( (u.grad) u + c v grad v ),          c = (gamma-1)/2,
 
-    assembled here from the instantaneous state and its computed time
-    derivative.  Products are dealiased like the solver's, so the
-    finite-difference-in-time oracle sees a consistent discretization.
+    that is Q = b N_v + d/dt N_v - div N_u for the solver's products
+    N = (N_v, N_u).  Q is assembled in spectral space from the solver's
+    own dealiased products: N from _products, (v_t, u_t) from _linear
+    plus N, and, by bilinearity, d/dt N_v as two _v_product calls, with
+    (v_t, u_t) in the factor slots and grad v_t, div u_t in the
+    derivative slots.
     """
-    n = ops.grid.n
+    n, k, sl = ops.grid.n, ops.k, g.slope
     b = damping_coeff(st.t, d)
-    sl = g.slope
     v, u = st.v, st.u
-    dv, du = rhs(st.t, v, u, d, g, ops)
-
-    grad_v = ops.grad(v)
-    div_u = ops.div(u)
-    grad_dv = ops.grad(dv)
-    div_du = ops.div(du)
-
-    bilin = ops.dealias(sum(u[j] * grad_v[j] for j in range(n))
-                        + sl * v * div_u)
-    d_bilin = ops.dealias(
-        sum(du[j] * grad_v[j] + u[j] * grad_dv[j] for j in range(n))
-        + sl * (dv * div_u + v * div_du))
-
-    flux = np.empty_like(u)
-    for i in range(n):
-        adv_i = sum(u[j] * ops.deriv(u[i], j) for j in range(n))
-        flux[i] = ops.dealias(adv_i + sl * v * grad_v[i])
-    return -b * bilin - d_bilin + ops.div(flux)
+    vh = ops.fwd(v)
+    uh = [ops.fwd(u[i]) for i in range(n)]
+    nl, grad_v, div_u = _products(v, u, vh, uh, sl, ops)
+    dwh = [a + p for a, p in zip(_linear(vh, uh, b, ops), nl)]
+    dw = [ops.inv(row) for row in dwh]
+    div_du = ops.inv(sum(1j * k[i] * dwh[1 + i] for i in range(n)))
+    qh = (b * nl[0]
+          + _v_product(dw[0], dw[1:], grad_v, div_u, sl, ops)
+          + _v_product(v, u, ops.grad_hat(dwh[0]), div_du, sl, ops)
+          - sum(1j * k[i] * nl[1 + i] for i in range(n)))
+    return ops.inv(qh)

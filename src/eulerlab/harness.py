@@ -103,6 +103,9 @@ class ScenarioConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
         """Build a config from JSON data, keys and values read like --set's."""
+        if not isinstance(data, dict):
+            raise ConfigError(
+                f"config: expected a JSON object, got {type(data).__name__}")
         for alias, name in _ALIASES.items():
             if alias in data:
                 if name in data:
@@ -174,8 +177,9 @@ def _typed(name: str, value):
 def validate_config(cfg: ScenarioConfig):
     """Raise ConfigError with a field-level message on the first problem.
 
-    Grid, GasLaw and SolverConfig check their own fields and name them
-    in their messages; this function checks the scenario-level rest.
+    Grid, GasLaw, DampingLaw, SolverConfig and derive_constants check
+    their own fields and name them first in their messages; this
+    function checks the scenario-level rest.
     """
     for name, kind in _KINDS.items():
         value = getattr(cfg, name)
@@ -196,21 +200,16 @@ def validate_config(cfg: ScenarioConfig):
                               f"got {getattr(cfg, name)}")
     if cfg.data_kind == "rotational" and cfg.n < 2:
         raise ConfigError(f"data_kind: rotational data needs n >= 2, got n = {cfg.n}")
-    # the constructors name the field first in their messages; the
-    # damping law and derive_constants get the prefix in front
-    prefix = ""
     try:
         Grid(cfg.n, cfg.L, cfg.N)
         GasLaw(gamma=cfg.gamma)
         euler.SolverConfig(t_final=cfg.t_final, cfl=cfg.cfl,
                            dt_override=cfg.dt_override)
-        prefix = "lam/mu: "
         d = _damping(cfg)
-        prefix = "delta: "
         if cfg.delta is not None:
             derive_constants(d, cfg.n, cfg.delta)
     except ValueError as e:
-        raise ConfigError(f"{prefix}{e}") from None
+        raise ConfigError(str(e)) from None
     if not 0.0 < cfg.R < 0.5 * cfg.L:
         raise ConfigError(
             f"R: data radius must satisfy 0 < R < L/2 = {0.5 * cfg.L:g}, got {cfg.R}")
@@ -420,15 +419,6 @@ def preset_config(name: str, **extra) -> ScenarioConfig:
 #  Shared run machinery
 # =====================================================================
 
-@dataclass
-class _RunBundle:
-    d: DampingLaw
-    ops: SpectralOps
-    spec: object
-    rec: EnergyRecorder
-    res: euler.RunResult
-
-
 class _SolverStopped(Exception):
     """A preset's solve ended before t_final; args[0] is the failing
     solver_completed verdict."""
@@ -462,11 +452,13 @@ def _lin_snapshots(cfg: ScenarioConfig) -> tuple:
 
 def _nonlinear_run(cfg: ScenarioConfig, snaps, outdir: Path, csv_name: str, *,
                    with_source=False, with_weights=False, store=False,
-                   allow_stop=False) -> _RunBundle:
-    """Solve, write the recorder table to csv_name, return the bundle.
+                   allow_stop=False):
+    """Solve, write the recorder table to csv_name, return (rec, res).
 
-    The solve that owns energy.csv also writes fields/ when the config
-    asks for store_fields.  A solve that stops before t_final raises
+    The recorder keeps the run's damping law, operators and weight
+    constants as rec.d, rec.ops and rec.spec.  The solve that owns
+    energy.csv also writes fields/ when the config asks for
+    store_fields.  A solve that stops before t_final raises
     _SolverStopped unless allow_stop.
     """
     d, gas = _damping(cfg), GasLaw(gamma=cfg.gamma)
@@ -490,7 +482,7 @@ def _nonlinear_run(cfg: ScenarioConfig, snaps, outdir: Path, csv_name: str, *,
             name="solver_completed", value=res.t_end, predicted=cfg.t_final,
             tolerance=0.0, passed=False,
             detail=f"solver verdict {res.verdict!r} after {res.steps} steps"))
-    return _RunBundle(d=d, ops=ops, spec=spec, rec=rec, res=res)
+    return rec, res
 
 
 def _store_fields(res: euler.RunResult, outdir: Path):
@@ -679,8 +671,7 @@ def _run_zone_integrals(cfg: ScenarioConfig, outdir: Path):
     n=1, lam=0.5, mu=2.0, gamma=2.0, eps=1e-3, N=2048, L=256.0, R=4.0,
     data_order=7, t_final=1.0e3, n_snapshots=41, fit_lo=1.0e2, fit_hi=1.0e3)
 def _run_nonlinear_decay(cfg: ScenarioConfig, outdir: Path):
-    b = _nonlinear_run(cfg, _log_snapshots(cfg), outdir, "energy.csv")
-    rec = b.rec
+    rec, _ = _nonlinear_run(cfg, _log_snapshots(cfg), outdir, "energy.csv")
     rho_fit = decay_fit(rec.times, rec.series("rho_linf"), cfg.fit_lo, cfg.fit_hi)
     u_fit = decay_fit(rec.times, rec.series("u_linf"), cfg.fit_lo, cfg.fit_hi)
     pred_rho = -(1.0 - cfg.lam) * cfg.n / 2.0
@@ -706,8 +697,8 @@ def _run_nonlinear_decay(cfg: ScenarioConfig, outdir: Path):
     n=1, lam=0.5, mu=2.0, N=1024, L=360.0, R=8.0, data_order=7,
     t_final=300.0, n_snapshots=33, fit_lo=30.0, fit_hi=300.0)
 def _run_u_extra_lambda(cfg: ScenarioConfig, outdir: Path):
-    b = _nonlinear_run(cfg, _log_snapshots(cfg), outdir, "energy.csv", store=True)
-    rec = b.rec
+    rec, res = _nonlinear_run(cfg, _log_snapshots(cfg), outdir, "energy.csv",
+                              store=True)
     mask = rec.times > 0.0
     ratio = rec.series("u_linf")[mask] / rec.series("dv1_linf")[mask]
     fit = decay_fit(rec.times[mask], ratio, cfg.fit_lo, cfg.fit_hi)
@@ -716,12 +707,12 @@ def _run_u_extra_lambda(cfg: ScenarioConfig, outdir: Path):
         f"power fit of |u|_inf / |dv|_inf over "
         f"[{cfg.fit_lo:g}, {cfg.fit_hi:g}], residual {fit.residual:.3g}")]
 
-    st = b.res.snapshots[-1]
-    grad_v = b.ops.grad(st.v)
-    bco = damping_coeff(st.t, b.d)
-    num = math.sqrt(sum(b.ops.l2(st.u[i] + grad_v[i] / bco) ** 2
+    st, ops = res.snapshots[-1], rec.ops
+    grad_v = ops.grad(st.v)
+    bco = damping_coeff(st.t, rec.d)
+    num = math.sqrt(sum(ops.l2(st.u[i] + grad_v[i] / bco) ** 2
                         for i in range(cfg.n)))
-    den = math.sqrt(sum(b.ops.l2(st.u[i]) ** 2 for i in range(cfg.n)))
+    den = math.sqrt(sum(ops.l2(st.u[i]) ** 2 for i in range(cfg.n)))
     verdicts.append(at_most(
         "quasistatic_residual", num / max(den, 1e-300), 0.1,
         detail=f"relative L2 misfit of u against -(1+t)^lam grad(v)/mu "
@@ -737,8 +728,8 @@ def _run_u_extra_lambda(cfg: ScenarioConfig, outdir: Path):
     n=1, lam=0.5, mu=2.0, N=1024, L=128.0, R=4.0, q0=0.01, data_kind="mass",
     t_final=50.0, n_snapshots=21)
 def _run_mass_conservation(cfg: ScenarioConfig, outdir: Path):
-    b = _nonlinear_run(cfg, _lin_snapshots(cfg), outdir, "energy.csv")
-    mass = b.rec.series("mass")
+    rec, _ = _nonlinear_run(cfg, _lin_snapshots(cfg), outdir, "energy.csv")
+    mass = rec.series("mass")
     drift = float(np.max(np.abs(mass - mass[0])) / abs(mass[0]))
     verdicts = [at_most(
         "mass_drift", drift, 1e-8, strict=True,
@@ -755,8 +746,7 @@ def _run_mass_conservation(cfg: ScenarioConfig, outdir: Path):
     n=1, lam=0.5, mu=2.0, N=2048, L=440.0, R=10.0, q0=0.01, data_kind="mass",
     t_final=200.0, n_snapshots=81, fit_lo=20.0, fit_hi=200.0)
 def _run_lower_bound(cfg: ScenarioConfig, outdir: Path):
-    b = _nonlinear_run(cfg, _lin_snapshots(cfg), outdir, "energy.csv")
-    rec = b.rec
+    rec, _ = _nonlinear_run(cfg, _lin_snapshots(cfg), outdir, "energy.csv")
     t = rec.times
     mass = rec.series("mass")
     drift = float(np.max(np.abs(mass - mass[0])) / abs(mass[0]))
@@ -764,7 +754,7 @@ def _run_lower_bound(cfg: ScenarioConfig, outdir: Path):
     cs = diagnostics.cauchy_schwarz_margin(t, rec.series("rho_l2"),
                                            cfg.q0, cfg.R, cfg.n)
     mm = diagnostics.moment_inequality_margins(t, rec.series("moment"),
-                                               cfg.q0, cfg.n, b.d)
+                                               cfg.q0, cfg.n, rec.d)
     lb = diagnostics.lower_bound_margin(t, rec.series("rho_l2"),
                                         rec.series("u_l2"), cfg.q0, cfg.R,
                                         cfg.n, t0=cfg.fit_lo)
@@ -818,13 +808,13 @@ def _vorticity_verdicts(cfg: ScenarioConfig, rec: EnergyRecorder):
     data_kind="rotational", t_final=50.0, n_snapshots=26,
     fit_lo=5.0, fit_hi=50.0)
 def _run_vorticity_2d(cfg: ScenarioConfig, outdir: Path):
-    b = _nonlinear_run(cfg, _lin_snapshots(cfg), outdir, "energy.csv")
-    fit, verdicts = _vorticity_verdicts(cfg, b.rec)
+    rec, _ = _nonlinear_run(cfg, _lin_snapshots(cfg), outdir, "energy.csv")
+    fit, verdicts = _vorticity_verdicts(cfg, rec)
 
     cfg2 = replace(cfg, data_kind="potential", t_final=5.0, n_snapshots=6)
-    b2 = _nonlinear_run(cfg2, _lin_snapshots(cfg2), outdir,
+    rec2, _ = _nonlinear_run(cfg2, _lin_snapshots(cfg2), outdir,
                         "energy_irrotational.csv")
-    floor = float(np.max(b2.rec.series("vort_l2") / b2.rec.series("du1_l2")))
+    floor = float(np.max(rec2.series("vort_l2") / rec2.series("du1_l2")))
     verdicts.append(at_most(
         "irrotational_floor", floor, 1e-10, strict=True,
         detail="max over snapshots of |omega|_2 / |grad u|_2 for potential data"))
@@ -842,8 +832,8 @@ def _run_vorticity_2d(cfg: ScenarioConfig, outdir: Path):
     data_kind="rotational", t_final=12.0, n_snapshots=13,
     fit_lo=2.0, fit_hi=12.0)
 def _run_vorticity_3d(cfg: ScenarioConfig, outdir: Path):
-    b = _nonlinear_run(cfg, _lin_snapshots(cfg), outdir, "energy.csv")
-    fit, verdicts = _vorticity_verdicts(cfg, b.rec)
+    rec, _ = _nonlinear_run(cfg, _lin_snapshots(cfg), outdir, "energy.csv")
+    fit, verdicts = _vorticity_verdicts(cfg, rec)
     _write_json(outdir / "fits.json", {"vort_l2": asdict(fit)})
     return verdicts
 
@@ -856,20 +846,20 @@ def _run_vorticity_3d(cfg: ScenarioConfig, outdir: Path):
     data_order=7, t_final=1.0e3, n_snapshots=41, fit_lo=1.0e2, fit_hi=1.0e3)
 def _run_q_decay(cfg: ScenarioConfig, outdir: Path):
     snaps = _log_snapshots(cfg)
-    b1 = _nonlinear_run(cfg, snaps, outdir, "energy.csv", with_source=True)
-    b2 = _nonlinear_run(replace(cfg, eps=2.0 * cfg.eps), snaps, outdir,
+    rec1, _ = _nonlinear_run(cfg, snaps, outdir, "energy.csv", with_source=True)
+    rec2, _ = _nonlinear_run(replace(cfg, eps=2.0 * cfg.eps), snaps, outdir,
                         "energy_eps2.csv", with_source=True)
 
-    cap = -b1.spec.B - (1.0 + cfg.lam) / 2.0 + 0.15
-    fit = decay_fit(b1.rec.times, b1.rec.series("src_l1"), cfg.fit_lo, cfg.fit_hi)
+    cap = -rec1.spec.B - (1.0 + cfg.lam) / 2.0 + 0.15
+    fit = decay_fit(rec1.times, rec1.series("src_l1"), cfg.fit_lo, cfg.fit_hi)
     verdicts = [Verdict(
         name="q_l1_slope_cap", value=fit.slope, predicted=cap, tolerance=0.0,
         passed=fit.slope <= cap,
         detail="one-sided: pass when the fitted L1 source slope is at most "
                f"the cap; residual {fit.residual:.3g}")]
 
-    sel = b1.rec.times >= 10.0
-    ratios = b2.rec.series("src_l1")[sel] / b1.rec.series("src_l1")[sel]
+    sel = rec1.times >= 10.0
+    ratios = rec2.series("src_l1")[sel] / rec1.series("src_l1")[sel]
     med = float(np.median(ratios))
     verdicts.append(Verdict(
         name="q_eps_scaling", value=med, predicted=4.0, tolerance=0.6,
@@ -912,8 +902,7 @@ def _run_convolution(cfg: ScenarioConfig, outdir: Path):
     data_order=7, t_final=1.0e3, n_snapshots=37)
 def _run_weighted_energy(cfg: ScenarioConfig, outdir: Path):
     snaps = _log_snapshots(cfg, head=(0.2, 0.4, 0.6, 0.8))
-    b = _nonlinear_run(cfg, snaps, outdir, "energy.csv", with_weights=True)
-    rec = b.rec
+    rec, _ = _nonlinear_run(cfg, snaps, outdir, "energy.csv", with_weights=True)
     early = rec.times <= 1.0
     verdicts = []
     for col, name in (("mon_low", "plain_low_bounded"),
@@ -936,9 +925,8 @@ def _run_weighted_energy(cfg: ScenarioConfig, outdir: Path):
     n=1, lam=0.5, mu=0.0, gamma=2.0, eps=1.2, N=512, L=40.0, R=2.0,
     data_order=1, t_final=20.0, n_snapshots=21)
 def _run_blowup_scout(cfg: ScenarioConfig, outdir: Path):
-    b = _nonlinear_run(cfg, _lin_snapshots(cfg), outdir, "energy.csv",
-                       allow_stop=True)
-    res = b.res
+    _, res = _nonlinear_run(cfg, _lin_snapshots(cfg), outdir, "energy.csv",
+                            allow_stop=True)
     detected = res.verdict != "completed"
     value = float(res.t_end) if detected else -1.0
     verdicts = [Verdict(
@@ -1023,6 +1011,8 @@ def sweep(base: ScenarioConfig, axes: dict, base_dir=None,
             raise ConfigError(
                 f"axis: unsupported axis {axis!r}; "
                 f"use one of lambda, mu, eps, N, delta")
+        if name in names:
+            raise ConfigError(f"axis: {name!r} given twice")
         names.append(name)
         value_lists.append([_coerce(name, str(v))[1] for v in vals])
 
@@ -1098,7 +1088,10 @@ def _parse_axes(items) -> dict:
         name, sep, text = item.partition("=")
         if not sep or not text:
             raise ConfigError(f"--axis: expected NAME=v1,v2,..., got {item!r}")
-        axes[name.strip()] = [v for v in text.split(",") if v]
+        name = name.strip()
+        if name in axes:
+            raise ConfigError(f"axis: {name!r} given twice")
+        axes[name] = [v for v in text.split(",") if v]
     if not axes:
         raise ConfigError("--axis: at least one axis is required")
     return axes

@@ -50,10 +50,11 @@ class DampingLaw:
     mu: float
 
     def __post_init__(self):
+        # accepting comparisons, so that NaN is refused too
         if not 0.0 <= self.lam < 1.0:
-            raise ValueError(f"decay exponent lam must lie in [0, 1), got {self.lam}")
-        if self.mu < 0.0:
-            raise ValueError(f"friction strength mu must be nonnegative, got {self.mu}")
+            raise ValueError(f"lam: decay exponent must lie in [0, 1), got {self.lam}")
+        if not self.mu >= 0.0:
+            raise ValueError(f"mu: friction strength must be nonnegative, got {self.mu}")
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,7 @@ class GasLaw:
     gamma: float = 2.0
 
     def __post_init__(self):
-        if self.gamma <= 1.0:
+        if not self.gamma > 1.0:
             raise ValueError(f"gamma: adiabatic index must exceed 1, got {self.gamma}")
 
     @property
@@ -140,7 +141,7 @@ def derive_constants(d: DampingLaw, n: int, delta: float | None = None) -> Weigh
         delta = default_delta(d, n)
     lim = 0.5 * (1.0 + d.lam) * n
     if not 0.0 < delta <= lim:
-        raise ValueError(f"delta must lie in (0, {lim}], got {delta}")
+        raise ValueError(f"delta: must lie in (0, {lim}], got {delta}")
     one_p = 1.0 + d.lam
     one_m = 1.0 - d.lam
     b_idx = 0.5 * one_p * n - delta

@@ -445,3 +445,17 @@ def test_energy_recorder_transforms_each_field_once(n, fwd_calls, inv_calls):
     rec(st)
     assert (ops.fwd_calls, ops.inv_calls) == (fwd_calls, inv_calls)
     assert fwd_calls + inv_calls == {1: 8, 2: 20, 3: 42}[n]
+
+
+@pytest.mark.parametrize("n, fwd_calls, inv_calls", [
+    (1, 6, 7), (2, 8, 13), (3, 10, 21)])
+def test_wave_source_transform_count(n, fwd_calls, inv_calls):
+    # forward: v, the n u_i, the n + 1 products and the two v products of
+    # d/dt N_v; inverse: the n + n^2 first derivatives, v_t and the n u_it,
+    # grad v_t, div u_t and Q itself
+    grid = Grid(n, 8.0, 16)
+    ops = CountingOps(grid)
+    euler.nonlinear_wave_source(sample_state(grid, SpectralOps(grid)),
+                                D_HALF, GAS, ops)
+    assert (ops.fwd_calls, ops.inv_calls) == (fwd_calls, inv_calls)
+    assert fwd_calls + inv_calls <= {1: 15, 2: 24, 3: 35}[n]

@@ -96,6 +96,18 @@ def test_from_dict_accepts_the_lambda_alias():
     assert str(err.value).startswith("lam:")
 
 
+@pytest.mark.parametrize("data", [5, "abc", [1, 2], None])
+def test_from_dict_refuses_a_non_object(data, tmp_path, capsys):
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig.from_dict(data)
+    assert str(err.value).startswith("config: expected a JSON object, got ")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: config: expected a JSON object")
+
+
 def test_cli_override_coercion():
     cfg = harness._load_config(
         "nonlinear-decay",
@@ -121,8 +133,8 @@ def test_cli_override_coercion():
 
 @pytest.mark.parametrize("overrides, field", [
     (dict(n=4), "n:"),
-    (dict(lam=1.0), "lam/mu:"),
-    (dict(mu=-1.0), "lam/mu:"),
+    (dict(lam=1.0), "lam:"),
+    (dict(mu=-1.0), "mu:"),
     (dict(gamma=1.0), "gamma:"),
     (dict(delta=5.0), "delta:"),
     (dict(L=-3.0), "L:"),
@@ -524,6 +536,10 @@ def test_sweep_rejects_bad_axes(tmp_path):
     # invalid values on a valid axis fail upfront, before any run
     with pytest.raises(ConfigError, match="N:"):
         sweep(base, {"N": ["8"]})
+    # an axis named twice, here once through its alias, is refused too
+    with pytest.raises(ConfigError, match="axis: 'lam' given twice"):
+        sweep(base, {"lambda": ["0.2", "0.3"], "lam": ["0.4"]})
+    assert not list(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------
@@ -611,3 +627,14 @@ def test_cli_sweep_exit_codes(tmp_path, capsys):
     assert main(["sweep", "convolution-lemma", "--axis", "cfl=0.1",
                  "--outdir", str(tmp_path)]) == 2
     capsys.readouterr()
+
+    # a repeated axis is a config error, directly or through the alias,
+    # and nothing runs
+    for axes in (["mu=1,2", "mu=3"], ["lambda=0.2,0.3", "lam=0.4"]):
+        rep = tmp_path / "repeat"
+        argv = ["sweep", "convolution-lemma", "--outdir", str(rep)]
+        for a in axes:
+            argv += ["--axis", a]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: axis:")
+        assert not rep.exists()

@@ -16,20 +16,22 @@ from eulerlab.params import (
 # ---------------------------------------------------------------------
 
 def test_damping_law_rejects_bad_exponent():
-    with pytest.raises(ValueError):
-        DampingLaw(lam=-0.1, mu=1.0)
-    with pytest.raises(ValueError):
-        DampingLaw(lam=1.0, mu=1.0)
+    # NaN too: the range checks are accepting comparisons
+    for lam in (-0.1, 1.0, math.nan):
+        with pytest.raises(ValueError, match="^lam:"):
+            DampingLaw(lam=lam, mu=1.0)
 
 
 def test_damping_law_rejects_negative_strength():
-    with pytest.raises(ValueError):
-        DampingLaw(lam=0.5, mu=-2.0)
+    for mu in (-2.0, math.nan):
+        with pytest.raises(ValueError, match="^mu:"):
+            DampingLaw(lam=0.5, mu=mu)
 
 
 def test_gas_law_gamma_range():
-    with pytest.raises(ValueError):
-        GasLaw(gamma=1.0)
+    for gamma in (1.0, math.nan):
+        with pytest.raises(ValueError, match="^gamma:"):
+            GasLaw(gamma=gamma)
     g = GasLaw()
     assert g.gamma == 2.0
     assert g.slope == 0.5
@@ -118,10 +120,9 @@ def test_derive_constants_frozen_case_2d():
 def test_derive_constants_margin_range():
     d = DampingLaw(lam=0.5, mu=2.0)
     lim = 0.5 * 1.5 * 1
-    with pytest.raises(ValueError):
-        derive_constants(d, 1, delta=0.0)
-    with pytest.raises(ValueError):
-        derive_constants(d, 1, delta=lim + 1e-9)
+    for delta in (0.0, lim + 1e-9, math.nan):
+        with pytest.raises(ValueError, match="^delta:"):
+            derive_constants(d, 1, delta=delta)
     spec = derive_constants(d, 1, delta=lim)   # boundary is allowed
     assert spec.B == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(ValueError):
