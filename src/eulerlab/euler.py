@@ -15,6 +15,14 @@ propagator of linear.py, so only the quadratic products go through the
 stages and the step is bounded by the advection speed, not the sound
 speed.
 
+The stepper's state is the stack (v, u_1, .., u_n) twice over: w, its
+transform on the compact 2/3 band, shape (n+1, *band) with band =
+(2 (N//3) + 1, .., N//3 + 1) (SpectralOps(grid, band=True), held by
+_Lawson), and x, the same state in physical space, (n+1, *grid.shape).
+Outside the band the state is zero for the whole run, so w stores
+none of it and the band transforms skip it.  rhs, nonlinear_wave_source
+and the initial data work on the full spectrum of the ops they are given.
+
 Also here: the initial-data factory (compactly supported bump profiles,
 optionally mass-normalized or rotational), the nonlinear source of the
 second-order wave form of the continuity equation, and the blow-up
@@ -216,22 +224,22 @@ def _products(v, u, vh, uh, sl: float, ops: SpectralOps):
     div u.  div u is the trace of the velocity gradient, not a transform
     of its own; the gradient is formed one row at a time.
     """
-    n, mask = ops.grid.n, ops.dealias_mask
+    n = ops.grid.n
     grad_v = ops.grad_hat(vh)
     out = np.empty((n + 1,) + vh.shape, dtype=complex)
     div_u = 0.0
     for i in range(n):
         du_i = ops.grad_hat(uh[i])
         div_u = div_u + du_i[i]
-        out[1 + i] = mask * ops.fwd(-sum(u[j] * du_i[j] for j in range(n))
-                                    - sl * v * grad_v[i])
+        out[1 + i] = ops.fwd_dealiased(-sum(u[j] * du_i[j] for j in range(n))
+                                       - sl * v * grad_v[i])
     out[0] = _v_product(v, u, grad_v, div_u, sl, ops)
     return out, grad_v, div_u
 
 
 def _v_product(v, u, grad_v, div_u, sl: float, ops: SpectralOps) -> np.ndarray:
     """The v row of _products from the physical grad v and div u."""
-    return ops.dealias_mask * ops.fwd(
+    return ops.fwd_dealiased(
         -sum(u[j] * grad_v[j] for j in range(ops.grid.n)) - sl * v * div_u)
 
 
@@ -270,21 +278,21 @@ def dv_dt(v: np.ndarray, u: np.ndarray, uh, grad_v, grad_u, g: GasLaw,
 
 
 class _Lawson:
-    """What every step of one run shares: the laws and the wavevector
-    tables of the exact linear propagator.
+    """What every step of one run shares: the laws, the band SpectralOps
+    and the wavevector tables of the exact linear propagator.
 
-    Per rfft wavevector k with r = |k| and s = k.u / r, the linear part
-    couples (v, s) as the damped oscillator of linear.py with W = v,
-    W' = -i r s, and leaves the transverse velocity u - k s / r to the
-    friction alone.
+    Per wavevector k of the band with r = |k| and s = k.u / r, the
+    linear part couples (v, s) as the damped oscillator of linear.py
+    with W = v, W' = -i r s, and leaves the transverse velocity
+    u - k s / r to the friction alone.
     """
 
     def __init__(self, d: DampingLaw, g: GasLaw, ops: SpectralOps):
-        self.d, self.sl, self.ops = d, g.slope, ops
-        # the Nyquist wavenumber differentiates real fields to zero, so it
-        # couples nothing
-        k = np.where(np.abs(ops.k) > 0.999 * np.pi / ops.grid.dx, 0.0, ops.k)
-        r = np.sqrt(np.sum(k * k, axis=0))
+        self.d, self.sl = d, g.slope
+        # the band instance is of the caller's class, so that a subclass
+        # which watches the transforms sees the stepper's as well
+        self.ops = type(ops)(ops.grid, band=True)
+        k, r = self.ops.k, self.ops.kmag
         self.khat = np.divide(k, r, out=np.zeros_like(k), where=r > 0.0)
         if ops.grid.n == 1:
             # the radii of a line are distinct already
@@ -331,10 +339,11 @@ class _Lawson:
 def step(t: float, w: np.ndarray, x: np.ndarray, h: float, law: _Lawson):
     """One Lawson RK4 step from t to t + h; returns (w, x) at t + h.
 
-    w is the spectral state (v, u_1..u_n stacked), x the same state in
-    physical space.  The linear part is integrated exactly through the
-    two half-step propagators P1 and P2 (their product is the full-step
-    one); only the quadratic products go through the four stages.
+    w is the spectral state on law's band (v, u_1..u_n stacked), x the
+    same state in physical space.  The linear part is integrated exactly
+    through the two half-step propagators P1 and P2 (their product is
+    the full-step one); only the quadratic products go through the four
+    stages.
     """
     # stages are dropped as soon as they are folded into acc: besides w
     # and x, at most three spectral states live through a stage, which
@@ -403,17 +412,17 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
     ops = ops or SpectralOps(grid)
     _check_band_limited(ops, (st0.v,), "initial data")
     law = _Lawson(d, g, ops)
-    # keep the state band-limited: the 2/3 rule only removes aliasing
-    # from products whose factors already live inside the band
-    w = np.stack([ops.fwd(st0.v)] + [ops.fwd(st0.u[i]) for i in range(grid.n)])
-    w *= ops.dealias_mask
+    band = law.ops
+    # the state lives on the band: the 2/3 rule only removes aliasing
+    # from products whose factors already live inside it
+    w = np.stack([band.fwd(st0.v)] + [band.fwd(f) for f in st0.u])
     x = law.physical(w)
     t = st0.t
 
     snaps = sorted(set(float(s) for s in cfg.snapshot_times
                        if 0.0 < s <= cfg.t_final) | {cfg.t_final})
     st = EulerState(t, x[0], x[1:])
-    g0 = max(_grad_sup(w, ops), 1e-300)
+    g0 = max(_grad_sup(w, band), 1e-300)
     dts = []
     result = RunResult(verdict="completed", t_end=cfg.t_final, steps=0)
 
@@ -425,7 +434,7 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
     def tripped() -> str | None:
         if not np.isfinite(x).all():
             return "nonfinite"
-        if _grad_sup(w, ops) > GRAD_FACTOR * g0:
+        if _grad_sup(w, band) > GRAD_FACTOR * g0:
             return "blowup-gradient"
         # watch the upper half of the retained band: the 2/3 band itself
         # is pinned to zero

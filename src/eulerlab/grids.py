@@ -10,6 +10,13 @@ quadrature sum(f) * dx^n (exact for band-limited periodic fields).
 SpectralOps.fwd and inv are the package's only transforms (scipy.fft).
 The *_hat operators start from a transform the caller already holds,
 so a field shared by several derivatives is transformed once.
+
+SpectralOps(grid, band=True) works on the compact 2/3 band: its spectra
+hold only the wavevectors the dealias rule keeps (|m| <= N/3 on every
+axis, so no Nyquist bin), and its transforms skip the passes over the
+rest.  They equal the full ones bit for bit: fwd is the masked full
+spectrum cut to the band, inv the full inverse of the band spectrum
+among zeros.  The nonlinear stepper holds such an instance.
 """
 
 from __future__ import annotations
@@ -80,21 +87,26 @@ class SpectralOps:
 
     Real-to-complex transforms along the last axis; all operators return
     real fields.  Scalar fields have shape grid.shape, vector fields
-    (n, *grid.shape).
+    (n, *grid.shape).  With band=True the spectra (and k, k2, kmag) span
+    only the 2/3 band; tail_fraction needs the full spectrum.
     """
 
-    def __init__(self, grid: Grid):
-        self.grid = grid
+    def __init__(self, grid: Grid, band: bool = False):
+        self.grid, self.band = grid, band
         n, N, dx = grid.n, grid.N, grid.dx
+        kmax = np.pi / dx
+        cut = 2.0 / 3.0 * kmax
         k1 = 2.0 * np.pi * scipy.fft.fftfreq(N, d=dx)
         kr = 2.0 * np.pi * scipy.fft.rfftfreq(N, d=dx)
+        # rows of a complex axis kept by the 2/3 rule, in fft order
+        self._rows = np.flatnonzero(np.abs(k1) <= cut)
+        if band:
+            k1, kr = k1[self._rows], kr[np.abs(kr) <= cut]
         axes = [k1] * (n - 1) + [kr]
         mesh = np.meshgrid(*axes, indexing="ij")
         self.k = np.stack(mesh)                    # (n, *rshape)
         self.k2 = np.sum(self.k * self.k, axis=0)  # |k|^2
         self.kmag = np.sqrt(self.k2)
-        kmax = np.pi / dx
-        cut = 2.0 / 3.0 * kmax
         self.dealias_mask = np.all(np.abs(self.k) <= cut, axis=0)
         self._kmax = kmax
         self._axes = tuple(range(-n, 0))
@@ -102,10 +114,33 @@ class SpectralOps:
     # -- transforms ----------------------------------------------------
 
     def fwd(self, f: np.ndarray) -> np.ndarray:
-        return scipy.fft.rfftn(f, axes=self._axes)
+        if not self.band:
+            return scipy.fft.rfftn(f, axes=self._axes)
+        # rfftn's passes (the real last axis, then the complex axes in
+        # order), each cut to the band before the next
+        F = scipy.fft.rfft(f)[..., :self.k.shape[-1]]
+        for a in self._axes[:-1]:
+            F = np.take(scipy.fft.fft(F, axis=a), self._rows, axis=a)
+        return F
 
     def inv(self, F: np.ndarray) -> np.ndarray:
-        return scipy.fft.irfftn(F, s=self.grid.shape, axes=self._axes)
+        if not self.band:
+            return scipy.fft.irfftn(F, s=self.grid.shape, axes=self._axes)
+        # irfftn's passes, each complex axis zero-padded just before its
+        # own; every pass scales by 1/N, a power of two, so the product
+        # is irfftn's 1/N^n to the bit.  irfft pads the last axis itself.
+        for a in self._axes[:-1]:
+            G = np.zeros(F.shape[:a] + (self.grid.N,) + F.shape[a + 1:],
+                         dtype=complex)
+            np.moveaxis(G, a, 0)[self._rows] = np.moveaxis(F, a, 0)
+            F = scipy.fft.ifft(G, axis=a, overwrite_x=True)
+        return scipy.fft.irfft(F, n=self.grid.N)
+
+    def fwd_dealiased(self, f: np.ndarray) -> np.ndarray:
+        """fwd(f) with the 2/3 rule applied; a band instance holds
+        nothing outside the band, so it needs no mask."""
+        F = self.fwd(f)
+        return F if self.band else self.dealias_mask * F
 
     # -- derivatives ---------------------------------------------------
 
@@ -149,7 +184,7 @@ class SpectralOps:
 
     def dealias(self, f: np.ndarray) -> np.ndarray:
         """Project a physical field onto the 2/3 wavenumber band."""
-        return self.inv(self.dealias_mask * self.fwd(f))
+        return self.inv(self.fwd_dealiased(f))
 
     # -- norms and quadrature ------------------------------------------
 

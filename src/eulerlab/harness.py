@@ -952,7 +952,8 @@ def run_scenario(cfg: ScenarioConfig, base_dir=None) -> Report:
     Every config error is raised before the run directory exists; a
     rerun replaces the directory, and the report lists the files the
     run left in it.  A solve that stops before t_final yields a report
-    whose only verdict is a failing solver_completed.
+    whose only verdict is a failing solver_completed; a runner that
+    raises anything else takes its half-filled directory with it.
     """
     validate_config(cfg)
     preset = PRESETS[cfg.scenario]
@@ -964,6 +965,9 @@ def run_scenario(cfg: ScenarioConfig, base_dir=None) -> Report:
         verdicts = preset.runner(cfg, outdir)
     except _SolverStopped as stop:
         verdicts = [stop.args[0]]
+    except BaseException:
+        shutil.rmtree(outdir, ignore_errors=True)
+        raise
     else:
         if any(not v.passed for v in verdicts if v.name in preset.decay_law):
             notes.append(_DECAY_LAW_NOTE)

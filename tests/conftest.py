@@ -46,10 +46,15 @@ def read_csv_columns(path) -> dict:
 
 
 class CountingOps(SpectralOps):
-    """SpectralOps that counts its forward and inverse transforms."""
+    """SpectralOps that counts its forward and inverse transforms.
 
-    def __init__(self, grid):
-        super().__init__(grid)
+    The stepper builds its band instance from the class of the ops it is
+    given, so a run on CountingOps counts the band transforms on that
+    second instance, euler._Lawson(...).ops.
+    """
+
+    def __init__(self, grid, band=False):
+        super().__init__(grid, band)
         self.fwd_calls = self.inv_calls = 0
 
     def fwd(self, f):

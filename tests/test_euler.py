@@ -173,6 +173,27 @@ def test_monitor_check_transforms_only_for_the_tail(n, monkeypatch):
     assert counts[1] - counts[0] == steps[0]
 
 
+@pytest.mark.parametrize("n, fwd_calls, inv_calls", [(1, 8, 16), (2, 12, 36)])
+def test_lawson_step_transforms_only_the_band(n, fwd_calls, inv_calls):
+    # forward: the n + 1 products of each of the four stages; inverse:
+    # the n + n^2 first derivatives of each stage, and the n + 1 state
+    # rows of the last three stages and of the result.  The counts are
+    # those of the full-spectrum stepper; none of them is full-size now.
+    grid = Grid(n, 8.0, 16)
+    ops = CountingOps(grid)
+    law = euler._Lawson(D_HALF, GAS, ops)
+    band = law.ops
+    st0 = initial_bump(grid, 3.0, 1e-2, 1)
+    w = np.stack([band.fwd(st0.v)] + [band.fwd(f) for f in st0.u])
+    x = law.physical(w)
+    band.fwd_calls = band.inv_calls = 0
+    w1, x1 = euler.step(0.0, w, x, 0.1, law)
+    assert (band.fwd_calls, band.inv_calls) == (fwd_calls, inv_calls)
+    assert ops.fwd_calls == ops.inv_calls == 0
+    assert w1.shape == w.shape == (n + 1,) + band.k2.shape
+    assert band.k2.size < ops.k2.size and x1.shape == x.shape
+
+
 def test_nonfinite_data_is_flagged():
     grid = Grid(1, 10.0, 64)
     v = np.zeros(grid.shape)

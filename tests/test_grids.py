@@ -206,6 +206,32 @@ def test_dealias_removes_top_third():
     assert ops.l2(ops.dealias(cleaned) - cleaned) <= 1e-13
 
 
+@pytest.mark.parametrize("n, N", [(1, 256), (2, 64), (3, 32)])
+def test_band_transforms_match_the_full_ones_bit_for_bit(n, N):
+    # the band instance keeps |m| <= N/3 on every axis and nothing else:
+    # its forward is the masked full spectrum cut to the band, its
+    # inverse the full inverse of the band spectrum among zeros
+    grid = Grid(n, 10.0, N)
+    ops, band = SpectralOps(grid), SpectralOps(grid, band=True)
+    m = np.fft.fftfreq(N, 1.0 / N)
+    rows = np.flatnonzero(np.abs(m) <= N / 3)
+    cut = np.ix_(*([rows] * (n - 1) + [np.arange(N // 3 + 1)]))
+    rng = np.random.default_rng(n)
+    f = rng.standard_normal(grid.shape)
+    full = ops.dealias_mask * ops.fwd(f)
+    assert np.array_equal(band.fwd(f), full[cut])
+    assert np.array_equal(band.fwd_dealiased(f), ops.fwd_dealiased(f)[cut])
+    spec = (rng.standard_normal(band.k2.shape)
+            + 1j * rng.standard_normal(band.k2.shape))
+    scattered = np.zeros_like(full)
+    scattered[cut] = spec
+    assert np.array_equal(band.inv(spec), ops.inv(scattered))
+    # the same wavevectors, and no Nyquist bin among them
+    assert np.array_equal(band.k, np.stack([k[cut] for k in ops.k]))
+    assert band.dealias_mask.all()
+    assert np.max(np.abs(band.k)) < 2.0 / 3.0 * math.pi / grid.dx
+
+
 def test_rfft_weights_give_parseval():
     grid, ops = make_ops(2, 4.0, 32)
     rng = np.random.default_rng(5)

@@ -319,6 +319,21 @@ def test_rerun_replaces_its_directory(tmp_path):
         "convolution.csv", "report.json", "summary.txt"]
 
 
+def test_failing_runner_leaves_no_directory(tmp_path, capsys):
+    # the solve completes, but up to t_final = 50 no sample falls in the
+    # fit window [100, 1000], so decay_fit raises after energy.csv is
+    # written; neither the API nor the CLI leaves that half-filled run
+    cfg = preset_config("nonlinear-decay", t_final=50.0, outdir=str(tmp_path))
+    with pytest.raises(ValueError, match="samples in"):
+        run_scenario(cfg)
+    assert not run_dir(cfg).exists()
+    argv = ["run", "nonlinear-decay", "--set", "t_final=50",
+            "--outdir", str(tmp_path)]
+    assert main(argv) == 2
+    assert "ValueError" in capsys.readouterr().err
+    assert not run_dir(cfg).exists()
+
+
 EARLY_STOP = ["mu=0", "eps=1.2", "N=512", "L=40", "R=2", "data_order=1",
               "t_final=20"]
 
