@@ -2,9 +2,9 @@
 
 The recorder walks alongside a nonlinear run and reduces each snapshot
 to one EnergyRow of scalars: Sobolev norms of (v, u), the weighted
-energies J and J_psi built from the Gaussian space-time weight, the
-conserved mass excess M, the momentum moment F, the vorticity norm and
-the norms of the wave-form source.  On top of the histories sit the
+energies J built from the Gaussian space-time weight, the conserved
+mass excess M, the momentum moment F, the vorticity norm and the L1
+norm of the wave-form source.  On top of the histories sit the
 fitting utilities (power-law and stretched-exponential least squares on
 a log ordinate) and the closed-form oracles: the convolution inequality
 check and the finite-propagation lower-bound margins.
@@ -56,9 +56,8 @@ class FitQualityWarning(UserWarning):
 #  Weighted energies
 # =====================================================================
 
-def weighted_l2_sq(f: np.ndarray, two_psi: np.ndarray, cell: float,
-                   extra: np.ndarray | None = None) -> float:
-    """integral of e^(2 psi) f^2 (optionally times a further weight).
+def weighted_l2_sq(f: np.ndarray, two_psi: np.ndarray, cell: float) -> float:
+    """integral of e^(2 psi) f^2.
 
     Evaluated in log space so that huge weight values on the silent part
     of the grid cannot overflow: the guard rejects only combinations
@@ -71,41 +70,26 @@ def weighted_l2_sq(f: np.ndarray, two_psi: np.ndarray, cell: float,
         raise DomainSizeError(
             "weight exponent overflows on the active support; "
             "enlarge the box or shorten the run")
-    vals = np.exp(logterm)
-    if extra is not None:
-        vals = vals * extra
-    return float(np.sum(vals)) * cell
-
-
-@dataclass(frozen=True)
-class WeightedEnergy:
-    """J = int e^(2psi) g^2 and J_psi = int e^(2psi) (-psi_t) g^2."""
-
-    J: float
-    J_psi: float
+    return float(np.sum(np.exp(logterm))) * cell
 
 
 def weighted_energy(t: float, f: np.ndarray, spec: WeightSpec, grid: Grid,
                     mesh: np.ndarray | None = None,
-                    support_R: float | None = None) -> WeightedEnergy:
-    """J and J_psi of one field.
+                    support_R: float | None = None) -> float:
+    """J = integral of e^(2 psi) f^2 of one field.
 
     With support_R set, integration is restricted to the propagation cone
     |x| <= support_R + t + 2: the continuum field vanishes outside it, and
-    what the grid carries there is transform ringing that the cone-leak
-    monitor bounds separately.  Without the restriction the weight on the
-    silent far field would overflow any finite exponent budget.
+    what the grid carries there is transform ringing.  Without the
+    restriction the weight on the silent far field would overflow any
+    finite exponent budget.
     """
     mesh = grid.mesh() if mesh is None else mesh
-    we = weight_eval(t, mesh, spec)
-    two_psi = 2.0 * we.psi
+    two_psi = 2.0 * weight_eval(t, mesh, spec).psi
     if support_R is not None:
         rad = np.sqrt(np.sum(mesh * mesh, axis=0))
-        outside = rad > support_R + t + 2.0
-        f = np.where(outside, 0.0, f)
-    j = weighted_l2_sq(f, two_psi, grid.cell)
-    j_psi = weighted_l2_sq(f, two_psi, grid.cell, extra=-we.psi_t)
-    return WeightedEnergy(J=j, J_psi=j_psi)
+        f = np.where(rad > support_R + t + 2.0, 0.0, f)
+    return weighted_l2_sq(f, two_psi, grid.cell)
 
 
 # =====================================================================
@@ -146,24 +130,16 @@ class EnergyRow:
 
     t: float
     v_l2: float
-    v_linf: float
     u_l2: float
     u_linf: float
     rho_l2: float
     rho_linf: float
-    cone_leak: float
     dv1_l2: float
     dv1_linf: float
     du1_l2: float
-    du1_linf: float
-    dv2_l2: float
-    du2_l2: float
     vt_l2: float
-    vt_linf: float
     J_v: float
-    J_psi_v: float
     J_u: float
-    J_psi_u: float
     Jgrad_v: float
     Jgrad_u: float
     Jvt: float
@@ -175,9 +151,6 @@ class EnergyRow:
     moment: float
     vort_l2: float
     src_l1: float
-    src_l2: float
-    dsrc1_l2: float
-    dsrc2_l2: float
 
     @classmethod
     def columns(cls):
@@ -190,12 +163,14 @@ class EnergyRecorder:
     Each snapshot is one spectral pass: v and every u_i are transformed
     once, grad v and the velocity gradient are formed once and shared by
     the derivative norms, the weighted gradient energies, dv (of which
-    only the v product is formed) and the curl; second derivatives come
-    from the same transforms, one inverse each.  The state is converted
-    to density once.  Every column is bit-equal to its definition
-    through the public helpers (ops.deriv_l2, ops.curl, euler.rhs,
-    mass_excess, momentum_moment).
+    only the v product is formed) and the curl: n + 2 forward and
+    n + n^2 + 1 inverse transforms, 6, 11 and 18 in 1-, 2- and 3-D.
+    The state is converted to density once.  Every column is bit-equal
+    to its definition through the public helpers (ops.deriv_l2,
+    ops.curl, euler.rhs, weighted_energy, mass_excess, momentum_moment).
 
+    The weighted energies are taken on the propagation cone of the
+    data's support radius support_R, as in weighted_energy.
     with_source and with_weights can be switched off to cheapen large
     sweeps; the corresponding columns then hold zeros.  The wave-form
     source, when on, costs transforms of its own: it starts from the
@@ -203,9 +178,8 @@ class EnergyRecorder:
     """
 
     def __init__(self, grid: Grid, d: DampingLaw, g: GasLaw, spec: WeightSpec,
-                 *, with_source: bool = True, with_weights: bool = True,
-                 support_R: float | None = None,
-                 ops: SpectralOps | None = None):
+                 *, support_R: float, with_source: bool = True,
+                 with_weights: bool = True, ops: SpectralOps | None = None):
         self.grid = grid
         self.d = d
         self.g = g
@@ -215,7 +189,6 @@ class EnergyRecorder:
         self.support_R = support_R
         self.ops = ops or SpectralOps(grid)
         self.mesh = grid.mesh()
-        self.radius = np.sqrt(np.sum(self.mesh * self.mesh, axis=0))
         self.rows: list[EnergyRow] = []
 
     def __call__(self, st: euler.EulerState):
@@ -226,14 +199,11 @@ class EnergyRecorder:
         grad_v = ops.grad_hat(vh)
         grad_u = [ops.grad_hat(uh[i]) for i in range(n)]   # [i][j] = d_j u_i
         dv = euler.dv_dt(v, u, uh, grad_v, grad_u, self.g, ops)
-        dv2_l2 = ops.deriv_l2_hat(vh, 2)
-        du2_l2 = sum(ops.deriv_l2_hat(uh[i], 2) for i in range(n))
         del vh, uh
 
         dv1_l2 = sum(ops.l2(gv) for gv in grad_v)
         dv1_linf = max(ops.linf(gv) for gv in grad_v)
         du1_l2 = sum(sum(ops.l2(gu) for gu in grad_u[i]) for i in range(n))
-        du1_linf = max(ops.linf(gu) for row in grad_u for gu in row)
         vort_l2 = 0.0
         if n >= 2:
             w = ops.curl(u, grad_u)
@@ -244,45 +214,27 @@ class EnergyRecorder:
         u_l2 = math.sqrt(sum(ops.l2(u[i]) ** 2 for i in range(n)))
         u_linf = max(ops.linf(u[i]) for i in range(n))
 
-        cone_leak = 0.0
-        clip = None
-        if self.support_R is not None:
-            outside = self.radius > self.support_R + st.t + 2.0
-            tot = ops.l2(v) + sum(ops.l2(u[i]) for i in range(n))
-            out_amt = ops.l2(np.where(outside, v, 0.0)) \
-                + sum(ops.l2(np.where(outside, u[i], 0.0)) for i in range(n))
-            cone_leak = out_amt / max(tot, 1e-300)
-
-            def clip(f):
-                return np.where(outside, 0.0, f)
-
         if self.with_weights:
-            we = weight_eval(st.t, self.mesh, self.spec)
-            two_psi = 2.0 * we.psi
-            cell = self.grid.cell
-            cl = clip if clip is not None else (lambda f: f)
-            J_v = weighted_l2_sq(cl(v), two_psi, cell)
-            J_psi_v = weighted_l2_sq(cl(v), two_psi, cell, extra=-we.psi_t)
-            J_u = sum(weighted_l2_sq(cl(u[i]), two_psi, cell) for i in range(n))
-            J_psi_u = sum(weighted_l2_sq(cl(u[i]), two_psi, cell, extra=-we.psi_t)
-                          for i in range(n))
-            Jgrad_v = sum(weighted_l2_sq(cl(gv), two_psi, cell) for gv in grad_v)
-            Jgrad_u = sum(weighted_l2_sq(cl(gu), two_psi, cell)
-                          for row in grad_u for gu in row)
-            Jvt = weighted_l2_sq(cl(dv), two_psi, cell)
+            two_psi = 2.0 * weight_eval(st.t, self.mesh, self.spec).psi
+            rad = np.sqrt(np.sum(self.mesh * self.mesh, axis=0))
+            outside = rad > self.support_R + st.t + 2.0
+
+            def J(f):
+                return weighted_l2_sq(np.where(outside, 0.0, f), two_psi,
+                                      self.grid.cell)
+
+            J_v, J_u = J(v), sum(J(u[i]) for i in range(n))
+            Jgrad_v = sum(J(gv) for gv in grad_v)
+            Jgrad_u = sum(J(gu) for row in grad_u for gu in row)
+            Jvt = J(dv)
         else:
-            J_v = J_psi_v = J_u = J_psi_u = Jgrad_v = Jgrad_u = Jvt = 0.0
+            J_v = J_u = Jgrad_v = Jgrad_u = Jvt = 0.0
         del grad_v, grad_u
 
+        src_l1 = 0.0
         if self.with_source:
             src = euler.nonlinear_wave_source(st, self.d, self.g, ops)
             src_l1 = ops.quad(np.abs(src))
-            src_l2 = ops.l2(src)
-            srch = ops.fwd(src)
-            dsrc1_l2 = ops.deriv_l2_hat(srch, 1)
-            dsrc2_l2 = ops.deriv_l2_hat(srch, 2)
-        else:
-            src_l1 = src_l2 = dsrc1_l2 = dsrc2_l2 = 0.0
 
         ph = euler.from_symmetric(st, self.g)
         rho_dev = ph.rho - 1.0
@@ -292,21 +244,17 @@ class EnergyRecorder:
         v_l2 = ops.l2(v)
         vt_l2 = ops.l2(dv)
         row = EnergyRow(
-            t=st.t, v_l2=v_l2, v_linf=ops.linf(v), u_l2=u_l2, u_linf=u_linf,
+            t=st.t, v_l2=v_l2, u_l2=u_l2, u_linf=u_linf,
             rho_l2=ops.l2(rho_dev), rho_linf=ops.linf(rho_dev),
-            cone_leak=cone_leak,
-            dv1_l2=dv1_l2, dv1_linf=dv1_linf, du1_l2=du1_l2, du1_linf=du1_linf,
-            dv2_l2=dv2_l2, du2_l2=du2_l2, vt_l2=vt_l2, vt_linf=ops.linf(dv),
-            J_v=J_v, J_psi_v=J_psi_v, J_u=J_u, J_psi_u=J_psi_u,
-            Jgrad_v=Jgrad_v, Jgrad_u=Jgrad_u, Jvt=Jvt,
+            dv1_l2=dv1_l2, dv1_linf=dv1_linf, du1_l2=du1_l2, vt_l2=vt_l2,
+            J_v=J_v, J_u=J_u, Jgrad_v=Jgrad_v, Jgrad_u=Jgrad_u, Jvt=Jvt,
             mon_low=gp * (v_l2 ** 2 + u_l2 ** 2),
             mon_high=gq * (vt_l2 ** 2 + dv1_l2 ** 2 + du1_l2 ** 2),
             wmon_low=gp * (J_v + J_u),
             wmon_high=gq * (Jvt + Jgrad_v + Jgrad_u),
             mass=ops.quad(rho_dev),
             moment=_moment(ph, ops, self.mesh),
-            vort_l2=vort_l2,
-            src_l1=src_l1, src_l2=src_l2, dsrc1_l2=dsrc1_l2, dsrc2_l2=dsrc2_l2)
+            vort_l2=vort_l2, src_l1=src_l1)
         self.rows.append(row)
 
     def series(self, name: str) -> np.ndarray:

@@ -213,14 +213,11 @@ class SpectralOps:
         return self.inv(F)
 
     def deriv_l2(self, f: np.ndarray, order: int) -> float:
-        """Sum of L2 norms of all derivatives of exactly this order."""
+        """Sum of L2 norms of all derivatives of exactly this order: one
+        inverse per derivative, each dropped once its norm is taken."""
         if order == 0:
             return self.l2(f)
-        return self.deriv_l2_hat(self.fwd(f), order)
-
-    def deriv_l2_hat(self, F: np.ndarray, order: int) -> float:
-        """deriv_l2 (order >= 1) of the field whose transform is F: one
-        inverse per derivative, each dropped once its norm is taken."""
+        F = self.fwd(f)
         return sum(self.l2(self._deriv_alpha_hat(F, a))
                    for a in self.multi_indices(order))
 

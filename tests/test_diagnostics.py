@@ -37,10 +37,6 @@ def test_weighted_l2_sq_matches_direct_sum():
     direct = float(np.sum(f * f * np.exp(two_psi))) * grid.cell
     assert weighted_l2_sq(f, two_psi, grid.cell) == pytest.approx(
         direct, rel=1e-13)
-    extra = 1.0 + 0.1 * np.cos(x)
-    direct_e = float(np.sum(f * f * np.exp(two_psi) * extra)) * grid.cell
-    assert weighted_l2_sq(f, two_psi, grid.cell, extra=extra) == pytest.approx(
-        direct_e, rel=1e-13)
 
 
 def test_weighted_l2_sq_overflow_guard_sees_the_integrand():
@@ -64,18 +60,16 @@ def test_weighted_energy_composition_and_cone_clip():
     f = np.exp(-np.abs(x[0]))
     t = 1.0
     we = weight_eval(t, x, spec)
-    expect_J = weighted_l2_sq(f, 2.0 * we.psi, grid.cell)
-    expect_Jpsi = weighted_l2_sq(f, 2.0 * we.psi, grid.cell, extra=-we.psi_t)
     got = weighted_energy(t, f, spec, grid)
-    assert got.J == pytest.approx(expect_J, rel=1e-13)
-    assert got.J_psi == pytest.approx(expect_Jpsi, rel=1e-13)
+    assert got == pytest.approx(weighted_l2_sq(f, 2.0 * we.psi, grid.cell),
+                                rel=1e-13)
 
     # support_R restricts to the cone |x| <= R + t + 2
     clipped = weighted_energy(t, f, spec, grid, support_R=2.0)
     inside = np.where(np.abs(x[0]) > 5.0, 0.0, f)
-    assert clipped.J == pytest.approx(
+    assert clipped == pytest.approx(
         weighted_l2_sq(inside, 2.0 * we.psi, grid.cell), rel=1e-13)
-    assert clipped.J < got.J
+    assert clipped < got
 
 
 def test_ball_volume_closed_forms():
@@ -243,18 +237,16 @@ def test_lower_bound_margin_synthetic():
 # ---------------------------------------------------------------------
 
 EXPECTED_COLUMNS = [
-    "t", "v_l2", "v_linf", "u_l2", "u_linf", "rho_l2", "rho_linf",
-    "cone_leak", "dv1_l2", "dv1_linf", "du1_l2", "du1_linf", "dv2_l2",
-    "du2_l2", "vt_l2", "vt_linf", "J_v", "J_psi_v", "J_u", "J_psi_u",
-    "Jgrad_v", "Jgrad_u", "Jvt", "mon_low", "mon_high", "wmon_low",
-    "wmon_high", "mass", "moment", "vort_l2", "src_l1", "src_l2",
-    "dsrc1_l2", "dsrc2_l2",
+    "t", "v_l2", "u_l2", "u_linf", "rho_l2", "rho_linf", "dv1_l2",
+    "dv1_linf", "du1_l2", "vt_l2", "J_v", "J_u", "Jgrad_v", "Jgrad_u",
+    "Jvt", "mon_low", "mon_high", "wmon_low", "wmon_high", "mass",
+    "moment", "vort_l2", "src_l1",
 ]
 
 
 def test_energy_row_column_contract():
     assert EnergyRow.columns() == EXPECTED_COLUMNS
-    assert len(EXPECTED_COLUMNS) == 34
+    assert len(EXPECTED_COLUMNS) == 23
 
 
 def test_energy_recorder_rows(tmp_path):
@@ -278,9 +270,7 @@ def test_energy_recorder_rows(tmp_path):
     assert rec.series("u_l2")[0] == 0.0
     assert rec.series("vt_l2")[0] == 0.0
     assert rec.series("vt_l2")[1] > 0.0
-    assert rec.series("src_l2")[0] > 0.0
-    # support fits well inside the cone at t = 0
-    assert rec.series("cone_leak")[0] == 0.0
+    assert rec.series("src_l1")[0] > 0.0
 
     row = rec.rows[0]
     assert row.mon_low == pytest.approx(row.v_l2 ** 2 + row.u_l2 ** 2,
@@ -291,7 +281,7 @@ def test_energy_recorder_rows(tmp_path):
     assert row.wmon_low == pytest.approx(row.J_v + row.J_u, rel=1e-13)
     assert row.mass == pytest.approx(mass_excess(st0, GAS, ops), rel=1e-13)
     assert row.J_v == pytest.approx(
-        weighted_energy(0.0, st0.v, spec, grid, support_R=4.0).J, rel=1e-12)
+        weighted_energy(0.0, st0.v, spec, grid, support_R=4.0), rel=1e-12)
 
     path = tmp_path / "rows.csv"
     rec.to_csv(path)
@@ -306,14 +296,12 @@ def test_energy_recorder_optional_blocks():
     ops = SpectralOps(grid)
     spec = derive_constants(D_HALF, 1)
     rec = EnergyRecorder(grid, D_HALF, GAS, spec, with_source=False,
-                         with_weights=False, ops=ops)
+                         with_weights=False, support_R=4.0, ops=ops)
     rec(initial_bump(grid, 4.0, 1e-3, 3, ops=ops))
     row = rec.rows[0]
-    assert row.src_l1 == row.src_l2 == row.dsrc1_l2 == row.dsrc2_l2 == 0.0
-    assert row.J_v == row.J_psi_v == row.Jvt == 0.0
-    assert row.wmon_low == 0.0
-    # no support radius given: the cone leak column stays zero
-    assert row.cone_leak == 0.0
+    assert row.src_l1 == 0.0
+    assert row.J_v == row.J_u == row.Jgrad_v == row.Jgrad_u == row.Jvt == 0.0
+    assert row.wmon_low == row.wmon_high == 0.0
     assert row.v_l2 > 0.0
 
 
@@ -322,7 +310,7 @@ def test_energy_recorder_vorticity_column():
     ops = SpectralOps(grid)
     spec = derive_constants(D_HALF, 2)
     rec = EnergyRecorder(grid, D_HALF, GAS, spec, with_source=False,
-                         with_weights=False, ops=ops)
+                         with_weights=False, support_R=5.0, ops=ops)
     rec(rotational_bump(grid, 5.0, 1e-2, ops=ops))
     assert rec.rows[0].vort_l2 > 0.0
     assert rec.rows[0].mass == pytest.approx(0.0, abs=1e-15)
@@ -341,48 +329,33 @@ def column_definitions(rec: EnergyRecorder, st: EulerState) -> dict:
     grad_v = ops.grad(v)
     grad_u = [ops.deriv(u[i], j) for i in range(n) for j in range(n)]
     col = {
-        "t": t, "v_l2": ops.l2(v), "v_linf": ops.linf(v),
+        "t": t, "v_l2": ops.l2(v),
         "u_l2": math.sqrt(sum(ops.l2(u[i]) ** 2 for i in range(n))),
         "u_linf": max(ops.linf(u[i]) for i in range(n)),
         "dv1_l2": ops.deriv_l2(v, 1),
         "dv1_linf": max(ops.linf(gv) for gv in grad_v),
         "du1_l2": sum(ops.deriv_l2(u[i], 1) for i in range(n)),
-        "du1_linf": max(ops.linf(gu) for gu in grad_u),
-        "dv2_l2": ops.deriv_l2(v, 2),
-        "du2_l2": sum(ops.deriv_l2(u[i], 2) for i in range(n)),
-        "vt_l2": ops.l2(dv), "vt_linf": ops.linf(dv),
+        "vt_l2": ops.l2(dv),
         "mass": mass_excess(st, g, ops),
         "moment": momentum_moment(st, g, ops),
     }
     rho_dev = from_symmetric(st, g).rho - 1.0
     col["rho_l2"], col["rho_linf"] = ops.l2(rho_dev), ops.linf(rho_dev)
 
-    col["cone_leak"] = 0.0
-    if rec.support_R is not None:
-        outside = grid.radius() > rec.support_R + t + 2.0
-        tot = ops.l2(v) + sum(ops.l2(u[i]) for i in range(n))
-        out_amt = ops.l2(np.where(outside, v, 0.0)) \
-            + sum(ops.l2(np.where(outside, u[i], 0.0)) for i in range(n))
-        col["cone_leak"] = out_amt / max(tot, 1e-300)
-
-    names = ("J_v", "J_psi_v", "J_u", "J_psi_u", "Jgrad_v", "Jgrad_u", "Jvt")
-    col.update(dict.fromkeys(names, 0.0))
+    col.update(dict.fromkeys(("J_v", "J_u", "Jgrad_v", "Jgrad_u", "Jvt"), 0.0))
     if rec.with_weights:
         def energy(f):
             return weighted_energy(t, f, spec, grid, support_R=rec.support_R)
-        col["J_v"], col["J_psi_v"] = energy(v).J, energy(v).J_psi
-        col["J_u"] = sum(energy(u[i]).J for i in range(n))
-        col["J_psi_u"] = sum(energy(u[i]).J_psi for i in range(n))
-        col["Jgrad_v"] = sum(energy(gv).J for gv in grad_v)
-        col["Jgrad_u"] = sum(energy(gu).J for gu in grad_u)
-        col["Jvt"] = energy(dv).J
+        col["J_v"] = energy(v)
+        col["J_u"] = sum(energy(u[i]) for i in range(n))
+        col["Jgrad_v"] = sum(energy(gv) for gv in grad_v)
+        col["Jgrad_u"] = sum(energy(gu) for gu in grad_u)
+        col["Jvt"] = energy(dv)
 
-    col.update(dict.fromkeys(("src_l1", "src_l2", "dsrc1_l2", "dsrc2_l2"), 0.0))
+    col["src_l1"] = 0.0
     if rec.with_source:
         src = euler.nonlinear_wave_source(st, d, g, ops)
-        col["src_l1"], col["src_l2"] = ops.quad(np.abs(src)), ops.l2(src)
-        col["dsrc1_l2"] = ops.deriv_l2(src, 1)
-        col["dsrc2_l2"] = ops.deriv_l2(src, 2)
+        col["src_l1"] = ops.quad(np.abs(src))
 
     col["vort_l2"] = 0.0
     if n == 2:
@@ -423,8 +396,8 @@ def test_energy_recorder_columns_equal_their_definitions(n, N):
     want = column_definitions(rec, st)
     assert sorted(want) == sorted(EXPECTED_COLUMNS)
     row = rec.rows[0]
-    assert row.cone_leak > 0.0 and row.vt_l2 > 0.0 and row.du2_l2 > 0.0
-    assert row.Jgrad_u > 0.0 and row.src_l2 > 0.0
+    assert row.vt_l2 > 0.0 and row.du1_l2 > 0.0
+    assert row.Jgrad_u > 0.0 and row.src_l1 > 0.0
     if n >= 2:
         assert row.vort_l2 > 0.0
     for name in EXPECTED_COLUMNS:
@@ -432,10 +405,10 @@ def test_energy_recorder_columns_equal_their_definitions(n, N):
 
 
 @pytest.mark.parametrize("n, fwd_calls, inv_calls", [
-    (1, 3, 5), (2, 4, 16), (3, 5, 37)])
+    (1, 3, 3), (2, 4, 7), (3, 5, 13)])
 def test_energy_recorder_transforms_each_field_once(n, fwd_calls, inv_calls):
     # forward: v, the n u_i and the v product; inverse: the n + n^2 first
-    # derivatives, dv, and one per second derivative of v and the u_i
+    # derivatives and dv
     grid = Grid(n, 8.0, 16)
     ops = CountingOps(grid)
     rec = EnergyRecorder(grid, D_HALF, GAS, derive_constants(D_HALF, n),
@@ -444,7 +417,7 @@ def test_energy_recorder_transforms_each_field_once(n, fwd_calls, inv_calls):
     st = sample_state(grid, SpectralOps(grid))
     rec(st)
     assert (ops.fwd_calls, ops.inv_calls) == (fwd_calls, inv_calls)
-    assert fwd_calls + inv_calls == {1: 8, 2: 20, 3: 42}[n]
+    assert fwd_calls + inv_calls == {1: 6, 2: 11, 3: 18}[n]
 
 
 @pytest.mark.parametrize("n, fwd_calls, inv_calls", [

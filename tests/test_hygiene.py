@@ -1,8 +1,9 @@
 """Source hygiene that no installed linter checks: every name a module
 imports at module level is used somewhere in that module, only grids.py
 touches an FFT module, so SpectralOps.fwd/inv stay the one transform
-path, and no preset runner raises ConfigError, so the preset registry
-and validate_config stay the one home of a preset's domain."""
+path, no preset runner raises ConfigError, so the preset registry
+and validate_config stay the one home of a preset's domain, and every
+recorder column is read by a verdict or a monitor column."""
 
 import ast
 from pathlib import Path
@@ -143,3 +144,41 @@ def test_preset_declarations_name_real_fields():
         for name in preset.positive:
             assert harness._KINDS.get(name) == "float", (preset.name, name)
         assert set(preset.dims) <= {1, 2, 3} and preset.dims, preset.name
+
+
+MONITORS = ("mon_low", "mon_high", "wmon_low", "wmon_high")
+
+
+def unread_columns(columns, harness_src: str, recorder_src: str) -> list:
+    """Recorder columns, other than t, that nothing reads.
+
+    A column is read when harness.py holds its name as a string (the
+    runners take a series by name) or when the recorder's EnergyRow
+    call builds one of the monitor columns from a local of that name.
+    """
+    read = {node.value for node in ast.walk(ast.parse(harness_src))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    for node in ast.walk(ast.parse(recorder_src)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "EnergyRow":
+            for kw in node.keywords:
+                if kw.arg in MONITORS:
+                    read |= {sub.id for sub in ast.walk(kw.value)
+                             if isinstance(sub, ast.Name)}
+    return [c for c in columns if c != "t" and c not in read]
+
+
+def test_unread_column_detector():
+    harness_src = "rec.series('a')\nx = f'{a} b'\nk = 'mon_low'\n"
+    recorder_src = ("EnergyRow(t=t, a=a, b=b, c=c, d=d,\n"
+                    "          mon_low=g * (b ** 2 + 1), other=d)\n"
+                    "mon_high = c\n")
+    assert unread_columns(["t", "a", "b", "c", "d", "mon_low"],
+                          harness_src, recorder_src) == ["c", "d"]
+
+
+def test_every_recorder_column_is_read():
+    from eulerlab.diagnostics import EnergyRow
+    assert unread_columns(EnergyRow.columns(),
+                          (PACKAGE / "harness.py").read_text(),
+                          (PACKAGE / "diagnostics.py").read_text()) == []
