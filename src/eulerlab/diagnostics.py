@@ -188,7 +188,10 @@ class EnergyRecorder:
         self.with_weights = with_weights
         self.support_R = support_R
         self.ops = ops or SpectralOps(grid)
-        self.mesh = grid.mesh()
+        # the coordinates in broadcast form, one axis each: the moment
+        # needs no more, and the weighted block forms the mesh itself
+        self.coords = np.meshgrid(*([grid.axis()] * grid.n), indexing="ij",
+                                  sparse=True)
         self.rows: list[EnergyRow] = []
 
     def __call__(self, st: euler.EulerState):
@@ -197,9 +200,10 @@ class EnergyRecorder:
         vh = ops.fwd(v)
         uh = [ops.fwd(u[i]) for i in range(n)]
         grad_v = ops.grad_hat(vh)
+        del vh
         grad_u = [ops.grad_hat(uh[i]) for i in range(n)]   # [i][j] = d_j u_i
         dv = euler.dv_dt(v, u, uh, grad_v, grad_u, self.g, ops)
-        del vh, uh
+        del uh
 
         dv1_l2 = sum(ops.l2(gv) for gv in grad_v)
         dv1_linf = max(ops.linf(gv) for gv in grad_v)
@@ -215,8 +219,10 @@ class EnergyRecorder:
         u_linf = max(ops.linf(u[i]) for i in range(n))
 
         if self.with_weights:
-            two_psi = 2.0 * weight_eval(st.t, self.mesh, self.spec).psi
-            rad = np.sqrt(np.sum(self.mesh * self.mesh, axis=0))
+            mesh = self.grid.mesh()
+            two_psi = 2.0 * weight_eval(st.t, mesh, self.spec).psi
+            rad = np.sqrt(np.sum(mesh * mesh, axis=0))
+            del mesh
             outside = rad > self.support_R + st.t + 2.0
 
             def J(f):
@@ -253,7 +259,7 @@ class EnergyRecorder:
             wmon_low=gp * (J_v + J_u),
             wmon_high=gq * (Jvt + Jgrad_v + Jgrad_u),
             mass=ops.quad(rho_dev),
-            moment=_moment(ph, ops, self.mesh),
+            moment=_moment(ph, ops, self.coords),
             vort_l2=vort_l2, src_l1=src_l1)
         self.rows.append(row)
 
@@ -289,9 +295,13 @@ class FitResult:
     kind: str
 
 
+# fewest samples a decay fit accepts in its window
+FIT_MIN_PTS = 8
+
+
 def decay_fit(times, values, t_lo: float, t_hi: float, *, kind: str = "power",
               stretch_exponent: float | None = None,
-              min_pts: int = 8) -> FitResult:
+              min_pts: int = FIT_MIN_PTS) -> FitResult:
     """Fit log(values) against log(1+t) or (1+t)^stretch_exponent.
 
     kind="power": slope is the polynomial decay exponent.

@@ -231,26 +231,39 @@ def _products(v, u, vh, uh, sl: float, ops: SpectralOps):
     for i in range(n):
         du_i = ops.grad_hat(uh[i])
         div_u = div_u + du_i[i]
-        out[1 + i] = ops.fwd_dealiased(-sum(u[j] * du_i[j] for j in range(n))
-                                       - sl * v * grad_v[i])
+        out[1 + i] = ops.fwd_dealiased(_product_row(u, du_i, v, grad_v[i], sl))
     out[0] = _v_product(v, u, grad_v, div_u, sl, ops)
     return out, grad_v, div_u
 
 
 def _v_product(v, u, grad_v, div_u, sl: float, ops: SpectralOps) -> np.ndarray:
     """The v row of _products from the physical grad v and div u."""
-    return ops.fwd_dealiased(
-        -sum(u[j] * grad_v[j] for j in range(ops.grid.n)) - sl * v * div_u)
+    return ops.fwd_dealiased(_product_row(u, grad_v, v, div_u, sl))
+
+
+def _product_row(u, fs, v, g, sl: float, acc=None, tmp=None) -> np.ndarray:
+    """acc = -sum(u[j] * f_j) - sl * v * g, by that expression's own
+    operations, for the fields f_j that fs yields in turn.  tmp is
+    scratch, and fs may put each f_j there; both are made if not given."""
+    acc = np.empty_like(v) if acc is None else acc
+    tmp = np.empty_like(v) if tmp is None else tmp
+    for j, f in enumerate(fs):
+        np.multiply(u[j], f, out=tmp)
+        np.add(acc if j else 0, tmp, out=acc)
+    np.negative(acc, out=acc)
+    np.multiply(sl, v, out=tmp)
+    np.multiply(tmp, g, out=tmp)
+    return np.subtract(acc, tmp, out=acc)
 
 
 def _linear(vh, uh, b: float, ops: SpectralOps):
     """Linear part of the system in spectral space, row by row like the
     state: -div u, then -d_i v - b u_i.  A generator, so that a caller
     who wants v_t alone forms nothing of u_t."""
-    k = ops.k
-    yield -sum(1j * k[i] * uh[i] for i in range(ops.grid.n))
+    ik = ops.ik
+    yield -sum(ik[i] * uh[i] for i in range(ops.grid.n))
     for i in range(ops.grid.n):
-        yield -1j * k[i] * vh - b * uh[i]
+        yield -(ik[i] * vh) - b * uh[i]
 
 
 def rhs(t: float, v: np.ndarray, u: np.ndarray, d: DampingLaw, g: GasLaw,
@@ -273,13 +286,15 @@ def dv_dt(v: np.ndarray, u: np.ndarray, uh, grad_v, grad_u, g: GasLaw,
     the v product forward and dv back.  Nothing of u_t is formed.
     """
     div_u = sum(grad_u[i][i] for i in range(ops.grid.n))
-    lin_v = next(_linear(None, uh, 0.0, ops))
-    return ops.inv(lin_v + _v_product(v, u, grad_v, div_u, g.slope, ops))
+    nl_v = _v_product(v, u, grad_v, div_u, g.slope, ops)
+    del div_u
+    return ops.inv(next(_linear(None, uh, 0.0, ops)) + nl_v)
 
 
 class _Lawson:
-    """What every step of one run shares: the laws, the band SpectralOps
-    and the wavevector tables of the exact linear propagator.
+    """What every step of one run shares: the laws, the band SpectralOps,
+    the wavevector tables of the exact linear propagator and the work
+    buffers of the stages.
 
     Per wavevector k of the band with r = |k| and s = k.u / r, the
     linear part couples (v, s) as the damped oscillator of linear.py
@@ -300,6 +315,13 @@ class _Lawson:
         else:
             self.radii, index = np.unique(np.round(r, 12), return_inverse=True)
             self.index = index.reshape(r.shape)
+        self._work = None
+
+    def release(self):
+        """Let products' work buffers go; its next call makes them again.
+        run releases them before each snapshot hook, so that the hook's
+        own fields take that memory instead of adding to it."""
+        self._work = None
 
     def propagator(self, t0: float, t1: float):
         """Coefficients of the exact linear propagator from t0 to t1."""
@@ -315,25 +337,74 @@ class _Lawson:
         return (e00[ix], e01[ix], e10[ix], e11[ix],
                 1.0 / integrating_factor(t0, t1, self.d))
 
-    def apply(self, P, w: np.ndarray) -> np.ndarray:
-        """P applied to the spectral state w (v first, then u)."""
+    def apply(self, P, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """P applied to the spectral state w (v first, then u), into out,
+        which may be w itself.  With s = sum_i khat_i w_i,
+
+            out_0 = a w_0 - i (b s),
+            out_i = f w_i + khat_i (i (c w_0) + (e - f) s),
+
+        each evaluated in that order, a row at a time.
+        """
         a, b, c, e, f = P
-        s = np.sum(self.khat * w[1:], axis=0)
-        out = np.empty_like(w)
-        out[0] = a * w[0] - 1j * (b * s)
-        out[1:] = f * w[1:] + self.khat * (1j * (c * w[0]) + (e - f) * s)
+        out = np.empty_like(w) if out is None else out
+        s = np.multiply(self.khat[0], w[1])
+        tmp = np.empty_like(s)
+        for i in range(1, w.shape[0] - 1):
+            s += np.multiply(self.khat[i], w[1 + i], out=tmp)
+        q = np.multiply(1j, np.multiply(c, w[0]))
+        q += np.multiply(e - f, s, out=tmp)
+        for i in range(w.shape[0] - 1):
+            np.multiply(f, w[1 + i], out=out[1 + i])
+            out[1 + i] += np.multiply(self.khat[i], q, out=tmp)
+        np.multiply(a, w[0], out=out[0])
+        out[0] -= np.multiply(1j, np.multiply(b, s, out=tmp), out=tmp)
         return out
 
-    def physical(self, w: np.ndarray) -> np.ndarray:
-        x = np.empty((w.shape[0],) + self.ops.grid.shape)
+    def physical(self, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.empty((w.shape[0],) + self.ops.grid.shape)
         for i in range(w.shape[0]):
-            x[i] = self.ops.inv(w[i])
-        return x
+            self.ops.inv(w[i], out=out[i])
+        return out
 
-    def products(self, w: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
-        if x is None:
-            x = self.physical(w)
-        return _products(x[0], x[1:], w[0], w[1:], self.sl, self.ops)[0]
+    def products(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """_products(...)[0] of the stage w with physical rows x.  The
+        same operations in the same order, so the same bits, but every
+        grid-sized result goes into a held buffer; so does the returned
+        one, which the next call overwrites.
+        """
+        ops, sl, n = self.ops, self.sl, self.ops.grid.n
+        if self._work is None:
+            # grad v, div u, one entry of the velocity gradient (also the
+            # scratch of each term), the sum being formed, one
+            # derivative's spectrum and the products
+            shape, band = ops.grid.shape, ops.k2.shape
+            self._work = (np.empty((n,) + shape), np.empty(shape),
+                          np.empty(shape), np.empty(shape),
+                          np.empty(band, dtype=complex),
+                          np.empty((n + 1,) + band, dtype=complex))
+        grad_v, div, d, acc, dh, out = self._work
+        v, u = x[0], x[1:]
+
+        def deriv(j, F, dst):
+            return ops.inv(np.multiply(ops.ik[j], F, out=dh), out=dst)
+
+        def row(i):
+            # d_j u_i, one at a time in d, adding d_i u_i to div u
+            for j in range(n):
+                deriv(j, w[1 + i], d)
+                if j == i:
+                    np.add(div if i else 0.0, d, out=div)
+                yield d
+
+        for j in range(n):
+            deriv(j, w[0], grad_v[j])
+        for i in range(n):
+            ops.fwd(_product_row(u, row(i), v, grad_v[i], sl, acc, d),
+                    out=out[1 + i])
+        ops.fwd(_product_row(u, grad_v, v, div, sl, acc, d), out=out[0])
+        return out
 
 
 def step(t: float, w: np.ndarray, x: np.ndarray, h: float, law: _Lawson):
@@ -343,32 +414,39 @@ def step(t: float, w: np.ndarray, x: np.ndarray, h: float, law: _Lawson):
     same state in physical space.  The linear part is integrated exactly
     through the two half-step propagators P1 and P2 (their product is
     the full-step one); only the quadratic products go through the four
-    stages.
+    stages.  Both arrays are overwritten and returned: x takes the
+    physical rows of each later stage in turn, w the running sum acc
+    once the first stage has read it.
     """
-    # stages are dropped as soon as they are folded into acc: besides w
-    # and x, at most three spectral states live through a stage, which
-    # keeps the 2-D and 3-D working set below classical RK4's
+    # the products live in law's buffer, and each stage shares one
+    # spectral buffer with the scaled products that form it: besides w
+    # and x a step makes two spectral states, pw and stage
     th = t + 0.5 * h
     p = law.propagator(t, th)
     pw = law.apply(p, w)
-    k = law.apply(p, law.products(w, x))
+    k = law.products(w, x)
+    law.apply(p, k, out=k)
     del p
-    acc = pw + (h / 6.0) * k
+    acc = _scaled(h / 6.0, k, out=w, plus=pw)   # w is spent once read
+    stage = np.empty_like(w)
     for _ in range(2):
-        stage = pw + (0.5 * h) * k
-        del k
-        k = law.products(stage)
-        del stage
-        acc += (h / 3.0) * k
-    stage = pw + h * k
-    del pw, k
+        _scaled(0.5 * h, k, out=stage, plus=pw)
+        k = law.products(stage, law.physical(stage, out=x))
+        acc += _scaled(h / 3.0, k, out=stage)
+    _scaled(h, k, out=stage, plus=pw)
+    del pw
     p = law.propagator(th, t + h)
-    stage = law.apply(p, stage)
-    acc = law.apply(p, acc)
-    k = law.products(stage)
-    del stage
-    acc += (h / 6.0) * k
-    return acc, law.physical(acc)
+    law.apply(p, stage, out=stage)
+    law.apply(p, acc, out=acc)
+    k = law.products(stage, law.physical(stage, out=x))
+    acc += _scaled(h / 6.0, k, out=stage)
+    return acc, law.physical(acc, out=x)
+
+
+def _scaled(c: float, k: np.ndarray, out: np.ndarray, plus=None) -> np.ndarray:
+    """c k into out, or plus + c k: the expressions' own operations."""
+    np.multiply(c, k, out=out)
+    return out if plus is None else np.add(plus, out, out=out)
 
 
 @dataclass
@@ -483,6 +561,7 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
         if why:
             return finish(why)
         if on_snapshot is not None:
+            law.release()
             on_snapshot(st)
         if cfg.store_snapshots:
             result.snapshots.append(st.copy())
@@ -510,7 +589,7 @@ def nonlinear_wave_source(st: EulerState, d: DampingLaw, g: GasLaw,
     (v_t, u_t) in the factor slots and grad v_t, div u_t in the
     derivative slots.
     """
-    n, k, sl = ops.grid.n, ops.k, g.slope
+    n, ik, sl = ops.grid.n, ops.ik, g.slope
     b = damping_coeff(st.t, d)
     v, u = st.v, st.u
     vh = ops.fwd(v)
@@ -518,9 +597,9 @@ def nonlinear_wave_source(st: EulerState, d: DampingLaw, g: GasLaw,
     nl, grad_v, div_u = _products(v, u, vh, uh, sl, ops)
     dwh = [a + p for a, p in zip(_linear(vh, uh, b, ops), nl)]
     dw = [ops.inv(row) for row in dwh]
-    div_du = ops.inv(sum(1j * k[i] * dwh[1 + i] for i in range(n)))
+    div_du = ops.inv(sum(ik[i] * dwh[1 + i] for i in range(n)))
     qh = (b * nl[0]
           + _v_product(dw[0], dw[1:], grad_v, div_u, sl, ops)
           + _v_product(v, u, ops.grad_hat(dwh[0]), div_du, sl, ops)
-          - sum(1j * k[i] * nl[1 + i] for i in range(n)))
+          - sum(ik[i] * nl[1 + i] for i in range(n)))
     return ops.inv(qh)

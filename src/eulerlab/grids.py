@@ -7,16 +7,20 @@ the discrete norms used throughout: L2 and sup norms, Sobolev norms
 formed as sums of derivative L2 norms, and plain trapezoid-free box
 quadrature sum(f) * dx^n (exact for band-limited periodic fields).
 
-SpectralOps.fwd and inv are the package's only transforms (scipy.fft).
-The *_hat operators start from a transform the caller already holds,
-so a field shared by several derivatives is transformed once.
+SpectralOps.fwd and inv are the package's only transforms.  The *_hat
+operators start from a transform the caller already holds, so a field
+shared by several derivatives is transformed once.
 
+SpectralOps(grid) transforms the full spectrum with scipy.fft.
 SpectralOps(grid, band=True) works on the compact 2/3 band: its spectra
 hold only the wavevectors the dealias rule keeps (|m| <= N/3 on every
 axis, so no Nyquist bin), and its transforms skip the passes over the
-rest.  They equal the full ones bit for bit: fwd is the masked full
-spectrum cut to the band, inv the full inverse of the band spectrum
-among zeros.  The nonlinear stepper holds such an instance.
+rest.  It runs them one pass at a time with numpy.fft, whose pocketfft
+gives scipy.fft's bits, into work buffers the instance holds, and
+writes the result into out when given.  Its transforms equal the full
+ones bit for bit: fwd is the masked full spectrum cut to the band, inv
+the full inverse of the band spectrum among zeros.  The nonlinear
+stepper holds such an instance.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import scipy.fft
 __all__ = ["Grid", "SpectralOps", "MAX_POINTS"]
 
 # Largest grid a run may allocate: 2^22 points.  The largest preset,
-# vorticity-3d at 128^3 = 2^21 points, peaks near 0.9 GiB.
+# vorticity-3d at 128^3 = 2^21 points, peaks near 0.7 GiB.
 MAX_POINTS = 2 ** 22
 
 
@@ -82,13 +86,22 @@ class Grid:
         return np.sqrt(np.sum(m * m, axis=0))
 
 
+def _into(out, x: np.ndarray) -> np.ndarray:
+    """x, or a copy of it in out when the caller gives one."""
+    if out is None:
+        return x
+    out[...] = x
+    return out
+
+
 class SpectralOps:
     """Derivatives, dealiasing and norms on one Grid.
 
     Real-to-complex transforms along the last axis; all operators return
     real fields.  Scalar fields have shape grid.shape, vector fields
     (n, *grid.shape).  With band=True the spectra (and k, k2, kmag) span
-    only the 2/3 band; tail_fraction needs the full spectrum.
+    only the 2/3 band, the transforms take one field at a time and write
+    into out when it is given; tail_fraction needs the full spectrum.
     """
 
     def __init__(self, grid: Grid, band: bool = False):
@@ -98,67 +111,114 @@ class SpectralOps:
         cut = 2.0 / 3.0 * kmax
         k1 = 2.0 * np.pi * scipy.fft.fftfreq(N, d=dx)
         kr = 2.0 * np.pi * scipy.fft.rfftfreq(N, d=dx)
-        # rows of a complex axis kept by the 2/3 rule, in fft order
-        self._rows = np.flatnonzero(np.abs(k1) <= cut)
         if band:
-            k1, kr = k1[self._rows], kr[np.abs(kr) <= cut]
+            # the rows of each axis that the 2/3 rule keeps, in fft order
+            k1, kr = k1[np.abs(k1) <= cut], kr[np.abs(kr) <= cut]
         axes = [k1] * (n - 1) + [kr]
         mesh = np.meshgrid(*axes, indexing="ij")
         self.k = np.stack(mesh)                    # (n, *rshape)
         self.k2 = np.sum(self.k * self.k, axis=0)  # |k|^2
         self.kmag = np.sqrt(self.k2)
+        # ik[i] * F is the transform of d_i f.  The full spectrum keeps
+        # ik in broadcast form, one axis each: dense, it would take twice
+        # the memory of k (51 MB at 128^3)
+        self.ik = 1j * self.k if band else \
+            [1j * a for a in np.meshgrid(*axes, indexing="ij", sparse=True)]
         self.dealias_mask = np.all(np.abs(self.k) <= cut, axis=0)
         self._kmax = kmax
         self._axes = tuple(range(-n, 0))
+        if band:
+            self._hold_band_buffers()
+
+    def _hold_band_buffers(self):
+        """Work buffers of the band transforms and the views each pass
+        reads and writes, made once per instance.
+
+        The band rows of a complex axis are two runs in fft order, the
+        first m + 1 and the last m (m = N//3).  _scratch holds one full
+        rfft: fwd and the last inverse pass work in it.  pads[a] takes
+        the spectrum before the inverse pass over complex axis a: full
+        along the axes up to a, band after.  Its rows outside the band
+        are zeroed here and never written again.
+        """
+        n, N = self.grid.n, self.grid.N
+        m, bc = N // 3, self.k.shape[-1]
+        runs = (slice(0, m + 1), slice(N - m, N))     # in the full axis
+        slots = (slice(0, m + 1), slice(m + 1, None))  # in the band axis
+        S = self._scratch = np.empty(self.grid.shape[:-1] + (N // 2 + 1,),
+                                     dtype=complex)
+        # fwd: rfftn's passes, the real last axis and then the complex
+        # axes in order, each only on the rows the passes before it kept
+        self._fwd_passes = [(S[r + (..., slice(0, bc))], a) for a in range(n - 1)
+                            for r in itertools.product(runs, repeat=a)]
+        self._fwd_blocks = [(o, S[r + (slice(0, bc),)]) for r, o in
+                            zip(itertools.product(runs, repeat=n - 1),
+                                itertools.product(slots, repeat=n - 1))]
+        # inv: irfftn's passes, each complex axis zero-padded just before
+        # its own; irfft pads the last axis itself
+        last = S[..., :bc]
+        if n == 1:
+            self._inv_fill, self._inv_passes = [(last, ...)], []
+        else:
+            pads = [np.zeros((N,) * (a + 1) + (2 * m + 1,) * (n - 2 - a) + (bc,),
+                             dtype=complex) for a in range(n - 1)]
+            self._inv_fill = [(pads[0][r], o) for r, o in zip(runs, slots)]
+            self._inv_passes = [
+                (pads[a][(slice(None),) * (a + 1) + (o,)], a,
+                 pads[a + 1][(slice(None),) * (a + 1) + (r,)])
+                for a in range(n - 2) for r, o in zip(runs, slots)]
+            self._inv_passes.append((pads[-1], n - 2, last))
+        self._inv_last = last
 
     # -- transforms ----------------------------------------------------
 
-    def fwd(self, f: np.ndarray) -> np.ndarray:
+    def fwd(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if not self.band:
-            return scipy.fft.rfftn(f, axes=self._axes)
-        # rfftn's passes (the real last axis, then the complex axes in
-        # order), each cut to the band before the next
-        F = scipy.fft.rfft(f)[..., :self.k.shape[-1]]
-        for a in self._axes[:-1]:
-            F = np.take(scipy.fft.fft(F, axis=a), self._rows, axis=a)
-        return F
+            return _into(out, scipy.fft.rfftn(f, axes=self._axes))
+        out = np.empty(self.k2.shape, dtype=complex) if out is None else out
+        np.fft.rfft(f, out=self._scratch)
+        for line, a in self._fwd_passes:
+            np.fft.fft(line, axis=a, out=line)
+        for o, block in self._fwd_blocks:
+            out[o] = block
+        return out
 
-    def inv(self, F: np.ndarray) -> np.ndarray:
+    def inv(self, F: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if not self.band:
-            return scipy.fft.irfftn(F, s=self.grid.shape, axes=self._axes)
-        # irfftn's passes, each complex axis zero-padded just before its
-        # own; every pass scales by 1/N, a power of two, so the product
-        # is irfftn's 1/N^n to the bit.  irfft pads the last axis itself.
-        for a in self._axes[:-1]:
-            G = np.zeros(F.shape[:a] + (self.grid.N,) + F.shape[a + 1:],
-                         dtype=complex)
-            np.moveaxis(G, a, 0)[self._rows] = np.moveaxis(F, a, 0)
-            F = scipy.fft.ifft(G, axis=a, overwrite_x=True)
-        return scipy.fft.irfft(F, n=self.grid.N)
+            return _into(out, scipy.fft.irfftn(F, s=self.grid.shape,
+                                               axes=self._axes))
+        # every pass scales by 1/N, a power of two, so the product is
+        # irfftn's 1/N^n to the bit
+        out = np.empty(self.grid.shape) if out is None else out
+        for pad, o in self._inv_fill:
+            pad[...] = F[o]
+        for src, a, dst in self._inv_passes:
+            np.fft.ifft(src, axis=a, out=dst)
+        return np.fft.irfft(self._inv_last, n=self.grid.N, out=out)
 
     def fwd_dealiased(self, f: np.ndarray) -> np.ndarray:
         """fwd(f) with the 2/3 rule applied; a band instance holds
         nothing outside the band, so it needs no mask."""
         F = self.fwd(f)
-        return F if self.band else self.dealias_mask * F
+        return F if self.band else np.multiply(self.dealias_mask, F, out=F)
 
     # -- derivatives ---------------------------------------------------
 
     def deriv(self, f: np.ndarray, axis: int, order: int = 1) -> np.ndarray:
         """order-th spectral derivative along one axis (physical in/out)."""
-        return self.inv((1j * self.k[axis]) ** order * self.fwd(f))
+        return self.inv(self.ik[axis] ** order * self.fwd(f))
 
     def grad(self, f: np.ndarray) -> np.ndarray:
         return np.stack(self.grad_hat(self.fwd(f)))
 
     def grad_hat(self, F: np.ndarray) -> list:
         """Gradient components of the field whose transform is F."""
-        return [self.inv(1j * self.k[i] * F) for i in range(self.grid.n)]
+        return [self.inv(self.ik[i] * F) for i in range(self.grid.n)]
 
     def div(self, u: np.ndarray) -> np.ndarray:
         out = np.zeros(self.grid.shape)
         for i in range(self.grid.n):
-            out += self.inv(1j * self.k[i] * self.fwd(u[i]))
+            out += self.inv(self.ik[i] * self.fwd(u[i]))
         return out
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
@@ -209,7 +269,7 @@ class SpectralOps:
     def _deriv_alpha_hat(self, F: np.ndarray, alpha) -> np.ndarray:
         for ax, p in enumerate(alpha):
             if p:
-                F = (1j * self.k[ax]) ** p * F
+                F = self.ik[ax] ** p * F
         return self.inv(F)
 
     def deriv_l2(self, f: np.ndarray, order: int) -> float:

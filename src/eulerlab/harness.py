@@ -229,6 +229,15 @@ def validate_config(cfg: ScenarioConfig):
     if not 0.0 <= cfg.fit_lo < cfg.fit_hi:
         raise ConfigError(
             f"fit_lo/fit_hi: need 0 <= fit_lo < fit_hi, got ({cfg.fit_lo}, {cfg.fit_hi})")
+    if preset.fit_times is not None:
+        t = np.asarray(preset.fit_times(cfg))
+        found = int(np.sum((t >= cfg.fit_lo) & (t <= cfg.fit_hi)))
+        if found < diagnostics.FIT_MIN_PTS:
+            raise ConfigError(
+                f"fit_lo/fit_hi: the fit window [{cfg.fit_lo:g}, {cfg.fit_hi:g}] "
+                f"holds {found} of the {t.size} sample times up to "
+                f"t_final = {cfg.t_final:g}; the fit needs "
+                f"{diagnostics.FIT_MIN_PTS}")
     if cfg.r_cut <= 0.0:
         raise ConfigError(f"r_cut: must be positive, got {cfg.r_cut}")
     if cfg.workers < 0:
@@ -377,8 +386,10 @@ def _write_json(path: Path, payload):
 class Preset:
     """runner(cfg, outdir) writes the artifacts and returns the verdicts.
     dims (allowed n) and positive (fields that must be > 0) are the domain
-    validate_config checks; decay_law names the verdicts whose failure
-    adds _DECAY_LAW_NOTE."""
+    validate_config checks; so is fit_times, for a preset that fits a
+    decay over [fit_lo, fit_hi]: fit_times(cfg) are the times of the
+    samples it fits.  decay_law names the verdicts whose failure adds
+    _DECAY_LAW_NOTE."""
 
     name: str
     description: str
@@ -387,6 +398,7 @@ class Preset:
     runner: object
     dims: tuple = (1, 2, 3)
     positive: tuple = ()
+    fit_times: object = None
     decay_law: tuple = ()
 
 
@@ -394,10 +406,10 @@ PRESETS: dict = {}
 
 
 def _register(name, description, verdicts, *, dims=(1, 2, 3), positive=(),
-              decay_law=(), **overrides):
+              fit_times=None, decay_law=(), **overrides):
     def deco(fn):
         PRESETS[name] = Preset(name, description, overrides, tuple(verdicts),
-                               fn, dims, positive, decay_law)
+                               fn, dims, positive, fit_times, decay_law)
         return fn
     return deco
 
@@ -448,6 +460,16 @@ def _log_snapshots(cfg: ScenarioConfig, head=(0.25, 0.5, 0.75)) -> tuple:
 def _lin_snapshots(cfg: ScenarioConfig) -> tuple:
     return tuple(float(t) for t in
                  np.linspace(0.0, cfg.t_final, cfg.n_snapshots)[1:])
+
+
+def _recorded(schedule, start=True):
+    """fit_times of a preset that fits recorder rows: the run records at
+    t = 0 (kept if start) and lands on every scheduled time in
+    (0, t_final] and on t_final itself, as euler.run does."""
+    def times(cfg: ScenarioConfig) -> list:
+        snaps = {s for s in schedule(cfg) if 0.0 < s <= cfg.t_final}
+        return ([0.0] if start else []) + sorted(snaps | {cfg.t_final})
+    return times
 
 
 def _nonlinear_run(cfg: ScenarioConfig, snaps, outdir: Path, csv_name: str, *,
@@ -513,6 +535,7 @@ _DECAY_LAW_NOTE = (
     "sup-norm decay slopes of band-limited kernel reconstructions of bump data",
     ("kernel_decay_k0", "kernel_decay_k1", "band_tail_fraction"),
     dims=(1,),   # the kernel reconstruction is one-dimensional
+    fit_times=lambda cfg: np.geomspace(1.0, cfg.t_final, cfg.n_snapshots),
     decay_law=("kernel_decay_k0", "kernel_decay_k1"),
     n=1, lam=0.5, mu=2.0, L=2400.0, N=8192, R=12.0,
     t_final=1.0e4, n_snapshots=33, fit_lo=1.0e2, fit_hi=1.0e4)
@@ -667,6 +690,7 @@ def _run_zone_integrals(cfg: ScenarioConfig, outdir: Path):
     "nonlinear-decay",
     "sup-norm decay exponents of density and velocity after a small bump",
     ("rho_slope", "u_slope", "slope_difference"),
+    fit_times=_recorded(_log_snapshots),
     decay_law=("rho_slope", "u_slope", "slope_difference"),
     n=1, lam=0.5, mu=2.0, gamma=2.0, eps=1e-3, N=2048, L=256.0, R=4.0,
     data_order=7, t_final=1.0e3, n_snapshots=41, fit_lo=1.0e2, fit_hi=1.0e3)
@@ -694,6 +718,7 @@ def _run_nonlinear_decay(cfg: ScenarioConfig, outdir: Path):
     "u-extra-lambda",
     "velocity lags the density gradient by one power of the damping clock",
     ("velocity_lag_exponent", "quasistatic_residual"),
+    fit_times=_recorded(_log_snapshots, start=False),   # the fit drops t = 0
     n=1, lam=0.5, mu=2.0, N=1024, L=360.0, R=8.0, data_order=7,
     t_final=300.0, n_snapshots=33, fit_lo=30.0, fit_hi=300.0)
 def _run_u_extra_lambda(cfg: ScenarioConfig, outdir: Path):
@@ -804,6 +829,7 @@ def _vorticity_verdicts(cfg: ScenarioConfig, rec: EnergyRecorder):
     "stretched-exponential vorticity decay for rotational data in the plane",
     ("vorticity_rate", "vorticity_fit_residual", "irrotational_floor"),
     dims=(2, 3),   # on a line every velocity field is a gradient
+    fit_times=_recorded(_lin_snapshots),
     n=2, lam=0.5, mu=1.0, N=256, L=68.0, R=12.0, eps=1e-3,
     data_kind="rotational", t_final=50.0, n_snapshots=26,
     fit_lo=5.0, fit_hi=50.0)
@@ -828,6 +854,7 @@ def _run_vorticity_2d(cfg: ScenarioConfig, outdir: Path):
     "stretched-exponential vorticity decay in three dimensions",
     ("vorticity_rate", "vorticity_fit_residual"),
     dims=(3,),   # the three-dimensional claim: stretching exists only there
+    fit_times=_recorded(_lin_snapshots),
     n=3, lam=0.5, mu=1.0, N=128, L=40.0, R=12.0, eps=1e-3,
     data_kind="rotational", t_final=12.0, n_snapshots=13,
     fit_lo=2.0, fit_hi=12.0)
@@ -842,6 +869,7 @@ def _run_vorticity_3d(cfg: ScenarioConfig, outdir: Path):
     "q-decay",
     "decay rate and quadratic smallness of the wave-form source",
     ("q_l1_slope_cap", "q_eps_scaling"),
+    fit_times=_recorded(_log_snapshots),
     n=1, lam=0.5, mu=2.0, gamma=2.0, eps=1e-3, N=2048, L=256.0, R=4.0,
     data_order=7, t_final=1.0e3, n_snapshots=41, fit_lo=1.0e2, fit_hi=1.0e3)
 def _run_q_decay(cfg: ScenarioConfig, outdir: Path):

@@ -57,13 +57,13 @@ class CountingOps(SpectralOps):
         super().__init__(grid, band)
         self.fwd_calls = self.inv_calls = 0
 
-    def fwd(self, f):
+    def fwd(self, f, out=None):
         self.fwd_calls += 1
-        return super().fwd(f)
+        return super().fwd(f, out=out)
 
-    def inv(self, F):
+    def inv(self, F, out=None):
         self.inv_calls += 1
-        return super().inv(F)
+        return super().inv(F, out=out)
 
 
 def run_preset(name: str, base: Path, **extra) -> RunHandle:

@@ -3,6 +3,7 @@ side against a hand-built symbolic oracle, exact transport of simple
 waves, monitors, and the initial-data constructors."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,6 +193,70 @@ def test_lawson_step_transforms_only_the_band(n, fwd_calls, inv_calls):
     assert ops.fwd_calls == ops.inv_calls == 0
     assert w1.shape == w.shape == (n + 1,) + band.k2.shape
     assert band.k2.size < ops.k2.size and x1.shape == x.shape
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _stage_state(n, N=16):
+    """A band state with every product nonzero, and its physical rows."""
+    grid = Grid(n, 8.0, N)
+    law = euler._Lawson(D_HALF, GAS, SpectralOps(grid))
+    st0 = initial_bump(grid, 3.0, 0.2, 1)
+    u = 0.3 * np.stack([np.roll(st0.v, 1 + i, axis=i) for i in range(n)])
+    if n > 1:
+        u += rotational_bump(grid, 3.0, 0.3, 1).u
+    w = np.stack([law.ops.fwd(st0.v)] + [law.ops.fwd(f) for f in u])
+    return law, w, law.physical(w)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lawson_products_equal_the_generic_products(n):
+    # the held-buffer products form the same operations in the same
+    # order as _products on the same band ops, so the same bits
+    law, w, x = _stage_state(n)
+    ref = euler._products(x[0], x[1:], w[0], w[1:], GAS.slope, law.ops)[0]
+    got = law.products(w, x)
+    assert np.array_equal(_bits(got), _bits(ref))
+    # the result is a held buffer, overwritten by the next call
+    assert law.products(w, x) is got
+
+
+def test_product_row_is_the_expression_bit_for_bit():
+    # the oracle is the plain numpy expression, signed zeros included
+    rng = np.random.default_rng(3)
+    shape = (32, 32)
+    v, g = rng.standard_normal(shape), rng.standard_normal(shape)
+    u = rng.standard_normal((2,) + shape)
+    f = rng.standard_normal((2,) + shape)
+    u[0, ::3], f[1, ::2], v[::5] = 0.0, -0.0, -0.0
+    f[0, 1::4] = -0.0
+    want = -sum(u[j] * f[j] for j in range(2)) - 0.2 * v * g
+    got = euler._product_row(u, f, v, g, 0.2)
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_warm_lawson_step_allocates_no_grid_sized_work_arrays():
+    # bound stated before it was measured: once warm, a 2-D step at 128^2
+    # allocates at most six spectral states at its peak (the stages'
+    # scaled products and the propagator's tables); the products, the
+    # transforms' passes and the physical rows live in held buffers
+    grid = Grid(2, 20.0, 128)
+    law = euler._Lawson(D_HALF, GAS, SpectralOps(grid))
+    st0 = rotational_bump(grid, 6.0, 1e-2, 1)
+    w = np.stack([law.ops.fwd(st0.v)] + [law.ops.fwd(f) for f in st0.u])
+    x = law.physical(w)
+    w, x = euler.step(0.0, w, x, 0.1, law)
+    tracemalloc.start()
+    try:
+        w1, x1 = euler.step(0.1, w, x, 0.1, law)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * w.nbytes
+    # the step writes the new state over the old one
+    assert w1 is w and x1 is x
 
 
 def test_nonfinite_data_is_flagged():

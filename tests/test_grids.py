@@ -232,6 +232,43 @@ def test_band_transforms_match_the_full_ones_bit_for_bit(n, N):
     assert np.max(np.abs(band.k)) < 2.0 / 3.0 * math.pi / grid.dx
 
 
+@pytest.mark.parametrize("band", [True, False])
+@pytest.mark.parametrize("n, N", [(1, 64), (2, 32), (3, 16)])
+def test_transforms_write_into_out(n, N, band):
+    # with out given, fwd and inv return that array, holding the bits of
+    # the call without it; the band instance reuses its own work buffers,
+    # so a second call on other data must not see the first
+    grid = Grid(n, 10.0, N)
+    ops = SpectralOps(grid, band=band)
+    rng = np.random.default_rng(n)
+    f, g = rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)
+    F = ops.fwd(f)
+    spec = np.empty_like(F)
+    assert ops.fwd(f, out=spec) is spec
+    assert np.array_equal(spec, F)
+    buf = np.empty(grid.shape)
+    assert ops.inv(F, out=buf) is buf
+    assert np.array_equal(buf, ops.inv(F))
+    G = ops.fwd(g)
+    assert np.array_equal(ops.inv(G, out=buf), ops.inv(G))
+    assert np.array_equal(ops.fwd(f), F)
+
+
+@pytest.mark.parametrize("band", [True, False])
+def test_ik_gives_the_bits_of_one_j_k(band):
+    # ik is stored once; it must give the derivative multiplies their
+    # old bits, signed zeros included
+    ops = SpectralOps(Grid(2, 10.0, 32), band=band)
+    rng = np.random.default_rng(7)
+    F = rng.standard_normal(ops.k2.shape) + 1j * rng.standard_normal(ops.k2.shape)
+    F.real[::3] = -0.0
+    for i in range(2):
+        for p in (1, 2):
+            want = (1j * ops.k[i]) ** p * F
+            got = ops.ik[i] ** p * F
+            assert np.array_equal(want.view(np.uint64), got.view(np.uint64))
+
+
 def test_rfft_weights_give_parseval():
     grid, ops = make_ops(2, 4.0, 32)
     rng = np.random.default_rng(5)

@@ -319,23 +319,72 @@ def test_rerun_replaces_its_directory(tmp_path):
         "convolution.csv", "report.json", "summary.txt"]
 
 
-def test_failing_runner_leaves_no_directory(tmp_path, capsys):
-    # the solve completes, but up to t_final = 50 no sample falls in the
-    # fit window [100, 1000], so decay_fit raises after energy.csv is
-    # written; neither the API nor the CLI leaves that half-filled run
-    cfg = preset_config("nonlinear-decay", t_final=50.0, outdir=str(tmp_path))
-    with pytest.raises(ValueError, match="samples in"):
+# fit windows the snapshot schedule cannot fill: the run would solve in
+# full and then fail in decay_fit
+FIT_WINDOW_CASES = [
+    ("nonlinear-decay", {"t_final": 50.0}),
+    ("linear-decay", {"t_final": 10.0}),
+    ("u-extra-lambda", {"fit_lo": 290.0}),
+    ("vorticity-2d", {"t_final": 4.0}),
+    ("q-decay", {"n_snapshots": 5}),
+]
+
+
+@pytest.mark.parametrize("name, overrides", FIT_WINDOW_CASES,
+                         ids=[name for name, _ in FIT_WINDOW_CASES])
+def test_unfillable_fit_window_is_a_config_error(name, overrides, tmp_path,
+                                                 capsys):
+    cfg = preset_config(name, outdir=str(tmp_path), **overrides)
+    with pytest.raises(ConfigError, match=r"^fit_lo/fit_hi: .* holds \d of"):
+        run_scenario(cfg)
+    argv = ["run", name, "--outdir", str(tmp_path)]
+    for key, value in overrides.items():
+        argv += ["--set", f"{key}={value}"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: fit_lo/fit_hi:")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_only_presets_that_fit_declare_fit_times():
+    fitting = {name for name, p in harness.PRESETS.items() if p.fit_times}
+    assert fitting == {"linear-decay", "nonlinear-decay", "u-extra-lambda",
+                       "vorticity-2d", "vorticity-3d", "q-decay"}
+    # a preset that fits nothing ignores the window: mass-conservation's
+    # default [10, 100] already reaches past its t_final = 50
+    harness.validate_config(preset_config("mass-conservation", fit_lo=500.0,
+                                          fit_hi=600.0))
+
+
+@pytest.mark.parametrize("fixture", ["nonlinear_run", "vort2d_run"])
+def test_fit_times_are_the_recorded_times(fixture, request):
+    handle = request.getfixturevalue(fixture)
+    cfg = preset_config(handle.report.scenario)
+    want = harness.PRESETS[cfg.scenario].fit_times(cfg)
+    assert handle.csv_columns("energy.csv")["t"] == pytest.approx(want, rel=1e-12)
+
+
+def _failing_fit(*args, **kwargs):
+    raise ValueError("the fit failed")
+
+
+def test_failing_runner_leaves_no_directory(tmp_path, capsys, monkeypatch):
+    # the solve completes and writes energy.csv, then the fit raises;
+    # neither the API nor the CLI leaves that half-filled run
+    monkeypatch.setattr(harness, "decay_fit", _failing_fit)
+    cfg = preset_config("nonlinear-decay", t_final=50.0, fit_lo=5.0,
+                        fit_hi=50.0, outdir=str(tmp_path))
+    with pytest.raises(ValueError, match="the fit failed"):
         run_scenario(cfg)
     assert not run_dir(cfg).exists()
-    argv = ["run", "nonlinear-decay", "--set", "t_final=50",
-            "--outdir", str(tmp_path)]
+    argv = ["run", "nonlinear-decay", "--set", "t_final=50", "--set",
+            "fit_lo=5", "--set", "fit_hi=50", "--outdir", str(tmp_path)]
     assert main(argv) == 2
     assert "ValueError" in capsys.readouterr().err
     assert not run_dir(cfg).exists()
 
 
 EARLY_STOP = ["mu=0", "eps=1.2", "N=512", "L=40", "R=2", "data_order=1",
-              "t_final=20"]
+              "t_final=20", "fit_lo=1", "fit_hi=20"]
 
 
 def test_early_stop_is_a_failing_verdict(tmp_path, capsys):
@@ -515,11 +564,11 @@ def test_sweep_caps_workers(tmp_path, monkeypatch):
     assert all(r["status"] == "ok" for r in res_cpu)
 
 
-def test_sweep_records_runtime_errors(tmp_path):
-    # a valid config whose run fails: up to t_final = 10 no sample falls
-    # in the fit window [100, 1e4], so decay_fit raises; the sweep
-    # records an error row
-    base = preset_config("linear-decay", t_final=10.0, outdir=str(tmp_path))
+def test_sweep_records_runtime_errors(tmp_path, monkeypatch):
+    # a valid config whose run fails, here in the fit; the sweep records
+    # an error row
+    monkeypatch.setattr(harness, "decay_fit", _failing_fit)
+    base = preset_config("linear-decay", t_final=1.0e3, outdir=str(tmp_path))
     results, agg = sweep(base, {"mu": ["2.0"]})
     assert results[0]["status"] == "error"
     assert "ValueError" in results[0]["error"]

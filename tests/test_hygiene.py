@@ -2,8 +2,10 @@
 imports at module level is used somewhere in that module, only grids.py
 touches an FFT module, so SpectralOps.fwd/inv stay the one transform
 path, no preset runner raises ConfigError, so the preset registry
-and validate_config stay the one home of a preset's domain, and every
-recorder column is read by a verdict or a monitor column."""
+and validate_config stay the one home of a preset's domain, every
+recorder column is read by a verdict or a monitor column, and no module
+tunes the C allocator: large work arrays are held, not re-faulted, by
+the code that uses them."""
 
 import ast
 from pathlib import Path
@@ -182,3 +184,37 @@ def test_every_recorder_column_is_read():
     assert unread_columns(EnergyRow.columns(),
                           (PACKAGE / "harness.py").read_text(),
                           (PACKAGE / "diagnostics.py").read_text()) == []
+
+
+def allocator_tuning(source: str) -> list:
+    """Line numbers where the source names a MALLOC_* variable, calls
+    mallopt or imports ctypes (the way to reach libc from Python)."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and "MALLOC_" in node.value:
+            hits.append(node.lineno)
+        elif "mallopt" in (getattr(node, "id", None), getattr(node, "attr", None)):
+            hits.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            if any(a.name.split(".")[0] == "ctypes" for a in node.names):
+                hits.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[0] == "ctypes":
+                hits.append(node.lineno)
+    return sorted(set(hits))
+
+
+def test_allocator_tuning_detector():
+    src = ("import os\nimport ctypes.util\nfrom ctypes import CDLL\n"
+           "os.environ['MALLOC_TOP_PAD_'] = '1'\nx = os.getenv('HOME')\n"
+           "libc.mallopt(1, 2)\nmallopt(1, 2)\ny = 'malloc'\n"
+           "z = os.environ.get(f'MALLOC_{k}')\n")
+    assert allocator_tuning(src) == [2, 3, 4, 6, 7, 9]
+    assert allocator_tuning("import numpy as np\nx = np.empty(3)\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_tunes_the_allocator(path):
+    hits = allocator_tuning(path.read_text())
+    assert hits == [], f"{path.name} tunes the C allocator at lines {hits}"
