@@ -161,10 +161,12 @@ class EnergyRecorder:
     """Callable snapshot hook that accumulates EnergyRows.
 
     Each snapshot is one spectral pass: v and every u_i are transformed
-    once, grad v and the velocity gradient are formed once and shared by
-    the derivative norms, the weighted gradient energies, dv (of which
-    only the v product is formed) and the curl: n + 2 forward and
-    n + n^2 + 1 inverse transforms, 6, 11 and 18 in 1-, 2- and 3-D.
+    once, grad v is formed once and shared by its norms, its weighted
+    energy and dv (of which only the v product is formed), and the
+    velocity gradient is formed one entry at a time, each entry giving
+    its norms, its weighted energy and its share of div u and of the
+    curl before the next is formed: n + 2 forward and n + n^2 + 1
+    inverse transforms, 6, 11 and 18 in 1-, 2- and 3-D.
     The state is converted to density once.  Every column is bit-equal
     to its definition through the public helpers (ops.deriv_l2,
     ops.curl, euler.rhs, weighted_energy, mass_excess, momentum_moment).
@@ -201,22 +203,6 @@ class EnergyRecorder:
         uh = [ops.fwd(u[i]) for i in range(n)]
         grad_v = ops.grad_hat(vh)
         del vh
-        grad_u = [ops.grad_hat(uh[i]) for i in range(n)]   # [i][j] = d_j u_i
-        dv = euler.dv_dt(v, u, uh, grad_v, grad_u, self.g, ops)
-        del uh
-
-        dv1_l2 = sum(ops.l2(gv) for gv in grad_v)
-        dv1_linf = max(ops.linf(gv) for gv in grad_v)
-        du1_l2 = sum(sum(ops.l2(gu) for gu in grad_u[i]) for i in range(n))
-        vort_l2 = 0.0
-        if n >= 2:
-            w = ops.curl(u, grad_u)
-            vort_l2 = ops.l2(w) if n == 2 else \
-                math.sqrt(sum(ops.l2(w[i]) ** 2 for i in range(3)))
-            del w
-
-        u_l2 = math.sqrt(sum(ops.l2(u[i]) ** 2 for i in range(n)))
-        u_linf = max(ops.linf(u[i]) for i in range(n))
 
         if self.with_weights:
             mesh = self.grid.mesh()
@@ -224,18 +210,58 @@ class EnergyRecorder:
             rad = np.sqrt(np.sum(mesh * mesh, axis=0))
             del mesh
             outside = rad > self.support_R + st.t + 2.0
+            del rad
 
             def J(f):
                 return weighted_l2_sq(np.where(outside, 0.0, f), two_psi,
                                       self.grid.cell)
 
+        # the velocity gradient d_j u_i one entry at a time, in the order
+        # of ops.grad_hat row by row: each entry's norms and weighted term
+        # are taken as it is formed; the diagonal adds to div u, and an
+        # entry above the diagonal waits for its mirror to form the curl
+        # component along the third axis, 3 - i - j (its sign does not
+        # change its norm)
+        du1_l2 = Jgrad_u = div_u = 0.0
+        above, curl_l2 = {}, {}
+        for i in range(n):
+            row_l2 = 0.0
+            for j in range(n):
+                gu = ops.inv(ops.ik[j] * uh[i])
+                row_l2 += ops.l2(gu)
+                if self.with_weights:
+                    Jgrad_u += J(gu)
+                if i == j:
+                    div_u = np.add(div_u, gu, out=gu)
+                elif i < j:
+                    above[i, j] = gu
+                else:
+                    curl_l2[3 - i - j] = ops.l2(
+                        np.subtract(gu, above.pop((j, i)), out=gu))
+                del gu
+            du1_l2 += row_l2
+        dv = euler.dv_dt(v, u, uh, grad_v, div_u, self.g, ops)
+        del uh, div_u
+
+        dv1_l2 = sum(ops.l2(gv) for gv in grad_v)
+        dv1_linf = max(ops.linf(gv) for gv in grad_v)
+        vort_l2 = 0.0
+        if n == 2:
+            vort_l2 = curl_l2[2]
+        elif n == 3:
+            vort_l2 = math.sqrt(sum(curl_l2[c] ** 2 for c in range(3)))
+
+        u_l2 = math.sqrt(sum(ops.l2(u[i]) ** 2 for i in range(n)))
+        u_linf = max(ops.linf(u[i]) for i in range(n))
+
+        if self.with_weights:
             J_v, J_u = J(v), sum(J(u[i]) for i in range(n))
             Jgrad_v = sum(J(gv) for gv in grad_v)
-            Jgrad_u = sum(J(gu) for row in grad_u for gu in row)
             Jvt = J(dv)
+            del two_psi, outside
         else:
-            J_v = J_u = Jgrad_v = Jgrad_u = Jvt = 0.0
-        del grad_v, grad_u
+            J_v = J_u = Jgrad_v = Jvt = 0.0
+        del grad_v
 
         src_l1 = 0.0
         if self.with_source:

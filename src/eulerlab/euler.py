@@ -13,7 +13,11 @@ dealiased by the 2/3 rule, and time stepping is Lawson RK4: the linear
 damped-wave part is integrated exactly, mode by mode, with the Magnus
 propagator of linear.py, so only the quadratic products go through the
 stages and the step is bounded by the advection speed, not the sound
-speed.
+speed.  An embedded third-order companion that reuses the products at
+the new state (first same as last, so no extra products per step)
+estimates each step's error, and a PI controller keeps that estimate
+within STEP_TOL of the state, taking no step shorter than the acoustic
+CFL step.
 
 The stepper's state is the stack (v, u_1, .., u_n) twice over: w, its
 transform on the compact 2/3 band, shape (n+1, *band) with band =
@@ -31,6 +35,7 @@ monitor used by vacuum/steepening scouting runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +57,7 @@ __all__ = [
     "mass_bump",
     "rotational_bump",
     "potential_bump",
-    "LAWSON_STEP",
+    "STEP_TOL",
     "rhs",
     "dv_dt",
     "step",
@@ -186,9 +191,13 @@ def potential_bump(grid: Grid, R: float, eps: float, order: int = 1, *,
 #  Right-hand side and time stepping
 # =====================================================================
 
-LAWSON_STEP = 0.05
+# relative tolerance of the embedded pair: the step's error estimate
+# against STEP_TOL times the new state, both in the Euclidean norm of the
+# band coefficients
+STEP_TOL = 1e-9
 # blow-up monitors: spectral tail fraction of v, growth factor of the
-# largest gradient, and the number of steps between checks
+# largest gradient, and the simulated time between checks in units of
+# the acoustic step cfl dx
 TAIL_LIMIT = 0.01
 GRAD_FACTOR = 100.0
 CHECK_EVERY = 25
@@ -277,24 +286,25 @@ def rhs(t: float, v: np.ndarray, u: np.ndarray, d: DampingLaw, g: GasLaw,
     return dw[0], np.stack(dw[1:])
 
 
-def dv_dt(v: np.ndarray, u: np.ndarray, uh, grad_v, grad_u, g: GasLaw,
+def dv_dt(v: np.ndarray, u: np.ndarray, uh, grad_v, div_u, g: GasLaw,
           ops: SpectralOps) -> np.ndarray:
     """The dv of rhs, bit for bit, from fields the caller already holds.
 
     uh are the transforms of the u_i, grad_v the physical gradient of v
-    and grad_u[i][j] = d_j u_i the velocity gradient.  Two transforms:
-    the v product forward and dv back.  Nothing of u_t is formed.
+    and div_u the trace of the velocity gradient, summed as
+    sum(d_i u_i for i in range(n)).  Two transforms: the v product
+    forward and dv back.  Nothing of u_t is formed, and the linear term
+    is formed first, while the fewest fields are alive.
     """
-    div_u = sum(grad_u[i][i] for i in range(ops.grid.n))
-    nl_v = _v_product(v, u, grad_v, div_u, g.slope, ops)
-    del div_u
-    return ops.inv(next(_linear(None, uh, 0.0, ops)) + nl_v)
+    lin = next(_linear(None, uh, 0.0, ops))
+    return ops.inv(np.add(lin, _v_product(v, u, grad_v, div_u, g.slope, ops),
+                          out=lin))
 
 
 class _Lawson:
     """What every step of one run shares: the laws, the band SpectralOps,
     the wavevector tables of the exact linear propagator and the work
-    buffers of the stages.
+    buffers of the products and the stages.
 
     Per wavevector k of the band with r = |k| and s = k.u / r, the
     linear part couples (v, s) as the damped oscillator of linear.py
@@ -318,13 +328,30 @@ class _Lawson:
         self._work = None
 
     def release(self):
-        """Let products' work buffers go; its next call makes them again.
-        run releases them before each snapshot hook, so that the hook's
-        own fields take that memory instead of adding to it."""
+        """Let the work buffers go; their next use makes them again.  run
+        releases them at each output, so that the monitor check and the
+        snapshot hook take that memory instead of adding to it."""
         self._work = None
 
+    def work(self):
+        """The work buffers of products and step, made on first use: grad
+        v, div u, one entry of the velocity gradient (also the scratch of
+        each term) and the sum being formed, in physical space; one band
+        row, the scratch of apply and of step, and of products for one
+        derivative's spectrum; and two spectral states, step's P1 w and
+        its running sum."""
+        if self._work is None:
+            n, shape, band = self.ops.grid.n, self.ops.grid.shape, self.ops.k2.shape
+            self._work = (np.empty((n,) + shape), np.empty(shape),
+                          np.empty(shape), np.empty(shape),
+                          np.empty(band, dtype=complex),
+                          np.empty((n + 1,) + band, dtype=complex),
+                          np.empty((n + 1,) + band, dtype=complex))
+        return self._work
+
     def propagator(self, t0: float, t1: float):
-        """Coefficients of the exact linear propagator from t0 to t1."""
+        """Coefficients (a, b, c, e - f, f) of the exact linear propagator
+        from t0 to t1, as apply takes them."""
         r = self.radii
         y = np.zeros((4, r.size))
         y[0] = 1.0
@@ -333,27 +360,32 @@ class _Lawson:
         e00[r == 0.0] = 1.0
         e01 = e01 * r
         e10 = np.divide(e10, r, out=np.zeros_like(e10), where=r > 0.0)
+        f = 1.0 / integrating_factor(t0, t1, self.d)
         ix = self.index
-        return (e00[ix], e01[ix], e10[ix], e11[ix],
-                1.0 / integrating_factor(t0, t1, self.d))
+        return e00[ix], e01[ix], e10[ix], (e11 - f)[ix], f
 
-    def apply(self, P, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def apply(self, P, w: np.ndarray, out: np.ndarray,
+              scratch: np.ndarray) -> np.ndarray:
         """P applied to the spectral state w (v first, then u), into out,
         which may be w itself.  With s = sum_i khat_i w_i,
 
             out_0 = a w_0 - i (b s),
             out_i = f w_i + khat_i (i (c w_0) + (e - f) s),
 
-        each evaluated in that order, a row at a time.
+        each evaluated in that order, a row at a time.  s and the bracket
+        go into the first two rows of scratch, a spectral state that
+        neither w nor out may share, the rest into the held band row of
+        work().
         """
-        a, b, c, e, f = P
-        out = np.empty_like(w) if out is None else out
-        s = np.multiply(self.khat[0], w[1])
-        tmp = np.empty_like(s)
+        a, b, c, e_f, f = P
+        s, q = scratch[:2]
+        tmp = self.work()[4]
+        np.multiply(self.khat[0], w[1], out=s)
         for i in range(1, w.shape[0] - 1):
             s += np.multiply(self.khat[i], w[1 + i], out=tmp)
-        q = np.multiply(1j, np.multiply(c, w[0]))
-        q += np.multiply(e - f, s, out=tmp)
+        np.multiply(c, w[0], out=q)
+        np.multiply(1j, q, out=q)
+        q += np.multiply(e_f, s, out=tmp)
         for i in range(w.shape[0] - 1):
             np.multiply(f, w[1 + i], out=out[1 + i])
             out[1 + i] += np.multiply(self.khat[i], q, out=tmp)
@@ -368,23 +400,17 @@ class _Lawson:
             self.ops.inv(w[i], out=out[i])
         return out
 
-    def products(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """_products(...)[0] of the stage w with physical rows x.  The
-        same operations in the same order, so the same bits, but every
-        grid-sized result goes into a held buffer; so does the returned
-        one, which the next call overwrites.
+    def products(self, w: np.ndarray, x: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+        """_products(...)[0] of the stage w with physical rows x, into
+        out, which may be w itself: each row of w is read before the
+        same row of out is written.  The same operations in the same
+        order, so the same bits, but every grid-sized intermediate goes
+        into a held buffer.
         """
         ops, sl, n = self.ops, self.sl, self.ops.grid.n
-        if self._work is None:
-            # grad v, div u, one entry of the velocity gradient (also the
-            # scratch of each term), the sum being formed, one
-            # derivative's spectrum and the products
-            shape, band = ops.grid.shape, ops.k2.shape
-            self._work = (np.empty((n,) + shape), np.empty(shape),
-                          np.empty(shape), np.empty(shape),
-                          np.empty(band, dtype=complex),
-                          np.empty((n + 1,) + band, dtype=complex))
-        grad_v, div, d, acc, dh, out = self._work
+        grad_v, div, d, acc, dh = self.work()[:5]
+        out = np.empty_like(w) if out is None else out
         v, u = x[0], x[1:]
 
         def deriv(j, F, dst):
@@ -407,46 +433,97 @@ class _Lawson:
         return out
 
 
-def step(t: float, w: np.ndarray, x: np.ndarray, h: float, law: _Lawson):
-    """One Lawson RK4 step from t to t + h; returns (w, x) at t + h.
+def step(t: float, w: np.ndarray, x: np.ndarray, f: np.ndarray, h: float,
+         law: _Lawson, floor: float = np.inf):
+    """One accepted step of the embedded Lawson RK4(3) pair from t;
+    returns (h, err), the step taken and its error estimate.
 
     w is the spectral state on law's band (v, u_1..u_n stacked), x the
-    same state in physical space.  The linear part is integrated exactly
-    through the two half-step propagators P1 and P2 (their product is
-    the full-step one); only the quadratic products go through the four
-    stages.  Both arrays are overwritten and returned: x takes the
-    physical rows of each later stage in turn, w the running sum acc
-    once the first stage has read it.
+    same state in physical space and f = law.products(w, x); all three
+    are overwritten with their values at t + h.  The linear part is
+    integrated exactly through the two half-step propagators P1 and P2
+    (their product is the full-step one); only the quadratic products go
+    through the four stages k1..k4 of Lawson RK4, k1 being P1 f.  The
+    products at the new state, k5, are the next step's f (first same as
+    last), so an accepted step makes four products calls.  The
+    third-order companion, weights (1/6, 1/3, 1/3, 1/15, 1/10) on
+    k1..k5, differs from the new state by E = (h/10) (k4 - k5), and
+
+        err = |E|_2 / (STEP_TOL |w(t + h)|_2)
+
+    over the band coefficients.  A try with err > 1 is taken again from
+    t, shorter by _step_factor but not shorter than floor; a try of at
+    most floor is accepted whatever its estimate.  The default floor
+    accepts every try: fixed steps.
     """
-    # the products live in law's buffer, and each stage shares one
-    # spectral buffer with the scaled products that form it: besides w
-    # and x a step makes two spectral states, pw and stage
-    th = t + 0.5 * h
-    p = law.propagator(t, th)
-    pw = law.apply(p, w)
-    k = law.products(w, x)
-    law.apply(p, k, out=k)
-    del p
-    acc = _scaled(h / 6.0, k, out=w, plus=pw)   # w is spent once read
-    stage = np.empty_like(w)
-    for _ in range(2):
-        _scaled(0.5 * h, k, out=stage, plus=pw)
-        k = law.products(stage, law.physical(stage, out=x))
-        acc += _scaled(h / 3.0, k, out=stage)
-    _scaled(h, k, out=stage, plus=pw)
-    del pw
-    p = law.propagator(th, t + h)
-    law.apply(p, stage, out=stage)
-    law.apply(p, acc, out=acc)
-    k = law.products(stage, law.physical(stage, out=x))
-    acc += _scaled(h / 6.0, k, out=stage)
-    return acc, law.physical(acc, out=x)
+    # the stages live in law's held states pw = P1 w and acc, the running
+    # sum, and in f: it takes k1 = P1 f, then each stage and its
+    # products.  k5 goes into pw once the last stage has read it, and the
+    # propagators take their scratch from whichever of acc and pw is not
+    # in use.  A try that is taken again forms f afresh, one products
+    # call more
+    tmp, pw, acc = law.work()[4:]
+    while True:
+        th = t + 0.5 * h
+        p = law.propagator(t, th)
+        law.apply(p, w, pw, acc)
+        k = law.apply(p, f, f, acc)
+        del p
+        _scaled(h / 6.0, k, out=acc, plus=pw)
+        for _ in range(2):
+            _scaled(0.5 * h, k, out=k, plus=pw)
+            law.products(k, law.physical(k, out=x), out=k)
+            _add_scaled(acc, h / 3.0, k, tmp)
+        _scaled(h, k, out=k, plus=pw)
+        p = law.propagator(th, t + h)
+        law.apply(p, k, k, pw)
+        law.apply(p, acc, acc, pw)
+        del p
+        law.products(k, law.physical(k, out=x), out=k)
+        _add_scaled(acc, h / 6.0, k, tmp)
+        k5 = law.products(acc, law.physical(acc, out=x), out=pw)
+        e = 0.1 * h * _norm(np.subtract(k, k5, out=k))
+        err = e / (STEP_TOL * _norm(acc)) if e else 0.0
+        # a NaN estimate is accepted: run flags the state that made it
+        if not err > 1.0 or h <= floor:
+            break
+        h = max(floor, h * _step_factor(err))
+        law.products(w, law.physical(w, out=x), out=f)
+    w[...] = acc
+    f[...] = k5
+    return h, err
 
 
-def _scaled(c: float, k: np.ndarray, out: np.ndarray, plus=None) -> np.ndarray:
-    """c k into out, or plus + c k: the expressions' own operations."""
+def _step_factor(err: float, err_prev: float = 1.0) -> float:
+    """Factor of the next step after a step with error estimate err: the
+    PI controller of Gustafsson (1991) for an estimate of order 4,
+    err^(-0.7/4) err_prev^(0.4/4), with a safety factor of 0.9 and held
+    in [0.2, 5].  err_prev is the previous accepted step's estimate; the
+    default 1 leaves the controller proportional, as for a retry."""
+    err, err_prev = max(err, 1e-10), max(err_prev, 1e-10)
+    return min(5.0, max(0.2, 0.9 * err ** -0.175 * err_prev ** 0.1))
+
+
+def _norm(a: np.ndarray) -> float:
+    """Euclidean norm of the coefficients of a, a contiguous complex
+    array: the dot product of its real view with itself, so no
+    temporary."""
+    re = a.reshape(-1).view(float)
+    return math.sqrt(np.dot(re, re))
+
+
+def _scaled(c: float, k: np.ndarray, out: np.ndarray, plus: np.ndarray) -> np.ndarray:
+    """plus + c k into out, which may be k: the expression's own
+    operations."""
     np.multiply(c, k, out=out)
-    return out if plus is None else np.add(plus, out, out=out)
+    return np.add(plus, out, out=out)
+
+
+def _add_scaled(acc: np.ndarray, c: float, k: np.ndarray, tmp: np.ndarray):
+    """acc += c k a row at a time, with c k of each row in tmp: the bits
+    of the whole-array expression, without a temporary of its size."""
+    for a, r in zip(acc, k):
+        a += np.multiply(c, r, out=tmp)
 
 
 @dataclass
@@ -473,19 +550,27 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
         ops: SpectralOps | None = None) -> RunResult:
     """March the system to cfg.t_final, landing on every snapshot time.
 
-    Steps are Lawson RK4 (see step) of length
+    Steps are those of the embedded Lawson pair (see step), of length
 
-        min(cfl dx / a, max(LAWSON_STEP (1+t), cfl dx / (1 + a)), next output - t),
+        h = min(cfl dx / a, max(h_ctrl, cfl dx / (1 + a))),
         a = |u|_inf + (gamma-1)/2 |v|_inf,
 
-    so the advection speed a bounds the step, the sound speed does not,
-    and no step is shorter than the acoustic CFL step.  A dt_override
-    must respect the advective bound.
+    so the advection speed a bounds the step and the sound speed does
+    not.  h_ctrl is the PI controller's proposal (_step_factor), from
+    the acoustic step cfl dx / (1 + a) at the start.  That acoustic step
+    is also the floor: a step there is accepted whatever its estimate,
+    a longer one only with err <= 1.  The distance to the next output
+    is spread evenly over ceil((output - t) / h) steps, so no sliver of
+    a step is left before an output.  A dt_override takes fixed steps,
+    cut only to land on outputs, and must respect the advective bound.
+    Every step is counted once, however many tries it took.
 
     on_snapshot(state) fires at each requested time (and at t_final).
     Blow-up monitoring: non-finite values every step; gradient growth and
-    spectral tail fraction every CHECK_EVERY steps and at snapshots.  A
-    triggered monitor ends the run with the corresponding verdict.
+    spectral tail fraction at every output and at the first step past
+    each multiple of CHECK_EVERY cfl dx of simulated time, so the checks
+    do not depend on how many steps the controller takes.  A triggered
+    monitor ends the run with the corresponding verdict.
     """
     ops = ops or SpectralOps(grid)
     _check_band_limited(ops, (st0.v,), "initial data")
@@ -495,7 +580,7 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
     # from products whose factors already live inside it
     w = np.stack([band.fwd(st0.v)] + [band.fwd(f) for f in st0.u])
     x = law.physical(w)
-    t = st0.t
+    t = t0 = st0.t
 
     snaps = sorted(set(float(s) for s in cfg.snapshot_times
                        if 0.0 < s <= cfg.t_final) | {cfg.t_final})
@@ -503,11 +588,15 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
     g0 = max(_grad_sup(w, band), 1e-300)
     dts = []
     result = RunResult(verdict="completed", t_end=cfg.t_final, steps=0)
+    every = CHECK_EVERY * cfg.cfl * grid.dx
+    next_check = t0 + every
+    h_ctrl, err_prev = 0.0, 1.0
 
     if on_snapshot is not None and t == 0.0:
         on_snapshot(st)
     if cfg.store_snapshots:
         result.snapshots.append(st.copy())
+    f = law.products(w, x)
 
     def tripped() -> str | None:
         if not np.isfinite(x).all():
@@ -533,7 +622,8 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
         return result
 
     for target in snaps:
-        while t < target - 1e-12 * max(1.0, target):
+        tol = 1e-12 * max(1.0, target)
+        while t < target - tol:
             speed = max(ops.linf(x[i]) for i in range(1, grid.n + 1)) \
                 + g.slope * ops.linf(x[0])
             if not np.isfinite(speed):
@@ -544,24 +634,27 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
                     raise ValueError(
                         f"dt_override {cfg.dt_override:g} violates the "
                         f"advective CFL bound {h_adv:g}")
-                h = cfg.dt_override
+                h, floor = min(cfg.dt_override, target - t), np.inf
             else:
-                h = min(h_adv, max(LAWSON_STEP * (1.0 + t),
-                                   cfg.cfl * grid.dx / (1.0 + speed)))
-            h = min(h, target - t)
-            w, x = step(t, w, x, h, law)
+                floor = cfg.cfl * grid.dx / (1.0 + speed)
+                h = min(h_adv, max(h_ctrl, floor))
+                h = (target - t) / max(1, math.ceil((target - t) / h - 1e-9))
+            h, err = step(t, w, x, f, h, law, floor)
+            h_ctrl, err_prev = h * _step_factor(err, err_prev), err
             t += h
             dts.append(h)
             st = EulerState(t, x[0], x[1:])
-            if len(dts) % CHECK_EVERY == 0:
-                why = tripped()
+            if t >= next_check:
+                next_check = t0 + every * (math.floor((t - t0) / every) + 1)
+                # a step that lands on the output is checked there
+                why = tripped() if t < target - tol else None
                 if why:
                     return finish(why)
+        law.release()
         why = tripped()
         if why:
             return finish(why)
         if on_snapshot is not None:
-            law.release()
             on_snapshot(st)
         if cfg.store_snapshots:
             result.snapshots.append(st.copy())

@@ -224,18 +224,13 @@ class SpectralOps:
     def laplacian(self, f: np.ndarray) -> np.ndarray:
         return self.inv(-self.k2 * self.fwd(f))
 
-    def curl(self, u: np.ndarray, grad_u=None) -> np.ndarray:
-        """Vorticity: scalar in 2-D, vector in 3-D.
-
-        grad_u[i][j] = d_j u_i is the velocity gradient.  It is formed
-        here unless the caller passes it, and then the curl costs no
-        transform.
-        """
+    def curl(self, u: np.ndarray) -> np.ndarray:
+        """Vorticity: scalar in 2-D, vector in 3-D, from the velocity
+        gradient G[i][j] = d_j u_i."""
         n = self.grid.n
         if n not in (2, 3):
             raise ValueError("curl is defined for n = 2 or 3")
-        G = grad_u if grad_u is not None else \
-            [self.grad_hat(self.fwd(u[i])) for i in range(n)]
+        G = [self.grad_hat(self.fwd(u[i])) for i in range(n)]
         if n == 2:
             return G[1][0] - G[0][1]
         return np.stack([G[2][1] - G[1][2],

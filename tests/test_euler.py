@@ -11,7 +11,7 @@ import pytest
 from conftest import CountingOps
 from eulerlab import euler
 from eulerlab.euler import (
-    LAWSON_STEP, EulerState, PhysicalState, SolverConfig, VacuumError,
+    EulerState, PhysicalState, SolverConfig, VacuumError,
     bump_profile, from_symmetric, initial_bump, mass_bump, potential_bump,
     rhs, rotational_bump, run, to_symmetric, nonlinear_wave_source,
 )
@@ -157,42 +157,50 @@ def test_gradient_monitor_trips_first_when_tightened(monkeypatch):
 @pytest.mark.parametrize("n", [1, 2])
 def test_monitor_check_transforms_only_for_the_tail(n, monkeypatch):
     # the gradient check works on the spectral state the run holds, so a
-    # check costs one forward transform, the tail fraction's; checking at
-    # every step instead of only at the outputs adds exactly one per step
+    # check costs one forward transform, the tail fraction's.  Checking
+    # after every step instead of only at the outputs adds exactly one
+    # per step that does not land on an output, where the output's own
+    # check follows
     grid = Grid(n, 16.0, 64)
     st0 = initial_bump(grid, 5.0, 1e-2, 3)
     cfg = SolverConfig(t_final=2.0, snapshot_times=(1.0,))
     counts, steps = [], []
-    for every in (10 ** 9, 1):
+    for every in (1e9, 1e-9):
         monkeypatch.setattr(euler, "CHECK_EVERY", every)
         ops = CountingOps(grid)
         res = run(st0, D_HALF, GAS, grid, cfg, ops=ops)
         assert res.verdict == "completed"
         counts.append(ops.fwd_calls)
         steps.append(res.steps)
-    assert steps[0] == steps[1] > 0
-    assert counts[1] - counts[0] == steps[0]
+    assert steps[0] == steps[1] > 2
+    assert counts[1] - counts[0] == steps[0] - 2
+
+
+def _band_state(law, st):
+    """The band state of st, its physical rows and their products."""
+    w = np.stack([law.ops.fwd(st.v)] + [law.ops.fwd(f) for f in st.u])
+    x = law.physical(w)
+    return w, x, law.products(w, x)
 
 
 @pytest.mark.parametrize("n, fwd_calls, inv_calls", [(1, 8, 16), (2, 12, 36)])
 def test_lawson_step_transforms_only_the_band(n, fwd_calls, inv_calls):
-    # forward: the n + 1 products of each of the four stages; inverse:
-    # the n + n^2 first derivatives of each stage, and the n + 1 state
-    # rows of the last three stages and of the result.  The counts are
-    # those of the full-spectrum stepper; none of them is full-size now.
+    # forward: the n + 1 products of stages two to four and of the new
+    # state, which are the next step's first stage; inverse: the n + n^2
+    # first derivatives of each of those, and their n + 1 state rows.
+    # The counts are those of the full-spectrum stepper; none of them is
+    # full-size now.
     grid = Grid(n, 8.0, 16)
     ops = CountingOps(grid)
     law = euler._Lawson(D_HALF, GAS, ops)
     band = law.ops
-    st0 = initial_bump(grid, 3.0, 1e-2, 1)
-    w = np.stack([band.fwd(st0.v)] + [band.fwd(f) for f in st0.u])
-    x = law.physical(w)
+    w, x, f = _band_state(law, initial_bump(grid, 3.0, 1e-2, 1))
     band.fwd_calls = band.inv_calls = 0
-    w1, x1 = euler.step(0.0, w, x, 0.1, law)
+    assert euler.step(0.0, w, x, f, 0.1, law)[0] == 0.1
     assert (band.fwd_calls, band.inv_calls) == (fwd_calls, inv_calls)
     assert ops.fwd_calls == ops.inv_calls == 0
-    assert w1.shape == w.shape == (n + 1,) + band.k2.shape
-    assert band.k2.size < ops.k2.size and x1.shape == x.shape
+    assert w.shape == f.shape == (n + 1,) + band.k2.shape
+    assert band.k2.size < ops.k2.size
 
 
 def _bits(a):
@@ -219,8 +227,42 @@ def test_lawson_products_equal_the_generic_products(n):
     ref = euler._products(x[0], x[1:], w[0], w[1:], GAS.slope, law.ops)[0]
     got = law.products(w, x)
     assert np.array_equal(_bits(got), _bits(ref))
-    # the result is a held buffer, overwritten by the next call
-    assert law.products(w, x) is got
+    # the step forms each stage's products over the stage itself
+    assert law.products(w, x, out=w) is w
+    assert np.array_equal(_bits(w), _bits(ref))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_fsal_products_are_the_products_at_the_new_state(n):
+    # the step hands back the products of its new state (first same as
+    # last), so the next step's first stage is the one a step that
+    # formed it afresh would take, bit for bit, at fixed and at
+    # controlled steps alike
+    law, w, x = _stage_state(n)
+    w *= 0.05
+    x = law.physical(w)
+    f = law.products(w, x)
+    for t, h, floor in ((0.0, 0.1, np.inf), (0.1, 0.4, 0.0)):
+        h, err = euler.step(t, w, x, f, h, law, floor)
+        assert h > 0.0 and 0.0 < err <= (1.0 if floor == 0.0 else np.inf)
+        assert np.array_equal(_bits(x), _bits(law.physical(w)))
+        assert np.array_equal(_bits(f), _bits(law.products(w, x)))
+
+
+def test_rejected_try_is_taken_again_from_the_same_state():
+    # a try above the tolerance is taken again from t, with f formed
+    # afresh, so the step it accepts is the fixed step of that length,
+    # bit for bit
+    law, w, x = _stage_state(2)
+    f = law.products(w, x)
+    fixed = (w.copy(), x.copy(), f.copy())
+    h, err = euler.step(0.0, w, x, f, 0.5, law, floor=0.0)
+    assert h < 0.5 / 2 and err <= 1.0
+    assert euler.step(0.0, *fixed, h, law) == (h, err)
+    for got, want in zip((w, x, f), fixed):
+        assert np.array_equal(_bits(got), _bits(want))
+    # a try at the floor is accepted whatever its estimate
+    assert euler.step(h, w, x, f, 0.5, law, floor=0.5)[0] == 0.5
 
 
 def test_product_row_is_the_expression_bit_for_bit():
@@ -239,24 +281,26 @@ def test_product_row_is_the_expression_bit_for_bit():
 
 def test_warm_lawson_step_allocates_no_grid_sized_work_arrays():
     # bound stated before it was measured: once warm, a 2-D step at 128^2
-    # allocates at most six spectral states at its peak (the stages'
-    # scaled products and the propagator's tables); the products, the
-    # transforms' passes and the physical rows live in held buffers
+    # allocates at most six spectral states at its peak (the propagator's
+    # tables and the row temporaries of its application); the products,
+    # the stages, the error estimate, the transforms' passes and the
+    # physical rows live in held buffers
     grid = Grid(2, 20.0, 128)
     law = euler._Lawson(D_HALF, GAS, SpectralOps(grid))
-    st0 = rotational_bump(grid, 6.0, 1e-2, 1)
-    w = np.stack([law.ops.fwd(st0.v)] + [law.ops.fwd(f) for f in st0.u])
-    x = law.physical(w)
-    w, x = euler.step(0.0, w, x, 0.1, law)
+    w, x, f = _band_state(law, rotational_bump(grid, 6.0, 1e-2, 1))
+    euler.step(0.0, w, x, f, 0.1, law)
+    before = w.copy()
     tracemalloc.start()
     try:
-        w1, x1 = euler.step(0.1, w, x, 0.1, law)
+        h, err = euler.step(0.1, w, x, f, 0.1, law)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 6 * w.nbytes
     # the step writes the new state over the old one
-    assert w1 is w and x1 is x
+    assert h == 0.1 and np.isfinite(err)
+    assert not np.array_equal(w, before)
+    assert np.array_equal(_bits(x), _bits(law.physical(w)))
 
 
 def test_nonfinite_data_is_flagged():
@@ -402,21 +446,32 @@ def test_linearized_run_matches_method_of_lines():
         assert ops.l2(snap.v - w) <= 1e-4 * ops.l2(w)
 
 
-def test_step_count_follows_the_lawson_rule():
-    # at eps = 1e-3 the advective bound never binds, so every step is at
-    # least LAWSON_STEP (1+t) long, except the cuts that land on outputs
+def test_step_controller_contract(monkeypatch):
+    # every accepted step longer than the acoustic floor meets the
+    # tolerance; the bound of 50 steps, half of what the former rule
+    # LAWSON_STEP (1+t) allowed here, was stated before it was measured;
+    # landing on the outputs leaves no sliver
     grid = Grid(1, 20.0, 256)
     st0 = initial_bump(grid, 4.0, 1e-3, 3)
     snaps = (1.0, 10.0, 50.0)
     t_end = 100.0
+    taken = []
+    inner = euler.step
+
+    def recorded(t, w, x, f, h, law, floor=np.inf):
+        out = inner(t, w, x, f, h, law, floor)
+        taken.append(out + (floor,))
+        return out
+
+    monkeypatch.setattr(euler, "step", recorded)
     cfg = SolverConfig(t_final=t_end, snapshot_times=snaps)
     res = run(st0, D_HALF, GAS, grid, cfg)
     assert res.verdict == "completed"
-    rule = math.ceil(math.log1p(t_end) / math.log1p(LAWSON_STEP))
-    assert res.steps <= rule + len(snaps) + 1
-    assert res.steps <= t_end / (cfg.cfl * grid.dx)
+    assert len(taken) == res.steps <= 50
+    assert all(err <= 1.0 for h, err, floor in taken if h > floor)
+    assert sum(h for h, _, _ in taken) == pytest.approx(t_end, rel=1e-12)
     assert 0.0 < res.dt_min <= res.dt_median <= res.dt_max
-    assert res.dt_max <= LAWSON_STEP * (1.0 + t_end)
+    assert res.dt_min >= 1e-3 * res.dt_median
 
 
 def test_mass_is_conserved():
