@@ -160,23 +160,24 @@ class EnergyRow:
 class EnergyRecorder:
     """Callable snapshot hook that accumulates EnergyRows.
 
-    Each snapshot is one spectral pass: v and every u_i are transformed
-    once, grad v is formed once and shared by its norms, its weighted
-    energy and dv (of which only the v product is formed), and the
-    velocity gradient is formed one entry at a time, each entry giving
-    its norms, its weighted energy and its share of div u and of the
-    curl before the next is formed: n + 2 forward and n + n^2 + 1
-    inverse transforms, 6, 11 and 18 in 1-, 2- and 3-D.
-    The state is converted to density once.  Every column is bit-equal
-    to its definition through the public helpers (ops.deriv_l2,
-    ops.curl, euler.rhs, weighted_energy, mass_excess, momentum_moment).
+    Each snapshot is one pass over the band spectrum w of the state and
+    the products f at it, which a state from euler.run carries as its
+    band: grad v once, the velocity gradient one entry at a time (each
+    giving its norms, its weighted energy and its share of div u and of
+    the curl before the next is formed) and dv = -div u + f[0], that is
+    n + n^2 + 1 band inverse transforms (3, 7, 13 in 1-, 2-, 3-D) and no
+    forward one.  A state without a band is put on the recorder's own
+    band ops first: n + 2 forward transforms more, the last for f[0].
+    Columns of the physical state are bit-equal to their public
+    definitions, those of derivatives equal to rounding for a
+    band-limited state.
 
     The weighted energies are taken on the propagation cone of the
     data's support radius support_R, as in weighted_energy.
     with_source and with_weights can be switched off to cheapen large
     sweeps; the corresponding columns then hold zeros.  The wave-form
-    source, when on, costs transforms of its own: it starts from the
-    state alone, and makes 13, 21 and 31 in 1-, 2- and 3-D.
+    source starts from w, f, grad v and div u (anew without a band): 2
+    forward, 2n + 3 inverse transforms, 7, 9 and 11 in 1-, 2- and 3-D.
     """
 
     def __init__(self, grid: Grid, d: DampingLaw, g: GasLaw, spec: WeightSpec,
@@ -190,6 +191,8 @@ class EnergyRecorder:
         self.with_weights = with_weights
         self.support_R = support_R
         self.ops = ops or SpectralOps(grid)
+        # band ops of ops' class for states without a band, made on first use
+        self.band = None
         # the coordinates in broadcast form, one axis each: the moment
         # needs no more, and the weighted block forms the mesh itself
         self.coords = np.meshgrid(*([grid.axis()] * grid.n), indexing="ij",
@@ -197,12 +200,14 @@ class EnergyRecorder:
         self.rows: list[EnergyRow] = []
 
     def __call__(self, st: euler.EulerState):
-        ops, n = self.ops, self.grid.n
+        ops, n, sl = self.ops, self.grid.n, self.g.slope
         v, u = st.v, st.u
-        vh = ops.fwd(v)
-        uh = [ops.fwd(u[i]) for i in range(n)]
-        grad_v = ops.grad_hat(vh)
-        del vh
+        if st.band is None:
+            band = self.band = self.band or type(ops)(self.grid, band=True)
+            w = np.stack([band.fwd(v)] + [band.fwd(u[i]) for i in range(n)])
+        else:
+            band, w = st.band.ops, st.band.w
+        grad_v = band.grad_hat(w[0])
 
         if self.with_weights:
             mesh = self.grid.mesh()
@@ -227,7 +232,7 @@ class EnergyRecorder:
         for i in range(n):
             row_l2 = 0.0
             for j in range(n):
-                gu = ops.inv(ops.ik[j] * uh[i])
+                gu = band.inv(band.ik[j] * w[1 + i])
                 row_l2 += ops.l2(gu)
                 if self.with_weights:
                     Jgrad_u += J(gu)
@@ -240,8 +245,16 @@ class EnergyRecorder:
                         np.subtract(gu, above.pop((j, i)), out=gu))
                 del gu
             du1_l2 += row_l2
-        dv = euler.dv_dt(v, u, uh, grad_v, div_u, self.g, ops)
-        del uh, div_u
+        # f at the state: the run's, or its v row from the gradients above
+        nl = st.band.f if st.band is not None else \
+            [euler._v_product(v, u, grad_v, div_u, sl, band)]
+        dv = band.inv(next(euler._linear(None, w[1:], 0.0, band)) + nl[0])
+        src_l1 = 0.0
+        if self.with_source:
+            held = (w, nl, grad_v, div_u) if st.band is not None else None
+            src_l1 = ops.quad(np.abs(euler.nonlinear_wave_source(
+                st, self.d, self.g, band, held)))
+        del w, nl, div_u
 
         dv1_l2 = sum(ops.l2(gv) for gv in grad_v)
         dv1_linf = max(ops.linf(gv) for gv in grad_v)
@@ -262,11 +275,6 @@ class EnergyRecorder:
         else:
             J_v = J_u = Jgrad_v = Jvt = 0.0
         del grad_v
-
-        src_l1 = 0.0
-        if self.with_source:
-            src = euler.nonlinear_wave_source(st, self.d, self.g, ops)
-            src_l1 = ops.quad(np.abs(src))
 
         ph = euler.from_symmetric(st, self.g)
         rho_dev = ph.rho - 1.0

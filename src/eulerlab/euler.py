@@ -36,6 +36,7 @@ monitor used by vacuum/steepening scouting runs.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,7 +60,6 @@ __all__ = [
     "potential_bump",
     "STEP_TOL",
     "rhs",
-    "dv_dt",
     "step",
     "run",
     "nonlinear_wave_source",
@@ -70,6 +70,11 @@ class VacuumError(ValueError):
     """The symmetric state left the positive-density region."""
 
 
+# EulerState.band of run's snapshots: band ops, band spectrum w (v, then
+# the u_i) and the products f at the state, overwritten by the next step
+BandView = namedtuple("BandView", "ops w f")
+
+
 @dataclass
 class EulerState:
     """Symmetric variables at one instant; u has shape (n, *grid.shape)."""
@@ -77,9 +82,10 @@ class EulerState:
     t: float
     v: np.ndarray
     u: np.ndarray
+    band: BandView | None = field(default=None, repr=False, compare=False)
 
     def copy(self) -> "EulerState":
-        return EulerState(self.t, self.v.copy(), self.u.copy())
+        return EulerState(self.t, self.v.copy(), self.u.copy())  # no band
 
 
 @dataclass
@@ -286,21 +292,6 @@ def rhs(t: float, v: np.ndarray, u: np.ndarray, d: DampingLaw, g: GasLaw,
     return dw[0], np.stack(dw[1:])
 
 
-def dv_dt(v: np.ndarray, u: np.ndarray, uh, grad_v, div_u, g: GasLaw,
-          ops: SpectralOps) -> np.ndarray:
-    """The dv of rhs, bit for bit, from fields the caller already holds.
-
-    uh are the transforms of the u_i, grad_v the physical gradient of v
-    and div_u the trace of the velocity gradient, summed as
-    sum(d_i u_i for i in range(n)).  Two transforms: the v product
-    forward and dv back.  Nothing of u_t is formed, and the linear term
-    is formed first, while the fewest fields are alive.
-    """
-    lin = next(_linear(None, uh, 0.0, ops))
-    return ops.inv(np.add(lin, _v_product(v, u, grad_v, div_u, g.slope, ops),
-                          out=lin))
-
-
 class _Lawson:
     """What every step of one run shares: the laws, the band SpectralOps,
     the wavevector tables of the exact linear propagator and the work
@@ -401,20 +392,24 @@ class _Lawson:
         return out
 
     def products(self, w: np.ndarray, x: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
+                 out: np.ndarray | None = None, watch: bool = False) -> np.ndarray:
         """_products(...)[0] of the stage w with physical rows x, into
         out, which may be w itself: each row of w is read before the
         same row of out is written.  The same operations in the same
         order, so the same bits, but every grid-sized intermediate goes
-        into a held buffer.
+        into a held buffer.  With watch, grad_sup keeps the largest sup
+        norm of the first derivatives formed, for run's gradient monitor.
         """
         ops, sl, n = self.ops, self.sl, self.ops.grid.n
         grad_v, div, d, acc, dh = self.work()[:5]
         out = np.empty_like(w) if out is None else out
         v, u = x[0], x[1:]
+        sup = []
 
         def deriv(j, F, dst):
-            return ops.inv(np.multiply(ops.ik[j], F, out=dh), out=dst)
+            ops.inv(np.multiply(ops.ik[j], F, out=dh), out=dst)
+            if watch:
+                sup.append(max(dst.max(), -dst.min()))
 
         def row(i):
             # d_j u_i, one at a time in d, adding d_i u_i to div u
@@ -430,6 +425,8 @@ class _Lawson:
             ops.fwd(_product_row(u, row(i), v, grad_v[i], sl, acc, d),
                     out=out[1 + i])
         ops.fwd(_product_row(u, grad_v, v, div, sl, acc, d), out=out[0])
+        if watch:
+            self.grad_sup = float(max(sup))
         return out
 
 
@@ -481,7 +478,7 @@ def step(t: float, w: np.ndarray, x: np.ndarray, f: np.ndarray, h: float,
         del p
         law.products(k, law.physical(k, out=x), out=k)
         _add_scaled(acc, h / 6.0, k, tmp)
-        k5 = law.products(acc, law.physical(acc, out=x), out=pw)
+        k5 = law.products(acc, law.physical(acc, out=x), out=pw, watch=True)
         e = 0.1 * h * _norm(np.subtract(k, k5, out=k))
         err = e / (STEP_TOL * _norm(acc)) if e else 0.0
         # a NaN estimate is accepted: run flags the state that made it
@@ -539,12 +536,6 @@ class RunResult:
     snapshots: list = field(default_factory=list)
 
 
-def _grad_sup(w: np.ndarray, ops: SpectralOps) -> float:
-    """Largest sup norm of a gradient component of v or any u_i, from
-    the spectral state w: inverse transforms only."""
-    return max(ops.linf(g) for row in w for g in ops.grad_hat(row))
-
-
 def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
         cfg: SolverConfig, on_snapshot=None,
         ops: SpectralOps | None = None) -> RunResult:
@@ -569,8 +560,9 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
     Blow-up monitoring: non-finite values every step; gradient growth and
     spectral tail fraction at every output and at the first step past
     each multiple of CHECK_EVERY cfl dx of simulated time, so the checks
-    do not depend on how many steps the controller takes.  A triggered
-    monitor ends the run with the corresponding verdict.
+    do not depend on how many steps the controller takes (the gradient
+    check reads law.grad_sup).  A triggered monitor ends the run with
+    the corresponding verdict.
     """
     ops = ops or SpectralOps(grid)
     _check_band_limited(ops, (st0.v,), "initial data")
@@ -579,33 +571,38 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
     # the state lives on the band: the 2/3 rule only removes aliasing
     # from products whose factors already live inside it
     w = np.stack([band.fwd(st0.v)] + [band.fwd(f) for f in st0.u])
-    x = law.physical(w)
     t = t0 = st0.t
+    del st0  # frees the initial fields when the caller keeps no name
+    x = law.physical(w)
+    f = law.products(w, x, watch=True)
+    g0 = max(law.grad_sup, 1e-300)
 
     snaps = sorted(set(float(s) for s in cfg.snapshot_times
                        if 0.0 < s <= cfg.t_final) | {cfg.t_final})
-    st = EulerState(t, x[0], x[1:])
-    g0 = max(_grad_sup(w, band), 1e-300)
     dts = []
     result = RunResult(verdict="completed", t_end=cfg.t_final, steps=0)
     every = CHECK_EVERY * cfg.cfl * grid.dx
     next_check = t0 + every
     h_ctrl, err_prev = 0.0, 1.0
 
-    if on_snapshot is not None and t == 0.0:
-        on_snapshot(st)
-    if cfg.store_snapshots:
-        result.snapshots.append(st.copy())
-    f = law.products(w, x)
+    def output(hook):
+        st = EulerState(t, x[0], x[1:], band=BandView(band, w, f))
+        if hook is not None:
+            hook(st)
+        if cfg.store_snapshots:
+            result.snapshots.append(st.copy())
+
+    law.release()
+    output(on_snapshot if t == 0.0 else None)
 
     def tripped() -> str | None:
         if not np.isfinite(x).all():
             return "nonfinite"
-        if _grad_sup(w, band) > GRAD_FACTOR * g0:
+        if law.grad_sup > GRAD_FACTOR * g0:
             return "blowup-gradient"
         # watch the upper half of the retained band: the 2/3 band itself
         # is pinned to zero
-        if ops.tail_fraction(st.v, cut=0.5) > TAIL_LIMIT:
+        if ops.tail_fraction(x[0], cut=0.5) > TAIL_LIMIT:
             return "blowup-tail"
         return None
 
@@ -643,7 +640,6 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
             h_ctrl, err_prev = h * _step_factor(err, err_prev), err
             t += h
             dts.append(h)
-            st = EulerState(t, x[0], x[1:])
             if t >= next_check:
                 next_check = t0 + every * (math.floor((t - t0) / every) + 1)
                 # a step that lands on the output is checked there
@@ -654,10 +650,7 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
         why = tripped()
         if why:
             return finish(why)
-        if on_snapshot is not None:
-            on_snapshot(st)
-        if cfg.store_snapshots:
-            result.snapshots.append(st.copy())
+        output(on_snapshot)
     return finish(None)
 
 
@@ -666,7 +659,7 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
 # =====================================================================
 
 def nonlinear_wave_source(st: EulerState, d: DampingLaw, g: GasLaw,
-                          ops: SpectralOps) -> np.ndarray:
+                          ops: SpectralOps, held=None) -> np.ndarray:
     """Source of the second-order wave form of the continuity equation.
 
     Eliminating u_t between the two evolution equations yields
@@ -676,19 +669,22 @@ def nonlinear_wave_source(st: EulerState, d: DampingLaw, g: GasLaw,
             + div( (u.grad) u + c v grad v ),          c = (gamma-1)/2,
 
     that is Q = b N_v + d/dt N_v - div N_u for the solver's products
-    N = (N_v, N_u).  Q is assembled in spectral space from the solver's
-    own dealiased products: N from _products, (v_t, u_t) from _linear
+    N = (N_v, N_u).  Q is assembled in spectral space from the state's
+    transform w and N, as _products forms them on ops unless the caller
+    holds them as held = (w, N, grad v, div u): (v_t, u_t) from _linear
     plus N, and, by bilinearity, d/dt N_v as two _v_product calls, with
     (v_t, u_t) in the factor slots and grad v_t, div u_t in the
-    derivative slots.
+    derivative slots.  With held, 2 forward and 2n + 3 inverse
+    transforms.
     """
     n, ik, sl = ops.grid.n, ops.ik, g.slope
     b = damping_coeff(st.t, d)
     v, u = st.v, st.u
-    vh = ops.fwd(v)
-    uh = [ops.fwd(u[i]) for i in range(n)]
-    nl, grad_v, div_u = _products(v, u, vh, uh, sl, ops)
-    dwh = [a + p for a, p in zip(_linear(vh, uh, b, ops), nl)]
+    if held is None:
+        w = [ops.fwd(v)] + [ops.fwd(u[i]) for i in range(n)]
+        held = (w,) + _products(v, u, w[0], w[1:], sl, ops)
+    w, nl, grad_v, div_u = held
+    dwh = [a + p for a, p in zip(_linear(w[0], w[1:], b, ops), nl)]
     dw = [ops.inv(row) for row in dwh]
     div_du = ops.inv(sum(ik[i] * dwh[1 + i] for i in range(n)))
     qh = (b * nl[0]

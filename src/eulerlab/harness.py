@@ -487,7 +487,6 @@ def _nonlinear_run(cfg: ScenarioConfig, snaps, outdir: Path, csv_name: str, *,
     grid = Grid(cfg.n, cfg.L, cfg.N)
     ops = SpectralOps(grid)
     spec = derive_constants(d, cfg.n, cfg.delta)
-    st = _make_state(cfg, grid, gas, ops)
     rec = EnergyRecorder(grid, d, gas, spec, with_source=with_source,
                          with_weights=with_weights, support_R=cfg.R, ops=ops)
     keep = cfg.store_fields and csv_name == "energy.csv"
@@ -495,7 +494,8 @@ def _nonlinear_run(cfg: ScenarioConfig, snaps, outdir: Path, csv_name: str, *,
                              dt_override=cfg.dt_override,
                              snapshot_times=tuple(snaps),
                              store_snapshots=store or keep)
-    res = euler.run(st, d, gas, grid, sol, on_snapshot=rec, ops=ops)
+    res = euler.run(_make_state(cfg, grid, gas, ops), d, gas, grid, sol,
+                    on_snapshot=rec, ops=ops)
     rec.to_csv(outdir / csv_name)
     if keep:
         _store_fields(res, outdir)

@@ -66,6 +66,20 @@ class CountingOps(SpectralOps):
         return super().inv(F, out=out)
 
 
+def tracked_ops(grid):
+    """Full-spectrum CountingOps on grid, and the list of every instance
+    of its class made from then on, itself first: the stepper makes its
+    band instance of the same class, so a run on it lists that too."""
+    made = []
+
+    class TrackedOps(CountingOps):
+        def __init__(self, grid, band=False):
+            super().__init__(grid, band)
+            made.append(self)
+
+    return TrackedOps(grid), made
+
+
 def run_preset(name: str, base: Path, **extra) -> RunHandle:
     cfg = harness.preset_config(name, outdir=str(base), **extra)
     t0 = time.perf_counter()

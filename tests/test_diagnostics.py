@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import CountingOps, read_csv_columns
+from conftest import CountingOps, read_csv_columns, tracked_ops
 from eulerlab.diagnostics import (
     ConvolutionCheck, DomainSizeError, EnergyRecorder, EnergyRow,
     FitQualityWarning, ball_volume, cauchy_schwarz_margin, convolution_oracle,
@@ -375,14 +375,35 @@ def column_definitions(rec: EnergyRecorder, st: EulerState) -> dict:
 
 
 def sample_state(grid: Grid, ops: SpectralOps) -> EulerState:
-    """A state with every column nonzero: a jittered bump in v and a
-    velocity with both a potential and (n >= 2) a rotational part."""
+    """A band-limited state with every column nonzero: a jittered bump
+    in v, cut to the 2/3 band, and a velocity with both a potential and
+    (n >= 2) a rotational part."""
     v = initial_bump(grid, 4.0, 1e-2, 1, jitter=0.3, seed=1, ops=ops).v
+    v = ops.dealias(v)
     u = 0.5 * ops.grad(v)
     if grid.n >= 2:
         u[0] += 0.3 * ops.deriv(v, 1)
         u[1] -= 0.3 * ops.deriv(v, 0)
     return EulerState(0.7, v, u)
+
+
+# columns of the physical state: bit-equal to their definitions
+PHYSICAL_COLUMNS = ("t", "v_l2", "u_l2", "u_linf", "rho_l2", "rho_linf",
+                    "J_v", "J_u", "mon_low", "wmon_low", "mass", "moment")
+# the columns of derivatives come from the band spectrum, the
+# definitions from the full one: the two differ by rounding.  Fixed
+# before it was measured
+BAND_RTOL = 1e-12
+
+
+def assert_columns(row: EnergyRow, want: dict):
+    assert sorted(want) == sorted(EXPECTED_COLUMNS)
+    for name in EXPECTED_COLUMNS:
+        if name in PHYSICAL_COLUMNS:
+            assert getattr(row, name) == want[name], name
+        else:
+            assert getattr(row, name) == pytest.approx(
+                want[name], rel=BAND_RTOL, abs=0.0), name
 
 
 @pytest.mark.parametrize("n, N", [(1, 64), (2, 16), (3, 16)])
@@ -393,22 +414,71 @@ def test_energy_recorder_columns_equal_their_definitions(n, N):
                          support_R=1.5, ops=ops)
     st = sample_state(grid, ops)
     rec(st)
-    want = column_definitions(rec, st)
-    assert sorted(want) == sorted(EXPECTED_COLUMNS)
     row = rec.rows[0]
     assert row.vt_l2 > 0.0 and row.du1_l2 > 0.0
     assert row.Jgrad_u > 0.0 and row.src_l1 > 0.0
     if n >= 2:
         assert row.vort_l2 > 0.0
-    for name in EXPECTED_COLUMNS:
-        assert getattr(row, name) == want[name], name
+    assert_columns(row, column_definitions(rec, st))
+
+
+@pytest.mark.parametrize("n, N", [(1, 64), (2, 32), (3, 32)])
+def test_solver_snapshot_columns_equal_their_definitions(n, N):
+    # the same columns from the stepper's view of its own states
+    grid = Grid(n, 8.0, N)
+    ops = SpectralOps(grid)
+    rec = EnergyRecorder(grid, D_HALF, GAS, derive_constants(D_HALF, n),
+                         support_R=1.5, ops=ops)
+    st = sample_state(grid, ops)
+    cfg = euler.SolverConfig(t_final=0.5, snapshot_times=(0.25,),
+                             store_snapshots=True)
+    res = euler.run(EulerState(0.0, st.v, st.u), D_HALF, GAS, grid, cfg,
+                    on_snapshot=rec, ops=ops)
+    assert res.verdict == "completed"
+    assert [r.t for r in rec.rows] == [s.t for s in res.snapshots]
+    assert len(rec.rows) == 3
+    for row, snap in zip(rec.rows, res.snapshots):
+        assert snap.band is None
+        assert_columns(row, column_definitions(rec, snap))
+
+
+def _recorder_costs(n, with_source):
+    """Transforms of one recorder call on a solver snapshot, counted on
+    the run's band ops and on its full ops, as (band fwd, band inv,
+    full fwd, full inv) per snapshot."""
+    grid = Grid(n, 8.0, 32)
+    ops, made = tracked_ops(grid)
+    rec = EnergyRecorder(grid, D_HALF, GAS, derive_constants(D_HALF, n),
+                         with_source=with_source, with_weights=False,
+                         support_R=1.5, ops=ops)
+    costs = []
+
+    def hook(st):
+        before = [(o.fwd_calls, o.inv_calls) for o in made]
+        rec(st)
+        after = [(o.fwd_calls, o.inv_calls) for o in made]
+        (ff, fi), (bf, bi) = [(a[0] - b[0], a[1] - b[1])
+                              for a, b in zip(after, before)]
+        costs.append((bf, bi, ff, fi))
+
+    st = sample_state(grid, SpectralOps(grid))
+    cfg = euler.SolverConfig(t_final=0.5, snapshot_times=(0.25,))
+    euler.run(EulerState(0.0, st.v, st.u), D_HALF, GAS, grid, cfg,
+              on_snapshot=hook, ops=ops)
+    assert len(made) == 2 and made[1].band and rec.band is None
+    assert len(costs) == 3 and len(set(costs)) == 1
+    return costs[0]
 
 
 @pytest.mark.parametrize("n, fwd_calls, inv_calls", [
     (1, 3, 3), (2, 4, 7), (3, 5, 13)])
 def test_energy_recorder_transforms_each_field_once(n, fwd_calls, inv_calls):
-    # forward: v, the n u_i and the v product; inverse: the n + n^2 first
-    # derivatives and dv
+    # a solver snapshot: no forward, and on the band the n + n^2 first
+    # derivatives and dv.  A plain state is put on the band first: v,
+    # the n u_i and the v product forward, on the recorder's own band
+    # ops of the class of its ops
+    assert _recorder_costs(n, False) == (0, inv_calls, 0, 0)
+    assert inv_calls == n + n * n + 1
     grid = Grid(n, 8.0, 16)
     ops = CountingOps(grid)
     rec = EnergyRecorder(grid, D_HALF, GAS, derive_constants(D_HALF, n),
@@ -416,19 +486,32 @@ def test_energy_recorder_transforms_each_field_once(n, fwd_calls, inv_calls):
                          support_R=1.5, ops=ops)
     st = sample_state(grid, SpectralOps(grid))
     rec(st)
-    assert (ops.fwd_calls, ops.inv_calls) == (fwd_calls, inv_calls)
+    band = rec.band
+    assert band.band and type(band) is CountingOps
+    assert (ops.fwd_calls, ops.inv_calls) == (0, 0)
+    assert (band.fwd_calls, band.inv_calls) == (fwd_calls, inv_calls)
     assert fwd_calls + inv_calls == {1: 6, 2: 11, 3: 18}[n]
+    # the band ops are made once and kept
+    rec(st)
+    assert rec.band is band and band.fwd_calls == 2 * fwd_calls
 
 
 @pytest.mark.parametrize("n, fwd_calls, inv_calls", [
     (1, 6, 7), (2, 8, 13), (3, 10, 21)])
 def test_wave_source_transform_count(n, fwd_calls, inv_calls):
-    # forward: v, the n u_i, the n + 1 products and the two v products of
-    # d/dt N_v; inverse: the n + n^2 first derivatives, v_t and the n u_it,
-    # grad v_t, div u_t and Q itself
+    # the public source from a state: forward v, the n u_i, the n + 1
+    # products and the two v products of d/dt N_v; inverse the n + n^2
+    # first derivatives, v_t and the n u_it, grad v_t, div u_t and Q
+    # itself
     grid = Grid(n, 8.0, 16)
     ops = CountingOps(grid)
     euler.nonlinear_wave_source(sample_state(grid, SpectralOps(grid)),
                                 D_HALF, GAS, ops)
     assert (ops.fwd_calls, ops.inv_calls) == (fwd_calls, inv_calls)
     assert fwd_calls + inv_calls <= {1: 15, 2: 24, 3: 35}[n]
+    # in the recorder it starts from the state's band spectrum, the
+    # products at the state and the recorder's grad v and div u: the two
+    # v products forward and 2n + 3 inverse, on the band
+    off, on = _recorder_costs(n, False), _recorder_costs(n, True)
+    assert tuple(b - a for a, b in zip(off, on)) == (2, 2 * n + 3, 0, 0)
+    assert 2 + 2 * n + 3 == {1: 7, 2: 9, 3: 11}[n]

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import CountingOps
+from conftest import CountingOps, tracked_ops
 from eulerlab import euler
 from eulerlab.euler import (
     EulerState, PhysicalState, SolverConfig, VacuumError,
@@ -156,24 +156,70 @@ def test_gradient_monitor_trips_first_when_tightened(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_monitor_check_transforms_only_for_the_tail(n, monkeypatch):
-    # the gradient check works on the spectral state the run holds, so a
-    # check costs one forward transform, the tail fraction's.  Checking
-    # after every step instead of only at the outputs adds exactly one
+    # the gradient check reads the sup norm that the products at the
+    # state formed, so a check costs one forward transform, the tail
+    # fraction's, and no band inverse.  Checking after every step
+    # instead of only at the outputs adds exactly one forward transform
     # per step that does not land on an output, where the output's own
-    # check follows
+    # check follows, and moves no band count
     grid = Grid(n, 16.0, 64)
     st0 = initial_bump(grid, 5.0, 1e-2, 3)
     cfg = SolverConfig(t_final=2.0, snapshot_times=(1.0,))
     counts, steps = [], []
     for every in (1e9, 1e-9):
         monkeypatch.setattr(euler, "CHECK_EVERY", every)
-        ops = CountingOps(grid)
+        ops, made = tracked_ops(grid)
         res = run(st0, D_HALF, GAS, grid, cfg, ops=ops)
         assert res.verdict == "completed"
-        counts.append(ops.fwd_calls)
+        full, band = made
+        assert band.band and not full.band
+        counts.append((ops.fwd_calls, ops.inv_calls, band.fwd_calls,
+                       band.inv_calls))
         steps.append(res.steps)
     assert steps[0] == steps[1] > 2
-    assert counts[1] - counts[0] == steps[0] - 2
+    assert counts[1][0] - counts[0][0] == steps[0] - 2
+    assert counts[1][1:] == counts[0][1:]
+    assert counts[0][1] == 0
+
+
+def _grad_sup(w: np.ndarray, ops: SpectralOps) -> float:
+    """Largest sup norm of a gradient component of v or any u_i, from
+    the spectral state w: inverse transforms only."""
+    return max(ops.linf(g) for row in w for g in ops.grad_hat(row))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_recorded_gradient_sup_is_the_monitor_definition(n):
+    # the products at a state keep the largest sup norm of the first
+    # derivatives they form: the same fields and the same arithmetic as
+    # the monitor's own definition, so the same bits, at the start,
+    # after an accepted step and after a step taken again
+    def same_bits(a, b):
+        return np.float64(a).view(np.uint64) == np.float64(b).view(np.uint64)
+
+    law, w, x = _stage_state(n)
+    w *= 0.05
+    # at a state whose largest derivative is a velocity derivative, then
+    # at one where it is a derivative of v, from which the steps go on
+    ratio = _grad_sup(w[1:], law.ops) / _grad_sup(w[:1], law.ops)
+    for scale in (0.5 * ratio, 4.0):
+        w[0] *= scale
+        x = law.physical(w)
+        f = law.products(w, x, watch=True)
+        assert same_bits(law.grad_sup, _grad_sup(w, law.ops))
+    h, err = euler.step(0.0, w, x, f, 0.1, law)
+    assert h == 0.1
+    assert same_bits(law.grad_sup, _grad_sup(w, law.ops))
+    # the products of the stages and of a retry leave it alone
+    sup = law.grad_sup
+    law.products(2.0 * w, 2.0 * x)
+    assert law.grad_sup == sup
+    w *= 20.0
+    x = law.physical(w)
+    f = law.products(w, x)
+    h, err = euler.step(0.1, w, x, f, 0.5, law, floor=0.0)
+    assert h < 0.5 / 2 and err <= 1.0
+    assert same_bits(law.grad_sup, _grad_sup(w, law.ops))
 
 
 def _band_state(law, st):

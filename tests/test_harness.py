@@ -18,7 +18,8 @@ from pathlib import Path
 import pytest
 
 from conftest import read_csv_columns, run_preset
-from eulerlab import harness
+from eulerlab import euler, harness
+from eulerlab.grids import SpectralOps
 from eulerlab.harness import (
     ConfigError, Report, ScenarioConfig, Verdict, config_digest,
     main, preset_config, preset_names, run_dir, run_scenario, sweep,
@@ -424,6 +425,33 @@ def test_mass_conservation_stores_fields(tmp_path):
     assert sum(f.endswith("_v.npy") for f in files) == times.size
     for name in files:
         assert (handle.outdir / name).exists()
+
+
+def test_one_band_ops_per_solve(tmp_path, monkeypatch):
+    # the recorder forms its columns on the stepper's band ops, so a
+    # solve holds one set of band tables and buffers, not two (a second
+    # would take about 60 MB at 128^3).  vorticity-2d on a shorter
+    # horizon: two solves
+    made, per_solve = [], []
+    hold, solve = SpectralOps._hold_band_buffers, euler.run
+
+    def held(self):
+        made.append(self)
+        hold(self)
+
+    def counted(*args, **kwargs):
+        before = len(made)
+        res = solve(*args, **kwargs)
+        per_solve.append(len(made) - before)
+        return res
+
+    monkeypatch.setattr(SpectralOps, "_hold_band_buffers", held)
+    monkeypatch.setattr(euler, "run", counted)
+    handle = run_preset("vorticity-2d", tmp_path, t_final=10.0,
+                        n_snapshots=11, fit_lo=1.0, fit_hi=10.0)
+    assert handle.report.all_passed
+    assert per_solve == [1, 1]
+    assert len(made) == 2
 
 
 # every preset but vorticity-3d; the expensive ones come from the
