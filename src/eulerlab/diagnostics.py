@@ -166,18 +166,16 @@ class EnergyRecorder:
     giving its norms, its weighted energy and its share of div u and of
     the curl before the next is formed) and dv = -div u + f[0], that is
     n + n^2 + 1 band inverse transforms (3, 7, 13 in 1-, 2-, 3-D) and no
-    forward one.  A state without a band is put on the recorder's own
-    band ops first: n + 2 forward transforms more, the last for f[0].
-    Columns of the physical state are bit-equal to their public
-    definitions, those of derivatives equal to rounding for a
-    band-limited state.
+    forward one; a state without that band view is refused.  Columns of
+    the physical state are bit-equal to their public definitions, those
+    of derivatives equal to rounding for a band-limited state.
 
     The weighted energies are taken on the propagation cone of the
     data's support radius support_R, as in weighted_energy.
     with_source and with_weights can be switched off to cheapen large
     sweeps; the corresponding columns then hold zeros.  The wave-form
-    source starts from w, f, grad v and div u (anew without a band): 2
-    forward, 2n + 3 inverse transforms, 7, 9 and 11 in 1-, 2- and 3-D.
+    source starts from w, f, grad v and div u: 2 forward, 2n + 3 inverse
+    transforms, 7, 9 and 11 in 1-, 2- and 3-D.
     """
 
     def __init__(self, grid: Grid, d: DampingLaw, g: GasLaw, spec: WeightSpec,
@@ -191,8 +189,6 @@ class EnergyRecorder:
         self.with_weights = with_weights
         self.support_R = support_R
         self.ops = ops or SpectralOps(grid)
-        # band ops of ops' class for states without a band, made on first use
-        self.band = None
         # the coordinates in broadcast form, one axis each: the moment
         # needs no more, and the weighted block forms the mesh itself
         self.coords = np.meshgrid(*([grid.axis()] * grid.n), indexing="ij",
@@ -200,13 +196,13 @@ class EnergyRecorder:
         self.rows: list[EnergyRow] = []
 
     def __call__(self, st: euler.EulerState):
-        ops, n, sl = self.ops, self.grid.n, self.g.slope
-        v, u = st.v, st.u
         if st.band is None:
-            band = self.band = self.band or type(ops)(self.grid, band=True)
-            w = np.stack([band.fwd(v)] + [band.fwd(u[i]) for i in range(n)])
-        else:
-            band, w = st.band.ops, st.band.w
+            raise ValueError("EnergyRecorder: the state has no band view "
+                             "(EulerState.band); record the states that "
+                             "euler.run hands its snapshot hook")
+        ops, n = self.ops, self.grid.n
+        v, u = st.v, st.u
+        band, w, nl = st.band
         grad_v = band.grad_hat(w[0])
 
         if self.with_weights:
@@ -245,15 +241,11 @@ class EnergyRecorder:
                         np.subtract(gu, above.pop((j, i)), out=gu))
                 del gu
             du1_l2 += row_l2
-        # f at the state: the run's, or its v row from the gradients above
-        nl = st.band.f if st.band is not None else \
-            [euler._v_product(v, u, grad_v, div_u, sl, band)]
         dv = band.inv(next(euler._linear(None, w[1:], 0.0, band)) + nl[0])
         src_l1 = 0.0
         if self.with_source:
-            held = (w, nl, grad_v, div_u) if st.band is not None else None
             src_l1 = ops.quad(np.abs(euler.nonlinear_wave_source(
-                st, self.d, self.g, band, held)))
+                st, self.d, self.g, band, (w, nl, grad_v, div_u))))
         del w, nl, div_u
 
         dv1_l2 = sum(ops.l2(gv) for gv in grad_v)

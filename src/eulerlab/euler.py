@@ -24,8 +24,10 @@ transform on the compact 2/3 band, shape (n+1, *band) with band =
 (2 (N//3) + 1, .., N//3 + 1) (SpectralOps(grid, band=True), held by
 _Lawson), and x, the same state in physical space, (n+1, *grid.shape).
 Outside the band the state is zero for the whole run, so w stores
-none of it and the band transforms skip it.  rhs, nonlinear_wave_source
-and the initial data work on the full spectrum of the ops they are given.
+none of it; the band transforms still pass over every row of its
+last-axis columns (grids.py).  rhs and the initial data work on the
+full spectrum of the ops they are given, nonlinear_wave_source on the
+ops it is given (in the recorder, the band).
 
 Also here: the initial-data factory (compactly supported bump profiles,
 optionally mass-normalized or rotational), the nonlinear source of the
@@ -565,7 +567,7 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
     the corresponding verdict.
     """
     ops = ops or SpectralOps(grid)
-    _check_band_limited(ops, (st0.v,), "initial data")
+    _check_band_limited(ops, (st0.v, *st0.u), "initial data")
     law = _Lawson(d, g, ops)
     band = law.ops
     # the state lives on the band: the 2/3 rule only removes aliasing

@@ -11,16 +11,21 @@ SpectralOps.fwd and inv are the package's only transforms.  The *_hat
 operators start from a transform the caller already holds, so a field
 shared by several derivatives is transformed once.
 
-SpectralOps(grid) transforms the full spectrum with scipy.fft.
-SpectralOps(grid, band=True) works on the compact 2/3 band: its spectra
-hold only the wavevectors the dealias rule keeps (|m| <= N/3 on every
-axis, so no Nyquist bin), and its transforms skip the passes over the
-rest.  It runs them one pass at a time with numpy.fft, whose pocketfft
-gives scipy.fft's bits, into work buffers the instance holds, and
-writes the result into out when given.  Its transforms equal the full
-ones bit for bit: fwd is the masked full spectrum cut to the band, inv
-the full inverse of the band spectrum among zeros.  The nonlinear
-stepper holds such an instance.
+Every transform is the same sequence of numpy.fft passes: rfft over the
+last axis, then fft over the complex axes in axis order, counted from
+the end (the inverse: ifft in axis order, then irfft), each pass only
+over the last-axis columns the spectrum holds.  In this order the passes
+give scipy.fft.rfftn's and irfftn's bits; numpy's own rfftn runs the
+complex axes in reverse, and in 3-D its last bits differ.
+
+SpectralOps(grid) transforms the full spectrum.  SpectralOps(grid,
+band=True) works on the compact 2/3 band: its spectra hold only the
+wavevectors the dealias rule keeps (|m| <= N/3 on every axis, so no
+Nyquist bin).  Its fwd gathers them from a full-spectrum scratch, and
+its inv scatters them into a zero pad, both held by the instance, so
+its transforms equal the full ones bit for bit: fwd is the masked full
+spectrum cut to the band, inv the full inverse of the band spectrum
+among zeros.  The nonlinear stepper holds such an instance.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 __all__ = ["Grid", "SpectralOps", "MAX_POINTS"]
 
@@ -86,22 +90,15 @@ class Grid:
         return np.sqrt(np.sum(m * m, axis=0))
 
 
-def _into(out, x: np.ndarray) -> np.ndarray:
-    """x, or a copy of it in out when the caller gives one."""
-    if out is None:
-        return x
-    out[...] = x
-    return out
-
-
 class SpectralOps:
     """Derivatives, dealiasing and norms on one Grid.
 
     Real-to-complex transforms along the last axis; all operators return
     real fields.  Scalar fields have shape grid.shape, vector fields
     (n, *grid.shape).  With band=True the spectra (and k, k2, kmag) span
-    only the 2/3 band, the transforms take one field at a time and write
-    into out when it is given; tail_fraction needs the full spectrum.
+    only the 2/3 band and the transforms take one field at a time;
+    tail_fraction needs the full spectrum.  fwd and inv write into out
+    when it is given.
     """
 
     def __init__(self, grid: Grid, band: bool = False):
@@ -109,8 +106,8 @@ class SpectralOps:
         n, N, dx = grid.n, grid.N, grid.dx
         kmax = np.pi / dx
         cut = 2.0 / 3.0 * kmax
-        k1 = 2.0 * np.pi * scipy.fft.fftfreq(N, d=dx)
-        kr = 2.0 * np.pi * scipy.fft.rfftfreq(N, d=dx)
+        k1 = 2.0 * np.pi * np.fft.fftfreq(N, d=dx)
+        kr = 2.0 * np.pi * np.fft.rfftfreq(N, d=dx)
         if band:
             # the rows of each axis that the 2/3 rule keeps, in fft order
             k1, kr = k1[np.abs(k1) <= cut], kr[np.abs(kr) <= cut]
@@ -119,82 +116,56 @@ class SpectralOps:
         self.k = np.stack(mesh)                    # (n, *rshape)
         self.k2 = np.sum(self.k * self.k, axis=0)  # |k|^2
         self.kmag = np.sqrt(self.k2)
-        # ik[i] * F is the transform of d_i f.  The full spectrum keeps
-        # ik in broadcast form, one axis each: dense, it would take twice
-        # the memory of k (51 MB at 128^3)
-        self.ik = 1j * self.k if band else \
-            [1j * a for a in np.meshgrid(*axes, indexing="ij", sparse=True)]
+        # ik[i] * F is the transform of d_i f.  ik is kept in broadcast
+        # form, one axis each: dense, it would take twice the memory of k
+        # (51 MB at 128^3)
+        self.ik = [1j * a for a in np.meshgrid(*axes, indexing="ij", sparse=True)]
         self.dealias_mask = np.all(np.abs(self.k) <= cut, axis=0)
         self._kmax = kmax
-        self._axes = tuple(range(-n, 0))
+        # the last-axis columns the spectrum holds
+        self._cols = (..., slice(0, kr.size))
+        self._scratch = self._line = None
         if band:
-            self._hold_band_buffers()
-
-    def _hold_band_buffers(self):
-        """Work buffers of the band transforms and the views each pass
-        reads and writes, made once per instance.
-
-        The band rows of a complex axis are two runs in fft order, the
-        first m + 1 and the last m (m = N//3).  _scratch holds one full
-        rfft: fwd and the last inverse pass work in it.  pads[a] takes
-        the spectrum before the inverse pass over complex axis a: full
-        along the axes up to a, band after.  Its rows outside the band
-        are zeroed here and never written again.
-        """
-        n, N = self.grid.n, self.grid.N
-        m, bc = N // 3, self.k.shape[-1]
-        runs = (slice(0, m + 1), slice(N - m, N))     # in the full axis
-        slots = (slice(0, m + 1), slice(m + 1, None))  # in the band axis
-        S = self._scratch = np.empty(self.grid.shape[:-1] + (N // 2 + 1,),
-                                     dtype=complex)
-        # fwd: rfftn's passes, the real last axis and then the complex
-        # axes in order, each only on the rows the passes before it kept
-        self._fwd_passes = [(S[r + (..., slice(0, bc))], a) for a in range(n - 1)
-                            for r in itertools.product(runs, repeat=a)]
-        self._fwd_blocks = [(o, S[r + (slice(0, bc),)]) for r, o in
-                            zip(itertools.product(runs, repeat=n - 1),
-                                itertools.product(slots, repeat=n - 1))]
-        # inv: irfftn's passes, each complex axis zero-padded just before
-        # its own; irfft pads the last axis itself
-        last = S[..., :bc]
-        if n == 1:
-            self._inv_fill, self._inv_passes = [(last, ...)], []
-        else:
-            pads = [np.zeros((N,) * (a + 1) + (2 * m + 1,) * (n - 2 - a) + (bc,),
-                             dtype=complex) for a in range(n - 1)]
-            self._inv_fill = [(pads[0][r], o) for r, o in zip(runs, slots)]
-            self._inv_passes = [
-                (pads[a][(slice(None),) * (a + 1) + (o,)], a,
-                 pads[a + 1][(slice(None),) * (a + 1) + (r,)])
-                for a in range(n - 2) for r, o in zip(runs, slots)]
-            self._inv_passes.append((pads[-1], n - 2, last))
-        self._inv_last = last
+            # the band rows of a complex axis are two runs in fft order,
+            # the first m + 1 and the last m (m = N//3): 2^(n-1) blocks
+            # of the full spectrum, gathered from _scratch by fwd and
+            # scattered into _pad by inv.  The rows of _pad outside the
+            # blocks are zeroed here and never written again
+            m = N // 3
+            runs = (slice(0, m + 1), slice(N - m, N))     # in the full axis
+            slots = (slice(0, m + 1), slice(m + 1, None))  # in the band axis
+            self._blocks = list(zip(itertools.product(slots, repeat=n - 1),
+                                    itertools.product(runs, repeat=n - 1)))
+            self._scratch = np.empty(grid.shape[:-1] + (N // 2 + 1,), dtype=complex)
+            self._line = self._scratch[self._cols]
+            self._pad = np.zeros(self._line.shape, dtype=complex)
 
     # -- transforms ----------------------------------------------------
 
     def fwd(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        if not self.band:
-            return _into(out, scipy.fft.rfftn(f, axes=self._axes))
-        out = np.empty(self.k2.shape, dtype=complex) if out is None else out
-        np.fft.rfft(f, out=self._scratch)
-        for line, a in self._fwd_passes:
+        S = np.fft.rfft(f, out=self._scratch if self.band else out)
+        line = S[self._cols]
+        for a in range(-self.grid.n, -1):
             np.fft.fft(line, axis=a, out=line)
-        for o, block in self._fwd_blocks:
-            out[o] = block
+        if not self.band:
+            return S
+        out = np.empty(self.k2.shape, dtype=complex) if out is None else out
+        for o, r in self._blocks:
+            out[o] = line[r]
         return out
 
     def inv(self, F: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        if not self.band:
-            return _into(out, scipy.fft.irfftn(F, s=self.grid.shape,
-                                               axes=self._axes))
-        # every pass scales by 1/N, a power of two, so the product is
-        # irfftn's 1/N^n to the bit
-        out = np.empty(self.grid.shape) if out is None else out
-        for pad, o in self._inv_fill:
-            pad[...] = F[o]
-        for src, a, dst in self._inv_passes:
-            np.fft.ifft(src, axis=a, out=dst)
-        return np.fft.irfft(self._inv_last, n=self.grid.N, out=out)
+        if self.band:
+            for o, r in self._blocks:
+                self._pad[r] = F[o]
+            F = self._pad
+        # the first pass writes into _line, or a new array on the full
+        # instance, and leaves F as it was.  Every pass scales by 1/N, a
+        # power of two, so the product is irfftn's 1/N^n to the bit
+        line = self._line
+        for a in range(-self.grid.n, -1):
+            F = line = np.fft.ifft(F, axis=a, out=line)
+        return np.fft.irfft(F, n=self.grid.N, out=out)
 
     def fwd_dealiased(self, f: np.ndarray) -> np.ndarray:
         """fwd(f) with the 2/3 rule applied; a band instance holds

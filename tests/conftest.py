@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eulerlab import harness
+from eulerlab import euler, harness
 from eulerlab.grids import SpectralOps
 
 
@@ -78,6 +78,17 @@ def tracked_ops(grid):
             made.append(self)
 
     return TrackedOps(grid), made
+
+
+def on_band(st, d, g, ops):
+    """st as euler.run hands it to a snapshot hook: with the band view of
+    a stepper built on ops, that is its band ops, the band spectrum w of
+    (v, u) and the products at the state, formed from st's own fields."""
+    law = euler._Lawson(d, g, ops)
+    x = np.stack([st.v, *st.u])
+    w = np.stack([law.ops.fwd(f) for f in x])
+    view = euler.BandView(law.ops, w, law.products(w, x))
+    return euler.EulerState(st.t, st.v, st.u, band=view)
 
 
 def run_preset(name: str, base: Path, **extra) -> RunHandle:

@@ -421,6 +421,17 @@ def test_run_keeps_state_band_limited():
         assert ops.tail_fraction(snap.v) <= 1e-20
 
 
+def test_run_warns_on_out_of_band_velocity():
+    # rotational data hold v = 0, so only the velocity can carry a tail:
+    # a bump's rotation plus a shear at |m| = 14, beyond the band's 10
+    grid = Grid(2, 10.0, 32)
+    st0 = rotational_bump(grid, 4.0, 1e-3)
+    y = grid.mesh()[1]
+    st0.u[0] += 1e-4 * np.cos(14.0 * math.pi / grid.L * y)
+    with pytest.warns(AliasingWarning, match="initial data"):
+        run(st0, D_HALF, GAS, grid, SolverConfig(t_final=0.1))
+
+
 def _plain_rk4(st0, d, ops, t_end, cfl=0.4):
     """Classical RK4 over euler.rhs at the acoustic CFL.  It shares the
     right-hand side, which the symbolic oracles above check, and none of

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from eulerlab.grids import Grid, SpectralOps
 
@@ -206,7 +207,24 @@ def test_dealias_removes_top_third():
     assert ops.l2(ops.dealias(cleaned) - cleaned) <= 1e-13
 
 
-@pytest.mark.parametrize("n, N", [(1, 256), (2, 64), (3, 32)])
+@pytest.mark.parametrize("n, N", [(1, 512), (1, 2048), (1, 8192), (2, 256),
+                                  (3, 32), (3, 64)])
+def test_full_transforms_give_the_bits_of_scipy_fft(n, N):
+    # scipy.fft, which src/ does not use, is the independent oracle of
+    # the pass sequence.  In 3-D the complex passes must run in axis
+    # order: numpy's own rfftn runs them in reverse, with other last bits
+    grid = Grid(n, 10.0, N)
+    ops = SpectralOps(grid)
+    axes = tuple(range(-n, 0))
+    rng = np.random.default_rng(N + n)
+    f = rng.standard_normal(grid.shape)
+    assert np.array_equal(ops.fwd(f), scipy.fft.rfftn(f, axes=axes))
+    F = rng.standard_normal(ops.k2.shape) + 1j * rng.standard_normal(ops.k2.shape)
+    assert np.array_equal(ops.inv(F),
+                          scipy.fft.irfftn(F, s=grid.shape, axes=axes))
+
+
+@pytest.mark.parametrize("n, N", [(1, 256), (2, 64), (2, 256), (3, 32)])
 def test_band_transforms_match_the_full_ones_bit_for_bit(n, N):
     # the band instance keeps |m| <= N/3 on every axis and nothing else:
     # its forward is the masked full spectrum cut to the band, its

@@ -433,11 +433,12 @@ def test_one_band_ops_per_solve(tmp_path, monkeypatch):
     # would take about 60 MB at 128^3).  vorticity-2d on a shorter
     # horizon: two solves
     made, per_solve = [], []
-    hold, solve = SpectralOps._hold_band_buffers, euler.run
+    init, solve = SpectralOps.__init__, euler.run
 
-    def held(self):
-        made.append(self)
-        hold(self)
+    def tracked(self, grid, band=False):
+        init(self, grid, band)
+        if band:
+            made.append(self)
 
     def counted(*args, **kwargs):
         before = len(made)
@@ -445,7 +446,7 @@ def test_one_band_ops_per_solve(tmp_path, monkeypatch):
         per_solve.append(len(made) - before)
         return res
 
-    monkeypatch.setattr(SpectralOps, "_hold_band_buffers", held)
+    monkeypatch.setattr(SpectralOps, "__init__", tracked)
     monkeypatch.setattr(euler, "run", counted)
     handle = run_preset("vorticity-2d", tmp_path, t_final=10.0,
                         n_snapshots=11, fit_lo=1.0, fit_hi=10.0)
