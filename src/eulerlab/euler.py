@@ -203,9 +203,9 @@ def potential_bump(grid: Grid, R: float, eps: float, order: int = 1, *,
 # against STEP_TOL times the new state, both in the Euclidean norm of the
 # band coefficients
 STEP_TOL = 1e-9
-# blow-up monitors: spectral tail fraction of v, growth factor of the
-# largest gradient, and the simulated time between checks in units of
-# the acoustic step cfl dx
+# blow-up monitors: spectral tail fraction of the state (v and u
+# together), growth factor of the largest gradient, and the simulated
+# time between checks in units of the acoustic step cfl dx
 TAIL_LIMIT = 0.01
 GRAD_FACTOR = 100.0
 CHECK_EVERY = 25
@@ -563,8 +563,8 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
     spectral tail fraction at every output and at the first step past
     each multiple of CHECK_EVERY cfl dx of simulated time, so the checks
     do not depend on how many steps the controller takes (the gradient
-    check reads law.grad_sup).  A triggered monitor ends the run with
-    the corresponding verdict.
+    check reads law.grad_sup, the tail check the band state w).  A
+    triggered monitor ends the run with the corresponding verdict.
     """
     ops = ops or SpectralOps(grid)
     _check_band_limited(ops, (st0.v, *st0.u), "initial data")
@@ -602,9 +602,10 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
             return "nonfinite"
         if law.grad_sup > GRAD_FACTOR * g0:
             return "blowup-gradient"
-        # watch the upper half of the retained band: the 2/3 band itself
-        # is pinned to zero
-        if ops.tail_fraction(x[0], cut=0.5) > TAIL_LIMIT:
+        # watch the upper half of the retained band, over the held band
+        # spectrum of v and u together: no transform, and v alone, which
+        # rotational and potential data keep near zero, is only noise
+        if band.spectral_tail(w, cut=0.5) > TAIL_LIMIT:
             return "blowup-tail"
         return None
 

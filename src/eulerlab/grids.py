@@ -262,20 +262,31 @@ class SpectralOps:
         Monitors that run on dealiased solutions should pass a smaller
         cut (the default band is then identically zero by construction).
         """
-        F = self.fwd(f)
+        return self.spectral_tail(self.fwd(f), cut)
+
+    def spectral_tail(self, F: np.ndarray, cut: float) -> float:
+        """tail_fraction of the fields whose spectra F holds, taken
+        together: F is one spectrum or a stack of them, summed a spectrum
+        at a time in one spectrum-sized temporary."""
         w = self._rfft_weights()
-        tot = float(np.sum(w * np.abs(F) ** 2))
-        if tot == 0.0:
-            return 0.0
-        outside = np.any(np.abs(self.k) > cut * self._kmax, axis=0)
-        tail = float(np.sum(w * outside * np.abs(F) ** 2))
-        return tail / tot
+        outside = np.zeros(self.k2.shape, dtype=bool)
+        for ik in self.ik:
+            np.logical_or(outside, np.abs(ik.imag) > cut * self._kmax, out=outside)
+        tot = tail = 0.0
+        for row in F.reshape((-1,) + self.k2.shape):
+            e = np.abs(row)
+            np.multiply(w, np.square(e, out=e), out=e)
+            tot += float(np.sum(e))
+            tail += float(np.sum(np.multiply(e, outside, out=e)))
+        return tail / tot if tot else 0.0
 
     def _rfft_weights(self) -> np.ndarray:
-        """Multiplicity of each rfft bin in the full spectrum."""
-        N = self.grid.N
-        w_last = np.full(N // 2 + 1, 2.0)
+        """Multiplicity of each rfft column in the full spectrum: 1 for
+        column 0 and the Nyquist column, which the band does not hold,
+        and 2 for the others."""
+        cols = self.k2.shape[-1]
+        w_last = np.full(cols, 2.0)
         w_last[0] = 1.0
-        w_last[-1] = 1.0
-        shape = (1,) * (self.grid.n - 1) + (N // 2 + 1,)
-        return np.broadcast_to(w_last.reshape(shape), self.k2.shape)
+        if not self.band:
+            w_last[-1] = 1.0
+        return np.broadcast_to(w_last, self.k2.shape)

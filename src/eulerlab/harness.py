@@ -473,15 +473,16 @@ def _recorded(schedule, start=True):
 
 
 def _nonlinear_run(cfg: ScenarioConfig, snaps, outdir: Path, csv_name: str, *,
-                   with_source=False, with_weights=False, store=False,
+                   with_source=False, with_weights=False, keep_last=False,
                    allow_stop=False):
     """Solve, write the recorder table to csv_name, return (rec, res).
 
     The recorder keeps the run's damping law, operators and weight
     constants as rec.d, rec.ops and rec.spec.  The solve that owns
     energy.csv also writes fields/ when the config asks for
-    store_fields.  A solve that stops before t_final raises
-    _SolverStopped unless allow_stop.
+    store_fields, and then res.snapshots holds every output; otherwise,
+    with keep_last, it holds a copy of the last one only.  A solve that
+    stops before t_final raises _SolverStopped unless allow_stop.
     """
     d, gas = _damping(cfg), GasLaw(gamma=cfg.gamma)
     grid = Grid(cfg.n, cfg.L, cfg.N)
@@ -493,9 +494,18 @@ def _nonlinear_run(cfg: ScenarioConfig, snaps, outdir: Path, csv_name: str, *,
     sol = euler.SolverConfig(t_final=cfg.t_final, cfl=cfg.cfl,
                              dt_override=cfg.dt_override,
                              snapshot_times=tuple(snaps),
-                             store_snapshots=store or keep)
+                             store_snapshots=keep)
+    last = []
+
+    def hook(st):
+        rec(st)
+        if keep_last and not keep:
+            last[:] = [st.copy()]
+
     res = euler.run(_make_state(cfg, grid, gas, ops), d, gas, grid, sol,
-                    on_snapshot=rec, ops=ops)
+                    on_snapshot=hook, ops=ops)
+    if last:
+        res.snapshots = last
     rec.to_csv(outdir / csv_name)
     if keep:
         _store_fields(res, outdir)
@@ -723,7 +733,7 @@ def _run_nonlinear_decay(cfg: ScenarioConfig, outdir: Path):
     t_final=300.0, n_snapshots=33, fit_lo=30.0, fit_hi=300.0)
 def _run_u_extra_lambda(cfg: ScenarioConfig, outdir: Path):
     rec, res = _nonlinear_run(cfg, _log_snapshots(cfg), outdir, "energy.csv",
-                              store=True)
+                              keep_last=True)
     mask = rec.times > 0.0
     ratio = rec.series("u_linf")[mask] / rec.series("dv1_linf")[mask]
     fit = decay_fit(rec.times[mask], ratio, cfg.fit_lo, cfg.fit_hi)

@@ -16,9 +16,14 @@ independent ways:
 
   * a batched fourth-order Magnus engine (evolve_modes), vectorized over
     a whole batch of radii, whose step grows like MAGNUS_STEP (1+t)
-    whatever the radii (used by the grid solver, the exact linear
-    propagator of the nonlinear stepper, the zone diagnostics and
-    long-horizon decay studies);
+    whatever the radii.  The exponentials of a chunk of substeps (up to
+    MAGNUS_CHUNK elements over substeps and radii) are formed in one
+    vectorized pass, and the rows are carried through them in order, so
+    every element sees the operations of a one-substep-at-a-time engine
+    and gets its bits.  It is the one engine of the per-mode oscillator:
+    the grid solver, the exact linear propagator of the nonlinear
+    stepper, the zone diagnostics and long-horizon decay studies all run
+    through _magnus_advance;
   * scipy's DOP853 on single modes at tight tolerance (propagator_matrix,
     the cross-check oracle).
 
@@ -33,6 +38,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -117,45 +123,12 @@ def propagator_matrix(t: float, tau: float, xi, d: DampingLaw,
 # =====================================================================
 
 MAGNUS_STEP = 0.02
+# elements k M of one chunk: the exponentials of k substeps over M radii
+# are formed together, in working arrays that one _magnus_advance holds
+MAGNUS_CHUNK = 2048
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
-
-
-def _magnus_step(t: float, h: float, r2: np.ndarray, d: DampingLaw):
-    """Entries (e00, e01, e10, e11) of the fourth-order Magnus propagator.
-
-    With A(s) = [[0, 1], [-r^2, -b(s)]] sampled at the two Gauss nodes,
-    Omega = h/2 (A1 + A2) + (sqrt(3) h^2 / 12) [A2, A1] reduces to
-    [[0, h + delta], [r^2 (delta - h), -h bbar]].  With m = tr(Omega)/2
-    and N = Omega - m I (traceless, N^2 = q I) its exponential is
-    C I + S N, where C and S carry the factor e^m.  For q > 0 they are
-    formed from e^(m +- sqrt q), so heavy friction at late times cannot
-    overflow a cosh.
-    """
-    b1 = d.mu * (1.0 + t + h * (0.5 - _GAUSS_OFFSET)) ** (-d.lam)
-    b2 = d.mu * (1.0 + t + h * (0.5 + _GAUSS_OFFSET)) ** (-d.lam)
-    delta = math.sqrt(3.0) * h * h * (b2 - b1) / 12.0
-    m = -0.25 * h * (b1 + b2)
-    n00 = -m
-    n01 = h + delta
-    n10 = r2 * (delta - h)
-    q = n00 * n00 + n01 * n10
-    s = np.sqrt(np.abs(q))
-
-    # q <= 0: e^m cos(s) and e^m sin(s)/s; sinc covers the limit q -> 0
-    em = math.exp(m)
-    C = em * np.cos(s)
-    S = em * np.sinc(s / np.pi)
-    # q > 0: (e^(m+s) +- e^(m-s)) / 2, the difference divided by s and
-    # taken through expm1 while s is small
-    hyp = q > 0.0
-    if np.any(hyp):
-        sh = s[hyp]
-        lo, hi = np.exp(m - sh), np.exp(m + sh)
-        diff = np.where(sh <= 1.0, lo * np.expm1(2.0 * np.minimum(sh, 1.0)),
-                        hi - lo)
-        C[hyp] = 0.5 * (hi + lo)
-        S[hyp] = diff / (2.0 * sh)
-    return C + S * n00, S * n01, S * n10, C - S * n00
+# what np.sinc puts in place of x = 0
+_SINC_EPS = np.finfo(float).eps
 
 
 def evolve_modes(r, d: DampingLaw, t_out, *, t_start: float = 0.0,
@@ -199,20 +172,103 @@ def evolve_modes(r, d: DampingLaw, t_out, *, t_start: float = 0.0,
     return out
 
 
-def _magnus_advance(y: np.ndarray, t: float, target: float, r2: np.ndarray,
-                    d: DampingLaw):
-    """Carry the (4, M) rows y from t to target; returns (y, t).
-
-    Steps of MAGNUS_STEP (1+t), the last one cut to land on target.
-    Started from the canonical pair, the rows are the entries of the
-    interval propagator E(target, t).
-    """
+def _substeps(t: float, target: float, d: DampingLaw):
+    """The substeps of MAGNUS_STEP (1+t) from t, the last one cut to land
+    on target: per substep, in Python floats, n00 = -m, n01 = h + delta,
+    delta - h (that is n10 / r^2), n00^2, e^m, m and the time after it."""
     while t < target - 1e-13 * max(1.0, target):
         h = min(MAGNUS_STEP * (1.0 + t), target - t)
-        e00, e01, e10, e11 = _magnus_step(t, h, r2, d)
-        y = np.stack([e00 * y[0] + e01 * y[1], e10 * y[0] + e11 * y[1],
-                      e00 * y[2] + e01 * y[3], e10 * y[2] + e11 * y[3]])
+        b1 = d.mu * (1.0 + t + h * (0.5 - _GAUSS_OFFSET)) ** (-d.lam)
+        b2 = d.mu * (1.0 + t + h * (0.5 + _GAUSS_OFFSET)) ** (-d.lam)
+        delta = math.sqrt(3.0) * h * h * (b2 - b1) / 12.0
+        m = -0.25 * h * (b1 + b2)
+        n00 = -m
         t += h
+        yield n00, h + delta, delta - h, n00 * n00, math.exp(m), m, t
+
+
+def _magnus_advance(y: np.ndarray, t: float, target: float, r2: np.ndarray,
+                    d: DampingLaw):
+    """Carry the (4, M) rows y from t to target, in place; returns (y, t).
+
+    Fourth-order Magnus substeps (_substeps).  Started from the canonical
+    pair, the rows are the entries of the interval propagator
+    E(target, t).
+
+    With A(s) = [[0, 1], [-r^2, -b(s)]] sampled at the two Gauss nodes,
+    Omega = h/2 (A1 + A2) + (sqrt(3) h^2 / 12) [A2, A1] reduces to
+    [[0, h + delta], [r^2 (delta - h), -h bbar]].  With m = tr(Omega)/2
+    and N = Omega - m I (traceless, N^2 = q I) its exponential is
+    C I + S N, where C and S carry the factor e^m.  For q > 0 they are
+    formed from e^(m +- sqrt q), so heavy friction at late times cannot
+    overflow a cosh.
+
+    The scalars of a substep come from its (t, h) alone, so the
+    exponentials of a chunk of k substeps, k M <= MAGNUS_CHUNK, are
+    formed as (k, M) arrays in one pass, in working arrays held for the
+    call.  The rows are then carried through them in order, each new
+    row the sum of two products.  Every element sees the operations of
+    the one-substep-at-a-time engine, in its order, and so its bits.
+    """
+    M = r2.size
+    steps = _substeps(t, target, d)
+    rows = list(islice(steps, max(1, MAGNUS_CHUNK // max(M, 1))))
+    if not rows:
+        return y, t
+    k = len(rows)
+    # the entries e_00, e_01, e_10, e_11 of each substep, one scratch
+    # array (q, then sqrt|q|, then S n00) and the q > 0 and x == 0 masks
+    e, w = np.empty((4, k, M)), np.empty((k, M))
+    hyp, zero = np.empty((2, k, M), dtype=bool)
+    # the rows carried between y and nxt, and one product
+    cur, nxt, prod = y, np.empty((4, M)), np.empty(M)
+
+    while rows:
+        t = rows[-1][-1]
+        n00, n01, dmh, nn, em = np.array(rows).T[:5, :, None]
+        j = len(rows)
+        e00, e01, e10, e11 = e[:, :j]
+        s, hj, zj = w[:j], hyp[:j], zero[:j]
+        n10 = np.multiply(r2, dmh, out=e10)
+        q = np.add(nn, np.multiply(n01, n10, out=s), out=s)
+        np.greater(q, 0.0, out=hj)
+        np.sqrt(np.abs(q, out=s), out=s)
+        # q <= 0: e^m cos(s) and e^m sin(s)/s; sinc covers the limit q -> 0.
+        # S is np.sinc(s / pi) by np.sinc's own operations, x = pi (s / pi),
+        # eps where x == 0, then sin(x) / x, in held arrays: S in e00 and
+        # sin(x) in e01
+        C = np.multiply(em, np.cos(s, out=e11), out=e11)
+        S = np.multiply(np.pi, np.divide(s, np.pi, out=e00), out=e00)
+        np.copyto(S, _SINC_EPS, where=np.equal(S, 0.0, out=zj))
+        np.multiply(em, np.divide(np.sin(S, out=e01), S, out=S), out=S)
+        # q > 0: (e^(m+s) +- e^(m-s)) / 2, the difference divided by s and
+        # taken through expm1 while s is small.  A substep at a time, so
+        # the compressed arrays stay the size of one substep's
+        for i in np.flatnonzero(hj.any(axis=1)):
+            hyp_i, m = hj[i], rows[i][5]
+            sh = s[i][hyp_i]
+            elo, ehi = np.exp(m - sh), np.exp(m + sh)
+            diff = np.where(sh <= 1.0, elo * np.expm1(2.0 * np.minimum(sh, 1.0)),
+                            ehi - elo)
+            C[i][hyp_i] = 0.5 * (ehi + elo)
+            S[i][hyp_i] = diff / (2.0 * sh)
+        SN = np.multiply(S, n00, out=s)
+        np.multiply(S, n01, out=e01)
+        np.multiply(S, n10, out=e10)
+        np.add(C, SN, out=e00)
+        np.subtract(C, SN, out=e11)
+        # rows (0, 1) and (2, 3) are two pairs (W, W'):
+        # W <- e00 W + e01 W' and W' <- e10 W + e11 W'
+        for i in range(j):
+            for a, b in ((0, 1), (2, 3)):
+                np.add(np.multiply(e00[i], cur[a], out=nxt[a]),
+                       np.multiply(e01[i], cur[b], out=prod), out=nxt[a])
+                np.add(np.multiply(e10[i], cur[a], out=nxt[b]),
+                       np.multiply(e11[i], cur[b], out=prod), out=nxt[b])
+            cur, nxt = nxt, cur
+        rows = list(islice(steps, k))
+    if cur is not y:
+        y[...] = cur
     return y, t
 
 
@@ -476,9 +532,10 @@ def kernel_decay_check(g: np.ndarray, grid: Grid, d: DampingLaw, times, *,
     band_r = uniq[in_band]
     row = 0 if i == 1 else 2
 
-    tr = evolve_modes(band_r, d, times)
-    phi_all = np.zeros((uniq.size, times.size))
-    phi_all[in_band] = tr[row]
+    # the kernel's row of the band propagators, (M, T); the loop below
+    # scatters it onto the unique radii one time at a time
+    band_phi = evolve_modes(band_r, d, times)[row].copy()
+    phi = np.zeros(uniq.size)
 
     mode_mask = (uniq <= r_cut)[inverse]
     kshape = ops.kmag.shape
@@ -506,7 +563,8 @@ def kernel_decay_check(g: np.ndarray, grid: Grid, d: DampingLaw, times, *,
                   else 1j * ops.kmag.ravel()) ** kk
         observed = np.empty(times.size)
         for j in range(times.size):
-            W = G * phi_all[inverse, j] * mode_mask
+            phi[in_band] = band_phi[:, j]
+            W = G * phi[inverse] * mode_mask
             if kk:
                 W = W * ik
             fld = ops.inv(W.reshape(kshape))

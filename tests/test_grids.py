@@ -298,6 +298,26 @@ def test_rfft_weights_give_parseval():
     assert spectral == pytest.approx(physical, rel=1e-11)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_band_tail_of_a_stack_is_the_full_one(n):
+    # the band holds no Nyquist column, so its rfft weights are 1 on
+    # column 0 and 2 elsewhere: for band-limited fields they give
+    # Parseval, and the tail of a stack of band spectra is the full
+    # spectra's tail of the same fields taken together
+    grid, ops = make_ops(n, 4.0, 32 if n < 3 else 16)
+    band = SpectralOps(grid, band=True)
+    rng = np.random.default_rng(9)
+    fs = [ops.dealias(rng.standard_normal(grid.shape)) for _ in range(n + 1)]
+    F = band.fwd(fs[0])
+    spectral = np.sum(band._rfft_weights() * np.abs(F) ** 2) / grid.N ** n
+    assert spectral == pytest.approx(np.sum(fs[0] * fs[0]), rel=1e-11)
+    full = ops.spectral_tail(np.stack([ops.fwd(f) for f in fs]), 0.5)
+    got = band.spectral_tail(np.stack([band.fwd(f) for f in fs]), 0.5)
+    assert 0.1 < full < 0.9
+    assert got == pytest.approx(full, rel=1e-11)
+    assert band.spectral_tail(np.zeros_like(F), 0.5) == 0.0
+
+
 def test_round_trip_transform():
     grid, ops = make_ops(3, 3.0, 16)
     rng = np.random.default_rng(11)
