@@ -117,7 +117,17 @@ def momentum_moment(st: euler.EulerState, g: GasLaw, ops: SpectralOps,
 
 
 def _moment(ph: euler.PhysicalState, ops: SpectralOps, mesh: np.ndarray) -> float:
-    return ops.quad(sum(mesh[i] * ph.rho * ph.u[i] for i in range(ops.grid.n)))
+    """quad of sum_i mesh[i] * rho * u[i], by that sum's own operations
+    (from 0, term by term) in two grid-sized arrays."""
+    acc = tmp = None
+    for i in range(ops.grid.n):
+        tmp = np.multiply(mesh[i], ph.rho, out=tmp)
+        np.multiply(tmp, ph.u[i], out=tmp)
+        if acc is None:
+            acc, tmp = np.add(0, tmp, out=tmp), None
+        else:
+            np.add(acc, tmp, out=acc)
+    return ops.quad(acc)
 
 
 # =====================================================================
@@ -204,6 +214,10 @@ class EnergyRecorder:
         v, u = st.v, st.u
         band, w, nl = st.band
         grad_v = band.grad_hat(w[0])
+        dv1_l2 = sum(ops.l2(gv) for gv in grad_v)
+        dv1_linf = max(ops.linf(gv) for gv in grad_v)
+        if not (self.with_source or self.with_weights):
+            del grad_v  # nothing else reads it: its memory goes to the rest
 
         if self.with_weights:
             mesh = self.grid.mesh()
@@ -242,14 +256,13 @@ class EnergyRecorder:
                 del gu
             du1_l2 += row_l2
         dv = band.inv(next(euler._linear(None, w[1:], 0.0, band)) + nl[0])
+        vt_l2 = ops.l2(dv)
         src_l1 = 0.0
         if self.with_source:
             src_l1 = ops.quad(np.abs(euler.nonlinear_wave_source(
                 st, self.d, self.g, band, (w, nl, grad_v, div_u))))
         del w, nl, div_u
 
-        dv1_l2 = sum(ops.l2(gv) for gv in grad_v)
-        dv1_linf = max(ops.linf(gv) for gv in grad_v)
         vort_l2 = 0.0
         if n == 2:
             vort_l2 = curl_l2[2]
@@ -263,18 +276,20 @@ class EnergyRecorder:
             J_v, J_u = J(v), sum(J(u[i]) for i in range(n))
             Jgrad_v = sum(J(gv) for gv in grad_v)
             Jvt = J(dv)
-            del two_psi, outside
+            del two_psi, outside, grad_v
         else:
             J_v = J_u = Jgrad_v = Jvt = 0.0
-        del grad_v
+        del dv
 
-        ph = euler.from_symmetric(st, self.g)
-        rho_dev = ph.rho - 1.0
+        # the density without a copy of u; the moment reads it before it
+        # becomes rho - 1 in place
+        rho = euler.density(v, self.g)
+        moment = _moment(euler.PhysicalState(st.t, rho, u), ops, self.coords)
+        rho_dev = np.subtract(rho, 1.0, out=rho)
         B = self.spec.B
         gp = (1.0 + st.t) ** B
         gq = (1.0 + st.t) ** (B + 1.0 + self.d.lam)
         v_l2 = ops.l2(v)
-        vt_l2 = ops.l2(dv)
         row = EnergyRow(
             t=st.t, v_l2=v_l2, u_l2=u_l2, u_linf=u_linf,
             rho_l2=ops.l2(rho_dev), rho_linf=ops.linf(rho_dev),
@@ -285,7 +300,7 @@ class EnergyRecorder:
             wmon_low=gp * (J_v + J_u),
             wmon_high=gq * (Jvt + Jgrad_v + Jgrad_u),
             mass=ops.quad(rho_dev),
-            moment=_moment(ph, ops, self.coords),
+            moment=moment,
             vort_l2=vort_l2, src_l1=src_l1)
         self.rows.append(row)
 

@@ -55,12 +55,14 @@ __all__ = [
     "VacuumError",
     "to_symmetric",
     "from_symmetric",
+    "density",
     "bump_profile",
     "initial_bump",
     "mass_bump",
     "rotational_bump",
     "potential_bump",
     "STEP_TOL",
+    "DENSE_GROWTH_MAX",
     "rhs",
     "step",
     "run",
@@ -111,11 +113,16 @@ def to_symmetric(ph: PhysicalState, g: GasLaw) -> EulerState:
 
 def from_symmetric(st: EulerState, g: GasLaw) -> PhysicalState:
     """Invert the sound-speed change of variables; rejects vacuum states."""
-    base = 1.0 + g.slope * np.asarray(st.v, dtype=float)
+    return PhysicalState(t=st.t, rho=density(st.v, g),
+                         u=np.array(st.u, dtype=float, copy=True))
+
+
+def density(v: np.ndarray, g: GasLaw) -> np.ndarray:
+    """rho of the symmetric variable v; rejects vacuum states."""
+    base = 1.0 + g.slope * np.asarray(v, dtype=float)
     if np.any(base <= 0.0):
         raise VacuumError("state corresponds to nonpositive density")
-    rho = base ** (1.0 / g.slope)
-    return PhysicalState(t=st.t, rho=rho, u=np.array(st.u, dtype=float, copy=True))
+    return base ** (1.0 / g.slope)
 
 
 # =====================================================================
@@ -209,6 +216,14 @@ STEP_TOL = 1e-9
 TAIL_LIMIT = 0.01
 GRAD_FACTOR = 100.0
 CHECK_EVERY = 25
+# the continuous extension carries products from the end of a step back
+# to an output inside it, and the friction makes them grow by up to
+# integrating_factor(output, end) on the way; a step passes over an
+# output only while that factor stays within DENSE_GROWTH_MAX.  Measured
+# on nonlinear-decay's recorder columns against outputs that all land:
+# e and e^2 move them by 1.3e-8 and 1.5e-8 (the controller's own level),
+# e^3 by 5e-6
+DENSE_GROWTH_MAX = math.exp(2.0)
 
 
 @dataclass
@@ -314,17 +329,23 @@ class _Lawson:
         self.khat = np.divide(k, r, out=np.zeros_like(k), where=r > 0.0)
         if ops.grid.n == 1:
             # the radii of a line are distinct already
-            self.radii, self.index = r, slice(None)
+            self.radii, self.index = r, None
         else:
+            # the propagator is formed per distinct radius, and apply
+            # spreads it over the band by index
             self.radii, index = np.unique(np.round(r, 12), return_inverse=True)
             self.index = index.reshape(r.shape)
-        self._work = None
+        self._phys = self._band = self._held = self.halves = None
 
-    def release(self):
+    def release(self, band: bool = True):
         """Let the work buffers go; their next use makes them again.  run
         releases them at each output, so that the monitor check and the
-        snapshot hook take that memory instead of adding to it."""
-        self._work = None
+        snapshot hook take that memory instead of adding to it.  Between
+        the outputs read inside one step, band=False keeps the spectral
+        ones, which hold the continuous extension."""
+        self._phys = None
+        if band:
+            self._band = self._held = None
 
     def work(self):
         """The work buffers of products and step, made on first use: grad
@@ -333,29 +354,49 @@ class _Lawson:
         row, the scratch of apply and of step, and of products for one
         derivative's spectrum; and two spectral states, step's P1 w and
         its running sum."""
-        if self._work is None:
-            n, shape, band = self.ops.grid.n, self.ops.grid.shape, self.ops.k2.shape
-            self._work = (np.empty((n,) + shape), np.empty(shape),
-                          np.empty(shape), np.empty(shape),
-                          np.empty(band, dtype=complex),
+        n, shape = self.ops.grid.n, self.ops.grid.shape
+        if self._phys is None:
+            self._phys = (np.empty((n,) + shape), np.empty(shape),
+                          np.empty(shape), np.empty(shape))
+        return self._phys + self.spectral_work()
+
+    def spectral_work(self):
+        """The spectral part of work(), made on first use without the
+        physical part, which apply and the extension do not need."""
+        if self._band is None:
+            n, band = self.ops.grid.n, self.ops.kshape
+            self._band = (np.empty(band, dtype=complex),
                           np.empty((n + 1,) + band, dtype=complex),
                           np.empty((n + 1,) + band, dtype=complex))
-        return self._work
+        return self._band
+
+    def held(self, count: int = 1):
+        """The first count of the two spectral states of the continuous
+        extension, made on first use: the products at the start of a step
+        (then the same products carried to its end), which step holds, and
+        the products at an output, which only the extension needs."""
+        shape = (self.ops.grid.n + 1,) + self.ops.kshape
+        held = self._held or ()
+        while len(held) < count:
+            held += (np.empty(shape, dtype=complex),)
+        self._held = held
+        return held[:count]
 
     def propagator(self, t0: float, t1: float):
         """Coefficients (a, b, c, e - f, f) of the exact linear propagator
-        from t0 to t1, as apply takes them."""
+        from t0 to t1, as apply takes them: a, b, c and e - f per distinct
+        radius, f a number."""
         r = self.radii
         y = np.zeros((4, r.size))
         y[0] = 1.0
         y[3] = 1.0
         (e00, e10, e01, e11), _ = _magnus_advance(y, t0, t1, r * r, self.d)
+        e00 = e00.copy()  # lets y go with the other rows
         e00[r == 0.0] = 1.0
         e01 = e01 * r
         e10 = np.divide(e10, r, out=np.zeros_like(e10), where=r > 0.0)
         f = 1.0 / integrating_factor(t0, t1, self.d)
-        ix = self.index
-        return e00[ix], e01[ix], e10[ix], (e11 - f)[ix], f
+        return e00, e01, e10, e11 - f, f
 
     def apply(self, P, w: np.ndarray, out: np.ndarray,
               scratch: np.ndarray) -> np.ndarray:
@@ -368,22 +409,33 @@ class _Lawson:
         each evaluated in that order, a row at a time.  s and the bracket
         go into the first two rows of scratch, a spectral state that
         neither w nor out may share, the rest into the held band row of
-        work().
+        work().  Each of a, b, c and e - f is spread over the band as
+        x + 0j into the row its product goes to, or into the held row:
+        numpy multiplies a real array into a complex one as that complex
+        array, so the bits are those of the real coefficient.
         """
         a, b, c, e_f, f = P
         s, q = scratch[:2]
-        tmp = self.work()[4]
+        tmp = self.spectral_work()[0]
+
+        def spread(x, row):
+            if self.index is None:
+                return x
+            np.take(x, self.index, out=row.real, mode="clip")
+            row.imag[...] = 0.0
+            return row
+
         np.multiply(self.khat[0], w[1], out=s)
         for i in range(1, w.shape[0] - 1):
             s += np.multiply(self.khat[i], w[1 + i], out=tmp)
-        np.multiply(c, w[0], out=q)
+        np.multiply(spread(c, q), w[0], out=q)
         np.multiply(1j, q, out=q)
-        q += np.multiply(e_f, s, out=tmp)
+        q += np.multiply(spread(e_f, tmp), s, out=tmp)
         for i in range(w.shape[0] - 1):
             np.multiply(f, w[1 + i], out=out[1 + i])
             out[1 + i] += np.multiply(self.khat[i], q, out=tmp)
-        np.multiply(a, w[0], out=out[0])
-        out[0] -= np.multiply(1j, np.multiply(b, s, out=tmp), out=tmp)
+        np.multiply(spread(a, tmp), w[0], out=out[0])
+        out[0] -= np.multiply(1j, np.multiply(spread(b, tmp), s, out=tmp), out=tmp)
         return out
 
     def physical(self, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -431,9 +483,74 @@ class _Lawson:
             self.grad_sup = float(max(sup))
         return out
 
+    def extension(self, t: float, h: float, w: np.ndarray, f: np.ndarray,
+                  x: np.ndarray, times):
+        """The continuous extension of the step from t to t + h that
+        step(..., hold=True) has just taken, read at each of times, in
+        (t, t + h) and in order.  w and f are the state and the products
+        at t + h.  Yields, per time s, the spectral state at s, its
+        products (with watch, for run's monitors) and the factor
+        integrating_factor(s, t + h) by which the extension carried a
+        product back to s; x is overwritten with the physical state.  The
+        held buffers of one yield are overwritten by the next.
+
+        With U(r) = P(t + h, r) w(r) - P(t + h, t) w(t), the Duhamel term
+        in the frame of t + h, U(t) = 0, U'(t) = B = P(t + h, t) f(t),
+        U(t + h) = w - A with A = P(t + h, t) w(t), and U'(t + h) = f.  Its
+        cubic Hermite interpolant at theta = (s - t) / h gives
+
+            w(s) = P(s, t + h) [A + H_b (w - A) + h H_a B + h H_c f],
+            H_a = theta (1 - theta)^2,  H_b = theta^2 (3 - 2 theta),
+            H_c = theta^2 (theta - 1),
+
+        with the backward propagator P(s, t + h).  Without products it
+        is P(s, t + h) P(t + h, t) w(t) = P(s, t) w(t): the linear part is
+        exact through the propagator.  As a continuous Runge-Kutta
+        extension, the stage and FSAL products carry the weights
+        H_a + H_b b_1 on k1, H_b b_i on k2..k4 and H_c on k5, with
+        b = (1/6, 1/3, 1/3, 1/6) the RK4 weights.  It is of order 3: with U4 the largest fourth derivative
+        of U over the step, the interpolation error of U is at most
+        h^4 theta^2 (1 - theta)^2 / 24 U4, h^4 / 384 U4 at theta = 1/2,
+        and the propagator carries it back to s with a growth of at most
+        integrating_factor(s, t + h).
+        """
+        tmp, pw, acc = self.spectral_work()
+        f0 = self.held()[0]
+        # P(t + h, t) is the step's own P2 P1.  P(t + h, s) is P2 after
+        # P(t + h/2, s) below the midpoint, and formed directly above it:
+        # each engine pass runs back from the midpoint or from t + h over
+        # the outputs on its side, a segment at a time
+        p2, p1 = self.halves
+        self.halves = None
+        p = _compose(p2, p1)
+        self.apply(p, acc, acc, pw)
+        self.apply(p, f0, f0, pw)
+        del p1
+        mid, back = t + 0.5 * h, {}
+        for end in (mid, t + h):
+            p, p2 = p2, None  # P2 heads the outputs below the midpoint
+            for s in reversed([s for s in times if (s < mid) == (end == mid)]):
+                seg = self.propagator(s, end)
+                p = back[s] = seg if p is None else _compose(p, seg)
+                end = s
+        del p, seg
+        fo = self.held(2)[1]
+        for s in times:
+            th = (s - t) / h
+            hb = th * th * (3.0 - 2.0 * th)
+            ha, hc = h * th * (1.0 - th) ** 2, h * th * th * (th - 1.0)
+            for o, a, b, wr, fr in zip(pw, acc, f0, w, f):
+                np.multiply(1.0 - hb, a, out=o)
+                o += np.multiply(hb, wr, out=tmp)
+                o += np.multiply(ha, b, out=tmp)
+                o += np.multiply(hc, fr, out=tmp)
+            self.apply(_inverse(back.pop(s)), pw, pw, fo)
+            self.products(pw, self.physical(pw, out=x), out=fo, watch=True)
+            yield s, pw, fo, _growth(s, t + h, self.d)
+
 
 def step(t: float, w: np.ndarray, x: np.ndarray, f: np.ndarray, h: float,
-         law: _Lawson, floor: float = np.inf):
+         law: _Lawson, floor: float = np.inf, hold: bool = False):
     """One accepted step of the embedded Lawson RK4(3) pair from t;
     returns (h, err), the step taken and its error estimate.
 
@@ -454,6 +571,12 @@ def step(t: float, w: np.ndarray, x: np.ndarray, f: np.ndarray, h: float,
     t, shorter by _step_factor but not shorter than floor; a try of at
     most floor is accepted whatever its estimate.  The default floor
     accepts every try: fixed steps.
+
+    With hold, the step also keeps what its continuous extension
+    (_Lawson.extension) reads: the state at t in law's running-sum
+    buffer, the products at t in law.held()[0] and the half-step
+    propagators as law.halves.  The step itself is the same, bit for
+    bit.
     """
     # the stages live in law's held states pw = P1 w and acc, the running
     # sum, and in f: it takes k1 = P1 f, then each stage and its
@@ -464,20 +587,23 @@ def step(t: float, w: np.ndarray, x: np.ndarray, f: np.ndarray, h: float,
     tmp, pw, acc = law.work()[4:]
     while True:
         th = t + 0.5 * h
-        p = law.propagator(t, th)
-        law.apply(p, w, pw, acc)
-        k = law.apply(p, f, f, acc)
-        del p
+        p1 = law.propagator(t, th)
+        if hold:
+            # a try taken again has formed f afresh, to the same bits
+            np.copyto(law.held()[0], f)
+        law.apply(p1, w, pw, acc)
+        k = law.apply(p1, f, f, acc)
         _scaled(h / 6.0, k, out=acc, plus=pw)
         for _ in range(2):
             _scaled(0.5 * h, k, out=k, plus=pw)
             law.products(k, law.physical(k, out=x), out=k)
             _add_scaled(acc, h / 3.0, k, tmp)
         _scaled(h, k, out=k, plus=pw)
-        p = law.propagator(th, t + h)
-        law.apply(p, k, k, pw)
-        law.apply(p, acc, acc, pw)
-        del p
+        p2 = law.propagator(th, t + h)
+        law.apply(p2, k, k, pw)
+        law.apply(p2, acc, acc, pw)
+        law.halves = (p2, p1) if hold else None
+        del p1, p2
         law.products(k, law.physical(k, out=x), out=k)
         _add_scaled(acc, h / 6.0, k, tmp)
         k5 = law.products(acc, law.physical(acc, out=x), out=pw, watch=True)
@@ -488,7 +614,14 @@ def step(t: float, w: np.ndarray, x: np.ndarray, f: np.ndarray, h: float,
             break
         h = max(floor, h * _step_factor(err))
         law.products(w, law.physical(w, out=x), out=f)
-    w[...] = acc
+    if hold:
+        # w and acc trade places, a row at a time through tmp
+        for a, b in zip(w, acc):
+            np.copyto(tmp, a)
+            np.copyto(a, b)
+            np.copyto(b, tmp)
+    else:
+        w[...] = acc
     f[...] = k5
     return h, err
 
@@ -525,6 +658,79 @@ def _add_scaled(acc: np.ndarray, c: float, k: np.ndarray, tmp: np.ndarray):
         a += np.multiply(c, r, out=tmp)
 
 
+def _compose(P2, P1):
+    """The coefficients of P2 after P1, both as _Lawson.apply takes
+    them: the 2x2 blocks [[a, -i b], [i c, e]] multiply, and so do the
+    transverse factors f."""
+    a2, b2, c2, e2, f2 = P2
+    a1, b1, c1, e1, f1 = P1
+    e1, e2 = e1 + f1, e2 + f2
+    f = f2 * f1
+    return (a2 * a1 + b2 * c1, a2 * b1 + b2 * e1, c2 * a1 + e2 * c1,
+            c2 * b1 + e2 * e1 - f, f)
+
+
+def _inverse(P):
+    """The coefficients of the inverse of P, as _Lawson.apply takes
+    them: the block [[a, -i b], [i c, e]] has the determinant f of the
+    transverse factor (Liouville), so its inverse is
+    [[e, i b], [-i c, a]] / f, and the transverse factor is 1 / f."""
+    a, b, c, e_f, f = P
+    g = 1.0 / f
+    return (e_f + f) * g, -b * g, -c * g, (a - 1.0) * g, g
+
+
+def _spread(t: float, target: float, h: float) -> float:
+    """A step of at most h that divides the way from t to target evenly,
+    so that no sliver of a step is left before target."""
+    return (target - t) / max(1, math.ceil((target - t) / h - 1e-9))
+
+
+def _growth(s: float, e: float, d: DampingLaw) -> float:
+    """integrating_factor(s, e, d) in Python floats, for the step rule,
+    which asks it once or twice a step."""
+    om = 1.0 - d.lam
+    return math.exp(d.mu / om * ((1.0 + e) ** om - (1.0 + s) ** om))
+
+
+def _growth_end(s: float, d: DampingLaw) -> float:
+    """The time after s at which _growth(s, ., d) reaches
+    DENSE_GROWTH_MAX (a hair below it); infinite without friction."""
+    if d.mu == 0.0:
+        return math.inf
+    om = 1.0 - d.lam
+    grow = math.log(DENSE_GROWTH_MAX) * (1.0 - 1e-12)
+    return ((1.0 + s) ** om + om * grow / d.mu) ** (1.0 / om) - 1.0
+
+
+def _step_length(t: float, h: float, out: float, t_final: float,
+                 d: DampingLaw) -> float:
+    """The step from t for the controller's step h, where out is the next
+    output (t_final last).
+
+    The step is h spread evenly over the way to t_final, as if there were
+    no outputs, and it passes over out while a product carried back from
+    its end to out grows by at most DENSE_GROWTH_MAX.  Where it would grow
+    more, the step ends where the growth reaches DENSE_GROWTH_MAX if that
+    still takes it as far past out as out lies ahead, and lands on out
+    otherwise.  An out that the step does not reach, and that a step of h
+    from out could not pass over, is approached as a landing target:
+    spread evenly, so that no sliver of a step is left before it.
+    """
+    hp = _spread(t, t_final, h)
+    if out >= t_final:
+        return hp
+    tol = 1e-12 * max(1.0, out)
+    if t + hp < out - tol:
+        if _growth(out, min(out + h, t_final), d) > DENSE_GROWTH_MAX:
+            return _spread(t, out, h)
+        return hp
+    if t + hp <= out + tol or _growth(out, t + hp, d) <= DENSE_GROWTH_MAX:
+        return hp
+    end = _growth_end(out, d)
+    return end - t if end - out >= out - t else out - t
+
+
 @dataclass
 class RunResult:
     """Outcome of a nonlinear run."""
@@ -535,15 +741,21 @@ class RunResult:
     dt_min: float | None = None   # smallest, median and largest step taken
     dt_median: float | None = None
     dt_max: float | None = None
+    # outputs read from the continuous extension, and the largest factor
+    # integrating_factor(output, end of its step) it carried a product by
+    dense_outputs: int = 0
+    dense_growth_max: float | None = None
     snapshots: list = field(default_factory=list)
 
 
 def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
         cfg: SolverConfig, on_snapshot=None,
         ops: SpectralOps | None = None) -> RunResult:
-    """March the system to cfg.t_final, landing on every snapshot time.
+    """March the system to cfg.t_final, with an output at every snapshot
+    time.
 
-    Steps are those of the embedded Lawson pair (see step), of length
+    Steps are those of the embedded Lawson pair (see step).  The
+    controller's step is
 
         h = min(cfl dx / a, max(h_ctrl, cfl dx / (1 + a))),
         a = |u|_inf + (gamma-1)/2 |v|_inf,
@@ -552,19 +764,25 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
     not.  h_ctrl is the PI controller's proposal (_step_factor), from
     the acoustic step cfl dx / (1 + a) at the start.  That acoustic step
     is also the floor: a step there is accepted whatever its estimate,
-    a longer one only with err <= 1.  The distance to the next output
-    is spread evenly over ceil((output - t) / h) steps, so no sliver of
-    a step is left before an output.  A dt_override takes fixed steps,
-    cut only to land on outputs, and must respect the advective bound.
-    Every step is counted once, however many tries it took.
+    a longer one only with err <= 1.  The step goes toward t_final, spread
+    evenly so that no sliver is left, and an output inside it is read
+    from the step's continuous extension (_Lawson.extension) while the
+    trajectory goes on as if no output had been asked for.  The extension
+    carries products back from the end of the step, so a step passes
+    over an output only while that growth stays within DENSE_GROWTH_MAX;
+    otherwise it is shortened or lands on the output (_step_length).  A
+    dt_override takes fixed steps, cut only to land on every output, and
+    must respect the advective bound.  Every step is counted once,
+    however many tries it took.
 
     on_snapshot(state) fires at each requested time (and at t_final).
     Blow-up monitoring: non-finite values every step; gradient growth and
     spectral tail fraction at every output and at the first step past
     each multiple of CHECK_EVERY cfl dx of simulated time, so the checks
     do not depend on how many steps the controller takes (the gradient
-    check reads law.grad_sup, the tail check the band state w).  A
-    triggered monitor ends the run with the corresponding verdict.
+    check reads law.grad_sup, the tail check the band state).  A
+    triggered monitor ends the run with the corresponding verdict, at
+    the output where it tripped.
     """
     ops = ops or SpectralOps(grid)
     _check_band_limited(ops, (st0.v, *st0.u), "initial data")
@@ -587,31 +805,34 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
     next_check = t0 + every
     h_ctrl, err_prev = 0.0, 1.0
 
-    def output(hook):
-        st = EulerState(t, x[0], x[1:], band=BandView(band, w, f))
+    def output(hook, ts, ws, fs):
+        st = EulerState(ts, x[0], x[1:], band=BandView(band, ws, fs))
         if hook is not None:
             hook(st)
         if cfg.store_snapshots:
             result.snapshots.append(st.copy())
 
-    law.release()
-    output(on_snapshot if t == 0.0 else None)
+    def speed() -> float:
+        return max(ops.linf(x[i]) for i in range(1, grid.n + 1)) \
+            + g.slope * ops.linf(x[0])
 
-    def tripped() -> str | None:
-        if not np.isfinite(x).all():
+    def tripped(ws, physical: bool = True) -> str | None:
+        # the state at the end of a step whose outputs took x has been
+        # checked for non-finite values by speed() already
+        if physical and not np.isfinite(x).all():
             return "nonfinite"
         if law.grad_sup > GRAD_FACTOR * g0:
             return "blowup-gradient"
         # watch the upper half of the retained band, over the held band
         # spectrum of v and u together: no transform, and v alone, which
         # rotational and potential data keep near zero, is only noise
-        if band.spectral_tail(w, cut=0.5) > TAIL_LIMIT:
+        if band.spectral_tail(ws, cut=0.5) > TAIL_LIMIT:
             return "blowup-tail"
         return None
 
-    def finish(why: str | None) -> RunResult:
+    def finish(why: str | None, t_end: float) -> RunResult:
         result.steps = len(dts)
-        result.t_end = t
+        result.t_end = t_end
         if dts:
             srt, mid = sorted(dts), len(dts) // 2
             result.dt_min, result.dt_max = srt[0], srt[-1]
@@ -621,40 +842,73 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
             result.verdict = why
         return result
 
-    for target in snaps:
-        tol = 1e-12 * max(1.0, target)
-        while t < target - tol:
-            speed = max(ops.linf(x[i]) for i in range(1, grid.n + 1)) \
-                + g.slope * ops.linf(x[0])
-            if not np.isfinite(speed):
-                return finish("nonfinite")
-            h_adv = cfg.cfl * grid.dx / speed if speed > 0.0 else np.inf
-            if cfg.dt_override is not None:
-                if cfg.dt_override > h_adv * (1.0 + 1e-9):
-                    raise ValueError(
-                        f"dt_override {cfg.dt_override:g} violates the "
-                        f"advective CFL bound {h_adv:g}")
-                h, floor = min(cfg.dt_override, target - t), np.inf
-            else:
-                floor = cfg.cfl * grid.dx / (1.0 + speed)
-                h = min(h_adv, max(h_ctrl, floor))
-                h = (target - t) / max(1, math.ceil((target - t) / h - 1e-9))
-            h, err = step(t, w, x, f, h, law, floor)
-            h_ctrl, err_prev = h * _step_factor(err, err_prev), err
-            t += h
-            dts.append(h)
-            if t >= next_check:
-                next_check = t0 + every * (math.floor((t - t0) / every) + 1)
-                # a step that lands on the output is checked there
-                why = tripped() if t < target - tol else None
+    def reached(s: float) -> bool:
+        return t >= s - 1e-12 * max(1.0, s)
+
+    def beyond(s: float, end: float) -> bool:
+        return end > s + 1e-12 * max(1.0, s)
+
+    law.release()
+    output(on_snapshot if t == 0.0 else None, t, w, f)
+
+    j = 0  # the next output
+    a = speed()
+    while j < len(snaps):
+        if not np.isfinite(a):
+            return finish("nonfinite", t)
+        h_adv = cfg.cfl * grid.dx / a if a > 0.0 else np.inf
+        if cfg.dt_override is not None:
+            if cfg.dt_override > h_adv * (1.0 + 1e-9):
+                raise ValueError(
+                    f"dt_override {cfg.dt_override:g} violates the "
+                    f"advective CFL bound {h_adv:g}")
+            h, floor = min(cfg.dt_override, snaps[j] - t), np.inf
+        else:
+            floor = cfg.cfl * grid.dx / (1.0 + a)
+            h = _step_length(t, min(h_adv, max(h_ctrl, floor)), snaps[j],
+                             cfg.t_final, d)
+        h, err = step(t, w, x, f, h, law, floor, hold=beyond(snaps[j], t + h))
+        h_ctrl, err_prev = h * _step_factor(err, err_prev), err
+        t_start, t = t, t + h
+        dts.append(h)
+        a = speed()
+        # the outputs the step passed over; a try taken again may have
+        # left some of them ahead
+        inside = []
+        while j < len(snaps) and beyond(snaps[j], t):
+            inside.append(snaps[j])
+            j += 1
+        if inside:
+            sup = law.grad_sup
+            law.release(band=False)
+            for s, ws, fs, grow in law.extension(t_start, h, w, f, x, inside):
+                result.dense_outputs += 1
+                result.dense_growth_max = max(grow, result.dense_growth_max or grow)
+                law.release(band=False)
+                why = tripped(ws)
                 if why:
-                    return finish(why)
-        law.release()
-        why = tripped()
-        if why:
-            return finish(why)
-        output(on_snapshot)
-    return finish(None)
+                    return finish(why, s)
+                output(on_snapshot, s, ws, fs)
+            del ws, fs  # the extension's buffers go with law's
+            law.release()
+            law.grad_sup = sup
+            if j < len(snaps) and reached(snaps[j]):
+                law.physical(w, out=x)  # the landed output reads it
+        landed = j < len(snaps) and reached(snaps[j])
+        if t >= next_check:
+            next_check = t0 + every * (math.floor((t - t0) / every) + 1)
+            # a step that lands on the output is checked there
+            why = None if landed else tripped(w, physical=not inside)
+            if why:
+                return finish(why, t)
+        if landed:
+            j += 1
+            law.release()
+            why = tripped(w)
+            if why:
+                return finish(why, t)
+            output(on_snapshot, t, w, f)
+    return finish(None, t)
 
 
 # =====================================================================

@@ -21,15 +21,16 @@ complex axes in reverse, and in 3-D its last bits differ.
 SpectralOps(grid) transforms the full spectrum.  SpectralOps(grid,
 band=True) works on the compact 2/3 band: its spectra hold only the
 wavevectors the dealias rule keeps (|m| <= N/3 on every axis, so no
-Nyquist bin).  Its fwd gathers them from a full-spectrum scratch, and
-its inv scatters them into a zero pad, both held by the instance, so
-its transforms equal the full ones bit for bit: fwd is the masked full
-spectrum cut to the band, inv the full inverse of the band spectrum
-among zeros.  The nonlinear stepper holds such an instance.
+Nyquist bin).  Its fwd gathers them from a full-spectrum scratch held
+by the instance, and its inv scatters them back into that scratch among
+zeros, so its transforms equal the full ones bit for bit: fwd is the
+masked full spectrum cut to the band, inv the full inverse of the band
+spectrum among zeros.  The nonlinear stepper holds such an instance.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -95,10 +96,12 @@ class SpectralOps:
 
     Real-to-complex transforms along the last axis; all operators return
     real fields.  Scalar fields have shape grid.shape, vector fields
-    (n, *grid.shape).  With band=True the spectra (and k, k2, kmag) span
-    only the 2/3 band and the transforms take one field at a time;
-    tail_fraction needs the full spectrum.  fwd and inv write into out
-    when it is given.
+    (n, *grid.shape), spectra kshape.  With band=True the spectra (and
+    k, k2, kmag) span only the 2/3 band and the transforms take one field
+    at a time; tail_fraction needs the full spectrum.  fwd and inv write
+    into out when it is given.  The dense tables k, k2 and kmag are made
+    on first use: the transforms, derivatives and norms need none of
+    them (n + 2 grid-sized arrays, 42 MB of a full instance at 128^3).
     """
 
     def __init__(self, grid: Grid, band: bool = False):
@@ -111,16 +114,14 @@ class SpectralOps:
         if band:
             # the rows of each axis that the 2/3 rule keeps, in fft order
             k1, kr = k1[np.abs(k1) <= cut], kr[np.abs(kr) <= cut]
-        axes = [k1] * (n - 1) + [kr]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        self.k = np.stack(mesh)                    # (n, *rshape)
-        self.k2 = np.sum(self.k * self.k, axis=0)  # |k|^2
-        self.kmag = np.sqrt(self.k2)
+        self._axes = axes = [k1] * (n - 1) + [kr]
+        self.kshape = tuple(a.size for a in axes)
         # ik[i] * F is the transform of d_i f.  ik is kept in broadcast
         # form, one axis each: dense, it would take twice the memory of k
         # (51 MB at 128^3)
         self.ik = [1j * a for a in np.meshgrid(*axes, indexing="ij", sparse=True)]
-        self.dealias_mask = np.all(np.abs(self.k) <= cut, axis=0)
+        self.dealias_mask = functools.reduce(np.logical_and, np.meshgrid(
+            *[np.abs(a) <= cut for a in axes], indexing="ij", sparse=True))
         self._kmax = kmax
         # the last-axis columns the spectrum holds
         self._cols = (..., slice(0, kr.size))
@@ -129,16 +130,35 @@ class SpectralOps:
             # the band rows of a complex axis are two runs in fft order,
             # the first m + 1 and the last m (m = N//3): 2^(n-1) blocks
             # of the full spectrum, gathered from _scratch by fwd and
-            # scattered into _pad by inv.  The rows of _pad outside the
-            # blocks are zeroed here and never written again
+            # scattered back into it by inv.  The rest of _scratch is
+            # zero when inv scatters: the columns past the band, which fwd
+            # zeroes again after it gathers, and the rows between the runs
+            # (_gaps), which inv zeroes before it scatters
             m = N // 3
             runs = (slice(0, m + 1), slice(N - m, N))     # in the full axis
             slots = (slice(0, m + 1), slice(m + 1, None))  # in the band axis
             self._blocks = list(zip(itertools.product(slots, repeat=n - 1),
                                     itertools.product(runs, repeat=n - 1)))
-            self._scratch = np.empty(grid.shape[:-1] + (N // 2 + 1,), dtype=complex)
+            gap = slice(m + 1, N - m)
+            self._gaps = [lead + (gap,) for a in range(n - 1)
+                          for lead in itertools.product(runs, repeat=a)]
+            self._past = (..., slice(m + 1, None))
+            self._scratch = np.zeros(grid.shape[:-1] + (N // 2 + 1,), dtype=complex)
             self._line = self._scratch[self._cols]
-            self._pad = np.zeros(self._line.shape, dtype=complex)
+
+    @functools.cached_property
+    def k(self) -> np.ndarray:
+        """The wavevectors, shape (n, *kshape)."""
+        return np.stack(np.meshgrid(*self._axes, indexing="ij"))
+
+    @functools.cached_property
+    def k2(self) -> np.ndarray:
+        """|k|^2."""
+        return np.sum(self.k * self.k, axis=0)
+
+    @functools.cached_property
+    def kmag(self) -> np.ndarray:
+        return np.sqrt(self.k2)
 
     # -- transforms ----------------------------------------------------
 
@@ -149,23 +169,34 @@ class SpectralOps:
             np.fft.fft(line, axis=a, out=line)
         if not self.band:
             return S
-        out = np.empty(self.k2.shape, dtype=complex) if out is None else out
+        out = np.empty(self.kshape, dtype=complex) if out is None else out
         for o, r in self._blocks:
             out[o] = line[r]
+        if self.grid.n > 1:
+            S[self._past] = 0.0
         return out
 
     def inv(self, F: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        if self.band:
+        n, N = self.grid.n, self.grid.N
+        if self.band and n > 1:
+            # the passes run over the band columns of _scratch, and irfft
+            # over all of it: the columns past the band are zero, so it
+            # reads the band-width inverse's bits from a contiguous array.
+            # A line keeps its band row, where the full width is slower
+            line = self._line
+            for g in self._gaps:
+                line[g] = 0.0
             for o, r in self._blocks:
-                self._pad[r] = F[o]
-            F = self._pad
-        # the first pass writes into _line, or a new array on the full
-        # instance, and leaves F as it was.  Every pass scales by 1/N, a
-        # power of two, so the product is irfftn's 1/N^n to the bit
-        line = self._line
-        for a in range(-self.grid.n, -1):
-            F = line = np.fft.ifft(F, axis=a, out=line)
-        return np.fft.irfft(F, n=self.grid.N, out=out)
+                line[r] = F[o]
+            for a in range(-n, -1):
+                np.fft.ifft(line, axis=a, out=line)
+            return np.fft.irfft(self._scratch, n=N, out=out)
+        # on the full instance the first pass writes a new array and
+        # leaves F as it was.  Every pass scales by 1/N, a power of two,
+        # so the product is irfftn's 1/N^n to the bit
+        for a in range(-n, -1):
+            F = np.fft.ifft(F, axis=a, out=None if a == -n else F)
+        return np.fft.irfft(F, n=N, out=out)
 
     def fwd_dealiased(self, f: np.ndarray) -> np.ndarray:
         """fwd(f) with the 2/3 rule applied; a band instance holds
@@ -269,11 +300,11 @@ class SpectralOps:
         together: F is one spectrum or a stack of them, summed a spectrum
         at a time in one spectrum-sized temporary."""
         w = self._rfft_weights()
-        outside = np.zeros(self.k2.shape, dtype=bool)
+        outside = np.zeros(self.kshape, dtype=bool)
         for ik in self.ik:
             np.logical_or(outside, np.abs(ik.imag) > cut * self._kmax, out=outside)
         tot = tail = 0.0
-        for row in F.reshape((-1,) + self.k2.shape):
+        for row in F.reshape((-1,) + self.kshape):
             e = np.abs(row)
             np.multiply(w, np.square(e, out=e), out=e)
             tot += float(np.sum(e))
@@ -284,9 +315,9 @@ class SpectralOps:
         """Multiplicity of each rfft column in the full spectrum: 1 for
         column 0 and the Nyquist column, which the band does not hold,
         and 2 for the others."""
-        cols = self.k2.shape[-1]
+        cols = self.kshape[-1]
         w_last = np.full(cols, 2.0)
         w_last[0] = 1.0
         if not self.band:
             w_last[-1] = 1.0
-        return np.broadcast_to(w_last, self.k2.shape)
+        return np.broadcast_to(w_last, self.kshape)

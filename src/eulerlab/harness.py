@@ -464,7 +464,7 @@ def _lin_snapshots(cfg: ScenarioConfig) -> tuple:
 
 def _recorded(schedule, start=True):
     """fit_times of a preset that fits recorder rows: the run records at
-    t = 0 (kept if start) and lands on every scheduled time in
+    t = 0 (kept if start) and at every scheduled time in
     (0, t_final] and on t_final itself, as euler.run does."""
     def times(cfg: ScenarioConfig) -> list:
         snaps = {s for s in schedule(cfg) if 0.0 < s <= cfg.t_final}

@@ -513,8 +513,8 @@ def test_step_controller_contract(monkeypatch):
     taken = []
     inner = euler.step
 
-    def recorded(t, w, x, f, h, law, floor=np.inf):
-        out = inner(t, w, x, f, h, law, floor)
+    def recorded(t, w, x, f, h, law, floor=np.inf, **kw):
+        out = inner(t, w, x, f, h, law, floor, **kw)
         taken.append(out + (floor,))
         return out
 

@@ -250,6 +250,30 @@ def test_band_transforms_match_the_full_ones_bit_for_bit(n, N):
     assert np.max(np.abs(band.k)) < 2.0 / 3.0 * math.pi / grid.dx
 
 
+@pytest.mark.parametrize("n, N", [(1, 256), (2, 64), (2, 256), (3, 32), (3, 64)])
+def test_band_inverse_gives_the_bits_of_scipy_fft(n, N):
+    # the band inverse scatters into the instance's full-spectrum scratch
+    # and transforms all of it; whatever fwd or an earlier inv left there
+    # must not reach the result, which is scipy's inverse of the band
+    # spectrum among zeros
+    grid = Grid(n, 10.0, N)
+    band = SpectralOps(grid, band=True)
+    m = np.fft.fftfreq(N, 1.0 / N)
+    rows = np.flatnonzero(np.abs(m) <= N / 3)
+    cut = np.ix_(*([rows] * (n - 1) + [np.arange(N // 3 + 1)]))
+    axes = tuple(range(-n, 0))
+    rng = np.random.default_rng(10 * N + n)
+    for _ in range(2):
+        spec = (rng.standard_normal(band.k2.shape)
+                + 1j * rng.standard_normal(band.k2.shape))
+        full = np.zeros(grid.shape[:-1] + (N // 2 + 1,), dtype=complex)
+        full[cut] = spec
+        want = scipy.fft.irfftn(full, s=grid.shape, axes=axes)
+        assert np.array_equal(band.inv(spec), want)
+        band.fwd(rng.standard_normal(grid.shape))   # fills the scratch
+        assert np.array_equal(band.inv(spec), want)
+
+
 @pytest.mark.parametrize("band", [True, False])
 @pytest.mark.parametrize("n, N", [(1, 64), (2, 32), (3, 16)])
 def test_transforms_write_into_out(n, N, band):

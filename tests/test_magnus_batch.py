@@ -165,3 +165,29 @@ def test_evolve_modes_is_the_per_substep_engine(d):
     for j, target in enumerate(t_out):
         y, t, _ = _advance(y, t, target, MANY * MANY, d)
         assert np.array_equal(got[:, :, j], y)
+
+
+def test_a_substep_out_of_range_is_an_error():
+    # at lam = 0.5 and mu = 30 the substep's |delta| / h grows like
+    # 5e-4 sqrt(1 + t) and passes 1.5 by t = 1e7, where the exponentials
+    # overflow; the engine names the place instead of returning NaNs
+    d = DampingLaw(lam=0.5, mu=30.0)
+    with pytest.raises(ValueError, match=r"t=.*lam=0\.5, mu=30"):
+        linear.evolve_modes(FEW, d, [1.1e7], t_start=1e7)
+    with pytest.raises(ValueError, match="MAGNUS_RANGE"):
+        next(linear._substeps(1e6, 2e6, d))
+
+
+def test_every_preset_stays_inside_the_engine_range():
+    # the largest |delta| / h of each catalog preset's friction over the
+    # substeps to max(t_final, 1e4): far below the limit
+    from eulerlab import harness
+
+    worst = 0.0
+    for name in harness.preset_names():
+        cfg = harness.preset_config(name)
+        d = DampingLaw(lam=cfg.lam, mu=cfg.mu)
+        for n00, n01, dmh, *_ in linear._substeps(0.0, max(cfg.t_final, 1e4), d):
+            delta = 0.5 * (n01 + dmh)
+            worst = max(worst, abs(delta) / (0.5 * (n01 - dmh)))
+    assert 0.0 < worst <= 0.004 < linear.MAGNUS_RANGE
