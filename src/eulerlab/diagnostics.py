@@ -170,22 +170,23 @@ class EnergyRow:
 class EnergyRecorder:
     """Callable snapshot hook that accumulates EnergyRows.
 
-    Each snapshot is one pass over the band spectrum w of the state and
-    the products f at it, which a state from euler.run carries as its
-    band: grad v once, the velocity gradient one entry at a time (each
-    giving its norms, its weighted energy and its share of div u and of
-    the curl before the next is formed) and dv = -div u + f[0], that is
-    n + n^2 + 1 band inverse transforms (3, 7, 13 in 1-, 2-, 3-D) and no
-    forward one; a state without that band view is refused.  Columns of
-    the physical state are bit-equal to their public definitions, those
-    of derivatives equal to rounding for a band-limited state.
+    Each snapshot reads the band spectrum w of the state and the
+    products f at it, which a state from euler.run carries as its band;
+    a state without that band view is refused.  The L2 norms of the
+    velocity gradient, of v_t = -div u + f[0] and of the vorticity come
+    from their band spectra by Parseval (SpectralOps.l2_hat); only
+    grad v, whose sup norm is a column, is transformed back: n band
+    inverses and no forward transform.  Columns of the physical state are bit-equal to
+    their public definitions, those of derivatives equal to rounding for
+    a band-limited state.
 
     The weighted energies are taken on the propagation cone of the
-    data's support radius support_R, as in weighted_energy.
+    data's support radius support_R, as in weighted_energy, and form
+    the velocity gradient and v_t: n^2 + 1 more inverses.  The
+    wave-form source forms div u, n inverses, and starts from w, f,
+    grad v and div u: 2 forward and 2n + 3 inverse transforms more.
     with_source and with_weights can be switched off to cheapen large
-    sweeps; the corresponding columns then hold zeros.  The wave-form
-    source starts from w, f, grad v and div u: 2 forward, 2n + 3 inverse
-    transforms, 7, 9 and 11 in 1-, 2- and 3-D.
+    sweeps; the corresponding columns then hold zeros.
     """
 
     def __init__(self, grid: Grid, d: DampingLaw, g: GasLaw, spec: WeightSpec,
@@ -213,12 +214,20 @@ class EnergyRecorder:
         ops, n = self.ops, self.grid.n
         v, u = st.v, st.u
         band, w, nl = st.band
+        ik = band.ik
         grad_v = band.grad_hat(w[0])
         dv1_l2 = sum(ops.l2(gv) for gv in grad_v)
         dv1_linf = max(ops.linf(gv) for gv in grad_v)
-        if not (self.with_source or self.with_weights):
-            del grad_v  # nothing else reads it: its memory goes to the rest
+        du1_l2 = sum(band.l2_hat(ik[j] * w[1 + i])
+                     for i in range(n) for j in range(n))
+        dvh = next(euler._linear(None, w[1:], 0.0, band)) + nl[0]
+        vt_l2 = band.l2_hat(dvh)
+        # the vorticity as its components d_j u_i - d_i u_j, j < i
+        vort_l2 = band.l2_hat(np.stack(
+            [ik[j] * w[1 + i] - ik[i] * w[1 + j]
+             for i in range(n) for j in range(i)])) if n > 1 else 0.0
 
+        J_v = J_u = Jgrad_v = Jgrad_u = Jvt = 0.0
         if self.with_weights:
             mesh = self.grid.mesh()
             two_psi = 2.0 * weight_eval(st.t, mesh, self.spec).psi
@@ -231,55 +240,24 @@ class EnergyRecorder:
                 return weighted_l2_sq(np.where(outside, 0.0, f), two_psi,
                                       self.grid.cell)
 
-        # the velocity gradient d_j u_i one entry at a time, in the order
-        # of ops.grad_hat row by row: each entry's norms and weighted term
-        # are taken as it is formed; the diagonal adds to div u, and an
-        # entry above the diagonal waits for its mirror to form the curl
-        # component along the third axis, 3 - i - j (its sign does not
-        # change its norm)
-        du1_l2 = Jgrad_u = div_u = 0.0
-        above, curl_l2 = {}, {}
-        for i in range(n):
-            row_l2 = 0.0
-            for j in range(n):
-                gu = band.inv(band.ik[j] * w[1 + i])
-                row_l2 += ops.l2(gu)
-                if self.with_weights:
-                    Jgrad_u += J(gu)
-                if i == j:
-                    div_u = np.add(div_u, gu, out=gu)
-                elif i < j:
-                    above[i, j] = gu
-                else:
-                    curl_l2[3 - i - j] = ops.l2(
-                        np.subtract(gu, above.pop((j, i)), out=gu))
-                del gu
-            du1_l2 += row_l2
-        dv = band.inv(next(euler._linear(None, w[1:], 0.0, band)) + nl[0])
-        vt_l2 = ops.l2(dv)
+            J_v, J_u = J(v), sum(J(u[i]) for i in range(n))
+            Jgrad_v = sum(J(gv) for gv in grad_v)
+            # the velocity gradient d_j u_i one entry at a time
+            Jgrad_u = sum(J(band.inv(ik[j] * w[1 + i]))
+                          for i in range(n) for j in range(n))
+            Jvt = J(band.inv(dvh))
+            del two_psi, outside
         src_l1 = 0.0
         if self.with_source:
+            # div u as the stepper forms it: the trace of the velocity
+            # gradient, not a transform of its own
+            div_u = sum(band.inv(ik[i] * w[1 + i]) for i in range(n))
             src_l1 = ops.quad(np.abs(euler.nonlinear_wave_source(
                 st, self.d, self.g, band, (w, nl, grad_v, div_u))))
-        del w, nl, div_u
-
-        vort_l2 = 0.0
-        if n == 2:
-            vort_l2 = curl_l2[2]
-        elif n == 3:
-            vort_l2 = math.sqrt(sum(curl_l2[c] ** 2 for c in range(3)))
+        del grad_v  # its memory goes to the density below
 
         u_l2 = math.sqrt(sum(ops.l2(u[i]) ** 2 for i in range(n)))
         u_linf = max(ops.linf(u[i]) for i in range(n))
-
-        if self.with_weights:
-            J_v, J_u = J(v), sum(J(u[i]) for i in range(n))
-            Jgrad_v = sum(J(gv) for gv in grad_v)
-            Jvt = J(dv)
-            del two_psi, outside, grad_v
-        else:
-            J_v = J_u = Jgrad_v = Jvt = 0.0
-        del dv
 
         # the density without a copy of u; the moment reads it before it
         # becomes rho - 1 in place

@@ -25,9 +25,10 @@ transform on the compact 2/3 band, shape (n+1, *band) with band =
 _Lawson), and x, the same state in physical space, (n+1, *grid.shape).
 Outside the band the state is zero for the whole run, so w stores
 none of it; the band transforms still pass over every row of its
-last-axis columns (grids.py).  rhs and the initial data work on the
-full spectrum of the ops they are given, nonlinear_wave_source on the
-ops it is given (in the recorder, the band).
+last-axis columns (grids.py).  The initial data work on the full
+spectrum of the ops they are given.  rhs and nonlinear_wave_source work
+on the band, and their quadratic terms are the stepper's own,
+_Lawson.products: the products have one home.
 
 Also here: the initial-data factory (compactly supported bump profiles,
 optionally mass-normalized or rotational), the nonlinear source of the
@@ -246,33 +247,6 @@ class SolverConfig:
             raise ValueError(f"dt_override: must be positive, got {self.dt_override}")
 
 
-def _products(v, u, vh, uh, sl: float, ops: SpectralOps):
-    """Quadratic terms of the system, 2/3-rule masked, in spectral space.
-
-    v, u are the physical fields and vh, uh their transforms.  Returns
-    the transforms of -u.grad v - sl v div u and -(u.grad) u - sl v grad v
-    stacked like the state: v first, then the n velocity components;
-    and, for a caller that needs them too, the physical grad v and
-    div u.  div u is the trace of the velocity gradient, not a transform
-    of its own; the gradient is formed one row at a time.
-    """
-    n = ops.grid.n
-    grad_v = ops.grad_hat(vh)
-    out = np.empty((n + 1,) + vh.shape, dtype=complex)
-    div_u = 0.0
-    for i in range(n):
-        du_i = ops.grad_hat(uh[i])
-        div_u = div_u + du_i[i]
-        out[1 + i] = ops.fwd_dealiased(_product_row(u, du_i, v, grad_v[i], sl))
-    out[0] = _v_product(v, u, grad_v, div_u, sl, ops)
-    return out, grad_v, div_u
-
-
-def _v_product(v, u, grad_v, div_u, sl: float, ops: SpectralOps) -> np.ndarray:
-    """The v row of _products from the physical grad v and div u."""
-    return ops.fwd_dealiased(_product_row(u, grad_v, v, div_u, sl))
-
-
 def _product_row(u, fs, v, g, sl: float, acc=None, tmp=None) -> np.ndarray:
     """acc = -sum(u[j] * f_j) - sl * v * g, by that expression's own
     operations, for the fields f_j that fs yields in turn.  tmp is
@@ -300,12 +274,12 @@ def _linear(vh, uh, b: float, ops: SpectralOps):
 
 def rhs(t: float, v: np.ndarray, u: np.ndarray, d: DampingLaw, g: GasLaw,
         ops: SpectralOps):
-    """Time derivative (dv, du) of the symmetric system at time t."""
-    vh = ops.fwd(v)
-    uh = [ops.fwd(u[i]) for i in range(ops.grid.n)]
-    nl = _products(v, u, vh, uh, g.slope, ops)[0]
-    lin = _linear(vh, uh, damping_coeff(t, d), ops)
-    dw = [ops.inv(a + p) for a, p in zip(lin, nl)]
+    """Time derivative (dv, du) of the symmetric system at time t, as the
+    stepper forms it: on the 2/3 band of ops, with its products."""
+    law, x = _Lawson(d, g, ops), np.stack([v, *u])
+    w = np.stack([law.ops.fwd(f) for f in x])
+    lin = _linear(w[0], w[1:], damping_coeff(t, d), law.ops)
+    dw = [law.ops.inv(a + p) for a, p in zip(lin, law.products(w, x))]
     return dw[0], np.stack(dw[1:])
 
 
@@ -447,12 +421,15 @@ class _Lawson:
 
     def products(self, w: np.ndarray, x: np.ndarray,
                  out: np.ndarray | None = None, watch: bool = False) -> np.ndarray:
-        """_products(...)[0] of the stage w with physical rows x, into
-        out, which may be w itself: each row of w is read before the
-        same row of out is written.  The same operations in the same
-        order, so the same bits, but every grid-sized intermediate goes
-        into a held buffer.  With watch, grad_sup keeps the largest sup
-        norm of the first derivatives formed, for run's gradient monitor.
+        """The quadratic terms of the system at the stage w with physical
+        rows x, on the band and stacked like w, into out, which may be w
+        itself: each row of w is read before the same row of out is
+        written.  They are -u.grad v - sl v div u for v and
+        -(u.grad) u - sl v grad v for u; div u is the trace of the
+        velocity gradient, formed an entry at a time, and grad v and
+        div u stay in the first two buffers of work().  With watch,
+        grad_sup keeps the largest sup norm of the first derivatives
+        formed, for run's gradient monitor.
         """
         ops, sl, n = self.ops, self.sl, self.ops.grid.n
         grad_v, div, d, acc, dh = self.work()[:5]
@@ -485,14 +462,14 @@ class _Lawson:
 
     def extension(self, t: float, h: float, w: np.ndarray, f: np.ndarray,
                   x: np.ndarray, times):
-        """The continuous extension of the step from t to t + h that
-        step(..., hold=True) has just taken, read at each of times, in
-        (t, t + h) and in order.  w and f are the state and the products
-        at t + h.  Yields, per time s, the spectral state at s, its
-        products (with watch, for run's monitors) and the factor
-        integrating_factor(s, t + h) by which the extension carried a
-        product back to s; x is overwritten with the physical state.  The
-        held buffers of one yield are overwritten by the next.
+        """The continuous extension of the step from t to t + h that step
+        has just taken, read at each of times, in (t, t + h) and in order.
+        w and f are the state and the products at t + h.  Yields, per
+        time s, the spectral state at s, its products (with watch, for
+        run's monitors) and the factor integrating_factor(s, t + h) by
+        which the extension carried a product back to s; x is overwritten
+        with the physical state.  The held buffers of one yield are
+        overwritten by the next.
 
         With U(r) = P(t + h, r) w(r) - P(t + h, t) w(t), the Duhamel term
         in the frame of t + h, U(t) = 0, U'(t) = B = P(t + h, t) f(t),
@@ -550,7 +527,7 @@ class _Lawson:
 
 
 def step(t: float, w: np.ndarray, x: np.ndarray, f: np.ndarray, h: float,
-         law: _Lawson, floor: float = np.inf, hold: bool = False):
+         law: _Lawson, floor: float = np.inf):
     """One accepted step of the embedded Lawson RK4(3) pair from t;
     returns (h, err), the step taken and its error estimate.
 
@@ -572,11 +549,9 @@ def step(t: float, w: np.ndarray, x: np.ndarray, f: np.ndarray, h: float,
     most floor is accepted whatever its estimate.  The default floor
     accepts every try: fixed steps.
 
-    With hold, the step also keeps what its continuous extension
-    (_Lawson.extension) reads: the state at t in law's running-sum
-    buffer, the products at t in law.held()[0] and the half-step
-    propagators as law.halves.  The step itself is the same, bit for
-    bit.
+    The step also keeps what its continuous extension (_Lawson.extension)
+    reads: the state at t in law's running-sum buffer, the products at t
+    in law.held()[0] and the half-step propagators as law.halves.
     """
     # the stages live in law's held states pw = P1 w and acc, the running
     # sum, and in f: it takes k1 = P1 f, then each stage and its
@@ -588,9 +563,8 @@ def step(t: float, w: np.ndarray, x: np.ndarray, f: np.ndarray, h: float,
     while True:
         th = t + 0.5 * h
         p1 = law.propagator(t, th)
-        if hold:
-            # a try taken again has formed f afresh, to the same bits
-            np.copyto(law.held()[0], f)
+        # a try taken again has formed f afresh, to the same bits
+        np.copyto(law.held()[0], f)
         law.apply(p1, w, pw, acc)
         k = law.apply(p1, f, f, acc)
         _scaled(h / 6.0, k, out=acc, plus=pw)
@@ -602,8 +576,7 @@ def step(t: float, w: np.ndarray, x: np.ndarray, f: np.ndarray, h: float,
         p2 = law.propagator(th, t + h)
         law.apply(p2, k, k, pw)
         law.apply(p2, acc, acc, pw)
-        law.halves = (p2, p1) if hold else None
-        del p1, p2
+        law.halves = (p2, p1)
         law.products(k, law.physical(k, out=x), out=k)
         _add_scaled(acc, h / 6.0, k, tmp)
         k5 = law.products(acc, law.physical(acc, out=x), out=pw, watch=True)
@@ -614,14 +587,11 @@ def step(t: float, w: np.ndarray, x: np.ndarray, f: np.ndarray, h: float,
             break
         h = max(floor, h * _step_factor(err))
         law.products(w, law.physical(w, out=x), out=f)
-    if hold:
-        # w and acc trade places, a row at a time through tmp
-        for a, b in zip(w, acc):
-            np.copyto(tmp, a)
-            np.copyto(a, b)
-            np.copyto(b, tmp)
-    else:
-        w[...] = acc
+    # w and acc trade places, a row at a time through tmp
+    for a, b in zip(w, acc):
+        np.copyto(tmp, a)
+        np.copyto(a, b)
+        np.copyto(b, tmp)
     f[...] = k5
     return h, err
 
@@ -845,9 +815,6 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
     def reached(s: float) -> bool:
         return t >= s - 1e-12 * max(1.0, s)
 
-    def beyond(s: float, end: float) -> bool:
-        return end > s + 1e-12 * max(1.0, s)
-
     law.release()
     output(on_snapshot if t == 0.0 else None, t, w, f)
 
@@ -867,7 +834,7 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
             floor = cfg.cfl * grid.dx / (1.0 + a)
             h = _step_length(t, min(h_adv, max(h_ctrl, floor)), snaps[j],
                              cfg.t_final, d)
-        h, err = step(t, w, x, f, h, law, floor, hold=beyond(snaps[j], t + h))
+        h, err = step(t, w, x, f, h, law, floor)
         h_ctrl, err_prev = h * _step_factor(err, err_prev), err
         t_start, t = t, t + h
         dts.append(h)
@@ -875,7 +842,7 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
         # the outputs the step passed over; a try taken again may have
         # left some of them ahead
         inside = []
-        while j < len(snaps) and beyond(snaps[j], t):
+        while j < len(snaps) and t > snaps[j] + 1e-12 * max(1.0, snaps[j]):
             inside.append(snaps[j])
             j += 1
         if inside:
@@ -926,26 +893,30 @@ def nonlinear_wave_source(st: EulerState, d: DampingLaw, g: GasLaw,
             + div( (u.grad) u + c v grad v ),          c = (gamma-1)/2,
 
     that is Q = b N_v + d/dt N_v - div N_u for the solver's products
-    N = (N_v, N_u).  Q is assembled in spectral space from the state's
-    transform w and N, as _products forms them on ops unless the caller
-    holds them as held = (w, N, grad v, div u): (v_t, u_t) from _linear
-    plus N, and, by bilinearity, d/dt N_v as two _v_product calls, with
-    (v_t, u_t) in the factor slots and grad v_t, div u_t in the
-    derivative slots.  With held, 2 forward and 2n + 3 inverse
+    N = (N_v, N_u).  Q is assembled on the 2/3 band from the state's band
+    spectrum w and N.  held = (w, N, grad v, div u) on the band ops
+    given, as the recorder holds them; without it, the stepper for ops
+    forms them with _Lawson.products, on its band.  (v_t, u_t) is
+    _linear plus N, and, by bilinearity, d/dt N_v is two v rows of the
+    products, with (v_t, u_t) in the factor slots and grad v_t, div u_t
+    in the derivative slots.  With held, 2 forward and 2n + 3 inverse
     transforms.
     """
-    n, ik, sl = ops.grid.n, ops.ik, g.slope
+    n, sl = ops.grid.n, g.slope
     b = damping_coeff(st.t, d)
     v, u = st.v, st.u
     if held is None:
-        w = [ops.fwd(v)] + [ops.fwd(u[i]) for i in range(n)]
-        held = (w,) + _products(v, u, w[0], w[1:], sl, ops)
+        law, x = _Lawson(d, g, ops), np.stack([v, *u])
+        ops = law.ops
+        w = np.stack([ops.fwd(f) for f in x])
+        held = (w, law.products(w, x), *law.work()[:2])
     w, nl, grad_v, div_u = held
+    ik = ops.ik
     dwh = [a + p for a, p in zip(_linear(w[0], w[1:], b, ops), nl)]
     dw = [ops.inv(row) for row in dwh]
     div_du = ops.inv(sum(ik[i] * dwh[1 + i] for i in range(n)))
     qh = (b * nl[0]
-          + _v_product(dw[0], dw[1:], grad_v, div_u, sl, ops)
-          + _v_product(v, u, ops.grad_hat(dwh[0]), div_du, sl, ops)
+          + ops.fwd(_product_row(dw[1:], grad_v, dw[0], div_u, sl))
+          + ops.fwd(_product_row(u, ops.grad_hat(dwh[0]), v, div_du, sl))
           - sum(ik[i] * nl[1 + i] for i in range(n)))
     return ops.inv(qh)

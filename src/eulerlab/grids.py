@@ -3,9 +3,10 @@
 A Grid is an n-dimensional periodic box [-L, L)^n sampled at N points
 per axis.  SpectralOps carries the wavenumber bookkeeping (real FFTs on
 the last axis), spectral derivatives, the 2/3-rule dealiasing mask and
-the discrete norms used throughout: L2 and sup norms, Sobolev norms
-formed as sums of derivative L2 norms, and plain trapezoid-free box
-quadrature sum(f) * dx^n (exact for band-limited periodic fields).
+the discrete norms used throughout: L2 norms (also of a spectrum, by
+Parseval) and sup norms, Sobolev norms formed as sums of derivative L2
+norms, and plain trapezoid-free box quadrature sum(f) * dx^n (exact for
+band-limited periodic fields).
 
 SpectralOps.fwd and inv are the package's only transforms.  The *_hat
 operators start from a transform the caller already holds, so a field
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,12 +200,6 @@ class SpectralOps:
             F = np.fft.ifft(F, axis=a, out=None if a == -n else F)
         return np.fft.irfft(F, n=N, out=out)
 
-    def fwd_dealiased(self, f: np.ndarray) -> np.ndarray:
-        """fwd(f) with the 2/3 rule applied; a band instance holds
-        nothing outside the band, so it needs no mask."""
-        F = self.fwd(f)
-        return F if self.band else np.multiply(self.dealias_mask, F, out=F)
-
     # -- derivatives ---------------------------------------------------
 
     def deriv(self, f: np.ndarray, axis: int, order: int = 1) -> np.ndarray:
@@ -240,8 +236,12 @@ class SpectralOps:
                          G[1][0] - G[0][1]])
 
     def dealias(self, f: np.ndarray) -> np.ndarray:
-        """Project a physical field onto the 2/3 wavenumber band."""
-        return self.inv(self.fwd_dealiased(f))
+        """Project a physical field onto the 2/3 wavenumber band; a band
+        instance holds nothing outside the band, so it needs no mask."""
+        F = self.fwd(f)
+        if not self.band:
+            np.multiply(self.dealias_mask, F, out=F)
+        return self.inv(F)
 
     # -- norms and quadrature ------------------------------------------
 
@@ -250,6 +250,15 @@ class SpectralOps:
 
     def l2(self, f: np.ndarray) -> float:
         return float(np.sqrt(np.sum(np.square(f)) * self.grid.cell))
+
+    def l2_hat(self, F: np.ndarray) -> float:
+        """l2 of the field whose transform is F, by Parseval: no inverse.
+        F may be a stack of spectra, whose fields are then taken
+        together, the root of the sum of their squared norms."""
+        e = np.abs(F)
+        np.square(e, out=e)
+        s = float(np.sum(np.multiply(self._rfft_weights(), e, out=e)))
+        return math.sqrt(s / self.grid.N ** self.grid.n * self.grid.cell)
 
     def linf(self, f: np.ndarray) -> float:
         return float(np.max(np.abs(f)))

@@ -101,6 +101,59 @@ def test_rhs_symbolic_oracle_2d():
     assert np.max(np.abs(du[1] - du2_ref)) <= 1e-12
 
 
+def _cross_term_fields(grid):
+    """v, u and their first partials written out by hand, as (v, dv, u,
+    du) with dv[j] = d_j v and du[i][j] = d_j u_i, on a 2-D or 3-D grid
+    of box [-pi, pi).  Every u_i depends on every coordinate, so no
+    cross term u_j d_j u_i (j != i) vanishes."""
+    X = grid.mesh()
+    s, c = np.sin(X), np.cos(X)
+    if grid.n == 2:
+        a, b, e = 0.05, 0.04, 0.1
+        v = e * c[0] * c[1]
+        dv = [-e * s[0] * c[1], -e * c[0] * s[1]]
+        u = [a * c[0] * s[1], b * s[0] * c[1]]
+        du = [[-a * s[0] * s[1], a * c[0] * c[1]],
+              [b * c[0] * c[1], -b * s[0] * s[1]]]
+        return v, dv, u, du
+    a, b, e, q = 0.05, 0.04, 0.03, 0.1
+    v = q * s[0] * c[1] * c[2]
+    dv = [q * c[0] * c[1] * c[2], -q * s[0] * s[1] * c[2],
+          -q * s[0] * c[1] * s[2]]
+    u = [a * c[0] * s[1] * c[2], b * s[0] * c[1] * s[2],
+         e * c[0] * s[1] * s[2]]
+    du = [[-a * s[0] * s[1] * c[2], a * c[0] * c[1] * c[2],
+           -a * c[0] * s[1] * s[2]],
+          [b * c[0] * c[1] * s[2], -b * s[0] * s[1] * s[2],
+           b * s[0] * c[1] * c[2]],
+          [-e * s[0] * s[1] * s[2], e * c[0] * c[1] * s[2],
+           e * c[0] * s[1] * c[2]]]
+    return v, dv, u, du
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_rhs_symbolic_oracle_cross_terms(n):
+    # the system written out from the hand-made partials:
+    #   v_t   = -div u - u_j d_j v - sl v div u
+    #   u_i,t = -d_i v - b u_i - u_j d_j u_i - sl v d_i v
+    grid = Grid(n, math.pi, 32 if n == 2 else 16)
+    v, dv, u, du = _cross_term_fields(grid)
+    t = 1.5
+    b = damping_coeff(t, D_HALF)
+    sl = GAS.slope
+    div_u = sum(du[i][i] for i in range(n))
+    dv_ref = -div_u - sum(u[j] * dv[j] for j in range(n)) - sl * v * div_u
+    cross = [sum(u[j] * du[i][j] for j in range(n) if j != i) for i in range(n)]
+    assert min(np.max(np.abs(c)) for c in cross) > 1e-4
+
+    got_v, got_u = rhs(t, v, np.stack(u), D_HALF, GAS, SpectralOps(grid))
+    assert np.max(np.abs(got_v - dv_ref)) <= 1e-12
+    for i in range(n):
+        du_ref = (-dv[i] - b * u[i] - u[i] * du[i][i] - cross[i]
+                  - sl * v * dv[i])
+        assert np.max(np.abs(got_u[i] - du_ref)) <= 1e-12
+
+
 # ---------------------------------------------------------------------
 #  Exact simple-wave transport
 # ---------------------------------------------------------------------
@@ -262,19 +315,6 @@ def _stage_state(n, N=16):
     return law, w, law.physical(w)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_lawson_products_equal_the_generic_products(n):
-    # the held-buffer products form the same operations in the same
-    # order as _products on the same band ops, so the same bits
-    law, w, x = _stage_state(n)
-    ref = euler._products(x[0], x[1:], w[0], w[1:], GAS.slope, law.ops)[0]
-    got = law.products(w, x)
-    assert np.array_equal(_bits(got), _bits(ref))
-    # the step forms each stage's products over the stage itself
-    assert law.products(w, x, out=w) is w
-    assert np.array_equal(_bits(w), _bits(ref))
-
-
 @pytest.mark.parametrize("n", [1, 2])
 def test_fsal_products_are_the_products_at_the_new_state(n):
     # the step hands back the products of its new state (first same as
@@ -285,6 +325,10 @@ def test_fsal_products_are_the_products_at_the_new_state(n):
     w *= 0.05
     x = law.physical(w)
     f = law.products(w, x)
+    # the step forms each stage's products over the stage itself
+    k = w.copy()
+    assert law.products(k, x, out=k) is k
+    assert np.array_equal(_bits(k), _bits(f))
     for t, h, floor in ((0.0, 0.1, np.inf), (0.1, 0.4, 0.0)):
         h, err = euler.step(t, w, x, f, h, law, floor)
         assert h > 0.0 and 0.0 < err <= (1.0 if floor == 0.0 else np.inf)

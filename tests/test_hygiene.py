@@ -3,9 +3,10 @@ imports at module level is used somewhere in that module, only grids.py
 touches an FFT module, so SpectralOps.fwd/inv stay the one transform
 path, no preset runner raises ConfigError, so the preset registry
 and validate_config stay the one home of a preset's domain, every
-recorder column is read by a verdict or a monitor column, and no module
+recorder column is read by a verdict or a monitor column, no module
 tunes the C allocator: large work arrays are held, not re-faulted, by
-the code that uses them."""
+the code that uses them, and the quadratic terms have one home: only
+the stepper's products and the wave source name _product_row."""
 
 import ast
 from pathlib import Path
@@ -222,3 +223,41 @@ def test_allocator_tuning_detector():
 def test_no_module_tunes_the_allocator(path):
     hits = allocator_tuning(path.read_text())
     assert hits == [], f"{path.name} tunes the C allocator at lines {hits}"
+
+
+def product_row_users(source: str) -> list:
+    """Where the source names _product_row, as the dotted names of the
+    enclosing classes and functions ("" at module level), in source
+    order; its own definition does not count."""
+    hits = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            name = getattr(child, "id", None) or getattr(child, "attr", None)
+            if name == "_product_row" and isinstance(child, (ast.Name, ast.Attribute)):
+                hits.append(".".join(scope))
+            inner = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, scope + [child.name] if inner else scope)
+
+    visit(ast.parse(source), [])
+    return hits
+
+
+def test_product_row_user_detector():
+    src = ("def _product_row(u):\n    return u\n"
+           "class L:\n    def products(self):\n        return _product_row(1)\n"
+           "    def other(self):\n        def inner():\n"
+           "            return euler._product_row\n        return inner\n"
+           "def f():\n    g = _product_row\n    return g\n"
+           "x = _product_row(2)\ny = 'product_row'\n")
+    assert product_row_users(src) == ["L.products", "L.other.inner", "f", ""]
+
+
+def test_the_products_have_one_home():
+    # the quadratic terms are formed in one place: the stepper's
+    # products, which rhs and the wave source run too, and the wave
+    # source's two v rows of d/dt N_v
+    users = {(path.stem, scope) for path in MODULES
+             for scope in product_row_users(path.read_text())}
+    assert users == {("euler", "_Lawson.products"),
+                     ("euler", "nonlinear_wave_source")}
