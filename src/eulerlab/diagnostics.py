@@ -41,6 +41,7 @@ __all__ = [
     "cauchy_schwarz_margin",
     "moment_inequality_margins",
     "lower_bound_margin",
+    "write_csv",
 ]
 
 
@@ -291,11 +292,18 @@ class EnergyRecorder:
 
     def to_csv(self, path):
         cols = EnergyRow.columns()
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(cols)
-            for r in self.rows:
-                wr.writerow([repr(getattr(r, c)) for c in cols])
+        write_csv(path, cols, [self.series(c) for c in cols])
+
+
+def write_csv(path, header, columns):
+    """A CSV of the header and the columns, one row per entry, each cell
+    the repr of a float: it reads back to the same bits."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        for row in zip(*columns):
+            wr.writerow([repr(float(x)) for x in row])
 
 
 # =====================================================================

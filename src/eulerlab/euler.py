@@ -235,7 +235,6 @@ class SolverConfig:
     cfl: float = 0.4
     dt_override: float | None = None
     snapshot_times: tuple = ()
-    store_snapshots: bool = False
 
     def __post_init__(self):
         # accepting comparisons, so that NaN is refused too
@@ -715,7 +714,6 @@ class RunResult:
     # integrating_factor(output, end of its step) it carried a product by
     dense_outputs: int = 0
     dense_growth_max: float | None = None
-    snapshots: list = field(default_factory=list)
 
 
 def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
@@ -745,7 +743,12 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
     must respect the advective bound.  Every step is counted once,
     however many tries it took.
 
-    on_snapshot(state) fires at each requested time (and at t_final).
+    A state leaves the run only through on_snapshot(state), which fires
+    at the start, whatever its time, and at each requested time after
+    it (and at t_final).  The state lives in the run's buffers, which
+    the next step overwrites, so a hook that keeps it keeps a copy.
+    Every output but the start passes the monitors before the hook
+    sees it.
     Blow-up monitoring: non-finite values every step; gradient growth and
     spectral tail fraction at every output and at the first step past
     each multiple of CHECK_EVERY cfl dx of simulated time, so the checks
@@ -768,19 +771,12 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
     g0 = max(law.grad_sup, 1e-300)
 
     snaps = sorted(set(float(s) for s in cfg.snapshot_times
-                       if 0.0 < s <= cfg.t_final) | {cfg.t_final})
+                       if t0 < s <= cfg.t_final) | {cfg.t_final})
     dts = []
     result = RunResult(verdict="completed", t_end=cfg.t_final, steps=0)
     every = CHECK_EVERY * cfg.cfl * grid.dx
     next_check = t0 + every
     h_ctrl, err_prev = 0.0, 1.0
-
-    def output(hook, ts, ws, fs):
-        st = EulerState(ts, x[0], x[1:], band=BandView(band, ws, fs))
-        if hook is not None:
-            hook(st)
-        if cfg.store_snapshots:
-            result.snapshots.append(st.copy())
 
     def speed() -> float:
         return max(ops.linf(x[i]) for i in range(1, grid.n + 1)) \
@@ -800,6 +796,13 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
             return "blowup-tail"
         return None
 
+    def output(ts, ws, fs, check: bool = True) -> str | None:
+        # the monitors first: an output where one trips is not handed on
+        why = tripped(ws) if check else None
+        if not why and on_snapshot is not None:
+            on_snapshot(EulerState(ts, x[0], x[1:], band=BandView(band, ws, fs)))
+        return why
+
     def finish(why: str | None, t_end: float) -> RunResult:
         result.steps = len(dts)
         result.t_end = t_end
@@ -816,7 +819,7 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
         return t >= s - 1e-12 * max(1.0, s)
 
     law.release()
-    output(on_snapshot if t == 0.0 else None, t, w, f)
+    output(t, w, f, check=False)
 
     j = 0  # the next output
     a = speed()
@@ -852,10 +855,9 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
                 result.dense_outputs += 1
                 result.dense_growth_max = max(grow, result.dense_growth_max or grow)
                 law.release(band=False)
-                why = tripped(ws)
+                why = output(s, ws, fs)
                 if why:
                     return finish(why, s)
-                output(on_snapshot, s, ws, fs)
             del ws, fs  # the extension's buffers go with law's
             law.release()
             law.grad_sup = sup
@@ -871,10 +873,9 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
         if landed:
             j += 1
             law.release()
-            why = tripped(w)
+            why = output(t, w, f)
             if why:
                 return finish(why, t)
-            output(on_snapshot, t, w, f)
     return finish(None, t)
 
 
@@ -883,7 +884,7 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
 # =====================================================================
 
 def nonlinear_wave_source(st: EulerState, d: DampingLaw, g: GasLaw,
-                          ops: SpectralOps, held=None) -> np.ndarray:
+                          ops: SpectralOps, held) -> np.ndarray:
     """Source of the second-order wave form of the continuity equation.
 
     Eliminating u_t between the two evolution equations yields
@@ -894,22 +895,15 @@ def nonlinear_wave_source(st: EulerState, d: DampingLaw, g: GasLaw,
 
     that is Q = b N_v + d/dt N_v - div N_u for the solver's products
     N = (N_v, N_u).  Q is assembled on the 2/3 band from the state's band
-    spectrum w and N.  held = (w, N, grad v, div u) on the band ops
-    given, as the recorder holds them; without it, the stepper for ops
-    forms them with _Lawson.products, on its band.  (v_t, u_t) is
-    _linear plus N, and, by bilinearity, d/dt N_v is two v rows of the
-    products, with (v_t, u_t) in the factor slots and grad v_t, div u_t
-    in the derivative slots.  With held, 2 forward and 2n + 3 inverse
-    transforms.
+    spectrum w and N: held = (w, N, grad v, div u) on the band ops given,
+    as the recorder holds them.  (v_t, u_t) is _linear plus N, and, by
+    bilinearity, d/dt N_v is two v rows of the products, with (v_t, u_t)
+    in the factor slots and grad v_t, div u_t in the derivative slots:
+    2 forward and 2n + 3 inverse transforms.
     """
     n, sl = ops.grid.n, g.slope
     b = damping_coeff(st.t, d)
     v, u = st.v, st.u
-    if held is None:
-        law, x = _Lawson(d, g, ops), np.stack([v, *u])
-        ops = law.ops
-        w = np.stack([ops.fwd(f) for f in x])
-        held = (w, law.products(w, x), *law.work()[:2])
     w, nl, grad_v, div_u = held
     ik = ops.ik
     dwh = [a + p for a, p in zip(_linear(w[0], w[1:], b, ops), nl)]

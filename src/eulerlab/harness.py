@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, euler, linear
-from .diagnostics import EnergyRecorder, decay_fit
+from .diagnostics import EnergyRecorder, decay_fit, write_csv
 from .grids import Grid, SpectralOps
 from .params import DampingLaw, GasLaw, Zone, damping_coeff, derive_constants, \
     zone_classify
@@ -364,15 +364,6 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _write_csv(path: Path, header, columns):
-    columns = [np.asarray(c, dtype=float) for c in columns]
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(header)
-        for row in zip(*columns):
-            wr.writerow([repr(float(x)) for x in row])
-
-
 def _write_json(path: Path, payload):
     path.write_text(json.dumps(payload, sort_keys=True, indent=2,
                                default=_json_default) + "\n")
@@ -473,16 +464,16 @@ def _recorded(schedule, start=True):
 
 
 def _nonlinear_run(cfg: ScenarioConfig, snaps, outdir: Path, csv_name: str, *,
-                   with_source=False, with_weights=False, keep_last=False,
-                   allow_stop=False):
+                   with_source=False, with_weights=False, allow_stop=False,
+                   on_snapshot=None):
     """Solve, write the recorder table to csv_name, return (rec, res).
 
+    Each output goes to the recorder and then to on_snapshot, if given.
     The recorder keeps the run's damping law, operators and weight
     constants as rec.d, rec.ops and rec.spec.  The solve that owns
-    energy.csv also writes fields/ when the config asks for
-    store_fields, and then res.snapshots holds every output; otherwise,
-    with keep_last, it holds a copy of the last one only.  A solve that
-    stops before t_final raises _SolverStopped unless allow_stop.
+    energy.csv also writes each output to fields/ as it arrives when the
+    config asks for store_fields.  A solve that stops before t_final
+    raises _SolverStopped unless allow_stop.
     """
     d, gas = _damping(cfg), GasLaw(gamma=cfg.gamma)
     grid = Grid(cfg.n, cfg.L, cfg.N)
@@ -490,42 +481,37 @@ def _nonlinear_run(cfg: ScenarioConfig, snaps, outdir: Path, csv_name: str, *,
     spec = derive_constants(d, cfg.n, cfg.delta)
     rec = EnergyRecorder(grid, d, gas, spec, with_source=with_source,
                          with_weights=with_weights, support_R=cfg.R, ops=ops)
-    keep = cfg.store_fields and csv_name == "energy.csv"
     sol = euler.SolverConfig(t_final=cfg.t_final, cfl=cfg.cfl,
                              dt_override=cfg.dt_override,
-                             snapshot_times=tuple(snaps),
-                             store_snapshots=keep)
-    last = []
+                             snapshot_times=tuple(snaps))
+    fdir, times = outdir / "fields", []
+    store = cfg.store_fields and csv_name == "energy.csv"
+    if store:
+        fdir.mkdir()
 
     def hook(st):
         rec(st)
-        if keep_last and not keep:
-            last[:] = [st.copy()]
+        if store:
+            # plain .npy files (deterministic bytes), written as the
+            # output arrives, so that the run keeps no copy of it
+            np.save(fdir / f"snap{len(times):03d}_v.npy", st.v)
+            np.save(fdir / f"snap{len(times):03d}_u.npy", st.u)
+            times.append(st.t)
+        if on_snapshot is not None:
+            on_snapshot(st)
 
     res = euler.run(_make_state(cfg, grid, gas, ops), d, gas, grid, sol,
                     on_snapshot=hook, ops=ops)
-    if last:
-        res.snapshots = last
     rec.to_csv(outdir / csv_name)
-    if keep:
-        _store_fields(res, outdir)
+    if store:
+        write_csv(fdir / "times.csv", ["index", "t"],
+                  [np.arange(len(times)), times])
     if res.verdict != "completed" and not allow_stop:
         raise _SolverStopped(Verdict(
             name="solver_completed", value=res.t_end, predicted=cfg.t_final,
             tolerance=0.0, passed=False,
             detail=f"solver verdict {res.verdict!r} after {res.steps} steps"))
     return rec, res
-
-
-def _store_fields(res: euler.RunResult, outdir: Path):
-    """Dump snapshot fields as plain .npy files (deterministic bytes)."""
-    fdir = outdir / "fields"
-    fdir.mkdir()
-    for j, st in enumerate(res.snapshots):
-        np.save(fdir / f"snap{j:03d}_v.npy", st.v)
-        np.save(fdir / f"snap{j:03d}_u.npy", st.u)
-    _write_csv(fdir / "times.csv", ["index", "t"],
-               [np.arange(len(res.snapshots)), [s.t for s in res.snapshots]])
 
 
 _DECAY_LAW_NOTE = (
@@ -572,10 +558,10 @@ def _run_linear_decay(cfg: ScenarioConfig, outdir: Path):
         "band_tail_fraction", tail, 1e-3,
         detail="high-band bound relative to the band norm, max over the fit window"))
 
-    _write_csv(outdir / "decay.csv",
-               ["t", "observed_k0", "tail_bound_k0", "observed_k1", "tail_bound_k1"],
-               [times, series[0].observed, series[0].tail_bound,
-                series[1].observed, series[1].tail_bound])
+    write_csv(outdir / "decay.csv",
+              ["t", "observed_k0", "tail_bound_k0", "observed_k1", "tail_bound_k1"],
+              [times, series[0].observed, series[0].tail_bound,
+               series[1].observed, series[1].tail_bound])
     _write_json(outdir / "fits.json",
                 {f"k{k}": asdict(fits[k]) for k in (0, 1)})
     return verdicts
@@ -653,9 +639,9 @@ def _run_zone_bounds(cfg: ScenarioConfig, outdir: Path):
             env, ratio = rep.envelope, rep.ratio
         rows.append((t, r, int(z), p1, 0.0, p2, 0.0, env, ratio))
     cols = list(zip(*rows))
-    _write_csv(outdir / "modes.csv",
-               ["t", "r", "zone", "re_phi1", "im_phi1", "re_phi2", "im_phi2",
-                "envelope", "ratio"], cols)
+    write_csv(outdir / "modes.csv",
+              ["t", "r", "zone", "re_phi1", "im_phi1", "re_phi2", "im_phi2",
+               "envelope", "ratio"], cols)
     return verdicts
 
 
@@ -690,9 +676,9 @@ def _run_zone_integrals(cfg: ScenarioConfig, outdir: Path):
         "alpha_exponent_gap", slopes[0] - slopes[2], pred_gap, 0.2 * pred_gap,
         "fitted log-log slope difference, alpha=0 minus alpha=2"))
 
-    _write_csv(outdir / "zone_integrals.csv",
-               ["t", "value_a0", "value_a2"],
-               [times, vals[0], vals[2]])
+    write_csv(outdir / "zone_integrals.csv",
+              ["t", "value_a0", "value_a2"],
+              [times, vals[0], vals[2]])
     return verdicts
 
 
@@ -732,8 +718,13 @@ def _run_nonlinear_decay(cfg: ScenarioConfig, outdir: Path):
     n=1, lam=0.5, mu=2.0, N=1024, L=360.0, R=8.0, data_order=7,
     t_final=300.0, n_snapshots=33, fit_lo=30.0, fit_hi=300.0)
 def _run_u_extra_lambda(cfg: ScenarioConfig, outdir: Path):
-    rec, res = _nonlinear_run(cfg, _log_snapshots(cfg), outdir, "energy.csv",
-                              keep_last=True)
+    last = []  # a copy of the latest output, the state at t_final in the end
+
+    def keep(st):
+        last[:] = [st.copy()]
+
+    rec, _ = _nonlinear_run(cfg, _log_snapshots(cfg), outdir, "energy.csv",
+                            on_snapshot=keep)
     mask = rec.times > 0.0
     ratio = rec.series("u_linf")[mask] / rec.series("dv1_linf")[mask]
     fit = decay_fit(rec.times[mask], ratio, cfg.fit_lo, cfg.fit_hi)
@@ -742,7 +733,7 @@ def _run_u_extra_lambda(cfg: ScenarioConfig, outdir: Path):
         f"power fit of |u|_inf / |dv|_inf over "
         f"[{cfg.fit_lo:g}, {cfg.fit_hi:g}], residual {fit.residual:.3g}")]
 
-    st, ops = res.snapshots[-1], rec.ops
+    st, ops = last[0], rec.ops
     grad_v = ops.grad(st.v)
     bco = damping_coeff(st.t, rec.d)
     num = math.sqrt(sum(ops.l2(st.u[i] + grad_v[i] / bco) ** 2
@@ -813,11 +804,11 @@ def _run_lower_bound(cfg: ScenarioConfig, outdir: Path):
                 detail=f"infimum over t >= {cfg.fit_lo:g} of "
                        "|u| (R+t)^((n+2)/2) / q0; pass means clearly positive"),
     ]
-    _write_csv(outdir / "margins.csv",
-               ["t", "cauchy_schwarz", "m_rho", "m_u"],
-               [t, cs, lb["m_rho"], lb["m_u"]])
-    _write_csv(outdir / "moment_margins.csv",
-               ["t", "margin"], [t[1:-1], mm])
+    write_csv(outdir / "margins.csv",
+              ["t", "cauchy_schwarz", "m_rho", "m_u"],
+              [t, cs, lb["m_rho"], lb["m_u"]])
+    write_csv(outdir / "moment_margins.csv",
+              ["t", "margin"], [t[1:-1], mm])
     return verdicts
 
 
@@ -926,8 +917,8 @@ def _run_convolution(cfg: ScenarioConfig, outdir: Path):
             detail=f"max ratio {m_all:.5g}; growth of the max when the last "
                    "time decade joins"))
         cols.append(chk.ratios)
-    _write_csv(outdir / "convolution.csv",
-               ["t"] + [f"ratio_{a:g}_{b:g}" for a, b in pairs], cols)
+    write_csv(outdir / "convolution.csv",
+              ["t"] + [f"ratio_{a:g}_{b:g}" for a, b in pairs], cols)
     return verdicts
 
 

@@ -80,15 +80,35 @@ def tracked_ops(grid):
     return TrackedOps(grid), made
 
 
+class Outputs(list):
+    """A snapshot hook for euler.run that keeps a copy of every output it
+    is handed, in order.  The state the hook gets lives in the run's
+    buffers, which the next step overwrites; the copy holds the fields
+    alone, without the band view."""
+
+    def __call__(self, st):
+        self.append(st.copy())
+
+
+def band_held(st, d, g, ops):
+    """The band ops of a stepper built on ops, and what
+    euler.nonlinear_wave_source holds for st on them: the band spectrum
+    w of (v, u), the products at the state, and the grad v and div u
+    that forming them leaves in the stepper's first two work buffers,
+    all from st's own fields.  n + 1 forward transforms for w, and the
+    products' n + 1 forward and n + n^2 inverse."""
+    law = euler._Lawson(d, g, ops)
+    x = np.stack([st.v, *st.u])
+    w = np.stack([law.ops.fwd(f) for f in x])
+    return law.ops, (w, law.products(w, x), *law.work()[:2])
+
+
 def on_band(st, d, g, ops):
     """st as euler.run hands it to a snapshot hook: with the band view of
     a stepper built on ops, that is its band ops, the band spectrum w of
     (v, u) and the products at the state, formed from st's own fields."""
-    law = euler._Lawson(d, g, ops)
-    x = np.stack([st.v, *st.u])
-    w = np.stack([law.ops.fwd(f) for f in x])
-    view = euler.BandView(law.ops, w, law.products(w, x))
-    return euler.EulerState(st.t, st.v, st.u, band=view)
+    band, (w, f, _, _) = band_held(st, d, g, ops)
+    return euler.EulerState(st.t, st.v, st.u, band=euler.BandView(band, w, f))
 
 
 def run_preset(name: str, base: Path, **extra) -> RunHandle:

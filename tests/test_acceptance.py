@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import run_preset
+from conftest import Outputs, run_preset
 from eulerlab.euler import SolverConfig, initial_bump, run
 from eulerlab.grids import Grid, SpectralOps
 from eulerlab.linear import evolve_modes, propagator_matrix, solve_linear_ivp
@@ -238,23 +238,24 @@ def test_criterion_11_numerical_hygiene(tmp_path):
     ops = SpectralOps(grid)
     st0 = initial_bump(grid, 4.0, 1e-6, 3, ops=ops)
     times = (2.5, 5.0, 10.0)
-    cfg = SolverConfig(t_final=10.0, cfl=0.2, snapshot_times=times,
-                       store_snapshots=True)
-    res = run(st0, D_HALF, GAS, grid, cfg, ops=ops)
+    cfg = SolverConfig(t_final=10.0, cfl=0.2, snapshot_times=times)
+    outs = Outputs()
+    res = run(st0, D_HALF, GAS, grid, cfg, on_snapshot=outs, ops=ops)
     assert res.verdict == "completed"
-    w0 = res.snapshots[0].v
+    w0 = outs[0].v
     sol = solve_linear_ivp(w0, np.zeros_like(w0), grid, D_HALF,
                            np.asarray(times), ops=ops)
     rel_lin = max(ops.l2(snap.v - w) / ops.l2(w)
-                  for snap, w in zip(res.snapshots[1:], sol.w))
+                  for snap, w in zip(outs[1:], sol.w))
 
     # (b) fourth-order convergence under time-step halving
     st1 = initial_bump(grid, 4.0, 1e-3, 3, ops=ops)
     fields = []
     for dt in (0.04, 0.02, 0.01):
-        c = SolverConfig(t_final=1.0, dt_override=dt, snapshot_times=(1.0,),
-                         store_snapshots=True)
-        fields.append(run(st1, D_HALF, GAS, grid, c, ops=ops).snapshots[-1].v)
+        c = SolverConfig(t_final=1.0, dt_override=dt, snapshot_times=(1.0,))
+        outs = Outputs()
+        run(st1, D_HALF, GAS, grid, c, on_snapshot=outs, ops=ops)
+        fields.append(outs[-1].v)
     order = math.log2(ops.l2(fields[0] - fields[1])
                       / ops.l2(fields[1] - fields[2]))
 

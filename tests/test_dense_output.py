@@ -18,6 +18,7 @@ from eulerlab import euler
 from eulerlab.euler import DENSE_GROWTH_MAX, EulerState, SolverConfig, initial_bump, run
 from eulerlab.grids import Grid
 from eulerlab.params import DampingLaw, GasLaw, integrating_factor
+from conftest import Outputs
 from test_simple_wave import AMPLITUDE, L, N, _breaking_time, _characteristic_r, _r0
 
 GAS = GasLaw()
@@ -31,7 +32,7 @@ _STEP = euler.step
 
 def _solve(mu, snaps, monkeypatch, st0=None, grid=GRID, gas=GAS,
            t_final=T_FINAL, dt=None, allow_stop=False):
-    """run with every step's (t, h) recorded and every output kept."""
+    """run with every output kept and every step's (t, h) recorded."""
     steps = []
 
     def recorded(t, w, x, f, h, law, floor=np.inf, **kw):
@@ -41,31 +42,31 @@ def _solve(mu, snaps, monkeypatch, st0=None, grid=GRID, gas=GAS,
 
     monkeypatch.setattr(euler, "step", recorded)
     st0 = initial_bump(grid, 4.0, 1e-2, 3) if st0 is None else st0
-    cfg = SolverConfig(t_final=t_final, snapshot_times=snaps, dt_override=dt,
-                       store_snapshots=True)
-    res = run(st0, DampingLaw(lam=0.5, mu=mu), gas, grid, cfg)
+    cfg = SolverConfig(t_final=t_final, snapshot_times=snaps, dt_override=dt)
+    outs = Outputs()
+    res = run(st0, DampingLaw(lam=0.5, mu=mu), gas, grid, cfg, on_snapshot=outs)
     assert allow_stop or res.verdict == "completed"
-    return res, steps
+    return res, outs, steps
 
 
 def test_without_friction_outputs_leave_the_trajectory_alone(monkeypatch):
     # the bound always holds at mu = 0: the solve with 8 outputs inside its
     # steps takes the steps of the solve with t_final alone, and ends on
     # the same bits
-    res, steps = _solve(0.0, INTERIOR, monkeypatch)
-    alone, alone_steps = _solve(0.0, (), monkeypatch)
+    res, outs, steps = _solve(0.0, INTERIOR, monkeypatch)
+    alone, alone_outs, alone_steps = _solve(0.0, (), monkeypatch)
     assert res.dense_outputs == 8 and res.dense_growth_max == 1.0
     assert alone.dense_outputs == 0 and alone.dense_growth_max is None
     assert steps == alone_steps
-    assert np.array_equal(res.snapshots[-1].v, alone.snapshots[-1].v)
-    assert np.array_equal(res.snapshots[-1].u, alone.snapshots[-1].u)
-    assert [s.t for s in res.snapshots] == [0.0, *INTERIOR, T_FINAL]
+    assert np.array_equal(outs[-1].v, alone_outs[-1].v)
+    assert np.array_equal(outs[-1].u, alone_outs[-1].u)
+    assert [s.t for s in outs] == [0.0, *INTERIOR, T_FINAL]
 
 
 def test_with_strong_friction_every_output_lands(monkeypatch):
     # at mu = 1000 a product carried back over more than a sliver of a
     # step grows past the bound, so every output is the end of a step
-    res, steps = _solve(1000.0, INTERIOR, monkeypatch)
+    res, _, steps = _solve(1000.0, INTERIOR, monkeypatch)
     assert res.dense_outputs == 0 and res.dense_growth_max is None
     ends = [t + h for t, h in steps]
     for s in INTERIOR:
@@ -75,7 +76,7 @@ def test_with_strong_friction_every_output_lands(monkeypatch):
 def test_the_growth_used_is_counted_and_bounded(monkeypatch):
     # with moderate friction outputs fall inside steps, each carried back
     # by integrating_factor(output, end of its step) <= DENSE_GROWTH_MAX
-    res, steps = _solve(2.0, INTERIOR, monkeypatch)
+    res, _, steps = _solve(2.0, INTERIOR, monkeypatch)
     ends = [t + h for t, h in steps]
     inside = [s for s in INTERIOR if min(abs(e - s) for e in ends) > 1e-12 * s]
     assert res.dense_outputs == len(inside) > 0
@@ -90,14 +91,14 @@ def test_outputs_inside_steps_converge_like_landed_ones(monkeypatch):
     # measuring, 1e-6 of the state's size.  The controller's own solve to
     # s is off by 2e-8 to 8e-8 there, the extension by 2e-8 to 2e-7; an
     # extension without the products' weights would be off by about 1e-2
-    res, steps = _solve(2.0, INTERIOR, monkeypatch)
+    _, outs, steps = _solve(2.0, INTERIOR, monkeypatch)
     ends = [t + h for t, h in steps]
-    inside = [snap for snap in res.snapshots[1:-1]
+    inside = [snap for snap in outs[1:-1]
               if min(abs(e - snap.t) for e in ends) > 1e-12 * snap.t]
     assert len(inside) >= 3
     for snap in inside[:3]:
-        fine, _ = _solve(2.0, (), monkeypatch, t_final=snap.t, dt=snap.t / 200)
-        ref = fine.snapshots[-1]
+        _, fine, _ = _solve(2.0, (), monkeypatch, t_final=snap.t, dt=snap.t / 200)
+        ref = fine[-1]
         scale = max(np.max(np.abs(ref.v)), np.max(np.abs(ref.u)))
         misfit = max(np.max(np.abs(snap.v - ref.v)), np.max(np.abs(snap.u - ref.u)))
         assert misfit <= 1e-6 * scale
@@ -114,18 +115,18 @@ def test_simple_wave_inside_steps(gamma, monkeypatch):
     st0 = EulerState(0.0, 0.5 * r0, np.stack([0.5 * r0]))
     half = 0.5 * _breaking_time(gamma)
     times = tuple(half * j / 9.0 for j in range(1, 9))
-    res, _ = _solve(0.0, times, monkeypatch, st0=st0, grid=grid,
-                    gas=GasLaw(gamma=gamma), t_final=half)
+    res, outs, _ = _solve(0.0, times, monkeypatch, st0=st0, grid=grid,
+                          gas=GasLaw(gamma=gamma), t_final=half)
     assert res.dense_outputs == 8
-    for snap, t in zip(res.snapshots[1:], times):
+    for snap, t in zip(outs[1:], times):
         assert snap.t == t
         half_r = 0.5 * _characteristic_r(x, t, gamma)
         misfit = max(np.max(np.abs(snap.v - half_r)),
                      np.max(np.abs(snap.u[0] - half_r)))
         assert misfit <= 1e-6 * AMPLITUDE
     # the schedule of test_simple_wave.py reads its T*/4 output the same way
-    quarter, _ = _solve(0.0, (0.5 * half, half), monkeypatch, st0=st0, grid=grid,
-                        gas=GasLaw(gamma=gamma), t_final=half)
+    quarter, _, _ = _solve(0.0, (0.5 * half, half), monkeypatch, st0=st0,
+                           grid=grid, gas=GasLaw(gamma=gamma), t_final=half)
     assert quarter.dense_outputs == 1
 
 
@@ -152,8 +153,8 @@ def test_a_monitor_that_trips_inside_a_step_ends_the_run_there(monkeypatch):
     grid = Grid(1, 40.0, 512)
     st0 = initial_bump(grid, 2.0, 1.2, 1)
     snaps = tuple(float(s) for s in range(1, 21))
-    res, steps = _solve(0.0, snaps, monkeypatch, st0=st0, grid=grid,
-                        t_final=20.0, allow_stop=True)
+    res, _, steps = _solve(0.0, snaps, monkeypatch, st0=st0, grid=grid,
+                           t_final=20.0, allow_stop=True)
     assert res.verdict != "completed"
     assert res.t_end in snaps
     assert min(abs(t + h - res.t_end) for t, h in steps) > 1e-9

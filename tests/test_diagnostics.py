@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import CountingOps, on_band, read_csv_columns, tracked_ops
+from conftest import (CountingOps, Outputs, band_held, on_band, read_csv_columns,
+                      tracked_ops)
 from eulerlab.diagnostics import (
     ConvolutionCheck, DomainSizeError, EnergyRecorder, EnergyRow,
     FitQualityWarning, ball_volume, cauchy_schwarz_margin, convolution_oracle,
@@ -354,7 +355,7 @@ def column_definitions(rec: EnergyRecorder, st: EulerState) -> dict:
 
     col["src_l1"] = 0.0
     if rec.with_source:
-        src = euler.nonlinear_wave_source(st, d, g, ops)
+        src = euler.nonlinear_wave_source(st, d, g, *band_held(st, d, g, ops))
         col["src_l1"] = ops.quad(np.abs(src))
 
     col["vort_l2"] = 0.0
@@ -430,14 +431,19 @@ def test_solver_snapshot_columns_equal_their_definitions(n, N):
     rec = EnergyRecorder(grid, D_HALF, GAS, derive_constants(D_HALF, n),
                          support_R=1.5, ops=ops)
     st = sample_state(grid, ops)
-    cfg = euler.SolverConfig(t_final=0.5, snapshot_times=(0.25,),
-                             store_snapshots=True)
+    cfg = euler.SolverConfig(t_final=0.5, snapshot_times=(0.25,))
+    outs = Outputs()
+
+    def hook(st):
+        rec(st)
+        outs(st)
+
     res = euler.run(EulerState(0.0, st.v, st.u), D_HALF, GAS, grid, cfg,
-                    on_snapshot=rec, ops=ops)
+                    on_snapshot=hook, ops=ops)
     assert res.verdict == "completed"
-    assert [r.t for r in rec.rows] == [s.t for s in res.snapshots]
+    assert [r.t for r in rec.rows] == [s.t for s in outs]
     assert len(rec.rows) == 3
-    for row, snap in zip(rec.rows, res.snapshots):
+    for row, snap in zip(rec.rows, outs):
         assert snap.band is None
         assert_columns(row, column_definitions(rec, snap))
 
@@ -488,25 +494,25 @@ def test_energy_recorder_refuses_a_state_without_band_view():
 
 
 @pytest.mark.parametrize("n, fwd_calls, inv_calls", [
-    (1, 6, 7), (2, 8, 13), (3, 10, 21)])
+    (1, 2, 5), (2, 2, 7), (3, 2, 9)])
 def test_wave_source_transform_count(n, fwd_calls, inv_calls):
-    # the public source from a state, all on the band of the stepper it
-    # builds: forward v, the n u_i, the n + 1 products and the two v
-    # products of d/dt N_v; inverse the n + n^2 first derivatives, v_t
-    # and the n u_it, grad v_t, div u_t and Q itself
+    # the source from what it holds, all on the band: forward the two v
+    # products of d/dt N_v; inverse v_t and the n u_it, grad v_t, div u_t
+    # and Q itself
     grid = Grid(n, 8.0, 16)
     ops, made = tracked_ops(grid)
-    euler.nonlinear_wave_source(sample_state(grid, SpectralOps(grid)),
-                                D_HALF, GAS, ops)
-    full, band = made
-    assert band.band and (full.fwd_calls, full.inv_calls) == (0, 0)
+    st = sample_state(grid, SpectralOps(grid))
+    band, held = band_held(st, D_HALF, GAS, ops)
+    band.fwd_calls = band.inv_calls = 0
+    euler.nonlinear_wave_source(st, D_HALF, GAS, band, held)
+    full, band_made = made
+    assert band is band_made and band.band
+    assert (full.fwd_calls, full.inv_calls) == (0, 0)
     assert (band.fwd_calls, band.inv_calls) == (fwd_calls, inv_calls)
-    assert fwd_calls + inv_calls <= {1: 15, 2: 24, 3: 35}[n]
+    assert inv_calls == 2 * n + 3
     # in the recorder it starts from the state's band spectrum, the
     # products at the state, the recorder's grad v and div u, for which
     # the recorder forms the n diagonal entries of the velocity
-    # gradient: the two v products forward and 2n + 3 inverse, and those
-    # n inverses, on the band
+    # gradient: the source's own transforms, and those n inverses
     off, on = _recorder_costs(n, False), _recorder_costs(n, True)
     assert tuple(b - a for a, b in zip(off, on)) == (2, 3 * n + 3, 0, 0)
-    assert 2 + 2 * n + 3 == {1: 7, 2: 9, 3: 11}[n]

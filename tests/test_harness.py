@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
@@ -425,6 +426,31 @@ def test_mass_conservation_stores_fields(tmp_path):
     assert sum(f.endswith("_v.npy") for f in files) == times.size
     for name in files:
         assert (handle.outdir / name).exists()
+
+
+def test_stored_fields_are_written_as_they_arrive(tmp_path):
+    # numpy reports its arrays to tracemalloc.  A solve that kept every
+    # output until the end to write fields/ would peak higher by about
+    # outputs x state, 21 x 16 KiB here; writing each output as it
+    # arrives keeps the peak within one state of the same solve without
+    # store_fields
+    def traced_peak(**extra):
+        cfg = preset_config("mass-conservation", outdir=str(tmp_path), **extra)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            run_scenario(cfg)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+
+    cfg = preset_config("mass-conservation")
+    state = (cfg.n + 1) * cfg.N ** cfg.n * 8
+    plain, stored = traced_peak(), traced_peak(store_fields=True)
+    assert stored - plain <= state
 
 
 def test_one_band_ops_per_solve(tmp_path, monkeypatch):

@@ -25,6 +25,7 @@ import pytest
 from eulerlab.euler import EulerState, SolverConfig, run
 from eulerlab.grids import Grid
 from eulerlab.params import DampingLaw, GasLaw
+from conftest import Outputs
 
 AMPLITUDE = 0.1          # of v = u = r/2
 WIDTH = 2.0
@@ -70,11 +71,12 @@ def test_simple_wave_follows_its_characteristics(gamma):
     st0 = EulerState(0.0, 0.5 * r0, np.stack([0.5 * r0]))
     t_star = _breaking_time(gamma)
     times = (t_star / 4.0, t_star / 2.0)
-    cfg = SolverConfig(t_final=times[-1], snapshot_times=times,
-                       store_snapshots=True)
-    res = run(st0, DampingLaw(lam=0.5, mu=0.0), GasLaw(gamma=gamma), grid, cfg)
+    cfg = SolverConfig(t_final=times[-1], snapshot_times=times)
+    outs = Outputs()
+    res = run(st0, DampingLaw(lam=0.5, mu=0.0), GasLaw(gamma=gamma), grid, cfg,
+              on_snapshot=outs)
     assert res.verdict == "completed"
-    for snap, t in zip(res.snapshots[1:], times):
+    for snap, t in zip(outs[1:], times):
         assert snap.t == pytest.approx(t, abs=1e-12)
         half_r = 0.5 * _characteristic_r(x, t, gamma)
         misfit = max(np.max(np.abs(snap.v - half_r)),
