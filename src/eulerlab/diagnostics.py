@@ -171,15 +171,18 @@ class EnergyRow:
 class EnergyRecorder:
     """Callable snapshot hook that accumulates EnergyRows.
 
-    Each snapshot reads the band spectrum w of the state and the
-    products f at it, which a state from euler.run carries as its band;
-    a state without that band view is refused.  The L2 norms of the
-    velocity gradient, of v_t = -div u + f[0] and of the vorticity come
-    from their band spectra by Parseval (SpectralOps.l2_hat); only
-    grad v, whose sup norm is a column, is transformed back: n band
-    inverses and no forward transform.  Columns of the physical state are bit-equal to
-    their public definitions, those of derivatives equal to rounding for
-    a band-limited state.
+    Each snapshot reads the band spectrum w of the state and the products f
+    at it, which a state from euler.run carries as its band; a state without
+    that band view is refused.  The L2 norms of the velocity gradient, of
+    v_t = -div u + f[0] and of the vorticity come from their band spectra by
+    Parseval (SpectralOps.l2_hat); only grad v, whose sup norm is a column,
+    is transformed back: n band inverses and no forward transform.  Columns
+    of the physical state are bit-equal to their public definitions, those
+    of derivatives equal to rounding for a band-limited state.  In a
+    rotational solve the v-side columns (v_l2, rho_l2, rho_linf, dv1_l2,
+    dv1_linf, vt_l2) are accurate only to about 1e-2 of their size: v is of
+    second order there, and the step control bounds the error of the whole
+    band state, which u dominates.
 
     The weighted energies are taken on the propagation cone of the
     data's support radius support_R, as in weighted_energy, and form
@@ -432,12 +435,12 @@ def moment_inequality_margins(times, F, q0: float, n: int,
 
 
 def lower_bound_margin(times, rho_l2, u_l2, q0: float, R: float, n: int,
-                       t0: float) -> dict:
+                       t0: float, t1: float = np.inf) -> dict:
     """Scaled lower-bound margins for density excess and velocity.
 
     m_rho = ||rho-1|| (R+t)^(n/2) / q0,  m_u = ||u|| (R+t)^((n+2)/2) / q0,
-    with infima taken over t >= t0.  Positive infima are the desk-scale
-    expression of the polynomial lower bounds.
+    with infima taken over t0 <= t <= t1.  Positive infima are the
+    desk-scale expression of the polynomial lower bounds.
     """
     times = np.asarray(times, dtype=float)
     rho_l2 = np.asarray(rho_l2, dtype=float)
@@ -446,9 +449,9 @@ def lower_bound_margin(times, rho_l2, u_l2, q0: float, R: float, n: int,
         raise ValueError("lower_bound_margin needs q0 > 0")
     m_rho = rho_l2 * (R + times) ** (0.5 * n) / q0
     m_u = u_l2 * (R + times) ** (0.5 * (n + 2)) / q0
-    sel = times >= t0
+    sel = (times >= t0) & (times <= t1)
     if not np.any(sel):
-        raise ValueError(f"no samples at or beyond t0={t0}")
+        raise ValueError(f"no samples in [t0, t1] = [{t0}, {t1}]")
     return {
         "times": times, "m_rho": m_rho, "m_u": m_u,
         "inf_rho": float(np.min(m_rho[sel])),

@@ -245,6 +245,11 @@ class SolverConfig:
         if self.dt_override is not None and not self.dt_override > 0.0:
             raise ValueError(f"dt_override: must be positive, got {self.dt_override}")
 
+    def outputs(self, t0: float) -> list:
+        """Every snapshot time in (t0, t_final], and t_final, in order."""
+        return sorted({float(s) for s in self.snapshot_times
+                       if t0 < s <= self.t_final} | {self.t_final})
+
 
 def _product_row(u, fs, v, g, sl: float, acc=None, tmp=None) -> np.ndarray:
     """acc = -sum(u[j] * f_j) - sl * v * g, by that expression's own
@@ -719,8 +724,8 @@ class RunResult:
 def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
         cfg: SolverConfig, on_snapshot=None,
         ops: SpectralOps | None = None) -> RunResult:
-    """March the system to cfg.t_final, with an output at every snapshot
-    time.
+    """March the system from st0.t to cfg.t_final, with an output at
+    each of cfg.outputs(st0.t).
 
     Steps are those of the embedded Lawson pair (see step).  The
     controller's step is
@@ -744,9 +749,9 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
     however many tries it took.
 
     A state leaves the run only through on_snapshot(state), which fires
-    at the start, whatever its time, and at each requested time after
-    it (and at t_final).  The state lives in the run's buffers, which
-    the next step overwrites, so a hook that keeps it keeps a copy.
+    at the start, whatever its time, and then at each output.  The state
+    lives in the run's buffers, which the next step overwrites, so a hook
+    that keeps it keeps a copy.
     Every output but the start passes the monitors before the hook
     sees it.
     Blow-up monitoring: non-finite values every step; gradient growth and
@@ -770,8 +775,7 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
     f = law.products(w, x, watch=True)
     g0 = max(law.grad_sup, 1e-300)
 
-    snaps = sorted(set(float(s) for s in cfg.snapshot_times
-                       if t0 < s <= cfg.t_final) | {cfg.t_final})
+    snaps = cfg.outputs(t0)
     dts = []
     result = RunResult(verdict="completed", t_end=cfg.t_final, steps=0)
     every = CHECK_EVERY * cfg.cfl * grid.dx

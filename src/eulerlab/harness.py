@@ -229,15 +229,14 @@ def validate_config(cfg: ScenarioConfig):
     if not 0.0 <= cfg.fit_lo < cfg.fit_hi:
         raise ConfigError(
             f"fit_lo/fit_hi: need 0 <= fit_lo < fit_hi, got ({cfg.fit_lo}, {cfg.fit_hi})")
-    if preset.fit_times is not None:
-        t = np.asarray(preset.fit_times(cfg))
-        found = int(np.sum((t >= cfg.fit_lo) & (t <= cfg.fit_hi)))
+    if preset.schedule is not None:
+        t = _schedule(cfg)
+        found = sum(cfg.fit_lo <= s <= cfg.fit_hi for s in t)
         if found < diagnostics.FIT_MIN_PTS:
             raise ConfigError(
-                f"fit_lo/fit_hi: the fit window [{cfg.fit_lo:g}, {cfg.fit_hi:g}] "
-                f"holds {found} of the {t.size} sample times up to "
-                f"t_final = {cfg.t_final:g}; the fit needs "
-                f"{diagnostics.FIT_MIN_PTS}")
+                f"fit_lo/fit_hi: the fit window [{cfg.fit_lo:g}, {cfg.fit_hi:g}] holds "
+                f"{found} of the {len(t)} sample times up to t_final = {cfg.t_final:g}; "
+                f"the fit needs {diagnostics.FIT_MIN_PTS}")
     if cfg.r_cut <= 0.0:
         raise ConfigError(f"r_cut: must be positive, got {cfg.r_cut}")
     if cfg.workers < 0:
@@ -377,10 +376,10 @@ def _write_json(path: Path, payload):
 class Preset:
     """runner(cfg, outdir) writes the artifacts and returns the verdicts.
     dims (allowed n) and positive (fields that must be > 0) are the domain
-    validate_config checks; so is fit_times, for a preset that fits a
-    decay over [fit_lo, fit_hi]: fit_times(cfg) are the times of the
-    samples it fits.  decay_law names the verdicts whose failure adds
-    _DECAY_LAW_NOTE."""
+    validate_config checks.  A preset that reads [fit_lo, fit_hi] gives
+    schedule(cfg), its snapshot times: it samples at their outputs,
+    _schedule(cfg), and validate_config counts the window's samples there.
+    decay_law names the verdicts whose failure adds _DECAY_LAW_NOTE."""
 
     name: str
     description: str
@@ -389,7 +388,7 @@ class Preset:
     runner: object
     dims: tuple = (1, 2, 3)
     positive: tuple = ()
-    fit_times: object = None
+    schedule: object = None
     decay_law: tuple = ()
 
 
@@ -397,10 +396,10 @@ PRESETS: dict = {}
 
 
 def _register(name, description, verdicts, *, dims=(1, 2, 3), positive=(),
-              fit_times=None, decay_law=(), **overrides):
+              schedule=None, decay_law=(), **overrides):
     def deco(fn):
         PRESETS[name] = Preset(name, description, overrides, tuple(verdicts),
-                               fn, dims, positive, fit_times, decay_law)
+                               fn, dims, positive, schedule, decay_law)
         return fn
     return deco
 
@@ -445,22 +444,17 @@ def _make_state(cfg: ScenarioConfig, grid: Grid, gas: GasLaw,
 
 def _log_snapshots(cfg: ScenarioConfig, head=(0.25, 0.5, 0.75)) -> tuple:
     pts = np.geomspace(1.0, cfg.t_final, cfg.n_snapshots)
-    return tuple(sorted(set(float(round(p, 9)) for p in pts) | set(head)))
+    return head + tuple(float(round(p, 9)) for p in pts)
 
 
-def _lin_snapshots(cfg: ScenarioConfig) -> tuple:
-    return tuple(float(t) for t in
-                 np.linspace(0.0, cfg.t_final, cfg.n_snapshots)[1:])
+def _lin_snapshots(cfg: ScenarioConfig) -> np.ndarray:
+    return np.linspace(0.0, cfg.t_final, cfg.n_snapshots)
 
 
-def _recorded(schedule, start=True):
-    """fit_times of a preset that fits recorder rows: the run records at
-    t = 0 (kept if start) and at every scheduled time in
-    (0, t_final] and on t_final itself, as euler.run does."""
-    def times(cfg: ScenarioConfig) -> list:
-        snaps = {s for s in schedule(cfg) if 0.0 < s <= cfg.t_final}
-        return ([0.0] if start else []) + sorted(snaps | {cfg.t_final})
-    return times
+def _schedule(cfg: ScenarioConfig) -> list:
+    """A preset's sample times: the outputs of the schedule it registers."""
+    return euler.SolverConfig(t_final=cfg.t_final, snapshot_times=tuple(
+        PRESETS[cfg.scenario].schedule(cfg))).outputs(0.0)
 
 
 def _nonlinear_run(cfg: ScenarioConfig, snaps, outdir: Path, csv_name: str, *,
@@ -531,14 +525,14 @@ _DECAY_LAW_NOTE = (
     "sup-norm decay slopes of band-limited kernel reconstructions of bump data",
     ("kernel_decay_k0", "kernel_decay_k1", "band_tail_fraction"),
     dims=(1,),   # the kernel reconstruction is one-dimensional
-    fit_times=lambda cfg: np.geomspace(1.0, cfg.t_final, cfg.n_snapshots),
+    schedule=lambda cfg: np.geomspace(1.0, cfg.t_final, cfg.n_snapshots),
     decay_law=("kernel_decay_k0", "kernel_decay_k1"),
     n=1, lam=0.5, mu=2.0, L=2400.0, N=8192, R=12.0,
     t_final=1.0e4, n_snapshots=33, fit_lo=1.0e2, fit_hi=1.0e4)
 def _run_linear_decay(cfg: ScenarioConfig, outdir: Path):
     grid = Grid(cfg.n, cfg.L, cfg.N)
     g = euler.bump_profile(grid, cfg.R)
-    times = np.geomspace(1.0, cfg.t_final, cfg.n_snapshots)
+    times = np.array(_schedule(cfg))
 
     series = linear.kernel_decay_check(g, grid, _damping(cfg), times, i=1,
                                        k=(0, 1), p=np.inf, r_cut=cfg.r_cut)
@@ -551,7 +545,7 @@ def _run_linear_decay(cfg: ScenarioConfig, outdir: Path):
             f"power fit over [{cfg.fit_lo:g}, {cfg.fit_hi:g}], "
             f"residual {fit.residual:.3g}"))
 
-    sel = times >= cfg.fit_lo
+    sel = (times >= cfg.fit_lo) & (times <= cfg.fit_hi)
     tail = max(float(np.max(ser.tail_bound[sel] / ser.observed[sel]))
                for ser in series)
     verdicts.append(at_most(
@@ -686,12 +680,12 @@ def _run_zone_integrals(cfg: ScenarioConfig, outdir: Path):
     "nonlinear-decay",
     "sup-norm decay exponents of density and velocity after a small bump",
     ("rho_slope", "u_slope", "slope_difference"),
-    fit_times=_recorded(_log_snapshots),
+    schedule=_log_snapshots,
     decay_law=("rho_slope", "u_slope", "slope_difference"),
     n=1, lam=0.5, mu=2.0, gamma=2.0, eps=1e-3, N=2048, L=256.0, R=4.0,
     data_order=7, t_final=1.0e3, n_snapshots=41, fit_lo=1.0e2, fit_hi=1.0e3)
 def _run_nonlinear_decay(cfg: ScenarioConfig, outdir: Path):
-    rec, _ = _nonlinear_run(cfg, _log_snapshots(cfg), outdir, "energy.csv")
+    rec, _ = _nonlinear_run(cfg, _schedule(cfg), outdir, "energy.csv")
     rho_fit = decay_fit(rec.times, rec.series("rho_linf"), cfg.fit_lo, cfg.fit_hi)
     u_fit = decay_fit(rec.times, rec.series("u_linf"), cfg.fit_lo, cfg.fit_hi)
     pred_rho = -(1.0 - cfg.lam) * cfg.n / 2.0
@@ -714,7 +708,7 @@ def _run_nonlinear_decay(cfg: ScenarioConfig, outdir: Path):
     "u-extra-lambda",
     "velocity lags the density gradient by one power of the damping clock",
     ("velocity_lag_exponent", "quasistatic_residual"),
-    fit_times=_recorded(_log_snapshots, start=False),   # the fit drops t = 0
+    schedule=_log_snapshots,
     n=1, lam=0.5, mu=2.0, N=1024, L=360.0, R=8.0, data_order=7,
     t_final=300.0, n_snapshots=33, fit_lo=30.0, fit_hi=300.0)
 def _run_u_extra_lambda(cfg: ScenarioConfig, outdir: Path):
@@ -723,9 +717,9 @@ def _run_u_extra_lambda(cfg: ScenarioConfig, outdir: Path):
     def keep(st):
         last[:] = [st.copy()]
 
-    rec, _ = _nonlinear_run(cfg, _log_snapshots(cfg), outdir, "energy.csv",
+    rec, _ = _nonlinear_run(cfg, _schedule(cfg), outdir, "energy.csv",
                             on_snapshot=keep)
-    mask = rec.times > 0.0
+    mask = rec.times > 0.0  # the start row is no sample of the fit
     ratio = rec.series("u_linf")[mask] / rec.series("dv1_linf")[mask]
     fit = decay_fit(rec.times[mask], ratio, cfg.fit_lo, cfg.fit_hi)
     verdicts = [within(
@@ -757,10 +751,9 @@ def _run_mass_conservation(cfg: ScenarioConfig, outdir: Path):
     rec, _ = _nonlinear_run(cfg, _lin_snapshots(cfg), outdir, "energy.csv")
     mass = rec.series("mass")
     drift = float(np.max(np.abs(mass - mass[0])) / abs(mass[0]))
-    verdicts = [at_most(
+    return [at_most(
         "mass_drift", drift, 1e-8, strict=True,
         detail=f"relative to M(0)={mass[0]:.6g} across {mass.size} snapshots")]
-    return verdicts
 
 
 @_register(
@@ -769,10 +762,11 @@ def _run_mass_conservation(cfg: ScenarioConfig, outdir: Path):
     ("mass_drift", "cauchy_schwarz", "moment_inequality",
      "lower_bound_rho", "lower_bound_u"),
     positive=("q0",),   # the bounds are stated for a positive excess mass
+    schedule=_lin_snapshots,
     n=1, lam=0.5, mu=2.0, N=2048, L=440.0, R=10.0, q0=0.01, data_kind="mass",
     t_final=200.0, n_snapshots=81, fit_lo=20.0, fit_hi=200.0)
 def _run_lower_bound(cfg: ScenarioConfig, outdir: Path):
-    rec, _ = _nonlinear_run(cfg, _lin_snapshots(cfg), outdir, "energy.csv")
+    rec, _ = _nonlinear_run(cfg, _schedule(cfg), outdir, "energy.csv")
     t = rec.times
     mass = rec.series("mass")
     drift = float(np.max(np.abs(mass - mass[0])) / abs(mass[0]))
@@ -783,7 +777,9 @@ def _run_lower_bound(cfg: ScenarioConfig, outdir: Path):
                                                cfg.q0, cfg.n, rec.d)
     lb = diagnostics.lower_bound_margin(t, rec.series("rho_l2"),
                                         rec.series("u_l2"), cfg.q0, cfg.R,
-                                        cfg.n, t0=cfg.fit_lo)
+                                        cfg.n, t0=cfg.fit_lo, t1=cfg.fit_hi)
+    over = f"t >= {cfg.fit_lo:g}" + (
+        f" and t <= {cfg.fit_hi:g}" if cfg.fit_hi < cfg.t_final else "")
     verdicts = [
         at_most("mass_drift", drift, 1e-8, strict=True,
                 detail=f"relative to M(0)={mass[0]:.6g}"),
@@ -797,11 +793,11 @@ def _run_lower_bound(cfg: ScenarioConfig, outdir: Path):
                        "predicted at least 1 up to finite differencing"),
         Verdict(name="lower_bound_rho", value=lb["inf_rho"], predicted=0.0,
                 tolerance=0.01, passed=lb["inf_rho"] > 0.01,
-                detail=f"infimum over t >= {cfg.fit_lo:g} of "
+                detail=f"infimum over {over} of "
                        "|rho-1| (R+t)^(n/2) / q0; pass means clearly positive"),
         Verdict(name="lower_bound_u", value=lb["inf_u"], predicted=0.0,
                 tolerance=0.01, passed=lb["inf_u"] > 0.01,
-                detail=f"infimum over t >= {cfg.fit_lo:g} of "
+                detail=f"infimum over {over} of "
                        "|u| (R+t)^((n+2)/2) / q0; pass means clearly positive"),
     ]
     write_csv(outdir / "margins.csv",
@@ -812,7 +808,8 @@ def _run_lower_bound(cfg: ScenarioConfig, outdir: Path):
     return verdicts
 
 
-def _vorticity_verdicts(cfg: ScenarioConfig, rec: EnergyRecorder):
+def _vorticity_run(cfg: ScenarioConfig, outdir: Path):
+    rec, _ = _nonlinear_run(cfg, _schedule(cfg), outdir, "energy.csv")
     fit = decay_fit(rec.times, rec.series("vort_l2"), cfg.fit_lo, cfg.fit_hi,
                     kind="stretched", stretch_exponent=1.0 - cfg.lam)
     pred = -cfg.mu / (1.0 - cfg.lam)
@@ -830,17 +827,16 @@ def _vorticity_verdicts(cfg: ScenarioConfig, rec: EnergyRecorder):
     "stretched-exponential vorticity decay for rotational data in the plane",
     ("vorticity_rate", "vorticity_fit_residual", "irrotational_floor"),
     dims=(2, 3),   # on a line every velocity field is a gradient
-    fit_times=_recorded(_lin_snapshots),
+    schedule=_lin_snapshots,
     n=2, lam=0.5, mu=1.0, N=256, L=68.0, R=12.0, eps=1e-3,
     data_kind="rotational", t_final=50.0, n_snapshots=26,
     fit_lo=5.0, fit_hi=50.0)
 def _run_vorticity_2d(cfg: ScenarioConfig, outdir: Path):
-    rec, _ = _nonlinear_run(cfg, _lin_snapshots(cfg), outdir, "energy.csv")
-    fit, verdicts = _vorticity_verdicts(cfg, rec)
+    fit, verdicts = _vorticity_run(cfg, outdir)
 
     cfg2 = replace(cfg, data_kind="potential", t_final=5.0, n_snapshots=6)
-    rec2, _ = _nonlinear_run(cfg2, _lin_snapshots(cfg2), outdir,
-                        "energy_irrotational.csv")
+    rec2, _ = _nonlinear_run(cfg2, _schedule(cfg2), outdir,
+                             "energy_irrotational.csv")
     floor = float(np.max(rec2.series("vort_l2") / rec2.series("du1_l2")))
     verdicts.append(at_most(
         "irrotational_floor", floor, 1e-10, strict=True,
@@ -855,13 +851,12 @@ def _run_vorticity_2d(cfg: ScenarioConfig, outdir: Path):
     "stretched-exponential vorticity decay in three dimensions",
     ("vorticity_rate", "vorticity_fit_residual"),
     dims=(3,),   # the three-dimensional claim: stretching exists only there
-    fit_times=_recorded(_lin_snapshots),
+    schedule=_lin_snapshots,
     n=3, lam=0.5, mu=1.0, N=128, L=40.0, R=12.0, eps=1e-3,
     data_kind="rotational", t_final=12.0, n_snapshots=13,
     fit_lo=2.0, fit_hi=12.0)
 def _run_vorticity_3d(cfg: ScenarioConfig, outdir: Path):
-    rec, _ = _nonlinear_run(cfg, _lin_snapshots(cfg), outdir, "energy.csv")
-    fit, verdicts = _vorticity_verdicts(cfg, rec)
+    fit, verdicts = _vorticity_run(cfg, outdir)
     _write_json(outdir / "fits.json", {"vort_l2": asdict(fit)})
     return verdicts
 
@@ -870,14 +865,13 @@ def _run_vorticity_3d(cfg: ScenarioConfig, outdir: Path):
     "q-decay",
     "decay rate and quadratic smallness of the wave-form source",
     ("q_l1_slope_cap", "q_eps_scaling"),
-    fit_times=_recorded(_log_snapshots),
+    schedule=_log_snapshots,
     n=1, lam=0.5, mu=2.0, gamma=2.0, eps=1e-3, N=2048, L=256.0, R=4.0,
     data_order=7, t_final=1.0e3, n_snapshots=41, fit_lo=1.0e2, fit_hi=1.0e3)
 def _run_q_decay(cfg: ScenarioConfig, outdir: Path):
-    snaps = _log_snapshots(cfg)
-    rec1, _ = _nonlinear_run(cfg, snaps, outdir, "energy.csv", with_source=True)
-    rec2, _ = _nonlinear_run(replace(cfg, eps=2.0 * cfg.eps), snaps, outdir,
-                        "energy_eps2.csv", with_source=True)
+    rec1, _ = _nonlinear_run(cfg, _schedule(cfg), outdir, "energy.csv", with_source=True)
+    rec2, _ = _nonlinear_run(replace(cfg, eps=2.0 * cfg.eps), _schedule(cfg),
+                             outdir, "energy_eps2.csv", with_source=True)
 
     cap = -rec1.spec.B - (1.0 + cfg.lam) / 2.0 + 0.15
     fit = decay_fit(rec1.times, rec1.series("src_l1"), cfg.fit_lo, cfg.fit_hi)
@@ -958,12 +952,11 @@ def _run_blowup_scout(cfg: ScenarioConfig, outdir: Path):
                             allow_stop=True)
     detected = res.verdict != "completed"
     value = float(res.t_end) if detected else -1.0
-    verdicts = [Verdict(
+    return [Verdict(
         name="blowup_detected", value=value, predicted=cfg.t_final,
         tolerance=0.0, passed=detected,
         detail=f"solver verdict {res.verdict!r} after {res.steps} steps; "
                "pass means a monitor tripped before t_final")]
-    return verdicts
 
 
 # =====================================================================

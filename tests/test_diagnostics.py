@@ -226,6 +226,13 @@ def test_lower_bound_margin_synthetic():
     rho_bad[0] *= 1e-3
     out2 = lower_bound_margin(times, rho_bad, u_l2, q0, R, n, t0=10.0)
     assert out2["inf_rho"] == pytest.approx(2.0, rel=1e-13)
+    # nor late garbage beyond t1
+    rho_bad = rho_l2.copy()
+    rho_bad[-1] *= 1e-3
+    out3 = lower_bound_margin(times, rho_bad, u_l2, q0, R, n, t0=10.0, t1=90.0)
+    assert out3["inf_rho"] == pytest.approx(2.0, rel=1e-13)
+    assert lower_bound_margin(times, rho_bad, u_l2, q0, R, n,
+                              t0=10.0)["inf_rho"] < 0.01
 
     with pytest.raises(ValueError):
         lower_bound_margin(times, rho_l2, u_l2, 0.0, R, n, t0=10.0)

@@ -438,10 +438,12 @@ def test_snapshot_schedule_and_callback():
     grid = Grid(1, 20.0, 256)
     st0 = initial_bump(grid, 4.0, 1e-3, 3)
     seen = Outputs()
-    cfg = SolverConfig(t_final=2.0, snapshot_times=(0.5, 1.5))
+    cfg = SolverConfig(t_final=2.0, snapshot_times=(1.5, 0.5, 3.0, 0.0))
     res = run(st0, D_HALF, GAS, grid, cfg, on_snapshot=seen)
     assert res.verdict == "completed"
-    assert [s.t for s in seen] == pytest.approx([0.0, 0.5, 1.5, 2.0], abs=1e-12)
+    # the hook sees the start, then exactly the outputs after it
+    assert cfg.outputs(0.0) == [0.5, 1.5, 2.0]
+    assert [s.t for s in seen] == [0.0] + cfg.outputs(0.0)
     # a run restarted at t0 > 0 from a band-held state hands that state
     # to the hook, to rounding, then the requested times after t0 only
     start = seen[1]
@@ -449,7 +451,8 @@ def test_snapshot_schedule_and_callback():
     cfg = SolverConfig(t_final=2.0, snapshot_times=(0.25, 0.5, 1.5))
     res = run(start, D_HALF, GAS, grid, cfg, on_snapshot=outs)
     assert res.verdict == "completed"
-    assert [s.t for s in outs] == pytest.approx([0.5, 1.5, 2.0], abs=1e-12)
+    assert cfg.outputs(start.t) == [1.5, 2.0]
+    assert [s.t for s in outs] == [start.t] + cfg.outputs(start.t)
     scale = np.max(np.abs(start.v))
     assert np.max(np.abs(outs[0].v - start.v)) <= 1e-12 * scale
     assert np.max(np.abs(outs[0].u - start.u)) <= 1e-12 * scale

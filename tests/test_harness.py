@@ -321,19 +321,26 @@ def test_rerun_replaces_its_directory(tmp_path):
         "convolution.csv", "report.json", "summary.txt"]
 
 
-# fit windows the snapshot schedule cannot fill: the run would solve in
-# full and then fail in decay_fit
-FIT_WINDOW_CASES = [
-    ("nonlinear-decay", {"t_final": 50.0}),
-    ("linear-decay", {"t_final": 10.0}),
-    ("u-extra-lambda", {"fit_lo": 290.0}),
-    ("vorticity-2d", {"t_final": 4.0}),
-    ("q-decay", {"n_snapshots": 5}),
-]
+# fit windows the snapshot schedule cannot fill, keyed by test id: without
+# the check, each run would solve in full and then fail in a fit or in
+# lower-bound's margins
+FIT_WINDOW_CASES = {
+    "nonlinear-decay": ("nonlinear-decay", {"t_final": 50.0}),
+    "linear-decay": ("linear-decay", {"t_final": 10.0}),
+    "u-extra-lambda": ("u-extra-lambda", {"fit_lo": 290.0}),
+    "vorticity-2d": ("vorticity-2d", {"t_final": 4.0}),
+    "q-decay": ("q-decay", {"n_snapshots": 5}),
+    # geomspace(1, 0.5) runs downward: t_final = 0.5 is the one sample
+    "linear-decay-before-1": ("linear-decay", {"t_final": 0.5, "fit_lo": 0.5,
+                                               "fit_hi": 1.0}),
+    "lower-bound-past-t_final": ("lower-bound", {"fit_lo": 300.0,
+                                                 "fit_hi": 400.0}),
+    "lower-bound-one-sample": ("lower-bound", {"n_snapshots": 2}),
+}
 
 
-@pytest.mark.parametrize("name, overrides", FIT_WINDOW_CASES,
-                         ids=[name for name, _ in FIT_WINDOW_CASES])
+@pytest.mark.parametrize("name, overrides", FIT_WINDOW_CASES.values(),
+                         ids=list(FIT_WINDOW_CASES))
 def test_unfillable_fit_window_is_a_config_error(name, overrides, tmp_path,
                                                  capsys):
     cfg = preset_config(name, outdir=str(tmp_path), **overrides)
@@ -347,22 +354,29 @@ def test_unfillable_fit_window_is_a_config_error(name, overrides, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
-def test_only_presets_that_fit_declare_fit_times():
-    fitting = {name for name, p in harness.PRESETS.items() if p.fit_times}
-    assert fitting == {"linear-decay", "nonlinear-decay", "u-extra-lambda",
-                       "vorticity-2d", "vorticity-3d", "q-decay"}
+def test_only_presets_that_read_the_window_declare_a_schedule():
+    reading = {name for name, p in harness.PRESETS.items() if p.schedule}
+    assert reading == {"linear-decay", "nonlinear-decay", "u-extra-lambda",
+                       "lower-bound", "vorticity-2d", "vorticity-3d",
+                       "q-decay"}
     # a preset that fits nothing ignores the window: mass-conservation's
     # default [10, 100] already reaches past its t_final = 50
     harness.validate_config(preset_config("mass-conservation", fit_lo=500.0,
                                           fit_hi=600.0))
 
 
-@pytest.mark.parametrize("fixture", ["nonlinear_run", "vort2d_run"])
+@pytest.mark.parametrize("fixture", ["nonlinear_run", "vort2d_run",
+                                     "lower_bound_run", "linear_lambda_runs"])
 def test_fit_times_are_the_recorded_times(fixture, request):
+    # the samples a run writes are exactly the times validation counts,
+    # after the start row of a recorder table
     handle = request.getfixturevalue(fixture)
-    cfg = preset_config(handle.report.scenario)
-    want = harness.PRESETS[cfg.scenario].fit_times(cfg)
-    assert handle.csv_columns("energy.csv")["t"] == pytest.approx(want, rel=1e-12)
+    if fixture == "linear_lambda_runs":
+        handle, table, start = handle[0.5], "decay.csv", []
+    else:
+        table, start = "energy.csv", [0.0]
+    cfg = harness.ScenarioConfig.from_dict(handle.report.config)
+    assert list(handle.csv_columns(table)["t"]) == start + harness._schedule(cfg)
 
 
 def _failing_fit(*args, **kwargs):

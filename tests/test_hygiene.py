@@ -2,7 +2,9 @@
 imports at module level is used somewhere in that module, only grids.py
 touches an FFT module, so SpectralOps.fwd/inv stay the one transform
 path, no preset runner raises ConfigError, so the preset registry
-and validate_config stay the one home of a preset's domain, every
+and validate_config stay the one home of a preset's domain, no runner
+of a preset that registers a schedule makes its samples itself, so
+the schedule is stated once, every
 recorder column is read by a verdict or a monitor column, no module
 tunes the C allocator: large work arrays are held, not re-faulted, by
 the code that uses them, and the quadratic terms have one home: only
@@ -142,6 +144,49 @@ def test_registered_raise_detector():
 
 def test_no_runner_raises_config_errors():
     assert registered_raises((PACKAGE / "harness.py").read_text()) == []
+
+
+SAMPLE_MAKERS = ("_lin_snapshots", "_log_snapshots", "geomspace")
+
+
+def schedule_restatements(source: str) -> list:
+    """(runner, name) for each use of a sample maker (SAMPLE_MAKERS) in
+    a function decorated by _register(..., schedule=...).
+
+    Such a runner reads its samples from the registry through
+    _schedule(cfg), so that the schedule validate_config counts is the
+    one the run takes.
+    """
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.FunctionDef) or not any(
+                isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_register"
+                and any(kw.arg == "schedule" for kw in d.keywords)
+                for d in node.decorator_list):
+            continue
+        for sub in (s for stmt in node.body for s in ast.walk(stmt)):
+            name = getattr(sub, "id", None) or getattr(sub, "attr", None)
+            if isinstance(sub, (ast.Name, ast.Attribute)) and name in SAMPLE_MAKERS:
+                hits.append((node.name, name))
+    return hits
+
+
+def test_schedule_restatement_detector():
+    src = ("@_register('a', 'd', (), schedule=_lin_snapshots)\ndef f(cfg):\n"
+           "    run(cfg, _lin_snapshots(cfg))\n    t = np.geomspace(1, 2, 3)\n"
+           "    return _schedule(cfg)\n"
+           "@_register('b', 'd', (), schedule=lambda c: np.geomspace(1, 2, 3))\n"
+           "def g(cfg):\n    snaps = _log_snapshots\n    return snaps(cfg)\n"
+           "@_register('c', 'd', ())\ndef h(cfg):\n"
+           "    return _lin_snapshots(cfg), np.geomspace(1, 2, 3)\n"
+           "@_register('e', 'd', (), schedule=_log_snapshots)\ndef k(cfg):\n"
+           "    return _schedule(cfg)\n")
+    assert schedule_restatements(src) == [
+        ("f", "_lin_snapshots"), ("f", "geomspace"), ("g", "_log_snapshots")]
+
+
+def test_runners_read_their_schedule_from_the_registry():
+    assert schedule_restatements((PACKAGE / "harness.py").read_text()) == []
 
 
 def test_preset_declarations_name_real_fields():
