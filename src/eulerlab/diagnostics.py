@@ -75,7 +75,6 @@ def weighted_l2_sq(f: np.ndarray, two_psi: np.ndarray, cell: float) -> float:
 
 
 def weighted_energy(t: float, f: np.ndarray, spec: WeightSpec, grid: Grid,
-                    mesh: np.ndarray | None = None,
                     support_R: float | None = None) -> float:
     """J = integral of e^(2 psi) f^2 of one field.
 
@@ -85,7 +84,7 @@ def weighted_energy(t: float, f: np.ndarray, spec: WeightSpec, grid: Grid,
     restriction the weight on the silent far field would overflow any
     finite exponent budget.
     """
-    mesh = grid.mesh() if mesh is None else mesh
+    mesh = grid.mesh()
     two_psi = 2.0 * weight_eval(t, mesh, spec).psi
     if support_R is not None:
         rad = np.sqrt(np.sum(mesh * mesh, axis=0))
@@ -110,11 +109,9 @@ def mass_excess(st: euler.EulerState, g: GasLaw, ops: SpectralOps) -> float:
     return ops.quad(ph.rho - 1.0)
 
 
-def momentum_moment(st: euler.EulerState, g: GasLaw, ops: SpectralOps,
-                    mesh: np.ndarray | None = None) -> float:
+def momentum_moment(st: euler.EulerState, g: GasLaw, ops: SpectralOps) -> float:
     """F = integral of x . (rho u)."""
-    mesh = ops.grid.mesh() if mesh is None else mesh
-    return _moment(euler.from_symmetric(st, g), ops, mesh)
+    return _moment(euler.from_symmetric(st, g), ops, ops.grid.mesh())
 
 
 def _moment(ph: euler.PhysicalState, ops: SpectralOps, mesh: np.ndarray) -> float:
@@ -330,8 +327,7 @@ FIT_MIN_PTS = 8
 
 
 def decay_fit(times, values, t_lo: float, t_hi: float, *, kind: str = "power",
-              stretch_exponent: float | None = None,
-              min_pts: int = FIT_MIN_PTS) -> FitResult:
+              stretch_exponent: float | None = None) -> FitResult:
     """Fit log(values) against log(1+t) or (1+t)^stretch_exponent.
 
     kind="power": slope is the polynomial decay exponent.
@@ -341,9 +337,9 @@ def decay_fit(times, values, t_lo: float, t_hi: float, *, kind: str = "power",
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     sel = (times >= t_lo) & (times <= t_hi)
-    if int(np.sum(sel)) < min_pts:
+    if int(np.sum(sel)) < FIT_MIN_PTS:
         raise ValueError(
-            f"need at least {min_pts} samples in [{t_lo}, {t_hi}], "
+            f"need at least {FIT_MIN_PTS} samples in [{t_lo}, {t_hi}], "
             f"found {int(np.sum(sel))}")
     tt, yy = times[sel], values[sel]
     if np.any(yy <= 0.0):

@@ -33,7 +33,8 @@ _Lawson.products: the products have one home.
 Also here: the initial-data factory (compactly supported bump profiles,
 optionally mass-normalized or rotational), the nonlinear source of the
 second-order wave form of the continuity equation, and the blow-up
-monitor used by vacuum/steepening scouting runs.
+monitor, the spectral tail of the state, used by steepening scouting
+runs.
 """
 
 from __future__ import annotations
@@ -211,11 +212,10 @@ def potential_bump(grid: Grid, R: float, eps: float, order: int = 1, *,
 # against STEP_TOL times the new state, both in the Euclidean norm of the
 # band coefficients
 STEP_TOL = 1e-9
-# blow-up monitors: spectral tail fraction of the state (v and u
-# together), growth factor of the largest gradient, and the simulated
-# time between checks in units of the acoustic step cfl dx
+# blow-up monitor: spectral tail fraction of the state (v and u
+# together), and the simulated time between checks in units of the
+# acoustic step cfl dx
 TAIL_LIMIT = 0.01
-GRAD_FACTOR = 100.0
 CHECK_EVERY = 25
 # the continuous extension carries products from the end of a step back
 # to an output inside it, and the friction makes them grow by up to
@@ -424,27 +424,22 @@ class _Lawson:
         return out
 
     def products(self, w: np.ndarray, x: np.ndarray,
-                 out: np.ndarray | None = None, watch: bool = False) -> np.ndarray:
+                 out: np.ndarray | None = None) -> np.ndarray:
         """The quadratic terms of the system at the stage w with physical
         rows x, on the band and stacked like w, into out, which may be w
         itself: each row of w is read before the same row of out is
         written.  They are -u.grad v - sl v div u for v and
         -(u.grad) u - sl v grad v for u; div u is the trace of the
         velocity gradient, formed an entry at a time, and grad v and
-        div u stay in the first two buffers of work().  With watch,
-        grad_sup keeps the largest sup norm of the first derivatives
-        formed, for run's gradient monitor.
+        div u stay in the first two buffers of work().
         """
         ops, sl, n = self.ops, self.sl, self.ops.grid.n
         grad_v, div, d, acc, dh = self.work()[:5]
         out = np.empty_like(w) if out is None else out
         v, u = x[0], x[1:]
-        sup = []
 
         def deriv(j, F, dst):
             ops.inv(np.multiply(ops.ik[j], F, out=dh), out=dst)
-            if watch:
-                sup.append(max(dst.max(), -dst.min()))
 
         def row(i):
             # d_j u_i, one at a time in d, adding d_i u_i to div u
@@ -460,8 +455,6 @@ class _Lawson:
             ops.fwd(_product_row(u, row(i), v, grad_v[i], sl, acc, d),
                     out=out[1 + i])
         ops.fwd(_product_row(u, grad_v, v, div, sl, acc, d), out=out[0])
-        if watch:
-            self.grad_sup = float(max(sup))
         return out
 
     def extension(self, t: float, h: float, w: np.ndarray, f: np.ndarray,
@@ -469,11 +462,10 @@ class _Lawson:
         """The continuous extension of the step from t to t + h that step
         has just taken, read at each of times, in (t, t + h) and in order.
         w and f are the state and the products at t + h.  Yields, per
-        time s, the spectral state at s, its products (with watch, for
-        run's monitors) and the factor integrating_factor(s, t + h) by
-        which the extension carried a product back to s; x is overwritten
-        with the physical state.  The held buffers of one yield are
-        overwritten by the next.
+        time s, the spectral state at s, its products and the factor
+        integrating_factor(s, t + h) by which the extension carried a
+        product back to s; x is overwritten with the physical state.  The
+        held buffers of one yield are overwritten by the next.
 
         With U(r) = P(t + h, r) w(r) - P(t + h, t) w(t), the Duhamel term
         in the frame of t + h, U(t) = 0, U'(t) = B = P(t + h, t) f(t),
@@ -526,7 +518,7 @@ class _Lawson:
                 o += np.multiply(ha, b, out=tmp)
                 o += np.multiply(hc, fr, out=tmp)
             self.apply(_inverse(back.pop(s)), pw, pw, fo)
-            self.products(pw, self.physical(pw, out=x), out=fo, watch=True)
+            self.products(pw, self.physical(pw, out=x), out=fo)
             yield s, pw, fo, _growth(s, t + h, self.d)
 
 
@@ -583,7 +575,7 @@ def step(t: float, w: np.ndarray, x: np.ndarray, f: np.ndarray, h: float,
         law.halves = (p2, p1)
         law.products(k, law.physical(k, out=x), out=k)
         _add_scaled(acc, h / 6.0, k, tmp)
-        k5 = law.products(acc, law.physical(acc, out=x), out=pw, watch=True)
+        k5 = law.products(acc, law.physical(acc, out=x), out=pw)
         e = 0.1 * h * _norm(np.subtract(k, k5, out=k))
         err = e / (STEP_TOL * _norm(acc)) if e else 0.0
         # a NaN estimate is accepted: run flags the state that made it
@@ -709,7 +701,7 @@ def _step_length(t: float, h: float, out: float, t_final: float,
 class RunResult:
     """Outcome of a nonlinear run."""
 
-    verdict: str                  # completed | blowup-gradient | blowup-tail | nonfinite
+    verdict: str                  # completed | blowup-tail | nonfinite
     t_end: float
     steps: int
     dt_min: float | None = None   # smallest, median and largest step taken
@@ -752,15 +744,14 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
     at the start, whatever its time, and then at each output.  The state
     lives in the run's buffers, which the next step overwrites, so a hook
     that keeps it keeps a copy.
-    Every output but the start passes the monitors before the hook
-    sees it.
-    Blow-up monitoring: non-finite values every step; gradient growth and
-    spectral tail fraction at every output and at the first step past
-    each multiple of CHECK_EVERY cfl dx of simulated time, so the checks
-    do not depend on how many steps the controller takes (the gradient
-    check reads law.grad_sup, the tail check the band state).  A
-    triggered monitor ends the run with the corresponding verdict, at
-    the output where it tripped.
+    Every output but the start passes the checks before the hook sees
+    it.
+    Blow-up monitoring: non-finite values every step; the spectral tail
+    fraction of the band state at every output and at the first step
+    past each multiple of CHECK_EVERY cfl dx of simulated time, so the
+    checks do not depend on how many steps the controller takes.  A
+    triggered check ends the run with the corresponding verdict, at the
+    output where it tripped.
     """
     ops = ops or SpectralOps(grid)
     _check_band_limited(ops, (st0.v, *st0.u), "initial data")
@@ -772,8 +763,7 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
     t = t0 = st0.t
     del st0  # frees the initial fields when the caller keeps no name
     x = law.physical(w)
-    f = law.products(w, x, watch=True)
-    g0 = max(law.grad_sup, 1e-300)
+    f = law.products(w, x)
 
     snaps = cfg.outputs(t0)
     dts = []
@@ -791,8 +781,6 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
         # checked for non-finite values by speed() already
         if physical and not np.isfinite(x).all():
             return "nonfinite"
-        if law.grad_sup > GRAD_FACTOR * g0:
-            return "blowup-gradient"
         # watch the upper half of the retained band, over the held band
         # spectrum of v and u together: no transform, and v alone, which
         # rotational and potential data keep near zero, is only noise
@@ -801,7 +789,7 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
         return None
 
     def output(ts, ws, fs, check: bool = True) -> str | None:
-        # the monitors first: an output where one trips is not handed on
+        # the checks first: an output where one trips is not handed on
         why = tripped(ws) if check else None
         if not why and on_snapshot is not None:
             on_snapshot(EulerState(ts, x[0], x[1:], band=BandView(band, ws, fs)))
@@ -853,7 +841,6 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
             inside.append(snaps[j])
             j += 1
         if inside:
-            sup = law.grad_sup
             law.release(band=False)
             for s, ws, fs, grow in law.extension(t_start, h, w, f, x, inside):
                 result.dense_outputs += 1
@@ -864,7 +851,6 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
                     return finish(why, s)
             del ws, fs  # the extension's buffers go with law's
             law.release()
-            law.grad_sup = sup
             if j < len(snaps) and reached(snaps[j]):
                 law.physical(w, out=x)  # the landed output reads it
         landed = j < len(snaps) and reached(snaps[j])

@@ -269,9 +269,6 @@ class SpectralOps:
         return [tuple(c.count(i) for i in range(n))
                 for c in itertools.combinations_with_replacement(range(n), order)]
 
-    def deriv_alpha(self, f: np.ndarray, alpha) -> np.ndarray:
-        return self._deriv_alpha_hat(self.fwd(f), alpha)
-
     def _deriv_alpha_hat(self, F: np.ndarray, alpha) -> np.ndarray:
         for ax, p in enumerate(alpha):
             if p:

@@ -534,8 +534,8 @@ def _run_linear_decay(cfg: ScenarioConfig, outdir: Path):
     g = euler.bump_profile(grid, cfg.R)
     times = np.array(_schedule(cfg))
 
-    series = linear.kernel_decay_check(g, grid, _damping(cfg), times, i=1,
-                                       k=(0, 1), p=np.inf, r_cut=cfg.r_cut)
+    series = linear.kernel_decay_check(g, grid, _damping(cfg), times,
+                                       k=(0, 1), r_cut=cfg.r_cut)
     fits, verdicts = {}, []
     for ser in series:
         fit = decay_fit(ser.times, ser.observed, cfg.fit_lo, cfg.fit_hi)
@@ -561,6 +561,27 @@ def _run_linear_decay(cfg: ScenarioConfig, outdir: Path):
     return verdicts
 
 
+def _zone_table(d: DampingLaw, t_final: float, density: int):
+    """The first kernel at density log-spaced radii in [1e-3, 2] and 7
+    log-spaced times in [1, t_final]: (per_zone, table), the samples
+    (t, r, |phi1|) of each zone that its envelope is fitted to, and a
+    row (t, r, zone, phi1, phi2) per radius and time."""
+    tlist = np.geomspace(1.0, t_final, 7)
+    radii = np.geomspace(1e-3, 2.0, density)
+    tr = linear.evolve_modes(radii, d, tlist)
+    per_zone = {Zone.Z1: [], Zone.Z2: [], Zone.Z3: []}
+    table = []
+    for m, r in enumerate(radii):
+        for j, t in enumerate(tlist):
+            z = zone_classify(t, float(r), d)
+            table.append((float(t), float(r), z,
+                          float(tr[0, m, j]), float(tr[2, m, j])))
+            if z == Zone.Z2 and r > 0.25 * d.mu:
+                continue
+            per_zone[z].append((float(t), float(r), abs(float(tr[0, m, j]))))
+    return per_zone, table
+
+
 @_register(
     "zone-bounds",
     "propagator magnitudes against the per-zone envelopes, fitted constants",
@@ -568,28 +589,13 @@ def _run_linear_decay(cfg: ScenarioConfig, outdir: Path):
     # at mu = 0 the zones degenerate; the middle-zone envelope uses the
     # band crossing time, which needs lam > 0
     positive=("mu", "lam"),
-    n=1, lam=0.5, mu=2.0, t_final=1.0e3)
+    # the z3 fit's samples: the mode amplitude up to t = 200 at most
+    schedule=lambda cfg: np.geomspace(1.0, min(200.0, cfg.t_final), 25),
+    n=1, lam=0.5, mu=2.0, t_final=1.0e3, fit_lo=5.0, fit_hi=200.0)
 def _run_zone_bounds(cfg: ScenarioConfig, outdir: Path):
     d = _damping(cfg)
-    tlist = np.geomspace(1.0, cfg.t_final, 7)
-
-    def collect(density: int):
-        radii = np.geomspace(1e-3, 2.0, density)
-        tr = linear.evolve_modes(radii, d, tlist)
-        per_zone = {Zone.Z1: [], Zone.Z2: [], Zone.Z3: []}
-        table = []
-        for m, r in enumerate(radii):
-            for j, t in enumerate(tlist):
-                z = zone_classify(t, float(r), d)
-                table.append((float(t), float(r), z,
-                              float(tr[0, m, j]), float(tr[2, m, j])))
-                if z == Zone.Z2 and r > 0.25 * d.mu:
-                    continue
-                per_zone[z].append((float(t), float(r), abs(float(tr[0, m, j]))))
-        return per_zone, table
-
-    coarse, _ = collect(14)
-    fine, table = collect(27)
+    coarse, _ = _zone_table(d, cfg.t_final, 14)
+    fine, table = _zone_table(d, cfg.t_final, 27)
 
     verdicts, consts = [], {}
     for zone, key in ((Zone.Z1, "z1"), (Zone.Z2, "z2")):
@@ -612,10 +618,10 @@ def _run_zone_bounds(cfg: ScenarioConfig, outdir: Path):
                    f"sample density moves it by this factor"))
 
     r3 = 3.0
-    t_dense = np.geomspace(1.0, min(200.0, cfg.t_final), 25)
+    t_dense = np.array(_schedule(cfg))
     tr3 = linear.evolve_modes(np.array([r3]), d, t_dense)
     amp = np.sqrt(np.abs(tr3[1, 0]) ** 2 / r3 ** 2 + np.abs(tr3[0, 0]) ** 2)
-    fit = decay_fit(t_dense, amp, 5.0, float(t_dense[-1]), kind="stretched",
+    fit = decay_fit(t_dense, amp, cfg.fit_lo, cfg.fit_hi, kind="stretched",
                     stretch_exponent=1.0 - d.lam)
     pred = -d.mu / (2.0 * (1.0 - d.lam))
     verdicts.append(within(
@@ -943,7 +949,7 @@ def _run_weighted_energy(cfg: ScenarioConfig, outdir: Path):
 
 @_register(
     "blowup-scout",
-    "monitors catch gradient blow-up when the damping is switched off",
+    "the monitor catches gradient blow-up when the damping is switched off",
     ("blowup_detected",),
     n=1, lam=0.5, mu=0.0, gamma=2.0, eps=1.2, N=512, L=40.0, R=2.0,
     data_order=1, t_final=20.0, n_snapshots=21)

@@ -412,7 +412,7 @@ def zone_bound_check(t: float, xi, phi_value: float, C0: float,
                            observed=abs(phi_value), envelope=env)
 
 
-def fit_zone_constant(samples, d: DampingLaw, grid_pts: int = 60) -> float:
+def fit_zone_constant(samples, d: DampingLaw) -> float:
     """Pick the envelope constant minimizing the worst log-ratio.
 
     samples: iterable of (t, r, |phi|).  The envelope shape depends on
@@ -421,7 +421,7 @@ def fit_zone_constant(samples, d: DampingLaw, grid_pts: int = 60) -> float:
     """
     samples = list(samples)
     best_c, best_val = None, np.inf
-    for c in np.geomspace(1e-3, 10.0, grid_pts):
+    for c in np.geomspace(1e-3, 10.0, 60):
         worst = 0.0
         for t, r, obs in samples:
             zone = zone_classify(t, r, d)
@@ -500,25 +500,23 @@ def zone_integral(t: float, i: int, alpha: int, zone: Zone, p, d: DampingLaw,
 class KernelDecaySeries:
     """Norms of the propagated field, split into band and tail parts.
 
-    observed[j] is the requested norm of the reconstruction from radii
-    <= r_cut at times[j]; tail_bound[j] is an empirically anchored bound
+    observed[j] is the sup norm of the reconstruction from radii <= r_cut
+    at times[j]; tail_bound[j] is an empirically anchored bound
     on the neglected high-band contribution (envelope fitted from probe
     modes, times the spectral mass above the cut).
     """
 
     times: np.ndarray
     k: int
-    p: object
     observed: np.ndarray
     tail_bound: np.ndarray
     envelope_exponent: float
-    r_cut: float
 
 
 def kernel_decay_check(g: np.ndarray, grid: Grid, d: DampingLaw, times, *,
-                       i: int = 1, k: tuple = (0,), p=np.inf,
-                       r_cut: float = 1.0) -> tuple:
-    """Propagate data g through kernel i and record norm decay.
+                       k: tuple = (0,), r_cut: float = 1.0) -> tuple:
+    """Propagate data g through the first kernel and record the decay of
+    its sup norm.
 
     The reconstruction keeps radii <= r_cut (the band that carries the
     polynomial-in-time behavior); higher radii share a single
@@ -528,11 +526,8 @@ def kernel_decay_check(g: np.ndarray, grid: Grid, d: DampingLaw, times, *,
     k is a tuple of derivative orders: the propagators do not depend on
     k, so they are evolved once and one series per order comes back, in
     a tuple.  Each series carries the polynomial rate it is compared
-    against, -(1-lam)(n+k)/2 for the sup norm and -(1-lam)(n/4+k/2) for
-    the L2 norm.
+    against, -(1-lam)(n+k)/2.
     """
-    if i not in (1, 2):
-        raise ValueError("kernel index i must be 1 or 2")
     ops = SpectralOps(grid)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     _check_band_limited(ops, (g,), "kernel data")
@@ -541,14 +536,13 @@ def kernel_decay_check(g: np.ndarray, grid: Grid, d: DampingLaw, times, *,
     uniq, inverse = _grid_mode_table(ops)
     in_band = uniq <= r_cut
     band_r = uniq[in_band]
-    row = 0 if i == 1 else 2
 
     # the kernel's row of the band propagators, (M, T); the loop below
     # scatters it onto the unique radii one time at a time
-    band_phi = evolve_modes(band_r, d, times)[row].copy()
+    band_phi = evolve_modes(band_r, d, times)[0].copy()
     phi = np.zeros(uniq.size)
 
-    mode_mask = (uniq <= r_cut)[inverse]
+    mode_mask = in_band[inverse]
     kshape = ops.kshape
 
     # high-band envelope fitted on probe radii
@@ -563,7 +557,7 @@ def kernel_decay_check(g: np.ndarray, grid: Grid, d: DampingLaw, times, *,
     # the reported bound clamps to zero
     ok_t = shape > 1e-280
     if ok_t.any():
-        c_fit = float(np.max(np.abs(ptr[row][:, ok_t]) / shape[None, ok_t]))
+        c_fit = float(np.max(np.abs(ptr[0][:, ok_t]) / shape[None, ok_t]))
     else:
         c_fit = 1.0
 
@@ -579,17 +573,15 @@ def kernel_decay_check(g: np.ndarray, grid: Grid, d: DampingLaw, times, *,
             if kk:
                 W = W * ik
             fld = ops.inv(W.reshape(kshape))
-            observed[j] = ops.linf(fld) if p == np.inf else ops.l2(fld)
+            observed[j] = ops.linf(fld)
 
         tail_mass = float(np.sum(np.abs(G) * (~mode_mask)
                                  * (np.where(mode_mask, 0.0, uniq[inverse]) ** kk))) \
             / (grid.N ** grid.n)
         tail_bound = 2.0 * c_fit * shape * tail_mass
 
-        exponent = -one_m * (grid.n + kk) / 2.0 if p == np.inf \
-            else -one_m * (grid.n / 4.0 + kk / 2.0)
-        out.append(KernelDecaySeries(times=times, k=kk, p=p, observed=observed,
+        exponent = -one_m * (grid.n + kk) / 2.0
+        out.append(KernelDecaySeries(times=times, k=kk, observed=observed,
                                      tail_bound=tail_bound,
-                                     envelope_exponent=float(exponent),
-                                     r_cut=r_cut))
+                                     envelope_exponent=float(exponent)))
     return tuple(out)

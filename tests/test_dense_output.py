@@ -147,7 +147,7 @@ def test_step_rule_spreads_and_bounds():
 
 
 def test_a_monitor_that_trips_inside_a_step_ends_the_run_there(monkeypatch):
-    # blowup-scout's data steepen without friction; the gradient monitor
+    # blowup-scout's data steepen without friction; the tail monitor
     # trips at an output that the extension gives, and the run reports
     # that output's time, not the end of the step
     grid = Grid(1, 40.0, 512)
@@ -155,7 +155,7 @@ def test_a_monitor_that_trips_inside_a_step_ends_the_run_there(monkeypatch):
     snaps = tuple(float(s) for s in range(1, 21))
     res, _, steps = _solve(0.0, snaps, monkeypatch, st0=st0, grid=grid,
                            t_final=20.0, allow_stop=True)
-    assert res.verdict != "completed"
+    assert res.verdict == "blowup-tail"
     assert res.t_end in snaps
     assert min(abs(t + h - res.t_end) for t, h in steps) > 1e-9
     assert res.dense_outputs >= 1

@@ -116,7 +116,7 @@ def test_deriv_alpha_matches_nested_deriv():
     grid, ops = make_ops(2, math.pi, 32)
     x, y = grid.mesh()
     f = np.cos(2.0 * x) * np.sin(y)
-    mixed = ops.deriv_alpha(f, (1, 1))
+    mixed = ops._deriv_alpha_hat(ops.fwd(f), (1, 1))
     nested = ops.deriv(ops.deriv(f, 0), 1)
     assert np.max(np.abs(mixed - nested)) <= 1e-11
 

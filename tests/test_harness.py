@@ -336,6 +336,9 @@ FIT_WINDOW_CASES = {
     "lower-bound-past-t_final": ("lower-bound", {"fit_lo": 300.0,
                                                  "fit_hi": 400.0}),
     "lower-bound-one-sample": ("lower-bound", {"n_snapshots": 2}),
+    "zone-bounds-short": ("zone-bounds", {"t_final": 6.0}),
+    # geomspace(1, 0.5) runs downward here too
+    "zone-bounds-before-1": ("zone-bounds", {"t_final": 0.5}),
 }
 
 
@@ -356,9 +359,9 @@ def test_unfillable_fit_window_is_a_config_error(name, overrides, tmp_path,
 
 def test_only_presets_that_read_the_window_declare_a_schedule():
     reading = {name for name, p in harness.PRESETS.items() if p.schedule}
-    assert reading == {"linear-decay", "nonlinear-decay", "u-extra-lambda",
-                       "lower-bound", "vorticity-2d", "vorticity-3d",
-                       "q-decay"}
+    assert reading == {"linear-decay", "zone-bounds", "nonlinear-decay",
+                       "u-extra-lambda", "lower-bound", "vorticity-2d",
+                       "vorticity-3d", "q-decay"}
     # a preset that fits nothing ignores the window: mass-conservation's
     # default [10, 100] already reaches past its t_final = 50
     harness.validate_config(preset_config("mass-conservation", fit_lo=500.0,
@@ -560,6 +563,20 @@ def test_blowup_scout_preset_detects(tmp_path):
     assert handle.report.all_passed
     v = handle.verdict("blowup_detected")
     assert 0.0 < v.value < 20.0
+
+
+# blowup-scout's trip times, at the output where the spectral-tail check
+# first trips: it checks at each output and every CHECK_EVERY cfl dx of
+# simulated time, so a change of that cadence moves these on purpose
+BLOWUP_TRIPS = {2: 4.696518770778177, 21: 4.0, 81: 3.75, 201: 3.6}
+
+
+@pytest.mark.parametrize("n_snapshots", list(BLOWUP_TRIPS))
+def test_blowup_scout_trips_on_the_tail_at_pinned_times(n_snapshots, tmp_path):
+    handle = run_preset("blowup-scout", tmp_path, n_snapshots=n_snapshots)
+    v = handle.verdict("blowup_detected")
+    assert v.value == BLOWUP_TRIPS[n_snapshots]
+    assert "'blowup-tail'" in v.detail
 
 
 # ---------------------------------------------------------------------

@@ -7,8 +7,9 @@ of a preset that registers a schedule makes its samples itself, so
 the schedule is stated once, every
 recorder column is read by a verdict or a monitor column, no module
 tunes the C allocator: large work arrays are held, not re-faulted, by
-the code that uses them, and the quadratic terms have one home: only
-the stepper's products and the wave source name _product_row."""
+the code that uses them, the quadratic terms have one home: only
+the stepper's products and the wave source name _product_row, and a
+module exports only what src/ uses or the acceptance tests import."""
 
 import ast
 from pathlib import Path
@@ -306,3 +307,105 @@ def test_the_products_have_one_home():
              for scope in product_row_users(path.read_text())}
     assert users == {("euler", "_Lawson.products"),
                      ("euler", "nonlinear_wave_source")}
+
+
+def _local_names(fn) -> set:
+    """The names a function binds: arguments, assignments, inner defs."""
+    names = set()
+    for n in ast.walk(fn):
+        if isinstance(n, ast.arg):
+            names.add(n.arg)
+        elif isinstance(n, ast.FunctionDef) and n is not fn:
+            names.add(n.name)
+        elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+            names.add(n.id)
+    return names
+
+
+def _module_loads(node, bound=frozenset()) -> set:
+    """Names that node loads from its module's scope: a function that
+    binds a name itself hides the module's name of that spelling
+    everywhere inside it."""
+    loads = set()
+    for child in ast.iter_child_nodes(node):
+        inner = bound
+        if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+            inner = bound | _local_names(child)
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load) \
+                and child.id not in bound:
+            loads.add(child.id)
+        loads |= _module_loads(child, inner)
+    return loads
+
+
+def unused_exports(sources: dict, imported=()) -> list:
+    """(module, name) for each name in the __all__ of a module of
+    sources (module name -> source) that no module of sources reads and
+    that imported, a collection of (module, name), does not hold.
+
+    A module reads its own names where it loads them (_module_loads),
+    and another module's where it imports them (from .mod import name)
+    or takes them from that module (mod.name after from . import mod).
+    """
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    read = set(imported)
+    for mod, tree in trees.items():
+        read |= {(mod, name) for name in _module_loads(tree)}
+        alias = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for a in node.names:
+                    if node.module is None:
+                        alias[a.asname or a.name] = a.name
+                    else:
+                        read.add((node.module, a.name))
+        read |= {(alias[node.value.id], node.attr) for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name) and node.value.id in alias}
+    hits = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in node.targets):
+                hits += [(mod, name) for name in ast.literal_eval(node.value)
+                         if (mod, name) not in read]
+    return hits
+
+
+def test_unused_export_detector():
+    sources = {
+        "a": ("__all__ = ['f', 'g', 'h', 'k', 'm']\n"
+              "def f(x):\n    def g():\n        return 1\n    return g()\n"
+              "def g():\n    return 2\n"
+              "def h(k):\n    return k\n"
+              "def k():\n    return lambda m: m\n"
+              "def m():\n    return 3\n"),
+        "b": ("from . import a\nfrom .a import h\n__all__ = ['p', 'q']\n"
+              "def p():\n    return a.k(), h\n"
+              "def q():\n    return p()\n"),
+    }
+    assert unused_exports(sources) == [("a", "f"), ("a", "g"), ("a", "m"),
+                                       ("b", "q")]
+    assert unused_exports(sources, {("a", "f"), ("a", "m")}) == [
+        ("a", "g"), ("b", "q")]
+
+
+# names exported with no caller in src/ or in the acceptance tests:
+# reference definitions that only the other tests call, euler.rhs, which
+# perfbench/spans.py wraps by name, and preset_names.  A name leaves this
+# list when it gains a caller or goes; none joins it
+UNUSED_EXPORTS = {
+    ("diagnostics", "weighted_energy"), ("diagnostics", "mass_excess"),
+    ("diagnostics", "momentum_moment"), ("linear", "mol_reference_solve"),
+    ("euler", "rhs"), ("harness", "preset_names"),
+}
+
+
+def test_every_export_has_a_caller():
+    acceptance = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())
+    imported = {(node.module.rpartition(".")[2], a.name)
+                for node in ast.walk(acceptance)
+                if isinstance(node, ast.ImportFrom) and node.level == 0
+                and node.module.startswith("eulerlab.") for a in node.names}
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert set(unused_exports(sources, imported)) == UNUSED_EXPORTS

@@ -275,14 +275,12 @@ def test_kernel_decay_check_basics():
     grid = Grid(1, 60.0, 512)
     g = bump_profile(grid, 20.0)   # wide: sup norm carried by radii <= 1
     times = np.array([0.5, 2.0, 8.0, 32.0])
-    ser, = linear.kernel_decay_check(g, grid, D_HALF, times, k=(0,), p=np.inf)
+    ser, = linear.kernel_decay_check(g, grid, D_HALF, times, k=(0,))
     assert ser.observed.shape == times.shape
     assert np.all(ser.observed > 0.0)
     assert np.all(ser.tail_bound >= 0.0)
-    # default comparison exponents for the two norms
+    # the comparison exponent of the sup norm
     assert ser.envelope_exponent == pytest.approx(-0.25)
-    ser2, = linear.kernel_decay_check(g, grid, D_HALF, times, k=(1,), p=2)
-    assert ser2.envelope_exponent == pytest.approx(-0.5 * (0.25 + 0.5))
     # band reconstruction at early time reproduces the data sup norm
     early, = linear.kernel_decay_check(g, grid, D_HALF, np.array([1e-4]))
     assert early.observed[0] == pytest.approx(float(np.max(g)), rel=1e-2)
@@ -311,8 +309,6 @@ def test_kernel_decay_check_orders_share_propagators(monkeypatch):
 def test_kernel_decay_check_validation_and_warning():
     grid = Grid(1, 60.0, 512)
     g = bump_profile(grid, 8.0)
-    with pytest.raises(ValueError):
-        linear.kernel_decay_check(g, grid, D_HALF, (1.0,), i=3)
     x = grid.axis()
     kmax = math.pi / grid.dx
     rough = g + 0.05 * np.cos(0.9 * kmax * x)
