@@ -1,13 +1,15 @@
-"""Norm histories, weighted energies, moment functionals and decay fits.
+"""Norm histories, decay fits and closed-form oracles.
 
 The recorder walks alongside a nonlinear run and reduces each snapshot
 to one EnergyRow of scalars: Sobolev norms of (v, u), the weighted
 energies J built from the Gaussian space-time weight, the conserved
 mass excess M, the momentum moment F, the vorticity norm and the L1
-norm of the wave-form source.  On top of the histories sit the
-fitting utilities (power-law and stretched-exponential least squares on
-a log ordinate) and the closed-form oracles: the convolution inequality
-check and the finite-propagation lower-bound margins.
+norm of the wave-form source.  The one-field definitions of J, M and F
+that the tests compare its columns with live in tests/reference.py.  On
+top of the histories sit the fitting utilities (power-law and
+stretched-exponential least squares on a log ordinate) and the
+closed-form oracles: the convolution inequality check and the
+finite-propagation lower-bound margins.
 """
 
 from __future__ import annotations
@@ -31,9 +33,6 @@ __all__ = [
     "FitQualityWarning",
     "DomainSizeError",
     "weighted_l2_sq",
-    "weighted_energy",
-    "mass_excess",
-    "momentum_moment",
     "ball_volume",
     "decay_fit",
     "convolution_oracle",
@@ -74,24 +73,6 @@ def weighted_l2_sq(f: np.ndarray, two_psi: np.ndarray, cell: float) -> float:
     return float(np.sum(np.exp(logterm))) * cell
 
 
-def weighted_energy(t: float, f: np.ndarray, spec: WeightSpec, grid: Grid,
-                    support_R: float | None = None) -> float:
-    """J = integral of e^(2 psi) f^2 of one field.
-
-    With support_R set, integration is restricted to the propagation cone
-    |x| <= support_R + t + 2: the continuum field vanishes outside it, and
-    what the grid carries there is transform ringing.  Without the
-    restriction the weight on the silent far field would overflow any
-    finite exponent budget.
-    """
-    mesh = grid.mesh()
-    two_psi = 2.0 * weight_eval(t, mesh, spec).psi
-    if support_R is not None:
-        rad = np.sqrt(np.sum(mesh * mesh, axis=0))
-        f = np.where(rad > support_R + t + 2.0, 0.0, f)
-    return weighted_l2_sq(f, two_psi, grid.cell)
-
-
 # =====================================================================
 #  Moment functionals
 # =====================================================================
@@ -101,17 +82,6 @@ def ball_volume(n: int, r) -> np.ndarray | float:
     r = np.asarray(r, dtype=float)
     out = {1: 2.0 * r, 2: np.pi * r ** 2, 3: 4.0 / 3.0 * np.pi * r ** 3}[n]
     return float(out) if out.ndim == 0 else out
-
-
-def mass_excess(st: euler.EulerState, g: GasLaw, ops: SpectralOps) -> float:
-    """M = integral of (rho - 1); conserved exactly by the flow."""
-    ph = euler.from_symmetric(st, g)
-    return ops.quad(ph.rho - 1.0)
-
-
-def momentum_moment(st: euler.EulerState, g: GasLaw, ops: SpectralOps) -> float:
-    """F = integral of x . (rho u)."""
-    return _moment(euler.from_symmetric(st, g), ops, ops.grid.mesh())
 
 
 def _moment(ph: euler.PhysicalState, ops: SpectralOps, mesh: np.ndarray) -> float:
@@ -174,15 +144,17 @@ class EnergyRecorder:
     v_t = -div u + f[0] and of the vorticity come from their band spectra by
     Parseval (SpectralOps.l2_hat); only grad v, whose sup norm is a column,
     is transformed back: n band inverses and no forward transform.  Columns
-    of the physical state are bit-equal to their public definitions, those
-    of derivatives equal to rounding for a band-limited state.  In a
+    of the physical state are bit-equal to their reference definitions
+    (tests/reference.py), those of derivatives equal to rounding for a
+    band-limited state.  In a
     rotational solve the v-side columns (v_l2, rho_l2, rho_linf, dv1_l2,
     dv1_linf, vt_l2) are accurate only to about 1e-2 of their size: v is of
     second order there, and the step control bounds the error of the whole
     band state, which u dominates.
 
     The weighted energies are taken on the propagation cone of the
-    data's support radius support_R, as in weighted_energy, and form
+    data's support radius support_R, as in the reference definition
+    weighted_energy (tests/reference.py), and form
     the velocity gradient and v_t: n^2 + 1 more inverses.  The
     wave-form source forms div u, n inverses, and starts from w, f,
     grad v and div u: 2 forward and 2n + 3 inverse transforms more.

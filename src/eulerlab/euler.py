@@ -56,7 +56,6 @@ __all__ = [
     "RunResult",
     "VacuumError",
     "to_symmetric",
-    "from_symmetric",
     "density",
     "bump_profile",
     "initial_bump",
@@ -111,12 +110,6 @@ def to_symmetric(ph: PhysicalState, g: GasLaw) -> EulerState:
     c = rho ** g.slope
     v = (c - 1.0) / g.slope
     return EulerState(t=ph.t, v=v, u=np.array(ph.u, dtype=float, copy=True))
-
-
-def from_symmetric(st: EulerState, g: GasLaw) -> PhysicalState:
-    """Invert the sound-speed change of variables; rejects vacuum states."""
-    return PhysicalState(t=st.t, rho=density(st.v, g),
-                         u=np.array(st.u, dtype=float, copy=True))
 
 
 def density(v: np.ndarray, g: GasLaw) -> np.ndarray:

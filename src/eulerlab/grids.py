@@ -2,11 +2,14 @@
 
 A Grid is an n-dimensional periodic box [-L, L)^n sampled at N points
 per axis.  SpectralOps carries the wavenumber bookkeeping (real FFTs on
-the last axis), spectral derivatives, the 2/3-rule dealiasing mask and
+the last axis), the gradient, the spectral tail beyond the 2/3 band and
 the discrete norms used throughout: L2 norms (also of a spectrum, by
 Parseval) and sup norms, Sobolev norms formed as sums of derivative L2
 norms, and plain trapezoid-free box quadrature sum(f) * dx^n (exact for
-band-limited periodic fields).
+band-limited periodic fields).  The other spectral operators (single
+derivatives, divergence, Laplacian, curl and the dealias projection)
+are reference definitions that only the tests use; they live in
+tests/reference.py.
 
 SpectralOps.fwd and inv are the package's only transforms.  The *_hat
 operators start from a transform the caller already holds, so a field
@@ -94,7 +97,7 @@ class Grid:
 
 
 class SpectralOps:
-    """Derivatives, dealiasing and norms on one Grid.
+    """Transforms, gradients, norms and the spectral tail on one Grid.
 
     Real-to-complex transforms along the last axis; all operators return
     real fields.  Scalar fields have shape grid.shape, vector fields
@@ -122,8 +125,6 @@ class SpectralOps:
         # form, one axis each: dense, it would take twice the memory of k
         # (51 MB at 128^3)
         self.ik = [1j * a for a in np.meshgrid(*axes, indexing="ij", sparse=True)]
-        self.dealias_mask = functools.reduce(np.logical_and, np.meshgrid(
-            *[np.abs(a) <= cut for a in axes], indexing="ij", sparse=True))
         self._kmax = kmax
         # the last-axis columns the spectrum holds
         self._cols = (..., slice(0, kr.size))
@@ -202,46 +203,12 @@ class SpectralOps:
 
     # -- derivatives ---------------------------------------------------
 
-    def deriv(self, f: np.ndarray, axis: int, order: int = 1) -> np.ndarray:
-        """order-th spectral derivative along one axis (physical in/out)."""
-        return self.inv(self.ik[axis] ** order * self.fwd(f))
-
     def grad(self, f: np.ndarray) -> np.ndarray:
         return np.stack(self.grad_hat(self.fwd(f)))
 
     def grad_hat(self, F: np.ndarray) -> list:
         """Gradient components of the field whose transform is F."""
         return [self.inv(self.ik[i] * F) for i in range(self.grid.n)]
-
-    def div(self, u: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.grid.shape)
-        for i in range(self.grid.n):
-            out += self.inv(self.ik[i] * self.fwd(u[i]))
-        return out
-
-    def laplacian(self, f: np.ndarray) -> np.ndarray:
-        return self.inv(-self.k2 * self.fwd(f))
-
-    def curl(self, u: np.ndarray) -> np.ndarray:
-        """Vorticity: scalar in 2-D, vector in 3-D, from the velocity
-        gradient G[i][j] = d_j u_i."""
-        n = self.grid.n
-        if n not in (2, 3):
-            raise ValueError("curl is defined for n = 2 or 3")
-        G = [self.grad_hat(self.fwd(u[i])) for i in range(n)]
-        if n == 2:
-            return G[1][0] - G[0][1]
-        return np.stack([G[2][1] - G[1][2],
-                         G[0][2] - G[2][0],
-                         G[1][0] - G[0][1]])
-
-    def dealias(self, f: np.ndarray) -> np.ndarray:
-        """Project a physical field onto the 2/3 wavenumber band; a band
-        instance holds nothing outside the band, so it needs no mask."""
-        F = self.fwd(f)
-        if not self.band:
-            np.multiply(self.dealias_mask, F, out=F)
-        return self.inv(F)
 
     # -- norms and quadrature ------------------------------------------
 
@@ -292,19 +259,16 @@ class SpectralOps:
         """Sobolev norm of a tuple of scalar fields (summed)."""
         return sum(self.sobolev(f, order) for f in fields)
 
-    def tail_fraction(self, f: np.ndarray, cut: float = 2.0 / 3.0) -> float:
-        """Spectral energy fraction above cut * kmax on any axis.
-
-        The default band is the one removed by the 2/3 dealias rule.
-        Monitors that run on dealiased solutions should pass a smaller
-        cut (the default band is then identically zero by construction).
-        """
-        return self.spectral_tail(self.fwd(f), cut)
+    def tail_fraction(self, f: np.ndarray) -> float:
+        """Spectral energy fraction of f beyond the 2/3 dealias band,
+        above 2/3 kmax on any axis."""
+        return self.spectral_tail(self.fwd(f), 2.0 / 3.0)
 
     def spectral_tail(self, F: np.ndarray, cut: float) -> float:
-        """tail_fraction of the fields whose spectra F holds, taken
-        together: F is one spectrum or a stack of them, summed a spectrum
-        at a time in one spectrum-sized temporary."""
+        """Spectral energy fraction above cut * kmax on any axis of the
+        fields whose spectra F holds, taken together: F is one spectrum
+        or a stack of them, summed a spectrum at a time in one
+        spectrum-sized temporary."""
         w = self._rfft_weights()
         outside = np.zeros(self.kshape, dtype=bool)
         for ik in self.ik:

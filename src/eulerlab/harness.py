@@ -46,7 +46,6 @@ __all__ = [
     "ConfigError",
     "Verdict",
     "Report",
-    "preset_names",
     "preset_config",
     "run_scenario",
     "sweep",
@@ -404,10 +403,6 @@ def _register(name, description, verdicts, *, dims=(1, 2, 3), positive=(),
     return deco
 
 
-def preset_names():
-    return list(PRESETS)
-
-
 def preset_config(name: str, **extra) -> ScenarioConfig:
     if name not in PRESETS:
         raise ConfigError(f"scenario: unknown preset {name!r}; "
@@ -656,8 +651,8 @@ def _run_zone_integrals(cfg: ScenarioConfig, outdir: Path):
     d = _damping(cfg)
     times = (10.0, 100.0, 1000.0)
     alphas = (0, 2)
-    vals = {a: [linear.zone_integral(t, 1, a, Zone.Z1, 1, d, cfg.n)
-                for t in times] for a in alphas}
+    vals = {a: [linear.zone_integral(t, a, Zone.Z1, d, cfg.n) for t in times]
+            for a in alphas}
 
     verdicts = []
     for a in alphas:
@@ -910,7 +905,7 @@ def _run_convolution(cfg: ScenarioConfig, outdir: Path):
     verdicts, cols = [], [times]
     for a, bb in pairs:
         chk = diagnostics.convolution_oracle(a, bb, times)
-        m_all = float(np.max(chk.ratios))
+        m_all = chk.max_ratio
         m_head = float(np.max(chk.ratios[:-1]))
         verdicts.append(at_most(
             f"conv_{a:g}_{bb:g}", m_all / m_head - 1.0, 0.1, strict=True,

@@ -27,10 +27,12 @@ independent ways:
   * scipy's DOP853 on single modes at tight tolerance (propagator_matrix,
     the cross-check oracle).
 
-On top of the propagators sit the zone diagnostics: envelope checks,
-radial zone integrals by refining quadrature, and the kernel decay
-check that multiplies initial data by the propagator in frequency space
-and measures norms of the reconstructed field.
+On top of the propagators sit the grid solver (solve_linear_ivp) and the
+zone diagnostics: envelope checks, L1 zone integrals of the first kernel
+by refining quadrature, and the kernel decay check that multiplies
+initial data by the propagator in frequency space and measures norms of
+the reconstructed field.  The method-of-lines reference solver, the grid
+solver's independent oracle, lives with the tests (tests/reference.py).
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ __all__ = [
     "propagator_matrix",
     "evolve_modes",
     "solve_linear_ivp",
-    "mol_reference_solve",
     "zone_bound_check",
     "fit_zone_constant",
     "zone_integral",
@@ -136,15 +137,14 @@ _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 _SINC_EPS = np.finfo(float).eps
 
 
-def evolve_modes(r, d: DampingLaw, t_out, *, t_start: float = 0.0,
-                 y0: np.ndarray | None = None) -> np.ndarray:
+def evolve_modes(r, d: DampingLaw, t_out) -> np.ndarray:
     """Integrate a batch of mode oscillators with a shared clock.
 
     r      -- radii, shape (M,)
-    t_out  -- increasing output times, all >= t_start
-    y0     -- initial (4, M) state rows (phi1, dphi1, phi2, dphi2);
-              defaults to the canonical pair posed at t_start
+    t_out  -- increasing output times, all >= 0
 
+    The rows (phi1, dphi1, phi2, dphi2) start from the canonical pair
+    posed at t = 0; _magnus_advance carries other rows from other times.
     Returns an array of shape (4, M, len(t_out)).  Fourth-order Magnus
     with step MAGNUS_STEP (1+t), landing exactly on each output time.
     The exponential of each step is exact for frozen coefficients, so
@@ -155,22 +155,16 @@ def evolve_modes(r, d: DampingLaw, t_out, *, t_start: float = 0.0,
     t_out = np.atleast_1d(np.asarray(t_out, dtype=float))
     if np.any(np.diff(t_out) <= 0.0):
         raise ValueError("t_out must be strictly increasing")
-    if t_out[0] < t_start:
-        raise ValueError("t_out must not precede t_start")
+    if t_out[0] < 0.0:
+        raise ValueError("t_out must not be negative")
     M = r.size
     r2 = r * r
-
-    if y0 is None:
-        y = np.zeros((4, M))
-        y[0] = 1.0
-        y[3] = 1.0
-    else:
-        y = np.array(y0, dtype=float, copy=True)
-        if y.shape != (4, M):
-            raise ValueError(f"y0 must have shape (4, {M}), got {y.shape}")
+    y = np.zeros((4, M))
+    y[0] = 1.0
+    y[3] = 1.0
 
     out = np.empty((4, M, t_out.size))
-    t = float(t_start)
+    t = 0.0
     for j, target in enumerate(t_out):
         y, t = _magnus_advance(y, t, target, r2, d)
         out[:, :, j] = y
@@ -335,43 +329,6 @@ def solve_linear_ivp(w0: np.ndarray, w1: np.ndarray, grid: Grid, d: DampingLaw,
     return LinearSolution(times=t_out, w=w_list, w_t=wt_list)
 
 
-def mol_reference_solve(w0: np.ndarray, w1: np.ndarray, grid: Grid, d: DampingLaw,
-                        t_out, *, dt: float = None) -> LinearSolution:
-    """Method-of-lines reference: RK4 time stepping of the full grid system.
-
-    Independent of the per-mode route (same spatial transform, different
-    time integration), used as the dual-route oracle for solve_linear_ivp.
-    """
-    ops = SpectralOps(grid)
-    t_out = np.atleast_1d(np.asarray(t_out, dtype=float))
-    if dt is None:
-        kmax = np.pi / grid.dx
-        dt = 0.2 / kmax
-    lam, mu = d.lam, d.mu
-
-    def rhs(t, w, wt):
-        b = mu * (1.0 + t) ** (-lam)
-        return wt, ops.laplacian(w) - b * wt
-
-    w = np.array(w0, dtype=float, copy=True)
-    wt = np.array(w1, dtype=float, copy=True)
-    t = 0.0
-    w_list, wt_list = [], []
-    for target in t_out:
-        while t < target - 1e-13 * max(1.0, target):
-            h = min(dt, target - t)
-            a1, b1 = rhs(t, w, wt)
-            a2, b2 = rhs(t + 0.5 * h, w + 0.5 * h * a1, wt + 0.5 * h * b1)
-            a3, b3 = rhs(t + 0.5 * h, w + 0.5 * h * a2, wt + 0.5 * h * b2)
-            a4, b4 = rhs(t + h, w + h * a3, wt + h * b3)
-            w = w + (h / 6.0) * (a1 + 2 * a2 + 2 * a3 + a4)
-            wt = wt + (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
-            t += h
-        w_list.append(w.copy())
-        wt_list.append(wt.copy())
-    return LinearSolution(times=t_out, w=w_list, w_t=wt_list)
-
-
 # =====================================================================
 #  Zone diagnostics
 # =====================================================================
@@ -439,23 +396,19 @@ def _sphere_area(n: int) -> float:
     return {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}[n]
 
 
-def zone_integral(t: float, i: int, alpha: int, zone: Zone, p, d: DampingLaw,
-                  n: int, *, tol: float = 1e-4, max_refine: int = 9) -> float:
-    """Norm of |xi|^alpha phi_i over one frequency zone at time t.
+def zone_integral(t: float, alpha: int, zone: Zone, d: DampingLaw, n: int, *,
+                  tol: float = 1e-4, max_refine: int = 9) -> float:
+    """L1 norm of |xi|^alpha phi_1 over one frequency zone at time t.
 
-    p = 1 or 2.  The angular measure is handled analytically (the
-    integrand is radial), leaving a 1-D radial integral evaluated by
-    composite trapezoid with node doubling until successive refinements
-    agree to the requested relative tolerance.
+    The angular measure is handled analytically (the integrand is
+    radial), leaving a 1-D radial integral evaluated by composite
+    trapezoid with node doubling until successive refinements agree to
+    the requested relative tolerance.
 
     The integrand near the band boundary oscillates on a scale set by
     the elapsed time, so refinement starts from a deliberately fine
     node count at late times.
     """
-    if i not in (1, 2):
-        raise ValueError("kernel index i must be 1 or 2")
-    if p not in (1, 2):
-        raise ValueError("p must be 1 or 2")
     rb = 0.25 * d.mu * (1.0 + t) ** (-d.lam)
     if zone == Zone.Z1:
         lo, hi = 0.0, rb
@@ -466,19 +419,14 @@ def zone_integral(t: float, i: int, alpha: int, zone: Zone, p, d: DampingLaw,
     if hi <= lo:
         return 0.0
 
-    row = 0 if i == 1 else 2
-    pw = alpha if p == 1 else 2 * alpha
-    pw += n - 1
+    pw = alpha + n - 1
 
     def quad_on(m: int) -> float:
         r = np.linspace(lo, hi, m)
         tr = evolve_modes(r, d, np.array([t]))
-        g = np.abs(tr[row, :, 0])
-        if p == 1:
-            vals = r ** pw * g
-            return float(np.trapezoid(vals, r)) * _sphere_area(n)
-        vals = r ** pw * g * g
-        return math.sqrt(float(np.trapezoid(vals, r)) * _sphere_area(n))
+        g = np.abs(tr[0, :, 0])
+        vals = r ** pw * g
+        return float(np.trapezoid(vals, r)) * _sphere_area(n)
 
     m = max(65, int(min(4096, 16 + (hi - lo) * (1.0 + t) / 2.0)) | 1)
     prev = quad_on(m)

@@ -1,0 +1,156 @@
+"""Reference definitions that only the tests use.
+
+No preset runs these.  They are the plain, one-field-at-a-time
+definitions that the tests compare the package's fused or band-limited
+forms with: spectral derivatives, divergence, Laplacian, curl and the
+2/3-rule dealias projection on a SpectralOps, the inverse change of
+variables, the weighted energy, mass excess and momentum moment of one
+state, and the method-of-lines solver that is the grid solver's
+independent oracle.  Each takes the SpectralOps (or Grid) it works on
+as an argument.  The recorder's columns of the physical state equal
+these definitions bit for bit, so a rewrite here must keep their
+operations and their order.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+
+from eulerlab import diagnostics, euler
+from eulerlab.grids import Grid, SpectralOps
+from eulerlab.linear import LinearSolution
+from eulerlab.params import DampingLaw, GasLaw, WeightSpec, weight_eval
+
+
+# ---------------------------------------------------------------------
+#  Spectral operators
+# ---------------------------------------------------------------------
+
+def deriv(ops: SpectralOps, f: np.ndarray, axis: int, order: int = 1) -> np.ndarray:
+    """order-th spectral derivative along one axis (physical in/out)."""
+    return ops.inv(ops.ik[axis] ** order * ops.fwd(f))
+
+
+def div(ops: SpectralOps, u: np.ndarray) -> np.ndarray:
+    out = np.zeros(ops.grid.shape)
+    for i in range(ops.grid.n):
+        out += ops.inv(ops.ik[i] * ops.fwd(u[i]))
+    return out
+
+
+def laplacian(ops: SpectralOps, f: np.ndarray) -> np.ndarray:
+    return ops.inv(-ops.k2 * ops.fwd(f))
+
+
+def curl(ops: SpectralOps, u: np.ndarray) -> np.ndarray:
+    """Vorticity: scalar in 2-D, vector in 3-D, from the velocity
+    gradient G[i][j] = d_j u_i."""
+    n = ops.grid.n
+    if n not in (2, 3):
+        raise ValueError("curl is defined for n = 2 or 3")
+    G = [ops.grad_hat(ops.fwd(u[i])) for i in range(n)]
+    if n == 2:
+        return G[1][0] - G[0][1]
+    return np.stack([G[2][1] - G[1][2],
+                     G[0][2] - G[2][0],
+                     G[1][0] - G[0][1]])
+
+
+def dealias_mask(ops: SpectralOps) -> np.ndarray:
+    """The wavevectors of ops's spectra that the 2/3 rule keeps, |k_i| <=
+    2/3 kmax on every axis, in broadcast form: all of a band instance's."""
+    kmax = np.pi / ops.grid.dx
+    cut = 2.0 / 3.0 * kmax
+    return functools.reduce(np.logical_and, np.meshgrid(
+        *[np.abs(a) <= cut for a in ops._axes], indexing="ij", sparse=True))
+
+
+def dealias(ops: SpectralOps, f: np.ndarray) -> np.ndarray:
+    """Project a physical field onto the 2/3 wavenumber band; a band
+    instance holds nothing outside the band, so it needs no mask."""
+    F = ops.fwd(f)
+    if not ops.band:
+        np.multiply(dealias_mask(ops), F, out=F)
+    return ops.inv(F)
+
+
+# ---------------------------------------------------------------------
+#  Functionals of one state
+# ---------------------------------------------------------------------
+
+def from_symmetric(st: euler.EulerState, g: GasLaw) -> euler.PhysicalState:
+    """Invert the sound-speed change of variables; rejects vacuum states."""
+    return euler.PhysicalState(t=st.t, rho=euler.density(st.v, g),
+                               u=np.array(st.u, dtype=float, copy=True))
+
+
+def weighted_energy(t: float, f: np.ndarray, spec: WeightSpec, grid: Grid,
+                    support_R: float | None = None) -> float:
+    """J = integral of e^(2 psi) f^2 of one field.
+
+    With support_R set, integration is restricted to the propagation cone
+    |x| <= support_R + t + 2: the continuum field vanishes outside it, and
+    what the grid carries there is transform ringing.  Without the
+    restriction the weight on the silent far field would overflow any
+    finite exponent budget.
+    """
+    mesh = grid.mesh()
+    two_psi = 2.0 * weight_eval(t, mesh, spec).psi
+    if support_R is not None:
+        rad = np.sqrt(np.sum(mesh * mesh, axis=0))
+        f = np.where(rad > support_R + t + 2.0, 0.0, f)
+    return diagnostics.weighted_l2_sq(f, two_psi, grid.cell)
+
+
+def mass_excess(st: euler.EulerState, g: GasLaw, ops: SpectralOps) -> float:
+    """M = integral of (rho - 1); conserved exactly by the flow."""
+    ph = from_symmetric(st, g)
+    return ops.quad(ph.rho - 1.0)
+
+
+def momentum_moment(st: euler.EulerState, g: GasLaw, ops: SpectralOps) -> float:
+    """F = integral of x . (rho u)."""
+    return diagnostics._moment(from_symmetric(st, g), ops, ops.grid.mesh())
+
+
+# ---------------------------------------------------------------------
+#  Method-of-lines reference solver
+# ---------------------------------------------------------------------
+
+def mol_reference_solve(w0: np.ndarray, w1: np.ndarray, grid: Grid, d: DampingLaw,
+                        t_out, *, dt: float = None) -> LinearSolution:
+    """Method-of-lines reference: RK4 time stepping of the full grid system.
+
+    Independent of the per-mode route (same spatial transform, different
+    time integration), used as the dual-route oracle for solve_linear_ivp.
+    """
+    ops = SpectralOps(grid)
+    t_out = np.atleast_1d(np.asarray(t_out, dtype=float))
+    if dt is None:
+        kmax = np.pi / grid.dx
+        dt = 0.2 / kmax
+    lam, mu = d.lam, d.mu
+
+    def rhs(t, w, wt):
+        b = mu * (1.0 + t) ** (-lam)
+        return wt, laplacian(ops, w) - b * wt
+
+    w = np.array(w0, dtype=float, copy=True)
+    wt = np.array(w1, dtype=float, copy=True)
+    t = 0.0
+    w_list, wt_list = [], []
+    for target in t_out:
+        while t < target - 1e-13 * max(1.0, target):
+            h = min(dt, target - t)
+            a1, b1 = rhs(t, w, wt)
+            a2, b2 = rhs(t + 0.5 * h, w + 0.5 * h * a1, wt + 0.5 * h * b1)
+            a3, b3 = rhs(t + 0.5 * h, w + 0.5 * h * a2, wt + 0.5 * h * b2)
+            a4, b4 = rhs(t + h, w + h * a3, wt + h * b3)
+            w = w + (h / 6.0) * (a1 + 2 * a2 + 2 * a3 + a4)
+            wt = wt + (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
+            t += h
+        w_list.append(w.copy())
+        wt_list.append(wt.copy())
+    return LinearSolution(times=t_out, w=w_list, w_t=wt_list)

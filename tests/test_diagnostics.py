@@ -11,16 +11,16 @@ from conftest import (CountingOps, Outputs, band_held, on_band, read_csv_columns
 from eulerlab.diagnostics import (
     ConvolutionCheck, DomainSizeError, EnergyRecorder, EnergyRow,
     FitQualityWarning, ball_volume, cauchy_schwarz_margin, convolution_oracle,
-    decay_fit, lower_bound_margin, mass_excess, moment_inequality_margins,
-    momentum_moment, weighted_energy, weighted_l2_sq,
+    decay_fit, lower_bound_margin, moment_inequality_margins, weighted_l2_sq,
 )
 from eulerlab import euler
 from eulerlab.euler import (
-    EulerState, PhysicalState, from_symmetric, initial_bump, rotational_bump,
-    to_symmetric,
+    EulerState, PhysicalState, initial_bump, rotational_bump, to_symmetric,
 )
 from eulerlab.grids import Grid, SpectralOps
 from eulerlab.params import DampingLaw, GasLaw, derive_constants, weight_eval
+from reference import (curl, dealias, deriv, from_symmetric, mass_excess,
+                       momentum_moment, weighted_energy)
 
 GAS = GasLaw()
 D_HALF = DampingLaw(lam=0.5, mu=2.0)
@@ -330,12 +330,12 @@ def test_energy_recorder_vorticity_column():
 
 def column_definitions(rec: EnergyRecorder, st: EulerState) -> dict:
     """Every EnergyRow column of st, each formed on its own through the
-    public helpers (no shared transforms)."""
+    public helpers and the reference definitions (no shared transforms)."""
     ops, n, g, d, spec = rec.ops, rec.grid.n, rec.g, rec.d, rec.spec
     grid, t, v, u = rec.grid, st.t, st.v, st.u
     dv, _ = euler.rhs(t, v, u, d, g, ops)
     grad_v = ops.grad(v)
-    grad_u = [ops.deriv(u[i], j) for i in range(n) for j in range(n)]
+    grad_u = [deriv(ops, u[i], j) for i in range(n) for j in range(n)]
     col = {
         "t": t, "v_l2": ops.l2(v),
         "u_l2": math.sqrt(sum(ops.l2(u[i]) ** 2 for i in range(n))),
@@ -367,9 +367,9 @@ def column_definitions(rec: EnergyRecorder, st: EulerState) -> dict:
 
     col["vort_l2"] = 0.0
     if n == 2:
-        col["vort_l2"] = ops.l2(ops.curl(u))
+        col["vort_l2"] = ops.l2(curl(ops, u))
     elif n == 3:
-        w = ops.curl(u)
+        w = curl(ops, u)
         col["vort_l2"] = math.sqrt(sum(ops.l2(w[i]) ** 2 for i in range(3)))
 
     gp = (1.0 + t) ** spec.B
@@ -387,11 +387,11 @@ def sample_state(grid: Grid, ops: SpectralOps) -> EulerState:
     in v, cut to the 2/3 band, and a velocity with both a potential and
     (n >= 2) a rotational part."""
     v = initial_bump(grid, 4.0, 1e-2, 1, jitter=0.3, seed=1, ops=ops).v
-    v = ops.dealias(v)
+    v = dealias(ops, v)
     u = 0.5 * ops.grad(v)
     if grid.n >= 2:
-        u[0] += 0.3 * ops.deriv(v, 1)
-        u[1] -= 0.3 * ops.deriv(v, 0)
+        u[0] += 0.3 * deriv(ops, v, 1)
+        u[1] -= 0.3 * deriv(ops, v, 0)
     return EulerState(0.7, v, u)
 
 

@@ -7,6 +7,7 @@ import pytest
 import scipy.fft
 
 from eulerlab.grids import Grid, SpectralOps
+from reference import curl, dealias, dealias_mask, deriv, div, laplacian
 
 
 def make_ops(n=1, L=10.0, N=64):
@@ -72,8 +73,8 @@ def test_spectral_derivative_exact_on_trig():
     df = 3.0 * k0 * np.cos(3.0 * k0 * x) - 3.5 * k0 * np.sin(7.0 * k0 * x)
     d2f = -(3.0 * k0) ** 2 * np.sin(3.0 * k0 * x) \
         - 0.5 * (7.0 * k0) ** 2 * np.cos(7.0 * k0 * x)
-    assert np.max(np.abs(ops.deriv(f, 0) - df)) <= 1e-11
-    assert np.max(np.abs(ops.deriv(f, 0, 2) - d2f)) <= 1e-10
+    assert np.max(np.abs(deriv(ops, f, 0) - df)) <= 1e-11
+    assert np.max(np.abs(deriv(ops, f, 0, 2) - d2f)) <= 1e-10
 
 
 def test_grad_div_laplacian_2d():
@@ -84,9 +85,9 @@ def test_grad_div_laplacian_2d():
     assert np.max(np.abs(gx - np.cos(x) * np.cos(2.0 * y))) <= 1e-11
     assert np.max(np.abs(gy + 2.0 * np.sin(x) * np.sin(2.0 * y))) <= 1e-11
     u = np.stack([np.sin(x), np.sin(y)])
-    dv = ops.div(u)
+    dv = div(ops, u)
     assert np.max(np.abs(dv - np.cos(x) - np.cos(y))) <= 1e-11
-    lap = ops.laplacian(f)
+    lap = laplacian(ops, f)
     assert np.max(np.abs(lap + 5.0 * f)) <= 1e-10
 
 
@@ -94,22 +95,22 @@ def test_curl_2d_and_3d():
     grid, ops = make_ops(2, math.pi, 32)
     x, y = grid.mesh()
     phi = np.sin(x) * np.sin(y)
-    u = np.stack([ops.deriv(phi, 1), -ops.deriv(phi, 0)])
-    w = ops.curl(u)
-    assert np.max(np.abs(w + ops.laplacian(phi))) <= 1e-10
+    u = np.stack([deriv(ops, phi, 1), -deriv(ops, phi, 0)])
+    w = curl(ops, u)
+    assert np.max(np.abs(w + laplacian(ops, phi))) <= 1e-10
 
     grid3, ops3 = make_ops(3, math.pi, 16)
     x3, y3, z3 = grid3.mesh()
     psi = np.sin(x3) * np.cos(y3)
     u3 = np.stack([np.zeros_like(psi), np.zeros_like(psi), psi])
-    w3 = ops3.curl(u3)
-    assert np.max(np.abs(w3[0] - ops3.deriv(psi, 1))) <= 1e-11
-    assert np.max(np.abs(w3[1] + ops3.deriv(psi, 0))) <= 1e-11
+    w3 = curl(ops3, u3)
+    assert np.max(np.abs(w3[0] - deriv(ops3, psi, 1))) <= 1e-11
+    assert np.max(np.abs(w3[1] + deriv(ops3, psi, 0))) <= 1e-11
     assert np.max(np.abs(w3[2])) <= 1e-12
 
     grid1, ops1 = make_ops(1, 5.0, 32)
     with pytest.raises(ValueError):
-        ops1.curl(np.zeros((1, 32)))
+        curl(ops1, np.zeros((1, 32)))
 
 
 def test_deriv_alpha_matches_nested_deriv():
@@ -117,7 +118,7 @@ def test_deriv_alpha_matches_nested_deriv():
     x, y = grid.mesh()
     f = np.cos(2.0 * x) * np.sin(y)
     mixed = ops._deriv_alpha_hat(ops.fwd(f), (1, 1))
-    nested = ops.deriv(ops.deriv(f, 0), 1)
+    nested = deriv(ops, deriv(ops, f, 0), 1)
     assert np.max(np.abs(mixed - nested)) <= 1e-11
 
 
@@ -190,7 +191,7 @@ def test_tail_fraction_two_mode_splits():
     assert ops.tail_fraction(low + high) == pytest.approx(0.1, rel=1e-10)
     # the mid mode is inside the dealias band but above half of kmax
     assert ops.tail_fraction(low + mid) == pytest.approx(0.0, abs=1e-14)
-    assert ops.tail_fraction(low + mid, cut=0.5) == pytest.approx(
+    assert ops.spectral_tail(ops.fwd(low + mid), 0.5) == pytest.approx(
         0.1, rel=1e-10)
     assert ops.tail_fraction(np.zeros_like(x)) == 0.0
 
@@ -201,10 +202,10 @@ def test_dealias_removes_top_third():
     x = grid.axis()
     low = 3.0 * np.sin(4.0 * k0 * x)
     high = np.sin(28.0 * k0 * x)
-    cleaned = ops.dealias(low + high)
+    cleaned = dealias(ops, low + high)
     assert ops.l2(cleaned - low) <= 1e-12
     # projection is idempotent
-    assert ops.l2(ops.dealias(cleaned) - cleaned) <= 1e-13
+    assert ops.l2(dealias(ops, cleaned) - cleaned) <= 1e-13
 
 
 @pytest.mark.parametrize("n, N", [(1, 512), (1, 2048), (1, 8192), (2, 256),
@@ -236,9 +237,9 @@ def test_band_transforms_match_the_full_ones_bit_for_bit(n, N):
     cut = np.ix_(*([rows] * (n - 1) + [np.arange(N // 3 + 1)]))
     rng = np.random.default_rng(n)
     f = rng.standard_normal(grid.shape)
-    full = ops.dealias_mask * ops.fwd(f)
+    full = dealias_mask(ops) * ops.fwd(f)
     assert np.array_equal(band.fwd(f), full[cut])
-    assert np.array_equal(band.dealias(f), ops.dealias(f))
+    assert np.array_equal(dealias(band, f), dealias(ops, f))
     spec = (rng.standard_normal(band.k2.shape)
             + 1j * rng.standard_normal(band.k2.shape))
     scattered = np.zeros_like(full)
@@ -246,7 +247,7 @@ def test_band_transforms_match_the_full_ones_bit_for_bit(n, N):
     assert np.array_equal(band.inv(spec), ops.inv(scattered))
     # the same wavevectors, and no Nyquist bin among them
     assert np.array_equal(band.k, np.stack([k[cut] for k in ops.k]))
-    assert band.dealias_mask.all()
+    assert dealias_mask(band).all()
     assert np.max(np.abs(band.k)) < 2.0 / 3.0 * math.pi / grid.dx
 
 
@@ -361,7 +362,7 @@ def test_band_tail_of_a_stack_is_the_full_one(n):
     grid, ops = make_ops(n, 4.0, 32 if n < 3 else 16)
     band = SpectralOps(grid, band=True)
     rng = np.random.default_rng(9)
-    fs = [ops.dealias(rng.standard_normal(grid.shape)) for _ in range(n + 1)]
+    fs = [dealias(ops, rng.standard_normal(grid.shape)) for _ in range(n + 1)]
     F = band.fwd(fs[0])
     spectral = np.sum(band._rfft_weights() * np.abs(F) ** 2) / grid.N ** n
     assert spectral == pytest.approx(np.sum(fs[0] * fs[0]), rel=1e-11)

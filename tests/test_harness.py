@@ -23,7 +23,7 @@ from eulerlab import euler, harness
 from eulerlab.grids import SpectralOps
 from eulerlab.harness import (
     ConfigError, Report, ScenarioConfig, Verdict, config_digest,
-    main, preset_config, preset_names, run_dir, run_scenario, sweep,
+    main, preset_config, run_dir, run_scenario, sweep,
 )
 
 PRESET_NAMES = [
@@ -39,7 +39,7 @@ PRESET_NAMES = [
 # ---------------------------------------------------------------------
 
 def test_preset_catalog_is_frozen():
-    assert preset_names() == PRESET_NAMES
+    assert list(harness.PRESETS) == PRESET_NAMES
     for name in PRESET_NAMES:
         cfg = preset_config(name)
         assert cfg.scenario == name

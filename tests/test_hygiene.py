@@ -9,7 +9,9 @@ recorder column is read by a verdict or a monitor column, no module
 tunes the C allocator: large work arrays are held, not re-faulted, by
 the code that uses them, the quadratic terms have one home: only
 the stepper's products and the wave source name _product_row, and a
-module exports only what src/ uses or the acceptance tests import."""
+module exports only what src/ uses or the acceptance tests import, and
+a class's public methods are only those src/ or the acceptance tests
+call."""
 
 import ast
 from pathlib import Path
@@ -338,18 +340,26 @@ def _module_loads(node, bound=frozenset()) -> set:
     return loads
 
 
-def unused_exports(sources: dict, imported=()) -> list:
+def unused_exports(sources: dict, imported=(), attributes=()) -> list:
     """(module, name) for each name in the __all__ of a module of
     sources (module name -> source) that no module of sources reads and
-    that imported, a collection of (module, name), does not hold.
+    that imported, a collection of (module, name), does not hold; then
+    (module, "Class.method") for each public method (properties too) of
+    a module-level class of sources whose name no module of sources
+    takes as an attribute (x.method) and attributes, a collection of
+    names, does not hold.
 
     A module reads its own names where it loads them (_module_loads),
     and another module's where it imports them (from .mod import name)
     or takes them from that module (mod.name after from . import mod).
+    A method is matched by its name alone, whatever x is.
     """
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
     read = set(imported)
+    called = set(attributes)
     for mod, tree in trees.items():
+        called |= {node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)}
         read |= {(mod, name) for name in _module_loads(tree)}
         alias = {}
         for node in ast.walk(tree):
@@ -369,6 +379,11 @@ def unused_exports(sources: dict, imported=()) -> list:
                     getattr(t, "id", None) == "__all__" for t in node.targets):
                 hits += [(mod, name) for name in ast.literal_eval(node.value)
                          if (mod, name) not in read]
+    for mod, tree in trees.items():
+        hits += [(mod, f"{cls.name}.{fn.name}")
+                 for cls in tree.body if isinstance(cls, ast.ClassDef)
+                 for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                 and not fn.name.startswith("_") and fn.name not in called]
     return hits
 
 
@@ -390,15 +405,36 @@ def test_unused_export_detector():
         ("a", "g"), ("b", "q")]
 
 
-# names exported with no caller in src/ or in the acceptance tests:
-# reference definitions that only the other tests call, euler.rhs, which
-# perfbench/spans.py wraps by name, and preset_names.  A name leaves this
-# list when it gains a caller or goes; none joins it
-UNUSED_EXPORTS = {
-    ("diagnostics", "weighted_energy"), ("diagnostics", "mass_excess"),
-    ("diagnostics", "momentum_moment"), ("linear", "mol_reference_solve"),
-    ("euler", "rhs"), ("harness", "preset_names"),
-}
+def test_unused_method_detector():
+    sources = {
+        "a": ("__all__ = ['C']\n"
+              "class C:\n"
+              "    def __init__(self):\n        self.x = self.used()\n"
+              "    def used(self):\n        return self._private()\n"
+              "    def _private(self):\n        return 1\n"
+              "    @property\n    def prop(self):\n        return 2\n"
+              "    def idle(self):\n        def inner():\n"
+              "            return 3\n        return inner\n"
+              "    def by_tests(self):\n        return 4\n"
+              "class _D:\n    def work(self):\n        return C().prop\n"
+              "    def rest(self):\n        return 5\n"
+              "def f():\n    class E:\n        def nested(self):\n"
+              "            return 6\n    return E\n"),
+        "b": ("from .a import C\n__all__ = ['g']\n"
+              "def g(c):\n    return c.work(), C.__init__\n"),
+    }
+    assert unused_exports(sources, {("b", "g")}) == [
+        ("a", "C.idle"), ("a", "C.by_tests"), ("a", "_D.rest")]
+    assert unused_exports(sources, {("b", "g")}, {"by_tests", "rest"}) == [
+        ("a", "C.idle")]
+
+
+# names exported with no caller in src/ or in the acceptance tests.
+# euler.rhs stays only because perfbench/spans.py wraps it by name
+# (owner.__dict__["rhs"]) to count the transforms of one right-hand
+# side; it goes when the benchmark stops wrapping it.  A name leaves this
+# list when it gains a caller or goes; none joins it, and no method does
+UNUSED_EXPORTS = {("euler", "rhs")}
 
 
 def test_every_export_has_a_caller():
@@ -407,5 +443,7 @@ def test_every_export_has_a_caller():
                 for node in ast.walk(acceptance)
                 if isinstance(node, ast.ImportFrom) and node.level == 0
                 and node.module.startswith("eulerlab.") for a in node.names}
+    attributes = {node.attr for node in ast.walk(acceptance)
+                  if isinstance(node, ast.Attribute)}
     sources = {path.stem: path.read_text() for path in MODULES}
-    assert set(unused_exports(sources, imported)) == UNUSED_EXPORTS
+    assert set(unused_exports(sources, imported, attributes)) == UNUSED_EXPORTS
