@@ -36,7 +36,6 @@ __all__ = [
     "ball_volume",
     "decay_fit",
     "convolution_oracle",
-    "ConvolutionCheck",
     "cauchy_schwarz_margin",
     "moment_inequality_margins",
     "lower_bound_margin",
@@ -298,13 +297,14 @@ class FitResult:
 FIT_MIN_PTS = 8
 
 
-def decay_fit(times, values, t_lo: float, t_hi: float, *, kind: str = "power",
+def decay_fit(times, values, t_lo: float, t_hi: float, *,
               stretch_exponent: float | None = None) -> FitResult:
     """Fit log(values) against log(1+t) or (1+t)^stretch_exponent.
 
-    kind="power": slope is the polynomial decay exponent.
-    kind="stretched": abscissa (1+t)^e, slope is the stretched-exponential
-    rate (e.g. -mu/(1-lam) for pure-friction decay with e = 1-lam).
+    Without stretch_exponent, a "power" fit: the slope is the polynomial
+    decay exponent.  With it, a "stretched" fit on the abscissa (1+t)^e:
+    the slope is the stretched-exponential rate (e.g. -mu/(1-lam) for
+    pure-friction decay with e = 1-lam).
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -316,14 +316,10 @@ def decay_fit(times, values, t_lo: float, t_hi: float, *, kind: str = "power",
     tt, yy = times[sel], values[sel]
     if np.any(yy <= 0.0):
         raise ValueError("decay_fit needs strictly positive values")
-    if kind == "power":
-        x = np.log1p(tt)
-    elif kind == "stretched":
-        if stretch_exponent is None:
-            raise ValueError("stretched fit needs stretch_exponent")
-        x = (1.0 + tt) ** stretch_exponent
+    if stretch_exponent is None:
+        kind, x = "power", np.log1p(tt)
     else:
-        raise ValueError(f"unknown fit kind {kind!r}")
+        kind, x = "stretched", (1.0 + tt) ** stretch_exponent
     y = np.log(yy)
     coef = np.polyfit(x, y, 1)
     resid = float(np.sqrt(np.mean((y - np.polyval(coef, x)) ** 2)))
@@ -339,22 +335,10 @@ def decay_fit(times, values, t_lo: float, t_hi: float, *, kind: str = "power",
 #  Closed-form oracles
 # =====================================================================
 
-@dataclass(frozen=True)
-class ConvolutionCheck:
-    """Ratios of the weak-coupling time integral to its predicted bound."""
-
-    a: float
-    b: float
-    times: np.ndarray
-    ratios: np.ndarray
-
-    @property
-    def max_ratio(self) -> float:
-        return float(np.max(self.ratios))
-
-
-def convolution_oracle(a: float, b: float, times=None) -> ConvolutionCheck:
-    """Check int_0^t (1+t-s)^-a (1+s)^-b ds <= C (1+t)^-b by quadrature.
+def convolution_oracle(a: float, b: float, times) -> np.ndarray:
+    """The ratios of int_0^t (1+t-s)^-a (1+s)^-b ds to (1+t)^-b at the
+    given times, by quadrature; the convolution bound says they stay
+    below a constant C.
 
     Hypotheses a > 1 and 0 < b <= a are enforced; outside them the bound
     genuinely fails and the request is rejected.
@@ -363,8 +347,6 @@ def convolution_oracle(a: float, b: float, times=None) -> ConvolutionCheck:
         raise ValueError(f"convolution bound needs a > 1, got a={a}")
     if not 0.0 < b <= a:
         raise ValueError(f"convolution bound needs 0 < b <= a, got b={b}")
-    if times is None:
-        times = np.array([1.0, 10.0, 1e2, 1e3, 1e4])
     times = np.asarray(times, dtype=float)
     ratios = np.empty(times.size)
     for j, t in enumerate(times):
@@ -373,7 +355,7 @@ def convolution_oracle(a: float, b: float, times=None) -> ConvolutionCheck:
         mid = 0.5 * t
         val = quad(f, 0.0, mid, limit=200)[0] + quad(f, mid, t, limit=200)[0]
         ratios[j] = val * (1.0 + t) ** b
-    return ConvolutionCheck(a=a, b=b, times=times, ratios=ratios)
+    return ratios
 
 
 def cauchy_schwarz_margin(times, rho_l2, q0: float, R: float, n: int) -> np.ndarray:

@@ -93,8 +93,6 @@ class ScenarioConfig:
     r_cut: float = 1.0
     diagnostics: tuple = ("*",)
     store_fields: bool = False
-    outdir: str = "runs"
-    workers: int = 0
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -238,8 +236,6 @@ def validate_config(cfg: ScenarioConfig):
                 f"the fit needs {diagnostics.FIT_MIN_PTS}")
     if cfg.r_cut <= 0.0:
         raise ConfigError(f"r_cut: must be positive, got {cfg.r_cut}")
-    if cfg.workers < 0:
-        raise ConfigError(f"workers: must be nonnegative, got {cfg.workers}")
     unknown = set(cfg.diagnostics) - {"*"} - set(preset.verdict_names)
     if unknown:
         raise ConfigError(
@@ -248,16 +244,14 @@ def validate_config(cfg: ScenarioConfig):
 
 
 def config_digest(cfg: ScenarioConfig) -> str:
-    """Short content hash of the scientific part of the config.
+    """Short content hash of the config, the one report.json records.
 
-    outdir and workers are execution plumbing and stay out of the hash,
-    so moving the output tree or changing parallelism does not rename
-    run directories.
+    The output tree and the sweep's worker count are arguments of
+    run_scenario and sweep, not config fields, so moving the tree or
+    changing parallelism neither renames run directories nor changes a
+    report's bytes.
     """
-    payload = cfg.as_dict()
-    payload.pop("outdir")
-    payload.pop("workers")
-    text = json.dumps(payload, sort_keys=True)
+    text = json.dumps(cfg.as_dict(), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
@@ -600,7 +594,7 @@ def _run_zone_bounds(cfg: ScenarioConfig, outdir: Path):
         consts[zone] = c0
 
         def max_ratio(samps):
-            return max(linear.zone_bound_check(t, r, p, c0, d).ratio
+            return max(abs(p) / linear.zone_envelope(t, r, c0, d)
                        for (t, r, p) in samps)
 
         mc, mf = max_ratio(coarse[zone]), max_ratio(fine[zone])
@@ -616,7 +610,7 @@ def _run_zone_bounds(cfg: ScenarioConfig, outdir: Path):
     t_dense = np.array(_schedule(cfg))
     tr3 = linear.evolve_modes(np.array([r3]), d, t_dense)
     amp = np.sqrt(np.abs(tr3[1, 0]) ** 2 / r3 ** 2 + np.abs(tr3[0, 0]) ** 2)
-    fit = decay_fit(t_dense, amp, cfg.fit_lo, cfg.fit_hi, kind="stretched",
+    fit = decay_fit(t_dense, amp, cfg.fit_lo, cfg.fit_hi,
                     stretch_exponent=1.0 - d.lam)
     pred = -d.mu / (2.0 * (1.0 - d.lam))
     verdicts.append(within(
@@ -630,8 +624,8 @@ def _run_zone_bounds(cfg: ScenarioConfig, outdir: Path):
         if c0 is None or (z == Zone.Z2 and r > 0.25 * d.mu):
             env, ratio = float("nan"), float("nan")
         else:
-            rep = linear.zone_bound_check(t, r, p1, c0, d)
-            env, ratio = rep.envelope, rep.ratio
+            env = linear.zone_envelope(t, r, c0, d)
+            ratio = abs(p1) / env
         rows.append((t, r, int(z), p1, 0.0, p2, 0.0, env, ratio))
     cols = list(zip(*rows))
     write_csv(outdir / "modes.csv",
@@ -812,9 +806,10 @@ def _run_lower_bound(cfg: ScenarioConfig, outdir: Path):
 def _vorticity_run(cfg: ScenarioConfig, outdir: Path):
     rec, _ = _nonlinear_run(cfg, _schedule(cfg), outdir, "energy.csv")
     fit = decay_fit(rec.times, rec.series("vort_l2"), cfg.fit_lo, cfg.fit_hi,
-                    kind="stretched", stretch_exponent=1.0 - cfg.lam)
+                    stretch_exponent=1.0 - cfg.lam)
+    _write_json(outdir / "fits.json", {"vort_l2": asdict(fit)})
     pred = -cfg.mu / (1.0 - cfg.lam)
-    return fit, [
+    return [
         within("vorticity_rate", fit.slope, pred, abs(pred) * 0.2,
                f"slope of log |omega|_2 against (1+t)^{1.0 - cfg.lam:g} "
                f"over [{cfg.fit_lo:g}, {cfg.fit_hi:g}]"),
@@ -833,7 +828,7 @@ def _vorticity_run(cfg: ScenarioConfig, outdir: Path):
     data_kind="rotational", t_final=50.0, n_snapshots=26,
     fit_lo=5.0, fit_hi=50.0)
 def _run_vorticity_2d(cfg: ScenarioConfig, outdir: Path):
-    fit, verdicts = _vorticity_run(cfg, outdir)
+    verdicts = _vorticity_run(cfg, outdir)
 
     cfg2 = replace(cfg, data_kind="potential", t_final=5.0, n_snapshots=6)
     rec2, _ = _nonlinear_run(cfg2, _schedule(cfg2), outdir,
@@ -842,8 +837,6 @@ def _run_vorticity_2d(cfg: ScenarioConfig, outdir: Path):
     verdicts.append(at_most(
         "irrotational_floor", floor, 1e-10, strict=True,
         detail="max over snapshots of |omega|_2 / |grad u|_2 for potential data"))
-
-    _write_json(outdir / "fits.json", {"vort_l2": asdict(fit)})
     return verdicts
 
 
@@ -857,9 +850,7 @@ def _run_vorticity_2d(cfg: ScenarioConfig, outdir: Path):
     data_kind="rotational", t_final=12.0, n_snapshots=13,
     fit_lo=2.0, fit_hi=12.0)
 def _run_vorticity_3d(cfg: ScenarioConfig, outdir: Path):
-    fit, verdicts = _vorticity_run(cfg, outdir)
-    _write_json(outdir / "fits.json", {"vort_l2": asdict(fit)})
-    return verdicts
+    return _vorticity_run(cfg, outdir)
 
 
 @_register(
@@ -904,14 +895,14 @@ def _run_convolution(cfg: ScenarioConfig, outdir: Path):
     times = np.array([1.0, 10.0, 1e2, 1e3, 1e4])
     verdicts, cols = [], [times]
     for a, bb in pairs:
-        chk = diagnostics.convolution_oracle(a, bb, times)
-        m_all = chk.max_ratio
-        m_head = float(np.max(chk.ratios[:-1]))
+        ratios = diagnostics.convolution_oracle(a, bb, times)
+        m_all = float(np.max(ratios))
+        m_head = float(np.max(ratios[:-1]))
         verdicts.append(at_most(
             f"conv_{a:g}_{bb:g}", m_all / m_head - 1.0, 0.1, strict=True,
             detail=f"max ratio {m_all:.5g}; growth of the max when the last "
                    "time decade joins"))
-        cols.append(chk.ratios)
+        cols.append(ratios)
     write_csv(outdir / "convolution.csv",
               ["t"] + [f"ratio_{a:g}_{b:g}" for a, b in pairs], cols)
     return verdicts
@@ -964,12 +955,15 @@ def _run_blowup_scout(cfg: ScenarioConfig, outdir: Path):
 #  Orchestration
 # =====================================================================
 
-def run_dir(cfg: ScenarioConfig, base_dir=None) -> Path:
-    base = Path(base_dir if base_dir is not None else cfg.outdir)
-    return base / f"{cfg.scenario}-{config_digest(cfg)}"
+# the output tree when the caller names none
+_RUNS = "runs"
 
 
-def run_scenario(cfg: ScenarioConfig, base_dir=None) -> Report:
+def run_dir(cfg: ScenarioConfig, base_dir=_RUNS) -> Path:
+    return Path(base_dir) / f"{cfg.scenario}-{config_digest(cfg)}"
+
+
+def run_scenario(cfg: ScenarioConfig, base_dir=_RUNS) -> Report:
     """Validate, run the preset, emit report.json and summary.txt.
 
     Every config error is raised before the run directory exists; a
@@ -1010,10 +1004,9 @@ def run_scenario(cfg: ScenarioConfig, base_dir=None) -> Report:
 _SWEEP_AXES = ("lam", "mu", "eps", "N", "delta")
 
 
-def _sweep_worker(cfg_dict: dict, base_dir: str) -> dict:
+def _sweep_worker(cfg: ScenarioConfig, base_dir) -> dict:
     try:
-        cfg = ScenarioConfig.from_dict(cfg_dict)
-        rep = run_scenario(cfg, base_dir=base_dir)
+        rep = run_scenario(cfg, base_dir)
         return {"status": "ok", "digest": rep.digest,
                 "n_pass": sum(v.passed for v in rep.verdicts),
                 "n_fail": sum(not v.passed for v in rep.verdicts),
@@ -1024,13 +1017,15 @@ def _sweep_worker(cfg_dict: dict, base_dir: str) -> dict:
                 "verdicts": [], "error": f"{type(e).__name__}: {e}"}
 
 
-def sweep(base: ScenarioConfig, axes: dict, base_dir=None,
-          workers: int | None = None):
-    """Cartesian-product runs over the given axes.
+def sweep(base: ScenarioConfig, axes: dict, base_dir=_RUNS, workers: int = 0):
+    """Cartesian-product runs over the given axes, on up to workers
+    processes (0 or 1: in this process).
 
     axes maps axis names (lambda, mu, eps, N, delta) to value lists.
     Returns (per-run result dicts in product order, aggregate CSV path).
     """
+    if workers < 0:
+        raise ConfigError(f"workers: must be nonnegative, got {workers}")
     names, value_lists = [], []
     for axis, vals in axes.items():
         name = _ALIASES.get(axis, axis)
@@ -1048,18 +1043,15 @@ def sweep(base: ScenarioConfig, axes: dict, base_dir=None,
     for c in cfgs:
         validate_config(c)
 
-    base_str = str(base_dir if base_dir is not None else base.outdir)
-    w = workers if workers is not None else base.workers
-    w = min(w, os.cpu_count() or 1, len(cfgs))
+    w = min(workers, os.cpu_count() or 1, len(cfgs))
     if w > 1:
         with ProcessPoolExecutor(max_workers=w) as pool:
-            futures = [pool.submit(_sweep_worker, c.as_dict(), base_str)
-                       for c in cfgs]
+            futures = [pool.submit(_sweep_worker, c, base_dir) for c in cfgs]
             results = [f.result() for f in futures]
     else:
-        results = [_sweep_worker(c.as_dict(), base_str) for c in cfgs]
+        results = [_sweep_worker(c, base_dir) for c in cfgs]
 
-    agg_path = Path(base_str) / f"sweep-{base.scenario}.csv"
+    agg_path = Path(base_dir) / f"sweep-{base.scenario}.csv"
     agg_path.parent.mkdir(parents=True, exist_ok=True)
     with open(agg_path, "w", newline="") as fh:
         wr = csv.writer(fh)
@@ -1081,7 +1073,7 @@ def sweep(base: ScenarioConfig, axes: dict, base_dir=None,
 #  CLI
 # =====================================================================
 
-def _load_config(arg: str, overrides, outdir) -> ScenarioConfig:
+def _load_config(arg: str, overrides) -> ScenarioConfig:
     if arg in PRESETS:
         cfg = preset_config(arg)
     else:
@@ -1102,11 +1094,7 @@ def _load_config(arg: str, overrides, outdir) -> ScenarioConfig:
             raise ConfigError(f"--set: expected KEY=VALUE, got {item!r}")
         name, value = _coerce(key.strip(), text)
         updates[name] = value
-    if updates:
-        cfg = replace(cfg, **updates)
-    if outdir is not None:
-        cfg = replace(cfg, outdir=outdir)
-    return cfg
+    return replace(cfg, **updates)
 
 
 def _parse_axes(items) -> dict:
@@ -1125,17 +1113,17 @@ def _parse_axes(items) -> dict:
 
 
 def _cmd_run(args) -> int:
-    cfg = _load_config(args.config, args.overrides, args.outdir)
-    report = run_scenario(cfg)
+    cfg = _load_config(args.config, args.overrides)
+    report = run_scenario(cfg, args.outdir)
     sys.stdout.write(report.summary())
-    print(f"run directory: {run_dir(cfg)}")
+    print(f"run directory: {run_dir(cfg, args.outdir)}")
     return 0 if report.all_passed else 1
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load_config(args.config, args.overrides, args.outdir)
+    cfg = _load_config(args.config, args.overrides)
     axes = _parse_axes(args.axis)
-    results, agg = sweep(cfg, axes, workers=args.workers)
+    results, agg = sweep(cfg, axes, args.outdir, args.workers)
     n_err = sum(r["status"] == "error" for r in results)
     n_fail = sum(r["n_fail"] for r in results)
     print(f"{len(results)} runs, {n_err} errored, "
@@ -1177,7 +1165,7 @@ def main(argv=None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override a config field")
-    p_run.add_argument("--outdir", default=None)
+    p_run.add_argument("--outdir", default=_RUNS)
 
     p_sw = sub.add_parser("sweep", help="Cartesian-product runs over axes")
     p_sw.add_argument("config")
@@ -1186,8 +1174,8 @@ def main(argv=None) -> int:
                       help="sweep axis: lambda, mu, eps, N or delta")
     p_sw.add_argument("--set", dest="overrides", action="append", default=[],
                       metavar="KEY=VALUE")
-    p_sw.add_argument("--outdir", default=None)
-    p_sw.add_argument("--workers", type=int, default=None)
+    p_sw.add_argument("--outdir", default=_RUNS)
+    p_sw.add_argument("--workers", type=int, default=0)
 
     sub.add_parser("list-presets", help="print the preset catalog")
 

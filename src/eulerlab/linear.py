@@ -28,7 +28,7 @@ independent ways:
     the cross-check oracle).
 
 On top of the propagators sit the grid solver (solve_linear_ivp) and the
-zone diagnostics: envelope checks, L1 zone integrals of the first kernel
+zone diagnostics: the zone envelopes, L1 zone integrals of the first kernel
 by refining quadrature, and the kernel decay check that multiplies
 initial data by the propagator in frequency space and measures norms of
 the reconstructed field.  The method-of-lines reference solver, the grid
@@ -49,14 +49,13 @@ from .grids import Grid, SpectralOps
 from .params import DampingLaw, Zone, t_xi, zone_classify
 
 __all__ = [
-    "ZoneBoundReport",
     "KernelDecaySeries",
     "AliasingWarning",
     "QuadratureError",
     "propagator_matrix",
     "evolve_modes",
     "solve_linear_ivp",
-    "zone_bound_check",
+    "zone_envelope",
     "fit_zone_constant",
     "zone_integral",
     "kernel_decay_check",
@@ -333,23 +332,11 @@ def solve_linear_ivp(w0: np.ndarray, w1: np.ndarray, grid: Grid, d: DampingLaw,
 #  Zone diagnostics
 # =====================================================================
 
-@dataclass(frozen=True)
-class ZoneBoundReport:
-    """Observed propagator magnitude against the zone envelope."""
-
-    t: float
-    xi: float
-    zone: Zone
-    observed: float
-    envelope: float
-
-    @property
-    def ratio(self) -> float:
-        return self.observed / self.envelope
-
-
-def _zone_envelope(t: float, r: float, zone: Zone, C0: float, d: DampingLaw) -> float:
+def zone_envelope(t: float, r: float, C0: float, d: DampingLaw) -> float:
+    """The envelope with constant C0 that bounds |phi| at (t, r = |xi|)
+    in the zone that (t, r) falls in."""
     one_m = 1.0 - d.lam
+    zone = zone_classify(t, r, d)
     if zone == Zone.Z1:
         return C0 * math.exp(-C0 * r * r * (1.0 + t) ** one_m)
     if zone == Zone.Z2:
@@ -357,16 +344,6 @@ def _zone_envelope(t: float, r: float, zone: Zone, C0: float, d: DampingLaw) -> 
         return C0 * math.exp(-C0 * (1.0 + t) ** one_m) \
             * math.exp(C0 * (1.0 - r * r) * (1.0 + tx) ** one_m)
     return C0 * math.exp(-C0 * (1.0 + t) ** one_m)
-
-
-def zone_bound_check(t: float, xi, phi_value: float, C0: float,
-                     d: DampingLaw) -> ZoneBoundReport:
-    """Compare |phi| at (t, xi) against its zone envelope with constant C0."""
-    r = _radius(xi)
-    zone = zone_classify(t, r, d)
-    env = _zone_envelope(t, r, zone, C0, d)
-    return ZoneBoundReport(t=t, xi=r, zone=zone,
-                           observed=abs(phi_value), envelope=env)
 
 
 def fit_zone_constant(samples, d: DampingLaw) -> float:
@@ -381,8 +358,7 @@ def fit_zone_constant(samples, d: DampingLaw) -> float:
     for c in np.geomspace(1e-3, 10.0, 60):
         worst = 0.0
         for t, r, obs in samples:
-            zone = zone_classify(t, r, d)
-            env = _zone_envelope(t, r, zone, c, d)
+            env = zone_envelope(t, r, c, d)
             if env <= 0.0 or obs <= 0.0:
                 continue
             worst = max(worst, abs(math.log(obs / env)))

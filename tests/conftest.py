@@ -112,11 +112,11 @@ def on_band(st, d, g, ops):
 
 
 def run_preset(name: str, base: Path, **extra) -> RunHandle:
-    cfg = harness.preset_config(name, outdir=str(base), **extra)
+    cfg = harness.preset_config(name, **extra)
     t0 = time.perf_counter()
-    report = harness.run_scenario(cfg)
+    report = harness.run_scenario(cfg, base)
     dt = time.perf_counter() - t0
-    return RunHandle(report=report, outdir=harness.run_dir(cfg), seconds=dt)
+    return RunHandle(report=report, outdir=harness.run_dir(cfg, base), seconds=dt)
 
 
 @pytest.fixture(scope="session")

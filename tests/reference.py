@@ -111,7 +111,9 @@ def mass_excess(st: euler.EulerState, g: GasLaw, ops: SpectralOps) -> float:
 
 
 def momentum_moment(st: euler.EulerState, g: GasLaw, ops: SpectralOps) -> float:
-    """F = integral of x . (rho u)."""
+    """F = integral of x . (rho u), by the recorder's own _moment: a test
+    that compares the recorder's moment column with it checks the wiring
+    (the fields and the mesh the recorder passes), not the sum."""
     return diagnostics._moment(from_symmetric(st, g), ops, ops.grid.mesh())
 
 

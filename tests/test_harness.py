@@ -6,6 +6,7 @@ digest stability, artifact layout, exit codes and sweep aggregation.
 """
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -79,10 +80,13 @@ def test_from_dict_types_values_like_set():
     assert cfg.diagnostics == ("rho_slope",) and cfg.store_fields is True
     for key, value in (("N", 3.5), ("N", True), ("L", "far"), ("L", [1.0]),
                        ("store_fields", 1), ("diagnostics", [1]),
-                       ("outdir", 5), ("delta", {})):
+                       ("delta", {})):
         with pytest.raises(ConfigError) as err:
             ScenarioConfig.from_dict({"scenario": "nonlinear-decay", key: value})
         assert str(err.value).startswith(f"{key}:")
+    # the output tree is an argument of run_scenario, not a config key
+    with pytest.raises(ConfigError, match=r"^config: unknown keys \['outdir'\]"):
+        ScenarioConfig.from_dict({"scenario": "nonlinear-decay", "outdir": 5})
 
 
 def test_from_dict_accepts_the_lambda_alias():
@@ -113,24 +117,21 @@ def test_from_dict_refuses_a_non_object(data, tmp_path, capsys):
 def test_cli_override_coercion():
     cfg = harness._load_config(
         "nonlinear-decay",
-        ["lambda=0.3", "N=512", "store_fields=on", "delta=none", "diagnostics="],
-        None)
+        ["lambda=0.3", "N=512", "store_fields=on", "delta=none", "diagnostics="])
     assert cfg.lam == 0.3
     assert cfg.N == 512 and isinstance(cfg.N, int)
     assert cfg.store_fields is True
     assert cfg.delta is None
     assert cfg.diagnostics == ()
 
-    cfg = harness._load_config("nonlinear-decay",
-                               ["diagnostics=rho_slope,u_slope"], "elsewhere")
+    cfg = harness._load_config("nonlinear-decay", ["diagnostics=rho_slope,u_slope"])
     assert cfg.diagnostics == ("rho_slope", "u_slope")
-    assert cfg.outdir == "elsewhere"
 
     for bad in (["bogus=1"], ["store_fields=maybe"], ["dealias=on"], ["N"]):
         with pytest.raises(ConfigError):
-            harness._load_config("nonlinear-decay", bad, None)
+            harness._load_config("nonlinear-decay", bad)
     with pytest.raises(ConfigError):
-        harness._load_config("neither-preset-nor-file", [], None)
+        harness._load_config("neither-preset-nor-file", [])
 
 
 @pytest.mark.parametrize("overrides, field", [
@@ -154,7 +155,7 @@ def test_cli_override_coercion():
     (dict(dt_override=0.0), "dt_override:"),
     (dict(r_cut=0.0), "r_cut:"),
     (dict(jitter=-0.1), "jitter:"),
-    (dict(workers=-1), "workers:"),
+    (dict(fit_lo=-1.0), "fit_lo/fit_hi:"),
     (dict(diagnostics=("no_such_verdict",)), "diagnostics:"),
     (dict(n=3), "N:"),   # 2048^3 points: over the grid budget, never allocated
     (dict(t_final=math.nan), "t_final:"),
@@ -179,7 +180,7 @@ def test_validate_config_field_messages(overrides, field):
 ])
 def test_override_parse_errors_name_the_field(item, field, capsys):
     with pytest.raises(ConfigError) as err:
-        harness._load_config("nonlinear-decay", [item], None)
+        harness._load_config("nonlinear-decay", [item])
     assert str(err.value).startswith(field)
     assert main(["run", "nonlinear-decay", "--set", item]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}")
@@ -191,15 +192,35 @@ def test_validate_config_unknown_scenario():
 
 
 def test_config_digest_ignores_plumbing():
-    a = preset_config("nonlinear-decay", outdir="here", workers=0)
-    b = preset_config("nonlinear-decay", outdir="there", workers=4)
+    # the output tree is an argument of run_dir, not part of the config:
+    # it names the parent of the run directory, never the digest
+    a = preset_config("nonlinear-decay")
     c = preset_config("nonlinear-decay", eps=2e-3)
-    da, db, dc = config_digest(a), config_digest(b), config_digest(c)
-    assert da == db
+    da, dc = config_digest(a), config_digest(c)
     assert da != dc
     assert len(da) == 12 and all(ch in "0123456789abcdef" for ch in da)
-    assert run_dir(a) == Path("here") / f"nonlinear-decay-{da}"
+    assert run_dir(a) == Path("runs") / f"nonlinear-decay-{da}"
+    assert run_dir(a, "here") == Path("here") / f"nonlinear-decay-{da}"
     assert run_dir(a, base_dir="x") == Path("x") / f"nonlinear-decay-{da}"
+    # pinned: a change of the hashed payload renames every run directory
+    assert config_digest(preset_config("convolution-lemma")) == "834f31deecc1"
+
+
+@pytest.mark.parametrize("key", ["outdir", "workers"])
+def test_plumbing_is_no_config_key(key, tmp_path, capsys):
+    # the output tree and the worker count are the --outdir and --workers
+    # flags alone; as --set or JSON keys they are unknown fields
+    out = tmp_path / "runs"
+    argv = ["run", "convolution-lemma", "--set", f"{key}=3", "--outdir", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: {key}: not a config field")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scenario": "convolution-lemma", key: 3}))
+    assert main(["run", str(path), "--outdir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: config: unknown keys ['{key}']")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------
@@ -271,9 +292,9 @@ def test_run_scenario_artifacts(conv_run):
 
 
 def test_run_scenario_rejects_invalid_config(tmp_path):
-    cfg = preset_config("mass-conservation", N=48, outdir=str(tmp_path))
+    cfg = preset_config("mass-conservation", N=48)
     with pytest.raises(ConfigError):
-        run_scenario(cfg)
+        run_scenario(cfg, tmp_path)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -299,9 +320,9 @@ def test_run_scenario_runner_config_error_leaves_no_directory(
         name, overrides, field, tmp_path, capsys):
     # outside its domain a preset is refused by validation, before
     # run_scenario or the CLI makes any directory
-    cfg = preset_config(name, outdir=str(tmp_path), **overrides)
+    cfg = preset_config(name, **overrides)
     with pytest.raises(ConfigError, match=f"^{field}"):
-        run_scenario(cfg)
+        run_scenario(cfg, tmp_path)
     argv = ["run", name, "--outdir", str(tmp_path)]
     for key, value in overrides.items():
         argv += ["--set", f"{key}={value}"]
@@ -311,11 +332,11 @@ def test_run_scenario_runner_config_error_leaves_no_directory(
 
 
 def test_rerun_replaces_its_directory(tmp_path):
-    cfg = preset_config("convolution-lemma", outdir=str(tmp_path))
-    first = run_scenario(cfg)
-    stray = run_dir(cfg) / "stray.txt"
+    cfg = preset_config("convolution-lemma")
+    first = run_scenario(cfg, tmp_path)
+    stray = run_dir(cfg, tmp_path) / "stray.txt"
     stray.write_text("left by hand\n")
-    second = run_scenario(cfg)
+    second = run_scenario(cfg, tmp_path)
     assert not stray.exists()
     assert second.files == first.files == [
         "convolution.csv", "report.json", "summary.txt"]
@@ -346,9 +367,9 @@ FIT_WINDOW_CASES = {
                          ids=list(FIT_WINDOW_CASES))
 def test_unfillable_fit_window_is_a_config_error(name, overrides, tmp_path,
                                                  capsys):
-    cfg = preset_config(name, outdir=str(tmp_path), **overrides)
+    cfg = preset_config(name, **overrides)
     with pytest.raises(ConfigError, match=r"^fit_lo/fit_hi: .* holds \d of"):
-        run_scenario(cfg)
+        run_scenario(cfg, tmp_path)
     argv = ["run", name, "--outdir", str(tmp_path)]
     for key, value in overrides.items():
         argv += ["--set", f"{key}={value}"]
@@ -391,15 +412,15 @@ def test_failing_runner_leaves_no_directory(tmp_path, capsys, monkeypatch):
     # neither the API nor the CLI leaves that half-filled run
     monkeypatch.setattr(harness, "decay_fit", _failing_fit)
     cfg = preset_config("nonlinear-decay", t_final=50.0, fit_lo=5.0,
-                        fit_hi=50.0, outdir=str(tmp_path))
+                        fit_hi=50.0)
     with pytest.raises(ValueError, match="the fit failed"):
-        run_scenario(cfg)
-    assert not run_dir(cfg).exists()
+        run_scenario(cfg, tmp_path)
+    assert not run_dir(cfg, tmp_path).exists()
     argv = ["run", "nonlinear-decay", "--set", "t_final=50", "--set",
             "fit_lo=5", "--set", "fit_hi=50", "--outdir", str(tmp_path)]
     assert main(argv) == 2
     assert "ValueError" in capsys.readouterr().err
-    assert not run_dir(cfg).exists()
+    assert not run_dir(cfg, tmp_path).exists()
 
 
 EARLY_STOP = ["mu=0", "eps=1.2", "N=512", "L=40", "R=2", "data_order=1",
@@ -413,8 +434,8 @@ def test_early_stop_is_a_failing_verdict(tmp_path, capsys):
     assert main(argv) == 1
     assert "[FAIL] solver_completed" in capsys.readouterr().out
 
-    cfg = harness._load_config("nonlinear-decay", EARLY_STOP, str(tmp_path))
-    rep = Report.from_json((run_dir(cfg) / "report.json").read_text())
+    cfg = harness._load_config("nonlinear-decay", EARLY_STOP)
+    rep = Report.from_json((run_dir(cfg, tmp_path) / "report.json").read_text())
     assert len(rep.verdicts) == 1
     v = rep.verdicts[0]
     assert v.name == "solver_completed" and not v.passed
@@ -422,14 +443,14 @@ def test_early_stop_is_a_failing_verdict(tmp_path, capsys):
     assert v.predicted == 20.0 and v.tolerance == 0.0
     assert v.detail.startswith("solver verdict 'blowup-") and "steps" in v.detail
     assert rep.files == ["energy.csv", "report.json", "summary.txt"]
-    energy = read_csv_columns(run_dir(cfg) / "energy.csv")
+    energy = read_csv_columns(run_dir(cfg, tmp_path) / "energy.csv")
     assert energy["t"][-1] < 20.0
 
     # a diagnostics selection cannot hide the early stop
-    picked = run_scenario(replace(cfg, diagnostics=("rho_slope",)))
+    picked = run_scenario(replace(cfg, diagnostics=("rho_slope",)), tmp_path)
     assert [v.name for v in picked.verdicts] == ["solver_completed"]
 
-    results, agg = sweep(cfg, {"eps": ["1.2"]})
+    results, agg = sweep(cfg, {"eps": ["1.2"]}, tmp_path)
     assert results[0]["status"] == "ok"
     assert (results[0]["n_pass"], results[0]["n_fail"]) == (0, 1)
 
@@ -452,13 +473,13 @@ def test_stored_fields_are_written_as_they_arrive(tmp_path):
     # arrives keeps the peak within one state of the same solve without
     # store_fields
     def traced_peak(**extra):
-        cfg = preset_config("mass-conservation", outdir=str(tmp_path), **extra)
+        cfg = preset_config("mass-conservation", **extra)
         tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         try:
-            run_scenario(cfg)
+            run_scenario(cfg, tmp_path)
             return tracemalloc.get_traced_memory()[1] - base
         finally:
             if not tracing:
@@ -509,44 +530,65 @@ def test_early_outputs_complete_the_rotational_run(tmp_path):
     assert handle.report.all_passed
 
 
-# every preset but vorticity-3d; the expensive ones come from the
-# session fixtures that other tests already run
+# every preset but vorticity-3d at catalog defaults; the expensive ones
+# come from the session fixtures that other tests already run, and the
+# rest are run once, on first use, into the session's run tree
 _SESSION_RUNS = {
     "nonlinear-decay": "nonlinear_run", "q-decay": "qdecay_run",
     "lower-bound": "lower_bound_run", "vorticity-2d": "vort2d_run",
     "convolution-lemma": "conv_run", "zone-integrals": "zone_integrals_run",
 }
+_CATALOG = [n for n in PRESET_NAMES if n != "vorticity-3d"]
 
 
-def _preset_run(name, request, tmp_path):
+@pytest.fixture(scope="session")
+def cheap_runs():
+    """Runs of the presets without a session fixture, by name."""
+    return {}
+
+
+def _preset_run(name, request):
     if name == "linear-decay":
         return request.getfixturevalue("linear_lambda_runs")[0.5]
     if name in _SESSION_RUNS:
         return request.getfixturevalue(_SESSION_RUNS[name])
-    return run_preset(name, tmp_path)
+    made = request.getfixturevalue("cheap_runs")
+    if name not in made:
+        made[name] = run_preset(name, request.getfixturevalue("runs_base"))
+    return made[name]
 
 
-@pytest.mark.parametrize("name", [n for n in PRESET_NAMES if n != "vorticity-3d"])
-def test_report_lists_registered_verdicts(name, request, tmp_path):
-    handle = _preset_run(name, request, tmp_path)
+@pytest.mark.parametrize("name", _CATALOG)
+def test_report_lists_registered_verdicts(name, request):
+    handle = _preset_run(name, request)
     assert [v.name for v in handle.report.verdicts] \
         == list(harness.PRESETS[name].verdict_names)
 
 
-@pytest.mark.parametrize("name", [n for n in PRESET_NAMES if n != "vorticity-3d"])
-def test_decay_law_note_only_on_decay_law_presets(name, request, tmp_path):
+@pytest.mark.parametrize("name", _CATALOG)
+def test_digest_hashes_the_recorded_config(name, request):
+    # report.json records the config its digest hashes, and nothing else
+    handle = _preset_run(name, request)
+    stored = json.loads((handle.outdir / "report.json").read_text())
+    for config in (handle.report.config, stored["config"]):
+        text = json.dumps(config, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:12] \
+            == handle.report.digest == stored["digest"]
+
+
+@pytest.mark.parametrize("name", _CATALOG)
+def test_decay_law_note_only_on_decay_law_presets(name, request):
     # criteria 3-5 fail by design at catalog defaults, and exactly their
     # presets carry the note pointing to the decay-law discussion
-    handle = _preset_run(name, request, tmp_path)
+    handle = _preset_run(name, request)
     decay_law = name in ("linear-decay", "zone-integrals", "nonlinear-decay")
     assert handle.report.notes == ([harness._DECAY_LAW_NOTE] if decay_law else [])
     assert ("note: " in (handle.outdir / "summary.txt").read_text()) == decay_law
 
 
 def test_empty_diagnostics_selection(tmp_path):
-    cfg = preset_config("convolution-lemma", diagnostics=(),
-                        outdir=str(tmp_path))
-    rep = run_scenario(cfg)
+    cfg = preset_config("convolution-lemma", diagnostics=())
+    rep = run_scenario(cfg, tmp_path)
     assert rep.verdicts == []
     assert rep.all_passed
     assert "no diagnostics selected" in rep.summary()
@@ -591,8 +633,8 @@ def _read_rows(path):
 
 
 def test_sweep_serial(tmp_path):
-    base = preset_config("convolution-lemma", outdir=str(tmp_path))
-    results, agg = sweep(base, {"eps": ["1e-3", "2e-3"]})
+    base = preset_config("convolution-lemma")
+    results, agg = sweep(base, {"eps": ["1e-3", "2e-3"]}, tmp_path)
     assert len(results) == 2
     assert all(r["status"] == "ok" for r in results)
     assert all(r["n_fail"] == 0 for r in results)
@@ -610,8 +652,8 @@ def test_sweep_serial(tmp_path):
 
 
 def test_sweep_single_point_matches_run(tmp_path, conv_run):
-    base = preset_config("convolution-lemma", outdir=str(tmp_path))
-    results, _ = sweep(base, {"mu": ["2.0"]})
+    base = preset_config("convolution-lemma")
+    results, _ = sweep(base, {"mu": ["2.0"]}, tmp_path)
     assert results[0]["status"] == "ok"
     got = {v["name"]: v["value"] for v in results[0]["verdicts"]}
     want = {v.name: v.value for v in conv_run.report.verdicts}
@@ -620,10 +662,9 @@ def test_sweep_single_point_matches_run(tmp_path, conv_run):
 
 def test_sweep_parallel_matches_serial(tmp_path):
     axes = {"eps": ["1e-3", "2e-3"]}
-    base_s = preset_config("convolution-lemma", outdir=str(tmp_path / "s"))
-    base_p = preset_config("convolution-lemma", outdir=str(tmp_path / "p"))
-    res_s, agg_s = sweep(base_s, axes, workers=1)
-    res_p, agg_p = sweep(base_p, axes, workers=2)
+    base = preset_config("convolution-lemma")
+    res_s, agg_s = sweep(base, axes, tmp_path / "s", workers=1)
+    res_p, agg_p = sweep(base, axes, tmp_path / "p", workers=2)
     assert res_s == res_p
     assert agg_s.read_text() == agg_p.read_text()
 
@@ -651,11 +692,11 @@ def test_sweep_caps_workers(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
     axes = {"eps": ["1e-3", "2e-3", "3e-3"]}
-    base = preset_config("convolution-lemma", outdir=str(tmp_path))
+    base = preset_config("convolution-lemma")
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
-    res_cpu, _ = sweep(base, axes, workers=100000)
+    res_cpu, _ = sweep(base, axes, tmp_path, workers=100000)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
-    res_runs, _ = sweep(base, axes, workers=100000)
+    res_runs, _ = sweep(base, axes, tmp_path, workers=100000)
     assert sizes == [2, 3]
     assert res_cpu == res_runs
     assert all(r["status"] == "ok" for r in res_cpu)
@@ -665,8 +706,8 @@ def test_sweep_records_runtime_errors(tmp_path, monkeypatch):
     # a valid config whose run fails, here in the fit; the sweep records
     # an error row
     monkeypatch.setattr(harness, "decay_fit", _failing_fit)
-    base = preset_config("linear-decay", t_final=1.0e3, outdir=str(tmp_path))
-    results, agg = sweep(base, {"mu": ["2.0"]})
+    base = preset_config("linear-decay", t_final=1.0e3)
+    results, agg = sweep(base, {"mu": ["2.0"]}, tmp_path)
     assert results[0]["status"] == "error"
     assert "ValueError" in results[0]["error"]
     header, rows = _read_rows(agg)
@@ -683,23 +724,33 @@ def test_sweep_refuses_a_cell_outside_the_domain(tmp_path, capsys):
 
 
 def test_sweep_over_delta_none(tmp_path):
-    base = preset_config("convolution-lemma", outdir=str(tmp_path))
-    results, agg = sweep(base, {"delta": ["none"]})
+    base = preset_config("convolution-lemma")
+    results, agg = sweep(base, {"delta": ["none"]}, tmp_path)
     assert results[0]["status"] == "ok"
     header, rows = _read_rows(agg)
     assert rows[0][header.index("delta")] == "None"
 
 
+def test_sweep_refuses_a_negative_worker_count(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="^workers: must be nonnegative"):
+        sweep(preset_config("convolution-lemma"), {"eps": ["1e-3"]}, tmp_path,
+              workers=-1)
+    assert main(["sweep", "convolution-lemma", "--axis", "eps=1e-3",
+                 "--workers", "-1", "--outdir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: workers:")
+    assert not list(tmp_path.iterdir())
+
+
 def test_sweep_rejects_bad_axes(tmp_path):
-    base = preset_config("convolution-lemma", outdir=str(tmp_path))
+    base = preset_config("convolution-lemma")
     with pytest.raises(ConfigError, match="axis:"):
-        sweep(base, {"cfl": ["0.1"]})
+        sweep(base, {"cfl": ["0.1"]}, tmp_path)
     # invalid values on a valid axis fail upfront, before any run
     with pytest.raises(ConfigError, match="N:"):
-        sweep(base, {"N": ["8"]})
+        sweep(base, {"N": ["8"]}, tmp_path)
     # an axis named twice, here once through its alias, is refused too
     with pytest.raises(ConfigError, match="axis: 'lam' given twice"):
-        sweep(base, {"lambda": ["0.2", "0.3"], "lam": ["0.4"]})
+        sweep(base, {"lambda": ["0.2", "0.3"], "lam": ["0.4"]}, tmp_path)
     assert not list(tmp_path.iterdir())
 
 
@@ -721,17 +772,37 @@ def test_cli_run_and_report(tmp_path, capsys):
     assert "overall  : PASS" in out
     assert "run directory:" in out
 
-    cfg = preset_config("convolution-lemma", outdir=outdir)
-    rdir = str(run_dir(cfg))
+    rdir = str(run_dir(preset_config("convolution-lemma"), outdir))
     assert main(["report", rdir]) == 0
+    assert "overall  : PASS" in capsys.readouterr().out
+
+
+def test_report_bytes_do_not_depend_on_the_output_tree(tmp_path, capsys):
+    reports = []
+    for tree in ("a", "b"):
+        out = tmp_path / tree
+        assert main(["run", "convolution-lemma", "--outdir", str(out)]) == 0
+        reports.append((run_dir(preset_config("convolution-lemma"), out)
+                        / "report.json").read_bytes())
+    capsys.readouterr()
+    assert reports[0] == reports[1]
+
+
+def test_cli_report_reads_a_report_that_records_plumbing(conv_run, tmp_path,
+                                                         capsys):
+    # report.json files from before the output tree and the worker count
+    # left the config recorded both; they still render
+    data = json.loads((conv_run.outdir / "report.json").read_text())
+    data["config"].update(outdir="runs", workers=0)
+    (tmp_path / "report.json").write_text(json.dumps(data))
+    assert main(["report", str(tmp_path)]) == 0
     assert "overall  : PASS" in capsys.readouterr().out
 
 
 def test_cli_run_from_json_file(tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(
-        {"scenario": "convolution-lemma", "outdir": str(tmp_path)}))
-    assert main(["run", str(cfg_path)]) == 0
+    cfg_path.write_text(json.dumps({"scenario": "convolution-lemma"}))
+    assert main(["run", str(cfg_path), "--outdir", str(tmp_path)]) == 0
 
 
 def test_python_m_eulerlab_runs_without_warnings():

@@ -238,16 +238,17 @@ def test_fit_zone_constant_and_bound_check():
         samples.append((t, r, abs(float(tr[0, m, j]))))
     c0 = linear.fit_zone_constant(samples, d)
     assert c0 > 0.0
-    ratios = [linear.zone_bound_check(t, r, p, c0, d).ratio
-              for (t, r, p) in samples]
+    ratios = [p / linear.zone_envelope(t, r, c0, d) for (t, r, p) in samples]
     assert all(np.isfinite(ratios))
     assert max(ratios) <= 10.0
 
 
-def test_zone_bound_report_ratio():
-    rep = linear.zone_bound_check(2.0, 0.1, 0.5, 1.0, D_HALF)
-    assert rep.zone == Zone.Z1
-    assert rep.ratio == pytest.approx(rep.observed / rep.envelope, rel=1e-14)
+def test_zone_envelope_follows_the_zone():
+    # (2, 0.1) lies in the overdamped band Z1, (2, 3) above |xi| = 1 in Z3
+    assert linear.zone_envelope(2.0, 0.1, 1.0, D_HALF) == pytest.approx(
+        math.exp(-0.01 * math.sqrt(3.0)), rel=1e-14)
+    assert linear.zone_envelope(2.0, 3.0, 0.5, D_HALF) == pytest.approx(
+        0.5 * math.exp(-0.5 * math.sqrt(3.0)), rel=1e-14)
 
 
 # ---------------------------------------------------------------------
