@@ -1,11 +1,11 @@
 """Scenario configuration, preset experiment suites, reports and the CLI.
 
 A scenario is one fully specified numerical experiment: damping and gas
-laws, grid, initial data, solver knobs and a set of named diagnostics.
-Each preset in the catalog wires those pieces together for one question
-(kernel decay slopes, zone envelopes, nonlinear decay, conserved-mass
-lower bounds, vorticity decay, and so on) and reduces the run to a list
-of pass/fail verdicts with the fitted and predicted values side by side.
+laws, grid, initial data, horizon, snapshots and fit window, each value
+a number or a name.  Each preset wires those pieces together for one
+question (kernel decay slopes, zone envelopes, nonlinear decay,
+conserved-mass lower bounds, vorticity decay, and so on) and reduces the
+run to pass/fail verdicts with the fitted and predicted values side by side.
 
 A preset declares its domain (allowed dimensions, positive fields) as
 registry data, so every config error comes before a run directory exists.
@@ -13,8 +13,8 @@ registry data, so every config error comes before a run directory exists.
 Reports are deterministic: the same config produces byte-identical
 report.json, summary.txt and CSV output, also under parallel sweeps.
 Run directories are named by scenario plus a hash of the effective
-config, so re-running a config replaces its own directory and nothing
-else.
+config, sweep tables by a hash of the base config and the axes, so a
+rerun replaces its own output and nothing else.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ _DATA_KINDS = ("bump", "mass", "rotational", "potential")
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything one run depends on.  Flat on purpose: every key can be
-    overridden from the command line with --set key=value."""
+    """Everything one run depends on, as numbers and names.  Flat on
+    purpose: every key can be overridden with --set key=value."""
 
     scenario: str
     n: int = 1
@@ -88,14 +88,11 @@ class ScenarioConfig:
     n_snapshots: int = 33
     fit_lo: float = 10.0
     fit_hi: float = 100.0
-    cfl: float = 0.4
-    dt_override: float | None = None
-    r_cut: float = 1.0
-    diagnostics: tuple = ("*",)
-    store_fields: bool = False
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        # not dataclasses.asdict: its new 19-item field tuple per call would
+        # pile up on CPython's tuple free list over many runs in one process
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -121,19 +118,8 @@ class ScenarioConfig:
 # field name -> annotation, e.g. "float | None"
 _KINDS = {f.name: f.type for f in fields(ScenarioConfig)}
 _ALIASES = {"lambda": "lam"}
-_TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
-
-
-def _flag(text: str) -> bool:
-    low = text.lower()
-    if low not in _TRUE + _FALSE:
-        raise ValueError(text)
-    return low in _TRUE
-
-
 # parsers by annotation; "float | None" also takes none/null
-_PARSERS = {"int": int, "float": float, "bool": _flag, "str": str,
-            "tuple": lambda text: tuple(s for s in text.split(",") if s)}
+_PARSERS = {"int": int, "float": float, "str": str}
 
 
 def _coerce(name: str, text: str):
@@ -155,18 +141,13 @@ def _typed(name: str, value):
 
     A string is parsed as --set parses it, and so is the text of an int
     given for a float.  Any other value must have the annotated type
-    already, except that a list of strings is taken for a tuple.
+    already, or be null for a field that takes none.
     """
     kind = _KINDS[name]
     base = kind.removesuffix(" | None")
     if isinstance(value, str) or (base == "float" and type(value) is int):
         return _coerce(name, str(value))[1]
-    if value is None and base != kind:
-        return None
-    if base == "tuple" and isinstance(value, (list, tuple)) \
-            and all(isinstance(s, str) for s in value):
-        return tuple(value)
-    if type(value) is {"int": int, "float": float, "bool": bool}.get(base):
+    if (value is None and base != kind) or type(value) is _PARSERS[base]:
         return value
     raise ConfigError(f"{name}: expected {kind}, got {value!r}")
 
@@ -200,8 +181,7 @@ def validate_config(cfg: ScenarioConfig):
     try:
         Grid(cfg.n, cfg.L, cfg.N)
         GasLaw(gamma=cfg.gamma)
-        euler.SolverConfig(t_final=cfg.t_final, cfl=cfg.cfl,
-                           dt_override=cfg.dt_override)
+        euler.SolverConfig(t_final=cfg.t_final)
         d = _damping(cfg)
         if cfg.delta is not None:
             derive_constants(d, cfg.n, cfg.delta)
@@ -234,13 +214,6 @@ def validate_config(cfg: ScenarioConfig):
                 f"fit_lo/fit_hi: the fit window [{cfg.fit_lo:g}, {cfg.fit_hi:g}] holds "
                 f"{found} of the {len(t)} sample times up to t_final = {cfg.t_final:g}; "
                 f"the fit needs {diagnostics.FIT_MIN_PTS}")
-    if cfg.r_cut <= 0.0:
-        raise ConfigError(f"r_cut: must be positive, got {cfg.r_cut}")
-    unknown = set(cfg.diagnostics) - {"*"} - set(preset.verdict_names)
-    if unknown:
-        raise ConfigError(
-            f"diagnostics: {sorted(unknown)} not produced by {cfg.scenario!r}; "
-            f"available: {list(preset.verdict_names)}")
 
 
 def config_digest(cfg: ScenarioConfig) -> str:
@@ -251,7 +224,11 @@ def config_digest(cfg: ScenarioConfig) -> str:
     changing parallelism neither renames run directories nor changes a
     report's bytes.
     """
-    text = json.dumps(cfg.as_dict(), sort_keys=True)
+    return _digest(cfg.as_dict())
+
+
+def _digest(payload) -> str:
+    text = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
@@ -453,10 +430,8 @@ def _nonlinear_run(cfg: ScenarioConfig, snaps, outdir: Path, csv_name: str, *,
 
     Each output goes to the recorder and then to on_snapshot, if given.
     The recorder keeps the run's damping law, operators and weight
-    constants as rec.d, rec.ops and rec.spec.  The solve that owns
-    energy.csv also writes each output to fields/ as it arrives when the
-    config asks for store_fields.  A solve that stops before t_final
-    raises _SolverStopped unless allow_stop.
+    constants as rec.d, rec.ops and rec.spec.  A solve that stops before
+    t_final raises _SolverStopped unless allow_stop.
     """
     d, gas = _damping(cfg), GasLaw(gamma=cfg.gamma)
     grid = Grid(cfg.n, cfg.L, cfg.N)
@@ -464,31 +439,16 @@ def _nonlinear_run(cfg: ScenarioConfig, snaps, outdir: Path, csv_name: str, *,
     spec = derive_constants(d, cfg.n, cfg.delta)
     rec = EnergyRecorder(grid, d, gas, spec, with_source=with_source,
                          with_weights=with_weights, support_R=cfg.R, ops=ops)
-    sol = euler.SolverConfig(t_final=cfg.t_final, cfl=cfg.cfl,
-                             dt_override=cfg.dt_override,
-                             snapshot_times=tuple(snaps))
-    fdir, times = outdir / "fields", []
-    store = cfg.store_fields and csv_name == "energy.csv"
-    if store:
-        fdir.mkdir()
+    sol = euler.SolverConfig(t_final=cfg.t_final, snapshot_times=tuple(snaps))
 
     def hook(st):
         rec(st)
-        if store:
-            # plain .npy files (deterministic bytes), written as the
-            # output arrives, so that the run keeps no copy of it
-            np.save(fdir / f"snap{len(times):03d}_v.npy", st.v)
-            np.save(fdir / f"snap{len(times):03d}_u.npy", st.u)
-            times.append(st.t)
         if on_snapshot is not None:
             on_snapshot(st)
 
     res = euler.run(_make_state(cfg, grid, gas, ops), d, gas, grid, sol,
                     on_snapshot=hook, ops=ops)
     rec.to_csv(outdir / csv_name)
-    if store:
-        write_csv(fdir / "times.csv", ["index", "t"],
-                  [np.arange(len(times)), times])
     if res.verdict != "completed" and not allow_stop:
         raise _SolverStopped(Verdict(
             name="solver_completed", value=res.t_end, predicted=cfg.t_final,
@@ -523,8 +483,7 @@ def _run_linear_decay(cfg: ScenarioConfig, outdir: Path):
     g = euler.bump_profile(grid, cfg.R)
     times = np.array(_schedule(cfg))
 
-    series = linear.kernel_decay_check(g, grid, _damping(cfg), times,
-                                       k=(0, 1), r_cut=cfg.r_cut)
+    series = linear.kernel_decay_check(g, grid, _damping(cfg), times, k=(0, 1))
     fits, verdicts = {}, []
     for ser in series:
         fit = decay_fit(ser.times, ser.observed, cfg.fit_lo, cfg.fit_hi)
@@ -988,8 +947,6 @@ def run_scenario(cfg: ScenarioConfig, base_dir=_RUNS) -> Report:
     else:
         if any(not v.passed for v in verdicts if v.name in preset.decay_law):
             notes.append(_DECAY_LAW_NOTE)
-        if "*" not in cfg.diagnostics:
-            verdicts = [v for v in verdicts if v.name in cfg.diagnostics]
     files = [p.relative_to(outdir).as_posix() for p in outdir.rglob("*")
              if p.is_file()]
     report = Report(scenario=cfg.scenario, digest=config_digest(cfg),
@@ -1051,7 +1008,8 @@ def sweep(base: ScenarioConfig, axes: dict, base_dir=_RUNS, workers: int = 0):
     else:
         results = [_sweep_worker(c, base_dir) for c in cfgs]
 
-    agg_path = Path(base_dir) / f"sweep-{base.scenario}.csv"
+    key = _digest([base.as_dict(), list(zip(names, value_lists))])
+    agg_path = Path(base_dir) / f"sweep-{base.scenario}-{key}.csv"
     agg_path.parent.mkdir(parents=True, exist_ok=True)
     with open(agg_path, "w", newline="") as fh:
         wr = csv.writer(fh)

@@ -62,6 +62,8 @@ __all__ = [
 ]
 
 MODE_RTOL = 1e-10
+# kernel_decay_check's band: |xi| <= 1 carries the polynomial-in-time decay
+KERNEL_BAND = 1.0
 
 
 class AliasingWarning(UserWarning):
@@ -424,10 +426,10 @@ def zone_integral(t: float, alpha: int, zone: Zone, d: DampingLaw, n: int, *,
 class KernelDecaySeries:
     """Norms of the propagated field, split into band and tail parts.
 
-    observed[j] is the sup norm of the reconstruction from radii <= r_cut
-    at times[j]; tail_bound[j] is an empirically anchored bound
-    on the neglected high-band contribution (envelope fitted from probe
-    modes, times the spectral mass above the cut).
+    observed[j] is the sup norm of the band reconstruction at times[j];
+    tail_bound[j] is an empirically anchored bound on the neglected
+    high-band contribution (envelope fitted from probe modes, times the
+    spectral mass above the cut).
     """
 
     times: np.ndarray
@@ -438,12 +440,12 @@ class KernelDecaySeries:
 
 
 def kernel_decay_check(g: np.ndarray, grid: Grid, d: DampingLaw, times, *,
-                       k: tuple = (0,), r_cut: float = 1.0) -> tuple:
+                       k: tuple = (0,)) -> tuple:
     """Propagate data g through the first kernel and record the decay of
     its sup norm.
 
-    The reconstruction keeps radii <= r_cut (the band that carries the
-    polynomial-in-time behavior); higher radii share a single
+    The reconstruction keeps radii <= KERNEL_BAND (the band that carries
+    the polynomial-in-time behavior); higher radii share a single
     exponential-type envelope which is fitted on sparse probe modes and
     reported separately as a bound, never mixed into the observed norms.
 
@@ -458,7 +460,7 @@ def kernel_decay_check(g: np.ndarray, grid: Grid, d: DampingLaw, times, *,
 
     G = ops.fwd(g).ravel()
     uniq, inverse = _grid_mode_table(ops)
-    in_band = uniq <= r_cut
+    in_band = uniq <= KERNEL_BAND
     band_r = uniq[in_band]
 
     # the kernel's row of the band propagators, (M, T); the loop below
@@ -471,7 +473,7 @@ def kernel_decay_check(g: np.ndarray, grid: Grid, d: DampingLaw, times, *,
 
     # high-band envelope fitted on probe radii
     probes = np.array([x for x in (1.0, 1.5, 2.0, 3.0, 4.0)
-                       if r_cut <= x <= np.max(uniq)] or [max(r_cut, 1.0)])
+                       if KERNEL_BAND <= x <= np.max(uniq)] or [KERNEL_BAND])
     ptr = evolve_modes(probes, d, times)
     one_m = 1.0 - d.lam
     shape = np.exp(-(d.mu / (2.0 * one_m)) * ((1.0 + times) ** one_m - 1.0)) \

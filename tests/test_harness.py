@@ -12,7 +12,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
@@ -60,10 +59,10 @@ def test_preset_config_overrides():
 def test_from_dict_round_trip():
     cfg = preset_config("mass-conservation")
     assert ScenarioConfig.from_dict(cfg.as_dict()) == cfg
-    # JSON turns the diagnostics tuple into a list; from_dict restores it
-    data = json.loads(json.dumps(cfg.as_dict()))
-    back = ScenarioConfig.from_dict(data)
-    assert back.diagnostics == cfg.diagnostics
+    # every value is a number, a name or none, so JSON keeps it as it is
+    for cfg in [preset_config(name) for name in PRESET_NAMES] \
+            + [preset_config("nonlinear-decay", delta=0.25)]:
+        assert ScenarioConfig.from_dict(json.loads(json.dumps(cfg.as_dict()))) == cfg
     with pytest.raises(ConfigError):
         ScenarioConfig.from_dict({"scenario": "mass-conservation", "zap": 1})
     with pytest.raises(ConfigError):
@@ -73,14 +72,16 @@ def test_from_dict_round_trip():
 def test_from_dict_types_values_like_set():
     cfg = ScenarioConfig.from_dict(
         {"scenario": "nonlinear-decay", "L": 256, "N": "512", "delta": None,
-         "dt_override": "none", "diagnostics": ["rho_slope"],
-         "store_fields": True})
+         "data_kind": "mass"})
     assert cfg.L == 256.0 and isinstance(cfg.L, float)
-    assert cfg.N == 512 and cfg.delta is None and cfg.dt_override is None
-    assert cfg.diagnostics == ("rho_slope",) and cfg.store_fields is True
+    assert cfg.N == 512 and cfg.delta is None and cfg.data_kind == "mass"
+    assert ScenarioConfig.from_dict(
+        {"scenario": "nonlinear-decay", "delta": "none"}).delta is None
+    assert ScenarioConfig.from_dict(
+        {"scenario": "nonlinear-decay", "delta": 1}).delta == 1.0
     for key, value in (("N", 3.5), ("N", True), ("L", "far"), ("L", [1.0]),
-                       ("store_fields", 1), ("diagnostics", [1]),
-                       ("delta", {})):
+                       ("data_kind", 1), ("data_kind", None), ("N", None),
+                       ("delta", {}), ("delta", True)):
         with pytest.raises(ConfigError) as err:
             ScenarioConfig.from_dict({"scenario": "nonlinear-decay", key: value})
         assert str(err.value).startswith(f"{key}:")
@@ -117,17 +118,13 @@ def test_from_dict_refuses_a_non_object(data, tmp_path, capsys):
 def test_cli_override_coercion():
     cfg = harness._load_config(
         "nonlinear-decay",
-        ["lambda=0.3", "N=512", "store_fields=on", "delta=none", "diagnostics="])
+        ["lambda=0.3", "N=512", "delta=none", "data_kind=potential"])
     assert cfg.lam == 0.3
     assert cfg.N == 512 and isinstance(cfg.N, int)
-    assert cfg.store_fields is True
     assert cfg.delta is None
-    assert cfg.diagnostics == ()
+    assert cfg.data_kind == "potential"
 
-    cfg = harness._load_config("nonlinear-decay", ["diagnostics=rho_slope,u_slope"])
-    assert cfg.diagnostics == ("rho_slope", "u_slope")
-
-    for bad in (["bogus=1"], ["store_fields=maybe"], ["dealias=on"], ["N"]):
+    for bad in (["bogus=1"], ["store_fields=on"], ["dealias=on"], ["N"]):
         with pytest.raises(ConfigError):
             harness._load_config("nonlinear-decay", bad)
     with pytest.raises(ConfigError):
@@ -151,17 +148,17 @@ def test_cli_override_coercion():
     (dict(t_final=0.0), "t_final:"),
     (dict(n_snapshots=1), "n_snapshots:"),
     (dict(fit_lo=50.0, fit_hi=5.0), "fit_lo/fit_hi:"),
-    (dict(cfl=0.6), "cfl:"),
-    (dict(dt_override=0.0), "dt_override:"),
-    (dict(r_cut=0.0), "r_cut:"),
+    (dict(R=0.0), "R:"),
+    (dict(delta=math.inf), "delta:"),
+    (dict(lam=math.nan), "lam:"),
     (dict(jitter=-0.1), "jitter:"),
     (dict(fit_lo=-1.0), "fit_lo/fit_hi:"),
-    (dict(diagnostics=("no_such_verdict",)), "diagnostics:"),
+    (dict(n=0), "n:"),
     (dict(n=3), "N:"),   # 2048^3 points: over the grid budget, never allocated
     (dict(t_final=math.nan), "t_final:"),
     (dict(eps=math.nan), "eps:"),
     (dict(mu=math.nan), "mu:"),
-    (dict(dt_override=math.nan), "dt_override:"),
+    (dict(delta=math.nan), "delta:"),
     (dict(L=math.inf), "L:"),
     (dict(fit_hi=math.inf), "fit_hi:"),
     (dict(data_kind="rotational"), "data_kind:"),   # rotational data at n = 1
@@ -171,12 +168,15 @@ def test_validate_config_field_messages(overrides, field):
     with pytest.raises(ConfigError) as err:
         harness.validate_config(cfg)
     assert str(err.value).startswith(field)
+    if any(isinstance(v, float) and not math.isfinite(v)
+           for v in overrides.values()):
+        assert str(err.value).startswith(f"{field} must be finite")
 
 
 @pytest.mark.parametrize("item, field", [
-    ("N=abc", "N:"), ("dt_override=x", "dt_override:"),
+    ("N=abc", "N:"), ("delta=x", "delta:"),
     ("dealias=maybe", "dealias:"),   # no longer a field: rejected by name
-    ("store_fields=maybe", "store_fields:"),
+    ("store_fields=maybe", "store_fields:"),   # likewise
 ])
 def test_override_parse_errors_name_the_field(item, field, capsys):
     with pytest.raises(ConfigError) as err:
@@ -203,20 +203,28 @@ def test_config_digest_ignores_plumbing():
     assert run_dir(a, "here") == Path("here") / f"nonlinear-decay-{da}"
     assert run_dir(a, base_dir="x") == Path("x") / f"nonlinear-decay-{da}"
     # pinned: a change of the hashed payload renames every run directory
-    assert config_digest(preset_config("convolution-lemma")) == "834f31deecc1"
+    assert config_digest(preset_config("convolution-lemma")) == "4825915f90d2"
 
 
-@pytest.mark.parametrize("key", ["outdir", "workers"])
+# the options that left the config, each at the one value every preset
+# ran it at
+REMOVED_KEYS = {"cfl": 0.4, "dt_override": None, "r_cut": 1.0,
+                "diagnostics": ["*"], "store_fields": False}
+
+
+@pytest.mark.parametrize("key", ["outdir", "workers", *REMOVED_KEYS])
 def test_plumbing_is_no_config_key(key, tmp_path, capsys):
     # the output tree and the worker count are the --outdir and --workers
-    # flags alone; as --set or JSON keys they are unknown fields
+    # flags alone, and the step, band and output options are gone; as
+    # --set or JSON keys they are unknown fields
     out = tmp_path / "runs"
     argv = ["run", "convolution-lemma", "--set", f"{key}=3", "--outdir", str(out)]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(
         f"config error: {key}: not a config field")
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"scenario": "convolution-lemma", key: 3}))
+    path.write_text(json.dumps({"scenario": "convolution-lemma",
+                                key: REMOVED_KEYS.get(key, 3)}))
     assert main(["run", str(path), "--outdir", str(out)]) == 2
     assert capsys.readouterr().err.startswith(
         f"config error: config: unknown keys ['{key}']")
@@ -280,11 +288,9 @@ def test_run_scenario_artifacts(conv_run):
     assert conv_run.outdir.name == f"convolution-lemma-{rep.digest}"
     stored = Report.from_json((conv_run.outdir / "report.json").read_text())
     assert stored.verdicts == rep.verdicts
-    # JSON renders the diagnostics tuple as a list; the rest is verbatim
-    stored_cfg, live_cfg = dict(stored.config), dict(rep.config)
-    assert tuple(stored_cfg.pop("diagnostics")) \
-        == tuple(live_cfg.pop("diagnostics"))
-    assert stored_cfg == live_cfg
+    live = preset_config("convolution-lemma")
+    assert stored.config == rep.config == live.as_dict()
+    assert ScenarioConfig.from_dict(stored.config) == live
     summary = (conv_run.outdir / "summary.txt").read_text()
     assert "overall  : PASS" in summary
     assert {v.name for v in rep.verdicts} == {
@@ -446,49 +452,9 @@ def test_early_stop_is_a_failing_verdict(tmp_path, capsys):
     energy = read_csv_columns(run_dir(cfg, tmp_path) / "energy.csv")
     assert energy["t"][-1] < 20.0
 
-    # a diagnostics selection cannot hide the early stop
-    picked = run_scenario(replace(cfg, diagnostics=("rho_slope",)), tmp_path)
-    assert [v.name for v in picked.verdicts] == ["solver_completed"]
-
     results, agg = sweep(cfg, {"eps": ["1.2"]}, tmp_path)
     assert results[0]["status"] == "ok"
     assert (results[0]["n_pass"], results[0]["n_fail"]) == (0, 1)
-
-
-def test_mass_conservation_stores_fields(tmp_path):
-    handle = run_preset("mass-conservation", tmp_path, store_fields=True)
-    files = handle.report.files
-    assert "fields/times.csv" in files
-    times = read_csv_columns(handle.outdir / "fields/times.csv")["t"]
-    assert times.size == 21 and times[0] == 0.0 and times[-1] == 50.0
-    assert sum(f.endswith("_v.npy") for f in files) == times.size
-    for name in files:
-        assert (handle.outdir / name).exists()
-
-
-def test_stored_fields_are_written_as_they_arrive(tmp_path):
-    # numpy reports its arrays to tracemalloc.  A solve that kept every
-    # output until the end to write fields/ would peak higher by about
-    # outputs x state, 21 x 16 KiB here; writing each output as it
-    # arrives keeps the peak within one state of the same solve without
-    # store_fields
-    def traced_peak(**extra):
-        cfg = preset_config("mass-conservation", **extra)
-        tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        try:
-            run_scenario(cfg, tmp_path)
-            return tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-
-    cfg = preset_config("mass-conservation")
-    state = (cfg.n + 1) * cfg.N ** cfg.n * 8
-    plain, stored = traced_peak(), traced_peak(store_fields=True)
-    assert stored - plain <= state
 
 
 def test_one_band_ops_per_solve(tmp_path, monkeypatch):
@@ -586,14 +552,6 @@ def test_decay_law_note_only_on_decay_law_presets(name, request):
     assert ("note: " in (handle.outdir / "summary.txt").read_text()) == decay_law
 
 
-def test_empty_diagnostics_selection(tmp_path):
-    cfg = preset_config("convolution-lemma", diagnostics=())
-    rep = run_scenario(cfg, tmp_path)
-    assert rep.verdicts == []
-    assert rep.all_passed
-    assert "no diagnostics selected" in rep.summary()
-
-
 def test_mass_conservation_preset_passes(tmp_path):
     handle = run_preset("mass-conservation", tmp_path)
     assert handle.report.all_passed
@@ -649,6 +607,20 @@ def test_sweep_serial(tmp_path):
     assert rows[0][8] == ""
     for r in rows:
         assert (tmp_path / f"convolution-lemma-{r[3]}" / "report.json").exists()
+
+
+def test_sweeps_into_one_tree_keep_their_tables(tmp_path):
+    # each sweep names its table by its base config and axes: a second
+    # sweep of the preset leaves the first one's table, a rerun replaces
+    # its own
+    base = preset_config("convolution-lemma")
+    _, by_eps = sweep(base, {"eps": ["1e-3", "2e-3"]}, tmp_path)
+    _, by_mu = sweep(base, {"mu": ["1", "3"]}, tmp_path)
+    _, again = sweep(base, {"eps": ["0.001", "0.002"]}, tmp_path)
+    assert by_eps != by_mu and again == by_eps
+    assert sorted(tmp_path.glob("sweep-*.csv")) == sorted([by_eps, by_mu])
+    assert by_eps.name.startswith("sweep-convolution-lemma-")
+    assert _read_rows(by_eps)[0][2] == "eps" and _read_rows(by_mu)[0][2] == "mu"
 
 
 def test_sweep_single_point_matches_run(tmp_path, conv_run):
@@ -790,13 +762,20 @@ def test_report_bytes_do_not_depend_on_the_output_tree(tmp_path, capsys):
 
 def test_cli_report_reads_a_report_that_records_plumbing(conv_run, tmp_path,
                                                          capsys):
-    # report.json files from before the output tree and the worker count
-    # left the config recorded both; they still render
+    # report.json files from before the output tree, the worker count and
+    # the removed options left the config recorded them; they still render,
+    # also one with the empty verdict list that a diagnostics=() run wrote
     data = json.loads((conv_run.outdir / "report.json").read_text())
-    data["config"].update(outdir="runs", workers=0)
+    data["config"].update(outdir="runs", workers=0, **REMOVED_KEYS)
     (tmp_path / "report.json").write_text(json.dumps(data))
     assert main(["report", str(tmp_path)]) == 0
     assert "overall  : PASS" in capsys.readouterr().out
+    data["config"]["diagnostics"], data["verdicts"] = [], []
+    (tmp_path / "report.json").write_text(json.dumps(data))
+    assert main(["report", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "no diagnostics selected" in out
+    assert "overall  : PASS (0/0 passed)" in out
 
 
 def test_cli_run_from_json_file(tmp_path):

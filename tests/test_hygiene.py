@@ -4,14 +4,14 @@ touches an FFT module, so SpectralOps.fwd/inv stay the one transform
 path, no preset runner raises ConfigError, so the preset registry
 and validate_config stay the one home of a preset's domain, no runner
 of a preset that registers a schedule makes its samples itself, so
-the schedule is stated once, every
-recorder column is read by a verdict or a monitor column, no module
-tunes the C allocator: large work arrays are held, not re-faulted, by
-the code that uses them, the quadratic terms have one home: only
-the stepper's products and the wave source name _product_row, and a
-module exports only what src/ uses or the acceptance tests import, and
-a class's public methods are only those src/ or the acceptance tests
-call."""
+the schedule is stated once, every config parser has a field of its
+kind, every recorder column is read by a verdict or a monitor column,
+no module tunes the C allocator: large work arrays are held, not
+re-faulted, by the code that uses them, the quadratic terms have one
+home: only the stepper's products and the wave source name
+_product_row, and a module exports only what src/ uses or the
+acceptance tests import, and a class's public methods are only those
+src/ or the acceptance tests call."""
 
 import ast
 from pathlib import Path
@@ -199,6 +199,14 @@ def test_preset_declarations_name_real_fields():
         for name in preset.positive:
             assert harness._KINDS.get(name) == "float", (preset.name, name)
         assert set(preset.dims) <= {1, 2, 3} and preset.dims, preset.name
+
+
+def test_every_config_parser_has_a_field():
+    # a config value is parsed by its field's annotation; a parser whose
+    # last field is gone would be dead code
+    from eulerlab import harness
+    kinds = {kind.removesuffix(" | None") for kind in harness._KINDS.values()}
+    assert set(harness._PARSERS) == kinds
 
 
 MONITORS = ("mon_low", "mon_high", "wmon_low", "wmon_high")
