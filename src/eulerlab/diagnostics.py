@@ -403,7 +403,7 @@ def lower_bound_margin(times, rho_l2, u_l2, q0: float, R: float, n: int,
     if not np.any(sel):
         raise ValueError(f"no samples in [t0, t1] = [{t0}, {t1}]")
     return {
-        "times": times, "m_rho": m_rho, "m_u": m_u,
+        "m_rho": m_rho, "m_u": m_u,
         "inf_rho": float(np.min(m_rho[sel])),
         "inf_u": float(np.min(m_u[sel])),
     }

@@ -8,7 +8,9 @@ conserved-mass lower bounds, vorticity decay, and so on) and reduces the
 run to pass/fail verdicts with the fitted and predicted values side by side.
 
 A preset declares its domain (allowed dimensions, positive fields) as
-registry data, so every config error comes before a run directory exists.
+registry data, so every config error comes before a run directory exists;
+its verdicts are the list its runner returns.  A config key has one
+name, the field's, in JSON configs, --set, --axis and report.json.
 
 Reports are deterministic: the same config produces byte-identical
 report.json, summary.txt and CSV output, also under parallel sweeps.
@@ -100,12 +102,6 @@ class ScenarioConfig:
         if not isinstance(data, dict):
             raise ConfigError(
                 f"config: expected a JSON object, got {type(data).__name__}")
-        for alias, name in _ALIASES.items():
-            if alias in data:
-                if name in data:
-                    raise ConfigError(f"{name}: given twice, as {name!r} "
-                                      f"and as its alias {alias!r}")
-                data = {(name if k == alias else k): val for k, val in data.items()}
         extra = set(data) - set(_KINDS)
         if extra:
             raise ConfigError(
@@ -117,21 +113,19 @@ class ScenarioConfig:
 
 # field name -> annotation, e.g. "float | None"
 _KINDS = {f.name: f.type for f in fields(ScenarioConfig)}
-_ALIASES = {"lambda": "lam"}
 # parsers by annotation; "float | None" also takes none/null
 _PARSERS = {"int": int, "float": float, "str": str}
 
 
 def _coerce(name: str, text: str):
     """Parse one --set or --axis value by the field's annotation."""
-    name = _ALIASES.get(name, name)
     if name not in _KINDS:
         raise ConfigError(f"{name}: not a config field")
     kind = _KINDS[name]
     if kind.endswith(" | None") and text.lower() in ("none", "null"):
-        return name, None
+        return None
     try:
-        return name, _PARSERS[kind.removesuffix(" | None")](text)
+        return _PARSERS[kind.removesuffix(" | None")](text)
     except ValueError:
         raise ConfigError(f"{name}: expected {kind}, got {text!r}") from None
 
@@ -146,7 +140,7 @@ def _typed(name: str, value):
     kind = _KINDS[name]
     base = kind.removesuffix(" | None")
     if isinstance(value, str) or (base == "float" and type(value) is int):
-        return _coerce(name, str(value))[1]
+        return _coerce(name, str(value))
     if (value is None and base != kind) or type(value) is _PARSERS[base]:
         return value
     raise ConfigError(f"{name}: expected {kind}, got {value!r}")
@@ -286,8 +280,7 @@ class Report:
             "files": list(self.files),
             "notes": list(self.notes),
         }
-        return json.dumps(payload, sort_keys=True, indent=2,
-                          default=_json_default) + "\n"
+        return _json_text(payload)
 
     @classmethod
     def from_json(cls, text: str) -> "Report":
@@ -323,19 +316,12 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+def _json_text(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _write_json(path: Path, payload):
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2,
-                               default=_json_default) + "\n")
+    path.write_text(_json_text(payload))
 
 
 # =====================================================================
@@ -344,8 +330,9 @@ def _write_json(path: Path, payload):
 
 @dataclass(frozen=True)
 class Preset:
-    """runner(cfg, outdir) writes the artifacts and returns the verdicts.
-    dims (allowed n) and positive (fields that must be > 0) are the domain
+    """runner(cfg, outdir) writes the artifacts and returns the verdicts,
+    the one statement of which verdicts the preset has.  dims (allowed n)
+    and positive (fields that must be > 0) are the domain
     validate_config checks.  A preset that reads [fit_lo, fit_hi] gives
     schedule(cfg), its snapshot times: it samples at their outputs,
     _schedule(cfg), and validate_config counts the window's samples there.
@@ -354,7 +341,6 @@ class Preset:
     name: str
     description: str
     overrides: dict
-    verdict_names: tuple
     runner: object
     dims: tuple = (1, 2, 3)
     positive: tuple = ()
@@ -365,11 +351,11 @@ class Preset:
 PRESETS: dict = {}
 
 
-def _register(name, description, verdicts, *, dims=(1, 2, 3), positive=(),
+def _register(name, description, *, dims=(1, 2, 3), positive=(),
               schedule=None, decay_law=(), **overrides):
     def deco(fn):
-        PRESETS[name] = Preset(name, description, overrides, tuple(verdicts),
-                               fn, dims, positive, schedule, decay_law)
+        PRESETS[name] = Preset(name, description, overrides, fn, dims,
+                               positive, schedule, decay_law)
         return fn
     return deco
 
@@ -472,7 +458,6 @@ _DECAY_LAW_NOTE = (
 @_register(
     "linear-decay",
     "sup-norm decay slopes of band-limited kernel reconstructions of bump data",
-    ("kernel_decay_k0", "kernel_decay_k1", "band_tail_fraction"),
     dims=(1,),   # the kernel reconstruction is one-dimensional
     schedule=lambda cfg: np.geomspace(1.0, cfg.t_final, cfg.n_snapshots),
     decay_law=("kernel_decay_k0", "kernel_decay_k1"),
@@ -533,7 +518,6 @@ def _zone_table(d: DampingLaw, t_final: float, density: int):
 @_register(
     "zone-bounds",
     "propagator magnitudes against the per-zone envelopes, fitted constants",
-    ("z1_ratio_drift", "z2_ratio_drift", "z3_decay_rate"),
     # at mu = 0 the zones degenerate; the middle-zone envelope uses the
     # band crossing time, which needs lam > 0
     positive=("mu", "lam"),
@@ -596,7 +580,6 @@ def _run_zone_bounds(cfg: ScenarioConfig, outdir: Path):
 @_register(
     "zone-integrals",
     "L1 zone integrals of the first kernel against power-law envelopes",
-    ("z1_a0_ratio_spread", "z1_a2_ratio_spread", "alpha_exponent_gap"),
     positive=("mu",),   # at mu = 0 the low band is empty
     decay_law=("z1_a0_ratio_spread", "z1_a2_ratio_spread", "alpha_exponent_gap"),
     n=1, lam=0.5, mu=2.0)
@@ -633,7 +616,6 @@ def _run_zone_integrals(cfg: ScenarioConfig, outdir: Path):
 @_register(
     "nonlinear-decay",
     "sup-norm decay exponents of density and velocity after a small bump",
-    ("rho_slope", "u_slope", "slope_difference"),
     schedule=_log_snapshots,
     decay_law=("rho_slope", "u_slope", "slope_difference"),
     n=1, lam=0.5, mu=2.0, gamma=2.0, eps=1e-3, N=2048, L=256.0, R=4.0,
@@ -661,7 +643,6 @@ def _run_nonlinear_decay(cfg: ScenarioConfig, outdir: Path):
 @_register(
     "u-extra-lambda",
     "velocity lags the density gradient by one power of the damping clock",
-    ("velocity_lag_exponent", "quasistatic_residual"),
     schedule=_log_snapshots,
     n=1, lam=0.5, mu=2.0, N=1024, L=360.0, R=8.0, data_order=7,
     t_final=300.0, n_snapshots=33, fit_lo=30.0, fit_hi=300.0)
@@ -697,7 +678,6 @@ def _run_u_extra_lambda(cfg: ScenarioConfig, outdir: Path):
 @_register(
     "mass-conservation",
     "exact conservation of the density excess integral",
-    ("mass_drift",),
     positive=("q0",),   # the drift is relative to the excess mass
     n=1, lam=0.5, mu=2.0, N=1024, L=128.0, R=4.0, q0=0.01, data_kind="mass",
     t_final=50.0, n_snapshots=21)
@@ -713,8 +693,6 @@ def _run_mass_conservation(cfg: ScenarioConfig, outdir: Path):
 @_register(
     "lower-bound",
     "conserved-mass lower bounds: density and velocity margins stay positive",
-    ("mass_drift", "cauchy_schwarz", "moment_inequality",
-     "lower_bound_rho", "lower_bound_u"),
     positive=("q0",),   # the bounds are stated for a positive excess mass
     schedule=_lin_snapshots,
     n=1, lam=0.5, mu=2.0, N=2048, L=440.0, R=10.0, q0=0.01, data_kind="mass",
@@ -780,7 +758,6 @@ def _vorticity_run(cfg: ScenarioConfig, outdir: Path):
 @_register(
     "vorticity-2d",
     "stretched-exponential vorticity decay for rotational data in the plane",
-    ("vorticity_rate", "vorticity_fit_residual", "irrotational_floor"),
     dims=(2, 3),   # on a line every velocity field is a gradient
     schedule=_lin_snapshots,
     n=2, lam=0.5, mu=1.0, N=256, L=68.0, R=12.0, eps=1e-3,
@@ -802,7 +779,6 @@ def _run_vorticity_2d(cfg: ScenarioConfig, outdir: Path):
 @_register(
     "vorticity-3d",
     "stretched-exponential vorticity decay in three dimensions",
-    ("vorticity_rate", "vorticity_fit_residual"),
     dims=(3,),   # the three-dimensional claim: stretching exists only there
     schedule=_lin_snapshots,
     n=3, lam=0.5, mu=1.0, N=128, L=40.0, R=12.0, eps=1e-3,
@@ -815,7 +791,6 @@ def _run_vorticity_3d(cfg: ScenarioConfig, outdir: Path):
 @_register(
     "q-decay",
     "decay rate and quadratic smallness of the wave-form source",
-    ("q_l1_slope_cap", "q_eps_scaling"),
     schedule=_log_snapshots,
     n=1, lam=0.5, mu=2.0, gamma=2.0, eps=1e-3, N=2048, L=256.0, R=4.0,
     data_order=7, t_final=1.0e3, n_snapshots=41, fit_lo=1.0e2, fit_hi=1.0e3)
@@ -847,8 +822,7 @@ def _run_q_decay(cfg: ScenarioConfig, outdir: Path):
 
 @_register(
     "convolution-lemma",
-    "time-convolution inequality ratios stabilize in the long-time limit",
-    ("conv_2_1", "conv_1.5_1.5", "conv_3_0.5"))
+    "time-convolution inequality ratios stabilize in the long-time limit")
 def _run_convolution(cfg: ScenarioConfig, outdir: Path):
     pairs = ((2.0, 1.0), (1.5, 1.5), (3.0, 0.5))
     times = np.array([1.0, 10.0, 1e2, 1e3, 1e4])
@@ -870,8 +844,6 @@ def _run_convolution(cfg: ScenarioConfig, outdir: Path):
 @_register(
     "weighted-energy-bounded",
     "time-scaled plain and weighted energies stay within their startup range",
-    ("plain_low_bounded", "plain_high_bounded",
-     "weighted_low_bounded", "weighted_high_bounded"),
     n=1, lam=0.5, mu=2.0, gamma=2.0, eps=1e-3, N=2048, L=256.0, R=4.0,
     data_order=7, t_final=1.0e3, n_snapshots=37)
 def _run_weighted_energy(cfg: ScenarioConfig, outdir: Path):
@@ -895,7 +867,6 @@ def _run_weighted_energy(cfg: ScenarioConfig, outdir: Path):
 @_register(
     "blowup-scout",
     "the monitor catches gradient blow-up when the damping is switched off",
-    ("blowup_detected",),
     n=1, lam=0.5, mu=0.0, gamma=2.0, eps=1.2, N=512, L=40.0, R=2.0,
     data_order=1, t_final=20.0, n_snapshots=21)
 def _run_blowup_scout(cfg: ScenarioConfig, outdir: Path):
@@ -958,9 +929,6 @@ def run_scenario(cfg: ScenarioConfig, base_dir=_RUNS) -> Report:
     return report
 
 
-_SWEEP_AXES = ("lam", "mu", "eps", "N", "delta")
-
-
 def _sweep_worker(cfg: ScenarioConfig, base_dir) -> dict:
     try:
         rep = run_scenario(cfg, base_dir)
@@ -978,22 +946,18 @@ def sweep(base: ScenarioConfig, axes: dict, base_dir=_RUNS, workers: int = 0):
     """Cartesian-product runs over the given axes, on up to workers
     processes (0 or 1: in this process).
 
-    axes maps axis names (lambda, mu, eps, N, delta) to value lists.
-    Returns (per-run result dicts in product order, aggregate CSV path).
+    axes maps config field names, any but scenario, to value lists,
+    each value parsed as --set parses it.  Returns (per-run result dicts
+    in product order, aggregate CSV path).
     """
     if workers < 0:
         raise ConfigError(f"workers: must be nonnegative, got {workers}")
-    names, value_lists = [], []
-    for axis, vals in axes.items():
-        name = _ALIASES.get(axis, axis)
-        if name not in _SWEEP_AXES:
-            raise ConfigError(
-                f"axis: unsupported axis {axis!r}; "
-                f"use one of lambda, mu, eps, N, delta")
-        if name in names:
-            raise ConfigError(f"axis: {name!r} given twice")
-        names.append(name)
-        value_lists.append([_coerce(name, str(v))[1] for v in vals])
+    names = list(axes)
+    for name in names:
+        if name == "scenario" or name not in _KINDS:
+            raise ConfigError(f"axis: no sweep axis {name!r}; an axis is "
+                              f"any config field but scenario")
+    value_lists = [[_coerce(name, str(v)) for v in axes[name]] for name in names]
 
     cfgs = [replace(base, **dict(zip(names, combo)))
             for combo in itertools.product(*value_lists)]
@@ -1050,8 +1014,8 @@ def _load_config(arg: str, overrides) -> ScenarioConfig:
         key, sep, text = item.partition("=")
         if not sep:
             raise ConfigError(f"--set: expected KEY=VALUE, got {item!r}")
-        name, value = _coerce(key.strip(), text)
-        updates[name] = value
+        name = key.strip()
+        updates[name] = _coerce(name, text)
     return replace(cfg, **updates)
 
 
@@ -1129,7 +1093,7 @@ def main(argv=None) -> int:
     p_sw.add_argument("config")
     p_sw.add_argument("--axis", action="append", default=[],
                       metavar="NAME=V1,V2,...",
-                      help="sweep axis: lambda, mu, eps, N or delta")
+                      help="sweep axis: any config field but scenario")
     p_sw.add_argument("--set", dest="overrides", action="append", default=[],
                       metavar="KEY=VALUE")
     p_sw.add_argument("--outdir", default=_RUNS)

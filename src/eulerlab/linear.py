@@ -78,20 +78,16 @@ class QuadratureError(RuntimeError):
 #  Propagators: scipy reference path
 # =====================================================================
 
-def _radius(xi) -> float:
-    return float(np.linalg.norm(np.atleast_1d(np.asarray(xi, dtype=float))))
-
-
-def propagator_matrix(t: float, tau: float, xi, d: DampingLaw,
+def propagator_matrix(t: float, tau: float, r: float, d: DampingLaw,
                       tol: float = MODE_RTOL) -> np.ndarray:
-    """2x2 solution matrix E(t, tau) of one mode, by DOP853.
+    """2x2 solution matrix E(t, tau) of the mode of radius r = |xi|, by
+    DOP853.
 
     Column 0 is phi1, posed at tau with (W, W') = (1, 0), and column 1
     is phi2, posed with (0, 1); row 1 holds their time derivatives at t.
     Integrates both canonical columns at once.  The step cap 0.1/r keeps
     the oscillatory phase resolved for large radii.
     """
-    r = _radius(xi)
     if t < tau:
         raise ValueError(f"propagator needs t >= tau, got t={t}, tau={tau}")
     if t == tau:

@@ -202,8 +202,8 @@ class Zone(enum.IntEnum):
     Z3 = 3
 
 
-def zone_classify(t: float, xi, d: DampingLaw) -> Zone:
-    """Classify a frequency at time t.
+def zone_classify(t: float, r: float, d: DampingLaw) -> Zone:
+    """Classify the frequency radius r = |xi| at time t.
 
     Z1: |xi| <= mu/4 * (1+t)^-lam      (overdamped band, shrinks in t)
     Z2: not Z1 and |xi| <= 1
@@ -211,7 +211,6 @@ def zone_classify(t: float, xi, d: DampingLaw) -> Zone:
     """
     if t < 0.0:
         raise ValueError("zone_classify requires t >= 0")
-    r = float(np.linalg.norm(np.atleast_1d(np.asarray(xi, dtype=float))))
     if r <= 0.25 * d.mu * (1.0 + t) ** (-d.lam):
         return Zone.Z1
     if r <= 1.0:
@@ -219,8 +218,9 @@ def zone_classify(t: float, xi, d: DampingLaw) -> Zone:
     return Zone.Z3
 
 
-def t_xi(xi, d: DampingLaw) -> float:
-    """Time at which a low frequency leaves the overdamped band.
+def t_xi(r: float, d: DampingLaw) -> float:
+    """Time at which the low frequency radius r = |xi| leaves the
+    overdamped band.
 
     Solves |xi| = mu/4 * (1+t)^-lam for t:  1 + t = (4|xi|/mu)^(-1/lam).
     Defined for 0 < |xi| <= mu/4 and lam > 0 (for lam = 0 the band
@@ -230,7 +230,6 @@ def t_xi(xi, d: DampingLaw) -> float:
         raise ValueError("t_xi is undefined at lam = 0 (time-independent band)")
     if d.mu == 0.0:
         raise ValueError("t_xi is undefined at mu = 0 (empty overdamped band)")
-    r = float(np.linalg.norm(np.atleast_1d(np.asarray(xi, dtype=float))))
     if not 0.0 < r <= 0.25 * d.mu:
         raise ValueError(
             f"t_xi needs 0 < |xi| <= mu/4 = {0.25 * d.mu}, got |xi| = {r}")

@@ -26,12 +26,26 @@ from eulerlab.harness import (
     main, preset_config, run_dir, run_scenario, sweep,
 )
 
-PRESET_NAMES = [
-    "linear-decay", "zone-bounds", "zone-integrals", "nonlinear-decay",
-    "u-extra-lambda", "mass-conservation", "lower-bound", "vorticity-2d",
-    "vorticity-3d", "q-decay", "convolution-lemma",
-    "weighted-energy-bounded", "blowup-scout",
-]
+# the catalog in order, each preset with the verdicts its report lists
+PRESET_VERDICTS = {
+    "linear-decay": ("kernel_decay_k0", "kernel_decay_k1", "band_tail_fraction"),
+    "zone-bounds": ("z1_ratio_drift", "z2_ratio_drift", "z3_decay_rate"),
+    "zone-integrals": ("z1_a0_ratio_spread", "z1_a2_ratio_spread",
+                       "alpha_exponent_gap"),
+    "nonlinear-decay": ("rho_slope", "u_slope", "slope_difference"),
+    "u-extra-lambda": ("velocity_lag_exponent", "quasistatic_residual"),
+    "mass-conservation": ("mass_drift",),
+    "lower-bound": ("mass_drift", "cauchy_schwarz", "moment_inequality",
+                    "lower_bound_rho", "lower_bound_u"),
+    "vorticity-2d": ("vorticity_rate", "vorticity_fit_residual",
+                     "irrotational_floor"),
+    "vorticity-3d": ("vorticity_rate", "vorticity_fit_residual"),
+    "q-decay": ("q_l1_slope_cap", "q_eps_scaling"),
+    "convolution-lemma": ("conv_2_1", "conv_1.5_1.5", "conv_3_0.5"),
+    "weighted-energy-bounded": ("plain_low_bounded", "plain_high_bounded",
+                                "weighted_low_bounded", "weighted_high_bounded"),
+    "blowup-scout": ("blowup_detected",),
+}
 
 
 # ---------------------------------------------------------------------
@@ -39,13 +53,12 @@ PRESET_NAMES = [
 # ---------------------------------------------------------------------
 
 def test_preset_catalog_is_frozen():
-    assert list(harness.PRESETS) == PRESET_NAMES
-    for name in PRESET_NAMES:
+    assert list(harness.PRESETS) == list(PRESET_VERDICTS)
+    for name in PRESET_VERDICTS:
         cfg = preset_config(name)
         assert cfg.scenario == name
         harness.validate_config(cfg)
         assert harness.PRESETS[name].description
-        assert len(harness.PRESETS[name].verdict_names) >= 1
 
 
 def test_preset_config_overrides():
@@ -60,7 +73,7 @@ def test_from_dict_round_trip():
     cfg = preset_config("mass-conservation")
     assert ScenarioConfig.from_dict(cfg.as_dict()) == cfg
     # every value is a number, a name or none, so JSON keeps it as it is
-    for cfg in [preset_config(name) for name in PRESET_NAMES] \
+    for cfg in [preset_config(name) for name in PRESET_VERDICTS] \
             + [preset_config("nonlinear-decay", delta=0.25)]:
         assert ScenarioConfig.from_dict(json.loads(json.dumps(cfg.as_dict()))) == cfg
     with pytest.raises(ConfigError):
@@ -90,19 +103,6 @@ def test_from_dict_types_values_like_set():
         ScenarioConfig.from_dict({"scenario": "nonlinear-decay", "outdir": 5})
 
 
-def test_from_dict_accepts_the_lambda_alias():
-    cfg = ScenarioConfig.from_dict({"scenario": "convolution-lemma", "lambda": 0.3})
-    assert cfg.lam == 0.3
-    assert cfg == preset_config("convolution-lemma", lam=0.3)
-    with pytest.raises(ConfigError) as err:
-        ScenarioConfig.from_dict(
-            {"scenario": "convolution-lemma", "lam": 0.3, "lambda": 0.3})
-    assert str(err.value).startswith("lam:")
-    with pytest.raises(ConfigError) as err:
-        ScenarioConfig.from_dict({"scenario": "convolution-lemma", "lambda": "x"})
-    assert str(err.value).startswith("lam:")
-
-
 @pytest.mark.parametrize("data", [5, "abc", [1, 2], None])
 def test_from_dict_refuses_a_non_object(data, tmp_path, capsys):
     with pytest.raises(ConfigError) as err:
@@ -118,7 +118,7 @@ def test_from_dict_refuses_a_non_object(data, tmp_path, capsys):
 def test_cli_override_coercion():
     cfg = harness._load_config(
         "nonlinear-decay",
-        ["lambda=0.3", "N=512", "delta=none", "data_kind=potential"])
+        ["lam=0.3", "N=512", "delta=none", "data_kind=potential"])
     assert cfg.lam == 0.3
     assert cfg.N == 512 and isinstance(cfg.N, int)
     assert cfg.delta is None
@@ -504,7 +504,7 @@ _SESSION_RUNS = {
     "lower-bound": "lower_bound_run", "vorticity-2d": "vort2d_run",
     "convolution-lemma": "conv_run", "zone-integrals": "zone_integrals_run",
 }
-_CATALOG = [n for n in PRESET_NAMES if n != "vorticity-3d"]
+_CATALOG = [n for n in PRESET_VERDICTS if n != "vorticity-3d"]
 
 
 @pytest.fixture(scope="session")
@@ -527,8 +527,7 @@ def _preset_run(name, request):
 @pytest.mark.parametrize("name", _CATALOG)
 def test_report_lists_registered_verdicts(name, request):
     handle = _preset_run(name, request)
-    assert [v.name for v in handle.report.verdicts] \
-        == list(harness.PRESETS[name].verdict_names)
+    assert tuple(v.name for v in handle.report.verdicts) == PRESET_VERDICTS[name]
 
 
 @pytest.mark.parametrize("name", _CATALOG)
@@ -547,6 +546,9 @@ def test_decay_law_note_only_on_decay_law_presets(name, request):
     # criteria 3-5 fail by design at catalog defaults, and exactly their
     # presets carry the note pointing to the decay-law discussion
     handle = _preset_run(name, request)
+    # the note's trigger names verdicts that the report has
+    assert set(harness.PRESETS[name].decay_law) \
+        <= {v.name for v in handle.report.verdicts}
     decay_law = name in ("linear-decay", "zone-integrals", "nonlinear-decay")
     assert handle.report.notes == ([harness._DECAY_LAW_NOTE] if decay_law else [])
     assert ("note: " in (handle.outdir / "summary.txt").read_text()) == decay_law
@@ -715,14 +717,17 @@ def test_sweep_refuses_a_negative_worker_count(tmp_path, capsys):
 
 def test_sweep_rejects_bad_axes(tmp_path):
     base = preset_config("convolution-lemma")
-    with pytest.raises(ConfigError, match="axis:"):
-        sweep(base, {"cfl": ["0.1"]}, tmp_path)
+    # an axis is a config field other than scenario, under its one name;
+    # the name is checked before any value, also with no values to run
+    for axis in ("lambda", "cfl", "scenario", "zap"):
+        for vals in (["0.1"], []):
+            with pytest.raises(ConfigError, match="^axis:"):
+                sweep(base, {"eps": ["1e-3"], axis: vals}, tmp_path)
     # invalid values on a valid axis fail upfront, before any run
     with pytest.raises(ConfigError, match="N:"):
         sweep(base, {"N": ["8"]}, tmp_path)
-    # an axis named twice, here once through its alias, is refused too
-    with pytest.raises(ConfigError, match="axis: 'lam' given twice"):
-        sweep(base, {"lambda": ["0.2", "0.3"], "lam": ["0.4"]}, tmp_path)
+    with pytest.raises(ConfigError, match="^gamma: expected float"):
+        sweep(base, {"gamma": ["x"]}, tmp_path)
     assert not list(tmp_path.iterdir())
 
 
@@ -733,7 +738,7 @@ def test_sweep_rejects_bad_axes(tmp_path):
 def test_cli_list_presets(capsys):
     assert main(["list-presets"]) == 0
     out = capsys.readouterr().out
-    for name in PRESET_NAMES:
+    for name in PRESET_VERDICTS:
         assert name in out
 
 
@@ -816,6 +821,16 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         typo.write_text(json.dumps({"scenario": "convolution-lemma", key: value}))
         assert main(["run", str(typo)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {key}:")
+    # lam has one name: lambda is an unknown key, in --set and in JSON
+    runs = tmp_path / "runs"
+    assert main(["run", "convolution-lemma", "--set", "lambda=0.3",
+                 "--outdir", str(runs)]) == 2
+    assert capsys.readouterr().err.startswith("config error: lambda:")
+    alias = tmp_path / "alias.json"
+    alias.write_text(json.dumps({"scenario": "convolution-lemma", "lambda": 0.3}))
+    assert main(["run", str(alias), "--outdir", str(runs)]) == 2
+    assert "unknown keys ['lambda']" in capsys.readouterr().err
+    assert not runs.exists()
 
 
 def test_cli_report_exit_one_on_failing_report(zone_integrals_run, capsys):
@@ -835,13 +850,16 @@ def test_cli_sweep_exit_codes(tmp_path, capsys):
     assert code == 2
     capsys.readouterr()
 
-    assert main(["sweep", "convolution-lemma", "--axis", "cfl=0.1",
-                 "--outdir", str(tmp_path)]) == 2
-    capsys.readouterr()
+    # any config field but scenario is an axis, its values parsed like --set
+    code = main(["sweep", "convolution-lemma", "--axis", "gamma=1.5,3",
+                 "--outdir", str(tmp_path / "gamma")])
+    assert code == 0
+    assert "2 runs, 0 errored" in capsys.readouterr().out
 
-    # a repeated axis is a config error, directly or through the alias,
-    # and nothing runs
-    for axes in (["mu=1,2", "mu=3"], ["lambda=0.2,0.3", "lam=0.4"]):
+    # a repeated axis, a removed key's name, a name that is no field and
+    # scenario are config errors, and nothing runs
+    for axes in (["mu=1,2", "mu=3"], ["lambda=0.2,0.3"], ["cfl=0.1"],
+                 ["scenario=blowup-scout"]):
         rep = tmp_path / "repeat"
         argv = ["sweep", "convolution-lemma", "--outdir", str(rep)]
         for a in axes:

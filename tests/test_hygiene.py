@@ -9,9 +9,10 @@ kind, every recorder column is read by a verdict or a monitor column,
 no module tunes the C allocator: large work arrays are held, not
 re-faulted, by the code that uses them, the quadratic terms have one
 home: only the stepper's products and the wave source name
-_product_row, and a module exports only what src/ uses or the
-acceptance tests import, and a class's public methods are only those
-src/ or the acceptance tests call."""
+_product_row, a module exports only what src/ uses or the
+acceptance tests import, a class's public methods are only those
+src/ or the acceptance tests call, and every field of a harness
+dataclass is read somewhere in src/."""
 
 import ast
 from pathlib import Path
@@ -137,9 +138,9 @@ def registered_raises(source: str, exc: str = "ConfigError") -> list:
 
 
 def test_registered_raise_detector():
-    src = ("@_register('a', 'd', ())\ndef f(cfg):\n"
+    src = ("@_register('a', 'd')\ndef f(cfg):\n"
            "    if cfg.n:\n        raise ConfigError('n: no')\n"
-           "@_register('b', 'd', ())\ndef g(cfg):\n    raise RuntimeError('x')\n"
+           "@_register('b', 'd')\ndef g(cfg):\n    raise RuntimeError('x')\n"
            "def h(cfg):\n    raise ConfigError\n"
            "@other\ndef k(cfg):\n    raise ConfigError('x')\n")
     assert registered_raises(src) == ["f"]
@@ -175,14 +176,14 @@ def schedule_restatements(source: str) -> list:
 
 
 def test_schedule_restatement_detector():
-    src = ("@_register('a', 'd', (), schedule=_lin_snapshots)\ndef f(cfg):\n"
+    src = ("@_register('a', 'd', schedule=_lin_snapshots)\ndef f(cfg):\n"
            "    run(cfg, _lin_snapshots(cfg))\n    t = np.geomspace(1, 2, 3)\n"
            "    return _schedule(cfg)\n"
-           "@_register('b', 'd', (), schedule=lambda c: np.geomspace(1, 2, 3))\n"
+           "@_register('b', 'd', schedule=lambda c: np.geomspace(1, 2, 3))\n"
            "def g(cfg):\n    snaps = _log_snapshots\n    return snaps(cfg)\n"
-           "@_register('c', 'd', ())\ndef h(cfg):\n"
+           "@_register('c', 'd')\ndef h(cfg):\n"
            "    return _lin_snapshots(cfg), np.geomspace(1, 2, 3)\n"
-           "@_register('e', 'd', (), schedule=_log_snapshots)\ndef k(cfg):\n"
+           "@_register('e', 'd', schedule=_log_snapshots)\ndef k(cfg):\n"
            "    return _schedule(cfg)\n")
     assert schedule_restatements(src) == [
         ("f", "_lin_snapshots"), ("f", "geomspace"), ("g", "_log_snapshots")]
@@ -195,7 +196,6 @@ def test_runners_read_their_schedule_from_the_registry():
 def test_preset_declarations_name_real_fields():
     from eulerlab import harness
     for preset in harness.PRESETS.values():
-        assert set(preset.decay_law) <= set(preset.verdict_names), preset.name
         for name in preset.positive:
             assert harness._KINDS.get(name) == "float", (preset.name, name)
         assert set(preset.dims) <= {1, 2, 3} and preset.dims, preset.name
@@ -455,3 +455,38 @@ def test_every_export_has_a_caller():
                   if isinstance(node, ast.Attribute)}
     sources = {path.stem: path.read_text() for path in MODULES}
     assert set(unused_exports(sources, imported, attributes)) == UNUSED_EXPORTS
+
+
+def unread_fields(source: str, sources) -> list:
+    """"Class.field" for each field of a dataclass of source that no
+    source of sources reads as an attribute (x.field).
+
+    A field is matched by its name alone, whatever x is, as
+    unused_exports matches methods.
+    """
+    read = {node.attr for src in sources for node in ast.walk(ast.parse(src))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    hits = []
+    for cls in ast.parse(source).body:
+        if isinstance(cls, ast.ClassDef) and any(
+                getattr(getattr(d, "func", d), "id", None) == "dataclass"
+                for d in cls.decorator_list):
+            hits += [f"{cls.name}.{stmt.target.id}" for stmt in cls.body
+                     if isinstance(stmt, ast.AnnAssign)
+                     and stmt.target.id not in read]
+    return hits
+
+
+def test_unread_field_detector():
+    source = ("@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int = 0\n"
+              "    z: int = 1\n    def f(self):\n        return self.x\n"
+              "@dataclass\nclass B:\n    w: str\n    v: str\n"
+              "class C:\n    u: int\n")
+    other = "def g(b):\n    b.v = 1\n    return b.z, getattr(b, 'w')\n"
+    assert unread_fields(source, [source, other]) == ["A.y", "B.w", "B.v"]
+
+
+def test_every_harness_field_is_read():
+    # a field that no code reads states a fact twice or not at all
+    assert unread_fields((PACKAGE / "harness.py").read_text(),
+                         [p.read_text() for p in PACKAGE.glob("*.py")]) == []

@@ -189,12 +189,6 @@ def test_zone_classify_boundaries():
         zone_classify(-1.0, 0.5, d)
 
 
-def test_zone_classify_uses_euclidean_norm():
-    d = DampingLaw(lam=0.5, mu=2.0)
-    xi = np.array([0.8, 0.6])        # |xi| = 1 exactly
-    assert zone_classify(0.0, xi, d) == Zone.Z2
-
-
 def test_t_xi_frozen_value_and_inverse():
     d = DampingLaw(lam=0.5, mu=2.0)
     assert t_xi(0.25, d) == pytest.approx(3.0, rel=1e-13)
