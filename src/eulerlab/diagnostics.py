@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import euler
 from .grids import Grid, SpectralOps
@@ -347,6 +346,7 @@ def convolution_oracle(a: float, b: float, times) -> np.ndarray:
         raise ValueError(f"convolution bound needs a > 1, got a={a}")
     if not 0.0 < b <= a:
         raise ValueError(f"convolution bound needs 0 < b <= a, got b={b}")
+    from scipy.integrate import quad
     times = np.asarray(times, dtype=float)
     ratios = np.empty(times.size)
     for j, t in enumerate(times):

@@ -31,7 +31,6 @@ import os
 import shutil
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -946,9 +945,9 @@ def sweep(base: ScenarioConfig, axes: dict, base_dir=_RUNS, workers: int = 0):
     """Cartesian-product runs over the given axes, on up to workers
     processes (0 or 1: in this process).
 
-    axes maps config field names, any but scenario, to value lists,
-    each value parsed as --set parses it.  Returns (per-run result dicts
-    in product order, aggregate CSV path).
+    axes maps config field names, any but scenario, to nonempty value
+    lists, each value parsed as --set parses it.  Returns (per-run
+    result dicts in product order, aggregate CSV path).
     """
     if workers < 0:
         raise ConfigError(f"workers: must be nonnegative, got {workers}")
@@ -957,6 +956,8 @@ def sweep(base: ScenarioConfig, axes: dict, base_dir=_RUNS, workers: int = 0):
         if name == "scenario" or name not in _KINDS:
             raise ConfigError(f"axis: no sweep axis {name!r}; an axis is "
                               f"any config field but scenario")
+        if not axes[name]:
+            raise ConfigError(f"axis: {name!r} has no values")
     value_lists = [[_coerce(name, str(v)) for v in axes[name]] for name in names]
 
     cfgs = [replace(base, **dict(zip(names, combo)))
@@ -966,6 +967,7 @@ def sweep(base: ScenarioConfig, axes: dict, base_dir=_RUNS, workers: int = 0):
 
     w = min(workers, os.cpu_count() or 1, len(cfgs))
     if w > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=w) as pool:
             futures = [pool.submit(_sweep_worker, c, base_dir) for c in cfgs]
             results = [f.result() for f in futures]
@@ -1015,6 +1017,9 @@ def _load_config(arg: str, overrides) -> ScenarioConfig:
         if not sep:
             raise ConfigError(f"--set: expected KEY=VALUE, got {item!r}")
         name = key.strip()
+        if name == "scenario":
+            raise ConfigError("--set: scenario is not an override; name the "
+                              "preset or the config file instead")
         updates[name] = _coerce(name, text)
     return replace(cfg, **updates)
 

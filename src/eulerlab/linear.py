@@ -25,7 +25,9 @@ independent ways:
     stepper, the zone diagnostics and long-horizon decay studies all run
     through _magnus_advance;
   * scipy's DOP853 on single modes at tight tolerance (propagator_matrix,
-    the cross-check oracle).
+    the cross-check oracle).  scipy.integrate is imported on the
+    oracle's first call, so the presets, which never call it, run
+    without it.
 
 On top of the propagators sit the grid solver (solve_linear_ivp) and the
 zone diagnostics: the zone envelopes, L1 zone integrals of the first kernel
@@ -43,7 +45,6 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .grids import Grid, SpectralOps
 from .params import DampingLaw, Zone, t_xi, zone_classify
@@ -92,6 +93,7 @@ def propagator_matrix(t: float, tau: float, r: float, d: DampingLaw,
         raise ValueError(f"propagator needs t >= tau, got t={t}, tau={tau}")
     if t == tau:
         return np.eye(2)
+    from scipy.integrate import solve_ivp
 
     lam, mu = d.lam, d.mu
     r2 = r * r

@@ -5,6 +5,7 @@ conftest; here we cover the orchestration contract: validation messages,
 digest stability, artifact layout, exit codes and sweep aggregation.
 """
 
+import concurrent.futures
 import csv
 import hashlib
 import json
@@ -664,7 +665,8 @@ def test_sweep_caps_workers(tmp_path, monkeypatch):
             done.set_result(fn(*args))
             return done
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    # sweep imports the pool on its first use, from concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     axes = {"eps": ["1e-3", "2e-3", "3e-3"]}
     base = preset_config("convolution-lemma")
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
@@ -723,6 +725,9 @@ def test_sweep_rejects_bad_axes(tmp_path):
         for vals in (["0.1"], []):
             with pytest.raises(ConfigError, match="^axis:"):
                 sweep(base, {"eps": ["1e-3"], axis: vals}, tmp_path)
+    # an axis without values would run the empty product
+    with pytest.raises(ConfigError, match="^axis: 'gamma' has no values"):
+        sweep(base, {"eps": ["1e-3"], "gamma": []}, tmp_path)
     # invalid values on a valid axis fail upfront, before any run
     with pytest.raises(ConfigError, match="N:"):
         sweep(base, {"N": ["8"]}, tmp_path)
@@ -833,6 +838,24 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert not runs.exists()
 
 
+def test_cli_set_refuses_scenario(tmp_path, capsys):
+    # --set changes a field of the named preset or file; another
+    # scenario on those overrides would be neither catalog entry
+    runs = tmp_path / "runs"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"scenario": "convolution-lemma"}))
+    for config in ("convolution-lemma", str(cfg_path)):
+        for command in ("run", "sweep"):
+            argv = [command, config, "--set", "scenario=mass-conservation",
+                    "--outdir", str(runs)]
+            if command == "sweep":
+                argv += ["--axis", "eps=1e-3"]
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith(
+                "config error: --set: scenario is not an override")
+    assert not runs.exists()
+
+
 def test_cli_report_exit_one_on_failing_report(zone_integrals_run, capsys):
     assert main(["report", str(zone_integrals_run.outdir)]) == 1
     assert "overall  : FAIL" in capsys.readouterr().out
@@ -856,10 +879,11 @@ def test_cli_sweep_exit_codes(tmp_path, capsys):
     assert code == 0
     assert "2 runs, 0 errored" in capsys.readouterr().out
 
-    # a repeated axis, a removed key's name, a name that is no field and
-    # scenario are config errors, and nothing runs
+    # a repeated axis, a removed key's name, a name that is no field,
+    # scenario and an axis without values are config errors, and nothing
+    # runs
     for axes in (["mu=1,2", "mu=3"], ["lambda=0.2,0.3"], ["cfl=0.1"],
-                 ["scenario=blowup-scout"]):
+                 ["scenario=blowup-scout"], ["eps=,"], ["eps=1e-3", "mu=,,"]):
         rep = tmp_path / "repeat"
         argv = ["sweep", "convolution-lemma", "--outdir", str(rep)]
         for a in axes:

@@ -1,5 +1,8 @@
 """Source hygiene that no installed linter checks: every name a module
-imports at module level is used somewhere in that module, only grids.py
+imports at module level is used somewhere in that module and every name
+a function imports is used in that function, setting up (importing the
+harness and validating every preset) loads neither scipy nor a process
+pool, while the convolution oracle still runs scipy's quad, only grids.py
 touches an FFT module, so SpectralOps.fwd/inv stay the one transform
 path, no preset runner raises ConfigError, so the preset registry
 and validate_config stay the one home of a preset's domain, no runner
@@ -15,6 +18,9 @@ src/ or the acceptance tests call, and every field of a harness
 dataclass is read somewhere in src/."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,25 +31,43 @@ PACKAGE = Path(eulerlab.__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
-def unused_imports(source: str) -> list:
-    """Names bound by module-level imports that the module never reads.
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-    A name counts as used when it appears as an identifier anywhere in
-    the module or is listed in __all__.
+
+def _scope_imports(node) -> list:
+    """Names that the imports of node's own scope bind, in source order:
+    imports at any depth of node, but not inside a function it defines."""
+    names = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            names += [a.asname or a.name.split(".")[0] for a in child.names]
+        elif isinstance(child, ast.ImportFrom) and child.module != "__future__":
+            names += [a.asname or a.name for a in child.names]
+        elif not isinstance(child, FUNCTIONS):
+            names += _scope_imports(child)
+    return names
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by imports that their scope never reads: first those
+    of the module, then those of each function.
+
+    A module's name counts as used when it appears as an identifier
+    anywhere in the module or is listed in __all__; a function's name,
+    when it appears as an identifier in that function.
     """
     tree = ast.parse(source)
-    imported = []
-    for node in tree.body:
-        if isinstance(node, ast.Import):
-            imported += [a.asname or a.name.split(".")[0] for a in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            imported += [a.asname or a.name for a in node.names]
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             used |= set(ast.literal_eval(node.value))
-    return [name for name in imported if name not in used]
+    hits = [name for name in _scope_imports(tree) if name not in used]
+    for fn in ast.walk(tree):
+        if isinstance(fn, FUNCTIONS):
+            read = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+            hits += [name for name in _scope_imports(fn) if name not in read]
+    return hits
 
 
 def test_unused_import_detector():
@@ -52,11 +76,47 @@ def test_unused_import_detector():
            "__all__ = ['d']\n"
            "def f(x: 'int') -> float:\n    return os.path.join(x)\n")
     assert unused_imports(src) == ["math", "c"]
+    # a function's import must be read in that function: its own
+    # branches and inner functions count, another function does not
+    src = ("import json\n"
+           "def f(w):\n    from math import sqrt, pi\n"
+           "    if w > 1:\n        from os import sep\n"
+           "        import numpy.linalg\n"
+           "        return sep + numpy.linalg.norm(w)\n"
+           "    def inner():\n        return sqrt(w)\n    return inner\n"
+           "def g():\n    import numpy as np\n    return pi, json\n")
+    assert unused_imports(src) == ["pi", "np"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+LAZY_PROBE = """
+import sys
+from eulerlab import harness
+for name in harness.PRESETS:
+    harness.validate_config(harness.preset_config(name))
+print(sorted(m for m in sys.modules
+             if m.startswith("scipy") or m == "concurrent.futures.process"))
+from eulerlab.diagnostics import convolution_oracle
+convolution_oracle(2.0, 1.0, [1.0])
+print("scipy.integrate" in sys.modules)
+"""
+
+
+def test_set_up_loads_no_scipy_and_no_pool():
+    # a CLI user pays for every import on every invocation; scipy
+    # serves only the two oracles, and the pool only a sweep with
+    # workers, so each is imported on its first use
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", LAZY_PROBE], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True"]
 
 
 FFT_MODULES = ("numpy.fft", "scipy.fft")
