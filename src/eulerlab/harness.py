@@ -493,25 +493,31 @@ def _run_linear_decay(cfg: ScenarioConfig, outdir: Path):
     return verdicts
 
 
-def _zone_table(d: DampingLaw, t_final: float, density: int):
-    """The first kernel at density log-spaced radii in [1e-3, 2] and 7
-    log-spaced times in [1, t_final]: (per_zone, table), the samples
-    (t, r, |phi1|) of each zone that its envelope is fitted to, and a
-    row (t, r, zone, phi1, phi2) per radius and time."""
+def _zone_tables(d: DampingLaw, t_final: float, densities):
+    """The first kernel at 7 log-spaced times in [1, t_final] and, per
+    density, that many log-spaced radii in [1e-3, 2], all radii in one
+    pass: per density (per_zone, table), the samples (t, r, |phi1|) of
+    each zone that its envelope is fitted to, and a row
+    (t, r, zone, phi1, phi2) per radius and time."""
     tlist = np.geomspace(1.0, t_final, 7)
-    radii = np.geomspace(1e-3, 2.0, density)
-    tr = linear.evolve_modes(radii, d, tlist)
-    per_zone = {Zone.Z1: [], Zone.Z2: [], Zone.Z3: []}
-    table = []
-    for m, r in enumerate(radii):
-        for j, t in enumerate(tlist):
-            z = zone_classify(t, float(r), d)
-            table.append((float(t), float(r), z,
-                          float(tr[0, m, j]), float(tr[2, m, j])))
-            if z == Zone.Z2 and r > 0.25 * d.mu:
-                continue
-            per_zone[z].append((float(t), float(r), abs(float(tr[0, m, j]))))
-    return per_zone, table
+    sets = [np.geomspace(1e-3, 2.0, density) for density in densities]
+    tr = linear.evolve_modes(np.concatenate(sets), d, tlist)
+    tables, start = [], 0
+    for radii in sets:
+        per_zone = {Zone.Z1: [], Zone.Z2: [], Zone.Z3: []}
+        table = []
+        for m, r in enumerate(radii, start):
+            for j, t in enumerate(tlist):
+                z = zone_classify(t, float(r), d)
+                table.append((float(t), float(r), z,
+                              float(tr[0, m, j]), float(tr[2, m, j])))
+                if z == Zone.Z2 and r > 0.25 * d.mu:
+                    continue
+                per_zone[z].append((float(t), float(r),
+                                    abs(float(tr[0, m, j]))))
+        tables.append((per_zone, table))
+        start += radii.size
+    return tables
 
 
 @_register(
@@ -525,8 +531,7 @@ def _zone_table(d: DampingLaw, t_final: float, density: int):
     n=1, lam=0.5, mu=2.0, t_final=1.0e3, fit_lo=5.0, fit_hi=200.0)
 def _run_zone_bounds(cfg: ScenarioConfig, outdir: Path):
     d = _damping(cfg)
-    coarse, _ = _zone_table(d, cfg.t_final, 14)
-    fine, table = _zone_table(d, cfg.t_final, 27)
+    (coarse, _), (fine, table) = _zone_tables(d, cfg.t_final, (14, 27))
 
     verdicts, consts = [], {}
     for zone, key in ((Zone.Z1, "z1"), (Zone.Z2, "z2")):

@@ -18,12 +18,13 @@ independent ways:
     a whole batch of radii, whose step grows like MAGNUS_STEP (1+t)
     whatever the radii.  The exponentials of a chunk of substeps (up to
     MAGNUS_CHUNK elements over substeps and radii) are formed in one
-    vectorized pass, and the rows are carried through them in order, so
-    every element sees the operations of a one-substep-at-a-time engine
-    and gets its bits.  It is the one engine of the per-mode oscillator:
-    the grid solver, the exact linear propagator of the nonlinear
-    stepper, the zone diagnostics and long-horizon decay studies all run
-    through _magnus_advance;
+    vectorized pass, the overdamped elements under a mask over the whole
+    chunk, and the rows are carried through them in order, so every
+    element sees the operations of a one-substep-at-a-time engine and
+    gets its bits, whatever the batch it is evolved in.  It is the one
+    engine of the per-mode oscillator: the grid solver, the exact linear
+    propagator of the nonlinear stepper, the zone diagnostics and
+    long-horizon decay studies all run through _magnus_advance;
   * scipy's DOP853 on single modes at tight tolerance (propagator_matrix,
     the cross-check oracle).  scipy.integrate is imported on the
     oracle's first call, so the presets, which never call it, run
@@ -130,7 +131,7 @@ MAGNUS_STEP = 0.02
 MAGNUS_RANGE = 0.25
 # elements k M of one chunk: the exponentials of k substeps over M radii
 # are formed together, in working arrays that one _magnus_advance holds
-MAGNUS_CHUNK = 2048
+MAGNUS_CHUNK = 4096
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 # what np.sinc puts in place of x = 0
 _SINC_EPS = np.finfo(float).eps
@@ -210,9 +211,11 @@ def _magnus_advance(y: np.ndarray, t: float, target: float, r2: np.ndarray,
     The scalars of a substep come from its (t, h) alone, so the
     exponentials of a chunk of k substeps, k M <= MAGNUS_CHUNK, are
     formed as (k, M) arrays in one pass, in working arrays held for the
-    call.  The rows are then carried through them in order, each new
-    row the sum of two products.  Every element sees the operations of
-    the one-substep-at-a-time engine, in its order, and so its bits.
+    call; the q > 0 elements are formed over the whole chunk under a
+    mask, in the slots of those arrays.  The rows are then carried
+    through them in order, each new row the sum of two products.  Every
+    element sees the operations of the per-substep engine, in its order,
+    and so its bits, whatever the other radii of the batch.
     """
     M = r2.size
     steps = _substeps(t, target, d)
@@ -229,7 +232,7 @@ def _magnus_advance(y: np.ndarray, t: float, target: float, r2: np.ndarray,
 
     while rows:
         t = rows[-1][-1]
-        n00, n01, dmh, nn, em = np.array(rows).T[:5, :, None]
+        n00, n01, dmh, nn, em, m = np.array(rows).T[:6, :, None]
         j = len(rows)
         e00, e01, e10, e11 = e[:, :j]
         s, hj, zj = w[:j], hyp[:j], zero[:j]
@@ -246,16 +249,21 @@ def _magnus_advance(y: np.ndarray, t: float, target: float, r2: np.ndarray,
         np.copyto(S, _SINC_EPS, where=np.equal(S, 0.0, out=zj))
         np.multiply(em, np.divide(np.sin(S, out=e01), S, out=S), out=S)
         # q > 0: (e^(m+s) +- e^(m-s)) / 2, the difference divided by s and
-        # taken through expm1 while s is small.  A substep at a time, so
-        # the compressed arrays stay the size of one substep's
-        for i in np.flatnonzero(hj.any(axis=1)):
-            hyp_i, m = hj[i], rows[i][5]
-            sh = s[i][hyp_i]
-            elo, ehi = np.exp(m - sh), np.exp(m + sh)
-            diff = np.where(sh <= 1.0, elo * np.expm1(2.0 * np.minimum(sh, 1.0)),
-                            ehi - elo)
-            C[i][hyp_i] = 0.5 * (ehi + elo)
-            S[i][hyp_i] = diff / (2.0 * sh)
+        # taken through expm1 where s <= 1.  Over the chunk under the mask:
+        # e^(m-s) in S, e^(m+s) in C and the difference in e01
+        if hj.any():
+            lo, hi, diff = S, C, e01
+            np.exp(np.subtract(m, s, out=lo, where=hj), out=lo, where=hj)
+            np.exp(np.add(m, s, out=hi, where=hj), out=hi, where=hj)
+            np.subtract(hi, lo, out=diff, where=hj)
+            near = np.logical_and(hj, np.less_equal(s, 1.0, out=zj), out=zj)
+            np.expm1(np.multiply(2.0, s, out=diff, where=near), out=diff,
+                     where=near)
+            np.multiply(lo, diff, out=diff, where=near)
+            np.multiply(0.5, np.add(hi, lo, out=hi, where=hj), out=hi,
+                        where=hj)
+            np.divide(diff, np.multiply(2.0, s, out=lo, where=hj), out=lo,
+                      where=hj)
         SN = np.multiply(S, n00, out=s)
         np.multiply(S, n01, out=e01)
         np.multiply(S, n10, out=e10)
@@ -379,7 +387,9 @@ def zone_integral(t: float, alpha: int, zone: Zone, d: DampingLaw, n: int, *,
     The angular measure is handled analytically (the integrand is
     radial), leaving a 1-D radial integral evaluated by composite
     trapezoid with node doubling until successive refinements agree to
-    the requested relative tolerance.
+    the requested relative tolerance.  The first pass evolves the first
+    two node sets at once, and each later doubling only its new
+    midpoints; the sums are those of evolving every node set afresh.
 
     The integrand near the band boundary oscillates on a scale set by
     the elapsed time, so refinement starts from a deliberately fine
@@ -397,18 +407,23 @@ def zone_integral(t: float, alpha: int, zone: Zone, d: DampingLaw, n: int, *,
 
     pw = alpha + n - 1
 
-    def quad_on(m: int) -> float:
-        r = np.linspace(lo, hi, m)
-        tr = evolve_modes(r, d, np.array([t]))
-        g = np.abs(tr[0, :, 0])
-        vals = r ** pw * g
-        return float(np.trapezoid(vals, r)) * _sphere_area(n)
+    def kernel(r: np.ndarray) -> np.ndarray:
+        return np.abs(evolve_modes(r, d, np.array([t]))[0, :, 0])
 
+    def quad(r: np.ndarray, g: np.ndarray) -> float:
+        return float(np.trapezoid(r ** pw * g, r)) * _sphere_area(n)
+
+    # np.linspace puts every other node of 2m - 1 at the bits of the m
+    # nodes, so each doubling evolves only its new midpoints
     m = max(65, int(min(4096, 16 + (hi - lo) * (1.0 + t) / 2.0)) | 1)
-    prev = quad_on(m)
-    for _ in range(max_refine):
-        m = 2 * m - 1
-        cur = quad_on(m)
+    r = np.linspace(lo, hi, 2 * m - 1)
+    g = kernel(r)
+    prev = quad(r[::2], g[::2])
+    for i in range(max_refine):
+        if i:
+            r = np.linspace(lo, hi, 2 * r.size - 1)
+            g = np.insert(g, np.arange(1, g.size), kernel(r[1::2]))
+        cur = quad(r, g)
         if abs(cur - prev) <= tol * max(abs(cur), 1e-300):
             return cur
         prev = cur
@@ -461,18 +476,20 @@ def kernel_decay_check(g: np.ndarray, grid: Grid, d: DampingLaw, times, *,
     in_band = uniq <= KERNEL_BAND
     band_r = uniq[in_band]
 
-    # the kernel's row of the band propagators, (M, T); the loop below
-    # scatters it onto the unique radii one time at a time
-    band_phi = evolve_modes(band_r, d, times)[0].copy()
+    # the kernel's row of the propagators, (M, T), of the band and of the
+    # probe radii that the high-band envelope is fitted on, in one pass;
+    # the loop below scatters the band onto the unique radii one time at
+    # a time
+    probes = np.array([x for x in (1.0, 1.5, 2.0, 3.0, 4.0)
+                       if KERNEL_BAND <= x <= np.max(uniq)] or [KERNEL_BAND])
+    band_phi, probe_phi = np.split(
+        evolve_modes(np.concatenate([band_r, probes]), d, times)[0].copy(),
+        [band_r.size])
     phi = np.zeros(uniq.size)
 
     mode_mask = in_band[inverse]
     kshape = ops.kshape
 
-    # high-band envelope fitted on probe radii
-    probes = np.array([x for x in (1.0, 1.5, 2.0, 3.0, 4.0)
-                       if KERNEL_BAND <= x <= np.max(uniq)] or [KERNEL_BAND])
-    ptr = evolve_modes(probes, d, times)
     one_m = 1.0 - d.lam
     shape = np.exp(-(d.mu / (2.0 * one_m)) * ((1.0 + times) ** one_m - 1.0)) \
         if d.mu > 0 else np.ones_like(times)
@@ -481,7 +498,7 @@ def kernel_decay_check(g: np.ndarray, grid: Grid, d: DampingLaw, times, *,
     # the reported bound clamps to zero
     ok_t = shape > 1e-280
     if ok_t.any():
-        c_fit = float(np.max(np.abs(ptr[0][:, ok_t]) / shape[None, ok_t]))
+        c_fit = float(np.max(np.abs(probe_phi[:, ok_t]) / shape[None, ok_t]))
     else:
         c_fit = 1.0
 

@@ -9,7 +9,9 @@ state, and the method-of-lines solver that is the grid solver's
 independent oracle.  Each takes the SpectralOps (or Grid) it works on
 as an argument.  The recorder's columns of the physical state equal
 these definitions bit for bit, so a rewrite here must keep their
-operations and their order.
+operations and their order.  So does the zone integral's refinement
+loop that evolves every node set afresh, which linear.zone_integral
+equals bit for bit.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ import numpy as np
 
 from eulerlab import diagnostics, euler
 from eulerlab.grids import Grid, SpectralOps
-from eulerlab.linear import LinearSolution
-from eulerlab.params import DampingLaw, GasLaw, WeightSpec, weight_eval
+from eulerlab.linear import (LinearSolution, QuadratureError, _sphere_area,
+                             evolve_modes)
+from eulerlab.params import DampingLaw, GasLaw, WeightSpec, Zone, weight_eval
 
 
 # ---------------------------------------------------------------------
@@ -156,3 +159,44 @@ def mol_reference_solve(w0: np.ndarray, w1: np.ndarray, grid: Grid, d: DampingLa
         w_list.append(w.copy())
         wt_list.append(wt.copy())
     return LinearSolution(times=t_out, w=w_list, w_t=wt_list)
+
+
+# ---------------------------------------------------------------------
+#  Zone integral: the refinement loop evolving every node set afresh
+# ---------------------------------------------------------------------
+
+def zone_integral_refined_afresh(t: float, alpha: int, zone: Zone,
+                                 d: DampingLaw, n: int, *, tol: float = 1e-4,
+                                 max_refine: int = 9) -> float:
+    """linear.zone_integral as each pass evolves all of its nodes: the
+    m-node trapezoid, then 2m - 1 nodes and so on until two successive
+    sums agree to tol, QuadratureError after max_refine doublings."""
+    rb = 0.25 * d.mu * (1.0 + t) ** (-d.lam)
+    if zone == Zone.Z1:
+        lo, hi = 0.0, rb
+    elif zone == Zone.Z2:
+        lo, hi = rb, 1.0
+    else:
+        raise ValueError("zone integrals are taken over Z1 or Z2")
+    if hi <= lo:
+        return 0.0
+
+    pw = alpha + n - 1
+
+    def quad_on(m: int) -> float:
+        r = np.linspace(lo, hi, m)
+        tr = evolve_modes(r, d, np.array([t]))
+        g = np.abs(tr[0, :, 0])
+        vals = r ** pw * g
+        return float(np.trapezoid(vals, r)) * _sphere_area(n)
+
+    m = max(65, int(min(4096, 16 + (hi - lo) * (1.0 + t) / 2.0)) | 1)
+    prev = quad_on(m)
+    for _ in range(max_refine):
+        m = 2 * m - 1
+        cur = quad_on(m)
+        if abs(cur - prev) <= tol * max(abs(cur), 1e-300):
+            return cur
+        prev = cur
+    raise QuadratureError(
+        f"zone integral did not converge to {tol:g} after {max_refine} doublings")

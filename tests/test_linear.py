@@ -14,7 +14,7 @@ from eulerlab import linear
 from eulerlab.grids import Grid, SpectralOps
 from eulerlab.params import DampingLaw, Zone, integrating_factor
 from eulerlab.euler import bump_profile
-from reference import mol_reference_solve
+from reference import mol_reference_solve, zone_integral_refined_afresh
 
 D_HALF = DampingLaw(lam=0.5, mu=2.0)
 D_FREE = DampingLaw(lam=0.5, mu=0.0)
@@ -219,6 +219,44 @@ def test_zone_integral_unreachable_tolerance():
                              tol=0.0, max_refine=1)
 
 
+def _evolved_sizes(monkeypatch) -> list:
+    sizes = []
+    evolve = linear.evolve_modes
+    monkeypatch.setattr(linear, "evolve_modes",
+                        lambda r, *a: sizes.append(np.size(r)) or evolve(r, *a))
+    return sizes
+
+
+@pytest.mark.parametrize("t, alpha, zone, n, tol, passes", [
+    # converged at the first doubling: one pass over 2m - 1 = 129 nodes
+    (10.0, 0, Zone.Z1, 1, 1e-4, [129]),
+    (1e3, 2, Zone.Z1, 1, 1e-4, [129]),
+    # at a later one: then only the new midpoints of each doubling
+    (10.0, 2, Zone.Z2, 2, 1e-4, [129, 128]),
+    (10.0, 0, Zone.Z1, 1, 1e-8, [129, 128, 256, 512, 1024, 2048]),
+], ids=["first", "first-late", "second-z2", "sixth"])
+def test_zone_integral_is_the_refinement_afresh(monkeypatch, t, alpha, zone,
+                                                n, tol, passes):
+    want = zone_integral_refined_afresh(t, alpha, zone, D_HALF, n, tol=tol)
+    sizes = _evolved_sizes(monkeypatch)
+    got = linear.zone_integral(t, alpha, zone, D_HALF, n, tol=tol)
+    assert got == want
+    assert sizes == passes
+
+
+def test_zone_integral_gives_up_where_the_refinement_afresh_does(monkeypatch):
+    with pytest.raises(linear.QuadratureError,
+                       match="after 3 doublings") as want:
+        zone_integral_refined_afresh(10.0, 0, Zone.Z1, D_HALF, 1, tol=0.0,
+                                     max_refine=3)
+    sizes = _evolved_sizes(monkeypatch)
+    with pytest.raises(linear.QuadratureError) as got:
+        linear.zone_integral(10.0, 0, Zone.Z1, D_HALF, 1, tol=0.0,
+                             max_refine=3)
+    assert str(got.value) == str(want.value)
+    assert sizes == [129, 128, 256]
+
+
 # ---------------------------------------------------------------------
 #  Zone envelopes
 # ---------------------------------------------------------------------
@@ -279,8 +317,9 @@ def test_kernel_decay_check_orders_share_propagators(monkeypatch):
     monkeypatch.setattr(linear, "evolve_modes",
                         lambda *a, **kw: calls.append(1) or evolve(*a, **kw))
     both = linear.kernel_decay_check(g, grid, D_HALF, times, k=(0, 1))
-    # one band and one probe propagator, whatever the number of orders
-    assert len(calls) == 2
+    # one pass over the band and the probe radii, whatever the number of
+    # orders
+    assert len(calls) == 1
     assert isinstance(both, tuple) and len(both) == 2
     for ser, k, e in zip(both, (0, 1), (-0.25, -0.5)):
         one, = linear.kernel_decay_check(g, grid, D_HALF, times, k=(k,))
@@ -288,6 +327,23 @@ def test_kernel_decay_check_orders_share_propagators(monkeypatch):
         assert one.envelope_exponent == e
         assert np.array_equal(ser.observed, one.observed)
         assert np.array_equal(ser.tail_bound, one.tail_bound)
+
+
+def test_kernel_decay_check_pass_is_the_band_and_probe_passes():
+    # the one pass over the band and the probe radii gives each radius
+    # the bits of a pass over its own set
+    grid = Grid(1, 60.0, 512)
+    times = np.array([0.5, 2.0, 8.0, 32.0])
+    r = linear._grid_mode_table(SpectralOps(grid))[0]
+    band = r[r <= linear.KERNEL_BAND]
+    probes = np.array([1.0, 1.5, 2.0, 3.0, 4.0])
+    assert r.max() >= probes.max()
+    for d in (D_HALF, D_CONST):
+        both = linear.evolve_modes(np.concatenate([band, probes]), d, times)
+        assert np.array_equal(both[:, :band.size],
+                              linear.evolve_modes(band, d, times))
+        assert np.array_equal(both[:, band.size:],
+                              linear.evolve_modes(probes, d, times))
 
 
 def test_kernel_decay_check_validation_and_warning():

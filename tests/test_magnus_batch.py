@@ -90,12 +90,20 @@ FEW = np.array([0.0, 1e-9, 1e-3, 0.05, 0.3, 0.7, 0.999, 1.0, 1.001, 1.5,
                 3.0, 40.0])
 
 
+# radius sets that take one branch at every substep of these tests:
+# well below b/2 (overdamped) and well above it (oscillating)
+ONE_BRANCH = {"overdamped": (0.0, 0.1), "oscillating": (20.0, 40.0)}
+
+
 def _radii(M: int) -> np.ndarray:
     return np.concatenate([FEW, np.linspace(0.0, 6.0, M - FEW.size)])
 
 
-SIZES = [100, 1300, linear.MAGNUS_CHUNK + 7]
-MANY = _radii(SIZES[1])
+# chunks of 40 substeps, of exactly MAGNUS_CHUNK elements, of 3, and of
+# one substep just above half the chunk and above the whole chunk
+SIZES = [100, linear.MAGNUS_CHUNK // 4, 1300, linear.MAGNUS_CHUNK // 2 + 7,
+         linear.MAGNUS_CHUNK + 7]
+MANY = _radii(1300)
 LAWS = [DampingLaw(lam=0.0, mu=2.0), DampingLaw(lam=0.5, mu=2.0),
         DampingLaw(lam=0.5, mu=30.0)]
 
@@ -106,11 +114,8 @@ def test_the_reference_keeps_the_engine_constants():
     assert not hasattr(linear, "_magnus_step")
 
 
-@pytest.mark.parametrize("d", LAWS, ids=lambda d: f"lam{d.lam}-mu{d.mu}")
-@pytest.mark.parametrize("M", SIZES)
-@pytest.mark.parametrize("t0", [0.0, 3.7])
-def test_batched_advance_is_the_per_substep_engine(M, d, t0):
-    r = _radii(M)
+def _check_advance(r: np.ndarray, d: DampingLaw, t0: float):
+    M = r.size
     k = max(1, linear.MAGNUS_CHUNK // M)
     r2 = r * r
     y0 = np.random.default_rng(M).standard_normal((4, M))
@@ -136,6 +141,22 @@ def test_batched_advance_is_the_per_substep_engine(M, d, t0):
 
 
 @pytest.mark.parametrize("d", LAWS, ids=lambda d: f"lam{d.lam}-mu{d.mu}")
+@pytest.mark.parametrize("M", SIZES)
+@pytest.mark.parametrize("t0", [0.0, 3.7])
+def test_batched_advance_is_the_per_substep_engine(M, d, t0):
+    _check_advance(_radii(M), d, t0)
+
+
+@pytest.mark.parametrize("d", LAWS, ids=lambda d: f"lam{d.lam}-mu{d.mu}")
+@pytest.mark.parametrize("M", SIZES)
+@pytest.mark.parametrize("t0", [0.0, 3.7])
+@pytest.mark.parametrize("kind", list(ONE_BRANCH))
+def test_batched_advance_on_one_branch_is_the_per_substep_engine(M, d, t0,
+                                                                 kind):
+    _check_advance(np.linspace(*ONE_BRANCH[kind], M), d, t0)
+
+
+@pytest.mark.parametrize("d", LAWS, ids=lambda d: f"lam{d.lam}-mu{d.mu}")
 def test_the_radii_take_both_branches(d):
     # q = m^2 + (h + delta) r^2 (delta - h) of the first substep from 0:
     # positive (overdamped, the e^(m +- sqrt q) branch) at r = 0 and the
@@ -147,6 +168,20 @@ def test_the_radii_take_both_branches(d):
     m = -0.25 * h * (b1 + b2)
     q = m * m + (h + delta) * FEW * FEW * (delta - h)
     assert q[0] > 0.0 and np.sum(q > 0.0) >= 5 and q[-1] < 0.0
+
+
+@pytest.mark.parametrize("d", LAWS, ids=lambda d: f"lam{d.lam}-mu{d.mu}")
+def test_the_one_branch_sets_keep_their_branch(d):
+    # q = n00^2 + n01 r^2 (delta - h) falls with r, so the largest radius
+    # of the overdamped set and the smallest of the oscillating one decide;
+    # checked over every substep of the longest target above
+    k = linear.MAGNUS_CHUNK // SIZES[0]
+    over, osc = ONE_BRANCH["overdamped"][1], ONE_BRANCH["oscillating"][0]
+    for t0 in (0.0, 3.7):
+        for n00, n01, dmh, nn, *_ in linear._substeps(
+                t0, _after(t0, 3 * k + 1), d):
+            assert nn + n01 * over * over * dmh > 0.0
+            assert nn + n01 * osc * osc * dmh < 0.0
 
 
 def test_advance_to_its_own_time_takes_no_substep():
