@@ -39,8 +39,8 @@ import numpy as np
 from . import diagnostics, euler, linear
 from .diagnostics import EnergyRecorder, decay_fit, write_csv
 from .grids import Grid, SpectralOps
-from .params import DampingLaw, GasLaw, Zone, damping_coeff, derive_constants, \
-    zone_classify
+from .params import DELTA, DampingLaw, GasLaw, Zone, damping_coeff, \
+    derive_constants, zone_classify
 
 __all__ = [
     "ScenarioConfig",
@@ -75,7 +75,7 @@ class ScenarioConfig:
     lam: float = 0.5
     mu: float = 2.0
     gamma: float = 2.0
-    delta: float | None = None
+    delta: float = DELTA
     L: float = 240.0
     N: int = 1024
     R: float = 4.0
@@ -97,7 +97,8 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        """Build a config from JSON data, keys and values read like --set's."""
+        """Build a config from JSON data: its scenario's catalog entry with
+        the other keys as overrides, keys and values read like --set's."""
         if not isinstance(data, dict):
             raise ConfigError(
                 f"config: expected a JSON object, got {type(data).__name__}")
@@ -107,12 +108,12 @@ class ScenarioConfig:
                 f"config: unknown keys {sorted(extra)}; known keys: {sorted(_KINDS)}")
         if "scenario" not in data:
             raise ConfigError("scenario: required key is missing")
-        return cls(**{name: _typed(name, value) for name, value in data.items()})
+        return preset_config(**{name: _typed(name, value)
+                                for name, value in data.items()})
 
 
-# field name -> annotation, e.g. "float | None"
+# field name -> annotation, one of _PARSERS' keys
 _KINDS = {f.name: f.type for f in fields(ScenarioConfig)}
-# parsers by annotation; "float | None" also takes none/null
 _PARSERS = {"int": int, "float": float, "str": str}
 
 
@@ -121,10 +122,8 @@ def _coerce(name: str, text: str):
     if name not in _KINDS:
         raise ConfigError(f"{name}: not a config field")
     kind = _KINDS[name]
-    if kind.endswith(" | None") and text.lower() in ("none", "null"):
-        return None
     try:
-        return _PARSERS[kind.removesuffix(" | None")](text)
+        return _PARSERS[kind](text)
     except ValueError:
         raise ConfigError(f"{name}: expected {kind}, got {text!r}") from None
 
@@ -133,14 +132,13 @@ def _typed(name: str, value):
     """Check one JSON config value against the field's annotation.
 
     A string is parsed as --set parses it, and so is the text of an int
-    given for a float.  Any other value must have the annotated type
-    already, or be null for a field that takes none.
+    given for a float.  Any other value, null among them, must have the
+    annotated type already.
     """
     kind = _KINDS[name]
-    base = kind.removesuffix(" | None")
-    if isinstance(value, str) or (base == "float" and type(value) is int):
+    if isinstance(value, str) or (kind == "float" and type(value) is int):
         return _coerce(name, str(value))
-    if (value is None and base != kind) or type(value) is _PARSERS[base]:
+    if type(value) is _PARSERS[kind]:
         return value
     raise ConfigError(f"{name}: expected {kind}, got {value!r}")
 
@@ -154,8 +152,7 @@ def validate_config(cfg: ScenarioConfig):
     """
     for name, kind in _KINDS.items():
         value = getattr(cfg, name)
-        if kind.startswith("float") and value is not None \
-                and not math.isfinite(value):
+        if kind == "float" and not math.isfinite(value):
             raise ConfigError(f"{name}: must be finite, got {value}")
     if cfg.scenario not in PRESETS:
         raise ConfigError(
@@ -175,9 +172,7 @@ def validate_config(cfg: ScenarioConfig):
         Grid(cfg.n, cfg.L, cfg.N)
         GasLaw(gamma=cfg.gamma)
         euler.SolverConfig(t_final=cfg.t_final)
-        d = _damping(cfg)
-        if cfg.delta is not None:
-            derive_constants(d, cfg.n, cfg.delta)
+        derive_constants(_damping(cfg), cfg.n, cfg.delta)
     except ValueError as e:
         raise ConfigError(str(e)) from None
     if not 0.0 < cfg.R < 0.5 * cfg.L:
@@ -194,11 +189,13 @@ def validate_config(cfg: ScenarioConfig):
         raise ConfigError(f"data_order: must be at least 1, got {cfg.data_order}")
     if cfg.jitter < 0.0:
         raise ConfigError(f"jitter: must be nonnegative, got {cfg.jitter}")
+    if cfg.jitter > 0.0 and cfg.data_kind != "bump":
+        raise ConfigError(f"jitter: perturbs bump data only, not {cfg.data_kind}")
     if cfg.n_snapshots < 2:
         raise ConfigError(f"n_snapshots: need at least 2, got {cfg.n_snapshots}")
-    if not 0.0 <= cfg.fit_lo < cfg.fit_hi:
+    if not 0.0 < cfg.fit_lo < cfg.fit_hi:
         raise ConfigError(
-            f"fit_lo/fit_hi: need 0 <= fit_lo < fit_hi, got ({cfg.fit_lo}, {cfg.fit_hi})")
+            f"fit_lo/fit_hi: need 0 < fit_lo < fit_hi, got ({cfg.fit_lo}, {cfg.fit_hi})")
     if preset.schedule is not None:
         t = _schedule(cfg)
         found = sum(cfg.fit_lo <= s <= cfg.fit_hi for s in t)
@@ -359,13 +356,12 @@ def _register(name, description, *, dims=(1, 2, 3), positive=(),
     return deco
 
 
-def preset_config(name: str, **extra) -> ScenarioConfig:
-    if name not in PRESETS:
-        raise ConfigError(f"scenario: unknown preset {name!r}; "
+def preset_config(scenario: str, **extra) -> ScenarioConfig:
+    """The preset's catalog entry with extra's fields as overrides."""
+    if scenario not in PRESETS:
+        raise ConfigError(f"scenario: unknown preset {scenario!r}; "
                           f"known: {', '.join(PRESETS)}")
-    kw = dict(PRESETS[name].overrides)
-    kw.update(extra)
-    return ScenarioConfig(scenario=name, **kw)
+    return ScenarioConfig(scenario, **{**PRESETS[scenario].overrides, **extra})
 
 
 # =====================================================================
@@ -496,26 +492,16 @@ def _run_linear_decay(cfg: ScenarioConfig, outdir: Path):
 def _zone_tables(d: DampingLaw, t_final: float, densities):
     """The first kernel at 7 log-spaced times in [1, t_final] and, per
     density, that many log-spaced radii in [1e-3, 2], all radii in one
-    pass: per density (per_zone, table), the samples (t, r, |phi1|) of
-    each zone that its envelope is fitted to, and a row
-    (t, r, zone, phi1, phi2) per radius and time."""
+    pass: per density, a row (t, r, zone, phi1, phi2) per radius and time."""
     tlist = np.geomspace(1.0, t_final, 7)
     sets = [np.geomspace(1e-3, 2.0, density) for density in densities]
     tr = linear.evolve_modes(np.concatenate(sets), d, tlist)
     tables, start = [], 0
     for radii in sets:
-        per_zone = {Zone.Z1: [], Zone.Z2: [], Zone.Z3: []}
-        table = []
-        for m, r in enumerate(radii, start):
-            for j, t in enumerate(tlist):
-                z = zone_classify(t, float(r), d)
-                table.append((float(t), float(r), z,
-                              float(tr[0, m, j]), float(tr[2, m, j])))
-                if z == Zone.Z2 and r > 0.25 * d.mu:
-                    continue
-                per_zone[z].append((float(t), float(r),
-                                    abs(float(tr[0, m, j]))))
-        tables.append((per_zone, table))
+        tables.append([(float(t), float(r), zone_classify(t, float(r), d),
+                        float(tr[0, m, j]), float(tr[2, m, j]))
+                       for m, r in enumerate(radii, start)
+                       for j, t in enumerate(tlist)])
         start += radii.size
     return tables
 
@@ -531,20 +517,21 @@ def _zone_tables(d: DampingLaw, t_final: float, densities):
     n=1, lam=0.5, mu=2.0, t_final=1.0e3, fit_lo=5.0, fit_hi=200.0)
 def _run_zone_bounds(cfg: ScenarioConfig, outdir: Path):
     d = _damping(cfg)
-    (coarse, _), (fine, table) = _zone_tables(d, cfg.t_final, (14, 27))
+    coarse, fine = _zone_tables(d, cfg.t_final, (14, 27))
+
+    def enveloped(z, r):
+        """The samples a zone envelope covers: Z1, and Z2 up to mu/4."""
+        return z == Zone.Z1 or (z == Zone.Z2 and r <= 0.25 * d.mu)
 
     verdicts, consts = [], {}
     for zone, key in ((Zone.Z1, "z1"), (Zone.Z2, "z2")):
-        if not coarse[zone] or not fine[zone]:
+        samples = [[(t, r, abs(p1)) for (t, r, z, p1, _) in tab
+                    if z == zone and enveloped(z, r)] for tab in (coarse, fine)]
+        if not all(samples):
             raise RuntimeError(f"no samples fell in zone {zone.name}")
-        c0 = linear.fit_zone_constant(coarse[zone], d)
-        consts[zone] = c0
-
-        def max_ratio(samps):
-            return max(abs(p) / linear.zone_envelope(t, r, c0, d)
-                       for (t, r, p) in samps)
-
-        mc, mf = max_ratio(coarse[zone]), max_ratio(fine[zone])
+        c0 = consts[zone] = linear.fit_zone_constant(samples[0], d)
+        mc, mf = (max(p / linear.zone_envelope(t, r, c0, d) for (t, r, p) in s)
+                  for s in samples)
         drift = mf / mc
         verdicts.append(Verdict(
             name=f"{key}_ratio_drift", value=drift, predicted=1.0,
@@ -566,14 +553,9 @@ def _run_zone_bounds(cfg: ScenarioConfig, outdir: Path):
         f"(1+t)^{1.0 - d.lam:g}, residual {fit.residual:.3g}"))
 
     rows = []
-    for (t, r, z, p1, p2) in table:
-        c0 = consts.get(z)
-        if c0 is None or (z == Zone.Z2 and r > 0.25 * d.mu):
-            env, ratio = float("nan"), float("nan")
-        else:
-            env = linear.zone_envelope(t, r, c0, d)
-            ratio = abs(p1) / env
-        rows.append((t, r, int(z), p1, 0.0, p2, 0.0, env, ratio))
+    for (t, r, z, p1, p2) in fine:
+        env = linear.zone_envelope(t, r, consts[z], d) if enveloped(z, r) else math.nan
+        rows.append((t, r, int(z), p1, 0.0, p2, 0.0, env, abs(p1) / env))
     cols = list(zip(*rows))
     write_csv(outdir / "modes.csv",
               ["t", "r", "zone", "re_phi1", "im_phi1", "re_phi2", "im_phi2",
@@ -780,16 +762,14 @@ def _run_vorticity_2d(cfg: ScenarioConfig, outdir: Path):
     return verdicts
 
 
-@_register(
+_register(
     "vorticity-3d",
     "stretched-exponential vorticity decay in three dimensions",
     dims=(3,),   # the three-dimensional claim: stretching exists only there
     schedule=_lin_snapshots,
     n=3, lam=0.5, mu=1.0, N=128, L=40.0, R=12.0, eps=1e-3,
     data_kind="rotational", t_final=12.0, n_snapshots=13,
-    fit_lo=2.0, fit_hi=12.0)
-def _run_vorticity_3d(cfg: ScenarioConfig, outdir: Path):
-    return _vorticity_run(cfg, outdir)
+    fit_lo=2.0, fit_hi=12.0)(_vorticity_run)
 
 
 @_register(

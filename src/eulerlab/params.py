@@ -28,7 +28,7 @@ __all__ = [
     "Zone",
     "damping_coeff",
     "integrating_factor",
-    "default_delta",
+    "DELTA",
     "derive_constants",
     "weight_eval",
     "zone_classify",
@@ -120,25 +120,22 @@ class WeightSpec:
     k_c: float
 
 
-def default_delta(d: DampingLaw, n: int) -> float:
-    """Margin used when the caller does not pin one: min(1/4, (1+lam)n/4)."""
-    return min(0.25, 0.25 * (1.0 + d.lam) * n)
+# delta unless the caller pins one: min(1/4, (1+lam) n/4) at every lam, n
+DELTA = 0.25
 
 
-def derive_constants(d: DampingLaw, n: int, delta: float | None = None) -> WeightSpec:
+def derive_constants(d: DampingLaw, n: int, delta: float = DELTA) -> WeightSpec:
     """Closed forms for (a, B, k_c).
 
         B   = (1+lam) n / 2 - delta
         a   = (1+lam) mu / 8 * (1 - delta / ((1+lam) n))
         k_c = (1+lam)/(1-lam) * (n+1) - n - 2 delta / (1-lam)
 
-    delta must lie in (0, (1+lam) n / 2]; the default keeps B and a
-    comfortably positive in every dimension.
+    delta must lie in (0, (1+lam) n / 2]; the default, DELTA, keeps B
+    and a comfortably positive in every dimension.
     """
     if n not in (1, 2, 3):
         raise ValueError(f"space dimension n must be 1, 2 or 3, got {n}")
-    if delta is None:
-        delta = default_delta(d, n)
     lim = 0.5 * (1.0 + d.lam) * n
     if not 0.0 < delta <= lim:
         raise ValueError(f"delta: must lie in (0, {lim}], got {delta}")

@@ -73,7 +73,7 @@ def test_preset_config_overrides():
 def test_from_dict_round_trip():
     cfg = preset_config("mass-conservation")
     assert ScenarioConfig.from_dict(cfg.as_dict()) == cfg
-    # every value is a number, a name or none, so JSON keeps it as it is
+    # every value is an int, a float or a string, so JSON keeps it as it is
     for cfg in [preset_config(name) for name in PRESET_VERDICTS] \
             + [preset_config("nonlinear-decay", delta=0.25)]:
         assert ScenarioConfig.from_dict(json.loads(json.dumps(cfg.as_dict()))) == cfg
@@ -85,17 +85,17 @@ def test_from_dict_round_trip():
 
 def test_from_dict_types_values_like_set():
     cfg = ScenarioConfig.from_dict(
-        {"scenario": "nonlinear-decay", "L": 256, "N": "512", "delta": None,
+        {"scenario": "nonlinear-decay", "L": 256, "N": "512", "delta": "0.1",
          "data_kind": "mass"})
     assert cfg.L == 256.0 and isinstance(cfg.L, float)
-    assert cfg.N == 512 and cfg.delta is None and cfg.data_kind == "mass"
-    assert ScenarioConfig.from_dict(
-        {"scenario": "nonlinear-decay", "delta": "none"}).delta is None
+    assert cfg.N == 512 and cfg.delta == 0.1 and cfg.data_kind == "mass"
     assert ScenarioConfig.from_dict(
         {"scenario": "nonlinear-decay", "delta": 1}).delta == 1.0
+    # no field takes null or none: delta is a float like any other
     for key, value in (("N", 3.5), ("N", True), ("L", "far"), ("L", [1.0]),
                        ("data_kind", 1), ("data_kind", None), ("N", None),
-                       ("delta", {}), ("delta", True)):
+                       ("delta", {}), ("delta", True), ("delta", None),
+                       ("delta", "none"), ("delta", "null")):
         with pytest.raises(ConfigError) as err:
             ScenarioConfig.from_dict({"scenario": "nonlinear-decay", key: value})
         assert str(err.value).startswith(f"{key}:")
@@ -119,13 +119,14 @@ def test_from_dict_refuses_a_non_object(data, tmp_path, capsys):
 def test_cli_override_coercion():
     cfg = harness._load_config(
         "nonlinear-decay",
-        ["lam=0.3", "N=512", "delta=none", "data_kind=potential"])
+        ["lam=0.3", "N=512", "delta=0.1", "data_kind=potential"])
     assert cfg.lam == 0.3
     assert cfg.N == 512 and isinstance(cfg.N, int)
-    assert cfg.delta is None
+    assert cfg.delta == 0.1
     assert cfg.data_kind == "potential"
 
-    for bad in (["bogus=1"], ["store_fields=on"], ["dealias=on"], ["N"]):
+    for bad in (["bogus=1"], ["store_fields=on"], ["dealias=on"], ["N"],
+                ["delta=none"]):
         with pytest.raises(ConfigError):
             harness._load_config("nonlinear-decay", bad)
     with pytest.raises(ConfigError):
@@ -204,7 +205,7 @@ def test_config_digest_ignores_plumbing():
     assert run_dir(a, "here") == Path("here") / f"nonlinear-decay-{da}"
     assert run_dir(a, base_dir="x") == Path("x") / f"nonlinear-decay-{da}"
     # pinned: a change of the hashed payload renames every run directory
-    assert config_digest(preset_config("convolution-lemma")) == "4825915f90d2"
+    assert config_digest(preset_config("convolution-lemma")) == "47e7a83bc89b"
 
 
 # the options that left the config, each at the one value every preset
@@ -699,12 +700,14 @@ def test_sweep_refuses_a_cell_outside_the_domain(tmp_path, capsys):
     assert not outdir.exists()
 
 
-def test_sweep_over_delta_none(tmp_path):
+def test_sweep_over_delta(tmp_path):
     base = preset_config("convolution-lemma")
-    results, agg = sweep(base, {"delta": ["none"]}, tmp_path)
-    assert results[0]["status"] == "ok"
+    results, agg = sweep(base, {"delta": ["0.1", "0.25"]}, tmp_path)
+    assert [r["status"] for r in results] == ["ok", "ok"]
+    assert results[0]["digest"] != results[1]["digest"]
+    assert results[1]["digest"] == config_digest(base)
     header, rows = _read_rows(agg)
-    assert rows[0][header.index("delta")] == "None"
+    assert [row[header.index("delta")] for row in rows] == ["0.1", "0.25"]
 
 
 def test_sweep_refuses_a_negative_worker_count(tmp_path, capsys):
@@ -792,6 +795,58 @@ def test_cli_run_from_json_file(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"scenario": "convolution-lemma"}))
     assert main(["run", str(cfg_path), "--outdir", str(tmp_path)]) == 0
+
+
+def test_from_dict_is_the_catalog_entry_plus_its_keys():
+    # a JSON config means the experiment its scenario names: the catalog
+    # entry, with the keys it gives as overrides
+    for name in PRESET_VERDICTS:
+        assert ScenarioConfig.from_dict({"scenario": name}) == preset_config(name)
+    cfg = ScenarioConfig.from_dict(
+        {"scenario": "nonlinear-decay", "eps": 2e-3, "N": "512"})
+    assert cfg == preset_config("nonlinear-decay", eps=2e-3, N=512)
+    assert (cfg.L, cfg.data_order, cfg.t_final, cfg.fit_lo, cfg.fit_hi) \
+        == (256.0, 7, 1e3, 1e2, 1e3)
+
+
+def test_cli_run_from_partial_json_is_the_preset_run(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"scenario": "nonlinear-decay", "eps": 0.002}))
+    from_json, from_set = tmp_path / "json", tmp_path / "set"
+    code = main(["run", str(cfg_path), "--outdir", str(from_json)])
+    assert code == main(["run", "nonlinear-decay", "--set", "eps=0.002",
+                         "--outdir", str(from_set)])
+    name = run_dir(preset_config("nonlinear-decay", eps=0.002)).name
+    assert [p.name for p in from_json.iterdir()] == [name]
+    assert [p.name for p in from_set.iterdir()] == [name]
+    files = sorted(p.name for p in (from_set / name).iterdir())
+    assert sorted(p.name for p in (from_json / name).iterdir()) == files
+    for f in files:
+        assert (from_json / name / f).read_bytes() == (from_set / name / f).read_bytes()
+
+
+def test_cli_refuses_a_fit_window_holding_the_start_row(tmp_path, capsys):
+    # u_linf is 0 at t = 0, so a window from 0 would end in a failed fit
+    runs = tmp_path / "runs"
+    assert main(["run", "nonlinear-decay", "--set", "fit_lo=0",
+                 "--outdir", str(runs)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: fit_lo/fit_hi: need 0 < fit_lo < fit_hi")
+    assert not runs.exists()
+
+
+@pytest.mark.parametrize("preset, data_kind", [
+    ("vorticity-2d", "rotational"), ("vorticity-2d", "potential"),
+    ("mass-conservation", "mass")])
+def test_cli_refuses_jitter_off_bump_data(preset, data_kind, tmp_path, capsys):
+    # only bump data take the jitter, so it would change the digest alone
+    runs = tmp_path / "runs"
+    assert main(["run", preset, "--set", f"data_kind={data_kind}",
+                 "--set", "jitter=0.1", "--outdir", str(runs)]) == 2
+    assert capsys.readouterr().err.startswith("config error: jitter:")
+    assert not runs.exists()
+    harness.validate_config(preset_config(preset, data_kind=data_kind))
+    harness.validate_config(preset_config("nonlinear-decay", jitter=0.1))
 
 
 def test_python_m_eulerlab_runs_without_warnings():

@@ -8,8 +8,9 @@ path, no preset runner raises ConfigError, so the preset registry
 and validate_config stay the one home of a preset's domain, no runner
 of a preset that registers a schedule makes its samples itself, so
 the schedule is stated once, every config parser has a field of its
-kind, every recorder column is read by a verdict or a monitor column,
-no module tunes the C allocator: large work arrays are held, not
+kind and every config field's annotation names one parser, every
+recorder column is read by a verdict or a monitor column, no module
+tunes the C allocator: large work arrays are held, not
 re-faulted, by the code that uses them, the quadratic terms have one
 home: only the stepper's products and the wave source name
 _product_row, a module exports only what src/ uses or the
@@ -265,8 +266,29 @@ def test_every_config_parser_has_a_field():
     # a config value is parsed by its field's annotation; a parser whose
     # last field is gone would be dead code
     from eulerlab import harness
-    kinds = {kind.removesuffix(" | None") for kind in harness._KINDS.values()}
-    assert set(harness._PARSERS) == kinds
+    assert set(harness._PARSERS) == set(harness._KINDS.values())
+
+
+def unparsed_fields(kinds: dict, parsers) -> list:
+    """Names of the fields of kinds (field name -> annotation) whose
+    annotation is not exactly a key of parsers: a value no parser reads
+    whole, such as an optional "float | None"."""
+    return [name for name, kind in kinds.items() if kind not in parsers]
+
+
+def test_unparsed_field_detector():
+    kinds = {"a": "int", "b": "float | None", "c": "Optional[str]",
+             "d": "str", "e": "float ", "f": "float"}
+    assert unparsed_fields(kinds, {"int": int, "float": float, "str": str}) \
+        == ["b", "c", "e"]
+
+
+def test_every_config_field_has_one_parser():
+    # a config value is an int, a float or a string: no field takes none
+    from dataclasses import fields
+    from eulerlab import harness
+    kinds = {f.name: f.type for f in fields(harness.ScenarioConfig)}
+    assert unparsed_fields(kinds, harness._PARSERS) == []
 
 
 MONITORS = ("mon_low", "mon_high", "wmon_low", "wmon_high")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from eulerlab.params import (
-    DampingLaw, GasLaw, Zone, damping_coeff, default_delta, derive_constants,
+    DELTA, DampingLaw, GasLaw, Zone, damping_coeff, derive_constants,
     integrating_factor, t_xi, weight_eval, zone_classify,
 )
 
@@ -97,9 +97,10 @@ def test_integrating_factor_log_derivative_matches_coefficient():
 # ---------------------------------------------------------------------
 
 def test_default_delta_is_quarter_for_supported_dimensions():
+    assert DELTA == 0.25
     for lam in (0.0, 0.3, 0.9):
         for n in (1, 2, 3):
-            assert default_delta(DampingLaw(lam=lam, mu=1.0), n) == 0.25
+            assert derive_constants(DampingLaw(lam=lam, mu=1.0), n).delta == DELTA
 
 
 def test_derive_constants_frozen_case_1d():
