@@ -82,17 +82,28 @@ def ball_volume(n: int, r) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
+# elements of the scratch slab in which _moment forms each term
+_SLAB = 2 ** 13
+
+
 def _moment(ph: euler.PhysicalState, ops: SpectralOps, mesh: np.ndarray) -> float:
     """quad of sum_i mesh[i] * rho * u[i], by that sum's own operations
-    (from 0, term by term) in two grid-sized arrays."""
-    acc = tmp = None
-    for i in range(ops.grid.n):
-        tmp = np.multiply(mesh[i], ph.rho, out=tmp)
-        np.multiply(tmp, ph.u[i], out=tmp)
-        if acc is None:
-            acc, tmp = np.add(0, tmp, out=tmp), None
-        else:
-            np.add(acc, tmp, out=acc)
+    (from 0, term by term) in one grid-sized array: each term is formed a
+    slab of leading rows at a time, about _SLAB elements, so that the
+    recorder, whose snapshot holds the stepper's grad v, holds no more
+    than rho and the sum here.  mesh is the coordinates, dense or in
+    broadcast form."""
+    rho, u = ph.rho, ph.u
+    acc = np.empty_like(rho)
+    rows = max(1, _SLAB * rho.shape[0] // rho.size)
+    for a in range(0, rho.shape[0], rows):
+        cut, tmp = slice(a, a + rows), None
+        out = acc[cut]
+        for i in range(ops.grid.n):
+            m = mesh[i] if mesh[i].shape[0] == 1 else mesh[i][cut]
+            tmp = np.multiply(m, rho[cut], out=tmp)
+            np.multiply(tmp, u[i][cut], out=tmp)
+            np.add(out if i else 0, tmp, out=out)
     return ops.quad(acc)
 
 
@@ -136,13 +147,14 @@ class EnergyRow:
 class EnergyRecorder:
     """Callable snapshot hook that accumulates EnergyRows.
 
-    Each snapshot reads the band spectrum w of the state and the products f
-    at it, which a state from euler.run carries as its band; a state without
-    that band view is refused.  The L2 norms of the velocity gradient, of
-    v_t = -div u + f[0] and of the vorticity come from their band spectra by
-    Parseval (SpectralOps.l2_hat); only grad v, whose sup norm is a column,
-    is transformed back: n band inverses and no forward transform.  Columns
-    of the physical state are bit-equal to their reference definitions
+    Each snapshot reads the band view that a state from euler.run carries
+    (euler.BandView): the band spectrum w of the state, the v row f_v of
+    the products at it and the stepper's grad v there; a state without
+    that view is refused.  The L2 norms of the velocity gradient,
+    of v_t = -div u + f_v and of the vorticity come from their band spectra
+    by Parseval (SpectralOps.l2_hat), and grad v, whose sup norm is a
+    column, is the stepper's: no transform at all.  Columns of the
+    physical state are bit-equal to their reference definitions
     (tests/reference.py), those of derivatives equal to rounding for a
     band-limited state.  In a
     rotational solve the v-side columns (v_l2, rho_l2, rho_linf, dv1_l2,
@@ -154,8 +166,9 @@ class EnergyRecorder:
     data's support radius support_R, as in the reference definition
     weighted_energy (tests/reference.py), and form
     the velocity gradient and v_t: n^2 + 1 more inverses.  The
-    wave-form source forms div u, n inverses, and starts from w, f,
-    grad v and div u: 2 forward and 2n + 3 inverse transforms more.
+    wave-form source starts from the view and forms div u: 2 forward and
+    3n + 3 inverse transforms more, and at an output inside a step the
+    products anew, for their u rows: n + 1 forward and n + n^2 inverse.
     with_source and with_weights can be switched off to cheapen large
     sweeps; the corresponding columns then hold zeros.
     """
@@ -184,14 +197,13 @@ class EnergyRecorder:
                              "euler.run hands its snapshot hook")
         ops, n = self.ops, self.grid.n
         v, u = st.v, st.u
-        band, w, nl = st.band
+        band, w, grad_v = st.band.ops, st.band.w, st.band.grad_v
         ik = band.ik
-        grad_v = band.grad_hat(w[0])
         dv1_l2 = sum(ops.l2(gv) for gv in grad_v)
         dv1_linf = max(ops.linf(gv) for gv in grad_v)
         du1_l2 = sum(band.l2_hat(ik[j] * w[1 + i])
                      for i in range(n) for j in range(n))
-        dvh = next(euler._linear(None, w[1:], 0.0, band)) + nl[0]
+        dvh = next(euler._linear(None, w[1:], 0.0, band)) + st.band.f_v
         vt_l2 = band.l2_hat(dvh)
         # the vorticity as its components d_j u_i - d_i u_j, j < i
         vort_l2 = band.l2_hat(np.stack(
@@ -220,12 +232,8 @@ class EnergyRecorder:
             del two_psi, outside
         src_l1 = 0.0
         if self.with_source:
-            # div u as the stepper forms it: the trace of the velocity
-            # gradient, not a transform of its own
-            div_u = sum(band.inv(ik[i] * w[1 + i]) for i in range(n))
             src_l1 = ops.quad(np.abs(euler.nonlinear_wave_source(
-                st, self.d, self.g, band, (w, nl, grad_v, div_u))))
-        del grad_v  # its memory goes to the density below
+                st, self.d, self.g)))
 
         u_l2 = math.sqrt(sum(ops.l2(u[i]) ** 2 for i in range(n)))
         u_linf = max(ops.linf(u[i]) for i in range(n))

@@ -39,8 +39,8 @@ runs.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,9 +75,33 @@ class VacuumError(ValueError):
     """The symmetric state left the positive-density region."""
 
 
-# EulerState.band of run's snapshots: band ops, band spectrum w (v, then
-# the u_i) and the products f at the state, overwritten by the next step
-BandView = namedtuple("BandView", "ops w f")
+class BandView:
+    """EulerState.band of run's snapshots, in the stepper's buffers, which
+    the next step overwrites: the band ops, the band spectrum w (v, then
+    the u_i), the v row f_v of the products at the state and grad v in
+    physical space, as the products form it.  What else a hook reads is
+    formed on first use, so that it pays only for what it records:
+    products(), every row of the products, which at an output inside a
+    step the stepper has not formed beyond f_v, and div u, the trace of
+    the velocity gradient, n inverse transforms."""
+
+    def __init__(self, ops, w, f, grad_v, complete=None):
+        self.ops, self.w, self.f_v, self.grad_v = ops, w, f[0], grad_v
+        self._f, self._complete, self._div_u = f, complete, None
+
+    def products(self) -> np.ndarray:
+        if self._complete is not None:
+            self._f, self._complete = self._complete(), None
+        return self._f
+
+    @property
+    def div_u(self) -> np.ndarray:
+        # summed as products sums it
+        if self._div_u is None:
+            ik, w = self.ops.ik, self.w
+            self._div_u = sum(self.ops.inv(ik[i] * w[1 + i])
+                              for i in range(len(ik)))
+        return self._div_u
 
 
 @dataclass
@@ -342,13 +366,15 @@ class _Lawson:
         return self._band
 
     def held(self, count: int = 1):
-        """The first count of the two spectral states of the continuous
+        """The first count of the two spectral buffers of the continuous
         extension, made on first use: the products at the start of a step
         (then the same products carried to its end), which step holds, and
-        the products at an output, which only the extension needs."""
-        shape = (self.ops.grid.n + 1,) + self.ops.kshape
+        two band rows, which only the extension needs: the scratch of
+        apply, then the v row of the products at an output."""
+        rows = (self.ops.grid.n + 1, 2)
         held = self._held or ()
         while len(held) < count:
+            shape = (rows[len(held)],) + self.ops.kshape
             held += (np.empty(shape, dtype=complex),)
         self._held = held
         return held[:count]
@@ -417,14 +443,18 @@ class _Lawson:
         return out
 
     def products(self, w: np.ndarray, x: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
+                 out: np.ndarray | None = None,
+                 u_rows: bool = True) -> np.ndarray:
         """The quadratic terms of the system at the stage w with physical
         rows x, on the band and stacked like w, into out, which may be w
         itself: each row of w is read before the same row of out is
         written.  They are -u.grad v - sl v div u for v and
         -(u.grad) u - sl v grad v for u; div u is the trace of the
         velocity gradient, formed an entry at a time, and grad v and
-        div u stay in the first two buffers of work().
+        div u stay in the first two buffers of work().  n + 1 forward
+        and n + n^2 inverse transforms.  With u_rows=False only the v
+        row of out is written, and of the velocity gradient only its
+        diagonal is formed: 1 forward and 2n inverse transforms.
         """
         ops, sl, n = self.ops, self.sl, self.ops.grid.n
         grad_v, div, d, acc, dh = self.work()[:5]
@@ -436,7 +466,7 @@ class _Lawson:
 
         def row(i):
             # d_j u_i, one at a time in d, adding d_i u_i to div u
-            for j in range(n):
+            for j in range(n) if u_rows else (i,):
                 deriv(j, w[1 + i], d)
                 if j == i:
                     np.add(div if i else 0.0, d, out=div)
@@ -445,8 +475,11 @@ class _Lawson:
         for j in range(n):
             deriv(j, w[0], grad_v[j])
         for i in range(n):
-            ops.fwd(_product_row(u, row(i), v, grad_v[i], sl, acc, d),
-                    out=out[1 + i])
+            if u_rows:
+                ops.fwd(_product_row(u, row(i), v, grad_v[i], sl, acc, d),
+                        out=out[1 + i])
+            else:
+                next(row(i))  # d_i u_i alone, for div u
         ops.fwd(_product_row(u, grad_v, v, div, sl, acc, d), out=out[0])
         return out
 
@@ -457,8 +490,12 @@ class _Lawson:
         w and f are the state and the products at t + h.  Yields, per
         time s, the spectral state at s, its products and the factor
         integrating_factor(s, t + h) by which the extension carried a
-        product back to s; x is overwritten with the physical state.  The
-        held buffers of one yield are overwritten by the next.
+        product back to s; x is overwritten with the physical state.  Of
+        the products only the v row is formed (products with
+        u_rows=False), and grad v and div u at s are in the first two
+        buffers of work(): 1 forward and 3n + 1 inverse transforms per
+        time, with physical.  The held buffers of one yield are
+        overwritten by the next.
 
         With U(r) = P(t + h, r) w(r) - P(t + h, t) w(t), the Duhamel term
         in the frame of t + h, U(t) = 0, U'(t) = B = P(t + h, t) f(t),
@@ -511,7 +548,7 @@ class _Lawson:
                 o += np.multiply(ha, b, out=tmp)
                 o += np.multiply(hc, fr, out=tmp)
             self.apply(_inverse(back.pop(s)), pw, pw, fo)
-            self.products(pw, self.physical(pw, out=x), out=fo)
+            self.products(pw, self.physical(pw, out=x), out=fo, u_rows=False)
             yield s, pw, fo, _growth(s, t + h, self.d)
 
 
@@ -598,9 +635,11 @@ def _step_factor(err: float, err_prev: float = 1.0) -> float:
 def _norm(a: np.ndarray) -> float:
     """Euclidean norm of the coefficients of a, a contiguous complex
     array: the dot product of its real view with itself, so no
-    temporary."""
+    temporary.  einsum forms it in numpy's own loop: np.dot would call
+    the BLAS, whose thread pool takes a second core on a 2-D band state
+    and whose bits depend on its thread count."""
     re = a.reshape(-1).view(float)
-    return math.sqrt(np.dot(re, re))
+    return math.sqrt(np.einsum("i,i->", re, re))
 
 
 def _scaled(c: float, k: np.ndarray, out: np.ndarray, plus: np.ndarray) -> np.ndarray:
@@ -781,11 +820,20 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
             return "blowup-tail"
         return None
 
-    def output(ts, ws, fs, check: bool = True) -> str | None:
+    def output(ts, ws, fs, check: bool = True, complete=None,
+               grad_v=None) -> str | None:
+        # the hook gets grad v, given or else in law's work buffers, which
+        # law lets go first, so that the check and the hook take the rest
+        # of that memory; an output inside a step (complete forms all its
+        # products) keeps the spectral ones, which hold the extension
+        if grad_v is None:
+            grad_v = law.work()[0]
+        view = BandView(band, ws, fs, grad_v, complete)
+        law.release(band=complete is None)
         # the checks first: an output where one trips is not handed on
         why = tripped(ws) if check else None
         if not why and on_snapshot is not None:
-            on_snapshot(EulerState(ts, x[0], x[1:], band=BandView(band, ws, fs)))
+            on_snapshot(EulerState(ts, x[0], x[1:], band=view))
         return why
 
     def finish(why: str | None, t_end: float) -> RunResult:
@@ -803,7 +851,6 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
     def reached(s: float) -> bool:
         return t >= s - 1e-12 * max(1.0, s)
 
-    law.release()
     output(t, w, f, check=False)
 
     j = 0  # the next output
@@ -838,8 +885,8 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
             for s, ws, fs, grow in law.extension(t_start, h, w, f, x, inside):
                 result.dense_outputs += 1
                 result.dense_growth_max = max(grow, result.dense_growth_max or grow)
-                law.release(band=False)
-                why = output(s, ws, fs)
+                why = output(s, ws, fs, complete=functools.partial(
+                    law.products, ws, x))
                 if why:
                     return finish(why, s)
             del ws, fs  # the extension's buffers go with law's
@@ -855,8 +902,9 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
                 return finish(why, t)
         if landed:
             j += 1
-            law.release()
-            why = output(t, w, f)
+            # the extension overwrote grad v of the state, if it ran
+            why = output(t, w, f,
+                         grad_v=band.grad_hat(w[0]) if inside else None)
             if why:
                 return finish(why, t)
     return finish(None, t)
@@ -866,8 +914,8 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
 #  Derived fields
 # =====================================================================
 
-def nonlinear_wave_source(st: EulerState, d: DampingLaw, g: GasLaw,
-                          ops: SpectralOps, held) -> np.ndarray:
+def nonlinear_wave_source(st: EulerState, d: DampingLaw,
+                          g: GasLaw) -> np.ndarray:
     """Source of the second-order wave form of the continuity equation.
 
     Eliminating u_t between the two evolution equations yields
@@ -877,17 +925,20 @@ def nonlinear_wave_source(st: EulerState, d: DampingLaw, g: GasLaw,
             + div( (u.grad) u + c v grad v ),          c = (gamma-1)/2,
 
     that is Q = b N_v + d/dt N_v - div N_u for the solver's products
-    N = (N_v, N_u).  Q is assembled on the 2/3 band from the state's band
-    spectrum w and N: held = (w, N, grad v, div u) on the band ops given,
-    as the recorder holds them.  (v_t, u_t) is _linear plus N, and, by
-    bilinearity, d/dt N_v is two v rows of the products, with (v_t, u_t)
-    in the factor slots and grad v_t, div u_t in the derivative slots:
-    2 forward and 2n + 3 inverse transforms.
+    N = (N_v, N_u).  Q is assembled on the 2/3 band from st's band view
+    (BandView, as euler.run hands it to a snapshot hook): the band
+    spectrum w, the products N, grad v and div u.  (v_t, u_t) is
+    _linear plus N, and, by bilinearity, d/dt N_v is two v rows of the
+    products, with (v_t, u_t) in the factor slots and grad v_t, div u_t
+    in the derivative slots: 2 forward and 2n + 3 inverse transforms,
+    besides the n inverses of div u and, where the view has formed only
+    the v row of N, the products anew.
     """
-    n, sl = ops.grid.n, g.slope
+    band = st.band
+    ops, n, sl = band.ops, band.ops.grid.n, g.slope
     b = damping_coeff(st.t, d)
     v, u = st.v, st.u
-    w, nl, grad_v, div_u = held
+    w, nl, grad_v, div_u = band.w, band.products(), band.grad_v, band.div_u
     ik = ops.ik
     dwh = [a + p for a, p in zip(_linear(w[0], w[1:], b, ops), nl)]
     dw = [ops.inv(row) for row in dwh]

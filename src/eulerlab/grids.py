@@ -242,18 +242,22 @@ class SpectralOps:
                 F = self.ik[ax] ** p * F
         return self.inv(F)
 
-    def deriv_l2(self, f: np.ndarray, order: int) -> float:
+    def deriv_l2(self, f: np.ndarray, order: int,
+                 F: np.ndarray | None = None) -> float:
         """Sum of L2 norms of all derivatives of exactly this order: one
-        inverse per derivative, each dropped once its norm is taken."""
+        inverse per derivative, each dropped once its norm is taken.  F is
+        the transform of f, formed here if not given."""
         if order == 0:
             return self.l2(f)
-        F = self.fwd(f)
+        F = self.fwd(f) if F is None else F
         return sum(self.l2(self._deriv_alpha_hat(F, a))
                    for a in self.multi_indices(order))
 
     def sobolev(self, f: np.ndarray, order: int) -> float:
-        """H^order norm as the sum over derivative orders 0..order."""
-        return sum(self.deriv_l2(f, m) for m in range(order + 1))
+        """H^order norm as the sum over derivative orders 0..order, from
+        one forward transform of f."""
+        F = self.fwd(f) if order else None
+        return sum(self.deriv_l2(f, m, F) for m in range(order + 1))
 
     def sobolev_fields(self, fields, order: int) -> float:
         """Sobolev norm of a tuple of scalar fields (summed)."""

@@ -90,25 +90,19 @@ class Outputs(list):
         self.append(st.copy())
 
 
-def band_held(st, d, g, ops):
-    """The band ops of a stepper built on ops, and what
-    euler.nonlinear_wave_source holds for st on them: the band spectrum
-    w of (v, u), the products at the state, and the grad v and div u
-    that forming them leaves in the stepper's first two work buffers,
-    all from st's own fields.  n + 1 forward transforms for w, and the
-    products' n + 1 forward and n + n^2 inverse."""
+def on_band(st, d, g, ops):
+    """st as euler.run hands it to a snapshot hook at the end of a step,
+    with the band view of a stepper built on ops: its band ops, the band
+    spectrum w of (v, u), the products at the state and the grad v that
+    forming them leaves in the stepper's first work buffer, all from st's
+    own fields.  n + 1 forward transforms for w, and the products' n + 1
+    forward and n + n^2 inverse."""
     law = euler._Lawson(d, g, ops)
     x = np.stack([st.v, *st.u])
     w = np.stack([law.ops.fwd(f) for f in x])
-    return law.ops, (w, law.products(w, x), *law.work()[:2])
-
-
-def on_band(st, d, g, ops):
-    """st as euler.run hands it to a snapshot hook: with the band view of
-    a stepper built on ops, that is its band ops, the band spectrum w of
-    (v, u) and the products at the state, formed from st's own fields."""
-    band, (w, f, _, _) = band_held(st, d, g, ops)
-    return euler.EulerState(st.t, st.v, st.u, band=euler.BandView(band, w, f))
+    f = law.products(w, x)
+    return euler.EulerState(st.t, st.v, st.u,
+                            band=euler.BandView(law.ops, w, f, law.work()[0]))
 
 
 def run_preset(name: str, base: Path, **extra) -> RunHandle:

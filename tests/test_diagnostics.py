@@ -6,8 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (CountingOps, Outputs, band_held, on_band, read_csv_columns,
-                      tracked_ops)
+from conftest import CountingOps, Outputs, on_band, read_csv_columns, tracked_ops
 from eulerlab.diagnostics import (
     DomainSizeError, EnergyRecorder, EnergyRow,
     FitQualityWarning, ball_volume, cauchy_schwarz_margin, convolution_oracle,
@@ -361,7 +360,7 @@ def column_definitions(rec: EnergyRecorder, st: EulerState) -> dict:
 
     col["src_l1"] = 0.0
     if rec.with_source:
-        src = euler.nonlinear_wave_source(st, d, g, *band_held(st, d, g, ops))
+        src = euler.nonlinear_wave_source(on_band(st, d, g, ops), d, g)
         col["src_l1"] = ops.quad(np.abs(src))
 
     col["vort_l2"] = 0.0
@@ -455,9 +454,10 @@ def test_solver_snapshot_columns_equal_their_definitions(n, N):
 
 
 def _recorder_costs(n, with_source):
-    """Transforms of one recorder call on a solver snapshot, counted on
-    the run's band ops and on its full ops, as (band fwd, band inv,
-    full fwd, full inv) per snapshot."""
+    """Transforms of each recorder call on a solver snapshot, counted on
+    the run's band ops and on its full ops, as (band fwd, band inv, full
+    fwd, full inv) per snapshot: at the start, at an output inside a
+    step and at t_final, the end of a step."""
     grid = Grid(n, 8.0, 32)
     ops, made = tracked_ops(grid)
     rec = EnergyRecorder(grid, D_HALF, GAS, derive_constants(D_HALF, n),
@@ -475,19 +475,19 @@ def _recorder_costs(n, with_source):
 
     st = sample_state(grid, SpectralOps(grid))
     cfg = euler.SolverConfig(t_final=0.5, snapshot_times=(0.25,))
-    euler.run(EulerState(0.0, st.v, st.u), D_HALF, GAS, grid, cfg,
-              on_snapshot=hook, ops=ops)
+    res = euler.run(EulerState(0.0, st.v, st.u), D_HALF, GAS, grid, cfg,
+                    on_snapshot=hook, ops=ops)
     assert len(made) == 2 and made[1].band
-    assert len(costs) == 3 and len(set(costs)) == 1
-    return costs[0]
+    assert res.dense_outputs == 1 and len(costs) == 3
+    return costs
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_energy_recorder_transforms_each_field_once(n):
-    # a solver snapshot: no forward, and on the band the n entries of
-    # grad v, whose sup norm is a column; the other derivative norms
-    # come from their band spectra by Parseval
-    assert _recorder_costs(n, False) == (0, n, 0, 0)
+    # a solver snapshot, landed or inside a step: no transform at all.
+    # grad v is the stepper's, whose sup norm is a column, and the other
+    # derivative norms come from their band spectra by Parseval
+    assert _recorder_costs(n, False) == [(0, 0, 0, 0)] * 3
 
 
 def test_energy_recorder_refuses_a_state_without_band_view():
@@ -500,25 +500,25 @@ def test_energy_recorder_refuses_a_state_without_band_view():
 
 
 @pytest.mark.parametrize("n, fwd_calls, inv_calls", [
-    (1, 2, 5), (2, 2, 7), (3, 2, 9)])
+    (1, 2, 6), (2, 2, 9), (3, 2, 12)])
 def test_wave_source_transform_count(n, fwd_calls, inv_calls):
-    # the source from what it holds, all on the band: forward the two v
+    # the source from the band view, all on the band: forward the two v
     # products of d/dt N_v; inverse v_t and the n u_it, grad v_t, div u_t
-    # and Q itself
+    # and Q itself, and the n diagonal entries of the velocity gradient
+    # for div u.  grad v and the products are the view's
     grid = Grid(n, 8.0, 16)
     ops, made = tracked_ops(grid)
-    st = sample_state(grid, SpectralOps(grid))
-    band, held = band_held(st, D_HALF, GAS, ops)
+    st = on_band(sample_state(grid, SpectralOps(grid)), D_HALF, GAS, ops)
+    full, band = made
+    assert band is st.band.ops and band.band
     band.fwd_calls = band.inv_calls = 0
-    euler.nonlinear_wave_source(st, D_HALF, GAS, band, held)
-    full, band_made = made
-    assert band is band_made and band.band
+    euler.nonlinear_wave_source(st, D_HALF, GAS)
     assert (full.fwd_calls, full.inv_calls) == (0, 0)
     assert (band.fwd_calls, band.inv_calls) == (fwd_calls, inv_calls)
-    assert inv_calls == 2 * n + 3
-    # in the recorder it starts from the state's band spectrum, the
-    # products at the state, the recorder's grad v and div u, for which
-    # the recorder forms the n diagonal entries of the velocity
-    # gradient: the source's own transforms, and those n inverses
-    off, on = _recorder_costs(n, False), _recorder_costs(n, True)
-    assert tuple(b - a for a, b in zip(off, on)) == (2, 3 * n + 3, 0, 0)
+    assert inv_calls == 3 * n + 3
+    # in the recorder, on a solver snapshot: the source's own transforms,
+    # and inside a step, where the stepper formed only the v row of the
+    # products, the products anew
+    landed = (fwd_calls, inv_calls, 0, 0)
+    inside = (fwd_calls + n + 1, inv_calls + n + n * n, 0, 0)
+    assert _recorder_costs(n, True) == [landed, inside, landed]

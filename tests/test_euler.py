@@ -3,12 +3,16 @@ side against a hand-built symbolic oracle, exact transport of simple
 waves, monitors, and the initial-data constructors."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import CountingOps, Outputs, band_held, tracked_ops
+from conftest import CountingOps, Outputs, on_band, tracked_ops
 from eulerlab import euler
 from eulerlab.euler import (
     EulerState, PhysicalState, SolverConfig, VacuumError,
@@ -250,6 +254,53 @@ def test_lawson_step_transforms_only_the_band(n, fwd_calls, inv_calls):
     assert ops.fwd_calls == ops.inv_calls == 0
     assert w.shape == f.shape == (n + 1,) + band.k2.shape
     assert band.k2.size < ops.k2.size
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_dense_output_forms_the_v_row_alone(n):
+    # an output inside a step: its physical rows, grad v, div u and the v
+    # row of the products, 3n + 1 inverse and 1 forward transforms.  The
+    # v row, grad v and div u are the bits of a whole products call there
+    grid = Grid(n, 8.0, 16)
+    ops = CountingOps(grid)
+    law = euler._Lawson(D_HALF, GAS, ops)
+    band = law.ops
+    w, x, f = _band_state(law, initial_bump(grid, 3.0, 1e-2, 1))
+    h = euler.step(0.0, w, x, f, 0.1, law)[0]
+    band.fwd_calls = band.inv_calls = 0
+    (s, ws, fs, _), = law.extension(0.0, h, w, f, x, [0.5 * h])
+    assert (band.fwd_calls, band.inv_calls) == (1, 3 * n + 1)
+    assert ops.fwd_calls == ops.inv_calls == 0
+    held = [a.copy() for a in (fs[0], *law.work()[:2])]
+    whole = law.products(ws.copy(), law.physical(ws))
+    for a, b in zip(held, (whole[0], *law.work()[:2])):
+        assert np.array_equal(_bits(a), _bits(b))
+
+
+NORM_PROBE = """
+import numpy as np
+from eulerlab import euler
+rng = np.random.default_rng(5)
+shape = (3, 171, 86)  # a 2-D band state at 256^2
+print(euler._norm(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).hex())
+"""
+
+
+def test_step_error_norm_has_the_same_bits_on_any_blas_thread_count():
+    # the norm of the step's error estimate goes through no BLAS, whose
+    # bits would depend on the size of its thread pool
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(euler.__file__).parents[1])]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    bits = []
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run([sys.executable, "-c", NORM_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        bits.append(proc.stdout)
+    assert bits[0] == bits[1]
 
 
 def _bits(a):
@@ -602,6 +653,18 @@ def test_rotational_bump_is_divergence_free():
         rotational_bump(Grid(1, 16.0, 64), 5.0, 1e-2)
 
 
+@pytest.mark.parametrize("make", [rotational_bump, potential_bump])
+def test_velocity_bumps_transform_each_field_once(make):
+    # the gradient of the bump, one forward and 2 inverses, then each of
+    # the two fields' H^3 norm from one forward transform: 2 + 3 + 4
+    # inverses for its derivatives of orders 1 to 3
+    grid = Grid(2, 16.0, 64)
+    ops, made = tracked_ops(grid)
+    make(grid, 5.0, 1e-2, 3, ops=ops)
+    assert made == [ops]
+    assert (ops.fwd_calls, ops.inv_calls) == (3, 2 + 2 * 9)
+
+
 def test_potential_bump_is_curl_free():
     grid = Grid(2, 16.0, 64)
     ops = SpectralOps(grid)
@@ -621,8 +684,7 @@ def test_wave_source_is_quadratic_in_amplitude():
 
     def source(eps):
         st = initial_bump(grid, 4.0, eps, 3, ops=ops)
-        return nonlinear_wave_source(st, D_HALF, GAS,
-                                     *band_held(st, D_HALF, GAS, ops))
+        return nonlinear_wave_source(on_band(st, D_HALF, GAS, ops), D_HALF, GAS)
 
     s1, s2 = source(1e-5), source(2e-5)
     n1, n2 = ops.l2(s1), ops.l2(s2)
@@ -646,7 +708,7 @@ def _wave_form_misfit(st0, grid, ops, t0, h):
     before, mid, after = outs
     v_tt = (after.v - 2.0 * mid.v + before.v) / h ** 2
     v_t = (after.v - before.v) / (2.0 * h)
-    q = nonlinear_wave_source(mid, D_HALF, GAS, *band_held(mid, D_HALF, GAS, ops))
+    q = nonlinear_wave_source(on_band(mid, D_HALF, GAS, ops), D_HALF, GAS)
     resid = v_tt - laplacian(ops, mid.v) + damping_coeff(t0, D_HALF) * v_t - q
     return ops.l2(resid) / ops.l2(q)
 

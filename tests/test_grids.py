@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
+from conftest import CountingOps
 from eulerlab.grids import Grid, SpectralOps
 from reference import curl, dealias, dealias_mask, deriv, div, laplacian
 
@@ -161,6 +162,20 @@ def test_sobolev_norm_single_mode():
         base * (1.0 + 4.0 * k0 + (4.0 * k0) ** 2), rel=1e-12)
     assert ops.sobolev_fields([f, f], 1) == pytest.approx(
         2.0 * ops.sobolev(f, 1), rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sobolev_transforms_the_field_once(n):
+    # one forward transform for every order, one inverse per derivative,
+    # and the bits of the sum of the per-order norms
+    grid = Grid(n, 8.0, 16)
+    ops = CountingOps(grid)
+    f = np.exp(-np.sum(grid.mesh() ** 2, axis=0))
+    want = sum(ops.deriv_l2(f, m) for m in range(4))
+    ops.fwd_calls = ops.inv_calls = 0
+    assert ops.sobolev(f, 3) == want
+    assert ops.fwd_calls == 1
+    assert ops.inv_calls == sum(len(ops.multi_indices(m)) for m in (1, 2, 3))
 
 
 def test_deriv_l2_sums_mixed_orders_2d():
