@@ -606,8 +606,9 @@ def step(t: float, w: np.ndarray, x: np.ndarray, f: np.ndarray, h: float,
         law.products(k, law.physical(k, out=x), out=k)
         _add_scaled(acc, h / 6.0, k, tmp)
         k5 = law.products(acc, law.physical(acc, out=x), out=pw)
-        e = 0.1 * h * _norm(np.subtract(k, k5, out=k))
-        err = e / (STEP_TOL * _norm(acc)) if e else 0.0
+        # k, that is f, is free until k5 goes into it: the norms' scratch
+        e = 0.1 * h * _norm(np.subtract(k, k5, out=k), k)
+        err = e / (STEP_TOL * _norm(acc, k)) if e else 0.0
         # a NaN estimate is accepted: run flags the state that made it
         if not err > 1.0 or h <= floor:
             break
@@ -632,14 +633,17 @@ def _step_factor(err: float, err_prev: float = 1.0) -> float:
     return min(5.0, max(0.2, 0.9 * err ** -0.175 * err_prev ** 0.1))
 
 
-def _norm(a: np.ndarray) -> float:
+def _norm(a: np.ndarray, out: np.ndarray) -> float:
     """Euclidean norm of the coefficients of a, a contiguous complex
-    array: the dot product of its real view with itself, so no
-    temporary.  einsum forms it in numpy's own loop: np.dot would call
-    the BLAS, whose thread pool takes a second core on a 2-D band state
-    and whose bits depend on its thread count."""
+    array: the squares of its real view, formed in out (of a's shape,
+    and it may be a), summed by numpy's pairwise add.reduce.  No BLAS:
+    np.dot's thread pool would take a second core on a 2-D band state,
+    and its bits depend on its thread count.  Nor np.einsum, whose code
+    nothing else in a run touches: mapping it raised a 1-D preset's
+    peak memory by about 0.1 MiB."""
     re = a.reshape(-1).view(float)
-    return math.sqrt(np.einsum("i,i->", re, re))
+    return math.sqrt(np.add.reduce(
+        np.multiply(re, re, out=out.reshape(-1).view(float))))
 
 
 def _scaled(c: float, k: np.ndarray, out: np.ndarray, plus: np.ndarray) -> np.ndarray:

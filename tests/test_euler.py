@@ -282,7 +282,8 @@ import numpy as np
 from eulerlab import euler
 rng = np.random.default_rng(5)
 shape = (3, 171, 86)  # a 2-D band state at 256^2
-print(euler._norm(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).hex())
+a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+print(euler._norm(a, np.empty_like(a)).hex())
 """
 
 
