@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields as dc_fields
 import numpy as np
 
 from . import euler
-from .grids import Grid, SpectralOps
+from .grids import SpectralOps
 from .params import DampingLaw, GasLaw, WeightSpec, damping_coeff, weight_eval
 
 __all__ = [
@@ -86,14 +86,14 @@ def ball_volume(n: int, r) -> np.ndarray | float:
 _SLAB = 2 ** 13
 
 
-def _moment(ph: euler.PhysicalState, ops: SpectralOps, mesh: np.ndarray) -> float:
+def _moment(rho: np.ndarray, u: np.ndarray, ops: SpectralOps,
+            mesh: np.ndarray) -> float:
     """quad of sum_i mesh[i] * rho * u[i], by that sum's own operations
     (from 0, term by term) in one grid-sized array: each term is formed a
     slab of leading rows at a time, about _SLAB elements, so that the
     recorder, whose snapshot holds the stepper's grad v, holds no more
     than rho and the sum here.  mesh is the coordinates, dense or in
     broadcast form."""
-    rho, u = ph.rho, ph.u
     acc = np.empty_like(rho)
     rows = max(1, _SLAB * rho.shape[0] // rho.size)
     for a in range(0, rho.shape[0], rows):
@@ -169,25 +169,25 @@ class EnergyRecorder:
     wave-form source starts from the view and forms div u: 2 forward and
     3n + 3 inverse transforms more, and at an output inside a step the
     products anew, for their u rows: n + 1 forward and n + n^2 inverse.
-    with_source and with_weights can be switched off to cheapen large
-    sweeps; the corresponding columns then hold zeros.
+    with_source and with_weights are facts of the preset: on only where
+    a verdict reads their columns (q-decay and weighted-energy-bounded);
+    off, those columns hold zeros.
     """
 
-    def __init__(self, grid: Grid, d: DampingLaw, g: GasLaw, spec: WeightSpec,
-                 *, support_R: float, with_source: bool = True,
-                 with_weights: bool = True, ops: SpectralOps | None = None):
-        self.grid = grid
+    def __init__(self, ops: SpectralOps, d: DampingLaw, g: GasLaw,
+                 spec: WeightSpec, *, support_R: float,
+                 with_source: bool = True, with_weights: bool = True):
+        self.ops = ops
         self.d = d
         self.g = g
         self.spec = spec
         self.with_source = with_source
         self.with_weights = with_weights
         self.support_R = support_R
-        self.ops = ops or SpectralOps(grid)
         # the coordinates in broadcast form, one axis each: the moment
         # needs no more, and the weighted block forms the mesh itself
-        self.coords = np.meshgrid(*([grid.axis()] * grid.n), indexing="ij",
-                                  sparse=True)
+        self.coords = np.meshgrid(*([ops.grid.axis()] * ops.grid.n),
+                                  indexing="ij", sparse=True)
         self.rows: list[EnergyRow] = []
 
     def __call__(self, st: euler.EulerState):
@@ -195,7 +195,7 @@ class EnergyRecorder:
             raise ValueError("EnergyRecorder: the state has no band view "
                              "(EulerState.band); record the states that "
                              "euler.run hands its snapshot hook")
-        ops, n = self.ops, self.grid.n
+        ops, n = self.ops, self.ops.grid.n
         v, u = st.v, st.u
         band, w, grad_v = st.band.ops, st.band.w, st.band.grad_v
         ik = band.ik
@@ -212,7 +212,7 @@ class EnergyRecorder:
 
         J_v = J_u = Jgrad_v = Jgrad_u = Jvt = 0.0
         if self.with_weights:
-            mesh = self.grid.mesh()
+            mesh = ops.grid.mesh()
             two_psi = 2.0 * weight_eval(st.t, mesh, self.spec).psi
             rad = np.sqrt(np.sum(mesh * mesh, axis=0))
             del mesh
@@ -221,7 +221,7 @@ class EnergyRecorder:
 
             def J(f):
                 return weighted_l2_sq(np.where(outside, 0.0, f), two_psi,
-                                      self.grid.cell)
+                                      ops.grid.cell)
 
             J_v, J_u = J(v), sum(J(u[i]) for i in range(n))
             Jgrad_v = sum(J(gv) for gv in grad_v)
@@ -241,7 +241,7 @@ class EnergyRecorder:
         # the density without a copy of u; the moment reads it before it
         # becomes rho - 1 in place
         rho = euler.density(v, self.g)
-        moment = _moment(euler.PhysicalState(st.t, rho, u), ops, self.coords)
+        moment = _moment(rho, u, ops, self.coords)
         rho_dev = np.subtract(rho, 1.0, out=rho)
         B = self.spec.B
         gp = (1.0 + st.t) ** B

@@ -46,12 +46,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import Grid, SpectralOps
-from .linear import _check_band_limited, _magnus_advance
+from .linear import _check_band_limited, _grid_mode_table, _magnus_advance
 from .params import DampingLaw, GasLaw, damping_coeff, integrating_factor
 
 __all__ = [
     "EulerState",
-    "PhysicalState",
     "SolverConfig",
     "RunResult",
     "VacuumError",
@@ -62,6 +61,7 @@ __all__ = [
     "mass_bump",
     "rotational_bump",
     "potential_bump",
+    "CFL",
     "STEP_TOL",
     "DENSE_GROWTH_MAX",
     "rhs",
@@ -117,23 +117,13 @@ class EulerState:
         return EulerState(self.t, self.v.copy(), self.u.copy())  # no band
 
 
-@dataclass
-class PhysicalState:
-    """Density / velocity description of the same instant."""
-
-    t: float
-    rho: np.ndarray
-    u: np.ndarray
-
-
-def to_symmetric(ph: PhysicalState, g: GasLaw) -> EulerState:
-    """v = 2/(gamma-1) (rho^((gamma-1)/2) - 1); velocity is shared."""
-    rho = np.asarray(ph.rho, dtype=float)
+def to_symmetric(rho: np.ndarray, g: GasLaw) -> np.ndarray:
+    """v = 2/(gamma-1) (rho^((gamma-1)/2) - 1), the inverse of density;
+    rejects vacuum states."""
+    rho = np.asarray(rho, dtype=float)
     if np.any(rho <= 0.0):
         raise VacuumError("density must be positive")
-    c = rho ** g.slope
-    v = (c - 1.0) / g.slope
-    return EulerState(t=ph.t, v=v, u=np.array(ph.u, dtype=float, copy=True))
+    return (rho ** g.slope - 1.0) / g.slope
 
 
 def density(v: np.ndarray, g: GasLaw) -> np.ndarray:
@@ -172,11 +162,10 @@ def _jitter(grid: Grid, amplitude: float, seed) -> np.ndarray:
     return 1.0 + amplitude * pert / 4.0
 
 
-def initial_bump(grid: Grid, R: float, eps: float, order: int, *,
-                 jitter: float = 0.0, seed=None,
-                 ops: SpectralOps | None = None) -> EulerState:
+def initial_bump(ops: SpectralOps, R: float, eps: float, order: int, *,
+                 jitter: float = 0.0, seed=None) -> EulerState:
     """Bump in v, zero velocity, scaled so the H^order norm equals eps."""
-    ops = ops or SpectralOps(grid)
+    grid = ops.grid
     prof = bump_profile(grid, R)
     if jitter:
         prof = prof * _jitter(grid, jitter, seed)
@@ -185,22 +174,21 @@ def initial_bump(grid: Grid, R: float, eps: float, order: int, *,
     return EulerState(t=0.0, v=v, u=np.zeros((grid.n,) + grid.shape))
 
 
-def mass_bump(grid: Grid, g: GasLaw, R: float, q0: float,
-              ops: SpectralOps | None = None) -> EulerState:
+def mass_bump(ops: SpectralOps, g: GasLaw, R: float, q0: float) -> EulerState:
     """Bump in the density excess with integral exactly q0; zero velocity."""
-    ops = ops or SpectralOps(grid)
+    grid = ops.grid
     prof = bump_profile(grid, R)
     rho = 1.0 + prof * (q0 / ops.quad(prof))
-    ph = PhysicalState(t=0.0, rho=rho, u=np.zeros((grid.n,) + grid.shape))
-    return to_symmetric(ph, g)
+    return EulerState(t=0.0, v=to_symmetric(rho, g),
+                      u=np.zeros((grid.n,) + grid.shape))
 
 
-def rotational_bump(grid: Grid, R: float, eps: float, order: int = 1, *,
-                    ops: SpectralOps | None = None) -> EulerState:
+def rotational_bump(ops: SpectralOps, R: float, eps: float,
+                    order: int = 1) -> EulerState:
     """Divergence-free velocity from a bump stream function; v = 0 (n >= 2)."""
+    grid = ops.grid
     if grid.n < 2:
         raise ValueError("rotational data needs n >= 2")
-    ops = ops or SpectralOps(grid)
     phi = bump_profile(grid, R)
     gp = ops.grad(phi)
     u = np.zeros((grid.n,) + grid.shape)
@@ -211,27 +199,29 @@ def rotational_bump(grid: Grid, R: float, eps: float, order: int = 1, *,
     return EulerState(t=0.0, v=np.zeros(grid.shape), u=u)
 
 
-def potential_bump(grid: Grid, R: float, eps: float, order: int = 1, *,
-                   ops: SpectralOps | None = None) -> EulerState:
+def potential_bump(ops: SpectralOps, R: float, eps: float,
+                   order: int = 1) -> EulerState:
     """Curl-free velocity u = grad(bump); v = 0.  Companion of the above."""
-    ops = ops or SpectralOps(grid)
-    u = ops.grad(bump_profile(grid, R))
+    u = ops.grad(bump_profile(ops.grid, R))
     nrm = ops.sobolev_fields(list(u), order)
     u *= eps / nrm
-    return EulerState(t=0.0, v=np.zeros(grid.shape), u=u)
+    return EulerState(t=0.0, v=np.zeros(ops.grid.shape), u=u)
 
 
 # =====================================================================
 #  Right-hand side and time stepping
 # =====================================================================
 
+# Courant number of the advective bound and of the acoustic floor of
+# every step (run)
+CFL = 0.4
 # relative tolerance of the embedded pair: the step's error estimate
 # against STEP_TOL times the new state, both in the Euclidean norm of the
 # band coefficients
 STEP_TOL = 1e-9
 # blow-up monitor: spectral tail fraction of the state (v and u
 # together), and the simulated time between checks in units of the
-# acoustic step cfl dx
+# acoustic step CFL dx
 TAIL_LIMIT = 0.01
 CHECK_EVERY = 25
 # the continuous extension carries products from the end of a step back
@@ -246,21 +236,15 @@ DENSE_GROWTH_MAX = math.exp(2.0)
 
 @dataclass
 class SolverConfig:
-    """Knobs of the nonlinear run."""
+    """The horizon of a nonlinear run and the times it hands out."""
 
     t_final: float
-    cfl: float = 0.4
-    dt_override: float | None = None
     snapshot_times: tuple = ()
 
     def __post_init__(self):
-        # accepting comparisons, so that NaN is refused too
+        # an accepting comparison, so that NaN is refused too
         if not self.t_final > 0.0:
             raise ValueError(f"t_final: must be positive, got {self.t_final}")
-        if not 0.0 < self.cfl <= 0.5:
-            raise ValueError(f"cfl: must lie in (0, 0.5], got {self.cfl}")
-        if self.dt_override is not None and not self.dt_override > 0.0:
-            raise ValueError(f"dt_override: must be positive, got {self.dt_override}")
 
     def outputs(self, t0: float) -> list:
         """Every snapshot time in (t0, t_final], and t_final, in order."""
@@ -328,7 +312,7 @@ class _Lawson:
         else:
             # the propagator is formed per distinct radius, and apply
             # spreads it over the band by index
-            self.radii, index = np.unique(np.round(r, 12), return_inverse=True)
+            self.radii, index = _grid_mode_table(self.ops)
             self.index = index.reshape(r.shape)
         self._phys = self._band = self._held = self.halves = None
 
@@ -749,21 +733,20 @@ class RunResult:
     dense_growth_max: float | None = None
 
 
-def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
-        cfg: SolverConfig, on_snapshot=None,
-        ops: SpectralOps | None = None) -> RunResult:
-    """March the system from st0.t to cfg.t_final, with an output at
-    each of cfg.outputs(st0.t).
+def run(st0: EulerState, d: DampingLaw, g: GasLaw, ops: SpectralOps,
+        cfg: SolverConfig, on_snapshot=None) -> RunResult:
+    """March the system from st0.t to cfg.t_final on the grid of ops,
+    with an output at each of cfg.outputs(st0.t).
 
     Steps are those of the embedded Lawson pair (see step).  The
     controller's step is
 
-        h = min(cfl dx / a, max(h_ctrl, cfl dx / (1 + a))),
+        h = min(CFL dx / a, max(h_ctrl, CFL dx / (1 + a))),
         a = |u|_inf + (gamma-1)/2 |v|_inf,
 
     so the advection speed a bounds the step and the sound speed does
     not.  h_ctrl is the PI controller's proposal (_step_factor), from
-    the acoustic step cfl dx / (1 + a) at the start.  That acoustic step
+    the acoustic step CFL dx / (1 + a) at the start.  That acoustic step
     is also the floor: a step there is accepted whatever its estimate,
     a longer one only with err <= 1.  The step goes toward t_final, spread
     evenly so that no sliver is left, and an output inside it is read
@@ -771,10 +754,8 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
     trajectory goes on as if no output had been asked for.  The extension
     carries products back from the end of the step, so a step passes
     over an output only while that growth stays within DENSE_GROWTH_MAX;
-    otherwise it is shortened or lands on the output (_step_length).  A
-    dt_override takes fixed steps, cut only to land on every output, and
-    must respect the advective bound.  Every step is counted once,
-    however many tries it took.
+    otherwise it is shortened or lands on the output (_step_length).
+    Every step is counted once, however many tries it took.
 
     A state leaves the run only through on_snapshot(state), which fires
     at the start, whatever its time, and then at each output.  The state
@@ -784,12 +765,11 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
     it.
     Blow-up monitoring: non-finite values every step; the spectral tail
     fraction of the band state at every output and at the first step
-    past each multiple of CHECK_EVERY cfl dx of simulated time, so the
+    past each multiple of CHECK_EVERY CFL dx of simulated time, so the
     checks do not depend on how many steps the controller takes.  A
     triggered check ends the run with the corresponding verdict, at the
     output where it tripped.
     """
-    ops = ops or SpectralOps(grid)
     _check_band_limited(ops, (st0.v, *st0.u), "initial data")
     law = _Lawson(d, g, ops)
     band = law.ops
@@ -804,12 +784,12 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
     snaps = cfg.outputs(t0)
     dts = []
     result = RunResult(verdict="completed", t_end=cfg.t_final, steps=0)
-    every = CHECK_EVERY * cfg.cfl * grid.dx
+    every = CHECK_EVERY * CFL * ops.grid.dx
     next_check = t0 + every
     h_ctrl, err_prev = 0.0, 1.0
 
     def speed() -> float:
-        return max(ops.linf(x[i]) for i in range(1, grid.n + 1)) \
+        return max(ops.linf(x[i]) for i in range(1, ops.grid.n + 1)) \
             + g.slope * ops.linf(x[0])
 
     def tripped(ws, physical: bool = True) -> str | None:
@@ -862,17 +842,10 @@ def run(st0: EulerState, d: DampingLaw, g: GasLaw, grid: Grid,
     while j < len(snaps):
         if not np.isfinite(a):
             return finish("nonfinite", t)
-        h_adv = cfg.cfl * grid.dx / a if a > 0.0 else np.inf
-        if cfg.dt_override is not None:
-            if cfg.dt_override > h_adv * (1.0 + 1e-9):
-                raise ValueError(
-                    f"dt_override {cfg.dt_override:g} violates the "
-                    f"advective CFL bound {h_adv:g}")
-            h, floor = min(cfg.dt_override, snaps[j] - t), np.inf
-        else:
-            floor = cfg.cfl * grid.dx / (1.0 + a)
-            h = _step_length(t, min(h_adv, max(h_ctrl, floor)), snaps[j],
-                             cfg.t_final, d)
+        h_adv = CFL * ops.grid.dx / a if a > 0.0 else np.inf
+        floor = CFL * ops.grid.dx / (1.0 + a)
+        h = _step_length(t, min(h_adv, max(h_ctrl, floor)), snaps[j],
+                         cfg.t_final, d)
         h, err = step(t, w, x, f, h, law, floor)
         h_ctrl, err_prev = h * _step_factor(err, err_prev), err
         t_start, t = t, t + h

@@ -299,7 +299,7 @@ class Report:
                 if v.detail:
                     lines.append(f"        {'':<{width}}  {v.detail}")
         else:
-            lines.append("no diagnostics selected")
+            lines.append("no verdicts")
         if self.notes:
             lines.append("")
             for note in self.notes:
@@ -377,16 +377,16 @@ def _damping(cfg: ScenarioConfig) -> DampingLaw:
     return DampingLaw(lam=cfg.lam, mu=cfg.mu)
 
 
-def _make_state(cfg: ScenarioConfig, grid: Grid, gas: GasLaw,
+def _make_state(cfg: ScenarioConfig, gas: GasLaw,
                 ops: SpectralOps) -> euler.EulerState:
     if cfg.data_kind == "bump":
-        return euler.initial_bump(grid, cfg.R, cfg.eps, cfg.data_order,
-                                  jitter=cfg.jitter, seed=cfg.seed, ops=ops)
+        return euler.initial_bump(ops, cfg.R, cfg.eps, cfg.data_order,
+                                  jitter=cfg.jitter, seed=cfg.seed)
     if cfg.data_kind == "mass":
-        return euler.mass_bump(grid, gas, cfg.R, cfg.q0, ops=ops)
+        return euler.mass_bump(ops, gas, cfg.R, cfg.q0)
     if cfg.data_kind == "rotational":
-        return euler.rotational_bump(grid, cfg.R, cfg.eps, cfg.data_order, ops=ops)
-    return euler.potential_bump(grid, cfg.R, cfg.eps, cfg.data_order, ops=ops)
+        return euler.rotational_bump(ops, cfg.R, cfg.eps, cfg.data_order)
+    return euler.potential_bump(ops, cfg.R, cfg.eps, cfg.data_order)
 
 
 def _log_snapshots(cfg: ScenarioConfig, head=(0.25, 0.5, 0.75)) -> tuple:
@@ -415,11 +415,10 @@ def _nonlinear_run(cfg: ScenarioConfig, snaps, outdir: Path, csv_name: str, *,
     t_final raises _SolverStopped unless allow_stop.
     """
     d, gas = _damping(cfg), GasLaw(gamma=cfg.gamma)
-    grid = Grid(cfg.n, cfg.L, cfg.N)
-    ops = SpectralOps(grid)
+    ops = SpectralOps(Grid(cfg.n, cfg.L, cfg.N))
     spec = derive_constants(d, cfg.n, cfg.delta)
-    rec = EnergyRecorder(grid, d, gas, spec, with_source=with_source,
-                         with_weights=with_weights, support_R=cfg.R, ops=ops)
+    rec = EnergyRecorder(ops, d, gas, spec, with_source=with_source,
+                         with_weights=with_weights, support_R=cfg.R)
     sol = euler.SolverConfig(t_final=cfg.t_final, snapshot_times=tuple(snaps))
 
     def hook(st):
@@ -427,8 +426,8 @@ def _nonlinear_run(cfg: ScenarioConfig, snaps, outdir: Path, csv_name: str, *,
         if on_snapshot is not None:
             on_snapshot(st)
 
-    res = euler.run(_make_state(cfg, grid, gas, ops), d, gas, grid, sol,
-                    on_snapshot=hook, ops=ops)
+    res = euler.run(_make_state(cfg, gas, ops), d, gas, ops, sol,
+                    on_snapshot=hook)
     rec.to_csv(outdir / csv_name)
     if res.verdict != "completed" and not allow_stop:
         raise _SolverStopped(Verdict(

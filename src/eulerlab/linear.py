@@ -313,13 +313,13 @@ class LinearSolution:
     w_t: list[np.ndarray]
 
 
-def solve_linear_ivp(w0: np.ndarray, w1: np.ndarray, grid: Grid, d: DampingLaw,
-                     t_out, *, ops: SpectralOps | None = None) -> LinearSolution:
-    """Solve the damped wave equation on a periodic grid, mode by mode.
+def solve_linear_ivp(w0: np.ndarray, w1: np.ndarray, ops: SpectralOps,
+                     d: DampingLaw, t_out) -> LinearSolution:
+    """Solve the damped wave equation on the periodic grid of ops, mode
+    by mode.
 
     Each mode is  W = phi1 W0 + phi2 W1.
     """
-    ops = ops or SpectralOps(grid)
     t_out = np.atleast_1d(np.asarray(t_out, dtype=float))
     _check_band_limited(ops, (w0, w1), "linear initial data")
     uniq, inverse = _grid_mode_table(ops)

@@ -105,6 +105,24 @@ def on_band(st, d, g, ops):
                             band=euler.BandView(law.ops, w, f, law.work()[0]))
 
 
+def march(st0, d, g, ops, h, times) -> list:
+    """The states at each of times, in order and none before st0.t, by
+    fixed steps of at most h: euler.step with its default floor, which
+    accepts every try, the last step before each time cut to land on it.
+    A time reached already, st0.t itself too, gives the state as it
+    stands.  Each state is a copy, without a band view."""
+    law = euler._Lawson(d, g, ops)
+    w = np.stack([law.ops.fwd(f) for f in (st0.v, *st0.u)])
+    x = law.physical(w)
+    f = law.products(w, x)
+    t, out = st0.t, []
+    for s in times:
+        while t < s - 1e-12 * max(1.0, s):
+            t += euler.step(t, w, x, f, min(h, s - t), law)[0]
+        out.append(euler.EulerState(t, x[0].copy(), x[1:].copy()))
+    return out
+
+
 def run_preset(name: str, base: Path, **extra) -> RunHandle:
     cfg = harness.preset_config(name, **extra)
     t0 = time.perf_counter()

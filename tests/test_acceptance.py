@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import Outputs, run_preset
+from conftest import Outputs, march, run_preset
 from eulerlab.euler import SolverConfig, initial_bump, run
 from eulerlab.grids import Grid, SpectralOps
 from eulerlab.linear import evolve_modes, propagator_matrix, solve_linear_ivp
@@ -234,28 +234,24 @@ def test_criterion_10_convolution_bound(conv_run):
 
 def test_criterion_11_numerical_hygiene(tmp_path):
     # (a) tiny-amplitude nonlinear run against the linear mode solution
-    grid = Grid(1, 20.0, 256)
-    ops = SpectralOps(grid)
-    st0 = initial_bump(grid, 4.0, 1e-6, 3, ops=ops)
+    ops = SpectralOps(Grid(1, 20.0, 256))
+    st0 = initial_bump(ops, 4.0, 1e-6, 3)
     times = (2.5, 5.0, 10.0)
-    cfg = SolverConfig(t_final=10.0, cfl=0.2, snapshot_times=times)
+    cfg = SolverConfig(t_final=10.0, snapshot_times=times)
     outs = Outputs()
-    res = run(st0, D_HALF, GAS, grid, cfg, on_snapshot=outs, ops=ops)
+    res = run(st0, D_HALF, GAS, ops, cfg, on_snapshot=outs)
     assert res.verdict == "completed"
     w0 = outs[0].v
-    sol = solve_linear_ivp(w0, np.zeros_like(w0), grid, D_HALF,
-                           np.asarray(times), ops=ops)
+    sol = solve_linear_ivp(w0, np.zeros_like(w0), ops, D_HALF,
+                           np.asarray(times))
     rel_lin = max(ops.l2(snap.v - w) / ops.l2(w)
                   for snap, w in zip(outs[1:], sol.w))
 
     # (b) fourth-order convergence under time-step halving
-    st1 = initial_bump(grid, 4.0, 1e-3, 3, ops=ops)
+    st1 = initial_bump(ops, 4.0, 1e-3, 3)
     fields = []
     for dt in (0.04, 0.02, 0.01):
-        c = SolverConfig(t_final=1.0, dt_override=dt, snapshot_times=(1.0,))
-        outs = Outputs()
-        run(st1, D_HALF, GAS, grid, c, on_snapshot=outs, ops=ops)
-        fields.append(outs[-1].v)
+        fields.append(march(st1, D_HALF, GAS, ops, dt, (1.0,))[-1].v)
     order = math.log2(ops.l2(fields[0] - fields[1])
                       / ops.l2(fields[1] - fields[2]))
 

@@ -16,9 +16,9 @@ import pytest
 
 from eulerlab import euler
 from eulerlab.euler import DENSE_GROWTH_MAX, EulerState, SolverConfig, initial_bump, run
-from eulerlab.grids import Grid
+from eulerlab.grids import Grid, SpectralOps
 from eulerlab.params import DampingLaw, GasLaw, integrating_factor
-from conftest import Outputs
+from conftest import Outputs, march
 from test_simple_wave import AMPLITUDE, L, N, _breaking_time, _characteristic_r, _r0
 
 GAS = GasLaw()
@@ -31,7 +31,7 @@ _STEP = euler.step
 
 
 def _solve(mu, snaps, monkeypatch, st0=None, grid=GRID, gas=GAS,
-           t_final=T_FINAL, dt=None, allow_stop=False):
+           t_final=T_FINAL, allow_stop=False):
     """run with every output kept and every step's (t, h) recorded."""
     steps = []
 
@@ -41,10 +41,11 @@ def _solve(mu, snaps, monkeypatch, st0=None, grid=GRID, gas=GAS,
         return out
 
     monkeypatch.setattr(euler, "step", recorded)
-    st0 = initial_bump(grid, 4.0, 1e-2, 3) if st0 is None else st0
-    cfg = SolverConfig(t_final=t_final, snapshot_times=snaps, dt_override=dt)
+    ops = SpectralOps(grid)
+    st0 = initial_bump(ops, 4.0, 1e-2, 3) if st0 is None else st0
+    cfg = SolverConfig(t_final=t_final, snapshot_times=snaps)
     outs = Outputs()
-    res = run(st0, DampingLaw(lam=0.5, mu=mu), gas, grid, cfg, on_snapshot=outs)
+    res = run(st0, DampingLaw(lam=0.5, mu=mu), gas, ops, cfg, on_snapshot=outs)
     assert allow_stop or res.verdict == "completed"
     return res, outs, steps
 
@@ -96,9 +97,10 @@ def test_outputs_inside_steps_converge_like_landed_ones(monkeypatch):
     inside = [snap for snap in outs[1:-1]
               if min(abs(e - snap.t) for e in ends) > 1e-12 * snap.t]
     assert len(inside) >= 3
+    ops = SpectralOps(GRID)
+    st0 = initial_bump(ops, 4.0, 1e-2, 3)
     for snap in inside[:3]:
-        _, fine, _ = _solve(2.0, (), monkeypatch, t_final=snap.t, dt=snap.t / 200)
-        ref = fine[-1]
+        ref, = march(st0, DampingLaw(0.5, 2.0), GAS, ops, snap.t / 200, (snap.t,))
         scale = max(np.max(np.abs(ref.v)), np.max(np.abs(ref.u)))
         misfit = max(np.max(np.abs(snap.v - ref.v)), np.max(np.abs(snap.u - ref.u)))
         assert misfit <= 1e-6 * scale
@@ -151,7 +153,7 @@ def test_a_monitor_that_trips_inside_a_step_ends_the_run_there(monkeypatch):
     # trips at an output that the extension gives, and the run reports
     # that output's time, not the end of the step
     grid = Grid(1, 40.0, 512)
-    st0 = initial_bump(grid, 2.0, 1.2, 1)
+    st0 = initial_bump(SpectralOps(grid), 2.0, 1.2, 1)
     snaps = tuple(float(s) for s in range(1, 21))
     res, _, steps = _solve(0.0, snaps, monkeypatch, st0=st0, grid=grid,
                            t_final=20.0, allow_stop=True)

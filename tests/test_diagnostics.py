@@ -14,7 +14,7 @@ from eulerlab.diagnostics import (
 )
 from eulerlab import euler
 from eulerlab.euler import (
-    EulerState, PhysicalState, initial_bump, rotational_bump, to_symmetric,
+    EulerState, initial_bump, rotational_bump, to_symmetric,
 )
 from eulerlab.grids import Grid, SpectralOps
 from eulerlab.params import DampingLaw, GasLaw, derive_constants, weight_eval
@@ -95,7 +95,7 @@ def test_mass_and_moment_match_reference_sums(n):
     rho = 1.0 + 0.1 * np.exp(-r2)
     u = np.stack([(0.05 + 0.02 * i) * np.exp(-r2 / 2.0) * (1.0 + 0.1 * x[i])
                   for i in range(n)])
-    st = to_symmetric(PhysicalState(0.5, rho, u), GAS)
+    st = EulerState(0.5, to_symmetric(rho, GAS), u)
 
     cell = grid.dx ** n
     mass_ref = float(np.sum(rho - 1.0)) * cell
@@ -259,9 +259,9 @@ def test_energy_recorder_rows(tmp_path):
     grid = Grid(1, 30.0, 256)
     ops = SpectralOps(grid)
     spec = derive_constants(D_HALF, 1)
-    rec = EnergyRecorder(grid, D_HALF, GAS, spec, support_R=4.0, ops=ops)
+    rec = EnergyRecorder(ops, D_HALF, GAS, spec, support_R=4.0)
 
-    st0 = initial_bump(grid, 4.0, 1e-3, 3, ops=ops)
+    st0 = initial_bump(ops, 4.0, 1e-3, 3)
     st1 = EulerState(1.0, 0.5 * st0.v, np.stack([0.1 * st0.v]))
     rec(on_band(st0, D_HALF, GAS, ops))
     rec(on_band(st1, D_HALF, GAS, ops))
@@ -301,9 +301,9 @@ def test_energy_recorder_optional_blocks():
     grid = Grid(1, 30.0, 128)
     ops = SpectralOps(grid)
     spec = derive_constants(D_HALF, 1)
-    rec = EnergyRecorder(grid, D_HALF, GAS, spec, with_source=False,
-                         with_weights=False, support_R=4.0, ops=ops)
-    rec(on_band(initial_bump(grid, 4.0, 1e-3, 3, ops=ops), D_HALF, GAS, ops))
+    rec = EnergyRecorder(ops, D_HALF, GAS, spec, with_source=False,
+                         with_weights=False, support_R=4.0)
+    rec(on_band(initial_bump(ops, 4.0, 1e-3, 3), D_HALF, GAS, ops))
     row = rec.rows[0]
     assert row.src_l1 == 0.0
     assert row.J_v == row.J_u == row.Jgrad_v == row.Jgrad_u == row.Jvt == 0.0
@@ -315,9 +315,9 @@ def test_energy_recorder_vorticity_column():
     grid = Grid(2, 16.0, 32)
     ops = SpectralOps(grid)
     spec = derive_constants(D_HALF, 2)
-    rec = EnergyRecorder(grid, D_HALF, GAS, spec, with_source=False,
-                         with_weights=False, support_R=5.0, ops=ops)
-    rec(on_band(rotational_bump(grid, 5.0, 1e-2, ops=ops), D_HALF, GAS, ops))
+    rec = EnergyRecorder(ops, D_HALF, GAS, spec, with_source=False,
+                         with_weights=False, support_R=5.0)
+    rec(on_band(rotational_bump(ops, 5.0, 1e-2), D_HALF, GAS, ops))
     assert rec.rows[0].vort_l2 > 0.0
     assert rec.rows[0].mass == pytest.approx(0.0, abs=1e-15)
 
@@ -329,8 +329,8 @@ def test_energy_recorder_vorticity_column():
 def column_definitions(rec: EnergyRecorder, st: EulerState) -> dict:
     """Every EnergyRow column of st, each formed on its own through the
     public helpers and the reference definitions (no shared transforms)."""
-    ops, n, g, d, spec = rec.ops, rec.grid.n, rec.g, rec.d, rec.spec
-    grid, t, v, u = rec.grid, st.t, st.v, st.u
+    ops, n, g, d, spec = rec.ops, rec.ops.grid.n, rec.g, rec.d, rec.spec
+    grid, t, v, u = rec.ops.grid, st.t, st.v, st.u
     dv, _ = euler.rhs(t, v, u, d, g, ops)
     grad_v = ops.grad(v)
     grad_u = [deriv(ops, u[i], j) for i in range(n) for j in range(n)]
@@ -345,7 +345,7 @@ def column_definitions(rec: EnergyRecorder, st: EulerState) -> dict:
         "mass": mass_excess(st, g, ops),
         "moment": momentum_moment(st, g, ops),
     }
-    rho_dev = from_symmetric(st, g).rho - 1.0
+    rho_dev = from_symmetric(st, g) - 1.0
     col["rho_l2"], col["rho_linf"] = ops.l2(rho_dev), ops.linf(rho_dev)
 
     col.update(dict.fromkeys(("J_v", "J_u", "Jgrad_v", "Jgrad_u", "Jvt"), 0.0))
@@ -380,14 +380,14 @@ def column_definitions(rec: EnergyRecorder, st: EulerState) -> dict:
     return col
 
 
-def sample_state(grid: Grid, ops: SpectralOps) -> EulerState:
+def sample_state(ops: SpectralOps) -> EulerState:
     """A band-limited state with every column nonzero: a jittered bump
     in v, cut to the 2/3 band, and a velocity with both a potential and
     (n >= 2) a rotational part."""
-    v = initial_bump(grid, 4.0, 1e-2, 1, jitter=0.3, seed=1, ops=ops).v
+    v = initial_bump(ops, 4.0, 1e-2, 1, jitter=0.3, seed=1).v
     v = dealias(ops, v)
     u = 0.5 * ops.grad(v)
-    if grid.n >= 2:
+    if ops.grid.n >= 2:
         u[0] += 0.3 * deriv(ops, v, 1)
         u[1] -= 0.3 * deriv(ops, v, 0)
     return EulerState(0.7, v, u)
@@ -416,9 +416,9 @@ def assert_columns(row: EnergyRow, want: dict):
 def test_energy_recorder_columns_equal_their_definitions(n, N):
     grid = Grid(n, 8.0, N)
     ops = SpectralOps(grid)
-    rec = EnergyRecorder(grid, D_HALF, GAS, derive_constants(D_HALF, n),
-                         support_R=1.5, ops=ops)
-    st = sample_state(grid, ops)
+    rec = EnergyRecorder(ops, D_HALF, GAS, derive_constants(D_HALF, n),
+                         support_R=1.5)
+    st = sample_state(ops)
     rec(on_band(st, D_HALF, GAS, ops))
     row = rec.rows[0]
     assert row.vt_l2 > 0.0 and row.du1_l2 > 0.0
@@ -433,9 +433,9 @@ def test_solver_snapshot_columns_equal_their_definitions(n, N):
     # the same columns from the stepper's view of its own states
     grid = Grid(n, 8.0, N)
     ops = SpectralOps(grid)
-    rec = EnergyRecorder(grid, D_HALF, GAS, derive_constants(D_HALF, n),
-                         support_R=1.5, ops=ops)
-    st = sample_state(grid, ops)
+    rec = EnergyRecorder(ops, D_HALF, GAS, derive_constants(D_HALF, n),
+                         support_R=1.5)
+    st = sample_state(ops)
     cfg = euler.SolverConfig(t_final=0.5, snapshot_times=(0.25,))
     outs = Outputs()
 
@@ -443,8 +443,8 @@ def test_solver_snapshot_columns_equal_their_definitions(n, N):
         rec(st)
         outs(st)
 
-    res = euler.run(EulerState(0.0, st.v, st.u), D_HALF, GAS, grid, cfg,
-                    on_snapshot=hook, ops=ops)
+    res = euler.run(EulerState(0.0, st.v, st.u), D_HALF, GAS, ops, cfg,
+                    on_snapshot=hook)
     assert res.verdict == "completed"
     assert [r.t for r in rec.rows] == [s.t for s in outs]
     assert len(rec.rows) == 3
@@ -460,9 +460,9 @@ def _recorder_costs(n, with_source):
     step and at t_final, the end of a step."""
     grid = Grid(n, 8.0, 32)
     ops, made = tracked_ops(grid)
-    rec = EnergyRecorder(grid, D_HALF, GAS, derive_constants(D_HALF, n),
+    rec = EnergyRecorder(ops, D_HALF, GAS, derive_constants(D_HALF, n),
                          with_source=with_source, with_weights=False,
-                         support_R=1.5, ops=ops)
+                         support_R=1.5)
     costs = []
 
     def hook(st):
@@ -473,10 +473,10 @@ def _recorder_costs(n, with_source):
                               for a, b in zip(after, before)]
         costs.append((bf, bi, ff, fi))
 
-    st = sample_state(grid, SpectralOps(grid))
+    st = sample_state(SpectralOps(grid))
     cfg = euler.SolverConfig(t_final=0.5, snapshot_times=(0.25,))
-    res = euler.run(EulerState(0.0, st.v, st.u), D_HALF, GAS, grid, cfg,
-                    on_snapshot=hook, ops=ops)
+    res = euler.run(EulerState(0.0, st.v, st.u), D_HALF, GAS, ops, cfg,
+                    on_snapshot=hook)
     assert len(made) == 2 and made[1].band
     assert res.dense_outputs == 1 and len(costs) == 3
     return costs
@@ -491,11 +491,11 @@ def test_energy_recorder_transforms_each_field_once(n):
 
 
 def test_energy_recorder_refuses_a_state_without_band_view():
-    grid = Grid(1, 8.0, 64)
-    rec = EnergyRecorder(grid, D_HALF, GAS, derive_constants(D_HALF, 1),
+    ops = SpectralOps(Grid(1, 8.0, 64))
+    rec = EnergyRecorder(ops, D_HALF, GAS, derive_constants(D_HALF, 1),
                          support_R=4.0)
     with pytest.raises(ValueError, match="band view"):
-        rec(initial_bump(grid, 4.0, 1e-3, 3))
+        rec(initial_bump(ops, 4.0, 1e-3, 3))
     assert rec.rows == []
 
 
@@ -508,7 +508,7 @@ def test_wave_source_transform_count(n, fwd_calls, inv_calls):
     # for div u.  grad v and the products are the view's
     grid = Grid(n, 8.0, 16)
     ops, made = tracked_ops(grid)
-    st = on_band(sample_state(grid, SpectralOps(grid)), D_HALF, GAS, ops)
+    st = on_band(sample_state(SpectralOps(grid)), D_HALF, GAS, ops)
     full, band = made
     assert band is st.band.ops and band.band
     band.fwd_calls = band.inv_calls = 0

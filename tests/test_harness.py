@@ -272,7 +272,7 @@ def test_report_summary_rendering():
 
     empty = Report(scenario="toy", digest="d", config={}, verdicts=[],
                    files=["report.json"])
-    assert "no diagnostics selected" in empty.summary()
+    assert "no verdicts" in empty.summary()
     assert "overall  : PASS (0/0 passed)" in empty.summary()
 
 
@@ -787,7 +787,7 @@ def test_cli_report_reads_a_report_that_records_plumbing(conv_run, tmp_path,
     (tmp_path / "report.json").write_text(json.dumps(data))
     assert main(["report", str(tmp_path)]) == 0
     out = capsys.readouterr().out
-    assert "no diagnostics selected" in out
+    assert "no verdicts" in out
     assert "overall  : PASS (0/0 passed)" in out
 
 

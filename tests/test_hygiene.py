@@ -15,8 +15,9 @@ re-faulted, by the code that uses them, the quadratic terms have one
 home: only the stepper's products and the wave source name
 _product_row, a module exports only what src/ uses or the
 acceptance tests import, a class's public methods are only those
-src/ or the acceptance tests call, and every field of a harness
-dataclass is read somewhere in src/."""
+src/ or the acceptance tests call, every field of a harness
+dataclass is read somewhere in src/, and no function takes both a grid
+and an ops, which carries its grid."""
 
 import ast
 import os
@@ -572,3 +573,44 @@ def test_every_harness_field_is_read():
     # a field that no code reads states a fact twice or not at all
     assert unread_fields((PACKAGE / "harness.py").read_text(),
                          [p.read_text() for p in PACKAGE.glob("*.py")]) == []
+
+
+def grid_and_ops_takers(source: str) -> list:
+    """The dotted names of the functions and methods of source, inner
+    ones too, that take both a grid and an ops parameter, in source
+    order."""
+    hits = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (*FUNCTIONS, ast.ClassDef)):
+                name = scope + [child.name]
+                if isinstance(child, FUNCTIONS):
+                    a = child.args
+                    params = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
+                    if {"grid", "ops"} <= params:
+                        hits.append(".".join(name))
+                visit(child, name)
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return hits
+
+
+def test_grid_and_ops_detector():
+    src = ("def f(grid, ops=None):\n    return 1\n"
+           "def g(ops, *, grid):\n    def inner(grid, x, ops):\n"
+           "        return 2\n    return inner\n"
+           "class C:\n    def m(self, grid, d, *, ops):\n        return 3\n"
+           "    def n(self, ops):\n        return ops.grid\n"
+           "def h(grid, ops_band):\n    return grid\n"
+           "if True:\n    async def k(ops, /, grid):\n        return 4\n")
+    assert grid_and_ops_takers(src) == ["f", "g", "g.inner", "C.m", "k"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_takes_both_a_grid_and_an_ops(path):
+    # a SpectralOps carries its grid: a grid beside it states the box
+    # twice, and can name another box than the one the ops transform on
+    assert grid_and_ops_takers(path.read_text()) == []

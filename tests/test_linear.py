@@ -162,9 +162,9 @@ def test_linear_ivp_dual_route():
     w0 = bump_profile(grid, 3.0)
     w1 = 0.2 * bump_profile(grid, 2.0)
     times = (1.0, 3.0, 7.0)
-    sol = linear.solve_linear_ivp(w0, w1, grid, D_HALF, times)
-    ref = mol_reference_solve(w0, w1, grid, D_HALF, times)
     ops = SpectralOps(grid)
+    sol = linear.solve_linear_ivp(w0, w1, ops, D_HALF, times)
+    ref = mol_reference_solve(w0, w1, grid, D_HALF, times)
     assert np.allclose(sol.times, times)
     for j in range(3):
         assert sol.w[j].shape == grid.shape
@@ -180,8 +180,8 @@ def test_linear_ivp_warns_on_rough_data():
     kmax = math.pi / grid.dx
     rough = bump_profile(grid, 3.0) + 0.05 * np.cos(0.9 * kmax * x)
     with pytest.warns(linear.AliasingWarning):
-        linear.solve_linear_ivp(rough, np.zeros(grid.shape), grid, D_HALF,
-                                (0.5,))
+        linear.solve_linear_ivp(rough, np.zeros(grid.shape), SpectralOps(grid),
+                                D_HALF, (0.5,))
 
 
 # ---------------------------------------------------------------------

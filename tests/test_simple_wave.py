@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from eulerlab.euler import EulerState, SolverConfig, run
-from eulerlab.grids import Grid
+from eulerlab.grids import Grid, SpectralOps
 from eulerlab.params import DampingLaw, GasLaw
 from conftest import Outputs
 
@@ -73,8 +73,8 @@ def test_simple_wave_follows_its_characteristics(gamma):
     times = (t_star / 4.0, t_star / 2.0)
     cfg = SolverConfig(t_final=times[-1], snapshot_times=times)
     outs = Outputs()
-    res = run(st0, DampingLaw(lam=0.5, mu=0.0), GasLaw(gamma=gamma), grid, cfg,
-              on_snapshot=outs)
+    res = run(st0, DampingLaw(lam=0.5, mu=0.0), GasLaw(gamma=gamma),
+              SpectralOps(grid), cfg, on_snapshot=outs)
     assert res.verdict == "completed"
     for snap, t in zip(outs[1:], times):
         assert snap.t == pytest.approx(t, abs=1e-12)
