@@ -232,6 +232,7 @@ CHECK_EVERY = 25
 # e and e^2 move them by 1.3e-8 and 1.5e-8 (the controller's own level),
 # e^3 by 5e-6
 DENSE_GROWTH_MAX = math.exp(2.0)
+_LOG_GROWTH_MAX = math.log(DENSE_GROWTH_MAX)
 
 
 @dataclass
@@ -533,7 +534,7 @@ class _Lawson:
                 o += np.multiply(hc, fr, out=tmp)
             self.apply(_inverse(back.pop(s)), pw, pw, fo)
             self.products(pw, self.physical(pw, out=x), out=fo, u_rows=False)
-            yield s, pw, fo, _growth(s, t + h, self.d)
+            yield s, pw, fo, math.exp(_log_growth(s, t + h, self.d))
 
 
 def step(t: float, w: np.ndarray, x: np.ndarray, f: np.ndarray, h: float,
@@ -672,20 +673,22 @@ def _spread(t: float, target: float, h: float) -> float:
     return (target - t) / max(1, math.ceil((target - t) / h - 1e-9))
 
 
-def _growth(s: float, e: float, d: DampingLaw) -> float:
-    """integrating_factor(s, e, d) in Python floats, for the step rule,
-    which asks it once or twice a step."""
+def _log_growth(s: float, e: float, d: DampingLaw) -> float:
+    """The logarithm of integrating_factor(s, e, d) in Python floats, for
+    the step rule, which asks it once or twice a step and compares it
+    with _LOG_GROWTH_MAX: under strong friction the factor itself
+    overflows a float over a long step."""
     om = 1.0 - d.lam
-    return math.exp(d.mu / om * ((1.0 + e) ** om - (1.0 + s) ** om))
+    return d.mu / om * ((1.0 + e) ** om - (1.0 + s) ** om)
 
 
 def _growth_end(s: float, d: DampingLaw) -> float:
-    """The time after s at which _growth(s, ., d) reaches
-    DENSE_GROWTH_MAX (a hair below it); infinite without friction."""
+    """The time after s at which _log_growth(s, ., d) reaches
+    _LOG_GROWTH_MAX (a hair below it); infinite without friction."""
     if d.mu == 0.0:
         return math.inf
     om = 1.0 - d.lam
-    grow = math.log(DENSE_GROWTH_MAX) * (1.0 - 1e-12)
+    grow = _LOG_GROWTH_MAX * (1.0 - 1e-12)
     return ((1.0 + s) ** om + om * grow / d.mu) ** (1.0 / om) - 1.0
 
 
@@ -708,10 +711,10 @@ def _step_length(t: float, h: float, out: float, t_final: float,
         return hp
     tol = 1e-12 * max(1.0, out)
     if t + hp < out - tol:
-        if _growth(out, min(out + h, t_final), d) > DENSE_GROWTH_MAX:
+        if _log_growth(out, min(out + h, t_final), d) > _LOG_GROWTH_MAX:
             return _spread(t, out, h)
         return hp
-    if t + hp <= out + tol or _growth(out, t + hp, d) <= DENSE_GROWTH_MAX:
+    if t + hp <= out + tol or _log_growth(out, t + hp, d) <= _LOG_GROWTH_MAX:
         return hp
     end = _growth_end(out, d)
     return end - t if end - out >= out - t else out - t

@@ -541,7 +541,7 @@ def _run_zone_bounds(cfg: ScenarioConfig, outdir: Path):
 
     r3 = 3.0
     t_dense = np.array(_schedule(cfg))
-    tr3 = linear.evolve_modes(np.array([r3]), d, t_dense)
+    tr3 = linear.evolve_modes(np.array([r3]), d, t_dense, phi1_only=True)
     amp = np.sqrt(np.abs(tr3[1, 0]) ** 2 / r3 ** 2 + np.abs(tr3[0, 0]) ** 2)
     fit = decay_fit(t_dense, amp, cfg.fit_lo, cfg.fit_hi,
                     stretch_exponent=1.0 - d.lam)

@@ -11,31 +11,29 @@ so each Fourier mode obeys the non-autonomous oscillator
 Because the coefficient depends on t, the solution operator is a genuine
 two-time propagator E(t, tau, r): a 2x2 matrix acting on (W, W') data
 posed at time tau.  Its columns are the canonical solutions phi1
-(value data) and phi2 (slope data).  This module computes them two
-independent ways:
+(value data) and phi2 (slope data).
 
-  * a batched fourth-order Magnus engine (evolve_modes), vectorized over
-    a whole batch of radii, whose step grows like MAGNUS_STEP (1+t)
-    whatever the radii.  The exponentials of a chunk of substeps (up to
-    MAGNUS_CHUNK elements over substeps and radii) are formed in one
-    vectorized pass, the overdamped elements under a mask over the whole
-    chunk, and the rows are carried through them in order, so every
-    element sees the operations of a one-substep-at-a-time engine and
-    gets its bits, whatever the batch it is evolved in.  It is the one
-    engine of the per-mode oscillator: the grid solver, the exact linear
-    propagator of the nonlinear stepper, the zone diagnostics and
-    long-horizon decay studies all run through _magnus_advance;
-  * scipy's DOP853 on single modes at tight tolerance (propagator_matrix,
-    the cross-check oracle).  scipy.integrate is imported on the
-    oracle's first call, so the presets, which never call it, run
-    without it.
+This module computes them with a batched fourth-order Magnus engine
+(evolve_modes, _magnus_advance), vectorized over a whole batch of radii,
+whose step grows like MAGNUS_STEP (1+t) whatever the radii.  The
+exponentials of a chunk of substeps (up to MAGNUS_CHUNK elements over
+substeps and radii) are formed in one vectorized pass; the overdamped
+elements are formed again on their own, gathered into flat arrays, and
+scattered back.  The rows are carried through the chunk in order, both
+canonical pairs in one call per product and sum, or the phi1 pair alone
+where the caller reads nothing else.  So every element sees the
+operations of a one-substep-at-a-time engine and gets its bits, whatever
+the batch it is evolved in and whichever rows are carried.  It is the
+one engine of the per-mode oscillator: the exact linear propagator of
+the nonlinear stepper, the zone diagnostics and long-horizon decay
+studies all run through _magnus_advance.
 
-On top of the propagators sit the grid solver (solve_linear_ivp) and the
-zone diagnostics: the zone envelopes, L1 zone integrals of the first kernel
-by refining quadrature, and the kernel decay check that multiplies
-initial data by the propagator in frequency space and measures norms of
-the reconstructed field.  The method-of-lines reference solver, the grid
-solver's independent oracle, lives with the tests (tests/reference.py).
+On top of the engine sit the zone diagnostics: the zone envelopes, L1
+zone integrals of the first kernel by refining quadrature, and the
+kernel decay check that multiplies initial data by the propagator in
+frequency space and measures norms of the reconstructed field.  The
+oracles live with the tests (tests/reference.py): the DOP853 mode
+propagator, and the grid solver with its method-of-lines reference.
 """
 
 from __future__ import annotations
@@ -54,16 +52,13 @@ __all__ = [
     "KernelDecaySeries",
     "AliasingWarning",
     "QuadratureError",
-    "propagator_matrix",
     "evolve_modes",
-    "solve_linear_ivp",
     "zone_envelope",
     "fit_zone_constant",
     "zone_integral",
     "kernel_decay_check",
 ]
 
-MODE_RTOL = 1e-10
 # kernel_decay_check's band: |xi| <= 1 carries the polynomial-in-time decay
 KERNEL_BAND = 1.0
 
@@ -74,49 +69,6 @@ class AliasingWarning(UserWarning):
 
 class QuadratureError(RuntimeError):
     """Refining quadrature failed to converge to the requested tolerance."""
-
-
-# =====================================================================
-#  Propagators: scipy reference path
-# =====================================================================
-
-def propagator_matrix(t: float, tau: float, r: float, d: DampingLaw,
-                      tol: float = MODE_RTOL) -> np.ndarray:
-    """2x2 solution matrix E(t, tau) of the mode of radius r = |xi|, by
-    DOP853.
-
-    Column 0 is phi1, posed at tau with (W, W') = (1, 0), and column 1
-    is phi2, posed with (0, 1); row 1 holds their time derivatives at t.
-    Integrates both canonical columns at once.  The step cap 0.1/r keeps
-    the oscillatory phase resolved for large radii.
-    """
-    if t < tau:
-        raise ValueError(f"propagator needs t >= tau, got t={t}, tau={tau}")
-    if t == tau:
-        return np.eye(2)
-    from scipy.integrate import solve_ivp
-
-    lam, mu = d.lam, d.mu
-    r2 = r * r
-
-    def rhs(s, y):
-        b = mu * (1.0 + s) ** (-lam)
-        return (y[1], -r2 * y[0] - b * y[1],
-                y[3], -r2 * y[2] - b * y[3])
-
-    max_step = 0.1 / r if r > 0 else np.inf
-    # once the solution underflows to subnormals the step-size control
-    # divides 0 by 0; the result is still right, so only a non-finite
-    # matrix counts as a failure
-    with np.errstate(invalid="ignore"):
-        sol = solve_ivp(rhs, (tau, t), (1.0, 0.0, 0.0, 1.0), method="DOP853",
-                        rtol=tol, atol=tol * 1e-2, max_step=max_step)
-    if not sol.success:
-        raise RuntimeError(f"mode integration failed: {sol.message}")
-    y = sol.y[:, -1]
-    if not np.all(np.isfinite(y)):
-        raise RuntimeError(f"mode integration returned non-finite values at t={t}")
-    return np.array([[y[0], y[2]], [y[1], y[3]]])
 
 
 # =====================================================================
@@ -137,19 +89,21 @@ _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 _SINC_EPS = np.finfo(float).eps
 
 
-def evolve_modes(r, d: DampingLaw, t_out) -> np.ndarray:
+def evolve_modes(r, d: DampingLaw, t_out, *, phi1_only: bool = False) -> np.ndarray:
     """Integrate a batch of mode oscillators with a shared clock.
 
-    r      -- radii, shape (M,)
-    t_out  -- increasing output times, all >= 0
+    r          -- radii, shape (M,)
+    t_out      -- increasing output times, all >= 0
+    phi1_only  -- carry the first canonical solution alone
 
     The rows (phi1, dphi1, phi2, dphi2) start from the canonical pair
     posed at t = 0; _magnus_advance carries other rows from other times.
-    Returns an array of shape (4, M, len(t_out)).  Fourth-order Magnus
-    with step MAGNUS_STEP (1+t), landing exactly on each output time.
-    The exponential of each step is exact for frozen coefficients, so
-    the step does not depend on the radii and late times cost only
-    logarithmically many steps.
+    Returns an array of shape (4, M, len(t_out)), or (2, M, len(t_out))
+    of (phi1, dphi1) alone with phi1_only, at half the carry's cost and
+    with the same bits.  Fourth-order Magnus with step MAGNUS_STEP (1+t),
+    landing exactly on each output time.  The exponential of each step
+    is exact for frozen coefficients, so the step does not depend on
+    the radii and late times cost only logarithmically many steps.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
     t_out = np.atleast_1d(np.asarray(t_out, dtype=float))
@@ -159,11 +113,12 @@ def evolve_modes(r, d: DampingLaw, t_out) -> np.ndarray:
         raise ValueError("t_out must not be negative")
     M = r.size
     r2 = r * r
-    y = np.zeros((4, M))
+    y = np.zeros((2 if phi1_only else 4, M))
     y[0] = 1.0
-    y[3] = 1.0
+    if not phi1_only:
+        y[3] = 1.0
 
-    out = np.empty((4, M, t_out.size))
+    out = np.empty(y.shape + (t_out.size,))
     t = 0.0
     for j, target in enumerate(t_out):
         y, t = _magnus_advance(y, t, target, r2, d)
@@ -192,11 +147,39 @@ def _substeps(t: float, target: float, d: DampingLaw):
         yield n00, h + delta, delta - h, n00 * n00, math.exp(m), m, t
 
 
+def _carry(e: np.ndarray, cur: np.ndarray, nxt: np.ndarray):
+    """Carry the rows cur through the substeps of e, the entries (e00,
+    e01, e10, e11) of each, shape (4, j, M), taking turns with the rows
+    nxt; returns (cur, nxt) as they then stand.
+
+    At each substep W <- e00 W + e01 W' and W' <- e10 W + e11 W', each
+    new row the sum of two products, over every pair (W, W') at once:
+    (phi1, dphi1) as (M,) rows, or both canonical pairs as (2, M)
+    strided views.  e01 W' goes to the new W' rows and e10 W over the
+    old W' rows once e11 W' has left them, so no third set of rows is
+    needed.
+    """
+    def pairs(rows):
+        return (rows[0], rows[1]) if len(rows) == 2 else (rows[0::2], rows[1::2])
+
+    (W, V), (nW, nV) = pairs(cur), pairs(nxt)
+    for a, b, c, f in zip(*e):
+        np.multiply(b, V, out=nV)
+        np.add(np.multiply(a, W, out=nW), nV, out=nW)
+        np.multiply(f, V, out=nV)
+        np.add(np.multiply(c, W, out=V), nV, out=nV)
+        (W, V), (nW, nV) = (nW, nV), (W, V)
+        cur, nxt = nxt, cur
+    return cur, nxt
+
+
 def _magnus_advance(y: np.ndarray, t: float, target: float, r2: np.ndarray,
                     d: DampingLaw):
-    """Carry the (4, M) rows y from t to target, in place; returns (y, t).
+    """Carry the rows y from t to target, in place; returns (y, t).
 
-    Fourth-order Magnus substeps (_substeps).  Started from the canonical
+    y holds (phi1, dphi1, phi2, dphi2), shape (4, M), or (phi1, dphi1)
+    alone, shape (2, M).  Fourth-order Magnus substeps (_substeps; Blanes,
+    Casas, Oteo & Ros, Phys. Rep. 470, 2009).  Started from the canonical
     pair, the rows are the entries of the interval propagator
     E(target, t).
 
@@ -211,11 +194,12 @@ def _magnus_advance(y: np.ndarray, t: float, target: float, r2: np.ndarray,
     The scalars of a substep come from its (t, h) alone, so the
     exponentials of a chunk of k substeps, k M <= MAGNUS_CHUNK, are
     formed as (k, M) arrays in one pass, in working arrays held for the
-    call; the q > 0 elements are formed over the whole chunk under a
-    mask, in the slots of those arrays.  The rows are then carried
-    through them in order, each new row the sum of two products.  Every
-    element sees the operations of the per-substep engine, in its order,
-    and so its bits, whatever the other radii of the batch.
+    call.  The q > 0 elements are then formed again on their own,
+    gathered into flat arrays and scattered back over the chunk's C and
+    S.  The rows are carried through the chunk in order (_carry), both
+    pairs in each call.  Every element sees the operations of the
+    per-substep engine, in its order, and so its bits, whatever the
+    other radii of the batch and whichever rows are carried.
     """
     M = r2.size
     steps = _substeps(t, target, d)
@@ -224,11 +208,12 @@ def _magnus_advance(y: np.ndarray, t: float, target: float, r2: np.ndarray,
         return y, t
     k = len(rows)
     # the entries e_00, e_01, e_10, e_11 of each substep, one scratch
-    # array (q, then sqrt|q|, then S n00) and the q > 0 and x == 0 masks
+    # array (q, then sqrt|q|, then m and a gathered difference, then
+    # S n00) and the q > 0 and x == 0 masks
     e, w = np.empty((4, k, M)), np.empty((k, M))
     hyp, zero = np.empty((2, k, M), dtype=bool)
-    # the rows carried between y and nxt, and one product
-    cur, nxt, prod = y, np.empty((4, M)), np.empty(M)
+    # the rows carried between y and a second set
+    cur, nxt = y, np.empty_like(y)
 
     while rows:
         t = rows[-1][-1]
@@ -249,35 +234,33 @@ def _magnus_advance(y: np.ndarray, t: float, target: float, r2: np.ndarray,
         np.copyto(S, _SINC_EPS, where=np.equal(S, 0.0, out=zj))
         np.multiply(em, np.divide(np.sin(S, out=e01), S, out=S), out=S)
         # q > 0: (e^(m+s) +- e^(m-s)) / 2, the difference divided by s and
-        # taken through expm1 where s <= 1.  Over the chunk under the mask:
-        # e^(m-s) in S, e^(m+s) in C and the difference in e01
+        # taken through expm1 where s <= 1, on the gathered elements: s
+        # and m, then e^(m+s), in two gathered arrays, e^(m-s) at the
+        # start of e01, the difference at the start of s and s <= 1 at the
+        # start of zj.  The two go before the column products below, whose
+        # buffers would otherwise stack on them
         if hj.any():
-            lo, hi, diff = S, C, e01
-            np.exp(np.subtract(m, s, out=lo, where=hj), out=lo, where=hj)
-            np.exp(np.add(m, s, out=hi, where=hj), out=hi, where=hj)
-            np.subtract(hi, lo, out=diff, where=hj)
-            near = np.logical_and(hj, np.less_equal(s, 1.0, out=zj), out=zj)
-            np.expm1(np.multiply(2.0, s, out=diff, where=near), out=diff,
-                     where=near)
-            np.multiply(lo, diff, out=diff, where=near)
-            np.multiply(0.5, np.add(hi, lo, out=hi, where=hj), out=hi,
-                        where=hj)
-            np.divide(diff, np.multiply(2.0, s, out=lo, where=hj), out=lo,
-                      where=hj)
+            sh = s[hj]
+            np.copyto(s, m)
+            hi = s[hj]
+            lo, diff = e01.reshape(-1)[:sh.size], s.reshape(-1)[:sh.size]
+            near = np.less_equal(sh, 1.0, out=zj.reshape(-1)[:sh.size])
+            np.exp(np.subtract(hi, sh, out=lo), out=lo)
+            np.exp(np.add(hi, sh, out=hi), out=hi)
+            np.subtract(hi, lo, out=diff)
+            np.place(C, hj, np.multiply(0.5, np.add(hi, lo, out=hi), out=hi))
+            # 2 min(s, 1) is min(2 s, 2) to the bit
+            np.multiply(2.0, sh, out=sh)
+            np.expm1(np.minimum(sh, 2.0, out=hi), out=hi)
+            np.putmask(diff, near, np.multiply(lo, hi, out=hi))
+            np.place(S, hj, np.divide(diff, sh, out=diff))
+            del sh, hi
         SN = np.multiply(S, n00, out=s)
         np.multiply(S, n01, out=e01)
         np.multiply(S, n10, out=e10)
         np.add(C, SN, out=e00)
         np.subtract(C, SN, out=e11)
-        # rows (0, 1) and (2, 3) are two pairs (W, W'):
-        # W <- e00 W + e01 W' and W' <- e10 W + e11 W'
-        for i in range(j):
-            for a, b in ((0, 1), (2, 3)):
-                np.add(np.multiply(e00[i], cur[a], out=nxt[a]),
-                       np.multiply(e01[i], cur[b], out=prod), out=nxt[a])
-                np.add(np.multiply(e10[i], cur[a], out=nxt[b]),
-                       np.multiply(e11[i], cur[b], out=prod), out=nxt[b])
-            cur, nxt = nxt, cur
+        cur, nxt = _carry(e[:, :j], cur, nxt)
         rows = list(islice(steps, k))
     if cur is not y:
         y[...] = cur
@@ -285,7 +268,7 @@ def _magnus_advance(y: np.ndarray, t: float, target: float, r2: np.ndarray,
 
 
 # =====================================================================
-#  Linear initial-value solver on a grid
+#  Radius tables of a grid
 # =====================================================================
 
 def _grid_mode_table(ops: SpectralOps):
@@ -302,38 +285,6 @@ def _check_band_limited(ops: SpectralOps, fields, what: str, limit: float = 1e-4
             warnings.warn(
                 f"{what}: {frac:.2e} of the spectral energy sits beyond the "
                 "dealias band; results are resolution-limited", AliasingWarning)
-
-
-@dataclass
-class LinearSolution:
-    """Field history of the linear solver: w and w_t at the output times."""
-
-    times: np.ndarray
-    w: list[np.ndarray]
-    w_t: list[np.ndarray]
-
-
-def solve_linear_ivp(w0: np.ndarray, w1: np.ndarray, ops: SpectralOps,
-                     d: DampingLaw, t_out) -> LinearSolution:
-    """Solve the damped wave equation on the periodic grid of ops, mode
-    by mode.
-
-    Each mode is  W = phi1 W0 + phi2 W1.
-    """
-    t_out = np.atleast_1d(np.asarray(t_out, dtype=float))
-    _check_band_limited(ops, (w0, w1), "linear initial data")
-    uniq, inverse = _grid_mode_table(ops)
-
-    W0 = ops.fwd(w0).ravel()
-    W1 = ops.fwd(w1).ravel()
-    tr = evolve_modes(uniq, d, t_out)
-    w_list, wt_list = [], []
-    for j in range(t_out.size):
-        Wt = W0 * tr[0, inverse, j] + W1 * tr[2, inverse, j]
-        Vt = W0 * tr[1, inverse, j] + W1 * tr[3, inverse, j]
-        w_list.append(ops.inv(Wt.reshape(ops.kshape)))
-        wt_list.append(ops.inv(Vt.reshape(ops.kshape)))
-    return LinearSolution(times=t_out, w=w_list, w_t=wt_list)
 
 
 # =====================================================================
@@ -408,7 +359,7 @@ def zone_integral(t: float, alpha: int, zone: Zone, d: DampingLaw, n: int, *,
     pw = alpha + n - 1
 
     def kernel(r: np.ndarray) -> np.ndarray:
-        return np.abs(evolve_modes(r, d, np.array([t]))[0, :, 0])
+        return np.abs(evolve_modes(r, d, np.array([t]), phi1_only=True)[0, :, 0])
 
     def quad(r: np.ndarray, g: np.ndarray) -> float:
         return float(np.trapezoid(r ** pw * g, r)) * _sphere_area(n)
@@ -483,7 +434,8 @@ def kernel_decay_check(g: np.ndarray, grid: Grid, d: DampingLaw, times, *,
     probes = np.array([x for x in (1.0, 1.5, 2.0, 3.0, 4.0)
                        if KERNEL_BAND <= x <= np.max(uniq)] or [KERNEL_BAND])
     band_phi, probe_phi = np.split(
-        evolve_modes(np.concatenate([band_r, probes]), d, times)[0].copy(),
+        evolve_modes(np.concatenate([band_r, probes]), d, times,
+                     phi1_only=True)[0].copy(),
         [band_r.size])
     phi = np.zeros(uniq.size)
 

@@ -12,18 +12,24 @@ these definitions bit for bit, so a rewrite here must keep their
 operations and their order.  So does the zone integral's refinement
 loop that evolves every node set afresh, which linear.zone_integral
 equals bit for bit.
+
+Two oracles live here as well, out of the package they check: the
+DOP853 mode propagator (propagator_matrix), the Magnus engine's oracle,
+which imports scipy.integrate on its first call, and the grid solver
+(solve_linear_ivp) that runs mode by mode on evolve_modes.
 """
 
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 
 from eulerlab import diagnostics, euler
 from eulerlab.grids import Grid, SpectralOps
-from eulerlab.linear import (LinearSolution, QuadratureError, _sphere_area,
-                             evolve_modes)
+from eulerlab.linear import (QuadratureError, _check_band_limited,
+                             _grid_mode_table, _sphere_area, evolve_modes)
 from eulerlab.params import DampingLaw, GasLaw, WeightSpec, Zone, weight_eval
 
 
@@ -118,6 +124,88 @@ def momentum_moment(st: euler.EulerState, g: GasLaw, ops: SpectralOps) -> float:
     (the fields and the mesh the recorder passes), not the sum."""
     return diagnostics._moment(from_symmetric(st, g), st.u, ops,
                                ops.grid.mesh())
+
+
+# ---------------------------------------------------------------------
+#  The DOP853 mode propagator: the Magnus engine's oracle
+# ---------------------------------------------------------------------
+
+MODE_RTOL = 1e-10
+
+
+def propagator_matrix(t: float, tau: float, r: float, d: DampingLaw,
+                      tol: float = MODE_RTOL) -> np.ndarray:
+    """2x2 solution matrix E(t, tau) of the mode of radius r = |xi|, by
+    DOP853.
+
+    Column 0 is phi1, posed at tau with (W, W') = (1, 0), and column 1
+    is phi2, posed with (0, 1); row 1 holds their time derivatives at t.
+    Integrates both canonical columns at once.  The step cap 0.1/r keeps
+    the oscillatory phase resolved for large radii.
+    """
+    if t < tau:
+        raise ValueError(f"propagator needs t >= tau, got t={t}, tau={tau}")
+    if t == tau:
+        return np.eye(2)
+    from scipy.integrate import solve_ivp
+
+    lam, mu = d.lam, d.mu
+    r2 = r * r
+
+    def rhs(s, y):
+        b = mu * (1.0 + s) ** (-lam)
+        return (y[1], -r2 * y[0] - b * y[1],
+                y[3], -r2 * y[2] - b * y[3])
+
+    max_step = 0.1 / r if r > 0 else np.inf
+    # once the solution underflows to subnormals the step-size control
+    # divides 0 by 0; the result is still right, so only a non-finite
+    # matrix counts as a failure
+    with np.errstate(invalid="ignore"):
+        sol = solve_ivp(rhs, (tau, t), (1.0, 0.0, 0.0, 1.0), method="DOP853",
+                        rtol=tol, atol=tol * 1e-2, max_step=max_step)
+    if not sol.success:
+        raise RuntimeError(f"mode integration failed: {sol.message}")
+    y = sol.y[:, -1]
+    if not np.all(np.isfinite(y)):
+        raise RuntimeError(f"mode integration returned non-finite values at t={t}")
+    return np.array([[y[0], y[2]], [y[1], y[3]]])
+
+
+# ---------------------------------------------------------------------
+#  The linear grid solver, mode by mode on evolve_modes
+# ---------------------------------------------------------------------
+
+@dataclass
+class LinearSolution:
+    """Field history of the linear solver: w and w_t at the output times."""
+
+    times: np.ndarray
+    w: list[np.ndarray]
+    w_t: list[np.ndarray]
+
+
+def solve_linear_ivp(w0: np.ndarray, w1: np.ndarray, ops: SpectralOps,
+                     d: DampingLaw, t_out) -> LinearSolution:
+    """Solve the damped wave equation on the periodic grid of ops, mode
+    by mode.
+
+    Each mode is  W = phi1 W0 + phi2 W1.
+    """
+    t_out = np.atleast_1d(np.asarray(t_out, dtype=float))
+    _check_band_limited(ops, (w0, w1), "linear initial data")
+    uniq, inverse = _grid_mode_table(ops)
+
+    W0 = ops.fwd(w0).ravel()
+    W1 = ops.fwd(w1).ravel()
+    tr = evolve_modes(uniq, d, t_out)
+    w_list, wt_list = [], []
+    for j in range(t_out.size):
+        Wt = W0 * tr[0, inverse, j] + W1 * tr[2, inverse, j]
+        Vt = W0 * tr[1, inverse, j] + W1 * tr[3, inverse, j]
+        w_list.append(ops.inv(Wt.reshape(ops.kshape)))
+        wt_list.append(ops.inv(Vt.reshape(ops.kshape)))
+    return LinearSolution(times=t_out, w=w_list, w_t=wt_list)
 
 
 # ---------------------------------------------------------------------

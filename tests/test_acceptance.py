@@ -19,8 +19,9 @@ import pytest
 from conftest import Outputs, march, run_preset
 from eulerlab.euler import SolverConfig, initial_bump, run
 from eulerlab.grids import Grid, SpectralOps
-from eulerlab.linear import evolve_modes, propagator_matrix, solve_linear_ivp
+from eulerlab.linear import evolve_modes
 from eulerlab.params import DampingLaw, GasLaw, derive_constants, weight_eval
+from reference import propagator_matrix, solve_linear_ivp
 
 D_HALF = DampingLaw(lam=0.5, mu=2.0)
 GAS = GasLaw()

@@ -148,6 +148,19 @@ def test_step_rule_spreads_and_bounds():
     assert math.isinf(euler._growth_end(3.0, DampingLaw(0.5, 0.0)))
 
 
+def test_step_rule_compares_the_growth_in_its_exponent():
+    # a step of 1e3 past an output at lam = 0, mu = 5 grows products by
+    # e^5000, past the largest float: an output out of reach is approached
+    # as a landing target, one in reach is landed on or the step is cut
+    # where the growth reaches the bound
+    d = DampingLaw(lam=0.0, mu=5.0)
+    assert euler._log_growth(2e3, 3e3, d) == pytest.approx(5e3)
+    assert euler._step_length(10.0, 1e3, 2e3, 5e3, d) == 995.0
+    assert euler._step_length(10.0, 1e3, 11.0, 5e3, d) == 1.0
+    assert euler._step_length(10.0, 1e3, 10.2, 5e3, d) == pytest.approx(
+        0.2 + math.log(DENSE_GROWTH_MAX) / 5.0)
+
+
 def test_a_monitor_that_trips_inside_a_step_ends_the_run_there(monkeypatch):
     # blowup-scout's data steepen without friction; the tail monitor
     # trips at an output that the extension gives, and the run reports

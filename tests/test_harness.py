@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
@@ -337,6 +338,29 @@ def test_run_scenario_runner_config_error_leaves_no_directory(
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}")
     assert list(tmp_path.iterdir()) == []
+
+
+# strong friction: in the first two the friction's growth over a step
+# passed 709 in the exponent, where math.exp overflowed in the step rule;
+# lower-bound at the same friction as nonlinear-decay ran before too
+STRONG_FRICTION = [
+    ("nonlinear-decay", {"lam": 0.0, "mu": 5.0}),
+    ("u-extra-lambda", {"lam": 0.05, "mu": 50.0}),
+    ("lower-bound", {"lam": 0.0, "mu": 5.0}),
+]
+
+
+@pytest.mark.parametrize("name, overrides", STRONG_FRICTION,
+                         ids=[name for name, _ in STRONG_FRICTION])
+def test_strong_friction_ends_in_passing_verdicts(name, overrides, tmp_path,
+                                                  capsys):
+    argv = ["run", name, "--outdir", str(tmp_path)]
+    for key, value in overrides.items():
+        argv += ["--set", f"{key}={value}"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_rerun_replaces_its_directory(tmp_path):

@@ -431,14 +431,12 @@ def _module_loads(node, bound=frozenset()) -> set:
     return loads
 
 
-def unused_exports(sources: dict, imported=(), attributes=()) -> list:
+def unused_exports(sources: dict) -> list:
     """(module, name) for each name in the __all__ of a module of
-    sources (module name -> source) that no module of sources reads and
-    that imported, a collection of (module, name), does not hold; then
-    (module, "Class.method") for each public method (properties too) of
-    a module-level class of sources whose name no module of sources
-    takes as an attribute (x.method) and attributes, a collection of
-    names, does not hold.
+    sources (module name -> source) that no module of sources reads;
+    then (module, "Class.method") for each public method (properties
+    too) of a module-level class of sources whose name no module of
+    sources takes as an attribute (x.method).
 
     A module reads its own names where it loads them (_module_loads),
     and another module's where it imports them (from .mod import name)
@@ -446,8 +444,7 @@ def unused_exports(sources: dict, imported=(), attributes=()) -> list:
     A method is matched by its name alone, whatever x is.
     """
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
-    read = set(imported)
-    called = set(attributes)
+    read, called = set(), set()
     for mod, tree in trees.items():
         called |= {node.attr for node in ast.walk(tree)
                    if isinstance(node, ast.Attribute)}
@@ -492,8 +489,6 @@ def test_unused_export_detector():
     }
     assert unused_exports(sources) == [("a", "f"), ("a", "g"), ("a", "m"),
                                        ("b", "q")]
-    assert unused_exports(sources, {("a", "f"), ("a", "m")}) == [
-        ("a", "g"), ("b", "q")]
 
 
 def test_unused_method_detector():
@@ -514,13 +509,12 @@ def test_unused_method_detector():
         "b": ("from .a import C\n__all__ = ['g']\n"
               "def g(c):\n    return c.work(), C.__init__\n"),
     }
-    assert unused_exports(sources, {("b", "g")}) == [
-        ("a", "C.idle"), ("a", "C.by_tests"), ("a", "_D.rest")]
-    assert unused_exports(sources, {("b", "g")}, {"by_tests", "rest"}) == [
-        ("a", "C.idle")]
+    assert unused_exports(sources) == [
+        ("b", "g"), ("a", "C.idle"), ("a", "C.by_tests"), ("a", "_D.rest")]
 
 
-# names exported with no caller in src/ or in the acceptance tests.
+# names exported with no caller in src/; a test is no caller, not even
+# an acceptance test, so an oracle lives with the tests (reference.py).
 # euler.rhs stays only because perfbench/spans.py wraps it by name
 # (owner.__dict__["rhs"]) to count the transforms of one right-hand
 # side; it goes when the benchmark stops wrapping it.  A name leaves this
@@ -529,15 +523,8 @@ UNUSED_EXPORTS = {("euler", "rhs")}
 
 
 def test_every_export_has_a_caller():
-    acceptance = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())
-    imported = {(node.module.rpartition(".")[2], a.name)
-                for node in ast.walk(acceptance)
-                if isinstance(node, ast.ImportFrom) and node.level == 0
-                and node.module.startswith("eulerlab.") for a in node.names}
-    attributes = {node.attr for node in ast.walk(acceptance)
-                  if isinstance(node, ast.Attribute)}
     sources = {path.stem: path.read_text() for path in MODULES}
-    assert set(unused_exports(sources, imported, attributes)) == UNUSED_EXPORTS
+    assert set(unused_exports(sources)) == UNUSED_EXPORTS
 
 
 def unread_fields(source: str, sources) -> list:

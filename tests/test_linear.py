@@ -14,7 +14,8 @@ from eulerlab import linear
 from eulerlab.grids import Grid, SpectralOps
 from eulerlab.params import DampingLaw, Zone, integrating_factor
 from eulerlab.euler import bump_profile
-from reference import mol_reference_solve, zone_integral_refined_afresh
+from reference import (mol_reference_solve, propagator_matrix, solve_linear_ivp,
+                       zone_integral_refined_afresh)
 
 D_HALF = DampingLaw(lam=0.5, mu=2.0)
 D_FREE = DampingLaw(lam=0.5, mu=0.0)
@@ -26,10 +27,10 @@ D_CONST = DampingLaw(lam=0.0, mu=2.0)
 # ---------------------------------------------------------------------
 
 def test_propagator_identity_and_ordering():
-    assert np.allclose(linear.propagator_matrix(2.0, 2.0, 1.0, D_HALF),
+    assert np.allclose(propagator_matrix(2.0, 2.0, 1.0, D_HALF),
                        np.eye(2))
     with pytest.raises(ValueError):
-        linear.propagator_matrix(1.0, 2.0, 1.0, D_HALF)
+        propagator_matrix(1.0, 2.0, 1.0, D_HALF)
 
 
 def test_propagator_matrix_underflow_is_quiet():
@@ -39,7 +40,7 @@ def test_propagator_matrix_underflow_is_quiet():
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        E = linear.propagator_matrix(1e3, 0.0, 1.0, D_CONST)
+        E = propagator_matrix(1e3, 0.0, 1.0, D_CONST)
     assert np.all(np.isfinite(E))
     assert np.max(np.abs(E)) <= 1e-300
 
@@ -47,7 +48,7 @@ def test_propagator_matrix_underflow_is_quiet():
 def test_free_wave_closed_form():
     for r in (0.5, 1.0, 2.0):
         for t in (1.0, 5.0, 17.0):
-            E = linear.propagator_matrix(t, 0.0, r, D_FREE)
+            E = propagator_matrix(t, 0.0, r, D_FREE)
             assert E[0, 0] == pytest.approx(math.cos(r * t), abs=1e-8)
             assert E[0, 1] == pytest.approx(math.sin(r * t) / r, abs=1e-8)
             assert E[1, 0] == pytest.approx(-r * math.sin(r * t), abs=1e-7)
@@ -56,7 +57,7 @@ def test_free_wave_closed_form():
 def test_critically_damped_closed_form():
     # lam = 0, mu = 2 at |xi| = 1: double root, (1+t)e^-t and t e^-t
     for t in (0.5, 2.0, 10.0):
-        E = linear.propagator_matrix(t, 0.0, 1.0, D_CONST)
+        E = propagator_matrix(t, 0.0, 1.0, D_CONST)
         assert E[0, 0] == pytest.approx((1.0 + t) * math.exp(-t), abs=1e-8)
         assert E[0, 1] == pytest.approx(t * math.exp(-t), abs=1e-8)
 
@@ -65,7 +66,7 @@ def test_propagator_determinant_is_inverse_integrating_factor():
     # Abel's identity: det E(t, tau) = exp(-int_tau^t b)
     d = DampingLaw(lam=0.4, mu=1.5)
     tau, t, r = 0.5, 6.0, 0.8
-    E = linear.propagator_matrix(t, tau, r, d)
+    E = propagator_matrix(t, tau, r, d)
     expected = 1.0 / integrating_factor(tau, t, d)
     assert float(np.linalg.det(E)) == pytest.approx(expected, rel=1e-7)
 
@@ -73,9 +74,9 @@ def test_propagator_determinant_is_inverse_integrating_factor():
 def test_two_time_composition():
     d = DampingLaw(lam=0.3, mu=1.5)
     r = 1.3
-    full = linear.propagator_matrix(12.0, 0.7, r, d)
-    late = linear.propagator_matrix(12.0, 3.0, r, d)
-    early = linear.propagator_matrix(3.0, 0.7, r, d)
+    full = propagator_matrix(12.0, 0.7, r, d)
+    late = propagator_matrix(12.0, 3.0, r, d)
+    early = propagator_matrix(3.0, 0.7, r, d)
     assert np.max(np.abs(full - late @ early)) <= 1e-8
 
 
@@ -90,7 +91,7 @@ def test_evolve_modes_matches_scipy_route():
     tr = linear.evolve_modes(radii, d, times)
     for m, r in enumerate(radii):
         for j, t in enumerate(times):
-            E = linear.propagator_matrix(t, 0.0, r, d)
+            E = propagator_matrix(t, 0.0, r, d)
             assert tr[0, m, j] == pytest.approx(E[0, 0], abs=2e-6)
             assert tr[2, m, j] == pytest.approx(E[0, 1], abs=2e-6)
 
@@ -107,7 +108,7 @@ def test_evolve_modes_matches_dop853_in_probe_regime(lam):
         for j, t in enumerate(times):
             if t > 100.0 and r > 1.0:
                 continue
-            E = linear.propagator_matrix(t, 0.0, r, d)
+            E = propagator_matrix(t, 0.0, r, d)
             assert tr[0, m, j] == pytest.approx(E[0, 0], abs=2e-6)
             assert tr[2, m, j] == pytest.approx(E[0, 1], abs=2e-6)
 
@@ -153,6 +154,28 @@ def test_evolve_modes_input_validation():
         linear.evolve_modes(np.array([1.0]), D_HALF, np.array([2.0, 1.0]))
 
 
+def test_evolve_modes_phi1_only_is_the_first_pair():
+    # the phi1 pair carried alone gets the bits it gets beside phi2
+    radii = np.concatenate([np.linspace(0.0, 2.0, 700), [40.0, 0.0, 1e-3]])
+    times = np.array([0.01, 0.5, 2.0, 30.0, 1e3])
+    for d in (D_HALF, D_CONST, D_FREE):
+        full = linear.evolve_modes(radii, d, times)
+        one = linear.evolve_modes(radii, d, times, phi1_only=True)
+        assert one.shape == (2,) + full.shape[1:]
+        assert np.array_equal(one.view(np.int64), full[:2].view(np.int64))
+
+
+def test_zone_and_kernel_checks_carry_phi1_alone(monkeypatch):
+    kws = []
+    evolve = linear.evolve_modes
+    monkeypatch.setattr(linear, "evolve_modes",
+                        lambda *a, **kw: kws.append(kw) or evolve(*a, **kw))
+    linear.zone_integral(10.0, 0, Zone.Z1, D_HALF, 1)
+    grid = Grid(1, 60.0, 512)
+    linear.kernel_decay_check(bump_profile(grid, 20.0), grid, D_HALF, (1.0,))
+    assert kws == [{"phi1_only": True}] * 2
+
+
 # ---------------------------------------------------------------------
 #  Grid solver against the method-of-lines reference
 # ---------------------------------------------------------------------
@@ -163,7 +186,7 @@ def test_linear_ivp_dual_route():
     w1 = 0.2 * bump_profile(grid, 2.0)
     times = (1.0, 3.0, 7.0)
     ops = SpectralOps(grid)
-    sol = linear.solve_linear_ivp(w0, w1, ops, D_HALF, times)
+    sol = solve_linear_ivp(w0, w1, ops, D_HALF, times)
     ref = mol_reference_solve(w0, w1, grid, D_HALF, times)
     assert np.allclose(sol.times, times)
     for j in range(3):
@@ -180,7 +203,7 @@ def test_linear_ivp_warns_on_rough_data():
     kmax = math.pi / grid.dx
     rough = bump_profile(grid, 3.0) + 0.05 * np.cos(0.9 * kmax * x)
     with pytest.warns(linear.AliasingWarning):
-        linear.solve_linear_ivp(rough, np.zeros(grid.shape), SpectralOps(grid),
+        solve_linear_ivp(rough, np.zeros(grid.shape), SpectralOps(grid),
                                 D_HALF, (0.5,))
 
 
@@ -222,8 +245,9 @@ def test_zone_integral_unreachable_tolerance():
 def _evolved_sizes(monkeypatch) -> list:
     sizes = []
     evolve = linear.evolve_modes
-    monkeypatch.setattr(linear, "evolve_modes",
-                        lambda r, *a: sizes.append(np.size(r)) or evolve(r, *a))
+    monkeypatch.setattr(
+        linear, "evolve_modes",
+        lambda r, *a, **kw: sizes.append(np.size(r)) or evolve(r, *a, **kw))
     return sizes
 
 
