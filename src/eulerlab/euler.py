@@ -30,8 +30,8 @@ spectrum of the ops they are given.  rhs and nonlinear_wave_source work
 on the band, and their quadratic terms are the stepper's own,
 _Lawson.products: the products have one home.
 
-Also here: the initial-data factory (compactly supported bump profiles,
-optionally mass-normalized or rotational), the nonlinear source of the
+Also here: the initial data (bumps of height eps, in v, as a stream
+function or potential of u, or of given mass), the nonlinear source of the
 second-order wave form of the continuity equation, and the blow-up
 monitor, the spectral tail of the state, used by steepening scouting
 runs.
@@ -138,8 +138,12 @@ def density(v: np.ndarray, g: GasLaw) -> np.ndarray:
 #  Initial data
 # =====================================================================
 
+_BUMP_PEAK = math.exp(-1.0)  # bump_profile's height, at x = 0
+
+
 def bump_profile(grid: Grid, R: float) -> np.ndarray:
-    """exp(-1/(1 - (|x|/R)^2)) inside |x| < R, identically zero outside."""
+    """exp(-1/(1 - (|x|/R)^2)) inside |x| < R, identically zero outside.
+    It peaks at x = 0, a point of every grid, at exp(-1)."""
     if R <= 0.0 or R >= grid.L:
         raise ValueError(f"bump radius must satisfy 0 < R < L, got R={R}, L={grid.L}")
     s2 = (grid.radius() / R) ** 2
@@ -162,15 +166,14 @@ def _jitter(grid: Grid, amplitude: float, seed) -> np.ndarray:
     return 1.0 + amplitude * pert / 4.0
 
 
-def initial_bump(ops: SpectralOps, R: float, eps: float, order: int, *,
+def initial_bump(ops: SpectralOps, R: float, eps: float, *,
                  jitter: float = 0.0, seed=None) -> EulerState:
-    """Bump in v, zero velocity, scaled so the H^order norm equals eps."""
+    """v a bump of height eps, times the jitter if any; zero velocity."""
     grid = ops.grid
     prof = bump_profile(grid, R)
     if jitter:
         prof = prof * _jitter(grid, jitter, seed)
-    nrm = ops.sobolev(prof, order)
-    v = prof * (eps / nrm)
+    v = prof * (eps / _BUMP_PEAK)
     return EulerState(t=0.0, v=v, u=np.zeros((grid.n,) + grid.shape))
 
 
@@ -183,28 +186,22 @@ def mass_bump(ops: SpectralOps, g: GasLaw, R: float, q0: float) -> EulerState:
                       u=np.zeros((grid.n,) + grid.shape))
 
 
-def rotational_bump(ops: SpectralOps, R: float, eps: float,
-                    order: int = 1) -> EulerState:
-    """Divergence-free velocity from a bump stream function; v = 0 (n >= 2)."""
+def rotational_bump(ops: SpectralOps, R: float, eps: float) -> EulerState:
+    """Divergence-free u = (d_2 phi, -d_1 phi, 0), phi a bump of height eps; v = 0."""
     grid = ops.grid
     if grid.n < 2:
         raise ValueError("rotational data needs n >= 2")
-    phi = bump_profile(grid, R)
-    gp = ops.grad(phi)
+    gp = ops.grad(bump_profile(grid, R))
     u = np.zeros((grid.n,) + grid.shape)
-    u[0] = gp[1]
-    u[1] = -gp[0]
-    nrm = ops.sobolev_fields(list(u), order)
-    u *= eps / nrm
+    u[0], u[1] = gp[1], -gp[0]
+    u *= eps / _BUMP_PEAK
     return EulerState(t=0.0, v=np.zeros(grid.shape), u=u)
 
 
-def potential_bump(ops: SpectralOps, R: float, eps: float,
-                   order: int = 1) -> EulerState:
-    """Curl-free velocity u = grad(bump); v = 0.  Companion of the above."""
+def potential_bump(ops: SpectralOps, R: float, eps: float) -> EulerState:
+    """Curl-free u = grad(phi), phi a bump of height eps; v = 0."""
     u = ops.grad(bump_profile(ops.grid, R))
-    nrm = ops.sobolev_fields(list(u), order)
-    u *= eps / nrm
+    u *= eps / _BUMP_PEAK
     return EulerState(t=0.0, v=np.zeros(ops.grid.shape), u=u)
 
 
@@ -377,7 +374,9 @@ class _Lawson:
         e00[r == 0.0] = 1.0
         e01 = e01 * r
         e10 = np.divide(e10, r, out=np.zeros_like(e10), where=r > 0.0)
-        f = 1.0 / integrating_factor(t0, t1, self.d)
+        # strong friction overflows the factor over a long step: f = 0
+        with np.errstate(over="ignore"):
+            f = 1.0 / integrating_factor(t0, t1, self.d)
         return e00, e01, e10, e11 - f, f
 
     def apply(self, P, w: np.ndarray, out: np.ndarray,

@@ -4,11 +4,11 @@ A Grid is an n-dimensional periodic box [-L, L)^n sampled at N points
 per axis.  SpectralOps carries the wavenumber bookkeeping (real FFTs on
 the last axis), the gradient, the spectral tail beyond the 2/3 band and
 the discrete norms used throughout: L2 norms (also of a spectrum, by
-Parseval) and sup norms, Sobolev norms formed as sums of derivative L2
-norms, and plain trapezoid-free box quadrature sum(f) * dx^n (exact for
-band-limited periodic fields).  The other spectral operators (single
-derivatives, divergence, Laplacian, curl and the dealias projection)
-are reference definitions that only the tests use; they live in
+Parseval) and sup norms, and plain trapezoid-free box quadrature
+sum(f) * dx^n (exact for band-limited periodic fields).  The other
+spectral operators (single derivatives, divergence, Laplacian, curl,
+the dealias projection and the sums of derivative L2 norms) are
+reference definitions that only the tests use; they live in
 tests/reference.py.
 
 SpectralOps.fwd and inv are the package's only transforms.  The *_hat
@@ -229,39 +229,6 @@ class SpectralOps:
 
     def linf(self, f: np.ndarray) -> float:
         return float(np.max(np.abs(f)))
-
-    def multi_indices(self, order: int):
-        """All derivative multi-indices of the given total order."""
-        n = self.grid.n
-        return [tuple(c.count(i) for i in range(n))
-                for c in itertools.combinations_with_replacement(range(n), order)]
-
-    def _deriv_alpha_hat(self, F: np.ndarray, alpha) -> np.ndarray:
-        for ax, p in enumerate(alpha):
-            if p:
-                F = self.ik[ax] ** p * F
-        return self.inv(F)
-
-    def deriv_l2(self, f: np.ndarray, order: int,
-                 F: np.ndarray | None = None) -> float:
-        """Sum of L2 norms of all derivatives of exactly this order: one
-        inverse per derivative, each dropped once its norm is taken.  F is
-        the transform of f, formed here if not given."""
-        if order == 0:
-            return self.l2(f)
-        F = self.fwd(f) if F is None else F
-        return sum(self.l2(self._deriv_alpha_hat(F, a))
-                   for a in self.multi_indices(order))
-
-    def sobolev(self, f: np.ndarray, order: int) -> float:
-        """H^order norm as the sum over derivative orders 0..order, from
-        one forward transform of f."""
-        F = self.fwd(f) if order else None
-        return sum(self.deriv_l2(f, m, F) for m in range(order + 1))
-
-    def sobolev_fields(self, fields, order: int) -> float:
-        """Sobolev norm of a tuple of scalar fields (summed)."""
-        return sum(self.sobolev(f, order) for f in fields)
 
     def tail_fraction(self, f: np.ndarray) -> float:
         """Spectral energy fraction of f beyond the 2/3 dealias band,

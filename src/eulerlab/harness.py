@@ -2,7 +2,8 @@
 
 A scenario is one fully specified numerical experiment: damping and gas
 laws, grid, initial data, horizon, snapshots and fit window, each value
-a number or a name.  Each preset wires those pieces together for one
+a number or a name; the data's size, eps, is the height of their bump on
+every grid.  Each preset wires those pieces together for one
 question (kernel decay slopes, zone envelopes, nonlinear decay,
 conserved-mass lower bounds, vorticity decay, and so on) and reduces the
 run to pass/fail verdicts with the fitted and predicted values side by side.
@@ -82,7 +83,6 @@ class ScenarioConfig:
     eps: float = 1e-3
     q0: float = 0.01
     data_kind: str = "bump"
-    data_order: int = 3
     jitter: float = 0.0
     seed: int = 0
     t_final: float = 100.0
@@ -91,7 +91,7 @@ class ScenarioConfig:
     fit_hi: float = 100.0
 
     def as_dict(self) -> dict:
-        # not dataclasses.asdict: its new 19-item field tuple per call would
+        # not dataclasses.asdict: its new 18-item field tuple per call would
         # pile up on CPython's tuple free list over many runs in one process
         return dict(vars(self))
 
@@ -185,8 +185,6 @@ def validate_config(cfg: ScenarioConfig):
     if cfg.data_kind not in _DATA_KINDS:
         raise ConfigError(
             f"data_kind: unknown kind {cfg.data_kind!r}; choose from {_DATA_KINDS}")
-    if cfg.data_order < 1:
-        raise ConfigError(f"data_order: must be at least 1, got {cfg.data_order}")
     if cfg.jitter < 0.0:
         raise ConfigError(f"jitter: must be nonnegative, got {cfg.jitter}")
     if cfg.jitter > 0.0 and cfg.data_kind != "bump":
@@ -380,13 +378,12 @@ def _damping(cfg: ScenarioConfig) -> DampingLaw:
 def _make_state(cfg: ScenarioConfig, gas: GasLaw,
                 ops: SpectralOps) -> euler.EulerState:
     if cfg.data_kind == "bump":
-        return euler.initial_bump(ops, cfg.R, cfg.eps, cfg.data_order,
-                                  jitter=cfg.jitter, seed=cfg.seed)
+        return euler.initial_bump(ops, cfg.R, cfg.eps, jitter=cfg.jitter, seed=cfg.seed)
     if cfg.data_kind == "mass":
         return euler.mass_bump(ops, gas, cfg.R, cfg.q0)
     if cfg.data_kind == "rotational":
-        return euler.rotational_bump(ops, cfg.R, cfg.eps, cfg.data_order)
-    return euler.potential_bump(ops, cfg.R, cfg.eps, cfg.data_order)
+        return euler.rotational_bump(ops, cfg.R, cfg.eps)
+    return euler.potential_bump(ops, cfg.R, cfg.eps)
 
 
 def _log_snapshots(cfg: ScenarioConfig, head=(0.25, 0.5, 0.75)) -> tuple:
@@ -601,10 +598,11 @@ def _run_zone_integrals(cfg: ScenarioConfig, outdir: Path):
 @_register(
     "nonlinear-decay",
     "sup-norm decay exponents of density and velocity after a small bump",
+    positive=("eps",),   # the fits take logarithms of the sup norms
     schedule=_log_snapshots,
     decay_law=("rho_slope", "u_slope", "slope_difference"),
-    n=1, lam=0.5, mu=2.0, gamma=2.0, eps=1e-3, N=2048, L=256.0, R=4.0,
-    data_order=7, t_final=1.0e3, n_snapshots=41, fit_lo=1.0e2, fit_hi=1.0e3)
+    n=1, lam=0.5, mu=2.0, gamma=2.0, eps=3.61067966265402e-08, N=2048,
+    L=256.0, R=4.0, t_final=1.0e3, n_snapshots=41, fit_lo=1.0e2, fit_hi=1.0e3)
 def _run_nonlinear_decay(cfg: ScenarioConfig, outdir: Path):
     rec, _ = _nonlinear_run(cfg, _schedule(cfg), outdir, "energy.csv")
     rho_fit = decay_fit(rec.times, rec.series("rho_linf"), cfg.fit_lo, cfg.fit_hi)
@@ -629,7 +627,7 @@ def _run_nonlinear_decay(cfg: ScenarioConfig, outdir: Path):
     "u-extra-lambda",
     "velocity lags the density gradient by one power of the damping clock",
     schedule=_log_snapshots,
-    n=1, lam=0.5, mu=2.0, N=1024, L=360.0, R=8.0, data_order=7,
+    n=1, lam=0.5, mu=2.0, N=1024, L=360.0, R=8.0, eps=5.108550558937388e-06,
     t_final=300.0, n_snapshots=33, fit_lo=30.0, fit_hi=300.0)
 def _run_u_extra_lambda(cfg: ScenarioConfig, outdir: Path):
     last = []  # a copy of the latest output, the state at t_final in the end
@@ -744,8 +742,9 @@ def _vorticity_run(cfg: ScenarioConfig, outdir: Path):
     "vorticity-2d",
     "stretched-exponential vorticity decay for rotational data in the plane",
     dims=(2, 3),   # on a line every velocity field is a gradient
+    positive=("eps",),   # the fit takes logarithms of the vorticity norm
     schedule=_lin_snapshots,
-    n=2, lam=0.5, mu=1.0, N=256, L=68.0, R=12.0, eps=1e-3,
+    n=2, lam=0.5, mu=1.0, N=256, L=68.0, R=12.0, eps=4.790103826857862e-05,
     data_kind="rotational", t_final=50.0, n_snapshots=26,
     fit_lo=5.0, fit_hi=50.0)
 def _run_vorticity_2d(cfg: ScenarioConfig, outdir: Path):
@@ -765,8 +764,9 @@ _register(
     "vorticity-3d",
     "stretched-exponential vorticity decay in three dimensions",
     dims=(3,),   # the three-dimensional claim: stretching exists only there
+    positive=("eps",),   # the fit takes logarithms of the vorticity norm
     schedule=_lin_snapshots,
-    n=3, lam=0.5, mu=1.0, N=128, L=40.0, R=12.0, eps=1e-3,
+    n=3, lam=0.5, mu=1.0, N=128, L=40.0, R=12.0, eps=9.97171585394892e-06,
     data_kind="rotational", t_final=12.0, n_snapshots=13,
     fit_lo=2.0, fit_hi=12.0)(_vorticity_run)
 
@@ -774,9 +774,10 @@ _register(
 @_register(
     "q-decay",
     "decay rate and quadratic smallness of the wave-form source",
+    positive=("eps",),   # the fit takes logarithms of the source norm
     schedule=_log_snapshots,
-    n=1, lam=0.5, mu=2.0, gamma=2.0, eps=1e-3, N=2048, L=256.0, R=4.0,
-    data_order=7, t_final=1.0e3, n_snapshots=41, fit_lo=1.0e2, fit_hi=1.0e3)
+    n=1, lam=0.5, mu=2.0, gamma=2.0, eps=3.61067966265402e-08, N=2048,
+    L=256.0, R=4.0, t_final=1.0e3, n_snapshots=41, fit_lo=1.0e2, fit_hi=1.0e3)
 def _run_q_decay(cfg: ScenarioConfig, outdir: Path):
     rec1, _ = _nonlinear_run(cfg, _schedule(cfg), outdir, "energy.csv", with_source=True)
     rec2, _ = _nonlinear_run(replace(cfg, eps=2.0 * cfg.eps), _schedule(cfg),
@@ -827,8 +828,9 @@ def _run_convolution(cfg: ScenarioConfig, outdir: Path):
 @_register(
     "weighted-energy-bounded",
     "time-scaled plain and weighted energies stay within their startup range",
-    n=1, lam=0.5, mu=2.0, gamma=2.0, eps=1e-3, N=2048, L=256.0, R=4.0,
-    data_order=7, t_final=1.0e3, n_snapshots=37)
+    positive=("eps",),   # the energies are relative to their startup peak
+    n=1, lam=0.5, mu=2.0, gamma=2.0, eps=3.61067966265402e-08, N=2048,
+    L=256.0, R=4.0, t_final=1.0e3, n_snapshots=37)
 def _run_weighted_energy(cfg: ScenarioConfig, outdir: Path):
     snaps = _log_snapshots(cfg, head=(0.2, 0.4, 0.6, 0.8))
     rec, _ = _nonlinear_run(cfg, snaps, outdir, "energy.csv", with_weights=True)
@@ -850,8 +852,8 @@ def _run_weighted_energy(cfg: ScenarioConfig, outdir: Path):
 @_register(
     "blowup-scout",
     "the monitor catches gradient blow-up when the damping is switched off",
-    n=1, lam=0.5, mu=0.0, gamma=2.0, eps=1.2, N=512, L=40.0, R=2.0,
-    data_order=1, t_final=20.0, n_snapshots=21)
+    n=1, lam=0.5, mu=0.0, gamma=2.0, eps=0.456004240068952, N=512, L=40.0,
+    R=2.0, t_final=20.0, n_snapshots=21)
 def _run_blowup_scout(cfg: ScenarioConfig, outdir: Path):
     _, res = _nonlinear_run(cfg, _lin_snapshots(cfg), outdir, "energy.csv",
                             allow_stop=True)

@@ -2,8 +2,9 @@
 
 No preset runs these.  They are the plain, one-field-at-a-time
 definitions that the tests compare the package's fused or band-limited
-forms with: spectral derivatives, divergence, Laplacian, curl and the
-2/3-rule dealias projection on a SpectralOps, the inverse change of
+forms with: spectral derivatives, divergence, Laplacian, curl, the
+sums of derivative L2 norms and the 2/3-rule dealias projection on a
+SpectralOps, the inverse change of
 variables, the weighted energy, mass excess and momentum moment of one
 state, and the method-of-lines solver that is the grid solver's
 independent oracle.  Each takes the SpectralOps (or Grid) it works on
@@ -22,6 +23,7 @@ which imports scipy.integrate on its first call, and the grid solver
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +67,23 @@ def curl(ops: SpectralOps, u: np.ndarray) -> np.ndarray:
     return np.stack([G[2][1] - G[1][2],
                      G[0][2] - G[2][0],
                      G[1][0] - G[0][1]])
+
+
+def deriv_l2(ops: SpectralOps, f: np.ndarray, order: int) -> float:
+    """Sum of the L2 norms of all derivatives of f of exactly this order,
+    one inverse transform per derivative multi-index; the L2 norm of f
+    at order 0."""
+    if order == 0:
+        return ops.l2(f)
+    n, F = ops.grid.n, ops.fwd(f)
+    total = 0.0
+    for axes in itertools.combinations_with_replacement(range(n), order):
+        G = F
+        for ax in range(n):
+            if axes.count(ax):
+                G = ops.ik[ax] ** axes.count(ax) * G
+        total += ops.l2(ops.inv(G))
+    return total
 
 
 def dealias_mask(ops: SpectralOps) -> np.ndarray:

@@ -236,7 +236,7 @@ def test_criterion_10_convolution_bound(conv_run):
 def test_criterion_11_numerical_hygiene(tmp_path):
     # (a) tiny-amplitude nonlinear run against the linear mode solution
     ops = SpectralOps(Grid(1, 20.0, 256))
-    st0 = initial_bump(ops, 4.0, 1e-6, 3)
+    st0 = initial_bump(ops, 4.0, 1.1566234202668386e-07)
     times = (2.5, 5.0, 10.0)
     cfg = SolverConfig(t_final=10.0, snapshot_times=times)
     outs = Outputs()
@@ -249,7 +249,7 @@ def test_criterion_11_numerical_hygiene(tmp_path):
                   for snap, w in zip(outs[1:], sol.w))
 
     # (b) fourth-order convergence under time-step halving
-    st1 = initial_bump(ops, 4.0, 1e-3, 3)
+    st1 = initial_bump(ops, 4.0, 0.00011566234202668386)
     fields = []
     for dt in (0.04, 0.02, 0.01):
         fields.append(march(st1, D_HALF, GAS, ops, dt, (1.0,))[-1].v)

@@ -42,7 +42,7 @@ def _solve(mu, snaps, monkeypatch, st0=None, grid=GRID, gas=GAS,
 
     monkeypatch.setattr(euler, "step", recorded)
     ops = SpectralOps(grid)
-    st0 = initial_bump(ops, 4.0, 1e-2, 3) if st0 is None else st0
+    st0 = initial_bump(ops, 4.0, 0.0011566234202668385) if st0 is None else st0
     cfg = SolverConfig(t_final=t_final, snapshot_times=snaps)
     outs = Outputs()
     res = run(st0, DampingLaw(lam=0.5, mu=mu), gas, ops, cfg, on_snapshot=outs)
@@ -98,7 +98,7 @@ def test_outputs_inside_steps_converge_like_landed_ones(monkeypatch):
               if min(abs(e - snap.t) for e in ends) > 1e-12 * snap.t]
     assert len(inside) >= 3
     ops = SpectralOps(GRID)
-    st0 = initial_bump(ops, 4.0, 1e-2, 3)
+    st0 = initial_bump(ops, 4.0, 0.0011566234202668385)
     for snap in inside[:3]:
         ref, = march(st0, DampingLaw(0.5, 2.0), GAS, ops, snap.t / 200, (snap.t,))
         scale = max(np.max(np.abs(ref.v)), np.max(np.abs(ref.u)))
@@ -166,7 +166,7 @@ def test_a_monitor_that_trips_inside_a_step_ends_the_run_there(monkeypatch):
     # trips at an output that the extension gives, and the run reports
     # that output's time, not the end of the step
     grid = Grid(1, 40.0, 512)
-    st0 = initial_bump(SpectralOps(grid), 2.0, 1.2, 1)
+    st0 = initial_bump(SpectralOps(grid), 2.0, 0.456004240068952)
     snaps = tuple(float(s) for s in range(1, 21))
     res, _, steps = _solve(0.0, snaps, monkeypatch, st0=st0, grid=grid,
                            t_final=20.0, allow_stop=True)

@@ -147,7 +147,7 @@ def test_cli_override_coercion():
     (dict(eps=-1e-3), "eps:"),
     (dict(q0=-0.1), "q0:"),
     (dict(data_kind="wat"), "data_kind:"),
-    (dict(data_order=0), "data_order:"),
+    (dict(eps=0.0), "eps:"),   # nonlinear-decay needs eps > 0
     (dict(t_final=0.0), "t_final:"),
     (dict(n_snapshots=1), "n_snapshots:"),
     (dict(fit_lo=50.0, fit_hi=5.0), "fit_lo/fit_hi:"),
@@ -206,7 +206,7 @@ def test_config_digest_ignores_plumbing():
     assert run_dir(a, "here") == Path("here") / f"nonlinear-decay-{da}"
     assert run_dir(a, base_dir="x") == Path("x") / f"nonlinear-decay-{da}"
     # pinned: a change of the hashed payload renames every run directory
-    assert config_digest(preset_config("convolution-lemma")) == "47e7a83bc89b"
+    assert config_digest(preset_config("convolution-lemma")) == "25c0a5884c52"
 
 
 # the options that left the config, each at the one value every preset
@@ -319,6 +319,12 @@ DOMAIN_CASES = [
     ("vorticity-2d", {"n": 1}, "n:"),
     ("vorticity-3d", {"n": 2}, "n:"),
     ("nonlinear-decay", {"data_kind": "rotational"}, "data_kind:"),
+    # zero data: a fit would take the logarithm of 0, or a ratio 0/0
+    ("nonlinear-decay", {"eps": 0.0}, "eps:"),
+    ("q-decay", {"eps": 0.0}, "eps:"),
+    ("weighted-energy-bounded", {"eps": 0.0}, "eps:"),
+    ("vorticity-2d", {"eps": 0.0}, "eps:"),
+    ("vorticity-3d", {"eps": 0.0}, "eps:"),
 ]
 
 
@@ -358,7 +364,7 @@ def test_strong_friction_ends_in_passing_verdicts(name, overrides, tmp_path,
     for key, value in overrides.items():
         argv += ["--set", f"{key}={value}"]
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         assert main(argv) == 0
     assert capsys.readouterr().err == ""
 
@@ -455,7 +461,7 @@ def test_failing_runner_leaves_no_directory(tmp_path, capsys, monkeypatch):
     assert not run_dir(cfg, tmp_path).exists()
 
 
-EARLY_STOP = ["mu=0", "eps=1.2", "N=512", "L=40", "R=2", "data_order=1",
+EARLY_STOP = ["mu=0", "eps=0.456004240068952", "N=512", "L=40", "R=2",
               "t_final=20", "fit_lo=1", "fit_hi=20"]
 
 
@@ -478,7 +484,7 @@ def test_early_stop_is_a_failing_verdict(tmp_path, capsys):
     energy = read_csv_columns(run_dir(cfg, tmp_path) / "energy.csv")
     assert energy["t"][-1] < 20.0
 
-    results, agg = sweep(cfg, {"eps": ["1.2"]}, tmp_path)
+    results, agg = sweep(cfg, {"eps": ["0.456004240068952"]}, tmp_path)
     assert results[0]["status"] == "ok"
     assert (results[0]["n_pass"], results[0]["n_fail"]) == (0, 1)
 
@@ -829,18 +835,19 @@ def test_from_dict_is_the_catalog_entry_plus_its_keys():
     cfg = ScenarioConfig.from_dict(
         {"scenario": "nonlinear-decay", "eps": 2e-3, "N": "512"})
     assert cfg == preset_config("nonlinear-decay", eps=2e-3, N=512)
-    assert (cfg.L, cfg.data_order, cfg.t_final, cfg.fit_lo, cfg.fit_hi) \
-        == (256.0, 7, 1e3, 1e2, 1e3)
+    assert (cfg.L, cfg.R, cfg.t_final, cfg.fit_lo, cfg.fit_hi) \
+        == (256.0, 4.0, 1e3, 1e2, 1e3)
 
 
 def test_cli_run_from_partial_json_is_the_preset_run(tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"scenario": "nonlinear-decay", "eps": 0.002}))
+    cfg_path.write_text(json.dumps({"scenario": "nonlinear-decay",
+                                    "eps": 7.22135932530804e-08}))
     from_json, from_set = tmp_path / "json", tmp_path / "set"
     code = main(["run", str(cfg_path), "--outdir", str(from_json)])
-    assert code == main(["run", "nonlinear-decay", "--set", "eps=0.002",
-                         "--outdir", str(from_set)])
-    name = run_dir(preset_config("nonlinear-decay", eps=0.002)).name
+    assert code == main(["run", "nonlinear-decay", "--set",
+                         "eps=7.22135932530804e-08", "--outdir", str(from_set)])
+    name = run_dir(preset_config("nonlinear-decay", eps=7.22135932530804e-08)).name
     assert [p.name for p in from_json.iterdir()] == [name]
     assert [p.name for p in from_set.iterdir()] == [name]
     files = sorted(p.name for p in (from_set / name).iterdir())
