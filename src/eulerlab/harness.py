@@ -524,7 +524,16 @@ def _run_zone_bounds(cfg: ScenarioConfig, outdir: Path):
         samples = [[(t, r, abs(p1)) for (t, r, z, p1, _) in tab
                     if z == zone and enveloped(z, r)] for tab in (coarse, fine)]
         if not all(samples):
-            raise RuntimeError(f"no samples fell in zone {zone.name}")
+            # nothing to fit: strong friction keeps every sampled radius
+            # up to 1 inside the band mu/4 (1+t)^-lam (Z2 empty), weak
+            # friction puts the band below the smallest radius (Z1 empty)
+            verdicts.append(Verdict(
+                name=f"{key}_ratio_drift", value=math.nan, predicted=1.0,
+                tolerance=1.0, passed=False,
+                detail=f"no samples fell in zone {zone.name} "
+                       f"({len(samples[0])} and {len(samples[1])} of the "
+                       f"two sample densities)"))
+            continue
         c0 = consts[zone] = linear.fit_zone_constant(samples[0], d)
         mc, mf = (max(p / linear.zone_envelope(t, r, c0, d) for (t, r, p) in s)
                   for s in samples)
@@ -539,7 +548,9 @@ def _run_zone_bounds(cfg: ScenarioConfig, outdir: Path):
     r3 = 3.0
     t_dense = np.array(_schedule(cfg))
     tr3 = linear.evolve_modes(np.array([r3]), d, t_dense, phi1_only=True)
-    amp = np.sqrt(np.abs(tr3[1, 0]) ** 2 / r3 ** 2 + np.abs(tr3[0, 0]) ** 2)
+    # hypot, not the root of the squares: those underflow to 0 at mu = 50
+    # and lam = 0.5, where the amplitude is still 2e-166
+    amp = np.hypot(tr3[1, 0] / r3, tr3[0, 0])
     fit = decay_fit(t_dense, amp, cfg.fit_lo, cfg.fit_hi,
                     stretch_exponent=1.0 - d.lam)
     pred = -d.mu / (2.0 * (1.0 - d.lam))
@@ -550,7 +561,8 @@ def _run_zone_bounds(cfg: ScenarioConfig, outdir: Path):
 
     rows = []
     for (t, r, z, p1, p2) in fine:
-        env = linear.zone_envelope(t, r, consts[z], d) if enveloped(z, r) else math.nan
+        env = (linear.zone_envelope(t, r, consts[z], d)
+               if enveloped(z, r) and z in consts else math.nan)
         rows.append((t, r, int(z), p1, 0.0, p2, 0.0, env, abs(p1) / env))
     cols = list(zip(*rows))
     write_csv(outdir / "modes.csv",
@@ -626,6 +638,7 @@ def _run_nonlinear_decay(cfg: ScenarioConfig, outdir: Path):
 @_register(
     "u-extra-lambda",
     "velocity lags the density gradient by one power of the damping clock",
+    positive=("eps",),   # the fit reads |u|_inf / |dv|_inf, 0/0 on zero data
     schedule=_log_snapshots,
     n=1, lam=0.5, mu=2.0, N=1024, L=360.0, R=8.0, eps=5.108550558937388e-06,
     t_final=300.0, n_snapshots=33, fit_lo=30.0, fit_hi=300.0)

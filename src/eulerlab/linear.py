@@ -17,9 +17,10 @@ This module computes them with a batched fourth-order Magnus engine
 (evolve_modes, _magnus_advance), vectorized over a whole batch of radii,
 whose step grows like MAGNUS_STEP (1+t) whatever the radii.  The
 exponentials of a chunk of substeps (up to MAGNUS_CHUNK elements over
-substeps and radii) are formed in one vectorized pass; the overdamped
-elements are formed again on their own, gathered into flat arrays, and
-scattered back.  The rows are carried through the chunk in order, both
+substeps and radii) are formed in one vectorized pass, the oscillating
+ones from the tangent of the half angle; the overdamped elements are
+formed on their own, gathered into flat arrays, and scattered back.
+The rows are carried through the chunk in order, both
 canonical pairs in one call per product and sum, or the phi1 pair alone
 where the caller reads nothing else.  So every element sees the
 operations of a one-substep-at-a-time engine and gets its bits, whatever
@@ -85,8 +86,10 @@ MAGNUS_RANGE = 0.25
 # are formed together, in working arrays that one _magnus_advance holds
 MAGNUS_CHUNK = 4096
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
-# what np.sinc puts in place of x = 0
-_SINC_EPS = np.finfo(float).eps
+# the floor of the half-angle x = s/2 of an oscillating substep, where
+# q = 0: tan(x) / x is then 1, the limit q -> 0, and every x > 0 (at
+# least sqrt(5e-324)/2) is above it
+_TAN_FLOOR = np.finfo(float).tiny
 
 
 def evolve_modes(r, d: DampingLaw, t_out, *, phi1_only: bool = False) -> np.ndarray:
@@ -187,17 +190,21 @@ def _magnus_advance(y: np.ndarray, t: float, target: float, r2: np.ndarray,
     Omega = h/2 (A1 + A2) + (sqrt(3) h^2 / 12) [A2, A1] reduces to
     [[0, h + delta], [r^2 (delta - h), -h bbar]].  With m = tr(Omega)/2
     and N = Omega - m I (traceless, N^2 = q I) its exponential is
-    C I + S N, where C and S carry the factor e^m.  For q > 0 they are
-    formed from e^(m +- sqrt q), so heavy friction at late times cannot
-    overflow a cosh.
+    C I + S N, where C and S carry the factor e^m.  For q <= 0, C =
+    e^m cos(s) and S = e^m sin(s)/s with s = sqrt(-q) are formed from
+    the tangent of the half angle s/2, one vectorized numpy call where
+    cos and sin are scalar loops.  For q > 0 they are formed from
+    e^(m +- sqrt q), so heavy friction at late times cannot overflow a
+    cosh.
 
     The scalars of a substep come from its (t, h) alone, so the
     exponentials of a chunk of k substeps, k M <= MAGNUS_CHUNK, are
     formed as (k, M) arrays in one pass, in working arrays held for the
-    call.  The q > 0 elements are then formed again on their own,
-    gathered into flat arrays and scattered back over the chunk's C and
-    S.  The rows are carried through the chunk in order (_carry), both
-    pairs in each call.  Every element sees the operations of the
+    call: the q <= 0 formulas over the whole chunk, unless no element
+    has q <= 0, and then the q > 0 elements on their own, gathered into
+    flat arrays and scattered back over the chunk's C and S.  The rows
+    are carried through the chunk in order (_carry), both pairs in each
+    call.  Every element sees the operations of the
     per-substep engine, in its order, and so its bits, whatever the
     other radii of the batch and whichever rows are carried.
     """
@@ -208,10 +215,10 @@ def _magnus_advance(y: np.ndarray, t: float, target: float, r2: np.ndarray,
         return y, t
     k = len(rows)
     # the entries e_00, e_01, e_10, e_11 of each substep, one scratch
-    # array (q, then sqrt|q|, then m and a gathered difference, then
-    # S n00) and the q > 0 and x == 0 masks
+    # array (q, then sqrt|q|, then the half angle x and S, then S n00)
+    # and the q > 0 and s <= 1 masks
     e, w = np.empty((4, k, M)), np.empty((k, M))
-    hyp, zero = np.empty((2, k, M), dtype=bool)
+    hyp, near = np.empty((2, k, M), dtype=bool)
     # the rows carried between y and a second set
     cur, nxt = y, np.empty_like(y)
 
@@ -220,31 +227,39 @@ def _magnus_advance(y: np.ndarray, t: float, target: float, r2: np.ndarray,
         n00, n01, dmh, nn, em, m = np.array(rows).T[:6, :, None]
         j = len(rows)
         e00, e01, e10, e11 = e[:, :j]
-        s, hj, zj = w[:j], hyp[:j], zero[:j]
+        s, hj, nj = w[:j], hyp[:j], near[:j]
         n10 = np.multiply(r2, dmh, out=e10)
         q = np.add(nn, np.multiply(n01, n10, out=s), out=s)
         np.greater(q, 0.0, out=hj)
         np.sqrt(np.abs(q, out=s), out=s)
-        # q <= 0: e^m cos(s) and e^m sin(s)/s; sinc covers the limit q -> 0.
-        # S is np.sinc(s / pi) by np.sinc's own operations, x = pi (s / pi),
-        # eps where x == 0, then sin(x) / x, in held arrays: S in e00 and
-        # sin(x) in e01
-        C = np.multiply(em, np.cos(s, out=e11), out=e11)
-        S = np.multiply(np.pi, np.divide(s, np.pi, out=e00), out=e00)
-        np.copyto(S, _SINC_EPS, where=np.equal(S, 0.0, out=zj))
-        np.multiply(em, np.divide(np.sin(S, out=e01), S, out=S), out=S)
+        C, S = e11, s
+        # the q > 0 elements of s, gathered before s turns into x and S
+        sh = s[hj] if hj.any() else None
+        # q <= 0: e^m cos(s) and e^m sin(s)/s from tau = tan(x), x = s/2
+        # (floored at _TAN_FLOOR where q = 0) and g = e^m / (1 + tau^2):
+        # C = g (1 - tau)(1 + tau) and S = g (tau / x), with tau in e01 and
+        # g in e00.  A chunk with q > 0 everywhere skips this: the gathered
+        # branch below overwrites all of it
+        if not hj.all():
+            x = np.maximum(np.multiply(s, 0.5, out=s), _TAN_FLOOR, out=s)
+            tau = np.tan(x, out=e01)
+            g = np.divide(em, np.add(np.multiply(tau, tau, out=e00), 1.0,
+                                     out=e00), out=e00)
+            np.multiply(g, np.subtract(1.0, tau, out=C), out=C)
+            np.multiply(g, np.divide(tau, x, out=S), out=S)
+            np.multiply(C, np.add(1.0, tau, out=e01), out=C)
         # q > 0: (e^(m+s) +- e^(m-s)) / 2, the difference divided by s and
-        # taken through expm1 where s <= 1, on the gathered elements: s
-        # and m, then e^(m+s), in two gathered arrays, e^(m-s) at the
-        # start of e01, the difference at the start of s and s <= 1 at the
-        # start of zj.  The two go before the column products below, whose
-        # buffers would otherwise stack on them
-        if hj.any():
-            sh = s[hj]
-            np.copyto(s, m)
-            hi = s[hj]
-            lo, diff = e01.reshape(-1)[:sh.size], s.reshape(-1)[:sh.size]
-            near = np.less_equal(sh, 1.0, out=zj.reshape(-1)[:sh.size])
+        # taken through expm1 where s <= 1, on the gathered elements: s,
+        # gathered above, and m, gathered from e00, then e^(m+s), in two
+        # gathered arrays, e^(m-s) at the start of e01, the difference at
+        # the start of e00 and s <= 1 at the start of nj.  The two go
+        # before the column products below, whose buffers would otherwise
+        # stack on them
+        if sh is not None:
+            np.copyto(e00, m)
+            hi = e00[hj]
+            lo, diff = e01.reshape(-1)[:sh.size], e00.reshape(-1)[:sh.size]
+            close = np.less_equal(sh, 1.0, out=nj.reshape(-1)[:sh.size])
             np.exp(np.subtract(hi, sh, out=lo), out=lo)
             np.exp(np.add(hi, sh, out=hi), out=hi)
             np.subtract(hi, lo, out=diff)
@@ -252,12 +267,12 @@ def _magnus_advance(y: np.ndarray, t: float, target: float, r2: np.ndarray,
             # 2 min(s, 1) is min(2 s, 2) to the bit
             np.multiply(2.0, sh, out=sh)
             np.expm1(np.minimum(sh, 2.0, out=hi), out=hi)
-            np.putmask(diff, near, np.multiply(lo, hi, out=hi))
+            np.putmask(diff, close, np.multiply(lo, hi, out=hi))
             np.place(S, hj, np.divide(diff, sh, out=diff))
             del sh, hi
-        SN = np.multiply(S, n00, out=s)
         np.multiply(S, n01, out=e01)
         np.multiply(S, n10, out=e10)
+        SN = np.multiply(S, n00, out=s)
         np.add(C, SN, out=e00)
         np.subtract(C, SN, out=e11)
         cur, nxt = _carry(e[:, :j], cur, nxt)

@@ -22,6 +22,7 @@ import pytest
 
 from conftest import read_csv_columns, run_preset
 from eulerlab import euler, harness
+from eulerlab.diagnostics import FitQualityWarning
 from eulerlab.grids import SpectralOps
 from eulerlab.harness import (
     ConfigError, Report, ScenarioConfig, Verdict, config_digest,
@@ -323,6 +324,7 @@ DOMAIN_CASES = [
     ("nonlinear-decay", {"eps": 0.0}, "eps:"),
     ("q-decay", {"eps": 0.0}, "eps:"),
     ("weighted-energy-bounded", {"eps": 0.0}, "eps:"),
+    ("u-extra-lambda", {"eps": 0.0}, "eps:"),
     ("vorticity-2d", {"eps": 0.0}, "eps:"),
     ("vorticity-3d", {"eps": 0.0}, "eps:"),
 ]
@@ -367,6 +369,33 @@ def test_strong_friction_ends_in_passing_verdicts(name, overrides, tmp_path,
         warnings.simplefilter("error", RuntimeWarning)
         assert main(argv) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_zone_bounds_under_strong_friction_ends_in_verdicts(tmp_path, capsys):
+    # at mu = 50 the z3 amplitude falls to 2e-166 by t = 200: its squares
+    # underflowed to 0 and decay_fit raised on them; to t_final = 100 the
+    # band mu/4 (1+t)^-lam holds every sampled radius up to 1 and no
+    # sample falls in zone Z2, where the runner raised RuntimeError.  The
+    # z3 mode is overdamped early on, so its stretched fit is poor
+    with pytest.warns(FitQualityWarning):
+        assert main(["run", "zone-bounds", "--set", "mu=50",
+                     "--outdir", str(tmp_path / "a")]) == 1
+    (run,) = (tmp_path / "a").iterdir()
+    z3 = {v.name: v for v in Report.from_json(
+        (run / "report.json").read_text()).verdicts}["z3_decay_rate"]
+    assert math.isfinite(z3.value)
+    with pytest.warns(FitQualityWarning):
+        assert main(["run", "zone-bounds", "--set", "mu=50", "--set",
+                     "t_final=100", "--outdir", str(tmp_path / "b")]) == 1
+    (run,) = (tmp_path / "b").iterdir()
+    verdicts = {v.name: v for v in Report.from_json(
+        (run / "report.json").read_text()).verdicts}
+    z2 = verdicts["z2_ratio_drift"]
+    assert not z2.passed and math.isnan(z2.value)
+    assert z2.detail.startswith("no samples fell in zone Z2")
+    assert math.isfinite(verdicts["z1_ratio_drift"].value)
+    assert (run / "modes.csv").exists()
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_rerun_replaces_its_directory(tmp_path):

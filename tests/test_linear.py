@@ -113,6 +113,42 @@ def test_evolve_modes_matches_dop853_in_probe_regime(lam):
             assert tr[2, m, j] == pytest.approx(E[0, 1], abs=2e-6)
 
 
+def _constant_friction_propagator(t: float, r: float, mu: float) -> np.ndarray:
+    """E(t, 0) of W'' + mu W' + r^2 W = 0 in closed form:
+    e^(-mu t/2) [[c + (mu/2) s, s], [-r^2 s, c - (mu/2) s]], with c and s
+    the cos(w t) and sin(w t)/w of w^2 = r^2 - mu^2/4 above the critical
+    radius mu/2, cosh and sinh below it, and 1 and t at it."""
+    half = 0.5 * mu
+    w2 = (r - half) * (r + half)
+    if w2 > 0.0:
+        w = math.sqrt(w2)
+        c, s = math.cos(w * t), math.sin(w * t) / w
+    elif w2 < 0.0:
+        w = math.sqrt(-w2)
+        c, s = math.cosh(w * t), math.sinh(w * t) / w
+    else:
+        c, s = 1.0, t
+    return math.exp(-half * t) * np.array([[c + half * s, s],
+                                           [-r * r * s, c - half * s]])
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5, 2.0])
+def test_evolve_modes_is_the_constant_friction_closed_form(mu):
+    # at lam = 0 the friction is constant, the commutator term of the
+    # Magnus exponent vanishes and each substep's exponent is h A: the
+    # engine is exact up to rounding.  At mu = 2 the radii cover the
+    # oscillating (r > 1), critical (r = 1) and overdamped (r < 1) regimes
+    radii = np.array([0.05, 0.3, 0.999, 1.0, 1.001, 2.0, 4.0])
+    times = np.array([1.0, 5.0, 17.0, 50.0])
+    tr = linear.evolve_modes(radii, DampingLaw(lam=0.0, mu=mu), times)
+    for m, r in enumerate(radii):
+        for j, t in enumerate(times):
+            E = _constant_friction_propagator(float(t), float(r), mu)
+            got = np.array([[tr[0, m, j], tr[2, m, j]],
+                            [tr[1, m, j], tr[3, m, j]]])
+            assert np.max(np.abs(got - E)) <= 1e-12 * np.max(np.abs(E))
+
+
 def test_evolve_modes_heavy_friction_stays_finite():
     # lam = 0 keeps the friction at mu while the step grows to ~200:
     # the step exponential must not overflow

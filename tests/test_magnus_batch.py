@@ -2,8 +2,10 @@
 
 _magnus_step and _advance below are the reference: the engine one
 substep at a time, each new row stacked from two products and their
-sum.  The batched linear._magnus_advance performs the same operations
-on every element in the same order, so it must return the same bits.
+sum, and the oscillating exponentials formed from the tangent of the
+half angle.  The batched linear._magnus_advance performs the same
+operations on every element in the same order, so it must return the
+same bits.
 """
 
 import math
@@ -16,6 +18,7 @@ from eulerlab.params import DampingLaw
 
 MAGNUS_STEP = 0.02
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
+_TAN_FLOOR = np.finfo(float).tiny
 
 
 def _magnus_step(t: float, h: float, r2: np.ndarray, d: DampingLaw):
@@ -25,7 +28,9 @@ def _magnus_step(t: float, h: float, r2: np.ndarray, d: DampingLaw):
     Omega = h/2 (A1 + A2) + (sqrt(3) h^2 / 12) [A2, A1] reduces to
     [[0, h + delta], [r^2 (delta - h), -h bbar]].  With m = tr(Omega)/2
     and N = Omega - m I (traceless, N^2 = q I) its exponential is
-    C I + S N, where C and S carry the factor e^m.  For q > 0 they are
+    C I + S N, where C and S carry the factor e^m.  For q <= 0 they are
+    formed from tau = tan(s/2): cos s = (1 - tau)(1 + tau) / (1 + tau^2)
+    and sin(s)/s = (tau / (s/2)) / (1 + tau^2).  For q > 0 they are
     formed from e^(m +- sqrt q), so heavy friction at late times cannot
     overflow a cosh.
     """
@@ -39,10 +44,13 @@ def _magnus_step(t: float, h: float, r2: np.ndarray, d: DampingLaw):
     q = n00 * n00 + n01 * n10
     s = np.sqrt(np.abs(q))
 
-    # q <= 0: e^m cos(s) and e^m sin(s)/s; sinc covers the limit q -> 0
+    # q <= 0: e^m cos(s) and e^m sin(s)/s from the tangent of the half
+    # angle, floored where q = 0 so that tan(x) / x is 1, the limit q -> 0
     em = math.exp(m)
-    C = em * np.cos(s)
-    S = em * np.sinc(s / np.pi)
+    x = np.maximum(s * 0.5, _TAN_FLOOR)
+    tau = np.tan(x)
+    g = em / (tau * tau + 1.0)
+    C, S = g * (1.0 - tau) * (1.0 + tau), g * (tau / x)
     # q > 0: (e^(m+s) +- e^(m-s)) / 2, the difference divided by s and
     # taken through expm1 while s is small
     hyp = q > 0.0
@@ -111,6 +119,7 @@ LAWS = [DampingLaw(lam=0.0, mu=2.0), DampingLaw(lam=0.5, mu=2.0),
 def test_the_reference_keeps_the_engine_constants():
     assert linear.MAGNUS_STEP == MAGNUS_STEP
     assert linear._GAUSS_OFFSET == _GAUSS_OFFSET
+    assert linear._TAN_FLOOR == _TAN_FLOOR
     assert not hasattr(linear, "_magnus_step")
 
 
