@@ -409,7 +409,8 @@ def _nonlinear_run(cfg: ScenarioConfig, snaps, outdir: Path, csv_name: str, *,
     Each output goes to the recorder and then to on_snapshot, if given.
     The recorder keeps the run's damping law, operators and weight
     constants as rec.d, rec.ops and rec.spec.  A solve that stops before
-    t_final raises _SolverStopped unless allow_stop.
+    t_final raises _SolverStopped unless allow_stop; an output whose
+    density is not positive raises it always.
     """
     d, gas = _damping(cfg), GasLaw(gamma=cfg.gamma)
     ops = SpectralOps(Grid(cfg.n, cfg.L, cfg.N))
@@ -419,7 +420,14 @@ def _nonlinear_run(cfg: ScenarioConfig, snaps, outdir: Path, csv_name: str, *,
     sol = euler.SolverConfig(t_final=cfg.t_final, snapshot_times=tuple(snaps))
 
     def hook(st):
-        rec(st)
+        try:
+            rec(st)
+        except euler.VacuumError as e:
+            # the band-limited start state of large data undershoots into
+            # vacuum; deciding that in validation would build the data
+            raise _SolverStopped(Verdict(
+                name="solver_completed", value=st.t, predicted=cfg.t_final,
+                tolerance=0.0, passed=False, detail=f"{e} at t={st.t:g}")) from None
         if on_snapshot is not None:
             on_snapshot(st)
 
@@ -459,29 +467,27 @@ def _run_linear_decay(cfg: ScenarioConfig, outdir: Path):
     g = euler.bump_profile(grid, cfg.R)
     times = np.array(_schedule(cfg))
 
-    series = linear.kernel_decay_check(g, grid, _damping(cfg), times, k=(0, 1))
+    observed, tail_bound = linear.kernel_decay_check(
+        g, grid, _damping(cfg), times, k=(0, 1))
     fits, verdicts = {}, []
-    for ser in series:
-        fit = decay_fit(ser.times, ser.observed, cfg.fit_lo, cfg.fit_hi)
-        fits[ser.k] = fit
+    for k, obs in enumerate(observed):   # row k holds order k
+        fit = fits[k] = decay_fit(times, obs, cfg.fit_lo, cfg.fit_hi)
         verdicts.append(within(
-            f"kernel_decay_k{ser.k}", fit.slope, ser.envelope_exponent, 0.05,
-            f"power fit over [{cfg.fit_lo:g}, {cfg.fit_hi:g}], "
-            f"residual {fit.residual:.3g}"))
+            f"kernel_decay_k{k}", fit.slope, -(1.0 - cfg.lam) * (cfg.n + k) / 2.0,
+            0.05, f"power fit over [{cfg.fit_lo:g}, {cfg.fit_hi:g}], "
+                  f"residual {fit.residual:.3g}"))
 
     sel = (times >= cfg.fit_lo) & (times <= cfg.fit_hi)
-    tail = max(float(np.max(ser.tail_bound[sel] / ser.observed[sel]))
-               for ser in series)
+    tail = float(np.max(tail_bound[:, sel] / observed[:, sel]))
     verdicts.append(at_most(
         "band_tail_fraction", tail, 1e-3,
         detail="high-band bound relative to the band norm, max over the fit window"))
 
     write_csv(outdir / "decay.csv",
               ["t", "observed_k0", "tail_bound_k0", "observed_k1", "tail_bound_k1"],
-              [times, series[0].observed, series[0].tail_bound,
-               series[1].observed, series[1].tail_bound])
+              [times, observed[0], tail_bound[0], observed[1], tail_bound[1]])
     _write_json(outdir / "fits.json",
-                {f"k{k}": asdict(fits[k]) for k in (0, 1)})
+                {f"k{k}": asdict(fit) for k, fit in fits.items()})
     return verdicts
 
 
@@ -607,14 +613,18 @@ def _run_zone_integrals(cfg: ScenarioConfig, outdir: Path):
     return verdicts
 
 
+# the small-data box of nonlinear-decay, q-decay and weighted-energy-bounded
+_SMALL_DATA = dict(n=1, lam=0.5, mu=2.0, gamma=2.0, eps=3.61067966265402e-08,
+                   N=2048, L=256.0, R=4.0, t_final=1.0e3)
+
+
 @_register(
     "nonlinear-decay",
     "sup-norm decay exponents of density and velocity after a small bump",
     positive=("eps",),   # the fits take logarithms of the sup norms
     schedule=_log_snapshots,
     decay_law=("rho_slope", "u_slope", "slope_difference"),
-    n=1, lam=0.5, mu=2.0, gamma=2.0, eps=3.61067966265402e-08, N=2048,
-    L=256.0, R=4.0, t_final=1.0e3, n_snapshots=41, fit_lo=1.0e2, fit_hi=1.0e3)
+    **_SMALL_DATA, n_snapshots=41, fit_lo=1.0e2, fit_hi=1.0e3)
 def _run_nonlinear_decay(cfg: ScenarioConfig, outdir: Path):
     rec, _ = _nonlinear_run(cfg, _schedule(cfg), outdir, "energy.csv")
     rho_fit = decay_fit(rec.times, rec.series("rho_linf"), cfg.fit_lo, cfg.fit_hi)
@@ -789,8 +799,7 @@ _register(
     "decay rate and quadratic smallness of the wave-form source",
     positive=("eps",),   # the fit takes logarithms of the source norm
     schedule=_log_snapshots,
-    n=1, lam=0.5, mu=2.0, gamma=2.0, eps=3.61067966265402e-08, N=2048,
-    L=256.0, R=4.0, t_final=1.0e3, n_snapshots=41, fit_lo=1.0e2, fit_hi=1.0e3)
+    **_SMALL_DATA, n_snapshots=41, fit_lo=1.0e2, fit_hi=1.0e3)
 def _run_q_decay(cfg: ScenarioConfig, outdir: Path):
     rec1, _ = _nonlinear_run(cfg, _schedule(cfg), outdir, "energy.csv", with_source=True)
     rec2, _ = _nonlinear_run(replace(cfg, eps=2.0 * cfg.eps), _schedule(cfg),
@@ -842,8 +851,7 @@ def _run_convolution(cfg: ScenarioConfig, outdir: Path):
     "weighted-energy-bounded",
     "time-scaled plain and weighted energies stay within their startup range",
     positive=("eps",),   # the energies are relative to their startup peak
-    n=1, lam=0.5, mu=2.0, gamma=2.0, eps=3.61067966265402e-08, N=2048,
-    L=256.0, R=4.0, t_final=1.0e3, n_snapshots=37)
+    **_SMALL_DATA, n_snapshots=37)
 def _run_weighted_energy(cfg: ScenarioConfig, outdir: Path):
     snaps = _log_snapshots(cfg, head=(0.2, 0.4, 0.6, 0.8))
     rec, _ = _nonlinear_run(cfg, snaps, outdir, "energy.csv", with_weights=True)

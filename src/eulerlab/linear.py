@@ -15,7 +15,8 @@ posed at time tau.  Its columns are the canonical solutions phi1
 
 This module computes them with a batched fourth-order Magnus engine
 (evolve_modes, _magnus_advance), vectorized over a whole batch of radii,
-whose step grows like MAGNUS_STEP (1+t) whatever the radii.  The
+whose step grows like MAGNUS_STEP (1+t) whatever the radii, shorter
+only where the friction would take its exponential out of range.  The
 exponentials of a chunk of substeps (up to MAGNUS_CHUNK elements over
 substeps and radii) are formed in one vectorized pass, the oscillating
 ones from the tangent of the half angle; the overdamped elements are
@@ -31,8 +32,9 @@ studies all run through _magnus_advance.
 
 On top of the engine sit the zone diagnostics: the zone envelopes, L1
 zone integrals of the first kernel by refining quadrature, and the
-kernel decay check that multiplies initial data by the propagator in
-frequency space and measures norms of the reconstructed field.  The
+kernel decay check, which works on a line: it multiplies initial data
+by the propagator in frequency space and measures sup norms of the
+reconstructed field.  The
 oracles live with the tests (tests/reference.py): the DOP853 mode
 propagator, and the grid solver with its method-of-lines reference.
 """
@@ -41,7 +43,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -50,7 +51,6 @@ from .grids import Grid, SpectralOps
 from .params import DampingLaw, Zone, t_xi, zone_classify
 
 __all__ = [
-    "KernelDecaySeries",
     "AliasingWarning",
     "QuadratureError",
     "evolve_modes",
@@ -79,8 +79,9 @@ class QuadratureError(RuntimeError):
 MAGNUS_STEP = 0.02
 # largest |delta| / h of a substep: delta, the commutator term of Omega,
 # grows like h^2 |b'| / 12 with h = MAGNUS_STEP (1+t).  Past about 1 the
-# exponential of a substep overflows; every catalog preset stays below
-# 0.004 (checked to t = 1e4)
+# exponential of a substep overflows, so _substeps shortens a substep
+# that would pass it; every catalog preset stays below 0.004 (checked to
+# t = 1e4), so none of theirs is shortened
 MAGNUS_RANGE = 0.25
 # elements k M of one chunk: the exponentials of k substeps over M radii
 # are formed together, in working arrays that one _magnus_advance holds
@@ -133,17 +134,17 @@ def _substeps(t: float, target: float, d: DampingLaw):
     """The substeps of MAGNUS_STEP (1+t) from t, the last one cut to land
     on target: per substep, in Python floats, n00 = -m, n01 = h + delta,
     delta - h (that is n10 / r^2), n00^2, e^m, m and the time after it.
-    A substep with |delta| / h above MAGNUS_RANGE raises ValueError."""
+    A substep whose |delta| / h would pass MAGNUS_RANGE is shortened
+    until it does not; |delta| / h grows like h^2."""
     while t < target - 1e-13 * max(1.0, target):
         h = min(MAGNUS_STEP * (1.0 + t), target - t)
-        b1 = d.mu * (1.0 + t + h * (0.5 - _GAUSS_OFFSET)) ** (-d.lam)
-        b2 = d.mu * (1.0 + t + h * (0.5 + _GAUSS_OFFSET)) ** (-d.lam)
-        delta = math.sqrt(3.0) * h * h * (b2 - b1) / 12.0
-        if abs(delta) > MAGNUS_RANGE * h:
-            raise ValueError(
-                f"Magnus engine out of range at t={t:g} (lam={d.lam:g}, "
-                f"mu={d.mu:g}): |delta|/h = {abs(delta) / h:.3g} exceeds "
-                f"MAGNUS_RANGE = {MAGNUS_RANGE:g}")
+        while True:
+            b1 = d.mu * (1.0 + t + h * (0.5 - _GAUSS_OFFSET)) ** (-d.lam)
+            b2 = d.mu * (1.0 + t + h * (0.5 + _GAUSS_OFFSET)) ** (-d.lam)
+            delta = math.sqrt(3.0) * h * h * (b2 - b1) / 12.0
+            if abs(delta) <= MAGNUS_RANGE * h:
+                break
+            h *= 0.9 * math.sqrt(MAGNUS_RANGE * h / abs(delta))
         m = -0.25 * h * (b1 + b2)
         n00 = -m
         t += h
@@ -335,7 +336,9 @@ def fit_zone_constant(samples, d: DampingLaw) -> float:
             env = zone_envelope(t, r, c, d)
             if env <= 0.0 or obs <= 0.0:
                 continue
-            worst = max(worst, abs(math.log(obs / env)))
+            # not log(obs / env): the quotient overflows where env is
+            # subnormal, as under strong friction
+            worst = max(worst, abs(math.log(obs) - math.log(env)))
         if worst < best_val:
             best_val, best_c = worst, c
     return float(best_c)
@@ -401,27 +404,10 @@ def zone_integral(t: float, alpha: int, zone: Zone, d: DampingLaw, n: int, *,
 #  Kernel decay check
 # =====================================================================
 
-@dataclass
-class KernelDecaySeries:
-    """Norms of the propagated field, split into band and tail parts.
-
-    observed[j] is the sup norm of the band reconstruction at times[j];
-    tail_bound[j] is an empirically anchored bound on the neglected
-    high-band contribution (envelope fitted from probe modes, times the
-    spectral mass above the cut).
-    """
-
-    times: np.ndarray
-    k: int
-    observed: np.ndarray
-    tail_bound: np.ndarray
-    envelope_exponent: float
-
-
 def kernel_decay_check(g: np.ndarray, grid: Grid, d: DampingLaw, times, *,
                        k: tuple = (0,)) -> tuple:
-    """Propagate data g through the first kernel and record the decay of
-    its sup norm.
+    """Propagate data g on a line through the first kernel and record the
+    decay of its sup norm.
 
     The reconstruction keeps radii <= KERNEL_BAND (the band that carries
     the polynomial-in-time behavior); higher radii share a single
@@ -429,33 +415,28 @@ def kernel_decay_check(g: np.ndarray, grid: Grid, d: DampingLaw, times, *,
     reported separately as a bound, never mixed into the observed norms.
 
     k is a tuple of derivative orders: the propagators do not depend on
-    k, so they are evolved once and one series per order comes back, in
-    a tuple.  Each series carries the polynomial rate it is compared
-    against, -(1-lam)(n+k)/2.
+    k, so they are evolved once.  Returns (observed, tail_bound), each of
+    shape (len(k), len(times)): per order, the sup norm of the band
+    reconstruction at each time, and the bound on the high-band rest.
     """
+    if grid.n != 1:
+        raise ValueError(f"kernel_decay_check works on a line, got n = {grid.n}")
     ops = SpectralOps(grid)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     _check_band_limited(ops, (g,), "kernel data")
 
-    G = ops.fwd(g).ravel()
-    uniq, inverse = _grid_mode_table(ops)
-    in_band = uniq <= KERNEL_BAND
-    band_r = uniq[in_band]
+    G = ops.fwd(g)
+    # _grid_mode_table's radii on a line, increasing: the band is radii[:nb]
+    radii = np.round(ops.kmag, 12)
+    nb = int(np.searchsorted(radii, KERNEL_BAND, side="right"))
 
     # the kernel's row of the propagators, (M, T), of the band and of the
-    # probe radii that the high-band envelope is fitted on, in one pass;
-    # the loop below scatters the band onto the unique radii one time at
-    # a time
+    # probe radii that the high-band envelope is fitted on, in one pass
     probes = np.array([x for x in (1.0, 1.5, 2.0, 3.0, 4.0)
-                       if KERNEL_BAND <= x <= np.max(uniq)] or [KERNEL_BAND])
+                       if KERNEL_BAND <= x <= radii[-1]] or [KERNEL_BAND])
     band_phi, probe_phi = np.split(
-        evolve_modes(np.concatenate([band_r, probes]), d, times,
-                     phi1_only=True)[0].copy(),
-        [band_r.size])
-    phi = np.zeros(uniq.size)
-
-    mode_mask = in_band[inverse]
-    kshape = ops.kshape
+        evolve_modes(np.concatenate([radii[:nb], probes]), d, times,
+                     phi1_only=True)[0], [nb])
 
     one_m = 1.0 - d.lam
     shape = np.exp(-(d.mu / (2.0 * one_m)) * ((1.0 + times) ** one_m - 1.0)) \
@@ -469,27 +450,21 @@ def kernel_decay_check(g: np.ndarray, grid: Grid, d: DampingLaw, times, *,
     else:
         c_fit = 1.0
 
-    out = []
-    for kk in k:
-        if kk:
-            ik = (1j * ops.k[-1].ravel() if grid.n == 1
-                  else 1j * ops.kmag.ravel()) ** kk
-        observed = np.empty(times.size)
+    observed = np.empty((len(k), times.size))
+    tail_bound = np.empty_like(observed)
+    # the spectrum of the reconstruction: its band entries are filled at
+    # each time, the rest stay zero
+    W = np.zeros_like(G)
+    band = W[:nb]
+    for i, kk in enumerate(k):
+        ik = (1j * ops.k[-1][:nb]) ** kk
         for j in range(times.size):
-            phi[in_band] = band_phi[:, j]
-            W = G * phi[inverse] * mode_mask
+            np.multiply(G[:nb], band_phi[:, j], out=band)
             if kk:
-                W = W * ik
-            fld = ops.inv(W.reshape(kshape))
-            observed[j] = ops.linf(fld)
-
-        tail_mass = float(np.sum(np.abs(G) * (~mode_mask)
-                                 * (np.where(mode_mask, 0.0, uniq[inverse]) ** kk))) \
-            / (grid.N ** grid.n)
-        tail_bound = 2.0 * c_fit * shape * tail_mass
-
-        exponent = -one_m * (grid.n + kk) / 2.0
-        out.append(KernelDecaySeries(times=times, k=kk, observed=observed,
-                                     tail_bound=tail_bound,
-                                     envelope_exponent=float(exponent)))
-    return tuple(out)
+                band *= ik
+            observed[i, j] = ops.linf(ops.inv(W))
+        # band zeros kept: the pairwise sum groups terms by array position
+        tail = np.abs(G) * radii ** kk
+        tail[:nb] = 0.0
+        tail_bound[i] = 2.0 * c_fit * shape * (float(np.sum(tail)) / grid.N)
+    return observed, tail_bound

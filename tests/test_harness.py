@@ -6,6 +6,7 @@ digest stability, artifact layout, exit codes and sweep aggregation.
 """
 
 import concurrent.futures
+import contextlib
 import csv
 import hashlib
 import json
@@ -24,6 +25,7 @@ from conftest import read_csv_columns, run_preset
 from eulerlab import euler, harness
 from eulerlab.diagnostics import FitQualityWarning
 from eulerlab.grids import SpectralOps
+from eulerlab.linear import AliasingWarning
 from eulerlab.harness import (
     ConfigError, Report, ScenarioConfig, Verdict, config_digest,
     main, preset_config, run_dir, run_scenario, sweep,
@@ -396,6 +398,63 @@ def test_zone_bounds_under_strong_friction_ends_in_verdicts(tmp_path, capsys):
     assert math.isfinite(verdicts["z1_ratio_drift"].value)
     assert (run / "modes.csv").exists()
     assert "Traceback" not in capsys.readouterr().err
+    # past the Magnus engine's range from t = 0 (lam = 0.9, mu = 1e4),
+    # where _substeps raised, and with zone envelopes so small that the
+    # constant's fit overflowed in obs / env
+    for i, sets in enumerate((("lam=0.9", "mu=1e4"), ("mu=50", "lam=0.1"),
+                              ("lam=0.05", "mu=10"))):
+        argv = ["run", "zone-bounds", "--outdir", str(tmp_path / f"c{i}")]
+        for item in sets:
+            argv += ["--set", item]
+        with pytest.warns(FitQualityWarning), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 1
+        (run,) = (tmp_path / f"c{i}").iterdir()
+        assert tuple(v.name for v in Report.from_json(
+            (run / "report.json").read_text()).verdicts) \
+            == PRESET_VERDICTS["zone-bounds"]
+        assert "Traceback" not in capsys.readouterr().err
+
+
+# configs that validated and then ended in a traceback: past the Magnus
+# engine's range (from t = 0 at lam = 0.9, mu = 1e4; from t = 4656 at
+# lam = 0.05, mu = 50), and data whose band-limited start state has no
+# positive density.  Each ends in failing verdicts, with the warnings
+# named here
+TRACEBACK_CASES = {
+    "linear-decay-past-range": ("linear-decay", {"lam": 0.9, "mu": 1e4},
+                                FitQualityWarning),
+    "zone-integrals-past-range": ("zone-integrals", {"lam": 0.9, "mu": 1e4},
+                                  None),
+    "linear-decay-late-past-range": ("linear-decay", {"lam": 0.05, "mu": 50.0},
+                                     FitQualityWarning),
+    "nonlinear-decay-vacuum": ("nonlinear-decay", {"eps": 100.0, "N": 64},
+                               AliasingWarning),
+}
+
+
+@pytest.mark.parametrize("name, overrides, warns", TRACEBACK_CASES.values(),
+                         ids=list(TRACEBACK_CASES))
+def test_configs_that_raised_end_in_verdicts(name, overrides, warns, tmp_path,
+                                             capsys):
+    argv = ["run", name, "--outdir", str(tmp_path)]
+    for key, value in overrides.items():
+        argv += ["--set", f"{key}={value}"]
+    with pytest.warns(warns) if warns else contextlib.nullcontext(), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    (run,) = tmp_path.iterdir()
+    verdicts = Report.from_json((run / "report.json").read_text()).verdicts
+    if name == "nonlinear-decay":
+        # the recorder's first snapshot finds no positive density
+        (v,) = verdicts
+        assert (v.name, v.value, v.passed) == ("solver_completed", 0.0, False)
+        assert v.detail == "state corresponds to nonpositive density at t=0"
+    else:
+        assert tuple(v.name for v in verdicts) == PRESET_VERDICTS[name]
+        assert all(math.isfinite(v.value) for v in verdicts)
 
 
 def test_rerun_replaces_its_directory(tmp_path):
@@ -468,6 +527,18 @@ def test_fit_times_are_the_recorded_times(fixture, request):
         table, start = "energy.csv", [0.0]
     cfg = harness.ScenarioConfig.from_dict(handle.report.config)
     assert list(handle.csv_columns(table)["t"]) == start + harness._schedule(cfg)
+
+
+def test_linear_decay_predicts_the_registered_rates(linear_lambda_runs):
+    # the kernel slopes are compared with -(1-lam)(n+k)/2: -0.25 and -0.5
+    # at lam = 0.5
+    predicted = {lam: tuple(h.verdict(f"kernel_decay_k{k}").predicted
+                            for k in (0, 1))
+                 for lam, h in linear_lambda_runs.items()}
+    assert predicted[0.5] == (-0.25, -0.5)
+    for lam, (k0, k1) in predicted.items():
+        assert k0 == pytest.approx(-(1.0 - lam) / 2.0, rel=1e-15)
+        assert k1 == pytest.approx(-(1.0 - lam), rel=1e-15)
 
 
 def _failing_fit(*args, **kwargs):

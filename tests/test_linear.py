@@ -357,15 +357,14 @@ def test_kernel_decay_check_basics():
     grid = Grid(1, 60.0, 512)
     g = bump_profile(grid, 20.0)   # wide: sup norm carried by radii <= 1
     times = np.array([0.5, 2.0, 8.0, 32.0])
-    ser, = linear.kernel_decay_check(g, grid, D_HALF, times, k=(0,))
-    assert ser.observed.shape == times.shape
-    assert np.all(ser.observed > 0.0)
-    assert np.all(ser.tail_bound >= 0.0)
-    # the comparison exponent of the sup norm
-    assert ser.envelope_exponent == pytest.approx(-0.25)
+    observed, tail_bound = linear.kernel_decay_check(g, grid, D_HALF, times,
+                                                     k=(0,))
+    assert observed.shape == tail_bound.shape == (1, times.size)
+    assert np.all(observed > 0.0)
+    assert np.all(tail_bound >= 0.0)
     # band reconstruction at early time reproduces the data sup norm
-    early, = linear.kernel_decay_check(g, grid, D_HALF, np.array([1e-4]))
-    assert early.observed[0] == pytest.approx(float(np.max(g)), rel=1e-2)
+    early, _ = linear.kernel_decay_check(g, grid, D_HALF, np.array([1e-4]))
+    assert early[0, 0] == pytest.approx(float(np.max(g)), rel=1e-2)
 
 
 def test_kernel_decay_check_orders_share_propagators(monkeypatch):
@@ -376,17 +375,17 @@ def test_kernel_decay_check_orders_share_propagators(monkeypatch):
     evolve = linear.evolve_modes
     monkeypatch.setattr(linear, "evolve_modes",
                         lambda *a, **kw: calls.append(1) or evolve(*a, **kw))
-    both = linear.kernel_decay_check(g, grid, D_HALF, times, k=(0, 1))
+    observed, tail_bound = linear.kernel_decay_check(g, grid, D_HALF, times,
+                                                     k=(0, 1))
     # one pass over the band and the probe radii, whatever the number of
     # orders
     assert len(calls) == 1
-    assert isinstance(both, tuple) and len(both) == 2
-    for ser, k, e in zip(both, (0, 1), (-0.25, -0.5)):
-        one, = linear.kernel_decay_check(g, grid, D_HALF, times, k=(k,))
-        assert ser.k == k and ser.envelope_exponent == e
-        assert one.envelope_exponent == e
-        assert np.array_equal(ser.observed, one.observed)
-        assert np.array_equal(ser.tail_bound, one.tail_bound)
+    assert observed.shape == tail_bound.shape == (2, times.size)
+    # each row is the single-order call's, bit for bit
+    for i, k in enumerate((0, 1)):
+        one = linear.kernel_decay_check(g, grid, D_HALF, times, k=(k,))
+        assert np.array_equal(observed[i], one[0][0])
+        assert np.array_equal(tail_bound[i], one[1][0])
 
 
 def test_kernel_decay_check_pass_is_the_band_and_probe_passes():
@@ -394,7 +393,10 @@ def test_kernel_decay_check_pass_is_the_band_and_probe_passes():
     # the bits of a pass over its own set
     grid = Grid(1, 60.0, 512)
     times = np.array([0.5, 2.0, 8.0, 32.0])
-    r = linear._grid_mode_table(SpectralOps(grid))[0]
+    ops = SpectralOps(grid)
+    r = np.round(ops.kmag, 12)
+    # on a line the radii are the grid's mode table, increasing
+    assert np.array_equal(r, linear._grid_mode_table(ops)[0])
     band = r[r <= linear.KERNEL_BAND]
     probes = np.array([1.0, 1.5, 2.0, 3.0, 4.0])
     assert r.max() >= probes.max()
@@ -404,6 +406,12 @@ def test_kernel_decay_check_pass_is_the_band_and_probe_passes():
                               linear.evolve_modes(band, d, times))
         assert np.array_equal(both[:, band.size:],
                               linear.evolve_modes(probes, d, times))
+
+
+def test_kernel_decay_check_works_on_a_line_only():
+    grid = Grid(2, 10.0, 16)
+    with pytest.raises(ValueError, match="works on a line, got n = 2"):
+        linear.kernel_decay_check(np.zeros(grid.shape), grid, D_HALF, (1.0,))
 
 
 def test_kernel_decay_check_validation_and_warning():

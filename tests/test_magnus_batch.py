@@ -215,16 +215,26 @@ def test_evolve_modes_is_the_per_substep_engine(d):
         assert np.array_equal(got, y)
 
 
-def test_a_substep_out_of_range_is_an_error():
+def test_a_substep_past_the_range_is_shortened():
     # at lam = 0.5 and mu = 30 the substep's |delta| / h grows like
     # 5e-4 sqrt(1 + t) and passes 1.5 by t = 1e7, where the exponentials
-    # overflow; the engine names the place instead of returning NaNs
+    # would overflow; there every substep is shortened into the range,
+    # and the substeps still tile the interval
     d = DampingLaw(lam=0.5, mu=30.0)
-    with pytest.raises(ValueError, match=r"t=.*lam=0\.5, mu=30"):
-        linear._magnus_advance(np.zeros((4, FEW.size)), 1e7, 1.1e7,
-                               FEW * FEW, d)
-    with pytest.raises(ValueError, match="MAGNUS_RANGE"):
-        next(linear._substeps(1e6, 2e6, d))
+    t0, t1 = 1e7, 1.1e7
+    subs = list(linear._substeps(t0, t1, d))
+    h = np.array([0.5 * (n01 - dmh) for _, n01, dmh, *_ in subs])
+    delta = np.array([0.5 * (n01 + dmh) for _, n01, dmh, *_ in subs])
+    assert np.max(np.abs(delta) / h) <= linear.MAGNUS_RANGE
+    assert np.all(h < 0.5 * MAGNUS_STEP * (1.0 + t0))
+    assert subs[-1][-1] == pytest.approx(t1, rel=1e-13)
+    # the damped oscillator loses energy: from (1, 0), r^2 W^2 + W'^2
+    # stays at most r^2, and from (0, 1) at most 1
+    y, t = linear._magnus_advance(_canonical(FEW.size), t0, t1, FEW * FEW, d)
+    assert t == subs[-1][-1] and np.all(np.isfinite(y))
+    r2 = FEW * FEW
+    assert np.all(r2 * y[0] ** 2 + y[1] ** 2 <= r2 * (1.0 + 1e-9))
+    assert np.all(r2 * y[2] ** 2 + y[3] ** 2 <= 1.0 + 1e-9)
 
 
 def test_every_preset_stays_inside_the_engine_range():

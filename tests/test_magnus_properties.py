@@ -56,10 +56,10 @@ def test_engine_is_the_per_substep_reference(lam, mu, t0, span, M, kind,
                                              canonical, seed):
     d = DampingLaw(lam=lam, mu=mu)
     t1 = t0 + span * (1.0 + t0)
-    try:
-        subs = list(linear._substeps(t0, t1, d))
-    except ValueError:
-        assume(False)  # a substep outside MAGNUS_RANGE
+    # the drawn laws and intervals stay inside MAGNUS_RANGE (|delta| / h
+    # is at most 0.21, at mu = 60, lam = 0.13 and t = 2201), so no
+    # substep is shortened and the reference takes the engine's substeps
+    subs = list(linear._substeps(t0, t1, d))
     # without friction no radius is overdamped, and under friction so weak
     # that n00^2 underflows (mu = 3.7e-301) neither is r = 0: every q is 0
     assume(kind != "overdamped" or mu > 0.0)
