@@ -175,6 +175,10 @@ def validate_config(cfg: ScenarioConfig):
         derive_constants(_damping(cfg), cfg.n, cfg.delta)
     except ValueError as e:
         raise ConfigError(str(e)) from None
+    if cfg.mu > linear.MAGNUS_MU_MAX:
+        raise ConfigError(
+            f"mu: friction strength above {linear.MAGNUS_MU_MAX:g} is refused, since "
+            f"the Magnus engine's substeps shorten like 1/sqrt(lam mu); got {cfg.mu}")
     if not 0.0 < cfg.R < 0.5 * cfg.L:
         raise ConfigError(
             f"R: data radius must satisfy 0 < R < L/2 = {0.5 * cfg.L:g}, got {cfg.R}")
@@ -425,6 +429,7 @@ def _nonlinear_run(cfg: ScenarioConfig, snaps, outdir: Path, csv_name: str, *,
         except euler.VacuumError as e:
             # the band-limited start state of large data undershoots into
             # vacuum; deciding that in validation would build the data
+            rec.to_csv(outdir / csv_name)
             raise _SolverStopped(Verdict(
                 name="solver_completed", value=st.t, predicted=cfg.t_final,
                 tolerance=0.0, passed=False, detail=f"{e} at t={st.t:g}")) from None

@@ -83,6 +83,12 @@ MAGNUS_STEP = 0.02
 # that would pass it; every catalog preset stays below 0.004 (checked to
 # t = 1e4), so none of theirs is shortened
 MAGNUS_RANGE = 0.25
+# largest friction strength validate_config admits: a shortened substep
+# is about sqrt(3 / |b'|) with |b'| <= lam mu, so the substep count grows
+# like sqrt(lam mu).  At this bound the way to t = 1000 takes at most
+# about 1.1e4 substeps, 30 times the 349 of catalog friction, none
+# shorter than 1.5e-3
+MAGNUS_MU_MAX = 1.0e6
 # elements k M of one chunk: the exponentials of k substeps over M radii
 # are formed together, in working arrays that one _magnus_advance holds
 MAGNUS_CHUNK = 4096
@@ -107,7 +113,9 @@ def evolve_modes(r, d: DampingLaw, t_out, *, phi1_only: bool = False) -> np.ndar
     with the same bits.  Fourth-order Magnus with step MAGNUS_STEP (1+t),
     landing exactly on each output time.  The exponential of each step
     is exact for frozen coefficients, so the step does not depend on
-    the radii and late times cost only logarithmically many steps.
+    the radii and late times cost only logarithmically many steps;
+    under strong friction _substeps shortens the steps whose |delta|/h
+    would pass MAGNUS_RANGE, and their count grows like sqrt(lam mu).
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
     t_out = np.atleast_1d(np.asarray(t_out, dtype=float))

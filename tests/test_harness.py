@@ -168,6 +168,7 @@ def test_cli_override_coercion():
     (dict(L=math.inf), "L:"),
     (dict(fit_hi=math.inf), "fit_hi:"),
     (dict(data_kind="rotational"), "data_kind:"),   # rotational data at n = 1
+    (dict(mu=2e6), "mu:"),   # past linear.MAGNUS_MU_MAX
 ])
 def test_validate_config_field_messages(overrides, field):
     cfg = replace(preset_config("nonlinear-decay"), **overrides)
@@ -329,6 +330,9 @@ DOMAIN_CASES = [
     ("u-extra-lambda", {"eps": 0.0}, "eps:"),
     ("vorticity-2d", {"eps": 0.0}, "eps:"),
     ("vorticity-3d", {"eps": 0.0}, "eps:"),
+    # friction past linear.MAGNUS_MU_MAX: the Magnus substeps would
+    # shorten without end, and at mu = 1e34 stop advancing t
+    ("linear-decay", {"mu": 1e34}, "mu:"),
 ]
 
 
@@ -452,6 +456,9 @@ def test_configs_that_raised_end_in_verdicts(name, overrides, warns, tmp_path,
         (v,) = verdicts
         assert (v.name, v.value, v.passed) == ("solver_completed", 0.0, False)
         assert v.detail == "state corresponds to nonpositive density at t=0"
+        # the recorder table is written, as when a solve stops early
+        assert "energy.csv" in Report.from_json(
+            (run / "report.json").read_text()).files
     else:
         assert tuple(v.name for v in verdicts) == PRESET_VERDICTS[name]
         assert all(math.isfinite(v.value) for v in verdicts)
