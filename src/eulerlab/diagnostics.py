@@ -167,8 +167,9 @@ class EnergyRecorder:
     weighted_energy (tests/reference.py), and form
     the velocity gradient and v_t: n^2 + 1 more inverses.  The
     wave-form source starts from the view and forms div u: 2 forward and
-    3n + 3 inverse transforms more, and at an output inside a step the
-    products anew, for their u rows: n + 1 forward and n + n^2 inverse.
+    2n + 4 inverse transforms more, and at an output inside a step the
+    products anew, for their u rows: 2, 4 and 5 forward and 2, 4 and 7
+    inverse in 1-, 2- and 3-D.
     with_source and with_weights are facts of the preset: on only where
     a verdict reads their columns (q-decay and weighted-energy-bounded);
     off, those columns hold zeros.

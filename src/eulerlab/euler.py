@@ -47,7 +47,7 @@ import numpy as np
 
 from .grids import Grid, SpectralOps
 from .linear import _check_band_limited, _grid_mode_table, _magnus_advance
-from .params import DampingLaw, GasLaw, damping_coeff, integrating_factor
+from .params import DampingLaw, GasLaw, damping_coeff
 
 __all__ = [
     "EulerState",
@@ -82,8 +82,8 @@ class BandView:
     physical space, as the products form it.  What else a hook reads is
     formed on first use, so that it pays only for what it records:
     products(), every row of the products, which at an output inside a
-    step the stepper has not formed beyond f_v, and div u, the trace of
-    the velocity gradient, n inverse transforms."""
+    step the stepper has not formed beyond f_v, and div u, one inverse
+    transform of sum_i ik_i w_i, summed as products sums it."""
 
     def __init__(self, ops, w, f, grad_v, complete=None):
         self.ops, self.w, self.f_v, self.grad_v = ops, w, f[0], grad_v
@@ -96,11 +96,10 @@ class BandView:
 
     @property
     def div_u(self) -> np.ndarray:
-        # summed as products sums it
         if self._div_u is None:
-            ik, w = self.ops.ik, self.w
-            self._div_u = sum(self.ops.inv(ik[i] * w[1 + i])
-                              for i in range(len(ik)))
+            tmp = np.empty(self.ops.kshape, dtype=complex)
+            self._div_u = self.ops.inv(_div_hat(self.ops.ik, self.w[1:],
+                                                np.empty_like(tmp), tmp))
         return self._div_u
 
 
@@ -223,7 +222,8 @@ TAIL_LIMIT = 0.01
 CHECK_EVERY = 25
 # the continuous extension carries products from the end of a step back
 # to an output inside it, and the friction makes them grow by up to
-# integrating_factor(output, end) on the way; a step passes over an
+# the friction's integrating factor from output to end on the way,
+# exp(_log_growth(output, end)); a step passes over an
 # output only while that factor stays within DENSE_GROWTH_MAX.  Measured
 # on nonlinear-decay's recorder columns against outputs that all land:
 # e and e^2 move them by 1.3e-8 and 1.5e-8 (the controller's own level),
@@ -263,6 +263,15 @@ def _product_row(u, fs, v, g, sl: float, acc=None, tmp=None) -> np.ndarray:
     np.multiply(sl, v, out=tmp)
     np.multiply(tmp, g, out=tmp)
     return np.subtract(acc, tmp, out=acc)
+
+
+def _div_hat(ik, uh, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """sum_i ik_i uh_i, the band spectrum of div u, into out, each term
+    after the first formed in tmp."""
+    np.multiply(ik[0], uh[0], out=out)
+    for i in range(1, len(ik)):
+        out += np.multiply(ik[i], uh[i], out=tmp)
+    return out
 
 
 def _linear(vh, uh, b: float, ops: SpectralOps):
@@ -326,15 +335,17 @@ class _Lawson:
 
     def work(self):
         """The work buffers of products and step, made on first use: grad
-        v, div u, one entry of the velocity gradient (also the scratch of
-        each term) and the sum being formed, in physical space; one band
-        row, the scratch of apply and of step, and of products for one
-        derivative's spectrum; and two spectral states, step's P1 w and
-        its running sum."""
+        v and a tuple of max(3, n + 1) scratch fields in physical space,
+        from which products takes div u, the vorticity components and the
+        sums it forms; one band row, the scratch of apply and of step, and
+        of products for one spectrum; and two spectral states, step's P1
+        w and its running sum."""
         n, shape = self.ops.grid.n, self.ops.grid.shape
         if self._phys is None:
-            self._phys = (np.empty((n,) + shape), np.empty(shape),
-                          np.empty(shape), np.empty(shape))
+            # the scratch fields apart: one stacked block of them peaked
+            # 17 MiB higher in resident memory at 128^3
+            self._phys = (np.empty((n,) + shape),
+                          tuple(np.empty(shape) for _ in range(max(3, n + 1))))
         return self._phys + self.spectral_work()
 
     def spectral_work(self):
@@ -374,9 +385,8 @@ class _Lawson:
         e00[r == 0.0] = 1.0
         e01 = e01 * r
         e10 = np.divide(e10, r, out=np.zeros_like(e10), where=r > 0.0)
-        # strong friction overflows the factor over a long step: f = 0
-        with np.errstate(over="ignore"):
-            f = 1.0 / integrating_factor(t0, t1, self.d)
+        # strong friction underflows f over a long step: f = 0
+        f = math.exp(-_log_growth(t0, t1, self.d))
         return e00, e01, e10, e11 - f, f
 
     def apply(self, P, w: np.ndarray, out: np.ndarray,
@@ -426,45 +436,96 @@ class _Lawson:
             self.ops.inv(w[i], out=out[i])
         return out
 
+    def _band_row(self, field: np.ndarray) -> np.ndarray:
+        """A band row over the memory of a physical work field, as
+        complex scratch: a band row holds (2/3)^n of a field's numbers."""
+        size = math.prod(self.ops.kshape)
+        return field.reshape(-1).view(complex)[:size].reshape(self.ops.kshape)
+
     def products(self, w: np.ndarray, x: np.ndarray,
                  out: np.ndarray | None = None,
                  u_rows: bool = True) -> np.ndarray:
         """The quadratic terms of the system at the stage w with physical
         rows x, on the band and stacked like w, into out, which may be w
         itself: each row of w is read before the same row of out is
-        written.  They are -u.grad v - sl v div u for v and
-        -(u.grad) u - sl v grad v for u; div u is the trace of the
-        velocity gradient, formed an entry at a time, and grad v and
-        div u stay in the first two buffers of work().  n + 1 forward
-        and n + n^2 inverse transforms.  With u_rows=False only the v
-        row of out is written, and of the velocity gradient only its
-        diagonal is formed: 1 forward and 2n inverse transforms.
+        written.  They are -u.grad v - sl v div u for v and, for u, in
+        rotational form
+
+            -(u.grad) u - sl v grad v = -grad K + u x omega,
+            K = |u|^2/2 + sl v^2/2,
+
+        row i being -ik_i K^ + F(sum_j u_j Omega_ji) with the vorticity
+        components Omega_ji = d_i u_j - d_j u_i (Canuto, Hussaini,
+        Quarteroni and Zang 2006).  Under the 2/3 rule both forms give
+        the same band coefficients up to rounding.
+
+        grad v takes n inverse transforms and stays in the first buffer
+        of work(); div u one, of sum_i ik_i w_i; each Omega_ij (j < i)
+        one.  K takes one forward, and so does each u row with a
+        vorticity term: (2, 2), (4, 4) and (5, 7) forward and inverse
+        transforms in 1-, 2- and 3-D.  With u_rows=False only the v row
+        of out is written, and div u stays in the first scratch field of
+        work(): 1 forward and n + 1 inverse transforms.
         """
-        ops, sl, n = self.ops, self.sl, self.ops.grid.n
-        grad_v, div, d, acc, dh = self.work()[:5]
+        ops, sl, n, ik = self.ops, self.sl, self.ops.grid.n, self.ops.ik
+        grad_v, pool, dh = self.work()[:3]
         out = np.empty_like(w) if out is None else out
         v, u = x[0], x[1:]
 
-        def deriv(j, F, dst):
-            ops.inv(np.multiply(ops.ik[j], F, out=dh), out=dst)
-
-        def row(i):
-            # d_j u_i, one at a time in d, adding d_i u_i to div u
-            for j in range(n) if u_rows else (i,):
-                deriv(j, w[1 + i], d)
-                if j == i:
-                    np.add(div if i else 0.0, d, out=div)
-                yield d
-
         for j in range(n):
-            deriv(j, w[0], grad_v[j])
+            ops.inv(np.multiply(ik[j], w[0], out=dh), out=grad_v[j])
+        div, acc, tmp = pool[:3]
+        ops.inv(_div_hat(ik, w[1:], dh, self._band_row(div)), out=div)
+        ops.fwd(_product_row(u, grad_v, v, div, sl, acc, tmp), out=out[0])
+        if not u_rows:
+            return out
+
+        # row i of u x omega is sum_{j>i} u_j Omega_ji - sum_{j<i} u_j
+        # Omega_ij.  Row i forms the Omega_ji (j > i), which row j reads
+        # again, and reads the Omega_ij (j < i) for the last time, so it
+        # forms their terms in place, first.  out[1 + i] gets the sum s
+        # of its terms, which is sign[i] times the row; no term, sign 0
+        free, omega, sign = list(pool), {}, [0] * n
         for i in range(n):
-            if u_rows:
-                ops.fwd(_product_row(u, row(i), v, grad_v[i], sl, acc, d),
-                        out=out[1 + i])
+            for j in range(i + 1, n):
+                o = omega[j, i] = free.pop()
+                np.multiply(ik[i], w[1 + j], out=dh)
+                dh -= np.multiply(ik[j], w[1 + i], out=self._band_row(o))
+                ops.inv(dh, out=o)
+            terms = [(u[j], omega.pop((i, j)), -1) for j in range(i)] \
+                + [(u[j], omega[j, i], 1) for j in range(i + 1, n)]
+            s = None
+            for uj, o, sj in terms:
+                last = sj < 0
+                t = np.multiply(uj, o, out=o if last else free[-1])
+                if s is None:
+                    s, sign[i] = t, sj
+                    if not last:
+                        free.pop()
+                    continue
+                (np.add if sj == sign[i] else np.subtract)(s, t, out=s)
+                if last:
+                    free.append(o)
+            if s is not None:
+                ops.fwd(s, out=out[1 + i])
+                free.append(s)
+
+        # 2K, whose band spectrum is halved: a power of two, exact
+        acc, tmp = pool[:2]
+        np.multiply(u[0], u[0], out=acc)
+        for j in range(1, n):
+            acc += np.multiply(u[j], u[j], out=tmp)
+        np.multiply(sl, v, out=tmp)
+        acc += np.multiply(tmp, v, out=tmp)
+        kh = ops.fwd(acc, out=dh)
+        kh *= 0.5
+        grad_k = self._band_row(tmp)
+        for i in range(n):
+            o, g = out[1 + i], np.multiply(ik[i], kh, out=grad_k)
+            if sign[i] < 0:
+                np.negative(np.add(o, g, out=o), out=o)
             else:
-                next(row(i))  # d_i u_i alone, for div u
-        ops.fwd(_product_row(u, grad_v, v, div, sl, acc, d), out=out[0])
+                np.subtract(o if sign[i] else 0.0, g, out=o)
         return out
 
     def extension(self, t: float, h: float, w: np.ndarray, f: np.ndarray,
@@ -473,13 +534,13 @@ class _Lawson:
         has just taken, read at each of times, in (t, t + h) and in order.
         w and f are the state and the products at t + h.  Yields, per
         time s, the spectral state at s, its products and the factor
-        integrating_factor(s, t + h) by which the extension carried a
+        exp(_log_growth(s, t + h)) by which the extension carried a
         product back to s; x is overwritten with the physical state.  Of
         the products only the v row is formed (products with
-        u_rows=False), and grad v and div u at s are in the first two
-        buffers of work(): 1 forward and 3n + 1 inverse transforms per
-        time, with physical.  The held buffers of one yield are
-        overwritten by the next.
+        u_rows=False), and grad v and div u at s are in the first buffer
+        of work() and the first field of its second: 1 forward and
+        2n + 2 inverse transforms per time, with physical.  The held
+        buffers of one yield are overwritten by the next.
 
         With U(r) = P(t + h, r) w(r) - P(t + h, t) w(t), the Duhamel term
         in the frame of t + h, U(t) = 0, U'(t) = B = P(t + h, t) f(t),
@@ -499,7 +560,7 @@ class _Lawson:
         of U over the step, the interpolation error of U is at most
         h^4 theta^2 (1 - theta)^2 / 24 U4, h^4 / 384 U4 at theta = 1/2,
         and the propagator carries it back to s with a growth of at most
-        integrating_factor(s, t + h).
+        exp(_log_growth(s, t + h)).
         """
         tmp, pw, acc = self.spectral_work()
         f0 = self.held()[0]
@@ -569,7 +630,7 @@ def step(t: float, w: np.ndarray, x: np.ndarray, f: np.ndarray, h: float,
     # propagators take their scratch from whichever of acc and pw is not
     # in use.  A try that is taken again forms f afresh, one products
     # call more
-    tmp, pw, acc = law.work()[4:]
+    tmp, pw, acc = law.work()[2:]
     while True:
         th = t + 0.5 * h
         p1 = law.propagator(t, th)
@@ -673,10 +734,12 @@ def _spread(t: float, target: float, h: float) -> float:
 
 
 def _log_growth(s: float, e: float, d: DampingLaw) -> float:
-    """The logarithm of integrating_factor(s, e, d) in Python floats, for
-    the step rule, which asks it once or twice a step and compares it
-    with _LOG_GROWTH_MAX: under strong friction the factor itself
-    overflows a float over a long step."""
+    """The logarithm of the friction's integrating factor from s to e,
+    the integral of mu/(1+t)^lam over [s, e], in Python floats: for the
+    step rule, which asks it once or twice a step and compares it with
+    _LOG_GROWTH_MAX, and the transverse factor of the propagator.  Under
+    strong friction the factor itself overflows a float over a long
+    step."""
     om = 1.0 - d.lam
     return d.mu / om * ((1.0 + e) ** om - (1.0 + s) ** om)
 
@@ -730,7 +793,7 @@ class RunResult:
     dt_median: float | None = None
     dt_max: float | None = None
     # outputs read from the continuous extension, and the largest factor
-    # integrating_factor(output, end of its step) it carried a product by
+    # exp(_log_growth(output, end of its step)) it carried a product by
     dense_outputs: int = 0
     dense_growth_max: float | None = None
 
@@ -910,7 +973,7 @@ def nonlinear_wave_source(st: EulerState, d: DampingLaw,
     _linear plus N, and, by bilinearity, d/dt N_v is two v rows of the
     products, with (v_t, u_t) in the factor slots and grad v_t, div u_t
     in the derivative slots: 2 forward and 2n + 3 inverse transforms,
-    besides the n inverses of div u and, where the view has formed only
+    besides the one inverse of div u and, where the view has formed only
     the v row of N, the products anew.
     """
     band = st.band

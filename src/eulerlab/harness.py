@@ -513,6 +513,14 @@ def _zone_tables(d: DampingLaw, t_final: float, densities):
     return tables
 
 
+def _exp(y: float) -> float:
+    """e^y, infinite past the float range instead of OverflowError."""
+    try:
+        return math.exp(y)
+    except OverflowError:
+        return math.inf
+
+
 @_register(
     "zone-bounds",
     "propagator magnitudes against the per-zone envelopes, fitted constants",
@@ -546,9 +554,12 @@ def _run_zone_bounds(cfg: ScenarioConfig, outdir: Path):
                        f"two sample densities)"))
             continue
         c0 = consts[zone] = linear.fit_zone_constant(samples[0], d)
-        mc, mf = (max(p / linear.zone_envelope(t, r, c0, d) for (t, r, p) in s)
+        # the largest log ratio at each density; a zero sample bounds
+        # nothing
+        lc, lf = (max((math.log(p) - linear.log_zone_envelope(t, r, c0, d)
+                       for (t, r, p) in s if p > 0.0), default=math.nan)
                   for s in samples)
-        drift = mf / mc
+        mf, drift = _exp(lf), _exp(lf - lc)
         verdicts.append(Verdict(
             name=f"{key}_ratio_drift", value=drift, predicted=1.0,
             tolerance=1.0,
@@ -572,9 +583,12 @@ def _run_zone_bounds(cfg: ScenarioConfig, outdir: Path):
 
     rows = []
     for (t, r, z, p1, p2) in fine:
-        env = (linear.zone_envelope(t, r, consts[z], d)
-               if enveloped(z, r) and z in consts else math.nan)
-        rows.append((t, r, int(z), p1, 0.0, p2, 0.0, env, abs(p1) / env))
+        env = ratio = math.nan
+        if enveloped(z, r) and z in consts:
+            env = linear.zone_envelope(t, r, consts[z], d)
+            log_env = linear.log_zone_envelope(t, r, consts[z], d)
+            ratio = _exp(math.log(abs(p1)) - log_env) if p1 else 0.0
+        rows.append((t, r, int(z), p1, 0.0, p2, 0.0, env, ratio))
     cols = list(zip(*rows))
     write_csv(outdir / "modes.csv",
               ["t", "r", "zone", "re_phi1", "im_phi1", "re_phi2", "im_phi2",

@@ -54,6 +54,7 @@ __all__ = [
     "AliasingWarning",
     "QuadratureError",
     "evolve_modes",
+    "log_zone_envelope",
     "zone_envelope",
     "fit_zone_constant",
     "zone_integral",
@@ -315,18 +316,27 @@ def _check_band_limited(ops: SpectralOps, fields, what: str, limit: float = 1e-4
 #  Zone diagnostics
 # =====================================================================
 
-def zone_envelope(t: float, r: float, C0: float, d: DampingLaw) -> float:
-    """The envelope with constant C0 that bounds |phi| at (t, r = |xi|)
-    in the zone that (t, r) falls in."""
+def log_zone_envelope(t: float, r: float, C0: float, d: DampingLaw) -> float:
+    """The logarithm of the envelope with constant C0 that bounds |phi|
+    at (t, r = |xi|) in the zone that (t, r) falls in: finite where the
+    envelope itself underflows, as at long horizons or under strong
+    friction."""
     one_m = 1.0 - d.lam
     zone = zone_classify(t, r, d)
     if zone == Zone.Z1:
-        return C0 * math.exp(-C0 * r * r * (1.0 + t) ** one_m)
+        return math.log(C0) - C0 * r * r * (1.0 + t) ** one_m
     if zone == Zone.Z2:
+        # at most log C0, since t >= t_xi: the two terms apart overflow
+        # and underflow an exponential at long horizons
         tx = t_xi(r, d)
-        return C0 * math.exp(-C0 * (1.0 + t) ** one_m) \
-            * math.exp(C0 * (1.0 - r * r) * (1.0 + tx) ** one_m)
-    return C0 * math.exp(-C0 * (1.0 + t) ** one_m)
+        return math.log(C0) + C0 * ((1.0 - r * r) * (1.0 + tx) ** one_m
+                                    - (1.0 + t) ** one_m)
+    return math.log(C0) - C0 * (1.0 + t) ** one_m
+
+
+def zone_envelope(t: float, r: float, C0: float, d: DampingLaw) -> float:
+    """The envelope of log_zone_envelope, 0 where it underflows."""
+    return math.exp(log_zone_envelope(t, r, C0, d))
 
 
 def fit_zone_constant(samples, d: DampingLaw) -> float:
@@ -341,12 +351,11 @@ def fit_zone_constant(samples, d: DampingLaw) -> float:
     for c in np.geomspace(1e-3, 10.0, 60):
         worst = 0.0
         for t, r, obs in samples:
-            env = zone_envelope(t, r, c, d)
-            if env <= 0.0 or obs <= 0.0:
+            if obs <= 0.0:
                 continue
-            # not log(obs / env): the quotient overflows where env is
-            # subnormal, as under strong friction
-            worst = max(worst, abs(math.log(obs) - math.log(env)))
+            # in logarithms: the envelope underflows and the quotient
+            # overflows under strong friction and at long horizons
+            worst = max(worst, abs(math.log(obs) - log_zone_envelope(t, r, c, d)))
         if worst < best_val:
             best_val, best_c = worst, c
     return float(best_c)

@@ -1,8 +1,7 @@
 """Parameter algebra for the damped-Euler laboratory.
 
 Everything in this module is closed-form: the damping coefficient
-mu/(1+t)^lam, the exact integrating factor of the pure-damping ODE,
-the Gaussian-in-space weight
+mu/(1+t)^lam, the Gaussian-in-space weight
 
     psi(t, x) = a |x|^2 / (1+t)^(1+lam)
 
@@ -27,7 +26,6 @@ __all__ = [
     "WeightEval",
     "Zone",
     "damping_coeff",
-    "integrating_factor",
     "DELTA",
     "derive_constants",
     "weight_eval",
@@ -79,22 +77,6 @@ def damping_coeff(t, d: DampingLaw):
     if np.any(t < 0.0):
         raise ValueError("damping_coeff is defined for t >= 0 only")
     out = d.mu * (1.0 + t) ** (-d.lam)
-    return float(out) if out.ndim == 0 else out
-
-
-def integrating_factor(t0, t1, d: DampingLaw):
-    """exp( mu/(1-lam) * ((1+t1)^(1-lam) - (1+t0)^(1-lam)) ).
-
-    This is the exact integrating factor of w' + mu/(1+t)^lam w = 0
-    between times t0 and t1; it is multiplicative over concatenated
-    intervals and reduces to exp(mu (t1 - t0)) at lam = 0.
-    """
-    t0 = np.asarray(t0, dtype=float)
-    t1 = np.asarray(t1, dtype=float)
-    if np.any(t0 < 0.0) or np.any(t1 < 0.0):
-        raise ValueError("integrating_factor requires t0, t1 >= 0")
-    om = 1.0 - d.lam
-    out = np.exp(d.mu / om * ((1.0 + t1) ** om - (1.0 + t0) ** om))
     return float(out) if out.ndim == 0 else out
 
 

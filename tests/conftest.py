@@ -95,8 +95,8 @@ def on_band(st, d, g, ops):
     with the band view of a stepper built on ops: its band ops, the band
     spectrum w of (v, u), the products at the state and the grad v that
     forming them leaves in the stepper's first work buffer, all from st's
-    own fields.  n + 1 forward transforms for w, and the products' n + 1
-    forward and n + n^2 inverse."""
+    own fields.  n + 1 forward transforms for w, and the products' (2,
+    2), (4, 4) or (5, 7) forward and inverse in 1-, 2- or 3-D."""
     law = euler._Lawson(d, g, ops)
     x = np.stack([st.v, *st.u])
     w = np.stack([law.ops.fwd(f) for f in x])

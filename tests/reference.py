@@ -3,11 +3,11 @@
 No preset runs these.  They are the plain, one-field-at-a-time
 definitions that the tests compare the package's fused or band-limited
 forms with: spectral derivatives, divergence, Laplacian, curl, the
-sums of derivative L2 norms and the 2/3-rule dealias projection on a
-SpectralOps, the inverse change of
-variables, the weighted energy, mass excess and momentum moment of one
-state, and the method-of-lines solver that is the grid solver's
-independent oracle.  Each takes the SpectralOps (or Grid) it works on
+sums of derivative L2 norms, the 2/3-rule dealias projection and the
+stepper's products in convective form on a SpectralOps, the inverse
+change of variables, the weighted energy, mass excess and momentum
+moment of one state, the friction's integrating factor, and the
+method-of-lines solver that is the grid solver's independent oracle.  Each takes the SpectralOps (or Grid) it works on
 as an argument.  The recorder's columns of the physical state equal
 these definitions bit for bit, so a rewrite here must keep their
 operations and their order.  So does the zone integral's refinement
@@ -104,6 +104,26 @@ def dealias(ops: SpectralOps, f: np.ndarray) -> np.ndarray:
     return ops.inv(F)
 
 
+def convective_products(ops: SpectralOps, g: GasLaw, w: np.ndarray,
+                        x: np.ndarray, u_rows: bool = True) -> np.ndarray:
+    """The quadratic terms of the symmetric system in convective form,
+    -u.grad v - sl v div u and -(u.grad) u - sl v grad v, on the band
+    spectrum w of (v, u) of a band SpectralOps with physical rows x,
+    from the n first derivatives of v and the n^2 of u: n + n^2 inverse
+    transforms, one field at a time.  With u_rows=False, the v row
+    alone."""
+    n, ik, sl = ops.grid.n, ops.ik, g.slope
+    v, u = x[0], x[1:]
+    dv = [ops.inv(ik[j] * w[0]) for j in range(n)]
+    du = [[ops.inv(ik[j] * w[1 + i]) for j in range(n)] for i in range(n)]
+    div_u = sum(du[i][i] for i in range(n))
+    rows = [-sum(u[j] * dv[j] for j in range(n)) - sl * v * div_u]
+    if u_rows:
+        rows += [-sum(u[j] * du[i][j] for j in range(n)) - sl * v * dv[i]
+                 for i in range(n)]
+    return np.stack([ops.fwd(r) for r in rows])
+
+
 # ---------------------------------------------------------------------
 #  Functionals of one state
 # ---------------------------------------------------------------------
@@ -143,6 +163,27 @@ def momentum_moment(st: euler.EulerState, g: GasLaw, ops: SpectralOps) -> float:
     (the fields and the mesh the recorder passes), not the sum."""
     return diagnostics._moment(from_symmetric(st, g), st.u, ops,
                                ops.grid.mesh())
+
+
+# ---------------------------------------------------------------------
+#  The friction's integrating factor
+# ---------------------------------------------------------------------
+
+def integrating_factor(t0, t1, d: DampingLaw):
+    """exp( mu/(1-lam) * ((1+t1)^(1-lam) - (1+t0)^(1-lam)) ).
+
+    This is the exact integrating factor of w' + mu/(1+t)^lam w = 0
+    between times t0 and t1; it is multiplicative over concatenated
+    intervals and reduces to exp(mu (t1 - t0)) at lam = 0.  The stepper
+    takes its logarithm, euler._log_growth, in Python floats.
+    """
+    t0 = np.asarray(t0, dtype=float)
+    t1 = np.asarray(t1, dtype=float)
+    if np.any(t0 < 0.0) or np.any(t1 < 0.0):
+        raise ValueError("integrating_factor requires t0, t1 >= 0")
+    om = 1.0 - d.lam
+    out = np.exp(d.mu / om * ((1.0 + t1) ** om - (1.0 + t0) ** om))
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------

@@ -17,8 +17,9 @@ import pytest
 from eulerlab import euler
 from eulerlab.euler import DENSE_GROWTH_MAX, EulerState, SolverConfig, initial_bump, run
 from eulerlab.grids import Grid, SpectralOps
-from eulerlab.params import DampingLaw, GasLaw, integrating_factor
+from eulerlab.params import DampingLaw, GasLaw
 from conftest import Outputs, march
+from reference import integrating_factor
 from test_simple_wave import AMPLITUDE, L, N, _breaking_time, _characteristic_r, _r0
 
 GAS = GasLaw()

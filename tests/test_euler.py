@@ -22,8 +22,8 @@ from eulerlab.euler import (
 from eulerlab.grids import Grid, SpectralOps
 from eulerlab.linear import AliasingWarning
 from eulerlab.params import DampingLaw, GasLaw, damping_coeff
-from reference import (curl, dealias, div, from_symmetric, laplacian,
-                       mol_reference_solve)
+from reference import (convective_products, curl, dealias, div,
+                       from_symmetric, laplacian, mol_reference_solve)
 
 GAS = GasLaw()
 D_HALF = DampingLaw(lam=0.5, mu=2.0)
@@ -231,13 +231,17 @@ def _band_state(law, st):
     return w, x, law.products(w, x)
 
 
-@pytest.mark.parametrize("n, fwd_calls, inv_calls", [(1, 8, 16), (2, 12, 36)])
+# (forward, inverse) band transforms of one products call
+PRODUCTS_CALLS = {1: (2, 2), 2: (4, 4), 3: (5, 7)}
+
+
+@pytest.mark.parametrize("n, fwd_calls, inv_calls",
+                         [(1, 8, 16), (2, 16, 28), (3, 20, 44)])
 def test_lawson_step_transforms_only_the_band(n, fwd_calls, inv_calls):
-    # forward: the n + 1 products of stages two to four and of the new
-    # state, which are the next step's first stage; inverse: the n + n^2
-    # first derivatives of each of those, and their n + 1 state rows.
-    # The counts are those of the full-spectrum stepper; none of them is
-    # full-size now.
+    # the products of stages two to four and of the new state, which are
+    # the next step's first stage, each with its n + 1 state rows: 6, 11
+    # and 16 transforms a stage in 1-, 2- and 3-D.  None of them is
+    # full-size
     grid = Grid(n, 8.0, 16)
     ops = CountingOps(grid)
     law = euler._Lawson(D_HALF, GAS, ops)
@@ -247,6 +251,8 @@ def test_lawson_step_transforms_only_the_band(n, fwd_calls, inv_calls):
     band.fwd_calls = band.inv_calls = 0
     assert euler.step(0.0, w, x, f, 0.1, law)[0] == 0.1
     assert (band.fwd_calls, band.inv_calls) == (fwd_calls, inv_calls)
+    per_call = PRODUCTS_CALLS[n]
+    assert (fwd_calls, inv_calls) == (4 * per_call[0], 4 * (per_call[1] + n + 1))
     assert ops.fwd_calls == ops.inv_calls == 0
     assert w.shape == f.shape == (n + 1,) + band.k2.shape
     assert band.k2.size < ops.k2.size
@@ -255,8 +261,9 @@ def test_lawson_step_transforms_only_the_band(n, fwd_calls, inv_calls):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_a_dense_output_forms_the_v_row_alone(n):
     # an output inside a step: its physical rows, grad v, div u and the v
-    # row of the products, 3n + 1 inverse and 1 forward transforms.  The
-    # v row, grad v and div u are the bits of a whole products call there
+    # row of the products, 2n + 2 inverse and 1 forward transforms.  The
+    # v row and grad v are the bits of a whole products call there, and
+    # div u those of the band view's
     grid = Grid(n, 8.0, 16)
     ops = CountingOps(grid)
     law = euler._Lawson(D_HALF, GAS, ops)
@@ -266,12 +273,48 @@ def test_a_dense_output_forms_the_v_row_alone(n):
     h = euler.step(0.0, w, x, f, 0.1, law)[0]
     band.fwd_calls = band.inv_calls = 0
     (s, ws, fs, _), = law.extension(0.0, h, w, f, x, [0.5 * h])
-    assert (band.fwd_calls, band.inv_calls) == (1, 3 * n + 1)
+    assert (band.fwd_calls, band.inv_calls) == (1, 2 * n + 2)
     assert ops.fwd_calls == ops.inv_calls == 0
-    held = [a.copy() for a in (fs[0], *law.work()[:2])]
+    grad_v, pool = law.work()[:2]
+    held = [a.copy() for a in (fs[0], grad_v, pool[0])]
     whole = law.products(ws.copy(), law.physical(ws))
-    for a, b in zip(held, (whole[0], *law.work()[:2])):
+    band.fwd_calls = band.inv_calls = 0
+    div_u = euler.BandView(band, ws, whole, None).div_u
+    assert (band.fwd_calls, band.inv_calls) == (0, 1)
+    for a, b in zip(held, (whole[0], law.work()[0], div_u)):
         assert np.array_equal(_bits(a), _bits(b))
+
+
+def _random_band_state(law, seed):
+    """A band state of random coefficients of every wavevector, made
+    real-consistent by a round trip through physical space, and its
+    physical rows."""
+    rng = np.random.default_rng(seed)
+    shape = (law.ops.grid.n + 1,) + law.ops.kshape
+    w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    w = np.stack([law.ops.fwd(law.ops.inv(r)) for r in w])
+    return w, law.physical(w)
+
+
+@pytest.mark.parametrize("u_rows", [True, False])
+@pytest.mark.parametrize("n, N", [(1, 64), (2, 32), (3, 16)])
+def test_rotational_products_match_the_convective_reference(n, N, u_rows):
+    # the rotational form against the convective one, from the n + n^2
+    # first derivatives, on random band-limited states: under the 2/3
+    # rule both give the same band coefficients up to rounding.  Bound
+    # stated before measuring: 2e-15 of the largest coefficient
+    law = euler._Lawson(D_HALF, GAS, CountingOps(Grid(n, 8.0, N)))
+    band = law.ops
+    for seed in range(3):
+        w, x = _random_band_state(law, seed)
+        want = convective_products(band, GAS, w, x, u_rows)
+        band.fwd_calls = band.inv_calls = 0
+        got = law.products(w, x, u_rows=u_rows)
+        assert (band.fwd_calls, band.inv_calls) == (
+            PRODUCTS_CALLS[n] if u_rows else (1, n + 1))
+        rows = n + 1 if u_rows else 1
+        err = np.max(np.abs(got[:rows] - want))
+        assert err <= 2e-15 * np.max(np.abs(want))
 
 
 NORM_PROBE = """

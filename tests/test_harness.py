@@ -377,6 +377,32 @@ def test_strong_friction_ends_in_passing_verdicts(name, overrides, tmp_path,
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("sets, status", [
+    (("t_final=1e6",), 0),
+    (("lam=0.2", "mu=1e4", "t_final=1e6"), 1),
+], ids=["catalog-friction", "strong-friction"])
+def test_zone_bounds_at_long_horizons_ends_in_verdicts(sets, status, tmp_path,
+                                                       capsys):
+    # to t = 1e6 the two exponentials of the Z2 envelope overflowed and
+    # underflowed apart (OverflowError), and under strong friction the Z1
+    # envelope underflowed to 0 under a nonzero |phi| (ZeroDivisionError):
+    # the envelopes are compared in logarithms.  The second run's ratio
+    # leaves the float range, an infinite value that fails its verdict
+    argv = ["run", "zone-bounds", "--outdir", str(tmp_path)]
+    for item in sets:
+        argv += ["--set", item]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == status
+    (run,) = tmp_path.iterdir()
+    verdicts = {v.name: v for v in Report.from_json(
+        (run / "report.json").read_text()).verdicts}
+    assert tuple(verdicts) == PRESET_VERDICTS["zone-bounds"]
+    z1 = verdicts["z1_ratio_drift"]
+    assert z1.passed == (status == 0) and not math.isnan(z1.value)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_zone_bounds_under_strong_friction_ends_in_verdicts(tmp_path, capsys):
     # at mu = 50 the z3 amplitude falls to 2e-166 by t = 200: its squares
     # underflowed to 0 and decay_fit raised on them; to t_final = 100 the

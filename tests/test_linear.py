@@ -12,9 +12,10 @@ import pytest
 
 from eulerlab import linear
 from eulerlab.grids import Grid, SpectralOps
-from eulerlab.params import DampingLaw, Zone, integrating_factor
+from eulerlab.params import DampingLaw, Zone
 from eulerlab.euler import bump_profile
-from reference import (mol_reference_solve, propagator_matrix, solve_linear_ivp,
+from reference import (integrating_factor, mol_reference_solve,
+                       propagator_matrix, solve_linear_ivp,
                        zone_integral_refined_afresh)
 
 D_HALF = DampingLaw(lam=0.5, mu=2.0)

@@ -7,8 +7,9 @@ import pytest
 
 from eulerlab.params import (
     DELTA, DampingLaw, GasLaw, Zone, damping_coeff, derive_constants,
-    integrating_factor, t_xi, weight_eval, zone_classify,
+    t_xi, weight_eval, zone_classify,
 )
+from reference import integrating_factor
 
 
 # ---------------------------------------------------------------------
