@@ -11,7 +11,7 @@ Modules:
 """
 
 from . import diagnostics, euler, grids, harness, linear, params
-from .euler import EulerState, SolverConfig, initial_bump, mass_bump, run
+from .euler import EulerState, SolverConfig, initial_bump, run
 from .grids import Grid, SpectralOps
 from .harness import ScenarioConfig, preset_config, run_scenario, sweep
 from .params import DampingLaw, GasLaw, WeightSpec, Zone, derive_constants
@@ -20,7 +20,7 @@ __all__ = [
     "params", "grids", "linear", "euler", "diagnostics", "harness",
     "DampingLaw", "GasLaw", "WeightSpec", "Zone", "derive_constants",
     "Grid", "SpectralOps",
-    "EulerState", "SolverConfig", "run", "initial_bump", "mass_bump",
+    "EulerState", "SolverConfig", "run", "initial_bump",
     "ScenarioConfig", "preset_config", "run_scenario", "sweep",
 ]
 

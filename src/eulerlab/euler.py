@@ -30,8 +30,8 @@ spectrum of the ops they are given.  rhs and nonlinear_wave_source work
 on the band, and their quadratic terms are the stepper's own,
 _Lawson.products: the products have one home.
 
-Also here: the initial data (bumps of height eps, in v, as a stream
-function or potential of u, or of given mass), the nonlinear source of the
+Also here: the initial data (bumps of height eps, in v or as a stream
+function or potential of u), the nonlinear source of the
 second-order wave form of the continuity equation, and the blow-up
 monitor, the spectral tail of the state, used by steepening scouting
 runs.
@@ -54,11 +54,9 @@ __all__ = [
     "SolverConfig",
     "RunResult",
     "VacuumError",
-    "to_symmetric",
     "density",
     "bump_profile",
     "initial_bump",
-    "mass_bump",
     "rotational_bump",
     "potential_bump",
     "CFL",
@@ -116,15 +114,6 @@ class EulerState:
         return EulerState(self.t, self.v.copy(), self.u.copy())  # no band
 
 
-def to_symmetric(rho: np.ndarray, g: GasLaw) -> np.ndarray:
-    """v = 2/(gamma-1) (rho^((gamma-1)/2) - 1), the inverse of density;
-    rejects vacuum states."""
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= 0.0):
-        raise VacuumError("density must be positive")
-    return (rho ** g.slope - 1.0) / g.slope
-
-
 def density(v: np.ndarray, g: GasLaw) -> np.ndarray:
     """rho of the symmetric variable v; rejects vacuum states."""
     base = 1.0 + g.slope * np.asarray(v, dtype=float)
@@ -174,15 +163,6 @@ def initial_bump(ops: SpectralOps, R: float, eps: float, *,
         prof = prof * _jitter(grid, jitter, seed)
     v = prof * (eps / _BUMP_PEAK)
     return EulerState(t=0.0, v=v, u=np.zeros((grid.n,) + grid.shape))
-
-
-def mass_bump(ops: SpectralOps, g: GasLaw, R: float, q0: float) -> EulerState:
-    """Bump in the density excess with integral exactly q0; zero velocity."""
-    grid = ops.grid
-    prof = bump_profile(grid, R)
-    rho = 1.0 + prof * (q0 / ops.quad(prof))
-    return EulerState(t=0.0, v=to_symmetric(rho, g),
-                      u=np.zeros((grid.n,) + grid.shape))
 
 
 def rotational_bump(ops: SpectralOps, R: float, eps: float) -> EulerState:

@@ -44,7 +44,7 @@ import numpy as np
 __all__ = ["Grid", "SpectralOps", "MAX_POINTS"]
 
 # Largest grid a run may allocate: 2^22 points.  The largest preset,
-# vorticity-3d at 128^3 = 2^21 points, peaked at 423 MiB in one run.
+# vorticity-3d at 128^3 = 2^21 points, peaked at 373.5 MiB in one run.
 MAX_POINTS = 2 ** 22
 
 

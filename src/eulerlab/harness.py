@@ -2,8 +2,9 @@
 
 A scenario is one fully specified numerical experiment: damping and gas
 laws, grid, initial data, horizon, snapshots and fit window, each value
-a number or a name; the data's size, eps, is the height of their bump on
-every grid.  Each preset wires those pieces together for one
+a number or a name.  The data are a bump in v, or a stream function or
+potential of u, all sized by eps, the height of their bump on every
+grid.  Each preset wires those pieces together for one
 question (kernel decay slopes, zone envelopes, nonlinear decay,
 conserved-mass lower bounds, vorticity decay, and so on) and reduces the
 run to pass/fail verdicts with the fitted and predicted values side by side.
@@ -63,7 +64,7 @@ class ConfigError(ValueError):
 #  Configuration
 # =====================================================================
 
-_DATA_KINDS = ("bump", "mass", "rotational", "potential")
+_DATA_KINDS = ("bump", "rotational", "potential")
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,6 @@ class ScenarioConfig:
     N: int = 1024
     R: float = 4.0
     eps: float = 1e-3
-    q0: float = 0.01
     data_kind: str = "bump"
     jitter: float = 0.0
     seed: int = 0
@@ -91,7 +91,7 @@ class ScenarioConfig:
     fit_hi: float = 100.0
 
     def as_dict(self) -> dict:
-        # not dataclasses.asdict: its new 18-item field tuple per call would
+        # not dataclasses.asdict: its new 17-item field tuple per call would
         # pile up on CPython's tuple free list over many runs in one process
         return dict(vars(self))
 
@@ -184,8 +184,6 @@ def validate_config(cfg: ScenarioConfig):
             f"R: data radius must satisfy 0 < R < L/2 = {0.5 * cfg.L:g}, got {cfg.R}")
     if cfg.eps < 0.0:
         raise ConfigError(f"eps: amplitude must be nonnegative, got {cfg.eps}")
-    if cfg.q0 < 0.0:
-        raise ConfigError(f"q0: excess mass must be nonnegative, got {cfg.q0}")
     if cfg.data_kind not in _DATA_KINDS:
         raise ConfigError(
             f"data_kind: unknown kind {cfg.data_kind!r}; choose from {_DATA_KINDS}")
@@ -379,12 +377,9 @@ def _damping(cfg: ScenarioConfig) -> DampingLaw:
     return DampingLaw(lam=cfg.lam, mu=cfg.mu)
 
 
-def _make_state(cfg: ScenarioConfig, gas: GasLaw,
-                ops: SpectralOps) -> euler.EulerState:
+def _make_state(cfg: ScenarioConfig, ops: SpectralOps) -> euler.EulerState:
     if cfg.data_kind == "bump":
         return euler.initial_bump(ops, cfg.R, cfg.eps, jitter=cfg.jitter, seed=cfg.seed)
-    if cfg.data_kind == "mass":
-        return euler.mass_bump(ops, gas, cfg.R, cfg.q0)
     if cfg.data_kind == "rotational":
         return euler.rotational_bump(ops, cfg.R, cfg.eps)
     return euler.potential_bump(ops, cfg.R, cfg.eps)
@@ -436,7 +431,7 @@ def _nonlinear_run(cfg: ScenarioConfig, snaps, outdir: Path, csv_name: str, *,
         if on_snapshot is not None:
             on_snapshot(st)
 
-    res = euler.run(_make_state(cfg, gas, ops), d, gas, ops, sol,
+    res = euler.run(_make_state(cfg, ops), d, gas, ops, sol,
                     on_snapshot=hook)
     rec.to_csv(outdir / csv_name)
     if res.verdict != "completed" and not allow_stop:
@@ -585,8 +580,8 @@ def _run_zone_bounds(cfg: ScenarioConfig, outdir: Path):
     for (t, r, z, p1, p2) in fine:
         env = ratio = math.nan
         if enveloped(z, r) and z in consts:
-            env = linear.zone_envelope(t, r, consts[z], d)
             log_env = linear.log_zone_envelope(t, r, consts[z], d)
+            env = math.exp(log_env)
             ratio = _exp(math.log(abs(p1)) - log_env) if p1 else 0.0
         rows.append((t, r, int(z), p1, 0.0, p2, 0.0, env, ratio))
     cols = list(zip(*rows))
@@ -703,8 +698,9 @@ def _run_u_extra_lambda(cfg: ScenarioConfig, outdir: Path):
 @_register(
     "mass-conservation",
     "exact conservation of the density excess integral",
-    positive=("q0",),   # the drift is relative to the excess mass
-    n=1, lam=0.5, mu=2.0, N=1024, L=128.0, R=4.0, q0=0.01, data_kind="mass",
+    positive=("eps",),   # the drift is relative to the excess mass
+    # eps: the root of M(0) = quad(density(v) - 1) = 0.01, to 8 digits
+    n=1, lam=0.5, mu=2.0, N=1024, L=128.0, R=4.0, eps=2.0705424e-3,
     t_final=50.0, n_snapshots=21)
 def _run_mass_conservation(cfg: ScenarioConfig, outdir: Path):
     rec, _ = _nonlinear_run(cfg, _lin_snapshots(cfg), outdir, "energy.csv")
@@ -718,44 +714,47 @@ def _run_mass_conservation(cfg: ScenarioConfig, outdir: Path):
 @_register(
     "lower-bound",
     "conserved-mass lower bounds: density and velocity margins stay positive",
-    positive=("q0",),   # the bounds are stated for a positive excess mass
+    positive=("eps",),   # the bounds are stated for a positive excess mass
     schedule=_lin_snapshots,
-    n=1, lam=0.5, mu=2.0, N=2048, L=440.0, R=10.0, q0=0.01, data_kind="mass",
+    # eps: the root of M(0) = quad(density(v) - 1) = 0.01, to 8 digits
+    n=1, lam=0.5, mu=2.0, N=2048, L=440.0, R=10.0, eps=8.2842842e-4,
     t_final=200.0, n_snapshots=81, fit_lo=20.0, fit_hi=200.0)
 def _run_lower_bound(cfg: ScenarioConfig, outdir: Path):
     rec, _ = _nonlinear_run(cfg, _schedule(cfg), outdir, "energy.csv")
     t = rec.times
     mass = rec.series("mass")
     drift = float(np.max(np.abs(mass - mass[0])) / abs(mass[0]))
+    q0 = float(mass[0])   # the margins divide by the mass the run conserves
 
     cs = diagnostics.cauchy_schwarz_margin(t, rec.series("rho_l2"),
-                                           cfg.q0, cfg.R, cfg.n)
+                                           q0, cfg.R, cfg.n)
     mm = diagnostics.moment_inequality_margins(t, rec.series("moment"),
-                                               cfg.q0, cfg.n, rec.d)
+                                               q0, cfg.n, rec.d)
     lb = diagnostics.lower_bound_margin(t, rec.series("rho_l2"),
-                                        rec.series("u_l2"), cfg.q0, cfg.R,
+                                        rec.series("u_l2"), q0, cfg.R,
                                         cfg.n, t0=cfg.fit_lo, t1=cfg.fit_hi)
     over = f"t >= {cfg.fit_lo:g}" + (
         f" and t <= {cfg.fit_hi:g}" if cfg.fit_hi < cfg.t_final else "")
     verdicts = [
         at_most("mass_drift", drift, 1e-8, strict=True,
-                detail=f"relative to M(0)={mass[0]:.6g}"),
+                detail=f"relative to M(0)={q0:.6g}, the recorder's mass "
+                       "at t = 0, which the margins below divide by"),
         Verdict(name="cauchy_schwarz", value=float(np.min(cs)), predicted=1.0,
                 tolerance=1e-6, passed=float(np.min(cs)) >= 1.0 - 1e-6,
-                detail="min over snapshots of |rho-1| sqrt(vol(R+t)) / q0, "
+                detail="min over snapshots of |rho-1| sqrt(vol(R+t)) / M(0), "
                        "predicted at least 1"),
         Verdict(name="moment_inequality", value=float(np.min(mm)), predicted=1.0,
                 tolerance=0.05, passed=float(np.min(mm)) >= 0.95,
-                detail="min over interior snapshots of (F' + b F)/(n q0), "
+                detail="min over interior snapshots of (F' + b F)/(n M(0)), "
                        "predicted at least 1 up to finite differencing"),
         Verdict(name="lower_bound_rho", value=lb["inf_rho"], predicted=0.0,
                 tolerance=0.01, passed=lb["inf_rho"] > 0.01,
                 detail=f"infimum over {over} of "
-                       "|rho-1| (R+t)^(n/2) / q0; pass means clearly positive"),
+                       "|rho-1| (R+t)^(n/2) / M(0); pass means clearly positive"),
         Verdict(name="lower_bound_u", value=lb["inf_u"], predicted=0.0,
                 tolerance=0.01, passed=lb["inf_u"] > 0.01,
                 detail=f"infimum over {over} of "
-                       "|u| (R+t)^((n+2)/2) / q0; pass means clearly positive"),
+                       "|u| (R+t)^((n+2)/2) / M(0); pass means clearly positive"),
     ]
     write_csv(outdir / "margins.csv",
               ["t", "cauchy_schwarz", "m_rho", "m_u"],

@@ -55,7 +55,6 @@ __all__ = [
     "QuadratureError",
     "evolve_modes",
     "log_zone_envelope",
-    "zone_envelope",
     "fit_zone_constant",
     "zone_integral",
     "kernel_decay_check",
@@ -63,6 +62,8 @@ __all__ = [
 
 # kernel_decay_check's band: |xi| <= 1 carries the polynomial-in-time decay
 KERNEL_BAND = 1.0
+# the aliasing limit: data warn past this share of energy beyond the band
+_ALIAS_LIMIT = 1e-4
 
 
 class AliasingWarning(UserWarning):
@@ -303,10 +304,10 @@ def _grid_mode_table(ops: SpectralOps):
     return uniq, inverse
 
 
-def _check_band_limited(ops: SpectralOps, fields, what: str, limit: float = 1e-4):
+def _check_band_limited(ops: SpectralOps, fields, what: str):
     for f in fields:
         frac = ops.tail_fraction(f)
-        if frac > limit:
+        if frac > _ALIAS_LIMIT:
             warnings.warn(
                 f"{what}: {frac:.2e} of the spectral energy sits beyond the "
                 "dealias band; results are resolution-limited", AliasingWarning)
@@ -332,11 +333,6 @@ def log_zone_envelope(t: float, r: float, C0: float, d: DampingLaw) -> float:
         return math.log(C0) + C0 * ((1.0 - r * r) * (1.0 + tx) ** one_m
                                     - (1.0 + t) ** one_m)
     return math.log(C0) - C0 * (1.0 + t) ** one_m
-
-
-def zone_envelope(t: float, r: float, C0: float, d: DampingLaw) -> float:
-    """The envelope of log_zone_envelope, 0 where it underflows."""
-    return math.exp(log_zone_envelope(t, r, C0, d))
 
 
 def fit_zone_constant(samples, d: DampingLaw) -> float:

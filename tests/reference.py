@@ -5,7 +5,7 @@ definitions that the tests compare the package's fused or band-limited
 forms with: spectral derivatives, divergence, Laplacian, curl, the
 sums of derivative L2 norms, the 2/3-rule dealias projection and the
 stepper's products in convective form on a SpectralOps, the inverse
-change of variables, the weighted energy, mass excess and momentum
+change of variables and its inverse, the weighted energy, mass excess and momentum
 moment of one state, the friction's integrating factor, and the
 method-of-lines solver that is the grid solver's independent oracle.  Each takes the SpectralOps (or Grid) it works on
 as an argument.  The recorder's columns of the physical state equal
@@ -127,6 +127,15 @@ def convective_products(ops: SpectralOps, g: GasLaw, w: np.ndarray,
 # ---------------------------------------------------------------------
 #  Functionals of one state
 # ---------------------------------------------------------------------
+
+def to_symmetric(rho: np.ndarray, g: GasLaw) -> np.ndarray:
+    """v = 2/(gamma-1) (rho^((gamma-1)/2) - 1), the inverse of density;
+    rejects vacuum states."""
+    rho = np.asarray(rho, dtype=float)
+    if np.any(rho <= 0.0):
+        raise euler.VacuumError("density must be positive")
+    return (rho ** g.slope - 1.0) / g.slope
+
 
 def from_symmetric(st: euler.EulerState, g: GasLaw) -> np.ndarray:
     """The density of st: the sound-speed change of variables inverted;

@@ -13,13 +13,12 @@ from eulerlab.diagnostics import (
     decay_fit, lower_bound_margin, moment_inequality_margins, weighted_l2_sq,
 )
 from eulerlab import euler
-from eulerlab.euler import (
-    EulerState, initial_bump, rotational_bump, to_symmetric,
-)
+from eulerlab.euler import EulerState, initial_bump, rotational_bump
 from eulerlab.grids import Grid, SpectralOps
 from eulerlab.params import DampingLaw, GasLaw, derive_constants, weight_eval
 from reference import (curl, dealias, deriv, deriv_l2, from_symmetric,
-                       mass_excess, momentum_moment, weighted_energy)
+                       mass_excess, momentum_moment, to_symmetric,
+                       weighted_energy)
 
 GAS = GasLaw()
 D_HALF = DampingLaw(lam=0.5, mu=2.0)

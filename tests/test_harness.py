@@ -90,9 +90,9 @@ def test_from_dict_round_trip():
 def test_from_dict_types_values_like_set():
     cfg = ScenarioConfig.from_dict(
         {"scenario": "nonlinear-decay", "L": 256, "N": "512", "delta": "0.1",
-         "data_kind": "mass"})
+         "data_kind": "potential"})
     assert cfg.L == 256.0 and isinstance(cfg.L, float)
-    assert cfg.N == 512 and cfg.delta == 0.1 and cfg.data_kind == "mass"
+    assert cfg.N == 512 and cfg.delta == 0.1 and cfg.data_kind == "potential"
     assert ScenarioConfig.from_dict(
         {"scenario": "nonlinear-decay", "delta": 1}).delta == 1.0
     # no field takes null or none: delta is a float like any other
@@ -148,7 +148,6 @@ def test_cli_override_coercion():
     (dict(N=8), "N:"),
     (dict(R=130.0), "R:"),
     (dict(eps=-1e-3), "eps:"),
-    (dict(q0=-0.1), "q0:"),
     (dict(data_kind="wat"), "data_kind:"),
     (dict(eps=0.0), "eps:"),   # nonlinear-decay needs eps > 0
     (dict(t_final=0.0), "t_final:"),
@@ -210,13 +209,13 @@ def test_config_digest_ignores_plumbing():
     assert run_dir(a, "here") == Path("here") / f"nonlinear-decay-{da}"
     assert run_dir(a, base_dir="x") == Path("x") / f"nonlinear-decay-{da}"
     # pinned: a change of the hashed payload renames every run directory
-    assert config_digest(preset_config("convolution-lemma")) == "25c0a5884c52"
+    assert config_digest(preset_config("convolution-lemma")) == "e66027ab47de"
 
 
 # the options that left the config, each at the one value every preset
 # ran it at
 REMOVED_KEYS = {"cfl": 0.4, "dt_override": None, "r_cut": 1.0,
-                "diagnostics": ["*"], "store_fields": False}
+                "diagnostics": ["*"], "store_fields": False, "q0": 0.01}
 
 
 @pytest.mark.parametrize("key", ["outdir", "workers", *REMOVED_KEYS])
@@ -318,13 +317,13 @@ DOMAIN_CASES = [
     ("zone-bounds", {"mu": 0.0}, "mu:"),
     ("zone-bounds", {"lam": 0.0}, "lam:"),
     ("zone-integrals", {"mu": 0.0}, "mu:"),
-    ("mass-conservation", {"q0": 0.0}, "q0:"),
-    ("lower-bound", {"q0": 0.0}, "q0:"),
     ("vorticity-2d", {"n": 1}, "n:"),
     ("vorticity-3d", {"n": 2}, "n:"),
     ("nonlinear-decay", {"data_kind": "rotational"}, "data_kind:"),
     # zero data: a fit would take the logarithm of 0, or a ratio 0/0
     ("nonlinear-decay", {"eps": 0.0}, "eps:"),
+    ("mass-conservation", {"eps": 0.0}, "eps:"),
+    ("lower-bound", {"eps": 0.0}, "eps:"),
     ("q-decay", {"eps": 0.0}, "eps:"),
     ("weighted-energy-bounded", {"eps": 0.0}, "eps:"),
     ("u-extra-lambda", {"eps": 0.0}, "eps:"),
@@ -725,6 +724,24 @@ def test_mass_conservation_preset_passes(tmp_path):
     assert handle.verdict("mass_drift").value < 1e-8
 
 
+def test_lower_bound_normalizes_by_the_conserved_mass(tmp_path):
+    # the margins divide by M(0), the recorder's mass at t = 0: data of
+    # twice the height carry about twice the mass, so the margins agree
+    # up to the nonlinear part, of the order of eps < 1e-3; a margin
+    # divided by a fixed mass would double
+    short = dict(t_final=50.0, fit_lo=5.0, fit_hi=50.0, n_snapshots=21)
+    eps = harness.PRESETS["lower-bound"].overrides["eps"]
+    runs = [run_preset("lower-bound", tmp_path / str(k), eps=k * eps, **short)
+            for k in (1, 2)]
+    for name in ("cauchy_schwarz", "lower_bound_rho", "lower_bound_u"):
+        one, two = (h.verdict(name).value for h in runs)
+        assert two == pytest.approx(one, rel=1e-3)
+    for h in runs:
+        m0 = h.csv_columns("energy.csv")["mass"][0]
+        assert h.verdict("mass_drift").detail.startswith(
+            f"relative to M(0)={m0:.6g}, the recorder's mass at t = 0")
+
+
 def test_blowup_scout_preset_detects(tmp_path):
     handle = run_preset("blowup-scout", tmp_path)
     assert handle.report.all_passed
@@ -1000,8 +1017,7 @@ def test_cli_refuses_a_fit_window_holding_the_start_row(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("preset, data_kind", [
-    ("vorticity-2d", "rotational"), ("vorticity-2d", "potential"),
-    ("mass-conservation", "mass")])
+    ("vorticity-2d", "rotational"), ("vorticity-2d", "potential")])
 def test_cli_refuses_jitter_off_bump_data(preset, data_kind, tmp_path, capsys):
     # only bump data take the jitter, so it would change the digest alone
     runs = tmp_path / "runs"
@@ -1054,6 +1070,10 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     alias.write_text(json.dumps({"scenario": "convolution-lemma", "lambda": 0.3}))
     assert main(["run", str(alias), "--outdir", str(runs)]) == 2
     assert "unknown keys ['lambda']" in capsys.readouterr().err
+    # the mass presets run bump data sized by eps; the mass kind is gone
+    assert main(["run", "mass-conservation", "--set", "data_kind=mass",
+                 "--outdir", str(runs)]) == 2
+    assert capsys.readouterr().err.startswith("config error: data_kind:")
     assert not runs.exists()
 
 

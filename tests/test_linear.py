@@ -337,17 +337,18 @@ def test_fit_zone_constant_and_bound_check():
         samples.append((t, r, abs(float(tr[0, m, j]))))
     c0 = linear.fit_zone_constant(samples, d)
     assert c0 > 0.0
-    ratios = [p / linear.zone_envelope(t, r, c0, d) for (t, r, p) in samples]
+    ratios = [p / math.exp(linear.log_zone_envelope(t, r, c0, d))
+              for (t, r, p) in samples]
     assert all(np.isfinite(ratios))
     assert max(ratios) <= 10.0
 
 
 def test_zone_envelope_follows_the_zone():
     # (2, 0.1) lies in the overdamped band Z1, (2, 3) above |xi| = 1 in Z3
-    assert linear.zone_envelope(2.0, 0.1, 1.0, D_HALF) == pytest.approx(
-        math.exp(-0.01 * math.sqrt(3.0)), rel=1e-14)
-    assert linear.zone_envelope(2.0, 3.0, 0.5, D_HALF) == pytest.approx(
-        0.5 * math.exp(-0.5 * math.sqrt(3.0)), rel=1e-14)
+    z1 = math.exp(linear.log_zone_envelope(2.0, 0.1, 1.0, D_HALF))
+    assert z1 == pytest.approx(math.exp(-0.01 * math.sqrt(3.0)), rel=1e-14)
+    z3 = math.exp(linear.log_zone_envelope(2.0, 3.0, 0.5, D_HALF))
+    assert z3 == pytest.approx(0.5 * math.exp(-0.5 * math.sqrt(3.0)), rel=1e-14)
 
 
 # ---------------------------------------------------------------------
